@@ -62,21 +62,6 @@ class EMatrices:
                     and np.linalg.norm(self.E12 @ ones) <= tol * scale)
 
 
-def sector_B(sector: Sector, basis: TraceBasis, eta) -> tuple[np.ndarray, np.ndarray]:
-    """B-vector matrices at one surface point; columns indexed by shape function.
-
-    Column l of B1 is J(1,eta)^{-T} [N_l; 0], column l of B2 is
-    J(1,eta)^{-T} [0; grad_eta N_l].
-    """
-    eta = np.atleast_1d(np.asarray(eta, dtype=float))
-    B1, B2, det = sector_B_many(sector, basis, eta[None, :])
-    if det[0] <= 0.0:
-        raise GeometryError(
-            f"non-positive surface Jacobian {det[0]:.3e} at eta={eta} "
-            f"(center {sector.collapsed_vertex})")
-    return B1[0], B2[0]
-
-
 def sector_B_many(sector: Sector, basis: TraceBasis,
                   etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized B-vectors: returns (B1, B2, detJ1) with B* of shape (q, d, m)."""

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MeshError
 from .polyspace import facet_quadrature, trace_basis
-from .refgeom import FacetKind, Sector, jacobian_columns_many
+from .refgeom import FacetKind, Sector, _facet_points, jacobian_columns_many
 
 _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
                  4: FacetKind.QUADRILATERAL}
@@ -31,19 +31,6 @@ _REF_CORNERS = {
 }
 
 
-def _corner_shape(kind: FacetKind, eta: np.ndarray) -> np.ndarray:
-    """Lowest-order vertex shape functions of the facet at reference points."""
-    if kind is FacetKind.SEGMENT:
-        t = eta[:, 0]
-        return np.column_stack([0.5 * (1 - t), 0.5 * (1 + t)])
-    if kind is FacetKind.QUADRILATERAL:
-        u, v = eta[:, 0], eta[:, 1]
-        return 0.25 * np.column_stack([(1 - u) * (1 - v), (1 + u) * (1 - v),
-                                       (1 + u) * (1 + v), (1 - u) * (1 + v)])
-    u, v = eta[:, 0], eta[:, 1]
-    return np.column_stack([1 - u - v, u, v])
-
-
 @lru_cache(maxsize=None)
 def node_permutation(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
     """perm[l] = canonical lattice index of node l of the re-ordered facet.
@@ -54,8 +41,7 @@ def node_permutation(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
     """
     corners = _REF_CORNERS[kind]
     nodes = trace_basis(kind, k).nodes
-    shp = _corner_shape(kind, nodes)
-    images = shp @ corners[list(vperm)]
+    images = _facet_points(kind, nodes, corners[list(vperm)])
     perm = np.empty(nodes.shape[0], dtype=int)
     for l, img in enumerate(images):
         dist = np.linalg.norm(nodes - img[None, :], axis=1)
@@ -67,6 +53,7 @@ def node_permutation(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
         perm[l] = j
     if len(set(perm.tolist())) != len(perm):
         raise MeshError(f"degenerate facet vertex correspondence {vperm}")
+    perm.flags.writeable = False
     return perm
 
 
@@ -559,15 +546,12 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
 
 
 def _fill_coords(mesh: PolytopalMesh, numbering: DofNumbering):
-    from .refgeom import facet_map_many
     k = numbering.k
-    for fid, facet in enumerate(mesh.facets):
-        basis = trace_basis(facet.kind, k)
-        helper = Sector(collapsed_vertex=np.zeros(mesh.dimension),
-                        facet_vertices=mesh.vertices[list(facet.vertices)],
-                        facet_kind=facet.kind)
-        numbering.coords[numbering.facet_nodes[fid]] = \
-            facet_map_many(helper, basis.nodes)
+    for kind in dict.fromkeys(f.kind for f in mesh.facets):
+        fids = [fid for fid, f in enumerate(mesh.facets) if f.kind is kind]
+        corners = mesh.vertices[[list(mesh.facets[f].vertices) for f in fids]]
+        numbering.coords[[numbering.facet_nodes[f] for f in fids]] = \
+            _facet_points(kind, trace_basis(kind, k).nodes, corners)
     for fe, ids in zip(mesh.fe_elements, numbering.fe_interior):
         if ids.size == 0:
             continue
@@ -575,7 +559,8 @@ def _fill_coords(mesh: PolytopalMesh, numbering: DofNumbering):
         t = np.linspace(-1.0, 1.0, k + 1)[1:-1]
         u, v = np.meshgrid(t, t, indexing="ij")
         uv = np.column_stack([u.ravel(order="F"), v.ravel(order="F")])
-        numbering.coords[ids] = _corner_shape(FacetKind.QUADRILATERAL, uv) @ corners
+        numbering.coords[ids] = _facet_points(FacetKind.QUADRILATERAL, uv,
+                                              corners)
 
 
 def selement_local_dofs(mesh: PolytopalMesh, numbering: DofNumbering,

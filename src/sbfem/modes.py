@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .ematrix import EMatrices, sector_B
+from .ematrix import EMatrices
 from .errors import GeometryError, SpectrumError
 from .polyspace import TraceBasis
-from .refgeom import Sector
+from .refgeom import Sector, _facet_points, _facet_tangents
 
 ZERO_CLUSTER_TOL = 1e-6    # |lambda| below this (x spectral radius) is "zero"
 POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
@@ -78,39 +78,35 @@ class SbfemModes:
         return float(pos.min()) if pos.size else np.inf
 
     def radial_complex(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(xi^lambda, xi^(lambda-1)) per mode; shapes (len(xis), n), complex.
-
-        The second factor carries both gradient terms (times lambda for the
-        radial part, times the surface-gradient coefficients for the rest);
-        it is zeroed for the constant mode, whose gradient vanishes
-        identically.
-        """
-        xis = np.asarray(xis, dtype=float)
-        Z = np.empty((xis.size, self.n), dtype=complex)
-        Z1 = np.empty((xis.size, self.n), dtype=complex)
-        for i, lam in enumerate(self.lambdas):
-            Z[:, i] = _power_or_limit(xis, lam)
-            if abs(lam) < 1e-14:
-                Z1[:, i] = 0.0
-            else:
-                Z1[:, i] = _power_or_limit(xis, lam - 1.0)
-        return Z, Z1
+        """(xi^lambda, xi^(lambda-1)) per mode; shapes (len(xis), n), complex."""
+        return _radial_factors(xis, self.lambdas)
 
 
-def _power_or_limit(xis: np.ndarray, z: complex) -> np.ndarray:
-    """xi^z with the xi -> 0 limit taken where it exists."""
-    vals = np.zeros(xis.shape, dtype=complex)
+def _radial_factors(xis: np.ndarray,
+                    lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """xi^lambda and xi^(lambda-1) for exponents (..., n): (..., len(xis), n).
+
+    The second factor is zero for the constant mode, whose gradient
+    vanishes; at xi <= 0 both take their xi -> 0 limit where it exists.
+    """
+    xis = np.asarray(xis, dtype=float)[:, None]
+    lam = np.asarray(lambdas, dtype=complex)[..., None, :]
     positive = xis > 0.0
-    vals[positive] = np.power(xis[positive].astype(complex), z)
+    safe = np.where(positive, xis, 1.0)
+    Z = np.exp(lam * np.log(safe))
+    const = np.abs(lam) < 1e-14
+    Z1 = np.where(const, 0.0, Z / safe)
     if not positive.all():
-        if abs(z) < 1e-14:
-            vals[~positive] = 1.0
-        elif z.real > 0.0:
-            vals[~positive] = 0.0
-        else:
+        unit = np.abs(lam - 1.0) < 1e-14
+        bad = ~const & ~unit & (lam.real <= 1.0)
+        if bad.any():
             raise GeometryError(
-                f"radial factor xi^({z:.3g}) has no limit at the scaling center")
-    return vals
+                f"radial factors of exponent {lam[bad][0]:.3g} have no limit "
+                "at the scaling center")
+        at0 = ~positive[:, 0]
+        Z[..., at0, :] = const
+        Z1[..., at0, :] = unit
+    return Z, Z1
 
 
 def build_system(E: EMatrices, d: int) -> EulerSystem:
@@ -299,24 +295,52 @@ def shape_eval(modes: SbfemModes, local_rows: np.ndarray, sector: Sector,
     """
     if xi < 0.0 or xi > 1.0 + 1e-12:
         raise GeometryError(f"radial coordinate {xi} outside [0,1]")
-    if xi == 0.0 and any(1e-14 < abs(lam) and lam.real < 1.0
-                         for lam in modes.lambdas):
-        raise GeometryError(
-            "gradient at the scaling center only exists for exponents >= 1")
     rows = np.asarray(local_rows, dtype=int)
-    alpha = np.zeros((len(rows), modes.n), dtype=complex)
-    valid = rows >= 0
-    alpha[valid] = modes.A[rows[valid], :]
-    nvals, _ = basis.eval_many(np.atleast_1d(np.asarray(eta, float))[None, :])
-    traces = nvals[0] @ alpha                      # (n_modes,) complex
-    Z, Z1 = modes.radial_complex(np.array([xi]))
-    values = ((Z[0] * traces) @ modes.pair_transform).real
-    B1, B2 = sector_B(sector, basis, eta)
-    lam = modes.lambdas
-    grads_c = (B1 @ (alpha * (lam * Z1[0])[None, :])
-               + B2 @ (alpha * Z1[0][None, :]))
-    grads = (grads_c @ modes.pair_transform).real
-    return values, grads
+    alpha = np.where(rows[:, None] >= 0, modes.A[rows], 0.0)
+    # one stack member per realified mode, whose complex coefficients are
+    # the matching column of the pair transform
+    n = modes.n
+    _, values, grads, _ = _sector_fields(
+        basis, [xi], np.atleast_1d(np.asarray(eta, dtype=float))[None, :],
+        *(np.broadcast_to(a, (n,) + a.shape) for a in
+          (sector.collapsed_vertex, sector.facet_vertices, alpha)),
+        modes.pair_transform.T, np.broadcast_to(modes.lambdas, (n, n)))
+    return values[:, 0, 0], grads[:, 0, 0].T
+
+
+def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
+                   lambdas):
+    """u_h on the (xi, eta) tensor grid of each of a stack of sectors.
+
+    Returns mapped points (S, R, Q, d), values (S, R, Q), Cartesian
+    gradients (S, R, Q, d) and surface Jacobians |J(1, eta)| (S, Q).
+    The sums run over the complex modes; their real parts are returned.
+    """
+    nvals, ngrads = basis.eval_many(etas)                 # (Q, m), (Q, d-1, m)
+    kind = basis.facet_kind
+    rays = _facet_points(kind, etas, vertices) - centres[:, None, :]
+    J = np.concatenate([rays[..., None], _facet_tangents(kind, etas, vertices)],
+                       axis=-1)                            # (S, Q, d, d)
+    det = np.linalg.det(J)
+    bad = det < 1e-14
+    if bad.any():
+        raise GeometryError(
+            f"degenerate or inverted sector (center "
+            f"{centres[bad.any(axis=1)][0]}): |J(1,eta)| = {det.min():.3e}")
+    JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
+    Z, Z1 = _radial_factors(xis, lambdas)                   # (S, R, n)
+    c = coeffs[:, None, :]
+    T = nvals @ alpha                                        # (S, Q, n)
+    values = (Z @ np.swapaxes(T * c, 1, 2)).real
+    # parametric gradient: radial part lambda c T, surface part c dN alpha
+    D = np.concatenate([(T * (lambdas[:, None, :] * c))[:, :, None, :],
+                        (ngrads @ alpha[:, None]) * c[:, None]], axis=2)
+    S, Q, d, n = D.shape
+    P = (Z1 @ D.reshape(S, Q * d, n).swapaxes(1, 2)).real
+    grads = (JinvT[:, None] @ P.reshape(S, -1, Q, d, 1))[..., 0]
+    pts = (centres[:, None, None, :]
+           + np.asarray(xis)[None, :, None, None] * rays[:, None])
+    return pts, values, grads, det
 
 
 def mode_gram(modes: SbfemModes, E: EMatrices) -> np.ndarray:

@@ -57,6 +57,10 @@ class TraceBasis:
     powers: np.ndarray         # monomial exponents, (cardinality, d-1)
     coeffs: np.ndarray         # inverse Vandermonde: column l = basis function l
 
+    def __post_init__(self):   # cached and shared between callers
+        for a in (self.nodes, self.powers, self.coeffs):
+            a.flags.writeable = False
+
     @property
     def cardinality(self) -> int:
         return self.nodes.shape[0]
@@ -124,6 +128,10 @@ class QuadratureRule:
     weights: np.ndarray
     exactness_degree: int
 
+    def __post_init__(self):   # cached and shared between callers
+        for a in (self.points, self.weights):
+            a.flags.writeable = False
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -161,6 +169,7 @@ def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
     return QuadratureRule(points=pts, weights=ww.ravel(), exactness_degree=order)
 
 
+@lru_cache(maxsize=64)
 def radial_quadrature(exponent_floor: float, order: int,
                       composite_levels: int = 0, ratio: float = 0.2) -> QuadratureRule:
     """Rule on [0,1] for integrands behaving like xi^exponent_floor near 0.

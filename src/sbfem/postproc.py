@@ -8,12 +8,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, SbfemError
-from .polyspace import facet_quadrature, radial_quadrature
-from .refgeom import FacetKind
-from .solver import DiscreteSolution, evaluate_in_fe, evaluate_in_sector
+from .modes import _sector_fields
+from .polyspace import facet_quadrature, radial_quadrature, trace_basis
+from .refgeom import FacetKind, _facet_points, _facet_tangents
+from .solver import DiscreteSolution, fe_quad_dofs
 
 SINGULAR_COMPOSITE_LEVELS = 8
 SINGULAR_COMPOSITE_RATIO = 0.2
+# A radial floor lambda_min - 1 within this of 0 is round-off on an exact
+# exponent-1 (linear) mode, not a singularity: it gets the plain Gauss rule.
+RADIAL_FLOOR_TOL = 1e-8
+# Largest (sectors x radial points x max(Q d, n_modes)) intermediate of the
+# error kernel, in entries; each group of sectors is cut into chunks below it.
+ERROR_CHUNK_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -116,49 +123,96 @@ class QuadratureConfig:
 
 def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
-    """(L2, energy) errors of a discrete solution against an exact one."""
+    """(L2, energy) errors of a discrete solution against an exact one.
+
+    The sectors of all S-elements are grouped by (facet kind, mode count,
+    radial rule) in mesh order; each group is evaluated in chunks of at most
+    ERROR_CHUNK_BUDGET entries, and the FE quads of a coupled mesh likewise.
+    """
     k = solution.k
     cfg = (quad or QuadratureConfig()).resolved(k)
     d = solution.mesh.dimension
-    acc_l2 = 0.0
-    acc_h1 = 0.0
+    groups: dict = {}
     for op in solution.operators:
-        lam_min = op.modes.min_positive_exponent
-        if not np.isfinite(lam_min) or lam_min <= 0.0:
-            raise QuadratureError(
-                f"S-element {op.selement.id}: no positive exponent to set the "
-                "radial quadrature floor")
-        floor = lam_min - 1.0
-        levels = cfg.composite_levels
-        if levels is None:
-            levels = SINGULAR_COMPOSITE_LEVELS if floor < 0.0 else 0
-        n_rad = cfg.radial_points if floor >= 0.0 else max(cfg.radial_points,
-                                                           k + 6)
-        rad = radial_quadrature(floor, n_rad, levels, cfg.composite_ratio)
-        xis = rad.points[:, 0]
-        wxi = rad.weights
+        rule = _radial_rule_args(op, cfg, k)
+        c = op.complex_coefficients(solution.coefficients[op.selement.id])
         for ctx in op.sectors:
-            frule = facet_quadrature(ctx.sector.facet_kind, cfg.facet_order)
-            from .refgeom import jacobian_columns_many
-            _, det = jacobian_columns_many(ctx.sector, frule.points)
-            pts, vals, grads = evaluate_in_sector(solution, op, ctx,
-                                                  xis, frule.points)
-            flat = pts.reshape(-1, d)
-            ev = exact.value(flat).reshape(vals.shape)
-            eg = exact.gradient(flat).reshape(grads.shape)
-            w = np.outer(wxi * xis ** (d - 1), frule.weights * det)
-            acc_l2 += float(np.sum(w * (vals - ev) ** 2))
-            acc_h1 += float(np.sum(w * np.sum((grads - eg) ** 2, axis=2)))
-    if solution.mesh.fe_elements:
+            key = (ctx.sector.facet_kind, op.modes.n, rule)
+            groups.setdefault(key, []).append(_sector_data(op, ctx, c))
+    sums = np.zeros(2)
+    for (kind, n_modes, rule), members in groups.items():
+        frule = facet_quadrature(kind, cfg.facet_order)
+        rad = radial_quadrature(*rule)
+        xis = rad.points[:, 0]
+        wxi = rad.weights * xis ** (d - 1)
+        basis = trace_basis(kind, k)
+        stack = [np.array(a) for a in zip(*members)]
+        per_sector = len(xis) * max(len(frule) * d, n_modes)
+        for sl in _chunks(len(members), per_sector):
+            pts, vals, grads, det = _sector_fields(
+                basis, xis, frule.points, *(a[sl] for a in stack))
+            w = wxi[:, None] * (frule.weights * det)[:, None, :]
+            sums += _error_sums(exact, w, pts, vals, grads)
+    fes = solution.mesh.fe_elements
+    if fes:
         frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
-        for fe in solution.mesh.fe_elements:
-            pts, vals, grads, det = evaluate_in_fe(solution, fe, frule.points)
-            ev = exact.value(pts)
-            eg = exact.gradient(pts)
-            w = frule.weights * det
-            acc_l2 += float(np.sum(w * (vals - ev) ** 2))
-            acc_h1 += float(np.sum(w * np.sum((grads - eg) ** 2, axis=1)))
-    return float(np.sqrt(acc_l2)), float(np.sqrt(acc_h1))
+        for sl in _chunks(len(fes), len(frule) * d):
+            pts, vals, grads, det = _fe_fields(solution, fes[sl], frule.points)
+            sums += _error_sums(exact, frule.weights * det, pts, vals, grads)
+    return float(np.sqrt(sums[0])), float(np.sqrt(sums[1]))
+
+
+def _radial_rule_args(op, cfg: QuadratureConfig, k: int) -> tuple:
+    """radial_quadrature arguments for the error integral of one S-element."""
+    lam_min = op.modes.min_positive_exponent
+    if not np.isfinite(lam_min) or lam_min <= 0.0:
+        raise QuadratureError(
+            f"S-element {op.selement.id}: no positive exponent to set the "
+            "radial quadrature floor")
+    floor = lam_min - 1.0
+    if abs(floor) < RADIAL_FLOOR_TOL:
+        floor = 0.0
+    levels = cfg.composite_levels
+    if levels is None:
+        levels = SINGULAR_COMPOSITE_LEVELS if floor < 0.0 else 0
+    n_rad = cfg.radial_points if floor >= 0.0 else max(cfg.radial_points, k + 6)
+    return floor, n_rad, levels, cfg.composite_ratio
+
+
+def _chunks(n: int, per_member: int) -> list:
+    step = max(1, ERROR_CHUNK_BUDGET // per_member)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _sector_data(op, ctx, coeffs) -> tuple:
+    """One sector's arguments of the kernel, `modes._sector_fields`."""
+    return (ctx.sector.collapsed_vertex, ctx.sector.facet_vertices,
+            op.A_eval[ctx.rows], coeffs, op.modes.lambdas)
+
+
+def _fe_fields(solution: DiscreteSolution, fes, ref_pts):
+    """u_h on a list of FE quads at reference points: mapped points, values,
+    gradients and Jacobian determinants, with shapes (F, Q[, 2])."""
+    mesh = solution.mesh
+    nvals, ngrads = trace_basis(FacetKind.QUADRILATERAL,
+                                solution.k).eval_many(ref_pts)
+    corners = np.array([mesh.vertices[list(fe.vertices)] for fe in fes])
+    uel = np.array([solution.nodal[fe_quad_dofs(mesh, solution.numbering, fe)]
+                    for fe in fes])                          # (F, m)
+    J = _facet_tangents(FacetKind.QUADRILATERAL, ref_pts, corners)
+    JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
+    grads = (JinvT @ (ngrads @ uel[:, None, :, None]))[..., 0]
+    return (_facet_points(FacetKind.QUADRILATERAL, ref_pts, corners),
+            uel @ nvals.T, grads, np.linalg.det(J))
+
+
+def _error_sums(exact: ExactSolution, w, pts, vals, grads) -> np.ndarray:
+    """Weighted sums of squared value and gradient errors."""
+    flat = pts.reshape(-1, pts.shape[-1])
+    ev = exact.value(flat).reshape(vals.shape)
+    eg = exact.gradient(flat).reshape(grads.shape)
+    return np.array([np.sum(w * (vals - ev) ** 2),
+                     np.sum(w * np.sum((grads - eg) ** 2, axis=-1))])
 
 
 def l2_error(solution: DiscreteSolution, exact: ExactSolution,

@@ -94,43 +94,55 @@ def facet_map(sector: Sector, eta) -> np.ndarray:
     return facet_map_many(sector, np.atleast_2d(np.asarray(eta, dtype=float)))[0]
 
 
-def facet_map_many(sector: Sector, etas: np.ndarray) -> np.ndarray:
-    """F_L at several reference points; etas has shape (q, d-1)."""
-    vs = sector.facet_vertices
-    kind = sector.facet_kind
+def _facet_points(kind: FacetKind, etas: np.ndarray,
+                  vertices: np.ndarray) -> np.ndarray:
+    """F_L for facet vertices stacked as (..., n_vertices, d): (..., q, d).
+
+    Here and in `_facet_tangents` the vertex terms are summed one by one,
+    not by matmul, so that no BLAS kernel changes the rounding.
+    """
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if kind is FacetKind.SEGMENT:
         t = etas[:, 0]
-        return np.outer(0.5 * (1.0 - t), vs[0]) + np.outer(0.5 * (1.0 + t), vs[1])
-    if kind is FacetKind.QUADRILATERAL:
+        N = np.column_stack([0.5 * (1.0 - t), 0.5 * (1.0 + t)])
+    elif kind is FacetKind.QUADRILATERAL:
         u, v = etas[:, 0], etas[:, 1]
-        n = np.column_stack([(1 - u) * (1 - v), (1 + u) * (1 - v),
+        N = np.column_stack([(1 - u) * (1 - v), (1 + u) * (1 - v),
                              (1 + u) * (1 + v), (1 - u) * (1 + v)]) * 0.25
-        return n @ vs
-    u, v = etas[:, 0], etas[:, 1]
-    n = np.column_stack([1.0 - u - v, u, v])
-    return n @ vs
+    else:
+        u, v = etas[:, 0], etas[:, 1]
+        N = np.column_stack([1.0 - u - v, u, v])
+    vs = np.asarray(vertices, dtype=float)[..., None, :, :]
+    return (N[..., None] * vs).sum(axis=-2)
+
+
+def _facet_tangents(kind: FacetKind, etas: np.ndarray,
+                    vertices: np.ndarray) -> np.ndarray:
+    """dF_L/deta for facet vertices stacked as (..., n_vertices, d):
+    (..., q, d, d-1)."""
+    etas = np.atleast_2d(np.asarray(etas, dtype=float))
+    q = etas.shape[0]
+    if kind is FacetKind.SEGMENT:
+        dN = np.broadcast_to([[[-0.5, 0.5]]], (q, 1, 2))
+    elif kind is FacetKind.QUADRILATERAL:
+        u, v = etas[:, 0], etas[:, 1]
+        dN = np.stack([np.column_stack([v - 1, 1 - v, 1 + v, -1 - v]),
+                       np.column_stack([u - 1, -1 - u, 1 + u, 1 - u])],
+                      axis=1) * 0.25
+    else:
+        dN = np.broadcast_to([[[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]], (q, 2, 3))
+    vs = np.asarray(vertices, dtype=float)[..., None, None, :, :]
+    return np.swapaxes((dN[..., None] * vs).sum(axis=-2), -1, -2)
+
+
+def facet_map_many(sector: Sector, etas: np.ndarray) -> np.ndarray:
+    """F_L at several reference points; etas has shape (q, d-1)."""
+    return _facet_points(sector.facet_kind, etas, sector.facet_vertices)
 
 
 def facet_tangents_many(sector: Sector, etas: np.ndarray) -> np.ndarray:
     """d F_L / d eta at several points; returns shape (q, d, d-1)."""
-    vs = sector.facet_vertices
-    kind = sector.facet_kind
-    etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    q = etas.shape[0]
-    if kind is FacetKind.SEGMENT:
-        t = np.broadcast_to(0.5 * (vs[1] - vs[0]), (q, 2))
-        return t[:, :, None]
-    if kind is FacetKind.QUADRILATERAL:
-        u, v = etas[:, 0], etas[:, 1]
-        du = (np.outer(-(1 - v), vs[0]) + np.outer(1 - v, vs[1])
-              + np.outer(1 + v, vs[2]) + np.outer(-(1 + v), vs[3])) * 0.25
-        dv = (np.outer(-(1 - u), vs[0]) + np.outer(-(1 + u), vs[1])
-              + np.outer(1 + u, vs[2]) + np.outer(1 - u, vs[3])) * 0.25
-        return np.stack([du, dv], axis=2)
-    du = np.broadcast_to(vs[1] - vs[0], (q, 3))
-    dv = np.broadcast_to(vs[2] - vs[0], (q, 3))
-    return np.stack([du, dv], axis=2)
+    return _facet_tangents(sector.facet_kind, etas, sector.facet_vertices)
 
 
 def duffy_map(sector: Sector, xi: float, eta) -> np.ndarray:
@@ -142,13 +154,6 @@ def duffy_map(sector: Sector, xi: float, eta) -> np.ndarray:
         raise GeometryError(f"surface coordinate {eta} outside the reference facet")
     a0 = sector.collapsed_vertex
     return a0 + xi * (facet_map(sector, eta) - a0)
-
-
-def duffy_map_many(sector: Sector, xis: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    """Tensor evaluation of the Duffy map; returns shape (len(xis), q, d)."""
-    a0 = sector.collapsed_vertex
-    rays = facet_map_many(sector, etas) - a0
-    return a0 + np.asarray(xis, dtype=float)[:, None, None] * rays[None, :, :]
 
 
 def jacobian_columns_many(sector: Sector, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

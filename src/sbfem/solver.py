@@ -20,7 +20,7 @@ from .errors import AssemblyError, SolveError
 from .mesh import (DofNumbering, FEQuad, PolytopalMesh, SElement,
                    number_dofs, selement_local_dofs)
 from .polyspace import facet_quadrature, trace_basis
-from .refgeom import FacetKind, Sector
+from .refgeom import FacetKind, Sector, _facet_points, _facet_tangents
 
 
 @dataclass
@@ -139,25 +139,13 @@ def fe_element_stiffness(vertices: np.ndarray, k: int,
                          kind: str = "quad") -> np.ndarray:
     """H^1 Laplace stiffness of a Q_k quadrilateral or P_k triangle (2D)."""
     vertices = np.asarray(vertices, dtype=float)
-    if kind == "quad":
-        basis = trace_basis(FacetKind.QUADRILATERAL, k)
-        helper = Sector(collapsed_vertex=np.zeros(3),
-                        facet_vertices=np.column_stack([vertices,
-                                                        np.zeros(4)]),
-                        facet_kind=FacetKind.QUADRILATERAL)
-        rule = facet_quadrature(FacetKind.QUADRILATERAL, 2 * k)
-    elif kind == "triangle":
-        basis = trace_basis(FacetKind.TRIANGLE, k)
-        helper = Sector(collapsed_vertex=np.zeros(3),
-                        facet_vertices=np.column_stack([vertices,
-                                                        np.zeros(3)]),
-                        facet_kind=FacetKind.TRIANGLE)
-        rule = facet_quadrature(FacetKind.TRIANGLE, 2 * k)
-    else:
+    facet = {"quad": FacetKind.QUADRILATERAL,
+             "triangle": FacetKind.TRIANGLE}.get(kind)
+    if facet is None:
         raise AssemblyError(f"unsupported FE element kind '{kind}'")
-    _, grads = basis.eval_many(rule.points)
-    from .refgeom import facet_tangents_many
-    tans = facet_tangents_many(helper, rule.points)[:, :2, :]   # (q, 2, 2)
+    rule = facet_quadrature(facet, 2 * k)
+    _, grads = trace_basis(facet, k).eval_many(rule.points)
+    tans = _facet_tangents(facet, rule.points, vertices)        # (q, 2, 2)
     det = np.linalg.det(tans)
     if np.any(det <= 0.0):
         raise AssemblyError("inverted FE element")
@@ -297,7 +285,6 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
 
 def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
     """L2 projection of g onto the trace space of the given facets."""
-    from .refgeom import facet_map_many, facet_tangents_many
     mesh, numbering = system.mesh, system.numbering
     k = numbering.k
     pos = {int(d): i for i, d in enumerate(dofs)}
@@ -308,11 +295,9 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
         basis = trace_basis(facet.kind, k)
         rule = facet_quadrature(facet.kind, 2 * k + 8)
         vals, _ = basis.eval_many(rule.points)
-        helper = Sector(collapsed_vertex=np.zeros(mesh.dimension),
-                        facet_vertices=mesh.vertices[list(facet.vertices)],
-                        facet_kind=facet.kind)
-        pts = facet_map_many(helper, rule.points)
-        tans = facet_tangents_many(helper, rule.points)
+        corners = mesh.vertices[list(facet.vertices)]
+        pts = _facet_points(facet.kind, rule.points, corners)
+        tans = _facet_tangents(facet.kind, rule.points, corners)
         if mesh.dimension == 2:
             jac = np.linalg.norm(tans[:, :, 0], axis=1)
         else:
@@ -402,57 +387,3 @@ def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
     return DiscreteSolution(mesh=mesh, numbering=numbering,
                             operators=operators, nodal=nodal,
                             coefficients=coeffs)
-
-
-# -- evaluation helpers -----------------------------------------------------------
-
-
-def evaluate_in_sector(solution: DiscreteSolution, op: SElementOperator,
-                       ctx: SectorContext, xis: np.ndarray, etas: np.ndarray):
-    """Values, gradients and mapped points on a (xi, eta) tensor grid.
-
-    Returns (points, values, gradients) with shapes (R, Q, d), (R, Q) and
-    (R, Q, d).  Evaluation runs over the complex modes with complexified
-    coefficients; results are real up to round-off and returned real.
-    """
-    from .ematrix import sector_B_many
-    from .refgeom import duffy_map_many
-    md = op.modes
-    c = op.complex_coefficients(solution.coefficients[op.selement.id])
-    alpha = op.A_eval[ctx.rows, :]                     # (m, n_modes) complex
-    nvals, _ = ctx.basis.eval_many(etas)               # (Q, m)
-    xis = np.asarray(xis, dtype=float)
-    Z, Z1 = md.radial_complex(xis)
-    pts = duffy_map_many(ctx.sector, xis, etas)
-    T = nvals @ alpha                                   # (Q, n_modes)
-    values = ((Z * c[None, :]) @ T.T).real              # (R, Q)
-    B1, B2, _ = sector_B_many(ctx.sector, ctx.basis, etas)
-    C1 = np.einsum("qdm,mi->qdi", B1, alpha)
-    C2 = np.einsum("qdm,mi->qdi", B2, alpha)
-    W1 = Z1 * (md.lambdas * c)[None, :]
-    W2 = Z1 * c[None, :]
-    grads = (np.einsum("ri,qdi->rqd", W1, C1)
-             + np.einsum("ri,qdi->rqd", W2, C2)).real
-    return pts, values, grads
-
-
-def evaluate_in_fe(solution: DiscreteSolution, fe: FEQuad, ref_pts: np.ndarray):
-    """Values, gradients and mapped points of the FE part at reference points."""
-    mesh, numbering = solution.mesh, solution.numbering
-    k = numbering.k
-    basis = trace_basis(FacetKind.QUADRILATERAL, k)
-    dofs = fe_quad_dofs(mesh, numbering, fe)
-    uel = solution.nodal[dofs]
-    nvals, ngrads = basis.eval_many(ref_pts)
-    corners = mesh.vertices[list(fe.vertices)]
-    helper = Sector(collapsed_vertex=np.zeros(3),
-                    facet_vertices=np.column_stack([corners, np.zeros(4)]),
-                    facet_kind=FacetKind.QUADRILATERAL)
-    from .refgeom import facet_map_many, facet_tangents_many
-    pts = facet_map_many(helper, ref_pts)[:, :2]
-    tans = facet_tangents_many(helper, ref_pts)[:, :2, :]
-    det = np.linalg.det(tans)
-    JinvT = np.transpose(np.linalg.inv(tans), (0, 2, 1))
-    values = nvals @ uel
-    grads = np.einsum("qde,qem->qdm", JinvT, ngrads) @ uel
-    return pts, values, grads, det

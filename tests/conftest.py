@@ -3,12 +3,38 @@
 import numpy as np
 import pytest
 
+from sbfem import modes, postproc
+from sbfem.ematrix import sector_B_many
+from sbfem.errors import GeometryError
 from sbfem.mesh import (PolytopalMesh, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh, import_mesh,
                         number_dofs, singular_open_selement)
-from sbfem.polyspace import facet_quadrature, radial_quadrature
-from sbfem.refgeom import jacobian_columns_many
-from sbfem.solver import build_operators
+from sbfem.polyspace import facet_quadrature, radial_quadrature, trace_basis
+from sbfem.refgeom import (FacetKind, Sector, facet_map_many,
+                           facet_tangents_many, jacobian_columns_many)
+from sbfem.solver import build_operators, fe_quad_dofs
+
+
+def duffy_map_many(sector, xis, etas):
+    """Tensor evaluation of the Duffy map; returns shape (len(xis), q, d)."""
+    a0 = sector.collapsed_vertex
+    rays = facet_map_many(sector, etas) - a0
+    return a0 + np.asarray(xis, dtype=float)[:, None, None] * rays[None, :, :]
+
+
+def sector_B(sector, basis, eta):
+    """B-vector matrices at one surface point; columns indexed by shape function.
+
+    Column l of B1 is J(1,eta)^{-T} [N_l; 0], column l of B2 is
+    J(1,eta)^{-T} [0; grad_eta N_l].
+    """
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    B1, B2, det = sector_B_many(sector, basis, eta[None, :])
+    if det[0] <= 0.0:
+        raise GeometryError(
+            f"non-positive surface Jacobian {det[0]:.3e} at eta={eta} "
+            f"(center {sector.collapsed_vertex})")
+    return B1[0], B2[0]
 
 
 def operator_for(mesh, k, quad_order=None):
@@ -36,6 +62,33 @@ def random_polygon_mesh(rng, n_vertices=None) -> PolytopalMesh:
     radii = rng.uniform(0.75, 1.3, m)
     verts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
     return polygon_mesh(verts)
+
+
+def jittered_quad_mesh(n, amplitude, seed=0):
+    """n x n mesh of general quadrilateral S-elements on [-1,1]^2."""
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-1, 1, n + 1)
+    pts = {}
+    for j in range(n + 1):
+        for i in range(n + 1):
+            p = np.array([xs[i], xs[j]])
+            if 0 < i < n and 0 < j < n:
+                p = p + rng.uniform(-amplitude, amplitude, 2) * (2.0 / n)
+            pts[(i, j)] = p
+    vertices = []
+    vid = {}
+    for key, p in pts.items():
+        vid[key] = len(vertices)
+        vertices.append([float(p[0]), float(p[1])])
+    sels = []
+    for j in range(n):
+        for i in range(n):
+            loop = [vid[(i, j)], vid[(i + 1, j)], vid[(i + 1, j + 1)],
+                    vid[(i, j + 1)]]
+            facets = [[loop[t], loop[(t + 1) % 4]] for t in range(4)]
+            sels.append({"facets": facets})
+    return import_mesh({"dimension": 2, "vertices": vertices,
+                        "selements": sels})
 
 
 def affine_cube_mesh(rng) -> PolytopalMesh:
@@ -118,7 +171,6 @@ def volume_gradient_inner(op, alpha, mu, rho, drho, sigma, dsigma,
                           facet_order=24, radial_points=20):
     """Tensor-quadrature oracle for the gradient inner product of two Duffy
     functions with polynomial radial parts vanishing at the center."""
-    from sbfem.ematrix import sector_B_many
     d = op.E.dim
     rad = radial_quadrature(1.0, radial_points, 0)
     total = 0.0
@@ -162,3 +214,98 @@ def fd_mode_gradients(op, ctx, xi, eta, step=1e-6):
     J = J1[0].copy()
     J[:, 1:] *= xi
     return np.linalg.solve(J.T, P)
+
+
+def evaluate_in_sector(solution, op, ctx, xis, etas):
+    """The error kernel on one sector: points (R, Q, d), values (R, Q) and
+    gradients (R, Q, d) of u_h on a (xi, eta) tensor grid."""
+    c = op.complex_coefficients(solution.coefficients[op.selement.id])
+    member = postproc._sector_data(op, ctx, c)
+    pts, vals, grads, _ = modes._sector_fields(
+        ctx.basis, np.asarray(xis, dtype=float), etas,
+        *(np.asarray(a)[None] for a in member))
+    return pts[0], vals[0], grads[0]
+
+
+def evaluate_in_fe(solution, fe, ref_pts):
+    """The error kernel on one FE quad: points, values, gradients, det J."""
+    pts, vals, grads, det = postproc._fe_fields(solution, [fe], ref_pts)
+    return pts[0], vals[0], grads[0], det[0]
+
+
+# -- per-sector reference for the batched error integration ----------------------
+
+
+def _reference_sector(solution, op, ctx, xis, etas):
+    """u_h on one sector's (xi, eta) grid, one mode sum per sector."""
+    md = op.modes
+    c = op.complex_coefficients(solution.coefficients[op.selement.id])
+    alpha = op.A_eval[ctx.rows, :]                     # (m, n_modes) complex
+    nvals, _ = ctx.basis.eval_many(etas)               # (Q, m)
+    xis = np.asarray(xis, dtype=float)
+    Z, Z1 = md.radial_complex(xis)
+    pts = duffy_map_many(ctx.sector, xis, etas)
+    T = nvals @ alpha                                   # (Q, n_modes)
+    values = ((Z * c[None, :]) @ T.T).real              # (R, Q)
+    B1, B2, _ = sector_B_many(ctx.sector, ctx.basis, etas)
+    C1 = np.einsum("qdm,mi->qdi", B1, alpha)
+    C2 = np.einsum("qdm,mi->qdi", B2, alpha)
+    W1 = Z1 * (md.lambdas * c)[None, :]
+    W2 = Z1 * c[None, :]
+    grads = (np.einsum("ri,qdi->rqd", W1, C1)
+             + np.einsum("ri,qdi->rqd", W2, C2)).real
+    return pts, values, grads
+
+
+def _reference_fe(solution, fe, ref_pts):
+    """u_h on one FE quad at reference points, through a 3D helper sector."""
+    mesh, numbering = solution.mesh, solution.numbering
+    basis = trace_basis(FacetKind.QUADRILATERAL, numbering.k)
+    uel = solution.nodal[fe_quad_dofs(mesh, numbering, fe)]
+    nvals, ngrads = basis.eval_many(ref_pts)
+    corners = mesh.vertices[list(fe.vertices)]
+    helper = Sector(collapsed_vertex=np.zeros(3),
+                    facet_vertices=np.column_stack([corners, np.zeros(4)]),
+                    facet_kind=FacetKind.QUADRILATERAL)
+    pts = facet_map_many(helper, ref_pts)[:, :2]
+    tans = facet_tangents_many(helper, ref_pts)[:, :2, :]
+    det = np.linalg.det(tans)
+    JinvT = np.transpose(np.linalg.inv(tans), (0, 2, 1))
+    values = nvals @ uel
+    grads = np.einsum("qde,qem->qdm", JinvT, ngrads) @ uel
+    return pts, values, grads, det
+
+
+def reference_solution_errors(solution, exact, quad=None):
+    """(L2, energy) errors by a loop over S-elements, sectors and FE quads.
+
+    Oracle for `postproc.solution_errors`; it picks each S-element's radial
+    rule with the same helper.
+    """
+    k = solution.k
+    cfg = (quad or postproc.QuadratureConfig()).resolved(k)
+    d = solution.mesh.dimension
+    acc_l2 = 0.0
+    acc_h1 = 0.0
+    for op in solution.operators:
+        rad = radial_quadrature(*postproc._radial_rule_args(op, cfg, k))
+        xis = rad.points[:, 0]
+        for ctx in op.sectors:
+            frule = facet_quadrature(ctx.sector.facet_kind, cfg.facet_order)
+            _, det = jacobian_columns_many(ctx.sector, frule.points)
+            pts, vals, grads = _reference_sector(solution, op, ctx, xis,
+                                                 frule.points)
+            flat = pts.reshape(-1, d)
+            ev = exact.value(flat).reshape(vals.shape)
+            eg = exact.gradient(flat).reshape(grads.shape)
+            w = np.outer(rad.weights * xis ** (d - 1), frule.weights * det)
+            acc_l2 += float(np.sum(w * (vals - ev) ** 2))
+            acc_h1 += float(np.sum(w * np.sum((grads - eg) ** 2, axis=2)))
+    frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
+    for fe in solution.mesh.fe_elements:
+        pts, vals, grads, det = _reference_fe(solution, fe, frule.points)
+        w = frule.weights * det
+        acc_l2 += float(np.sum(w * (vals - exact.value(pts)) ** 2))
+        acc_h1 += float(np.sum(w * np.sum((grads - exact.gradient(pts)) ** 2,
+                                          axis=1)))
+    return float(np.sqrt(acc_l2)), float(np.sqrt(acc_h1))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (fixture_meshes_2d, fixture_meshes_3d, operator_for,
-                      volume_gradient_inner)
-from sbfem.ematrix import sector_B, sector_E
+                      sector_B, volume_gradient_inner)
+from sbfem.ematrix import sector_E
 from sbfem.mesh import gen_quad_mesh, import_mesh, number_dofs
 from sbfem.polyspace import facet_quadrature, trace_basis
 from sbfem.refgeom import FacetKind, Sector

@@ -3,37 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import jittered_quad_mesh
 from sbfem.mesh import gen_hex_mesh, import_mesh, number_dofs
 from sbfem.postproc import get_exact, solution_errors
 from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
                           sbfem_interpolate, solve)
-
-
-def jittered_quad_mesh(n, amplitude, seed=0):
-    """n x n mesh of general quadrilateral S-elements on [-1,1]^2."""
-    rng = np.random.default_rng(seed)
-    xs = np.linspace(-1, 1, n + 1)
-    pts = {}
-    for j in range(n + 1):
-        for i in range(n + 1):
-            p = np.array([xs[i], xs[j]])
-            if 0 < i < n and 0 < j < n:
-                p = p + rng.uniform(-amplitude, amplitude, 2) * (2.0 / n)
-            pts[(i, j)] = p
-    vertices = []
-    vid = {}
-    for key, p in pts.items():
-        vid[key] = len(vertices)
-        vertices.append([float(p[0]), float(p[1])])
-    sels = []
-    for j in range(n):
-        for i in range(n):
-            loop = [vid[(i, j)], vid[(i + 1, j)], vid[(i + 1, j + 1)],
-                    vid[(i, j + 1)]]
-            facets = [[loop[t], loop[(t + 1) % 4]] for t in range(4)]
-            sels.append({"facets": facets})
-    return import_mesh({"dimension": 2, "vertices": vertices,
-                        "selements": sels})
 
 
 def sheared_hex_mesh(n):

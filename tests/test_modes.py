@@ -289,3 +289,22 @@ def test_eigenvalue_rows_format(square_mesh):
     assert len(rows) == 8
     assert sum(sel for _, _, sel in rows) == 3   # positives; constant replaced
     assert rows == sorted(rows)
+
+
+def test_radial_factor_limits_at_center():
+    from sbfem.modes import _radial_factors
+    lams = np.array([0.0, 1.0, 2.0, 1.5 + 0.5j, 1.5 - 0.5j])
+    xis = np.array([0.0, 0.25])
+    Z, Z1 = _radial_factors(xis, lams)
+    assert np.array_equal(Z[0], [1, 0, 0, 0, 0])
+    assert np.array_equal(Z1[0], [0, 1, 0, 0, 0])
+    assert np.abs(Z[1] - 0.25 ** lams).max() < 1e-15
+    assert np.all(Z1[:, 0] == 0.0)
+    assert np.abs(Z1[1, 1:] - 0.25 ** (lams[1:] - 1)).max() < 1e-14
+    # stacked exponent sets broadcast over a leading axis
+    Zs, _ = _radial_factors(xis, np.stack([lams, lams[::-1]]))
+    assert np.array_equal(Zs[1], Z[:, ::-1])
+    for bad in (-0.5, 0.5j, 0.5, 0.8 + 0.3j):
+        with pytest.raises(GeometryError):
+            _radial_factors(xis, np.array([0.0, bad]))
+        _radial_factors(xis[1:], np.array([0.0, bad]))   # fine off the center

@@ -161,3 +161,17 @@ def test_radial_errors():
         radial_quadrature(0.5, 0, 2)
     with pytest.raises(QuadratureError):
         facet_quadrature(FacetKind.SEGMENT, 0)
+
+
+def test_cached_arrays_are_read_only():
+    from sbfem.mesh import node_permutation
+    rule = radial_quadrature(0.0, 12, 0)
+    assert radial_quadrature(0.0, 12, 0) is rule
+    basis = trace_basis(FacetKind.QUADRILATERAL, 2)
+    shared = [rule.points, rule.weights,
+              facet_quadrature(FacetKind.TRIANGLE, 6).weights,
+              basis.nodes, basis.coeffs,
+              node_permutation(FacetKind.SEGMENT, 2, (1, 0))]
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from conftest import jittered_quad_mesh, reference_solution_errors
+from sbfem import postproc
 from sbfem.errors import SbfemError
-from sbfem.mesh import (gen_coupled_singular, gen_quad_mesh,
+from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
+                        gen_polyhedron_case1, gen_quad_mesh,
                         singular_open_selement)
+from sbfem.polyspace import radial_quadrature
 from sbfem.postproc import (EXACT_SOLUTIONS, QuadratureConfig,
                             convergence_table, energy_error, get_exact,
                             l2_error, laplacian_residual, report_to_csv,
@@ -141,3 +145,48 @@ def test_interpolation_error_decay_singular_wedge():
     rate_l2 = np.log2(errs[-2][0] / errs[-1][0])
     assert rate_h1 == pytest.approx(2.0, abs=0.25)
     assert rate_l2 == pytest.approx(3.0, abs=0.35)
+
+
+def _galerkin(mesh, k, problem):
+    exact = get_exact(problem)
+    system = assemble_global(mesh, k)
+    apply_dirichlet(system, exact.value, facet_ids=exact.dirichlet_facets(mesh))
+    return solve(system), exact
+
+
+BATCH_CASES = {
+    "quad-l1-k3": (lambda: gen_quad_mesh(4), 3, "exp2d"),
+    "hex-l1-k2": (lambda: gen_hex_mesh(2), 2, "exp3d"),
+    "polygon-case1-l1-k2": (lambda: gen_polygon_case1(2), 2, "exp2d"),
+    "polyhedron-case1-l1-k2": (lambda: gen_polyhedron_case1(1), 2, "exp3d"),
+    "jittered-8x8-k2": (lambda: jittered_quad_mesh(8, 0.18), 2, "exp2d"),
+    "coupled-singular-l2-k2": (lambda: gen_coupled_singular(2), 2, "sqrt2d"),
+}
+
+
+@pytest.mark.parametrize("one_sector_chunks", [False, True])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_errors_match_per_sector_reference(case, one_sector_chunks,
+                                                   monkeypatch):
+    if one_sector_chunks:
+        monkeypatch.setattr(postproc, "ERROR_CHUNK_BUDGET", 1)
+    make, k, problem = BATCH_CASES[case]
+    sol, exact = _galerkin(make(), k, problem)
+    got = solution_errors(sol, exact)
+    expect = reference_solution_errors(sol, exact)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+def test_radial_rule_round_off_floor_is_plain_gauss():
+    # lambda_min of a hex S-element is 1 up to round-off on either side
+    cfg = QuadratureConfig().resolved(2)
+    sol, _ = _galerkin(gen_hex_mesh(2), 2, "exp3d")
+    for op in sol.operators:
+        assert abs(op.modes.min_positive_exponent - 1.0) < 1e-12
+        rule = radial_quadrature(*postproc._radial_rule_args(op, cfg, 2))
+        assert len(rule) == 12
+    open_op = sbfem_interpolate(singular_open_selement(1), 2, 0.0).operators[0]
+    floor, n_rad, levels, _ = postproc._radial_rule_args(open_op, cfg, 2)
+    assert floor == pytest.approx(-0.5, abs=1e-3)
+    assert levels == postproc.SINGULAR_COMPOSITE_LEVELS
+    assert len(radial_quadrature(floor, n_rad, levels, 0.2)) == 12 * (levels + 1)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import duffy_map_many
 from sbfem.errors import GeometryError
 from sbfem.refgeom import (FacetKind, Sector, duffy_jacobian, duffy_map,
-                           duffy_map_many, jacobian_columns_many)
+                           jacobian_columns_many)
 
 
 def tri_sector():

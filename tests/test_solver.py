@@ -4,8 +4,8 @@ import pytest
 from sbfem.errors import AssemblyError, SolveError
 from sbfem.mesh import gen_coupled_singular, gen_quad_mesh, number_dofs
 from sbfem.postproc import get_exact, solution_errors
+from conftest import evaluate_in_fe, evaluate_in_sector
 from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
-                          evaluate_in_fe, evaluate_in_sector,
                           fe_element_stiffness, fe_quad_dofs,
                           sbfem_interpolate, solve)
 
