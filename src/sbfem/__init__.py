@@ -11,7 +11,7 @@ from .errors import (AssemblyError, ConfigError, GeometryError, MeshError,
 from .refgeom import FacetKind, Sector, SectorJacobian, duffy_jacobian, duffy_map
 from .polyspace import (QuadratureRule, TraceBasis, facet_quadrature,
                         radial_quadrature, shape_values, trace_basis)
-from .ematrix import EMatrices, SectorE, assemble_E, sector_E
+from .ematrix import EMatrices, assemble_E
 from .modes import (EulerSystem, SbfemModes, SElementStiffness,
                     apply_sideface_bc, build_system, element_stiffness,
                     mode_gram, orthogonality_residual, select_modes, shape_eval)

@@ -1,4 +1,4 @@
-"""Per-sector B-vectors and the assembled boundary coefficient matrices.
+"""B-vectors and the assembled boundary coefficient matrices.
 
 The gradient of a separable function rho(xi) * alpha(eta) on a sector is
 ``B1 alpha rho'(xi) + B2 alpha rho(xi)/xi`` with the columns of B1, B2 built
@@ -14,19 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AssemblyError, GeometryError
-from .polyspace import QuadratureRule, TraceBasis, facet_quadrature
-from .refgeom import Sector, jacobian_columns_many
-
-
-@dataclass(frozen=True)
-class SectorE:
-    """Boundary coefficient matrices of a single sector."""
-
-    E11: np.ndarray
-    E12: np.ndarray
-    E21: np.ndarray
-    E22: np.ndarray
+from .errors import GeometryError
+from .polyspace import facet_quadrature, trace_basis
+from .refgeom import _chunks, _sector_jacobians
 
 
 @dataclass
@@ -62,62 +52,53 @@ class EMatrices:
                     and np.linalg.norm(self.E12 @ ones) <= tol * scale)
 
 
-def sector_B_many(sector: Sector, basis: TraceBasis,
-                  etas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized B-vectors: returns (B1, B2, detJ1) with B* of shape (q, d, m)."""
-    etas = np.atleast_2d(np.asarray(etas, dtype=float))
-    values, grads = basis.eval_many(etas)
-    J1, det = jacobian_columns_many(sector, etas)
-    if np.any(np.abs(det) < 1e-14):
-        raise GeometryError(
-            f"degenerate sector (center {sector.collapsed_vertex}): |J| ~ 0")
-    Jinv_T = np.transpose(np.linalg.inv(J1), (0, 2, 1))
-    d = sector.dim
-    q, m = values.shape[0], basis.cardinality
-    rhs = np.zeros((q, d, m))
-    rhs[:, 0, :] = values
-    B1 = Jinv_T @ rhs
-    rhs = np.zeros((q, d, m))
-    rhs[:, 1:, :] = grads
-    B2 = Jinv_T @ rhs
-    return B1, B2, det
+def assemble_E(stacks: dict, sizes: dict, dim: int, k: int,
+               order: int) -> dict:
+    """Coefficient matrices of several S-elements from their stacked sectors.
 
-
-def sector_E(sector: Sector, basis: TraceBasis, rule: QuadratureRule) -> SectorE:
-    """Integrate the four B-vector Gram matrices over one facet."""
-    if basis.facet_kind is not sector.facet_kind:
-        raise AssemblyError("trace basis facet kind does not match the sector")
-    B1, B2, det = sector_B_many(sector, basis, rule.points)
-    if np.any(det <= 0.0):
-        raise GeometryError(
-            f"sector with center {sector.collapsed_vertex} is not positively "
-            "oriented at the quadrature points")
-    w = rule.weights * det
-    E11 = np.einsum("q,qdi,qdj->ij", w, B1, B1)
-    E12 = np.einsum("q,qdi,qdj->ij", w, B1, B2)
-    E22 = np.einsum("q,qdi,qdj->ij", w, B2, B2)
-    E11 = 0.5 * (E11 + E11.T)
-    E22 = 0.5 * (E22 + E22.T)
-    return SectorE(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22)
-
-
-def assemble_E(sector_data, n_local: int, dim: int, dof_map: np.ndarray,
-               quad_order_for=facet_quadrature) -> EMatrices:
-    """Assemble sector matrices into the S-element coefficient matrices.
-
-    `sector_data` yields (Sector, TraceBasis, local_indices, order) tuples
-    where `local_indices[l]` is the S-element trace index of sector shape
-    function l.
+    `stacks` maps a facet kind to (centres (S, d), facet vertices
+    (S, n_vertices, d), owners (S, 2), rows (S, m)): sector s is facet
+    position owners[s, 1] of S-element owners[s, 0], and rows[s, l] is the
+    S-element trace index of its shape function l.  `sizes` maps each
+    S-element id to its trace DOF count.  Each kind is integrated with the
+    facet rule of `order` in chunks of at most `refgeom.CHUNK_BUDGET`
+    entries; every S-element's blocks receive its sectors in stack order.
+    Returns S-element id -> EMatrices.
     """
-    E11 = np.zeros((n_local, n_local))
-    E12 = np.zeros((n_local, n_local))
-    E22 = np.zeros((n_local, n_local))
-    for sector, basis, idx, order in sector_data:
-        rule = quad_order_for(sector.facet_kind, order)
-        se = sector_E(sector, basis, rule)
-        ix = np.ix_(idx, idx)
-        E11[ix] += se.E11
-        E12[ix] += se.E12
-        E22[ix] += se.E22
-    return EMatrices(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22,
-                     dim=dim, dof_map=np.asarray(dof_map))
+    ids = list(sizes)
+    n = np.zeros(max(ids, default=-1) + 1, dtype=int)
+    n[ids] = [sizes[e] for e in ids]
+    base = np.zeros_like(n)
+    base[ids] = np.cumsum(n[ids] ** 2) - n[ids] ** 2
+    flat = np.zeros((3, int(np.sum(n ** 2))))          # E11, E12, E22
+    for kind, (centres, vertices, owners, rows) in stacks.items():
+        rule = facet_quadrature(kind, order)
+        N, dN = trace_basis(kind, k).eval_many(rule.points)   # (Q, m), (Q, d-1, m)
+        for sl in _chunks(len(owners), N.size * dim):
+            J, det = _sector_jacobians(kind, rule.points, centres[sl],
+                                       vertices[sl])
+            bad = (det < 1e-14).any(axis=1)          # degenerate or inverted
+            if bad.any():
+                (e, pos), low = owners[sl][bad][0], det[bad][0].min()
+                raise GeometryError(f"S-element {e}, facet {pos}: degenerate or "
+                                    f"inverted sector (|J(1,eta)| = {low:.3e})")
+            JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
+            B1 = JinvT[..., :1] * N[:, None, :]               # (S, Q, d, m)
+            B2 = JinvT[..., 1:] @ dN
+            w = rule.weights * det
+            E11 = np.einsum("sq,sqdi,sqdj->sij", w, B1, B1)
+            E12 = np.einsum("sq,sqdi,sqdj->sij", w, B1, B2)
+            E22 = np.einsum("sq,sqdi,sqdj->sij", w, B2, B2)
+            e, r = owners[sl, 0], rows[sl]
+            at = (base[e][:, None, None] + r[:, :, None] * n[e][:, None, None]
+                  + r[:, None, :])
+            for blk, E in zip(flat, (0.5 * (E11 + np.swapaxes(E11, 1, 2)), E12,
+                                     0.5 * (E22 + np.swapaxes(E22, 1, 2)))):
+                np.add.at(blk, at, E)
+    out = {}
+    for e in ids:
+        E11, E12, E22 = (blk[base[e]:base[e] + n[e] ** 2].reshape(n[e], n[e])
+                         for blk in flat)
+        out[e] = EMatrices(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22,
+                           dim=dim, dof_map=np.arange(n[e]))
+    return out

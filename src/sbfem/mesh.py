@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import MeshError
 from .polyspace import facet_quadrature, trace_basis
-from .refgeom import FacetKind, Sector, _facet_points, jacobian_columns_many
+from .refgeom import FacetKind, _facet_points, _sector_jacobians
 
 _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
                  4: FacetKind.QUADRILATERAL}
@@ -222,13 +222,6 @@ class PolytopalMesh:
     def boundary_facet_ids(self) -> list[int]:
         return [fid for fid, ow in enumerate(self.facet_owners()) if len(ow) == 1]
 
-    def sector(self, sel: SElement, pos: int) -> Sector:
-        order = sel.facet_orders[pos]
-        kind = self.facets[sel.facet_ids[pos]].kind
-        return Sector(collapsed_vertex=sel.center,
-                      facet_vertices=self.vertices[list(order)],
-                      facet_kind=kind)
-
     def sector_node_perm(self, sel: SElement, pos: int, k: int) -> np.ndarray:
         fid = sel.facet_ids[pos]
         canon = self.facets[fid].vertices
@@ -236,13 +229,27 @@ class PolytopalMesh:
         return node_permutation(self.facets[fid].kind, k, vperm)
 
     def h_max(self) -> float:
+        """Largest distance between two vertices of one facet."""
         h = 0.0
-        for facet in self.facets:
-            pts = self.vertices[list(facet.vertices)]
-            for i in range(len(pts)):
-                for j in range(i + 1, len(pts)):
-                    h = max(h, float(np.linalg.norm(pts[i] - pts[j])))
+        for kind in dict.fromkeys(f.kind for f in self.facets):
+            pts = self.vertices[[f.vertices for f in self.facets if f.kind is kind]]
+            diff = pts[:, :, None, :] - pts[:, None, :, :]
+            h = max(h, float(np.linalg.norm(diff, axis=-1).max()))
         return h
+
+    def _sector_stacks(self) -> dict:
+        """Every sector of the mesh, stacked by facet kind in mesh order:
+        kind -> (centres (S, d), facet vertices (S, n_vertices, d),
+        (S-element id, facet position) of each sector (S, 2))."""
+        owners: dict = {}
+        for sel in self.selements:
+            for pos, fid in enumerate(sel.facet_ids):
+                owners.setdefault(self.facets[fid].kind, []).append((sel.id, pos))
+        sels = self.selements
+        return {kind: (np.array([sels[e].center for e, _ in own]),
+                       self.vertices[[sels[e].facet_orders[p] for e, p in own]],
+                       np.array(own, dtype=int))
+                for kind, own in owners.items()}
 
     # -- validation ------------------------------------------------------------
 
@@ -258,30 +265,34 @@ class PolytopalMesh:
 
     def _check_planarity(self, tol: float = 1e-8):
         scale = max(self.h_max(), 1e-300)
-        for fid, facet in enumerate(self.facets):
-            pts = self.vertices[list(facet.vertices)]
-            if len(pts) < 4:
-                continue
-            n = np.cross(pts[1] - pts[0], pts[2] - pts[0])
-            nn = np.linalg.norm(n)
-            if nn < 1e-14 * scale * scale:
-                raise MeshError(f"facet {fid} is degenerate")
-            off = abs(np.dot(pts[3] - pts[0], n / nn))
-            if off > tol * scale:
-                raise MeshError(f"facet {fid} is non-planar "
-                                f"(offset {off:.2e} > {tol:.0e} x {scale:.2e})")
+        fids = [fid for fid, f in enumerate(self.facets) if len(f.vertices) == 4]
+        pts = self.vertices[[self.facets[f].vertices for f in fids]].reshape(-1, 4, 3)
+        n = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+        nn = np.linalg.norm(n, axis=-1)
+        degenerate = nn < 1e-14 * scale * scale
+        off = np.abs(np.sum((pts[:, 3] - pts[:, 0]) * n, axis=-1)
+                     / np.where(degenerate, 1.0, nn))
+        bad = np.flatnonzero(degenerate | (off > tol * scale))
+        if bad.size:
+            i = bad[0]
+            if degenerate[i]:
+                raise MeshError(f"facet {fids[i]} is degenerate")
+            raise MeshError(f"facet {fids[i]} is non-planar "
+                            f"(offset {off[i]:.2e} > {tol:.0e} x {scale:.2e})")
 
     def _check_star_shape(self):
-        for sel in self.selements:
-            for pos in range(len(sel.facet_ids)):
-                sector = self.sector(sel, pos)
-                pts = facet_quadrature(sector.facet_kind, 5).points
-                _, det = jacobian_columns_many(sector, pts)
-                if np.any(det <= 0.0):
-                    raise MeshError(
-                        f"S-element {sel.id} fails the star-shape check: facet "
-                        f"{sel.facet_orders[pos]} is not fully visible from its "
-                        f"scaling center {sel.center}")
+        culprits = []
+        for kind, (centres, vertices, owners) in self._sector_stacks().items():
+            pts = facet_quadrature(kind, 5).points
+            _, det = _sector_jacobians(kind, pts, centres, vertices)
+            culprits.extend(owners[(det <= 0.0).any(axis=1)][:1].tolist())
+        if culprits:
+            e, pos = min(culprits)
+            sel = self.selements[e]
+            raise MeshError(
+                f"S-element {sel.id} fails the star-shape check: facet "
+                f"{sel.facet_orders[pos]} is not fully visible from its "
+                f"scaling center {sel.center}")
 
     # -- file format -----------------------------------------------------------
 

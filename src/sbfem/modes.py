@@ -19,7 +19,7 @@ import scipy.linalg
 from .ematrix import EMatrices
 from .errors import GeometryError, SpectrumError
 from .polyspace import TraceBasis
-from .refgeom import Sector, _facet_points, _facet_tangents
+from .refgeom import Sector, _sector_jacobians
 
 ZERO_CLUSTER_TOL = 1e-6    # |lambda| below this (x spectral radius) is "zero"
 POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
@@ -317,11 +317,7 @@ def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
     The sums run over the complex modes; their real parts are returned.
     """
     nvals, ngrads = basis.eval_many(etas)                 # (Q, m), (Q, d-1, m)
-    kind = basis.facet_kind
-    rays = _facet_points(kind, etas, vertices) - centres[:, None, :]
-    J = np.concatenate([rays[..., None], _facet_tangents(kind, etas, vertices)],
-                       axis=-1)                            # (S, Q, d, d)
-    det = np.linalg.det(J)
+    J, det = _sector_jacobians(basis.facet_kind, etas, centres, vertices)
     bad = det < 1e-14
     if bad.any():
         raise GeometryError(
@@ -339,7 +335,7 @@ def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
     P = (Z1 @ D.reshape(S, Q * d, n).swapaxes(1, 2)).real
     grads = (JinvT[:, None] @ P.reshape(S, -1, Q, d, 1))[..., 0]
     pts = (centres[:, None, None, :]
-           + np.asarray(xis)[None, :, None, None] * rays[:, None])
+           + np.asarray(xis)[None, :, None, None] * J[:, None, ..., 0])
     return pts, values, grads, det
 
 

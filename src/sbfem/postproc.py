@@ -10,7 +10,7 @@ import numpy as np
 from .errors import QuadratureError, SbfemError
 from .modes import _sector_fields
 from .polyspace import facet_quadrature, radial_quadrature, trace_basis
-from .refgeom import FacetKind, _facet_points, _facet_tangents
+from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 from .solver import DiscreteSolution, fe_quad_dofs
 
 SINGULAR_COMPOSITE_LEVELS = 8
@@ -18,9 +18,6 @@ SINGULAR_COMPOSITE_RATIO = 0.2
 # A radial floor lambda_min - 1 within this of 0 is round-off on an exact
 # exponent-1 (linear) mode, not a singularity: it gets the plain Gauss rule.
 RADIAL_FLOOR_TOL = 1e-8
-# Largest (sectors x radial points x max(Q d, n_modes)) intermediate of the
-# error kernel, in entries; each group of sectors is cut into chunks below it.
-ERROR_CHUNK_BUDGET = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,8 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
 
     The sectors of all S-elements are grouped by (facet kind, mode count,
     radial rule) in mesh order; each group is evaluated in chunks of at most
-    ERROR_CHUNK_BUDGET entries, and the FE quads of a coupled mesh likewise.
+    `refgeom.CHUNK_BUDGET` (sectors x radial points x max(Q d, n_modes))
+    entries, and the FE quads of a coupled mesh likewise.
     """
     k = solution.k
     cfg = (quad or QuadratureConfig()).resolved(k)
@@ -137,7 +135,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         rule = _radial_rule_args(op, cfg, k)
         c = op.complex_coefficients(solution.coefficients[op.selement.id])
         for ctx in op.sectors:
-            key = (ctx.sector.facet_kind, op.modes.n, rule)
+            key = (ctx.kind, op.modes.n, rule)
             groups.setdefault(key, []).append(_sector_data(op, ctx, c))
     sums = np.zeros(2)
     for (kind, n_modes, rule), members in groups.items():
@@ -175,19 +173,16 @@ def _radial_rule_args(op, cfg: QuadratureConfig, k: int) -> tuple:
     levels = cfg.composite_levels
     if levels is None:
         levels = SINGULAR_COMPOSITE_LEVELS if floor < 0.0 else 0
-    n_rad = cfg.radial_points if floor >= 0.0 else max(cfg.radial_points, k + 6)
+    # plain Gauss is exact for the top L2 term xi^(2 lambda_max + d - 1)
+    top = int(np.ceil(op.modes.lambdas.real.max() + 0.5 * op.modes.dim))
+    n_rad = max(cfg.radial_points, top if floor >= 0.0 else k + 6)
     return floor, n_rad, levels, cfg.composite_ratio
-
-
-def _chunks(n: int, per_member: int) -> list:
-    step = max(1, ERROR_CHUNK_BUDGET // per_member)
-    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def _sector_data(op, ctx, coeffs) -> tuple:
     """One sector's arguments of the kernel, `modes._sector_fields`."""
-    return (ctx.sector.collapsed_vertex, ctx.sector.facet_vertices,
-            op.A_eval[ctx.rows], coeffs, op.modes.lambdas)
+    return (ctx.centre, ctx.vertices, op.A_eval[ctx.rows], coeffs,
+            op.modes.lambdas)
 
 
 def _fe_fields(solution: DiscreteSolution, fes, ref_pts):

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import GeometryError
 
 _DOMAIN_TOL = 1e-12
+# Largest stacked intermediate of a sector kernel (E-matrices, error
+# integration), in entries; a stack of sectors is cut into chunks below it.
+CHUNK_BUDGET = 1 << 14
 
 
 class FacetKind(Enum):
@@ -91,7 +94,7 @@ class SectorJacobian:
 
 def facet_map(sector: Sector, eta) -> np.ndarray:
     """Evaluate the facet parametrization F_L at one reference point."""
-    return facet_map_many(sector, np.atleast_2d(np.asarray(eta, dtype=float)))[0]
+    return _facet_points(sector.facet_kind, eta, sector.facet_vertices)[0]
 
 
 def _facet_points(kind: FacetKind, etas: np.ndarray,
@@ -135,16 +138,6 @@ def _facet_tangents(kind: FacetKind, etas: np.ndarray,
     return np.swapaxes((dN[..., None] * vs).sum(axis=-2), -1, -2)
 
 
-def facet_map_many(sector: Sector, etas: np.ndarray) -> np.ndarray:
-    """F_L at several reference points; etas has shape (q, d-1)."""
-    return _facet_points(sector.facet_kind, etas, sector.facet_vertices)
-
-
-def facet_tangents_many(sector: Sector, etas: np.ndarray) -> np.ndarray:
-    """d F_L / d eta at several points; returns shape (q, d, d-1)."""
-    return _facet_tangents(sector.facet_kind, etas, sector.facet_vertices)
-
-
 def duffy_map(sector: Sector, xi: float, eta) -> np.ndarray:
     """Map (xi, eta) in [0,1] x L_ref to a physical point of the sector."""
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
@@ -161,10 +154,27 @@ def jacobian_columns_many(sector: Sector, etas: np.ndarray) -> tuple[np.ndarray,
 
     Returns (J1, det) with J1 of shape (q, d, d) and det of shape (q,).
     """
-    rays = facet_map_many(sector, etas) - sector.collapsed_vertex
-    tans = facet_tangents_many(sector, etas)
-    J1 = np.concatenate([rays[:, :, None], tans], axis=2)
-    return J1, np.linalg.det(J1)
+    J1, det = _sector_jacobians(sector.facet_kind, etas,
+                                sector.collapsed_vertex[None],
+                                sector.facet_vertices[None])
+    return J1[0], det[0]
+
+
+def _sector_jacobians(kind: FacetKind, etas: np.ndarray, centres: np.ndarray,
+                      vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """J(1,eta) of a stack of sectors with centres (S, d) and facet vertices
+    (S, n_vertices, d): (S, q, d, d), whose first column is the ray
+    F_L(eta) - a0, and the determinants (S, q)."""
+    rays = _facet_points(kind, etas, vertices) - centres[:, None, :]
+    J = np.concatenate([rays[..., None], _facet_tangents(kind, etas, vertices)],
+                       axis=-1)
+    return J, np.linalg.det(J)
+
+
+def _chunks(n: int, per_member: int) -> list:
+    """Slices of a stack of n members, each under CHUNK_BUDGET entries."""
+    step = max(1, CHUNK_BUDGET // per_member)
+    return [slice(i, i + step) for i in range(0, n, step)]
 
 
 def duffy_jacobian(sector: Sector, xi: float, eta) -> SectorJacobian:

@@ -8,7 +8,7 @@ through shared interface traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
@@ -25,10 +25,17 @@ from .refgeom import FacetKind, Sector, _facet_points, _facet_tangents
 
 @dataclass
 class SectorContext:
-    sector: Sector
+    kind: FacetKind
+    centre: np.ndarray
+    vertices: np.ndarray       # the facet's vertices in the S-element's order
     basis: object
     rows: np.ndarray           # S-local trace index of each sector node
     facet_id: int
+
+    @property
+    def sector(self) -> Sector:
+        return Sector(collapsed_vertex=self.centre, facet_vertices=self.vertices,
+                      facet_kind=self.kind)
 
 
 @dataclass
@@ -63,70 +70,70 @@ class SElementOperator:
         return pos[ctx.rows]
 
 
-def _congruence_key(mesh: PolytopalMesh, sel: SElement, sector_rows, k: int,
-                    constrained_local) -> tuple:
-    parts = [mesh.dimension, k, tuple(int(c) for c in constrained_local)]
-    for pos, fid in enumerate(sel.facet_ids):
-        sector = mesh.sector(sel, pos)
-        rel = np.round(sector.facet_vertices - sel.center, 12)
-        parts.append((sector.facet_kind.value, rel.tobytes(),
-                      tuple(int(r) for r in sector_rows[pos])))
-    return tuple(parts)
-
-
 def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
                     quad_order: int | None = None,
                     cache: dict | None = None) -> list[SElementOperator]:
     """E-matrices, modes and stiffness for every S-element.
 
     Congruent S-elements (translated copies, common in the structured
-    generators) share one eigen-solve through the cache.
+    generators) share one eigen-solve through the cache.  The E-matrices of
+    all cache misses are integrated in one stacked pass over their sectors.
     """
     k = numbering.k
     order = quad_order if quad_order is not None else 2 * k + 2
     cache = {} if cache is None else cache
-    ops = []
+    stacks = mesh._sector_stacks()
+    where = {}                 # (S-element id, position) -> (kind, stack index)
+    for kind, (_, _, owners) in stacks.items():
+        where.update({(e, pos): (kind, i)
+                      for i, (e, pos) in enumerate(owners.tolist())})
+    offsets = {kind: np.round(vertices - centres[:, None, :], 12)
+               for kind, (centres, vertices, _) in stacks.items()}
+    # local DOFs and congruence keys; the first S-element of a new key misses
+    local, misses = [], {}
     for sel in mesh.selements:
         dofs_full, sector_rows = selement_local_dofs(mesh, numbering, sel)
-        n_full = len(dofs_full)
-        constrained = np.array([], dtype=int)
-        if sel.open_boundary is not None and sel.open_boundary.dirichlet_vertices:
-            cons = [numbering.vertex_dof[v]
-                    for v in sel.open_boundary.dirichlet_vertices]
-            constrained = np.array(sorted(
-                int(np.flatnonzero(dofs_full == g)[0]) for g in cons), dtype=int)
-        key = _congruence_key(mesh, sel, sector_rows, k, constrained)
-        hit = cache.get(key)
-        if hit is None:
-            sector_data = []
-            for pos in range(len(sel.facet_ids)):
-                sector = mesh.sector(sel, pos)
-                basis = trace_basis(sector.facet_kind, k)
-                sector_data.append((sector, basis, sector_rows[pos], order))
-            E = assemble_E(sector_data, n_full, mesh.dimension,
-                           np.arange(n_full))
+        dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
+        constrained = np.flatnonzero(
+            np.isin(dofs_full, [numbering.vertex_dof[v] for v in dbc]))
+        slots = [where[sel.id, pos] for pos in range(len(sector_rows))]
+        key = (mesh.dimension, k, tuple(constrained.tolist())) + tuple(
+            (kind.value, offsets[kind][i].tobytes(), tuple(rows.tolist()))
+            for (kind, i), rows in zip(slots, sector_rows))
+        if key not in cache:
+            misses.setdefault(key, sel.id)
+        local.append((dofs_full, sector_rows, constrained, key, slots))
+    # the E-matrices of every miss in one stacked pass
+    sub = {}
+    for kind, (centres, vertices, owners) in stacks.items():
+        mask = np.isin(owners[:, 0], list(misses.values()))
+        if mask.any():
+            rows = np.array([local[e][1][p] for e, p in owners[mask].tolist()])
+            sub[kind] = (centres[mask], vertices[mask], owners[mask], rows)
+    Es = assemble_E(sub, {e: len(local[e][0]) for e in misses.values()},
+                    mesh.dimension, k, order)
+    ops = []
+    for sel, (dofs_full, sector_rows, constrained, key, slots) in zip(
+            mesh.selements, local):
+        if key not in cache:
+            n_full = len(dofs_full)
             kept = np.setdiff1d(np.arange(n_full), constrained)
-            E_red = modes_mod.apply_sideface_bc(E, constrained) \
-                if constrained.size else E
+            E_red = modes_mod.apply_sideface_bc(Es[sel.id], constrained)
             system = modes_mod.build_system(E_red, mesh.dimension)
             md = modes_mod.select_modes(system, label=f"S-element {sel.id}")
             K = modes_mod.element_stiffness(md).K
             A_eval = np.zeros((n_full, md.n), dtype=complex)
             A_eval[kept, :] = md.A
-            hit = (E_red, md, K, kept, A_eval)
-            cache[key] = hit
-        E_red, md, K, kept, A_eval = hit
-        sectors = []
-        for pos in range(len(sel.facet_ids)):
-            sector = mesh.sector(sel, pos)
-            basis = trace_basis(sector.facet_kind, k)
-            sectors.append(SectorContext(sector=sector, basis=basis,
-                                         rows=sector_rows[pos],
-                                         facet_id=sel.facet_ids[pos]))
-        E_here = EMatrices(E11=E_red.E11, E12=E_red.E12, E21=E_red.E21,
-                           E22=E_red.E22, dim=E_red.dim,
-                           dof_map=dofs_full[kept])
-        ops.append(SElementOperator(selement=sel, E=E_here, modes=md, K=K,
+            cache[key] = (E_red, md, K, kept, A_eval)
+        E_red, md, K, kept, A_eval = cache[key]
+        sectors = [SectorContext(kind=kind, centre=stacks[kind][0][i],
+                                 vertices=stacks[kind][1][i],
+                                 basis=trace_basis(kind, k), rows=rows,
+                                 facet_id=fid)
+                   for (kind, i), rows, fid in zip(slots, sector_rows,
+                                                   sel.facet_ids)]
+        ops.append(SElementOperator(selement=sel, modes=md, K=K,
+                                    E=replace(E_red, dof_map=dofs_full[kept]),
                                     dofs_full=dofs_full, kept_local=kept,
                                     sectors=sectors, A_eval=A_eval))
     return ops

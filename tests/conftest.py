@@ -1,18 +1,37 @@
 """Shared fixtures: canonical S-elements and numeric oracles."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from sbfem import modes, postproc
-from sbfem.ematrix import sector_B_many
-from sbfem.errors import GeometryError
+from sbfem.ematrix import EMatrices
+from sbfem.errors import AssemblyError, GeometryError
 from sbfem.mesh import (PolytopalMesh, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh, import_mesh,
                         number_dofs, singular_open_selement)
 from sbfem.polyspace import facet_quadrature, radial_quadrature, trace_basis
-from sbfem.refgeom import (FacetKind, Sector, facet_map_many,
-                           facet_tangents_many, jacobian_columns_many)
+from sbfem.refgeom import (FacetKind, Sector, _facet_points, _facet_tangents,
+                           jacobian_columns_many)
 from sbfem.solver import build_operators, fe_quad_dofs
+
+
+def mesh_sector(mesh, sel, pos):
+    """The Sector of facet position `pos` of S-element `sel`."""
+    return Sector(collapsed_vertex=sel.center,
+                  facet_vertices=mesh.vertices[list(sel.facet_orders[pos])],
+                  facet_kind=mesh.facets[sel.facet_ids[pos]].kind)
+
+
+def facet_map_many(sector, etas):
+    """F_L at several reference points; etas has shape (q, d-1)."""
+    return _facet_points(sector.facet_kind, etas, sector.facet_vertices)
+
+
+def facet_tangents_many(sector, etas):
+    """d F_L / d eta at several points; returns shape (q, d, d-1)."""
+    return _facet_tangents(sector.facet_kind, etas, sector.facet_vertices)
 
 
 def duffy_map_many(sector, xis, etas):
@@ -20,6 +39,69 @@ def duffy_map_many(sector, xis, etas):
     a0 = sector.collapsed_vertex
     rays = facet_map_many(sector, etas) - a0
     return a0 + np.asarray(xis, dtype=float)[:, None, None] * rays[None, :, :]
+
+
+def sector_B_many(sector, basis, etas):
+    """Vectorized B-vectors: returns (B1, B2, detJ1) with B* of shape (q, d, m)."""
+    etas = np.atleast_2d(np.asarray(etas, dtype=float))
+    values, grads = basis.eval_many(etas)
+    J1, det = jacobian_columns_many(sector, etas)
+    if np.any(np.abs(det) < 1e-14):
+        raise GeometryError(
+            f"degenerate sector (center {sector.collapsed_vertex}): |J| ~ 0")
+    Jinv_T = np.transpose(np.linalg.inv(J1), (0, 2, 1))
+    d = sector.dim
+    q, m = values.shape[0], basis.cardinality
+    rhs = np.zeros((q, d, m))
+    rhs[:, 0, :] = values
+    B1 = Jinv_T @ rhs
+    rhs = np.zeros((q, d, m))
+    rhs[:, 1:, :] = grads
+    B2 = Jinv_T @ rhs
+    return B1, B2, det
+
+
+SectorE = namedtuple("SectorE", "E11 E12 E21 E22")
+
+
+def sector_E(sector, basis, rule):
+    """Integrate the four B-vector Gram matrices over one facet."""
+    if basis.facet_kind is not sector.facet_kind:
+        raise AssemblyError("trace basis facet kind does not match the sector")
+    B1, B2, det = sector_B_many(sector, basis, rule.points)
+    if np.any(det <= 0.0):
+        raise GeometryError(
+            f"sector with center {sector.collapsed_vertex} is not positively "
+            "oriented at the quadrature points")
+    w = rule.weights * det
+    E11 = np.einsum("q,qdi,qdj->ij", w, B1, B1)
+    E12 = np.einsum("q,qdi,qdj->ij", w, B1, B2)
+    E22 = np.einsum("q,qdi,qdj->ij", w, B2, B2)
+    E11 = 0.5 * (E11 + E11.T)
+    E22 = 0.5 * (E22 + E22.T)
+    return SectorE(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22)
+
+
+def reference_assemble_E(sector_data, n_local, dim, dof_map,
+                         quad_order_for=facet_quadrature):
+    """Per-sector oracle for the stacked `ematrix.assemble_E`.
+
+    `sector_data` yields (Sector, TraceBasis, local_indices, order) tuples
+    where `local_indices[l]` is the S-element trace index of sector shape
+    function l.
+    """
+    E11 = np.zeros((n_local, n_local))
+    E12 = np.zeros((n_local, n_local))
+    E22 = np.zeros((n_local, n_local))
+    for sector, basis, idx, order in sector_data:
+        rule = quad_order_for(sector.facet_kind, order)
+        se = sector_E(sector, basis, rule)
+        ix = np.ix_(idx, idx)
+        E11[ix] += se.E11
+        E12[ix] += se.E12
+        E22[ix] += se.E22
+    return EMatrices(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22,
+                     dim=dim, dof_map=np.asarray(dof_map))
 
 
 def sector_B(sector, basis, eta):

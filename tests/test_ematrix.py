@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
 
-from conftest import (fixture_meshes_2d, fixture_meshes_3d, operator_for,
-                      sector_B, volume_gradient_inner)
-from sbfem.ematrix import sector_E
-from sbfem.mesh import gen_quad_mesh, import_mesh, number_dofs
+from conftest import (fixture_meshes_2d, fixture_meshes_3d,
+                      jittered_quad_mesh, mesh_sector, operator_for,
+                      reference_assemble_E, sector_B, sector_E,
+                      volume_gradient_inner)
+from sbfem import refgeom
+from sbfem.ematrix import assemble_E
+from sbfem.errors import GeometryError
+from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
+                        gen_polyhedron_case1, gen_quad_mesh, import_mesh,
+                        number_dofs)
+from sbfem.modes import apply_sideface_bc
 from sbfem.polyspace import facet_quadrature, trace_basis
 from sbfem.refgeom import FacetKind, Sector
+from sbfem.solver import build_operators
 
 
 def test_B2_annihilates_constants(rng):
     for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
         sel = mesh.selements[0]
-        sector = mesh.sector(sel, 0)
+        sector = mesh_sector(mesh, sel, 0)
         basis = trace_basis(sector.facet_kind, 2)
         for _ in range(5):
             if sector.facet_kind is FacetKind.SEGMENT:
@@ -28,7 +36,7 @@ def test_B2_annihilates_constants(rng):
 def test_constant_trace_gradient_is_inverse_jacobian_column():
     # alpha = 1, rho = xi: the mapped function has gradient J(1,eta)^-T e1
     mesh = gen_quad_mesh(1)
-    sector = mesh.sector(mesh.selements[0], 0)
+    sector = mesh_sector(mesh, mesh.selements[0], 0)
     basis = trace_basis(FacetKind.SEGMENT, 1)
     for eta in (-0.7, 0.0, 0.4):
         B1, B2 = sector_B(sector, basis, eta)
@@ -43,7 +51,7 @@ def test_fd_gradient_of_mapped_duffy_function(rng):
     # phi(x) = rho(xi) N_l(eta) with rho = xi: compare the B-vector gradient
     # against central differences in the parametric coordinates
     mesh = gen_quad_mesh(1)
-    sector = mesh.sector(mesh.selements[0], 0)
+    sector = mesh_sector(mesh, mesh.selements[0], 0)
     basis = trace_basis(FacetKind.SEGMENT, 1)
     step = 1e-6
     for l in range(2):
@@ -69,7 +77,7 @@ def test_fd_gradient_of_mapped_duffy_function(rng):
 
 def test_sector_E_definiteness(rng):
     for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
-        sector = mesh.sector(mesh.selements[0], 0)
+        sector = mesh_sector(mesh, mesh.selements[0], 0)
         basis = trace_basis(sector.facet_kind, 2)
         rule = facet_quadrature(sector.facet_kind, 6)
         se = sector_E(sector, basis, rule)
@@ -143,16 +151,15 @@ def test_cube_selement_counts(cube_mesh):
 
 def test_open_boundary_cross_sum_survives(wedge_mesh):
     # before side-face reduction the open chain keeps nonzero E12^T 1
-    from sbfem.ematrix import assemble_E
     from sbfem.mesh import number_dofs, selement_local_dofs
     nd = number_dofs(wedge_mesh, 1)
     sel = wedge_mesh.selements[0]
     dofs, rows = selement_local_dofs(wedge_mesh, nd, sel)
     data = []
     for pos in range(len(sel.facet_ids)):
-        sector = wedge_mesh.sector(sel, pos)
+        sector = mesh_sector(wedge_mesh, sel, pos)
         data.append((sector, trace_basis(sector.facet_kind, 1), rows[pos], 4))
-    E = assemble_E(data, len(dofs), 2, dofs)
+    E = reference_assemble_E(data, len(dofs), 2, dofs)
     ones = np.ones(E.n)
     assert np.linalg.norm(E.E12.T @ ones) > 1e-3
     # the pointwise partition-of-unity identities still hold
@@ -178,3 +185,62 @@ def test_radial_form_matches_volume_integral(fixture_set, rng):
                 rho=lambda x: x ** 2, drho=lambda x: 2 * x,
                 sigma=lambda x: x ** 3, dsigma=lambda x: 3 * x ** 2)
             assert radial == pytest.approx(vol, rel=1e-8), name
+
+
+def mixed_prism_mesh():
+    """Triangular prism S-element, triangle and quadrilateral facets interleaved."""
+    return import_mesh({
+        "dimension": 3,
+        "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1],
+                     [0, 1, 1]],
+        "selements": [{"facets": [[0, 1, 4, 3], [0, 2, 1], [1, 2, 5, 4],
+                                  [3, 4, 5], [2, 0, 3, 5]]}],
+    })
+
+
+# (mesh, k, relative tolerance); 0 means bit for bit
+E_CASES = {
+    "quad-l1-k3": (lambda: gen_quad_mesh(4), 3, 0.0),
+    "hex-l1-k2": (lambda: gen_hex_mesh(2), 2, 0.0),
+    "polygon-case1-l1-k2": (lambda: gen_polygon_case1(2), 2, 0.0),
+    "polyhedron-case1-l1-k2": (lambda: gen_polyhedron_case1(1), 2, 0.0),
+    "jittered-8x8-k2": (lambda: jittered_quad_mesh(8, 0.18), 2, 0.0),
+    "coupled-singular-l2-k2": (lambda: gen_coupled_singular(2), 2, 0.0),
+    "mixed-prism-k2": (mixed_prism_mesh, 2, 1e-14),
+}
+
+
+@pytest.mark.parametrize("one_sector_chunks", [False, True])
+@pytest.mark.parametrize("case", sorted(E_CASES))
+def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
+                                                monkeypatch):
+    if one_sector_chunks:
+        monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
+    make, k, rtol = E_CASES[case]
+    mesh = make()
+    ops = build_operators(mesh, number_dofs(mesh, k))
+    first = {id(op.modes): op for op in reversed(ops)}   # cache hits share
+    for op in first.values():
+        n = len(op.dofs_full)
+        data = [(ctx.sector, ctx.basis, ctx.rows, 2 * k + 2)
+                for ctx in op.sectors]
+        ref = apply_sideface_bc(
+            reference_assemble_E(data, n, mesh.dimension, np.arange(n)),
+            np.setdiff1d(np.arange(n), op.kept_local))
+        for got, want in zip(op.E.blocks(), ref.blocks()):
+            if rtol == 0.0:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= rtol * np.abs(want).max()
+
+
+@pytest.mark.parametrize("facet", [[[0.0, 0.0], [1.0, 0.0]],     # degenerate
+                                   [[1.0, 1.0], [1.0, -1.0]]])   # inverted
+def test_bad_sector_error_names_selement_and_facet(facet):
+    centres = np.zeros((2, 2))
+    vertices = np.array([[[1.0, -1.0], [1.0, 1.0]], facet])
+    owners = np.array([[3, 0], [7, 2]])
+    rows = np.array([[0, 1], [0, 1]])
+    with pytest.raises(GeometryError, match=r"S-element 7, facet 2"):
+        assemble_E({FacetKind.SEGMENT: (centres, vertices, owners, rows)},
+                   {3: 2, 7: 2}, 2, 1, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import jittered_quad_mesh
+from sbfem import ematrix, mesh, modes, postproc, refgeom, solver
 from sbfem.mesh import gen_hex_mesh, import_mesh, number_dofs
 from sbfem.postproc import get_exact, solution_errors
 from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
@@ -116,3 +117,23 @@ def test_mixed_polygon_mesh():
     expect = 2.0 * system.numbering.coords[:, 0] \
         - system.numbering.coords[:, 1] + 0.5
     assert np.abs(sol.nodal - expect).max() < 1e-9
+
+
+def test_assembly_work_does_not_grow_with_the_mesh(monkeypatch):
+    # facet tangents are evaluated once per stacked pass, never per sector
+    calls = []
+    original = refgeom._facet_tangents
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    for mod in (refgeom, mesh, ematrix, modes, solver, postproc):
+        if getattr(mod, "_facet_tangents", None) is original:
+            monkeypatch.setattr(mod, "_facet_tangents", counted)
+    counts = []
+    for n in (4, 8):
+        calls.clear()
+        assemble_global(jittered_quad_mesh(n, 0.18), 2)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import octahedron_mesh, polygon_mesh
+from conftest import (facet_map_many, mesh_sector, octahedron_mesh,
+                      polygon_mesh)
 from sbfem.errors import MeshError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh,
                         gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
@@ -137,6 +138,29 @@ def test_l_shape_star_violation():
         polygon_mesh([[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3]])
 
 
+def test_star_shape_error_names_the_lowest_selement():
+    square = [[10, 0], [11, 0], [11, 1], [10, 1]]
+    ell = np.array([[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3]], dtype=float)
+    vertices = square + ell.tolist() + (ell + [5.0, 0.0]).tolist()
+    loops = [range(4), range(4, 10), range(10, 16)]
+    sels = [{"facets": [[lp[i], lp[(i + 1) % len(lp)]] for i in range(len(lp))]}
+            for lp in map(list, loops)]
+    sels[2]["facets"] = sels[2]["facets"][3:] + sels[2]["facets"][:3]
+    with pytest.raises(MeshError, match=r"S-element 1 fails the star-shape"):
+        import_mesh({"dimension": 2, "vertices": vertices, "selements": sels})
+
+
+def test_nonplanar_error_names_the_lowest_facet():
+    # lifting vertex 5 bends facets 1, 2 and 3
+    verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+             [0, 0, 1], [1, 0, 1.3], [1, 1, 1], [0, 1, 1]]
+    faces = [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4],
+             [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]]
+    with pytest.raises(MeshError, match=r"facet 1 is non-planar"):
+        import_mesh({"dimension": 3, "vertices": verts,
+                     "selements": [{"facets": faces}]})
+
+
 def test_nonplanar_facet_rejected():
     verts = [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
              [0, 0, 1], [1, 0, 1.3], [1, 1, 1], [0, 1, 1]]
@@ -163,7 +187,7 @@ def test_octahedron_import_and_sectors():
     sel = mesh.selements[0]
     assert len(sel.facet_ids) == 8
     for pos in range(8):
-        sector = mesh.sector(sel, pos)
+        sector = mesh_sector(mesh, sel, pos)
         assert sector.facet_kind is FacetKind.TRIANGLE
     assert number_dofs(mesh, 1).n_total == 6
     assert number_dofs(mesh, 2).n_total == 6 + 12  # vertices + edge nodes
@@ -186,7 +210,7 @@ def test_hybrid_pyramid_tetra_import():
 
 def test_node_permutations_match_physical_points(rng):
     from sbfem.polyspace import trace_basis
-    from sbfem.refgeom import Sector, facet_map_many
+    from sbfem.refgeom import Sector
     for kind, verts in [
         (FacetKind.SEGMENT, np.array([[0.0, 0.0], [1.0, 0.3]])),
         (FacetKind.QUADRILATERAL,
@@ -229,8 +253,7 @@ def test_neighbor_elements_share_facet_dofs():
         dofs, rows = selement_local_dofs(mesh, nd, sel)
         for pos, fid in enumerate(sel.facet_ids):
             ids = dofs[rows[pos]]
-            sector = mesh.sector(sel, pos)
-            from sbfem.refgeom import facet_map_many
+            sector = mesh_sector(mesh, sel, pos)
             pts = facet_map_many(sector, np.linspace(-1, 1, 4)[:, None])
             key = fid
             if key in seen:
@@ -245,7 +268,6 @@ def test_neighbor_elements_share_facet_dofs():
 
 def _node_points(mesh, nd, sector):
     from sbfem.polyspace import trace_basis
-    from sbfem.refgeom import facet_map_many
     basis = trace_basis(sector.facet_kind, nd.k)
     return facet_map_many(sector, basis.nodes)
 
@@ -302,7 +324,7 @@ def test_import_orients_scrambled_3d_faces(rng):
         from sbfem.polyspace import facet_quadrature
         vol = 0.0
         for pos in range(6):
-            sector = mesh.sector(sel, pos)
+            sector = mesh_sector(mesh, sel, pos)
             rule = facet_quadrature(sector.facet_kind, 4)
             _, det = jacobian_columns_many(sector, rule.points)
             assert det.min() > 0
@@ -325,7 +347,7 @@ def test_import_orients_scrambled_2d_edges(rng):
         from sbfem.polyspace import facet_quadrature
         area = 0.0
         for pos in range(5):
-            sector = mesh.sector(sel, pos)
+            sector = mesh_sector(mesh, sel, pos)
             rule = facet_quadrature(sector.facet_kind, 4)
             _, det = jacobian_columns_many(sector, rule.points)
             assert det.min() > 0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (affine_cube_mesh, fd_mode_gradients, fixture_meshes_2d,
-                      fixture_meshes_3d, operator_for, random_polygon_mesh)
+                      fixture_meshes_3d, mesh_sector, operator_for,
+                      random_polygon_mesh)
 from sbfem.errors import GeometryError, SpectrumError
 from sbfem.mesh import number_dofs, singular_open_selement
 from sbfem.modes import (apply_sideface_bc, build_system, eigenvalue_rows,
@@ -208,7 +209,7 @@ def test_square_stiffness_is_bilinear_fem(square_mesh):
 def test_square_stiffness_matches_volume_quadrature(square_mesh):
     # modes are polynomials here, so tensor quadrature integrates exactly
     from sbfem.polyspace import facet_quadrature, radial_quadrature
-    from sbfem.ematrix import sector_B_many
+    from conftest import sector_B_many
     op = operator_for(square_mesh, 1)
     md = op.modes
     n = md.n
@@ -237,13 +238,13 @@ def test_sideface_reduction_counts(wedge_mesh):
     nd = number_dofs(wedge_mesh, 1)
     sel = wedge_mesh.selements[0]
     dofs, rows = selement_local_dofs(wedge_mesh, nd, sel)
-    from sbfem.ematrix import assemble_E
+    from conftest import reference_assemble_E
     from sbfem.polyspace import trace_basis
     data = []
     for pos in range(len(sel.facet_ids)):
-        sector = wedge_mesh.sector(sel, pos)
+        sector = mesh_sector(wedge_mesh, sel, pos)
         data.append((sector, trace_basis(sector.facet_kind, 1), rows[pos], 4))
-    E = assemble_E(data, len(dofs), 2, dofs)
+    E = reference_assemble_E(data, len(dofs), 2, dofs)
     reduced = apply_sideface_bc(E, np.array([3]))
     assert reduced.n == E.n - 1
     same = apply_sideface_bc(E, np.array([], dtype=int))

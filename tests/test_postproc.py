@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import jittered_quad_mesh, reference_solution_errors
-from sbfem import postproc
+from sbfem import postproc, refgeom
 from sbfem.errors import SbfemError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh,
-                        singular_open_selement)
+                        gen_refined_square, singular_open_selement)
 from sbfem.polyspace import radial_quadrature
 from sbfem.postproc import (EXACT_SOLUTIONS, QuadratureConfig,
                             convergence_table, energy_error, get_exact,
@@ -169,7 +169,7 @@ BATCH_CASES = {
 def test_batched_errors_match_per_sector_reference(case, one_sector_chunks,
                                                    monkeypatch):
     if one_sector_chunks:
-        monkeypatch.setattr(postproc, "ERROR_CHUNK_BUDGET", 1)
+        monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
     make, k, problem = BATCH_CASES[case]
     sol, exact = _galerkin(make(), k, problem)
     got = solution_errors(sol, exact)
@@ -190,3 +190,14 @@ def test_radial_rule_round_off_floor_is_plain_gauss():
     assert floor == pytest.approx(-0.5, abs=1e-3)
     assert levels == postproc.SINGULAR_COMPOSITE_LEVELS
     assert len(radial_quadrature(floor, n_rad, levels, 0.2)) == 12 * (levels + 1)
+
+
+def test_regular_radial_rule_follows_the_largest_exponent():
+    # refined-square level 3, k=4: the largest exponent is about 76, far
+    # beyond what the default 2k+8 = 16 Gauss points integrate exactly
+    exact = get_exact("exp2d")
+    sol = sbfem_interpolate(gen_refined_square(8), 4, exact.value)
+    assert sol.operators[0].modes.lambdas.real.max() > 70
+    got = solution_errors(sol, exact)
+    dense = solution_errors(sol, exact, QuadratureConfig(radial_points=100))
+    assert got == pytest.approx(dense, rel=1e-9, abs=0.0)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import duffy_map_many
+from conftest import duffy_map_many, mesh_sector
 from sbfem.errors import GeometryError
 from sbfem.refgeom import (FacetKind, Sector, duffy_jacobian, duffy_map,
                            jacobian_columns_many)
@@ -87,7 +87,7 @@ def test_fd_jacobian_determinant_property(rng):
     step = 1e-6
     for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
         sel = mesh.selements[0]
-        sector = mesh.sector(sel, 0)
+        sector = mesh_sector(mesh, sel, 0)
         d = sector.dim
         for _ in range(10):
             xi = rng.uniform(0.2, 0.95)
