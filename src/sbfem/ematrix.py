@@ -25,7 +25,6 @@ class EMatrices:
 
     E11: np.ndarray
     E12: np.ndarray
-    E21: np.ndarray
     E22: np.ndarray
     dim: int
     dof_map: np.ndarray        # local trace index -> global skeleton dof id
@@ -33,6 +32,10 @@ class EMatrices:
     @property
     def n(self) -> int:
         return self.E11.shape[0]
+
+    @property
+    def E21(self) -> np.ndarray:
+        return self.E12.T
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.E11, self.E12, self.E21, self.E22
@@ -99,6 +102,6 @@ def assemble_E(stacks: dict, sizes: dict, dim: int, k: int,
     for e in ids:
         E11, E12, E22 = (blk[base[e]:base[e] + n[e] ** 2].reshape(n[e], n[e])
                          for blk in flat)
-        out[e] = EMatrices(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22,
-                           dim=dim, dof_map=np.arange(n[e]))
+        out[e] = EMatrices(E11=E11, E12=E12, E22=E22, dim=dim,
+                           dof_map=np.arange(n[e]))
     return out

@@ -11,7 +11,7 @@ P_i = p_i(1) yield the element stiffness K = P A^{-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -47,25 +47,22 @@ class SElementStiffness:
 class SbfemModes:
     """Selected eigen-modes of one S-element.
 
-    ``A`` and ``P`` hold complex trace eigenvectors and boundary flux vectors
-    column by column; ``A_re``/``P_re`` are the realified versions in which a
-    conjugate pair is replaced by its real and imaginary parts (radial
-    factors xi^a cos(b ln xi) and xi^a sin(b ln xi)).
+    ``A`` and ``P`` hold the complex trace eigenvectors and boundary flux
+    vectors column by column, each column scaled to a unit trace part.  The
+    selection is closed under conjugation: a complex exponent comes with its
+    conjugate, and the real combinations of a pair are the radial factors
+    xi^a cos(b ln xi) and xi^a sin(b ln xi).
     """
 
     lambdas: np.ndarray        # complex, selected, ascending real part
     A: np.ndarray              # complex trace eigenvectors (n x n)
     P: np.ndarray              # complex boundary flux vectors (n x n)
-    A_re: np.ndarray
-    P_re: np.ndarray
-    kinds: tuple               # "real" | "cos" | "sin" per realified column
     constant_index: int | None
     dim: int
     dof_map: np.ndarray
     cond_A: float
     all_eigenvalues: np.ndarray
     selected_mask: np.ndarray
-    pair_transform: np.ndarray = field(repr=False, default=None)
 
     @property
     def n(self) -> int:
@@ -140,8 +137,8 @@ def apply_sideface_bc(E: EMatrices, constrained_local: np.ndarray) -> EMatrices:
     if keep.size == 0:
         raise SpectrumError("side-face constraints would remove every trace DOF")
     ix = np.ix_(keep, keep)
-    return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E21=E.E21[ix], E22=E.E22[ix],
-                     dim=E.dim, dof_map=E.dof_map[keep])
+    return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E22=E.E22[ix], dim=E.dim,
+                     dof_map=E.dof_map[keep])
 
 
 def _sort_key(lams: np.ndarray) -> np.ndarray:
@@ -180,7 +177,8 @@ def select_modes(system: EulerSystem, label: str = "S-element",
     if resid.size and np.linalg.norm(resid, axis=0).max() > 1e-7 * scale:
         raise SpectrumError(f"{label}: defective spectrum (eigenvector residual)")
 
-    lams, vecs, kinds = _canonicalize(lams, vecs, scale, label)
+    # scaling a column by any complex factor leaves K and u_h unchanged
+    vecs = vecs / np.linalg.norm(vecs[:n], axis=0)
     A = vecs[:n, :]
     P = vecs[n:, :]
     constant_index = None
@@ -190,93 +188,35 @@ def select_modes(system: EulerSystem, label: str = "S-element",
         lams = np.concatenate([[0.0 + 0.0j], lams])
         A = np.hstack([c[:n], A])
         P = np.hstack([c[n:], P])
-        kinds = ("real",) + kinds
         constant_index = 0
 
-    A_re, P_re, R = _realify(lams, A, P, kinds)
-    cond_A = float(np.linalg.cond(A_re))
+    cond_A = float(np.linalg.cond(A))
     if cond_A > cond_cap:
         raise SpectrumError(
             f"{label}: defective spectrum (trace eigenvector condition "
             f"{cond_A:.2e} beyond cap {cond_cap:.1e})")
     selected_mask = np.zeros(2 * n, dtype=bool)
     selected_mask[idx] = True
-    return SbfemModes(lambdas=lams, A=A, P=P, A_re=A_re, P_re=P_re,
-                      kinds=kinds, constant_index=constant_index,
+    return SbfemModes(lambdas=lams, A=A, P=P, constant_index=constant_index,
                       dim=system.dim, dof_map=system.E.dof_map,
                       cond_A=cond_A, all_eigenvalues=lam_all,
-                      selected_mask=selected_mask, pair_transform=R)
-
-
-def _canonicalize(lams, vecs, scale, label):
-    """Force real modes real and conjugate pairs exactly conjugate.
-
-    A mode is real only when its phase-aligned eigenvector is essentially
-    real; a semisimple double real eigenvalue that LAPACK returns as a
-    degenerate 2x2 block (complex vectors, negligible imaginary eigenvalue)
-    stays on the pair branch, which realifies its invariant subspace.
-    """
-    n = len(lams)
-    nhalf = vecs.shape[0] // 2
-    kinds = []
-    out_l = np.empty(n, dtype=complex)
-    out_v = np.empty((vecs.shape[0], n), dtype=complex)
-    i = 0
-    while i < n:
-        lam, v = lams[i], np.asarray(vecs[:, i], dtype=complex)
-        ref = v[np.argmax(np.abs(v))]
-        aligned = v * (np.conj(ref) / abs(ref))
-        is_real = (abs(lam.imag) <= 1e-12 * scale
-                   and np.abs(aligned.imag).max() <= 1e-8 * np.abs(aligned).max())
-        if is_real:
-            v = aligned.real.astype(complex)
-            v /= np.linalg.norm(v[:nhalf])
-            if v.real[np.argmax(np.abs(v.real))] < 0:
-                v = -v
-            out_l[i], out_v[:, i] = lam.real, v
-            kinds.append("real")
-            i += 1
-            continue
-        if i + 1 >= n or abs(lams[i + 1] - np.conj(lam)) > 1e-6 * scale:
-            raise SpectrumError(f"{label}: unpaired complex exponent {lam:.6g}")
-        if lam.imag < 0:
-            lam, v = np.conj(lam), np.conj(v)
-        ref = v[np.argmax(np.abs(v))]
-        v = v * (np.conj(ref) / abs(ref))
-        v /= np.linalg.norm(v[:nhalf])
-        out_l[i], out_v[:, i] = lam, v
-        out_l[i + 1], out_v[:, i + 1] = np.conj(lam), np.conj(v)
-        kinds.extend(["cos", "sin"])
-        i += 2
-    return out_l, out_v, tuple(kinds)
-
-
-def _realify(lams, A, P, kinds):
-    """Columnwise transform R with [A R] real: pairs become (Re, Im) parts."""
-    n = A.shape[1]
-    R = np.zeros((n, n), dtype=complex)
-    i = 0
-    while i < n:
-        if kinds[i] == "real":
-            R[i, i] = 1.0
-            i += 1
-        else:
-            R[i, i] = 0.5
-            R[i + 1, i] = 0.5
-            R[i, i + 1] = -0.5j
-            R[i + 1, i + 1] = 0.5j
-            i += 2
-    A_re = A @ R
-    P_re = P @ R
-    imag = max(np.abs(A_re.imag).max(), np.abs(P_re.imag).max())
-    if imag > 1e-8 * max(np.abs(A_re).max(), 1.0):
-        raise SpectrumError(f"realified eigenvectors keep imaginary residue {imag:.2e}")
-    return A_re.real, P_re.real, R
+                      selected_mask=selected_mask)
 
 
 def element_stiffness(modes: SbfemModes) -> SElementStiffness:
-    """Boundary-flux stiffness K = P A^{-1}, symmetrized, in the nodal basis."""
-    K = np.linalg.solve(modes.A_re.T, modes.P_re.T).T
+    """Boundary-flux stiffness K = P A^{-1}, symmetrized, in the nodal basis.
+
+    K is the real solution of K [Re A, Im A] = [Re P, Im P].  The system is
+    consistent exactly when the modes are closed under conjugation, and its
+    nonzero singular values are those of A, since A A^H is then real.
+    """
+    A = np.hstack([modes.A.real, modes.A.imag])
+    P = np.hstack([modes.P.real, modes.P.imag])
+    K = np.linalg.lstsq(A.T, P.T, rcond=None)[0].T
+    resid = float(np.linalg.norm(K @ A - P) / max(np.linalg.norm(P), 1e-300))
+    if resid > 1e-8:
+        raise SpectrumError(f"modes not closed under conjugation (stiffness "
+                            f"residual {resid:.2e})")
     norm = max(np.linalg.norm(K), 1e-300)
     asym = float(np.linalg.norm(K - K.T) / norm)
     if asym > 1e-6:
@@ -284,28 +224,27 @@ def element_stiffness(modes: SbfemModes) -> SElementStiffness:
     return SElementStiffness(K=0.5 * (K + K.T), asymmetry=asym)
 
 
-def shape_eval(modes: SbfemModes, local_rows: np.ndarray, sector: Sector,
+def shape_eval(modes: SbfemModes, alpha: np.ndarray, sector: Sector,
                basis: TraceBasis, xi: float, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Values and Cartesian gradients of all realified modes at (xi, eta).
+    """Complex values and Cartesian gradients of all modes at (xi, eta).
 
-    `local_rows[l]` gives the trace index of sector shape function l in the
-    (side-face-reduced) mode space; -1 marks a Dirichlet-constrained node
-    whose trace vanishes.  Conjugate pairs appear as their real and
-    imaginary parts.
+    `alpha` holds the sector's rows of the trace eigenvectors (a sector slice
+    of `SElementOperator.A_eval`), zero where a Dirichlet-constrained node
+    pins the trace.
     """
     if xi < 0.0 or xi > 1.0 + 1e-12:
         raise GeometryError(f"radial coordinate {xi} outside [0,1]")
-    rows = np.asarray(local_rows, dtype=int)
-    alpha = np.where(rows[:, None] >= 0, modes.A[rows], 0.0)
-    # one stack member per realified mode, whose complex coefficients are
-    # the matching column of the pair transform
+    # the kernel returns real parts: coefficient rows I and -iI give the
+    # real and the imaginary part of every mode, one stack member each
     n = modes.n
+    coeffs = np.vstack([np.eye(n), -1j * np.eye(n)])
     _, values, grads, _ = _sector_fields(
         basis, [xi], np.atleast_1d(np.asarray(eta, dtype=float))[None, :],
-        *(np.broadcast_to(a, (n,) + a.shape) for a in
+        *(np.broadcast_to(a, (2 * n,) + np.shape(a)) for a in
           (sector.collapsed_vertex, sector.facet_vertices, alpha)),
-        modes.pair_transform.T, np.broadcast_to(modes.lambdas, (n, n)))
-    return values[:, 0, 0], grads[:, 0, 0].T
+        coeffs, np.broadcast_to(modes.lambdas, (2 * n, n)))
+    v, g = values[:, 0, 0], grads[:, 0, 0]
+    return v[:n] + 1j * v[n:], (g[:n] + 1j * g[n:]).T
 
 
 def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
@@ -340,42 +279,31 @@ def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
 
 
 def mode_gram(modes: SbfemModes, E: EMatrices) -> np.ndarray:
-    """Closed-form energy Gram of the realified modes via the radial integral.
+    """Closed-form Hermitian energy Gram of the modes via the radial integral.
 
-    Uses int_0^1 xi^{li+lj+d-3} dxi = 1/(li+lj+d-2) applied to the four-term
-    radial quadratic form; the constant mode row and column are zero.
+    Uses int_0^1 xi^{conj(li)+lj+d-3} dxi = 1/(conj(li)+lj+d-2) applied to
+    the four-term radial quadratic form; the constant mode row and column
+    are zero.
     """
-    lam = modes.lambdas
     A = modes.A
-    d = modes.dim
-    S11 = A.T @ E.E11 @ A
-    S12 = A.T @ E.E12 @ A
-    S21 = A.T @ E.E21 @ A
-    S22 = A.T @ E.E22 @ A
-    L_i = lam[:, None]
-    L_j = lam[None, :]
-    denom = L_i + L_j + (d - 2)
+    S11, S12, S21, S22 = (A.conj().T @ B @ A for B in E.blocks())
+    L_i = modes.lambdas.conj()[:, None]
+    L_j = modes.lambdas[None, :]
+    denom = L_i + L_j + (modes.dim - 2)
     G = (L_i * L_j * S11 + L_i * S12 + L_j * S21 + S22)
     if modes.constant_index is not None:
         ci = modes.constant_index
         G[ci, :] = 0.0
         G[:, ci] = 0.0
-        denom = denom.copy()
         denom[ci, :] = 1.0
         denom[:, ci] = 1.0
-    G = G / denom
-    R = modes.pair_transform
-    G_re = R.T @ G @ R
-    if np.abs(G_re.imag).max() > 1e-8 * max(np.abs(G_re.real).max(), 1.0):
-        raise SpectrumError("realified Gram keeps an imaginary residue")
-    return G_re.real
+    return G / denom
 
 
 def stiffness_from_gram(modes: SbfemModes, E: EMatrices) -> np.ndarray:
-    """Independent stiffness A^{-T} G A^{-1} from the closed-form radial Gram."""
-    G = mode_gram(modes, E)
-    Ainv = np.linalg.inv(modes.A_re)
-    return Ainv.T @ G @ Ainv
+    """Independent stiffness A^{-H} G A^{-1} from the closed-form radial Gram."""
+    Ainv = np.linalg.inv(modes.A)
+    return (Ainv.conj().T @ mode_gram(modes, E) @ Ainv).real
 
 
 def quadratic_residual(modes: SbfemModes, E: EMatrices) -> float:
@@ -393,26 +321,6 @@ def quadratic_residual(modes: SbfemModes, E: EMatrices) -> float:
              + (d - 2) * (E12 @ a) - E22 @ a)
         denom = scale * (1.0 + abs(lam)) ** 2 * np.linalg.norm(a)
         worst = max(worst, np.linalg.norm(r) / denom)
-    return worst
-
-
-def ode_residual_at(modes: SbfemModes, E: EMatrices, xis: np.ndarray) -> float:
-    """Residual of the radial ODE sampled at given xi values (scaled)."""
-    E11, E12, E21, E22 = E.blocks()
-    d = modes.dim
-    scale = max(np.linalg.norm(b) for b in (E11, E12, E21, E22))
-    worst = 0.0
-    for i, lam in enumerate(modes.lambdas):
-        if modes.constant_index is not None and i == modes.constant_index:
-            continue
-        a = modes.A[:, i]
-        quad = (lam * (lam - 1.0) * (E11 @ a)
-                + lam * ((d - 1) * (E11 @ a) + E12 @ a - E21 @ a)
-                + (d - 2) * (E12 @ a) - E22 @ a)
-        for xi in np.asarray(xis, dtype=float):
-            w = xi ** complex(lam + d - 3)
-            denom = abs(w) * scale * (1.0 + abs(lam)) ** 2 * np.linalg.norm(a)
-            worst = max(worst, np.linalg.norm(w * quad) / denom)
     return worst
 
 
@@ -436,17 +344,15 @@ def orthogonality_residual(modes: SbfemModes, E: EMatrices,
     d = modes.dim
     A = modes.A
     G = mode_gram(modes, E)
-    energies = np.sqrt(np.maximum(np.diag(G), 0.0))
+    energies = np.sqrt(np.maximum(np.diag(G).real, 0.0))
     dsig = sigma[1:] * np.arange(1, sigma.size)
     worst = 0.0
-    R = modes.pair_transform
     for mu in np.atleast_2d(traces):
         # |psi| from the dominant E11 part of its energy; enough for scaling.
         pow_int = np.array([[1.0 / (a + b + d - 1) for b in range(dsig.size)]
                             for a in range(dsig.size)])
         psi_en = np.sqrt(max(float(mu @ E.E11 @ mu)
                              * float(dsig @ pow_int @ dsig), 1e-300))
-        vals = np.zeros(len(lam), dtype=complex)
         for i, li in enumerate(lam):
             if modes.constant_index is not None and i == modes.constant_index:
                 continue
@@ -455,17 +361,11 @@ def orthogonality_residual(modes: SbfemModes, E: EMatrices,
             t12 = a @ (E.E12 @ mu)
             t21 = a @ (E.E21 @ mu)
             t22 = a @ (E.E22 @ mu)
-            for mm, c in enumerate(sigma):
-                if c == 0.0:
-                    continue
-                vals[i] += c / (li + mm + d - 2) * (li * mm * t11 + li * t12
-                                                    + mm * t21 + t22)
-        vals_re = R.T @ vals
-        for i in range(len(lam)):
-            if modes.constant_index is not None and i == modes.constant_index:
-                continue
+            val = sum(c / (li + mm + d - 2) * (li * mm * t11 + li * t12
+                                               + mm * t21 + t22)
+                      for mm, c in enumerate(sigma) if c != 0.0)
             den = max(energies[i] * psi_en, 1e-300)
-            worst = max(worst, abs(vals_re[i]) / den)
+            worst = max(worst, abs(val) / den)
     return worst
 
 

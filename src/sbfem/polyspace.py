@@ -135,9 +135,6 @@ class QuadratureRule:
     def __len__(self) -> int:
         return self.points.shape[0]
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.points)))
-
 
 def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = roots_legendre(n)

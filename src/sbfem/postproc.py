@@ -133,7 +133,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     groups: dict = {}
     for op in solution.operators:
         rule = _radial_rule_args(op, cfg, k)
-        c = op.complex_coefficients(solution.coefficients[op.selement.id])
+        c = solution.coefficients[op.selement.id]
         for ctx in op.sectors:
             key = (ctx.kind, op.modes.n, rule)
             groups.setdefault(key, []).append(_sector_data(op, ctx, c))

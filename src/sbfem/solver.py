@@ -56,18 +56,8 @@ class SElementOperator:
         return self.dofs_full[self.kept_local]
 
     def coefficients(self, nodal: np.ndarray) -> np.ndarray:
-        """Realified modal coefficients reproducing the global nodal values."""
-        return np.linalg.solve(self.modes.A_re, nodal[self.dofs_kept])
-
-    def complex_coefficients(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficients of the complex modes for realified coefficients."""
-        return self.modes.pair_transform @ coeffs
-
-    def sector_mode_rows(self, ctx) -> np.ndarray:
-        """Sector node rows in the reduced mode space; -1 where constrained."""
-        pos = -np.ones(len(self.dofs_full), dtype=int)
-        pos[self.kept_local] = np.arange(len(self.kept_local))
-        return pos[ctx.rows]
+        """Complex modal coefficients reproducing the global nodal values."""
+        return np.linalg.solve(self.modes.A, nodal[self.dofs_kept])
 
 
 def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,

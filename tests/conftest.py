@@ -100,8 +100,8 @@ def reference_assemble_E(sector_data, n_local, dim, dof_map,
         E11[ix] += se.E11
         E12[ix] += se.E12
         E22[ix] += se.E22
-    return EMatrices(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22,
-                     dim=dim, dof_map=np.asarray(dof_map))
+    return EMatrices(E11=E11, E12=E12, E22=E22, dim=dim,
+                     dof_map=np.asarray(dof_map))
 
 
 def sector_B(sector, basis, eta):
@@ -278,18 +278,18 @@ def fd_mode_gradients(op, ctx, xi, eta, step=1e-6):
     pushed through the (independently verified) surface Jacobian.
     """
     from sbfem.modes import shape_eval
-    rows = op.sector_mode_rows(ctx)
+    alpha = op.A_eval[ctx.rows]
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     dm1 = len(eta)
     partials = []
-    vp, _ = shape_eval(op.modes, rows, ctx.sector, ctx.basis, xi + step, eta)
-    vm, _ = shape_eval(op.modes, rows, ctx.sector, ctx.basis, xi - step, eta)
+    vp, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi + step, eta)
+    vm, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi - step, eta)
     partials.append((vp - vm) / (2 * step))
     for a in range(dm1):
         e = np.zeros(dm1)
         e[a] = step
-        vp, _ = shape_eval(op.modes, rows, ctx.sector, ctx.basis, xi, eta + e)
-        vm, _ = shape_eval(op.modes, rows, ctx.sector, ctx.basis, xi, eta - e)
+        vp, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi, eta + e)
+        vm, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi, eta - e)
         partials.append((vp - vm) / (2 * step))
     P = np.vstack(partials)                         # (d, n_modes) parametric
     J1, _ = jacobian_columns_many(ctx.sector, eta[None, :])
@@ -301,7 +301,7 @@ def fd_mode_gradients(op, ctx, xi, eta, step=1e-6):
 def evaluate_in_sector(solution, op, ctx, xis, etas):
     """The error kernel on one sector: points (R, Q, d), values (R, Q) and
     gradients (R, Q, d) of u_h on a (xi, eta) tensor grid."""
-    c = op.complex_coefficients(solution.coefficients[op.selement.id])
+    c = solution.coefficients[op.selement.id]
     member = postproc._sector_data(op, ctx, c)
     pts, vals, grads, _ = modes._sector_fields(
         ctx.basis, np.asarray(xis, dtype=float), etas,
@@ -321,7 +321,7 @@ def evaluate_in_fe(solution, fe, ref_pts):
 def _reference_sector(solution, op, ctx, xis, etas):
     """u_h on one sector's (xi, eta) grid, one mode sum per sector."""
     md = op.modes
-    c = op.complex_coefficients(solution.coefficients[op.selement.id])
+    c = solution.coefficients[op.selement.id]
     alpha = op.A_eval[ctx.rows, :]                     # (m, n_modes) complex
     nvals, _ = ctx.basis.eval_many(etas)               # (Q, m)
     xis = np.asarray(xis, dtype=float)

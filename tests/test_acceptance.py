@@ -377,8 +377,8 @@ def test_criterion_9_gradient_finite_differences():
                 eta = rng.uniform(-0.8, 0.8, 2)
             else:
                 eta = rng.dirichlet([1, 1, 1])[:2] * 0.75
-            _, grads = shape_eval(op.modes, op.sector_mode_rows(ctx), ctx.sector, ctx.basis,
-                                  xi, eta)
+            _, grads = shape_eval(op.modes, op.A_eval[ctx.rows], ctx.sector,
+                                  ctx.basis, xi, eta)
             fd = fd_mode_gradients(op, ctx, xi, eta)
             scale = max(np.abs(grads).max(), 1.0)
             assert np.abs(grads - fd).max() < 1e-5 * scale, name
