@@ -27,7 +27,6 @@ class EMatrices:
     E12: np.ndarray
     E22: np.ndarray
     dim: int
-    dof_map: np.ndarray        # local trace index -> global skeleton dof id
 
     @property
     def n(self) -> int:
@@ -102,6 +101,5 @@ def assemble_E(stacks: dict, sizes: dict, dim: int, k: int,
     for e in ids:
         E11, E12, E22 = (blk[base[e]:base[e] + n[e] ** 2].reshape(n[e], n[e])
                          for blk in flat)
-        out[e] = EMatrices(E11=E11, E12=E12, E22=E22, dim=dim,
-                           dof_map=np.arange(n[e]))
+        out[e] = EMatrices(E11=E11, E12=E12, E22=E22, dim=dim)
     return out

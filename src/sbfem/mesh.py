@@ -1,16 +1,18 @@
 """Polytopal meshes: S-elements, sectorization, skeleton DOFs, generators.
 
 The skeleton carries every unknown: vertex DOFs, edge-interior DOFs (3D),
-and facet-interior DOFs, numbered by entity so that neighbouring S-elements
-(and coupled FE quadrilaterals) share them exactly.  Each facet is stored
-once with a canonical vertex order; an element that references it with a
-rotated or reversed order keeps its own order for the sector map together
-with a lattice-node permutation back to the canonical layout.
+and facet-interior DOFs, shared exactly by neighbouring S-elements (and
+coupled FE quadrilaterals).  Each facet is stored once with a canonical
+vertex order; an element that references it with a rotated or reversed
+order keeps its own order for the sector map.  A lattice node is named by
+its corners (`_node_names`), so it has one name, and one DOF, in every
+facet and FE quad that contains it, whatever order lists their vertices.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -22,39 +24,6 @@ from .refgeom import FacetKind, _facet_points, _sector_jacobians
 
 _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
                  4: FacetKind.QUADRILATERAL}
-
-_REF_CORNERS = {
-    FacetKind.SEGMENT: np.array([[-1.0], [1.0]]),
-    FacetKind.QUADRILATERAL: np.array([[-1.0, -1.0], [1.0, -1.0],
-                                       [1.0, 1.0], [-1.0, 1.0]]),
-    FacetKind.TRIANGLE: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-}
-
-
-@lru_cache(maxsize=None)
-def node_permutation(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
-    """perm[l] = canonical lattice index of node l of the re-ordered facet.
-
-    `vperm[m]` is the canonical corner index of the m-th vertex in the
-    element's own facet order; only symmetries of the reference facet are
-    admitted.
-    """
-    corners = _REF_CORNERS[kind]
-    nodes = trace_basis(kind, k).nodes
-    images = _facet_points(kind, nodes, corners[list(vperm)])
-    perm = np.empty(nodes.shape[0], dtype=int)
-    for l, img in enumerate(images):
-        dist = np.linalg.norm(nodes - img[None, :], axis=1)
-        j = int(np.argmin(dist))
-        if dist[j] > 1e-9:
-            raise MeshError(
-                f"facet vertex order {vperm} is not a symmetry of the "
-                f"reference {kind.value}")
-        perm[l] = j
-    if len(set(perm.tolist())) != len(perm):
-        raise MeshError(f"degenerate facet vertex correspondence {vperm}")
-    perm.flags.writeable = False
-    return perm
 
 
 @dataclass(frozen=True)
@@ -142,7 +111,8 @@ class PolytopalMesh:
             fid = self._facet_id(vs)
             canon = self.facets[fid].vertices
             vperm = tuple(canon.index(v) for v in vs)
-            node_permutation(self.facets[fid].kind, 1, vperm)  # symmetry check
+            # k = 2 so that edge midpoints tell opposite quad corners apart
+            _lattice_perm(self.facets[fid].kind, 2, vperm)
             fids.append(fid)
             orders.append(vs)
         sel = SElement(id=len(self.selements), center=None, facet_ids=fids,
@@ -221,12 +191,6 @@ class PolytopalMesh:
 
     def boundary_facet_ids(self) -> list[int]:
         return [fid for fid, ow in enumerate(self.facet_owners()) if len(ow) == 1]
-
-    def sector_node_perm(self, sel: SElement, pos: int, k: int) -> np.ndarray:
-        fid = sel.facet_ids[pos]
-        canon = self.facets[fid].vertices
-        vperm = tuple(canon.index(v) for v in sel.facet_orders[pos])
-        return node_permutation(self.facets[fid].kind, k, vperm)
 
     def h_max(self) -> float:
         """Largest distance between two vertices of one facet."""
@@ -318,7 +282,11 @@ class PolytopalMesh:
 
 
 def import_mesh(source) -> PolytopalMesh:
-    """Build and validate a mesh from the JSON schema (path, dict or file)."""
+    """Build and validate a mesh from the JSON schema (path, dict or file).
+
+    File vertex indices are mapped to mesh ids explicitly: `add_vertex`
+    merges duplicate coordinates, so the two numberings may differ.
+    """
     try:
         if isinstance(source, dict):
             data = source
@@ -331,32 +299,61 @@ def import_mesh(source) -> PolytopalMesh:
         raise MeshError(f"cannot read mesh file {source}: {exc}") from exc
     try:
         dim = int(data["dimension"])
-        verts = data["vertices"]
-        sels = data["selements"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MeshError(f"malformed mesh file: {exc}") from exc
+        verts = list(data["vertices"])
+        sels = list(data["selements"])
+        tags = {int(key): str(tag)
+                for key, tag in (data.get("boundary_tags") or {}).items()}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise MeshError(f"malformed mesh file: {exc!r}") from exc
     mesh = PolytopalMesh(dim)
-    for v in verts:
-        if len(v) != dim:
-            raise MeshError(f"vertex {v} does not have {dim} coordinates")
-        mesh.add_vertex(v)
-    for entry in sels:
-        facets = [tuple(int(v) for v in f) for f in entry.get("facets", [])]
+    ids = [mesh.add_vertex(_coords(v, dim, f"vertex {i}"))
+           for i, v in enumerate(verts)]
+    for n, entry in enumerate(sels):
+        if not isinstance(entry, dict):
+            raise MeshError(f"S-element {n}: {entry!r} is not an object")
+        facets = [_mesh_ids(f, ids, f"S-element {n} facet")
+                  for f in entry.get("facets", [])]
         if not facets:
-            raise MeshError("S-element without facets")
-        oriented = (_orient_2d(mesh, facets, entry)
-                    if dim == 2 else _orient_3d(mesh, facets, entry))
-        mesh.add_selement(
-            oriented,
-            center=entry.get("center"),
-            dirichlet_sideface_vertices=entry.get("dirichlet_sideface_nodes", ()))
-    for key, tag in (data.get("boundary_tags") or {}).items():
-        mesh.boundary_tags[int(key)] = str(tag)
+            raise MeshError(f"S-element {n} has no facets")
+        center = entry.get("center")
+        if center is not None:
+            center = _coords(center, dim, f"S-element {n} center")
+        oriented = (_orient_2d(mesh, facets, center)
+                    if dim == 2 else _orient_3d(mesh, facets, center))
+        mesh.add_selement(oriented, center=center,
+                          dirichlet_sideface_vertices=_mesh_ids(
+                              entry.get("dirichlet_sideface_nodes", ()), ids,
+                              f"S-element {n} dirichlet_sideface_nodes"))
+    mesh.boundary_tags.update(tags)
     return mesh.finalize()
 
 
-def _orient_2d(mesh: PolytopalMesh, facets: list, entry: dict) -> list:
+def _coords(values, dim: int, what: str) -> np.ndarray:
+    """A file entry's coordinates as `dim` floats."""
+    try:
+        xyz = np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise MeshError(f"{what} {values!r} is not a list of numbers") from None
+    if xyz.shape != (dim,) or not np.isfinite(xyz).all():
+        raise MeshError(f"{what} {values!r} is not {dim} finite coordinates")
+    return xyz
+
+
+def _mesh_ids(indices, ids: list, what: str) -> tuple:
+    """Mesh ids of a file entry's vertex indices, each checked to be in range."""
+    try:
+        if all(operator.index(i) >= 0 for i in indices):
+            return tuple(ids[i] for i in indices)
+    except (IndexError, TypeError):
+        pass
+    raise MeshError(f"{what} {indices!r} is not a list of vertex indices in "
+                    f"0..{len(ids) - 1}")
+
+
+def _orient_2d(mesh: PolytopalMesh, facets: list, center) -> list:
     """Chain undirected 2D facets and direct them counter-clockwise."""
+    if any(len(f) != 2 for f in facets):
+        raise MeshError(f"2D facets {facets} are not all segments")
     adj: dict[int, list] = {}
     for idx, (a, b) in enumerate(facets):
         adj.setdefault(a, []).append((idx, b))
@@ -368,13 +365,15 @@ def _orient_2d(mesh: PolytopalMesh, facets: list, entry: dict) -> list:
     ordered, used = [], set()
     v = start
     for _ in range(len(facets)):
-        idx, nxt = next((i, b) for i, b in adj[v] if i not in used)
+        steps = [(i, b) for i, b in adj[v] if i not in used]
+        if not steps:       # the facets form more than one chain or loop
+            raise MeshError(f"2D facets {facets} do not form a chain or loop")
+        idx, nxt = steps[0]
         used.add(idx)
         ordered.append((v, nxt))
         v = nxt
     verts = [mesh._vlist[a] for a, _ in ordered] + [mesh._vlist[ordered[-1][1]]]
     if odd:
-        center = entry.get("center")
         if center is None:
             center = np.mean(np.array(verts[:-1]), axis=0)
         mid = 0.5 * (np.asarray(verts[0]) + np.asarray(verts[1]))
@@ -392,7 +391,7 @@ def _orient_2d(mesh: PolytopalMesh, facets: list, entry: dict) -> list:
     return ordered
 
 
-def _orient_3d(mesh: PolytopalMesh, facets: list, entry: dict) -> list:
+def _orient_3d(mesh: PolytopalMesh, facets: list, center) -> list:
     """Consistently orient a closed 3D facet set outward (positive volume)."""
     oriented: list = [None] * len(facets)
     oriented[0] = tuple(facets[0])
@@ -422,9 +421,9 @@ def _orient_3d(mesh: PolytopalMesh, facets: list, entry: dict) -> list:
     if len(visited) != len(facets):
         raise MeshError("S-element surface is not edge-connected")
     vids = sorted({v for f in facets for v in f})
-    center = np.asarray(entry.get("center") if entry.get("center") is not None
-                        else np.mean([mesh._vlist[v] for v in vids], axis=0),
-                        dtype=float)
+    if center is None:
+        center = np.mean([mesh._vlist[v] for v in vids], axis=0)
+    center = np.asarray(center, dtype=float)
     vol = 0.0
     for vs in oriented:
         pts = [np.asarray(mesh._vlist[v]) for v in vs]
@@ -445,7 +444,7 @@ class DofNumbering:
     n_total: int
     vertex_dof: dict
     facet_nodes: list          # per facet: global dof ids in canonical order
-    fe_interior: list          # per FE element: interior dof ids
+    fe_nodes: list             # per FE quad: global dof of each Q_k lattice node
     coords: np.ndarray         # physical coordinates per dof
 
     def facet_boundary_dofs(self, facet_ids) -> np.ndarray:
@@ -455,123 +454,103 @@ class DofNumbering:
         return np.array(sorted(out), dtype=int)
 
 
-def _facet_node_layout(kind: FacetKind, k: int):
-    """Classify canonical facet nodes: ('v', corner) | ('e', (a,b), pos) | ('i', n)."""
-    out = []
-    if kind is FacetKind.SEGMENT:
-        for i in range(k + 1):
-            if i == 0:
-                out.append(("v", 0))
-            elif i == k:
-                out.append(("v", 1))
-            else:
-                out.append(("e", (0, 1), i))
-        return out
-    if kind is FacetKind.QUADRILATERAL:
-        corner = {(0, 0): 0, (k, 0): 1, (k, k): 2, (0, k): 3}
-        ninter = 0
-        for j in range(k + 1):
-            for i in range(k + 1):
-                if (i, j) in corner:
-                    out.append(("v", corner[(i, j)]))
-                elif j == 0:
-                    out.append(("e", (0, 1), i))
-                elif i == k:
-                    out.append(("e", (1, 2), j))
-                elif j == k:
-                    out.append(("e", (3, 2), i))
-                elif i == 0:
-                    out.append(("e", (0, 3), j))
-                else:
-                    out.append(("i", ninter))
-                    ninter += 1
-        return out
-    corner = {(0, 0): 0, (k, 0): 1, (0, k): 2}
-    ninter = 0
-    for j in range(k + 1):
-        for i in range(k + 1 - j):
-            if (i, j) in corner:
-                out.append(("v", corner[(i, j)]))
-            elif j == 0:
-                out.append(("e", (0, 1), i))
-            elif i == 0:
-                out.append(("e", (0, 2), j))
-            elif i + j == k:
-                out.append(("e", (1, 2), j))
-            else:
-                out.append(("i", ninter))
-                ninter += 1
-    return out
+_NO_CORNER = np.iinfo(np.int64).max      # id of a zero-weight pair; sorts last
+
+
+@lru_cache(maxsize=None)
+def _corner_weights(kind: FacetKind, k: int) -> np.ndarray:
+    """k^2 N_c at the lattice nodes of the reference facet: (L, n_vertices)
+    integers, N_c being the facet's corner shape functions."""
+    N = _facet_points(kind, trace_basis(kind, k).nodes, np.eye(kind.n_vertices))
+    W = np.rint(k * k * N).astype(np.int64)
+    W.flags.writeable = False
+    return W
+
+
+def _node_names(kind: FacetKind, k: int, vertex_ids) -> np.ndarray:
+    """Names of the lattice nodes of elements with corner ids (E, n_vertices):
+    (E, L, 8), four (corner id, k^2 N_c) pairs per node sorted by id, the
+    zero weights padded as (_NO_CORNER, 0).  A node shared by two elements
+    has one name whatever order lists their corners."""
+    W = _corner_weights(kind, k)
+    ids = np.where(W > 0, np.asarray(vertex_ids, dtype=np.int64)[:, None, :],
+                   _NO_CORNER)
+    pairs = np.stack([ids, np.broadcast_to(W, ids.shape)], axis=-1)
+    pairs = np.take_along_axis(pairs, np.argsort(ids)[..., None], axis=-2)
+    pad = np.broadcast_to([_NO_CORNER, 0], ids.shape[:2] + (4 - W.shape[1], 2))
+    return np.concatenate([pairs, pad], axis=-2).reshape(ids.shape[:2] + (8,))
+
+
+@lru_cache(maxsize=None)
+def _lattice_perm(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
+    """perm[l] = canonical lattice index of node l of the re-ordered facet.
+
+    `vperm[m]` is the canonical corner index of the m-th vertex in the
+    element's own facet order; only symmetries of the reference facet are
+    admitted.
+    """
+    canon = _node_names(kind, k, [range(kind.n_vertices)])[0]
+    index = {name.tobytes(): j for j, name in enumerate(canon)}
+    try:
+        perm = np.array([index[name.tobytes()]
+                         for name in _node_names(kind, k, [vperm])[0]])
+    except KeyError:
+        raise MeshError(f"facet vertex order {vperm} is not a symmetry of the "
+                        f"reference {kind.value}") from None
+    perm.flags.writeable = False
+    return perm
 
 
 def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
-    """Entity-based global numbering of skeleton (and FE-interior) DOFs."""
-    used_vertices = sorted({v for f in mesh.facets for v in f.vertices})
-    vertex_dof = {v: i for i, v in enumerate(used_vertices)}
-    next_dof = len(used_vertices)
-    edge_dofs: dict[tuple, int] = {}
-    if mesh.dimension == 3 and k >= 2:
-        edges = sorted({tuple(sorted((f.vertices[i],
-                                      f.vertices[(i + 1) % len(f.vertices)])))
-                        for f in mesh.facets for i in range(len(f.vertices))})
-        for e in edges:
-            edge_dofs[e] = next_dof
-            next_dof += k - 1
-    facet_nodes = []
-    for facet in mesh.facets:
-        layout = _facet_node_layout(facet.kind, k)
-        ids = np.empty(len(layout), dtype=int)
-        interior_base = None
-        edge_base = None
-        for n, tag in enumerate(layout):
-            if tag[0] == "v":
-                ids[n] = vertex_dof[facet.vertices[tag[1]]]
-            elif tag[0] == "e" and mesh.dimension == 2:
-                if edge_base is None:
-                    edge_base = next_dof
-                    next_dof += k - 1
-                ids[n] = edge_base + tag[2] - 1
-            elif tag[0] == "e":
-                _, (a, b), pos = tag
-                va, vb = facet.vertices[a], facet.vertices[b]
-                key = tuple(sorted((va, vb)))
-                slot = pos - 1 if va < vb else k - 1 - pos
-                ids[n] = edge_dofs[key] + slot
-            else:
-                if interior_base is None:
-                    n_inter = sum(1 for t in layout if t[0] == "i")
-                    interior_base = next_dof
-                    next_dof += n_inter
-                ids[n] = interior_base + tag[1]
-        facet_nodes.append(ids)
-    fe_interior = []
-    for _fe in mesh.fe_elements:
-        n_inter = (k - 1) ** 2
-        fe_interior.append(np.arange(next_dof, next_dof + n_inter))
-        next_dof += n_inter
-    numbering = DofNumbering(k=k, n_total=next_dof, vertex_dof=vertex_dof,
-                             facet_nodes=facet_nodes, fe_interior=fe_interior,
-                             coords=np.zeros((next_dof, mesh.dimension)))
-    _fill_coords(mesh, numbering)
-    return numbering
+    """One global DOF per named lattice node of the facets and FE quads.
 
-
-def _fill_coords(mesh: PolytopalMesh, numbering: DofNumbering):
-    k = numbering.k
-    for kind in dict.fromkeys(f.kind for f in mesh.facets):
-        fids = [fid for fid, f in enumerate(mesh.facets) if f.kind is kind]
-        corners = mesh.vertices[[list(mesh.facets[f].vertices) for f in fids]]
-        numbering.coords[[numbering.facet_nodes[f] for f in fids]] = \
-            _facet_points(kind, trace_basis(kind, k).nodes, corners)
-    for fe, ids in zip(mesh.fe_elements, numbering.fe_interior):
-        if ids.size == 0:
-            continue
-        corners = mesh.vertices[list(fe.vertices)]
-        t = np.linspace(-1.0, 1.0, k + 1)[1:-1]
-        u, v = np.meshgrid(t, t, indexing="ij")
-        uv = np.column_stack([u.ravel(order="F"), v.ravel(order="F")])
-        numbering.coords[ids] = _facet_points(FacetKind.QUADRILATERAL, uv,
-                                              corners)
+    Vertices come first, by id; in 3D, edge nodes next, by (lower id, higher
+    id, distance from the lower); then every other node, in the order in
+    which the facets (by id) and then the FE quads first name it.
+    """
+    n_facets = len(mesh.facets)
+    kinds = ([f.kind for f in mesh.facets]
+             + [FacetKind.QUADRILATERAL] * len(mesh.fe_elements))
+    corners = ([f.vertices for f in mesh.facets]
+               + [fe.vertices for fe in mesh.fe_elements])
+    start = np.cumsum([0] + [len(_corner_weights(kind, k)) for kind in kinds])
+    groups: dict = {}          # (kind, FE quad?) -> members, in stream order
+    for i, kind in enumerate(kinds):
+        groups.setdefault((kind, i >= n_facets), []).append(i)
+    names = np.empty((start[-1], 8), dtype=np.int64)
+    slots = {}
+    for (kind, fe), members in groups.items():
+        at = start[members][:, None] + np.arange(len(_corner_weights(kind, k)))
+        names[at] = _node_names(kind, k, [corners[i] for i in members])
+        slots[kind, fe] = at
+    # one 64-byte key per name: a byte-wise sort finds the distinct names
+    _, first, inverse = np.unique(names.view(np.dtype((np.void, 64))).ravel(),
+                                  return_index=True, return_inverse=True)
+    unique = names[first]
+    n_pairs = (unique[:, 1::2] > 0).sum(axis=1)
+    # vertices (one pair) by id, 3D edge nodes (two pairs) by (lower id,
+    # higher id, weight of the higher), then the rest by first naming
+    by_id = (n_pairs == 1) | ((n_pairs == 2) & (mesh.dimension == 3))
+    order = np.lexsort((unique[:, 3] * by_id, unique[:, 2] * by_id,
+                        np.where(by_id, unique[:, 0], first), n_pairs * by_id,
+                        ~by_id))
+    dof = np.empty(len(unique), dtype=int)
+    dof[order] = np.arange(len(unique))
+    slot_dof = dof[inverse.reshape(-1)]
+    coords = np.zeros((len(unique), mesh.dimension))
+    for (kind, fe), members in groups.items():
+        # an FE quad sets only its interior nodes; the others lie on facets
+        own = (_corner_weights(kind, k) > 0).all(axis=1) if fe else slice(None)
+        coords[slot_dof[slots[kind, fe][:, own]]] = _facet_points(
+            kind, trace_basis(kind, k).nodes[own],
+            mesh.vertices[[corners[i] for i in members]])
+    n_vertices = int(np.sum(n_pairs == 1))
+    parts = [slot_dof[a:b] for a, b in zip(start[:-1], start[1:])]
+    return DofNumbering(
+        k=k, n_total=len(unique),
+        vertex_dof=dict(zip(unique[order[:n_vertices], 0].tolist(),
+                            range(n_vertices))),
+        facet_nodes=parts[:n_facets], fe_nodes=parts[n_facets:], coords=coords)
 
 
 def selement_local_dofs(mesh: PolytopalMesh, numbering: DofNumbering,
@@ -585,9 +564,11 @@ def selement_local_dofs(mesh: PolytopalMesh, numbering: DofNumbering,
     global_ids: list[int] = []
     position: dict[int, int] = {}
     sector_rows = []
-    for pos, fid in enumerate(sel.facet_ids):
-        perm = mesh.sector_node_perm(sel, pos, numbering.k)
-        nodes = numbering.facet_nodes[fid][perm]
+    for fid, order in zip(sel.facet_ids, sel.facet_orders):
+        facet = mesh.facets[fid]
+        vperm = tuple(facet.vertices.index(v) for v in order)
+        nodes = numbering.facet_nodes[fid][_lattice_perm(facet.kind, numbering.k,
+                                                         vperm)]
         rows = np.empty(len(nodes), dtype=int)
         for j, g in enumerate(nodes):
             g = int(g)

@@ -59,7 +59,6 @@ class SbfemModes:
     P: np.ndarray              # complex boundary flux vectors (n x n)
     constant_index: int | None
     dim: int
-    dof_map: np.ndarray
     cond_A: float
     all_eigenvalues: np.ndarray
     selected_mask: np.ndarray
@@ -114,8 +113,7 @@ def build_system(E: EMatrices, d: int) -> EulerSystem:
         cho = scipy.linalg.cho_factor(E11)
     except scipy.linalg.LinAlgError as exc:
         raise SpectrumError(f"E11 is not positive definite: {exc}") from exc
-    diag = np.diag(E11)
-    if diag.min() <= 0 or np.linalg.cond(E11) > 1e14:
+    if E.condition_number() > 1e14:
         raise SpectrumError("E11 is numerically singular")
     X = scipy.linalg.cho_solve(cho, E12)       # E11^{-1} E12
     Y = scipy.linalg.cho_solve(cho, np.eye(n))  # E11^{-1}
@@ -137,8 +135,7 @@ def apply_sideface_bc(E: EMatrices, constrained_local: np.ndarray) -> EMatrices:
     if keep.size == 0:
         raise SpectrumError("side-face constraints would remove every trace DOF")
     ix = np.ix_(keep, keep)
-    return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E22=E.E22[ix], dim=E.dim,
-                     dof_map=E.dof_map[keep])
+    return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E22=E.E22[ix], dim=E.dim)
 
 
 def _sort_key(lams: np.ndarray) -> np.ndarray:
@@ -198,8 +195,7 @@ def select_modes(system: EulerSystem, label: str = "S-element",
     selected_mask = np.zeros(2 * n, dtype=bool)
     selected_mask[idx] = True
     return SbfemModes(lambdas=lams, A=A, P=P, constant_index=constant_index,
-                      dim=system.dim, dof_map=system.E.dof_map,
-                      cond_A=cond_A, all_eigenvalues=lam_all,
+                      dim=system.dim, cond_A=cond_A, all_eigenvalues=lam_all,
                       selected_mask=selected_mask)
 
 

@@ -11,7 +11,7 @@ from .errors import QuadratureError, SbfemError
 from .modes import _sector_fields
 from .polyspace import facet_quadrature, radial_quadrature, trace_basis
 from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
-from .solver import DiscreteSolution, fe_quad_dofs
+from .solver import DiscreteSolution
 
 SINGULAR_COMPOSITE_LEVELS = 8
 SINGULAR_COMPOSITE_RATIO = 0.2
@@ -192,8 +192,8 @@ def _fe_fields(solution: DiscreteSolution, fes, ref_pts):
     nvals, ngrads = trace_basis(FacetKind.QUADRILATERAL,
                                 solution.k).eval_many(ref_pts)
     corners = np.array([mesh.vertices[list(fe.vertices)] for fe in fes])
-    uel = np.array([solution.nodal[fe_quad_dofs(mesh, solution.numbering, fe)]
-                    for fe in fes])                          # (F, m)
+    fe_nodes = solution.numbering.fe_nodes
+    uel = solution.nodal[np.array([fe_nodes[fe.id] for fe in fes])]  # (F, m)
     J = _facet_tangents(FacetKind.QUADRILATERAL, ref_pts, corners)
     JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
     grads = (JinvT @ (ngrads @ uel[:, None, :, None]))[..., 0]

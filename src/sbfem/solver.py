@@ -8,7 +8,7 @@ through shared interface traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
@@ -17,8 +17,8 @@ import scipy.sparse.linalg
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError
-from .mesh import (DofNumbering, FEQuad, PolytopalMesh, SElement,
-                   number_dofs, selement_local_dofs)
+from .mesh import (DofNumbering, PolytopalMesh, SElement, number_dofs,
+                   selement_local_dofs)
 from .polyspace import facet_quadrature, trace_basis
 from .refgeom import FacetKind, Sector, _facet_points, _facet_tangents
 
@@ -30,7 +30,6 @@ class SectorContext:
     vertices: np.ndarray       # the facet's vertices in the S-element's order
     basis: object
     rows: np.ndarray           # S-local trace index of each sector node
-    facet_id: int
 
     @property
     def sector(self) -> Sector:
@@ -118,12 +117,10 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
         E_red, md, K, kept, A_eval = cache[key]
         sectors = [SectorContext(kind=kind, centre=stacks[kind][0][i],
                                  vertices=stacks[kind][1][i],
-                                 basis=trace_basis(kind, k), rows=rows,
-                                 facet_id=fid)
-                   for (kind, i), rows, fid in zip(slots, sector_rows,
-                                                   sel.facet_ids)]
+                                 basis=trace_basis(kind, k), rows=rows)
+                   for (kind, i), rows in zip(slots, sector_rows)]
         ops.append(SElementOperator(selement=sel, modes=md, K=K,
-                                    E=replace(E_red, dof_map=dofs_full[kept]),
+                                    E=E_red,
                                     dofs_full=dofs_full, kept_local=kept,
                                     sectors=sectors, A_eval=A_eval))
     return ops
@@ -151,44 +148,6 @@ def fe_element_stiffness(vertices: np.ndarray, k: int,
     return np.einsum("q,qdi,qdj->ij", rule.weights * det, g, g)
 
 
-def fe_quad_dofs(mesh: PolytopalMesh, numbering: DofNumbering,
-                 fe: FEQuad) -> np.ndarray:
-    """Global DOF of each Q_k lattice node (index j*(k+1)+i) of an FE quad."""
-    k = numbering.k
-    vs = fe.vertices
-    corner = {(0, 0): vs[0], (k, 0): vs[1], (k, k): vs[2], (0, k): vs[3]}
-    # lattice edge -> (facet id, start corner, end corner)
-    edge_of = {"bottom": (fe.edge_facets[0], vs[0], vs[1]),
-               "right": (fe.edge_facets[1], vs[1], vs[2]),
-               "top": (fe.edge_facets[2], vs[3], vs[2]),
-               "left": (fe.edge_facets[3], vs[0], vs[3])}
-    ids = np.empty((k + 1) * (k + 1), dtype=int)
-    inter = iter(numbering.fe_interior[fe.id])
-    for j in range(k + 1):
-        for i in range(k + 1):
-            n = j * (k + 1) + i
-            if (i, j) in corner:
-                ids[n] = numbering.vertex_dof[corner[(i, j)]]
-                continue
-            name = None
-            if j == 0:
-                name, p = "bottom", i
-            elif i == k:
-                name, p = "right", j
-            elif j == k:
-                name, p = "top", i
-            elif i == 0:
-                name, p = "left", j
-            if name is not None:
-                fid, va, vb = edge_of[name]
-                a, _b = mesh.facets[fid].vertices
-                idx = p if va == a else k - p
-                ids[n] = numbering.facet_nodes[fid][idx]
-            else:
-                ids[n] = next(inter)
-    return ids
-
-
 # -- global system ---------------------------------------------------------------
 
 
@@ -210,24 +169,17 @@ def assemble_global(mesh: PolytopalMesh, k: int,
     numbering = number_dofs(mesh, k)
     ops = build_operators(mesh, numbering, quad_order=quad_order, cache=cache)
     n = numbering.n_total
-    rows, cols, vals = [], [], []
-    touched = np.zeros(n, dtype=bool)
-    for op in ops:
-        dofs = op.dofs_kept
-        touched[dofs] = True
-        r, c = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(op.K.ravel())
+    blocks = [(op.dofs_kept, op.K) for op in ops]
     fe_cache: dict = {}
     for fe in mesh.fe_elements:
         corners = mesh.vertices[list(fe.vertices)]
         key = np.round(corners - corners[0], 12).tobytes()
-        Kel = fe_cache.get(key)
-        if Kel is None:
-            Kel = fe_element_stiffness(corners, k)
-            fe_cache[key] = Kel
-        dofs = fe_quad_dofs(mesh, numbering, fe)
+        if key not in fe_cache:
+            fe_cache[key] = fe_element_stiffness(corners, k)
+        blocks.append((numbering.fe_nodes[fe.id], fe_cache[key]))
+    rows, cols, vals = [], [], []
+    touched = np.zeros(n, dtype=bool)
+    for dofs, Kel in blocks:
         touched[dofs] = True
         r, c = np.meshgrid(dofs, dofs, indexing="ij")
         rows.append(r.ravel())

@@ -14,7 +14,7 @@ from sbfem.mesh import (PolytopalMesh, gen_hex_mesh, gen_polygon_case1,
 from sbfem.polyspace import facet_quadrature, radial_quadrature, trace_basis
 from sbfem.refgeom import (FacetKind, Sector, _facet_points, _facet_tangents,
                            jacobian_columns_many)
-from sbfem.solver import build_operators, fe_quad_dofs
+from sbfem.solver import build_operators
 
 
 def mesh_sector(mesh, sel, pos):
@@ -82,7 +82,7 @@ def sector_E(sector, basis, rule):
     return SectorE(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22)
 
 
-def reference_assemble_E(sector_data, n_local, dim, dof_map,
+def reference_assemble_E(sector_data, n_local, dim,
                          quad_order_for=facet_quadrature):
     """Per-sector oracle for the stacked `ematrix.assemble_E`.
 
@@ -100,8 +100,7 @@ def reference_assemble_E(sector_data, n_local, dim, dof_map,
         E11[ix] += se.E11
         E12[ix] += se.E12
         E22[ix] += se.E22
-    return EMatrices(E11=E11, E12=E12, E22=E22, dim=dim,
-                     dof_map=np.asarray(dof_map))
+    return EMatrices(E11=E11, E12=E12, E22=E22, dim=dim)
 
 
 def sector_B(sector, basis, eta):
@@ -191,6 +190,19 @@ def affine_cube_mesh(rng) -> PolytopalMesh:
         "vertices": [list(map(float, v)) for v in verts],
         "selements": [{"facets": faces}],
     })
+
+
+def hybrid_mesh() -> PolytopalMesh:
+    """Box with one corner cut off: quadrilateral and triangular facets."""
+    verts = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0],
+             [0, 0, 2], [2, 0, 2], [0, 2, 2],
+             [2, 1, 2], [1, 2, 2], [2, 2, 1]]
+    faces = [[0, 3, 2, 1], [0, 1, 5, 4], [3, 0, 4, 6],
+             [1, 2, 9, 7, ], [1, 7, 5], [7, 9, 8],
+             [2, 3, 6, 8], [2, 8, 9], [4, 5, 7, 8], [8, 6, 4],
+             ]
+    return import_mesh({"dimension": 3, "vertices": verts,
+                        "selements": [{"facets": faces}]})
 
 
 def octahedron_mesh() -> PolytopalMesh:
@@ -343,7 +355,7 @@ def _reference_fe(solution, fe, ref_pts):
     """u_h on one FE quad at reference points, through a 3D helper sector."""
     mesh, numbering = solution.mesh, solution.numbering
     basis = trace_basis(FacetKind.QUADRILATERAL, numbering.k)
-    uel = solution.nodal[fe_quad_dofs(mesh, numbering, fe)]
+    uel = solution.nodal[numbering.fe_nodes[fe.id]]
     nvals, ngrads = basis.eval_many(ref_pts)
     corners = mesh.vertices[list(fe.vertices)]
     helper = Sector(collapsed_vertex=np.zeros(3),

@@ -159,7 +159,7 @@ def test_open_boundary_cross_sum_survives(wedge_mesh):
     for pos in range(len(sel.facet_ids)):
         sector = mesh_sector(wedge_mesh, sel, pos)
         data.append((sector, trace_basis(sector.facet_kind, 1), rows[pos], 4))
-    E = reference_assemble_E(data, len(dofs), 2, dofs)
+    E = reference_assemble_E(data, len(dofs), 2)
     ones = np.ones(E.n)
     assert np.linalg.norm(E.E12.T @ ones) > 1e-3
     # the pointwise partition-of-unity identities still hold
@@ -225,7 +225,7 @@ def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
         data = [(ctx.sector, ctx.basis, ctx.rows, 2 * k + 2)
                 for ctx in op.sectors]
         ref = apply_sideface_bc(
-            reference_assemble_E(data, n, mesh.dimension, np.arange(n)),
+            reference_assemble_E(data, n, mesh.dimension),
             np.setdiff1d(np.arange(n), op.kept_local))
         for got, want in zip(op.E.blocks(), ref.blocks()):
             if rtol == 0.0:

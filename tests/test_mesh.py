@@ -1,17 +1,20 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from conftest import (facet_map_many, mesh_sector, octahedron_mesh,
-                      polygon_mesh)
+from conftest import (facet_map_many, hybrid_mesh, jittered_quad_mesh,
+                      mesh_sector, octahedron_mesh, polygon_mesh)
+from sbfem.cli import build_mesh, main
 from sbfem.errors import MeshError
-from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh,
-                        gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
-                        gen_refined_cube, gen_refined_square, import_mesh,
-                        node_permutation, number_dofs, selement_local_dofs,
+from sbfem.mesh import (PolytopalMesh, _lattice_perm, gen_coupled_singular,
+                        gen_hex_mesh, gen_polygon_case1, gen_polyhedron_case1,
+                        gen_quad_mesh, gen_refined_cube, gen_refined_square,
+                        import_mesh, number_dofs, selement_local_dofs,
                         singular_open_selement)
-from sbfem.refgeom import FacetKind
+from sbfem.polyspace import trace_basis
+from sbfem.refgeom import FacetKind, _facet_points
 
 
 TABLE_DOFS = [
@@ -178,8 +181,103 @@ def test_malformed_file_errors(tmp_path):
         import_mesh({"vertices": [], "selements": []})
     p = tmp_path / "broken.json"
     p.write_text("{not-json")
-    with pytest.raises(Exception):
+    with pytest.raises(MeshError):
         import_mesh(str(p))
+
+
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+SQUARE_FACETS = [[0, 1], [1, 2], [2, 3], [3, 0]]
+
+
+def _square_file(**changes):
+    data = {"dimension": 2, "vertices": [list(v) for v in SQUARE],
+            "selements": [{"facets": [list(f) for f in SQUARE_FACETS]}]}
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    # an unused duplicate in the middle of the vertex list
+    _square_file(vertices=SQUARE[:2] + [SQUARE[1]] + SQUARE[2:],
+                 selements=[{"facets": [[0, 1], [1, 3], [3, 4], [4, 0]]}]),
+    # an unused duplicate at the end
+    _square_file(vertices=SQUARE + [SQUARE[0]]),
+    # the duplicate used in place of its first copy
+    _square_file(vertices=SQUARE + [SQUARE[0]],
+                 selements=[{"facets": [[4, 1], [1, 2], [2, 3], [3, 0]]}]),
+], ids=["middle", "end", "used"])
+def test_duplicate_vertices_import_as_the_clean_square(data, tmp_path):
+    clean = import_mesh(_square_file())
+    mesh = import_mesh(data)
+    assert np.array_equal(mesh.vertices, clean.vertices)
+    assert mesh.facets == clean.facets
+    assert mesh.to_json() == clean.to_json()
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(data))
+    assert main(["solve", "--mesh", f"file:{path}", "--k", "1",
+                 "--problem", "exp2d", "--output", str(tmp_path)]) == 0
+
+
+OPEN = {"dimension": 2, "vertices": [[1, 0], [1, 1], [-1, 1], [-1, 0]],
+        "selements": [{"facets": [[0, 1], [1, 2], [2, 3]], "center": [0, 0]}]}
+
+MALFORMED = {
+    "index-past-end-2d": _square_file(
+        selements=[{"facets": [[0, 1], [1, 2], [2, 4], [4, 0]]}]),
+    "index-past-end-3d": {"dimension": 3, "vertices": [[1, 0, 0], [0, 1, 0],
+                                                       [0, 0, 1], [0, 0, 0]],
+                          "selements": [{"facets": [[0, 1, 2], [0, 3, 1],
+                                                    [1, 3, 2], [2, 3, 4]]}]},
+    "negative-index": _square_file(
+        selements=[{"facets": [[0, 1], [1, 2], [2, -1], [-1, 0]]}]),
+    "fractional-index": _square_file(
+        selements=[{"facets": [[0, 1], [1, 2], [2, 3.5], [3, 0]]}]),
+    "string-index": _square_file(
+        selements=[{"facets": [[0, 1], [1, 2], [2, "x"], [3, 0]]}]),
+    "non-numeric-coordinate": _square_file(
+        vertices=SQUARE[:3] + [[0.0, "one"]]),
+    "non-integer-tag-key": _square_file(boundary_tags={"left": "wall"}),
+    "selement-not-an-object": _square_file(selements=[[[0, 1], [1, 2]]]),
+    "three-vertex-facet-2d": _square_file(
+        selements=[{"facets": [[0, 1, 2], [2, 3], [3, 0]]}]),
+    "two-vertex-facet-3d": {"dimension": 3, "vertices": [[1, 0, 0], [0, 1, 0],
+                                                         [0, 0, 1], [0, 0, 0]],
+                            "selements": [{"facets": [[0, 1, 2], [0, 3, 1],
+                                                      [1, 3, 2], [2, 3],
+                                                      [3, 0]]}]},
+    "string-coordinates": _square_file(vertices=SQUARE[:3] + ["01"]),
+    "nan-coordinate": _square_file(vertices=SQUARE[:3] + [[0.0, float("nan")]]),
+    "non-numeric-center": _square_file(
+        selements=[{"facets": SQUARE_FACETS, "center": [0.5, "mid"]}]),
+    "two-loops-2d": _square_file(
+        vertices=SQUARE + [[2, 0], [3, 0], [3, 1]],
+        selements=[{"facets": [[0, 1], [1, 2], [2, 3], [3, 0],
+                               [4, 5], [5, 6], [6, 4]]}]),
+    "sideface-index-past-end": dict(OPEN, selements=[
+        dict(OPEN["selements"][0], dirichlet_sideface_nodes=[4])]),
+    "sideface-negative-index": dict(OPEN, selements=[
+        dict(OPEN["selements"][0], dirichlet_sideface_nodes=[-1])]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_entries_raise_mesh_error(name, tmp_path):
+    with pytest.raises(MeshError):
+        import_mesh(MALFORMED[name])
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    assert main(["solve", "--mesh", f"file:{path}", "--k", "1",
+                 "--problem", "exp2d", "--output", str(tmp_path)]) == 1
+
+
+def test_sideface_indices_are_file_indices():
+    # a duplicate vertex shifts the mesh ids of every later file index
+    data = dict(OPEN, vertices=[[1, 0], [1, 0]] + OPEN["vertices"][1:],
+                selements=[{"facets": [[1, 2], [2, 3], [3, 4]],
+                            "center": [0, 0], "dirichlet_sideface_nodes": [4]}])
+    mesh = import_mesh(data)
+    assert mesh.selements[0].open_boundary.dirichlet_vertices == (3,)
+    assert np.array_equal(mesh.vertices[3], [-1, 0])
 
 
 def test_octahedron_import_and_sectors():
@@ -194,16 +292,7 @@ def test_octahedron_import_and_sectors():
 
 
 def test_hybrid_pyramid_tetra_import():
-    # box with one corner cut off: mixes quadrilateral and triangular facets
-    verts = [[0, 0, 0], [2, 0, 0], [2, 2, 0], [0, 2, 0],
-             [0, 0, 2], [2, 0, 2], [0, 2, 2],
-             [2, 1, 2], [1, 2, 2], [2, 2, 1]]
-    faces = [[0, 3, 2, 1], [0, 1, 5, 4], [3, 0, 4, 6],
-             [1, 2, 9, 7, ], [1, 7, 5], [7, 9, 8],
-             [2, 3, 6, 8], [2, 8, 9], [4, 5, 7, 8], [8, 6, 4],
-             ]
-    mesh = import_mesh({"dimension": 3, "vertices": verts,
-                        "selements": [{"facets": faces}]})
+    mesh = hybrid_mesh()
     kinds = {mesh.facets[f].kind for f in mesh.selements[0].facet_ids}
     assert kinds == {FacetKind.QUADRILATERAL, FacetKind.TRIANGLE}
 
@@ -232,7 +321,7 @@ def test_node_permutations_match_physical_points(rng):
                                       (2, 1, 0, 3), (1, 0, 3, 2)],
         }[kind]
         for vperm in admissible:
-            perm = node_permutation(kind, k, tuple(vperm))
+            perm = _lattice_perm(kind, k, tuple(vperm))
             reordered = Sector(collapsed_vertex=canon.collapsed_vertex,
                                facet_vertices=verts[list(vperm)],
                                facet_kind=kind)
@@ -242,7 +331,97 @@ def test_node_permutations_match_physical_points(rng):
 
 def test_invalid_quad_vertex_order_rejected():
     with pytest.raises(MeshError):
-        node_permutation(FacetKind.QUADRILATERAL, 2, (0, 2, 1, 3))
+        _lattice_perm(FacetKind.QUADRILATERAL, 2, (0, 2, 1, 3))
+    # a second element lists the shared quadrilateral with opposite corners
+    # made adjacent
+    mesh = PolytopalMesh(3)
+    a, b, c, d = (mesh.add_vertex(p) for p in
+                  [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
+    mesh.add_selement([(a, b, c, d)])
+    with pytest.raises(MeshError, match="not a symmetry"):
+        mesh.add_selement([(a, c, b, d)])
+    # two unit cubes sharing the face x = 1, which the second lists twisted
+    verts = [[x, y, z] for z in (0, 1) for y in (0, 1) for x in (0, 1, 2)]
+    v = {tuple(p): i for i, p in enumerate(verts)}
+
+    def cube(x0, shared):
+        at = {(dx, dy, dz): v[(x0 + dx, dy, dz)]
+              for dx in (0, 1) for dy in (0, 1) for dz in (0, 1)}
+        faces = [[at[0, 0, 0], at[0, 1, 0], at[1, 1, 0], at[1, 0, 0]],
+                 [at[0, 0, 1], at[1, 0, 1], at[1, 1, 1], at[0, 1, 1]],
+                 [at[0, 0, 0], at[1, 0, 0], at[1, 0, 1], at[0, 0, 1]],
+                 [at[0, 1, 0], at[0, 1, 1], at[1, 1, 1], at[1, 1, 0]],
+                 [at[0, 0, 0], at[0, 0, 1], at[0, 1, 1], at[0, 1, 0]],
+                 [at[1, 0, 0], at[1, 1, 0], at[1, 1, 1], at[1, 0, 1]]]
+        faces[4 if shared == "left" else 5] = shared_face
+        return {"facets": faces}
+
+    shared_face = [v[1, 0, 0], v[1, 1, 0], v[1, 1, 1], v[1, 0, 1]]
+    good = {"dimension": 3, "vertices": verts,
+            "selements": [cube(0, "right"), cube(1, "left")]}
+    assert len(import_mesh(good).facets) == 11
+    shared_face = [v[1, 0, 0], v[1, 1, 1], v[1, 1, 0], v[1, 0, 1]]
+    twisted = {"dimension": 3, "vertices": verts,
+               "selements": [good["selements"][0], cube(1, "left")]}
+    with pytest.raises(MeshError, match="not a symmetry"):
+        import_mesh(twisted)
+
+
+STRUCTURE_MESHES = {
+    "hybrid": hybrid_mesh,
+    "octahedron": octahedron_mesh,
+    "coupled-l2": lambda: gen_coupled_singular(2),
+    "jittered-4x4": lambda: jittered_quad_mesh(4, 0.18),
+    "polyhedron-case1": lambda: gen_polyhedron_case1(1),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("name", sorted(STRUCTURE_MESHES))
+def test_lattice_dofs_sit_at_their_points(name, k):
+    # every facet, seen in its canonical order and from each owning
+    # S-element's order, and every FE quad places its lattice DOFs at the
+    # mapped lattice nodes; distinct DOFs never share a point
+    mesh = STRUCTURE_MESHES[name]()
+    nd = number_dofs(mesh, k)
+
+    def check(kind, vertex_ids, dofs):
+        pts = _facet_points(kind, trace_basis(kind, k).nodes,
+                            mesh.vertices[list(vertex_ids)])
+        assert np.abs(nd.coords[dofs] - pts).max() <= 1e-12
+
+    for fid, facet in enumerate(mesh.facets):
+        check(facet.kind, facet.vertices, nd.facet_nodes[fid])
+    for sel in mesh.selements:
+        dofs, rows = selement_local_dofs(mesh, nd, sel)
+        for pos, fid in enumerate(sel.facet_ids):
+            check(mesh.facets[fid].kind, sel.facet_orders[pos], dofs[rows[pos]])
+    for fe in mesh.fe_elements:
+        check(FacetKind.QUADRILATERAL, fe.vertices, nd.fe_nodes[fe.id])
+    gap = np.linalg.norm(nd.coords[:, None] - nd.coords[None], axis=-1)
+    np.fill_diagonal(gap, np.inf)
+    assert gap.min() > 1e-9
+
+
+# sha256 (first 16 hex digits) of n_total, facet_nodes and fe_nodes.  The DOF
+# order fixes the layout of K and of every nodal vector, so it may only
+# change on purpose.
+NUMBERING_DIGESTS = [
+    ("quad", 1, 3, 105, "3f1e6a55d3387304"),
+    ("hex", 1, 2, 117, "a6e6b378d139cafc"),
+    ("hybrid", None, 3, 74, "cc301cf6363e1bbf"),
+    ("coupled-singular", 2, 2, 125, "ea0e006e982fb65b"),
+]
+
+
+@pytest.mark.parametrize("family,level,k,n_total,digest", NUMBERING_DIGESTS)
+def test_numbering_order_is_pinned(family, level, k, n_total, digest):
+    mesh = hybrid_mesh() if level is None else build_mesh(family, level)
+    nd = number_dofs(mesh, k)
+    h = hashlib.sha256(str(nd.n_total).encode())
+    for ids in list(nd.facet_nodes) + list(nd.fe_nodes):
+        h.update(np.asarray(ids, dtype=np.int64).tobytes())
+    assert (nd.n_total, h.hexdigest()[:16]) == (n_total, digest)
 
 
 def test_neighbor_elements_share_facet_dofs():

@@ -6,6 +6,7 @@ import pytest
 from conftest import (affine_cube_mesh, fd_mode_gradients, fixture_meshes_2d,
                       fixture_meshes_3d, mesh_sector, operator_for,
                       random_polygon_mesh)
+from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError, SpectrumError
 from sbfem.mesh import number_dofs, singular_open_selement
 from sbfem.modes import (apply_sideface_bc, build_system, eigenvalue_rows,
@@ -251,7 +252,7 @@ def test_sideface_reduction_counts(wedge_mesh):
     for pos in range(len(sel.facet_ids)):
         sector = mesh_sector(wedge_mesh, sel, pos)
         data.append((sector, trace_basis(sector.facet_kind, 1), rows[pos], 4))
-    E = reference_assemble_E(data, len(dofs), 2, dofs)
+    E = reference_assemble_E(data, len(dofs), 2)
     reduced = apply_sideface_bc(E, np.array([3]))
     assert reduced.n == E.n - 1
     same = apply_sideface_bc(E, np.array([], dtype=int))
@@ -342,3 +343,11 @@ def test_radial_factor_limits_at_center():
         with pytest.raises(GeometryError):
             _radial_factors(xis, np.array([0.0, bad]))
         _radial_factors(xis[1:], np.array([0.0, bad]))   # fine off the center
+
+
+@pytest.mark.parametrize("E11", [np.diag([1.0, -1.0]), np.diag([1.0, 1e-15])],
+                         ids=["not-positive-definite", "condition-above-1e14"])
+def test_singular_E11_rejected(E11):
+    zero = np.zeros((2, 2))
+    with pytest.raises(SpectrumError):
+        build_system(EMatrices(E11=E11, E12=zero, E22=zero, dim=2), 2)

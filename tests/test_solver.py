@@ -6,8 +6,7 @@ from sbfem.mesh import gen_coupled_singular, gen_quad_mesh, number_dofs
 from sbfem.postproc import get_exact, solution_errors
 from conftest import evaluate_in_fe, evaluate_in_sector
 from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
-                          fe_element_stiffness, fe_quad_dofs,
-                          sbfem_interpolate, solve)
+                          fe_element_stiffness, sbfem_interpolate, solve)
 
 
 def test_fe_q1_unit_square():
@@ -125,7 +124,7 @@ def test_interface_trace_continuity_coupled():
     op = sol.operators[0]
     interface = set(op.dofs_full.tolist())
     for fe in mesh.fe_elements:
-        dofs = fe_quad_dofs(mesh, system.numbering, fe)
+        dofs = system.numbering.fe_nodes[fe.id]
         shared = [i for i, g in enumerate(dofs) if int(g) in interface]
         if not shared:
             continue
