@@ -8,13 +8,13 @@ system, and only the skeleton carries unknowns.
 
 from .errors import (AssemblyError, ConfigError, GeometryError, MeshError,
                      QuadratureError, SbfemError, SolveError, SpectrumError)
-from .refgeom import FacetKind, Sector, SectorJacobian, duffy_jacobian, duffy_map
+from .refgeom import FacetKind
 from .polyspace import (QuadratureRule, TraceBasis, facet_quadrature,
-                        radial_quadrature, shape_values, trace_basis)
+                        radial_quadrature, trace_basis)
 from .ematrix import EMatrices, assemble_E
 from .modes import (EulerSystem, SbfemModes, SElementStiffness,
                     apply_sideface_bc, build_system, element_stiffness,
-                    mode_gram, orthogonality_residual, select_modes, shape_eval)
+                    select_modes)
 from .mesh import (DofNumbering, PolytopalMesh, SElement, SideFaceBC,
                    gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                    gen_polyhedron_case1, gen_quad_mesh, gen_refined_cube,
@@ -24,7 +24,7 @@ from .solver import (DiscreteSolution, GlobalSystem, apply_dirichlet,
                      assemble_global, build_operators, fe_element_stiffness,
                      sbfem_interpolate, solve)
 from .postproc import (ErrorReport, ExactSolution, QuadratureConfig,
-                       convergence_table, energy_error, get_exact, l2_error,
-                       report_to_csv, solution_errors)
+                       convergence_table, get_exact, report_to_csv,
+                       solution_errors)
 
 __version__ = "0.1.0"

@@ -109,6 +109,9 @@ def load_config(args: argparse.Namespace) -> dict:
         unknown = set(data) - set(_DEFAULTS) - {"command"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        if data.get("command", args.command) != args.command:
+            raise ConfigError(f"config {args.config} is for command "
+                              f"'{data['command']}', not '{args.command}'")
         cfg.update(data)
     for key in _DEFAULTS:
         val = getattr(args, key, None)

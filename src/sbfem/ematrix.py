@@ -18,6 +18,9 @@ from .errors import GeometryError
 from .polyspace import facet_quadrature, trace_basis
 from .refgeom import _chunks, _sector_jacobians
 
+# |E22 1| and |E12 1| below this (x the block norms) admit a constant trace
+CONSTANT_TRACE_TOL = 1e-10
+
 
 @dataclass
 class EMatrices:
@@ -46,12 +49,13 @@ class EMatrices:
             return np.inf
         return float(w.max() / w.min())
 
-    def constant_trace_admissible(self, tol: float = 1e-10) -> bool:
+    def constant_trace_admissible(self) -> bool:
         """True when the all-ones trace is gradient-free (E12 1 = E22 1 = 0)."""
         ones = np.ones(self.n)
-        scale = max(np.linalg.norm(self.E22), np.linalg.norm(self.E12), 1e-300)
-        return bool(np.linalg.norm(self.E22 @ ones) <= tol * scale
-                    and np.linalg.norm(self.E12 @ ones) <= tol * scale)
+        tol = CONSTANT_TRACE_TOL * max(np.linalg.norm(self.E22),
+                                       np.linalg.norm(self.E12), 1e-300)
+        return bool(np.linalg.norm(self.E22 @ ones) <= tol
+                    and np.linalg.norm(self.E12 @ ones) <= tol)
 
 
 def assemble_E(stacks: dict, sizes: dict, dim: int, k: int,

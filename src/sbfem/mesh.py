@@ -24,6 +24,10 @@ from .refgeom import FacetKind, _facet_points, _sector_jacobians
 
 _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
                  4: FacetKind.QUADRILATERAL}
+# File vertices closer than MERGE_RTOL x the coordinate extent are one
+# vertex; distinct ones closer than NEAR_RTOL x the extent are an error.
+MERGE_RTOL = 1e-12
+NEAR_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -47,10 +51,6 @@ class SElement:
     facet_orders: list         # per facet: this element's outward vertex order
     open_boundary: SideFaceBC | None = None
 
-    @property
-    def is_open(self) -> bool:
-        return self.open_boundary is not None
-
 
 @dataclass
 class FEQuad:
@@ -72,7 +72,6 @@ class PolytopalMesh:
         self.facets: list[Facet] = []
         self.selements: list[SElement] = []
         self.fe_elements: list[FEQuad] = []
-        self.boundary_tags: dict[int, str] = {}
         self._vkey: dict[tuple, int] = {}
         self._fkey: dict[tuple, int] = {}
         self._vlist: list[np.ndarray] = []
@@ -258,34 +257,13 @@ class PolytopalMesh:
                 f"{sel.facet_orders[pos]} is not fully visible from its "
                 f"scaling center {sel.center}")
 
-    # -- file format -----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        sels = []
-        for sel in self.selements:
-            entry = {"facets": [list(o) for o in sel.facet_orders],
-                     "center": [float(c) for c in sel.center]}
-            if sel.open_boundary is not None:
-                entry["dirichlet_sideface_nodes"] = list(
-                    sel.open_boundary.dirichlet_vertices)
-            sels.append(entry)
-        out = {"dimension": self.dimension,
-               "vertices": [[float(c) for c in v] for v in self.vertices],
-               "selements": sels}
-        if self.boundary_tags:
-            out["boundary_tags"] = {str(k): v for k, v in self.boundary_tags.items()}
-        return out
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-
 
 def import_mesh(source) -> PolytopalMesh:
     """Build and validate a mesh from the JSON schema (path, dict or file).
 
-    File vertex indices are mapped to mesh ids explicitly: `add_vertex`
-    merges duplicate coordinates, so the two numberings may differ.
+    File vertex indices are mapped to mesh ids explicitly: duplicate
+    coordinates are merged (`_merge_vertices`), so the two numberings may
+    differ.
     """
     try:
         if isinstance(source, dict):
@@ -298,16 +276,20 @@ def import_mesh(source) -> PolytopalMesh:
     except (OSError, json.JSONDecodeError) as exc:
         raise MeshError(f"cannot read mesh file {source}: {exc}") from exc
     try:
+        if "boundary_tags" in data:
+            raise MeshError("mesh file key 'boundary_tags' is not supported: "
+                            "the problem sets the Dirichlet facets")
         dim = int(data["dimension"])
         verts = list(data["vertices"])
         sels = list(data["selements"])
-        tags = {int(key): str(tag)
-                for key, tag in (data.get("boundary_tags") or {}).items()}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MeshError(f"malformed mesh file: {exc!r}") from exc
     mesh = PolytopalMesh(dim)
-    ids = [mesh.add_vertex(_coords(v, dim, f"vertex {i}"))
-           for i, v in enumerate(verts)]
+    xyz = np.array([_coords(v, dim, f"vertex {i}") for i, v in enumerate(verts)]
+                   ).reshape(-1, dim)
+    first, ids = np.unique(_merge_vertices(xyz), return_inverse=True)
+    mesh._vlist = list(xyz[first])
+    ids = ids.tolist()
     for n, entry in enumerate(sels):
         if not isinstance(entry, dict):
             raise MeshError(f"S-element {n}: {entry!r} is not an object")
@@ -324,8 +306,40 @@ def import_mesh(source) -> PolytopalMesh:
                           dirichlet_sideface_vertices=_mesh_ids(
                               entry.get("dirichlet_sideface_nodes", ()), ids,
                               f"S-element {n} dirichlet_sideface_nodes"))
-    mesh.boundary_tags.update(tags)
     return mesh.finalize()
+
+
+def _merge_vertices(xyz: np.ndarray) -> np.ndarray:
+    """File index of the first copy of each file vertex.
+
+    Two vertices within MERGE_RTOL of the coordinate extent (max norm) are
+    copies; two further apart but within NEAR_RTOL of it raise a MeshError,
+    so the copies of a vertex are all within MERGE_RTOL of each other.
+    Candidate pairs are neighbours in the order of a projection onto a
+    direction that no grid axis shares, so the scan stays short.
+    """
+    n, d = xyz.shape
+    extent = float(np.ptp(xyz, axis=0).max()) if n else 0.0
+    merge, near = MERGE_RTOL * extent, NEAR_RTOL * extent
+    w = np.array([1.0, 0.6180339887498949, 0.3819660112501051])[:d]
+    proj = xyz @ w
+    order = np.argsort(proj, kind="stable")
+    first = np.arange(n)
+    for lag in range(1, n):
+        a, b = np.sort([order[:-lag], order[lag:]], axis=0)
+        close = np.abs(proj[b] - proj[a]) <= near * w.sum()
+        if not close.any():
+            break
+        a, b = a[close], b[close]
+        gap = np.abs(xyz[a] - xyz[b]).max(axis=1)
+        bad = np.flatnonzero((gap > merge) & (gap <= near))
+        if bad.size:
+            i = bad[0]
+            raise MeshError(
+                f"vertices {a[i]} and {b[i]} are {gap[i]:.1e} apart, nearly "
+                f"coincident for a coordinate extent of {extent:.2e}")
+        np.minimum.at(first, b[gap <= merge], a[gap <= merge])
+    return first
 
 
 def _coords(values, dim: int, what: str) -> np.ndarray:

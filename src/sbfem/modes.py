@@ -18,8 +18,7 @@ import scipy.linalg
 
 from .ematrix import EMatrices
 from .errors import GeometryError, SpectrumError
-from .polyspace import TraceBasis
-from .refgeom import Sector, _sector_jacobians
+from .refgeom import _sector_jacobians
 
 ZERO_CLUSTER_TOL = 1e-6    # |lambda| below this (x spectral radius) is "zero"
 POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
@@ -72,10 +71,6 @@ class SbfemModes:
         re = self.lambdas.real
         pos = re[re > 0.5 * ZERO_CLUSTER_TOL]
         return float(pos.min()) if pos.size else np.inf
-
-    def radial_complex(self, xis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(xi^lambda, xi^(lambda-1)) per mode; shapes (len(xis), n), complex."""
-        return _radial_factors(xis, self.lambdas)
 
 
 def _radial_factors(xis: np.ndarray,
@@ -143,7 +138,6 @@ def _sort_key(lams: np.ndarray) -> np.ndarray:
 
 
 def select_modes(system: EulerSystem, label: str = "S-element",
-                 zero_tol: float = ZERO_CLUSTER_TOL,
                  cond_cap: float = COND_CAP) -> SbfemModes:
     """Eigen-solve the Euler system and keep the admissible modes.
 
@@ -156,7 +150,7 @@ def select_modes(system: EulerSystem, label: str = "S-element",
     n = system.n
     lam_all, V = np.linalg.eig(M)
     scale = max(float(np.abs(lam_all).max()), 1.0)
-    cluster = np.abs(lam_all) <= zero_tol * scale
+    cluster = np.abs(lam_all) <= ZERO_CLUSTER_TOL * scale
     positive = (~cluster) & (lam_all.real > POSITIVE_CUT * scale)
     expected_zero = (2 if system.dim == 2 else 1) if system.has_constant else 0
     n_positive_expected = n - (1 if system.has_constant else 0)
@@ -220,29 +214,6 @@ def element_stiffness(modes: SbfemModes) -> SElementStiffness:
     return SElementStiffness(K=0.5 * (K + K.T), asymmetry=asym)
 
 
-def shape_eval(modes: SbfemModes, alpha: np.ndarray, sector: Sector,
-               basis: TraceBasis, xi: float, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Complex values and Cartesian gradients of all modes at (xi, eta).
-
-    `alpha` holds the sector's rows of the trace eigenvectors (a sector slice
-    of `SElementOperator.A_eval`), zero where a Dirichlet-constrained node
-    pins the trace.
-    """
-    if xi < 0.0 or xi > 1.0 + 1e-12:
-        raise GeometryError(f"radial coordinate {xi} outside [0,1]")
-    # the kernel returns real parts: coefficient rows I and -iI give the
-    # real and the imaginary part of every mode, one stack member each
-    n = modes.n
-    coeffs = np.vstack([np.eye(n), -1j * np.eye(n)])
-    _, values, grads, _ = _sector_fields(
-        basis, [xi], np.atleast_1d(np.asarray(eta, dtype=float))[None, :],
-        *(np.broadcast_to(a, (2 * n,) + np.shape(a)) for a in
-          (sector.collapsed_vertex, sector.facet_vertices, alpha)),
-        coeffs, np.broadcast_to(modes.lambdas, (2 * n, n)))
-    v, g = values[:, 0, 0], grads[:, 0, 0]
-    return v[:n] + 1j * v[n:], (g[:n] + 1j * g[n:]).T
-
-
 def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
                    lambdas):
     """u_h on the (xi, eta) tensor grid of each of a stack of sectors.
@@ -272,97 +243,6 @@ def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
     pts = (centres[:, None, None, :]
            + np.asarray(xis)[None, :, None, None] * J[:, None, ..., 0])
     return pts, values, grads, det
-
-
-def mode_gram(modes: SbfemModes, E: EMatrices) -> np.ndarray:
-    """Closed-form Hermitian energy Gram of the modes via the radial integral.
-
-    Uses int_0^1 xi^{conj(li)+lj+d-3} dxi = 1/(conj(li)+lj+d-2) applied to
-    the four-term radial quadratic form; the constant mode row and column
-    are zero.
-    """
-    A = modes.A
-    S11, S12, S21, S22 = (A.conj().T @ B @ A for B in E.blocks())
-    L_i = modes.lambdas.conj()[:, None]
-    L_j = modes.lambdas[None, :]
-    denom = L_i + L_j + (modes.dim - 2)
-    G = (L_i * L_j * S11 + L_i * S12 + L_j * S21 + S22)
-    if modes.constant_index is not None:
-        ci = modes.constant_index
-        G[ci, :] = 0.0
-        G[:, ci] = 0.0
-        denom[ci, :] = 1.0
-        denom[:, ci] = 1.0
-    return G / denom
-
-
-def stiffness_from_gram(modes: SbfemModes, E: EMatrices) -> np.ndarray:
-    """Independent stiffness A^{-H} G A^{-1} from the closed-form radial Gram."""
-    Ainv = np.linalg.inv(modes.A)
-    return (Ainv.conj().T @ mode_gram(modes, E) @ Ainv).real
-
-
-def quadratic_residual(modes: SbfemModes, E: EMatrices) -> float:
-    """Worst scaled residual of the second-order radial ODE over the modes."""
-    E11, E12, E21, E22 = E.blocks()
-    d = modes.dim
-    scale = max(np.linalg.norm(b) for b in (E11, E12, E21, E22))
-    worst = 0.0
-    for i, lam in enumerate(modes.lambdas):
-        if modes.constant_index is not None and i == modes.constant_index:
-            continue
-        a = modes.A[:, i]
-        r = (lam * (lam - 1.0) * (E11 @ a)
-             + lam * ((d - 1) * (E11 @ a) + E12 @ a - E21 @ a)
-             + (d - 2) * (E12 @ a) - E22 @ a)
-        denom = scale * (1.0 + abs(lam)) ** 2 * np.linalg.norm(a)
-        worst = max(worst, np.linalg.norm(r) / denom)
-    return worst
-
-
-def orthogonality_residual(modes: SbfemModes, E: EMatrices,
-                           sigma_coeffs: np.ndarray,
-                           traces: np.ndarray | None = None,
-                           rng: np.random.Generator | None = None,
-                           n_trials: int = 5) -> float:
-    """Max scaled gradient inner product of the modes against Duffy tests.
-
-    The test functions have radial polynomial sigma (coefficients in
-    ascending powers) and either the supplied trace vectors or random
-    constant traces.  Radial integrals of xi^{lambda+m} are evaluated in
-    closed form, so the residual isolates the eigen-solve accuracy.
-    """
-    sigma = np.asarray(sigma_coeffs, dtype=float)
-    if traces is None:
-        rng = rng or np.random.default_rng(0)
-        traces = rng.standard_normal((n_trials, 1)) * np.ones((1, E.n))
-    lam = modes.lambdas
-    d = modes.dim
-    A = modes.A
-    G = mode_gram(modes, E)
-    energies = np.sqrt(np.maximum(np.diag(G).real, 0.0))
-    dsig = sigma[1:] * np.arange(1, sigma.size)
-    worst = 0.0
-    for mu in np.atleast_2d(traces):
-        # |psi| from the dominant E11 part of its energy; enough for scaling.
-        pow_int = np.array([[1.0 / (a + b + d - 1) for b in range(dsig.size)]
-                            for a in range(dsig.size)])
-        psi_en = np.sqrt(max(float(mu @ E.E11 @ mu)
-                             * float(dsig @ pow_int @ dsig), 1e-300))
-        for i, li in enumerate(lam):
-            if modes.constant_index is not None and i == modes.constant_index:
-                continue
-            a = A[:, i]
-            t11 = a @ (E.E11 @ mu)
-            t12 = a @ (E.E12 @ mu)
-            t21 = a @ (E.E21 @ mu)
-            t22 = a @ (E.E22 @ mu)
-            val = sum(c / (li + mm + d - 2) * (li * mm * t11 + li * t12
-                                               + mm * t21 + t22)
-                      for mm, c in enumerate(sigma) if c != 0.0)
-            den = max(energies[i] * psi_en, 1e-300)
-            worst = max(worst, abs(val) / den)
-    return worst
 
 
 def eigenvalue_rows(modes: SbfemModes) -> list[tuple[float, float, int]]:

@@ -111,15 +111,6 @@ def trace_basis(kind: FacetKind, k: int) -> TraceBasis:
                       powers=powers, coeffs=coeffs)
 
 
-def shape_values(basis: TraceBasis, eta) -> tuple[np.ndarray, np.ndarray]:
-    """Lagrange values and derivatives at a single reference point.
-
-    Returns (values, gradients) with gradients of shape (d-1, cardinality).
-    """
-    values, grads = basis.eval_many(np.atleast_1d(np.asarray(eta, float))[None, :])
-    return values[0], grads[0]
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Points and positive weights on a reference domain."""

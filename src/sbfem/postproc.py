@@ -108,35 +108,40 @@ class QuadratureConfig:
     facet_order: int | None = None
     radial_points: int | None = None
     composite_levels: int | None = None
-    composite_ratio: float = SINGULAR_COMPOSITE_RATIO
 
     def resolved(self, k: int) -> "QuadratureConfig":
         return QuadratureConfig(
             facet_order=self.facet_order or 2 * k + 4,
             radial_points=self.radial_points or 2 * k + 8,
-            composite_levels=self.composite_levels,
-            composite_ratio=self.composite_ratio)
+            composite_levels=self.composite_levels)
 
 
 def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
     """(L2, energy) errors of a discrete solution against an exact one.
 
-    The sectors of all S-elements are grouped by (facet kind, mode count,
-    radial rule) in mesh order; each group is evaluated in chunks of at most
-    `refgeom.CHUNK_BUDGET` (sectors x radial points x max(Q d, n_modes))
-    entries, and the FE quads of a coupled mesh likewise.
+    The rows of the mesh's sector stacks, taken in (S-element, position)
+    order, are grouped by (facet kind, mode count, radial rule).  Each group
+    is evaluated in chunks of at most `refgeom.CHUNK_BUDGET` (sectors x
+    radial points x max(Q d, n_modes)) entries, and the FE quads of a
+    coupled mesh likewise.
     """
     k = solution.k
     cfg = (quad or QuadratureConfig()).resolved(k)
     d = solution.mesh.dimension
+    ops = solution.operators
+    rules = [_radial_rule_args(op, cfg, k) for op in ops]
+    alphas = [op.A_eval for op in ops]
+    stacks = solution.mesh._sector_stacks()
+    sectors = sorted((e, pos, kind, i)
+                     for kind, (_, _, owners) in stacks.items()
+                     for i, (e, pos) in enumerate(owners.tolist()))
     groups: dict = {}
-    for op in solution.operators:
-        rule = _radial_rule_args(op, cfg, k)
-        c = solution.coefficients[op.selement.id]
-        for ctx in op.sectors:
-            key = (ctx.kind, op.modes.n, rule)
-            groups.setdefault(key, []).append(_sector_data(op, ctx, c))
+    for e, pos, kind, i in sectors:
+        centres, vertices, _ = stacks[kind]
+        groups.setdefault((kind, ops[e].modes.n, rules[e]), []).append(
+            (centres[i], vertices[i], alphas[e][ops[e].sector_rows[pos]],
+             solution.coefficients[e], ops[e].modes.lambdas))
     sums = np.zeros(2)
     for (kind, n_modes, rule), members in groups.items():
         frule = facet_quadrature(kind, cfg.facet_order)
@@ -176,13 +181,7 @@ def _radial_rule_args(op, cfg: QuadratureConfig, k: int) -> tuple:
     # plain Gauss is exact for the top L2 term xi^(2 lambda_max + d - 1)
     top = int(np.ceil(op.modes.lambdas.real.max() + 0.5 * op.modes.dim))
     n_rad = max(cfg.radial_points, top if floor >= 0.0 else k + 6)
-    return floor, n_rad, levels, cfg.composite_ratio
-
-
-def _sector_data(op, ctx, coeffs) -> tuple:
-    """One sector's arguments of the kernel, `modes._sector_fields`."""
-    return (ctx.centre, ctx.vertices, op.A_eval[ctx.rows], coeffs,
-            op.modes.lambdas)
+    return floor, n_rad, levels, SINGULAR_COMPOSITE_RATIO
 
 
 def _fe_fields(solution: DiscreteSolution, fes, ref_pts):
@@ -208,16 +207,6 @@ def _error_sums(exact: ExactSolution, w, pts, vals, grads) -> np.ndarray:
     eg = exact.gradient(flat).reshape(grads.shape)
     return np.array([np.sum(w * (vals - ev) ** 2),
                      np.sum(w * np.sum((grads - eg) ** 2, axis=-1))])
-
-
-def l2_error(solution: DiscreteSolution, exact: ExactSolution,
-             quad: QuadratureConfig | None = None) -> float:
-    return solution_errors(solution, exact, quad)[0]
-
-
-def energy_error(solution: DiscreteSolution, exact: ExactSolution,
-                 quad: QuadratureConfig | None = None) -> float:
-    return solution_errors(solution, exact, quad)[1]
 
 
 @dataclass
@@ -253,23 +242,3 @@ def report_to_csv(report: ErrorReport) -> str:
     if np.isfinite(report.rate_l2):
         out.write(f"# rate_l2={report.rate_l2:.5E},rate_h1={report.rate_h1:.5E}\n")
     return out.getvalue()
-
-
-def laplacian_residual(exact: ExactSolution, points: np.ndarray,
-                       step: float = 1e-3) -> float:
-    """Scaled finite-difference Laplacian of the registered solution."""
-    d = points.shape[1]
-    worst = 0.0
-    for x in points:
-        lap = 0.0
-        curv = 0.0
-        for axis in range(d):
-            e = np.zeros(d)
-            e[axis] = step
-            trio = np.vstack([x + e, x, x - e])
-            v = exact.value(trio)
-            second = (v[0] - 2.0 * v[1] + v[2]) / step ** 2
-            lap += second
-            curv += abs(second)
-        worst = max(worst, abs(lap) / max(curv, 1.0))
-    return worst

@@ -20,26 +20,12 @@ from .errors import AssemblyError, SolveError
 from .mesh import (DofNumbering, PolytopalMesh, SElement, number_dofs,
                    selement_local_dofs)
 from .polyspace import facet_quadrature, trace_basis
-from .refgeom import FacetKind, Sector, _facet_points, _facet_tangents
-
-
-@dataclass
-class SectorContext:
-    kind: FacetKind
-    centre: np.ndarray
-    vertices: np.ndarray       # the facet's vertices in the S-element's order
-    basis: object
-    rows: np.ndarray           # S-local trace index of each sector node
-
-    @property
-    def sector(self) -> Sector:
-        return Sector(collapsed_vertex=self.centre, facet_vertices=self.vertices,
-                      facet_kind=self.kind)
+from .refgeom import FacetKind, _facet_points, _facet_tangents
 
 
 @dataclass
 class SElementOperator:
-    """Modes, stiffness and sector data of one S-element."""
+    """Modes, stiffness and local DOFs of one S-element."""
 
     selement: SElement
     E: EMatrices               # side-face-reduced coefficient matrices
@@ -47,12 +33,18 @@ class SElementOperator:
     K: np.ndarray              # stiffness over the kept trace DOFs
     dofs_full: np.ndarray      # global ids of all Gamma^S trace DOFs
     kept_local: np.ndarray     # indices of unconstrained DOFs in the full set
-    sectors: list
-    A_eval: np.ndarray         # complex (n_full, n_modes); constrained rows zero
+    sector_rows: list          # per facet position: S-local row of each node
 
     @property
     def dofs_kept(self) -> np.ndarray:
         return self.dofs_full[self.kept_local]
+
+    @property
+    def A_eval(self) -> np.ndarray:
+        """Trace eigenvectors over all Gamma^S DOFs, constrained rows zero."""
+        A = np.zeros((len(self.dofs_full), self.modes.n), dtype=complex)
+        A[self.kept_local] = self.modes.A
+        return A
 
     def coefficients(self, nodal: np.ndarray) -> np.ndarray:
         """Complex modal coefficients reproducing the global nodal values."""
@@ -91,7 +83,7 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
             for (kind, i), rows in zip(slots, sector_rows))
         if key not in cache:
             misses.setdefault(key, sel.id)
-        local.append((dofs_full, sector_rows, constrained, key, slots))
+        local.append((dofs_full, sector_rows, constrained, key))
     # the E-matrices of every miss in one stacked pass
     sub = {}
     for kind, (centres, vertices, owners) in stacks.items():
@@ -102,44 +94,30 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
     Es = assemble_E(sub, {e: len(local[e][0]) for e in misses.values()},
                     mesh.dimension, k, order)
     ops = []
-    for sel, (dofs_full, sector_rows, constrained, key, slots) in zip(
+    for sel, (dofs_full, sector_rows, constrained, key) in zip(
             mesh.selements, local):
         if key not in cache:
-            n_full = len(dofs_full)
-            kept = np.setdiff1d(np.arange(n_full), constrained)
+            kept = np.setdiff1d(np.arange(len(dofs_full)), constrained)
             E_red = modes_mod.apply_sideface_bc(Es[sel.id], constrained)
             system = modes_mod.build_system(E_red, mesh.dimension)
             md = modes_mod.select_modes(system, label=f"S-element {sel.id}")
-            K = modes_mod.element_stiffness(md).K
-            A_eval = np.zeros((n_full, md.n), dtype=complex)
-            A_eval[kept, :] = md.A
-            cache[key] = (E_red, md, K, kept, A_eval)
-        E_red, md, K, kept, A_eval = cache[key]
-        sectors = [SectorContext(kind=kind, centre=stacks[kind][0][i],
-                                 vertices=stacks[kind][1][i],
-                                 basis=trace_basis(kind, k), rows=rows)
-                   for (kind, i), rows in zip(slots, sector_rows)]
-        ops.append(SElementOperator(selement=sel, modes=md, K=K,
-                                    E=E_red,
+            cache[key] = (E_red, md, modes_mod.element_stiffness(md).K, kept)
+        E_red, md, K, kept = cache[key]
+        ops.append(SElementOperator(selement=sel, E=E_red, modes=md, K=K,
                                     dofs_full=dofs_full, kept_local=kept,
-                                    sectors=sectors, A_eval=A_eval))
+                                    sector_rows=sector_rows))
     return ops
 
 
 # -- standard FE elements (coupled formulation) --------------------------------
 
 
-def fe_element_stiffness(vertices: np.ndarray, k: int,
-                         kind: str = "quad") -> np.ndarray:
-    """H^1 Laplace stiffness of a Q_k quadrilateral or P_k triangle (2D)."""
-    vertices = np.asarray(vertices, dtype=float)
-    facet = {"quad": FacetKind.QUADRILATERAL,
-             "triangle": FacetKind.TRIANGLE}.get(kind)
-    if facet is None:
-        raise AssemblyError(f"unsupported FE element kind '{kind}'")
-    rule = facet_quadrature(facet, 2 * k)
-    _, grads = trace_basis(facet, k).eval_many(rule.points)
-    tans = _facet_tangents(facet, rule.points, vertices)        # (q, 2, 2)
+def fe_element_stiffness(vertices: np.ndarray, k: int) -> np.ndarray:
+    """H^1 Laplace stiffness of a Q_k quadrilateral (2D)."""
+    quad = FacetKind.QUADRILATERAL
+    rule = facet_quadrature(quad, 2 * k)
+    _, grads = trace_basis(quad, k).eval_many(rule.points)
+    tans = _facet_tangents(quad, rule.points, vertices)         # (q, 2, 2)
     det = np.linalg.det(tans)
     if np.any(det <= 0.0):
         raise AssemblyError("inverted FE element")
@@ -300,8 +278,9 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
     u[pinned] = pinned_vals
     K = system.K
     if free.size:
-        Kff = K[free][:, free].tocsc()
-        rhs = system.rhs[free] - K[free][:, pinned] @ pinned_vals
+        Kf = K[free]
+        Kff = Kf[:, free].tocsc()
+        rhs = system.rhs[free] - Kf[:, pinned] @ pinned_vals
         try:
             lu = scipy.sparse.linalg.splu(Kff)
             u[free] = lu.solve(rhs)
@@ -322,15 +301,13 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
 
 def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
                       quad_order: int | None = None,
-                      cache: dict | None = None,
                       operators: list | None = None,
                       numbering: DofNumbering | None = None) -> DiscreteSolution:
     """Radial extension of the nodal trace interpolant of f."""
     if numbering is None:
         numbering = number_dofs(mesh, k)
     if operators is None:
-        operators = build_operators(mesh, numbering, quad_order=quad_order,
-                                    cache=cache)
+        operators = build_operators(mesh, numbering, quad_order=quad_order)
     nodal = _evaluate_field(f, numbering.coords)
     coeffs = [op.coefficients(nodal) for op in operators]
     return DiscreteSolution(mesh=mesh, numbering=numbering,

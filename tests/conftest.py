@@ -1,5 +1,7 @@
-"""Shared fixtures: canonical S-elements and numeric oracles."""
+"""Shared fixtures: canonical S-elements, numeric oracles and the
+diagnostics that only tests use."""
 
+import json
 from collections import namedtuple
 
 import numpy as np
@@ -7,21 +9,49 @@ import pytest
 
 from sbfem import modes, postproc
 from sbfem.ematrix import EMatrices
-from sbfem.errors import AssemblyError, GeometryError
+from sbfem.errors import GeometryError
 from sbfem.mesh import (PolytopalMesh, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh, import_mesh,
                         number_dofs, singular_open_selement)
-from sbfem.polyspace import facet_quadrature, radial_quadrature, trace_basis
-from sbfem.refgeom import (FacetKind, Sector, _facet_points, _facet_tangents,
-                           jacobian_columns_many)
+from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
+                             trace_basis)
+from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
+                           _sector_jacobians)
 from sbfem.solver import build_operators
 
 
+class Sector(namedtuple("Sector", "collapsed_vertex facet_vertices facet_kind")):
+    """One sector: a row of the mesh's sector stacks plus its facet kind."""
+
+    @property
+    def dim(self) -> int:
+        return self.facet_kind.ambient_dim
+
+
+# a sector of an S-element operator, its trace basis and S-local node rows
+SectorRows = namedtuple("SectorRows", "sector basis rows")
+
+
 def mesh_sector(mesh, sel, pos):
-    """The Sector of facet position `pos` of S-element `sel`."""
-    return Sector(collapsed_vertex=sel.center,
-                  facet_vertices=mesh.vertices[list(sel.facet_orders[pos])],
-                  facet_kind=mesh.facets[sel.facet_ids[pos]].kind)
+    """The Sector of facet position `pos` of S-element `sel`, read from
+    `PolytopalMesh._sector_stacks`."""
+    for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
+        hit = np.flatnonzero((owners == (sel.id, pos)).all(axis=1))
+        if hit.size:
+            return Sector(centres[hit[0]], vertices[hit[0]], kind)
+    raise KeyError((sel.id, pos))
+
+
+def op_sectors(mesh, op):
+    """The SectorRows of every facet position of an S-element operator."""
+    out = []
+    for pos, rows in enumerate(op.sector_rows):
+        sector = mesh_sector(mesh, op.selement, pos)
+        basis = next(b for b in (trace_basis(sector.facet_kind, k)
+                                 for k in range(1, MAX_DEGREE + 1))
+                     if b.cardinality == len(rows))
+        out.append(SectorRows(sector, basis, rows))
+    return out
 
 
 def facet_map_many(sector, etas):
@@ -29,35 +59,58 @@ def facet_map_many(sector, etas):
     return _facet_points(sector.facet_kind, etas, sector.facet_vertices)
 
 
-def facet_tangents_many(sector, etas):
-    """d F_L / d eta at several points; returns shape (q, d, d-1)."""
-    return _facet_tangents(sector.facet_kind, etas, sector.facet_vertices)
+def sector_jacobian(sector, etas):
+    """J(1, eta) (q, d, d) and its determinants (q,) by the stacked kernel
+    `refgeom._sector_jacobians` on a stack of one."""
+    J, det = _sector_jacobians(sector.facet_kind, np.atleast_2d(etas),
+                               sector.collapsed_vertex[None],
+                               sector.facet_vertices[None])
+    return J[0], det[0]
 
 
 def duffy_map_many(sector, xis, etas):
-    """Tensor evaluation of the Duffy map; returns shape (len(xis), q, d)."""
-    a0 = sector.collapsed_vertex
-    rays = facet_map_many(sector, etas) - a0
-    return a0 + np.asarray(xis, dtype=float)[:, None, None] * rays[None, :, :]
+    """Mapped points (len(xis), q, d) of one sector by the error kernel
+    `modes._sector_fields`, fed a single zero mode."""
+    basis = trace_basis(sector.facet_kind, 1)
+    zero = np.zeros((1, 1))
+    pts, _, _, _ = modes._sector_fields(
+        basis, np.asarray(xis, dtype=float), np.atleast_2d(etas),
+        sector.collapsed_vertex[None], sector.facet_vertices[None],
+        np.zeros((1, basis.cardinality, 1)), zero, zero)
+    return pts[0]
+
+
+def mode_fields(op, ctx, xi, eta):
+    """Complex values (n,) and Cartesian gradients (d, n) of all modes of an
+    S-element at one (xi, eta) of sector `ctx`, by `modes._sector_fields`.
+
+    The kernel returns real parts: coefficient rows I and -iI give the real
+    and the imaginary part of every mode, one stack member each.
+    """
+    n = op.modes.n
+    coeffs = np.vstack([np.eye(n), -1j * np.eye(n)])
+    _, values, grads, _ = modes._sector_fields(
+        ctx.basis, [xi], np.atleast_1d(np.asarray(eta, dtype=float))[None, :],
+        *(np.broadcast_to(a, (2 * n,) + np.shape(a)) for a in
+          (ctx.sector.collapsed_vertex, ctx.sector.facet_vertices,
+           op.A_eval[ctx.rows])),
+        coeffs, np.broadcast_to(op.modes.lambdas, (2 * n, n)))
+    v, g = values[:, 0, 0], grads[:, 0, 0]
+    return v[:n] + 1j * v[n:], (g[:n] + 1j * g[n:]).T
 
 
 def sector_B_many(sector, basis, etas):
     """Vectorized B-vectors: returns (B1, B2, detJ1) with B* of shape (q, d, m)."""
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     values, grads = basis.eval_many(etas)
-    J1, det = jacobian_columns_many(sector, etas)
+    J1, det = sector_jacobian(sector, etas)
     if np.any(np.abs(det) < 1e-14):
         raise GeometryError(
             f"degenerate sector (center {sector.collapsed_vertex}): |J| ~ 0")
     Jinv_T = np.transpose(np.linalg.inv(J1), (0, 2, 1))
-    d = sector.dim
-    q, m = values.shape[0], basis.cardinality
-    rhs = np.zeros((q, d, m))
-    rhs[:, 0, :] = values
-    B1 = Jinv_T @ rhs
-    rhs = np.zeros((q, d, m))
-    rhs[:, 1:, :] = grads
-    B2 = Jinv_T @ rhs
+    N = values[:, None, :]
+    B1 = Jinv_T @ np.concatenate([N, np.zeros_like(grads)], axis=1)
+    B2 = Jinv_T @ np.concatenate([np.zeros_like(N), grads], axis=1)
     return B1, B2, det
 
 
@@ -66,8 +119,6 @@ SectorE = namedtuple("SectorE", "E11 E12 E21 E22")
 
 def sector_E(sector, basis, rule):
     """Integrate the four B-vector Gram matrices over one facet."""
-    if basis.facet_kind is not sector.facet_kind:
-        raise AssemblyError("trace basis facet kind does not match the sector")
     B1, B2, det = sector_B_many(sector, basis, rule.points)
     if np.any(det <= 0.0):
         raise GeometryError(
@@ -82,8 +133,7 @@ def sector_E(sector, basis, rule):
     return SectorE(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22)
 
 
-def reference_assemble_E(sector_data, n_local, dim,
-                         quad_order_for=facet_quadrature):
+def reference_assemble_E(sector_data, n_local, dim):
     """Per-sector oracle for the stacked `ematrix.assemble_E`.
 
     `sector_data` yields (Sector, TraceBasis, local_indices, order) tuples
@@ -94,7 +144,7 @@ def reference_assemble_E(sector_data, n_local, dim,
     E12 = np.zeros((n_local, n_local))
     E22 = np.zeros((n_local, n_local))
     for sector, basis, idx, order in sector_data:
-        rule = quad_order_for(sector.facet_kind, order)
+        rule = facet_quadrature(sector.facet_kind, order)
         se = sector_E(sector, basis, rule)
         ix = np.ix_(idx, idx)
         E11[ix] += se.E11
@@ -149,25 +199,17 @@ def jittered_quad_mesh(n, amplitude, seed=0):
     """n x n mesh of general quadrilateral S-elements on [-1,1]^2."""
     rng = np.random.default_rng(seed)
     xs = np.linspace(-1, 1, n + 1)
-    pts = {}
+    vertices = []               # vertex (i, j) has id j (n + 1) + i
     for j in range(n + 1):
         for i in range(n + 1):
             p = np.array([xs[i], xs[j]])
             if 0 < i < n and 0 < j < n:
                 p = p + rng.uniform(-amplitude, amplitude, 2) * (2.0 / n)
-            pts[(i, j)] = p
-    vertices = []
-    vid = {}
-    for key, p in pts.items():
-        vid[key] = len(vertices)
-        vertices.append([float(p[0]), float(p[1])])
+            vertices.append([float(p[0]), float(p[1])])
     sels = []
-    for j in range(n):
-        for i in range(n):
-            loop = [vid[(i, j)], vid[(i + 1, j)], vid[(i + 1, j + 1)],
-                    vid[(i, j + 1)]]
-            facets = [[loop[t], loop[(t + 1) % 4]] for t in range(4)]
-            sels.append({"facets": facets})
+    for v in (j * (n + 1) + i for j in range(n) for i in range(n)):
+        loop = [v, v + 1, v + n + 2, v + n + 1]
+        sels.append({"facets": [[loop[t], loop[(t + 1) % 4]] for t in range(4)]})
     return import_mesh({"dimension": 2, "vertices": vertices,
                         "selements": sels})
 
@@ -261,14 +303,14 @@ def fixture_meshes_3d():
             ("octahedron", octahedron_mesh())]
 
 
-def volume_gradient_inner(op, alpha, mu, rho, drho, sigma, dsigma,
+def volume_gradient_inner(mesh, op, alpha, mu, rho, drho, sigma, dsigma,
                           facet_order=24, radial_points=20):
     """Tensor-quadrature oracle for the gradient inner product of two Duffy
     functions with polynomial radial parts vanishing at the center."""
     d = op.E.dim
     rad = radial_quadrature(1.0, radial_points, 0)
     total = 0.0
-    for ctx in op.sectors:
+    for ctx in op_sectors(mesh, op):
         frule = facet_quadrature(ctx.sector.facet_kind, facet_order)
         B1, B2, det = sector_B_many(ctx.sector, ctx.basis, frule.points)
         a = alpha[ctx.rows]
@@ -289,22 +331,20 @@ def fd_mode_gradients(op, ctx, xi, eta, step=1e-6):
     Central differences of the mode values in the parametric coordinates,
     pushed through the (independently verified) surface Jacobian.
     """
-    from sbfem.modes import shape_eval
-    alpha = op.A_eval[ctx.rows]
     eta = np.atleast_1d(np.asarray(eta, dtype=float))
     dm1 = len(eta)
     partials = []
-    vp, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi + step, eta)
-    vm, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi - step, eta)
+    vp, _ = mode_fields(op, ctx, xi + step, eta)
+    vm, _ = mode_fields(op, ctx, xi - step, eta)
     partials.append((vp - vm) / (2 * step))
     for a in range(dm1):
         e = np.zeros(dm1)
         e[a] = step
-        vp, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi, eta + e)
-        vm, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi, eta - e)
+        vp, _ = mode_fields(op, ctx, xi, eta + e)
+        vm, _ = mode_fields(op, ctx, xi, eta - e)
         partials.append((vp - vm) / (2 * step))
     P = np.vstack(partials)                         # (d, n_modes) parametric
-    J1, _ = jacobian_columns_many(ctx.sector, eta[None, :])
+    J1, _ = sector_jacobian(ctx.sector, eta[None, :])
     J = J1[0].copy()
     J[:, 1:] *= xi
     return np.linalg.solve(J.T, P)
@@ -313,8 +353,9 @@ def fd_mode_gradients(op, ctx, xi, eta, step=1e-6):
 def evaluate_in_sector(solution, op, ctx, xis, etas):
     """The error kernel on one sector: points (R, Q, d), values (R, Q) and
     gradients (R, Q, d) of u_h on a (xi, eta) tensor grid."""
-    c = solution.coefficients[op.selement.id]
-    member = postproc._sector_data(op, ctx, c)
+    member = (ctx.sector.collapsed_vertex, ctx.sector.facet_vertices,
+              op.A_eval[ctx.rows], solution.coefficients[op.selement.id],
+              op.modes.lambdas)
     pts, vals, grads, _ = modes._sector_fields(
         ctx.basis, np.asarray(xis, dtype=float), etas,
         *(np.asarray(a)[None] for a in member))
@@ -337,8 +378,10 @@ def _reference_sector(solution, op, ctx, xis, etas):
     alpha = op.A_eval[ctx.rows, :]                     # (m, n_modes) complex
     nvals, _ = ctx.basis.eval_many(etas)               # (Q, m)
     xis = np.asarray(xis, dtype=float)
-    Z, Z1 = md.radial_complex(xis)
-    pts = duffy_map_many(ctx.sector, xis, etas)
+    Z, Z1 = modes._radial_factors(xis, md.lambdas)
+    a0 = ctx.sector.collapsed_vertex
+    rays = facet_map_many(ctx.sector, etas) - a0
+    pts = a0 + xis[:, None, None] * rays[None, :, :]
     T = nvals @ alpha                                   # (Q, n_modes)
     values = ((Z * c[None, :]) @ T.T).real              # (R, Q)
     B1, B2, _ = sector_B_many(ctx.sector, ctx.basis, etas)
@@ -352,17 +395,14 @@ def _reference_sector(solution, op, ctx, xis, etas):
 
 
 def _reference_fe(solution, fe, ref_pts):
-    """u_h on one FE quad at reference points, through a 3D helper sector."""
+    """u_h on one FE quad at reference points."""
     mesh, numbering = solution.mesh, solution.numbering
     basis = trace_basis(FacetKind.QUADRILATERAL, numbering.k)
     uel = solution.nodal[numbering.fe_nodes[fe.id]]
     nvals, ngrads = basis.eval_many(ref_pts)
     corners = mesh.vertices[list(fe.vertices)]
-    helper = Sector(collapsed_vertex=np.zeros(3),
-                    facet_vertices=np.column_stack([corners, np.zeros(4)]),
-                    facet_kind=FacetKind.QUADRILATERAL)
-    pts = facet_map_many(helper, ref_pts)[:, :2]
-    tans = facet_tangents_many(helper, ref_pts)[:, :2, :]
+    pts = _facet_points(FacetKind.QUADRILATERAL, ref_pts, corners)
+    tans = _facet_tangents(FacetKind.QUADRILATERAL, ref_pts, corners)
     det = np.linalg.det(tans)
     JinvT = np.transpose(np.linalg.inv(tans), (0, 2, 1))
     values = nvals @ uel
@@ -384,9 +424,9 @@ def reference_solution_errors(solution, exact, quad=None):
     for op in solution.operators:
         rad = radial_quadrature(*postproc._radial_rule_args(op, cfg, k))
         xis = rad.points[:, 0]
-        for ctx in op.sectors:
+        for ctx in op_sectors(solution.mesh, op):
             frule = facet_quadrature(ctx.sector.facet_kind, cfg.facet_order)
-            _, det = jacobian_columns_many(ctx.sector, frule.points)
+            _, det = sector_jacobian(ctx.sector, frule.points)
             pts, vals, grads = _reference_sector(solution, op, ctx, xis,
                                                  frule.points)
             flat = pts.reshape(-1, d)
@@ -403,3 +443,135 @@ def reference_solution_errors(solution, exact, quad=None):
         acc_h1 += float(np.sum(w * np.sum((grads - exact.gradient(pts)) ** 2,
                                           axis=1)))
     return float(np.sqrt(acc_l2)), float(np.sqrt(acc_h1))
+
+
+# -- diagnostics that only tests use ---------------------------------------------
+
+
+def mesh_to_json(mesh) -> dict:
+    """A mesh in the JSON schema that `import_mesh` reads."""
+    sels = []
+    for sel in mesh.selements:
+        entry = {"facets": [list(o) for o in sel.facet_orders],
+                 "center": [float(c) for c in sel.center]}
+        if sel.open_boundary is not None:
+            entry["dirichlet_sideface_nodes"] = list(
+                sel.open_boundary.dirichlet_vertices)
+        sels.append(entry)
+    return {"dimension": mesh.dimension,
+            "vertices": [[float(c) for c in v] for v in mesh.vertices],
+            "selements": sels}
+
+
+def save_mesh(mesh, path):
+    with open(path, "w") as fh:
+        json.dump(mesh_to_json(mesh), fh, indent=1)
+
+
+def laplacian_residual(exact, points: np.ndarray, step: float = 1e-3) -> float:
+    """Scaled finite-difference Laplacian of a registered solution."""
+    d = points.shape[1]
+    worst = 0.0
+    for x in points:
+        lap = 0.0
+        curv = 0.0
+        for axis in range(d):
+            e = np.zeros(d)
+            e[axis] = step
+            trio = np.vstack([x + e, x, x - e])
+            v = exact.value(trio)
+            second = (v[0] - 2.0 * v[1] + v[2]) / step ** 2
+            lap += second
+            curv += abs(second)
+        worst = max(worst, abs(lap) / max(curv, 1.0))
+    return worst
+
+
+def mode_gram(md, E: EMatrices) -> np.ndarray:
+    """Closed-form Hermitian energy Gram of the modes via the radial integral.
+
+    Uses int_0^1 xi^{conj(li)+lj+d-3} dxi = 1/(conj(li)+lj+d-2) applied to
+    the four-term radial quadratic form; the constant mode row and column
+    are zero.
+    """
+    A = md.A
+    S11, S12, S21, S22 = (A.conj().T @ B @ A for B in E.blocks())
+    L_i = md.lambdas.conj()[:, None]
+    L_j = md.lambdas[None, :]
+    denom = L_i + L_j + (md.dim - 2)
+    G = (L_i * L_j * S11 + L_i * S12 + L_j * S21 + S22)
+    if md.constant_index is not None:
+        ci = md.constant_index
+        G[ci, :] = 0.0
+        G[:, ci] = 0.0
+        denom[ci, :] = 1.0
+        denom[:, ci] = 1.0
+    return G / denom
+
+
+def stiffness_from_gram(md, E: EMatrices) -> np.ndarray:
+    """Independent stiffness A^{-H} G A^{-1} from the closed-form radial Gram."""
+    Ainv = np.linalg.inv(md.A)
+    return (Ainv.conj().T @ mode_gram(md, E) @ Ainv).real
+
+
+def quadratic_residual(md, E: EMatrices) -> float:
+    """Worst scaled residual of the second-order radial ODE over the modes."""
+    E11, E12, E21, E22 = E.blocks()
+    d = md.dim
+    scale = max(np.linalg.norm(b) for b in (E11, E12, E21, E22))
+    worst = 0.0
+    for i, lam in enumerate(md.lambdas):
+        if md.constant_index is not None and i == md.constant_index:
+            continue
+        a = md.A[:, i]
+        r = (lam * (lam - 1.0) * (E11 @ a)
+             + lam * ((d - 1) * (E11 @ a) + E12 @ a - E21 @ a)
+             + (d - 2) * (E12 @ a) - E22 @ a)
+        denom = scale * (1.0 + abs(lam)) ** 2 * np.linalg.norm(a)
+        worst = max(worst, np.linalg.norm(r) / denom)
+    return worst
+
+
+def orthogonality_residual(md, E: EMatrices, sigma_coeffs: np.ndarray,
+                           traces: np.ndarray | None = None,
+                           rng: np.random.Generator | None = None,
+                           n_trials: int = 5) -> float:
+    """Max scaled gradient inner product of the modes against Duffy tests.
+
+    The test functions have radial polynomial sigma (coefficients in
+    ascending powers) and either the supplied trace vectors or random
+    constant traces.  Radial integrals of xi^{lambda+m} are evaluated in
+    closed form, so the residual isolates the eigen-solve accuracy.
+    """
+    sigma = np.asarray(sigma_coeffs, dtype=float)
+    if traces is None:
+        rng = rng or np.random.default_rng(0)
+        traces = rng.standard_normal((n_trials, 1)) * np.ones((1, E.n))
+    lam = md.lambdas
+    d = md.dim
+    A = md.A
+    G = mode_gram(md, E)
+    energies = np.sqrt(np.maximum(np.diag(G).real, 0.0))
+    dsig = sigma[1:] * np.arange(1, sigma.size)
+    worst = 0.0
+    for mu in np.atleast_2d(traces):
+        # |psi| from the dominant E11 part of its energy; enough for scaling.
+        pow_int = np.array([[1.0 / (a + b + d - 1) for b in range(dsig.size)]
+                            for a in range(dsig.size)])
+        psi_en = np.sqrt(max(float(mu @ E.E11 @ mu)
+                             * float(dsig @ pow_int @ dsig), 1e-300))
+        for i, li in enumerate(lam):
+            if md.constant_index is not None and i == md.constant_index:
+                continue
+            a = A[:, i]
+            t11 = a @ (E.E11 @ mu)
+            t12 = a @ (E.E12 @ mu)
+            t21 = a @ (E.E21 @ mu)
+            t22 = a @ (E.E22 @ mu)
+            val = sum(c / (li + mm + d - 2) * (li * mm * t11 + li * t12
+                                               + mm * t21 + t22)
+                      for mm, c in enumerate(sigma) if c != 0.0)
+            den = max(energies[i] * psi_en, 1e-300)
+            worst = max(worst, abs(val) / den)
+    return worst

@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from conftest import (affine_cube_mesh, fd_mode_gradients, fixture_meshes_2d,
-                      fixture_meshes_3d, operator_for, random_polygon_mesh)
+                      fixture_meshes_3d, mode_fields, op_sectors, operator_for,
+                      orthogonality_residual, random_polygon_mesh,
+                      stiffness_from_gram)
 from sbfem.cli import MESH_FAMILIES
 from sbfem.mesh import singular_open_selement
-from sbfem.modes import orthogonality_residual, shape_eval, stiffness_from_gram
 from sbfem.postproc import get_exact, solution_errors
 from sbfem.solver import (apply_dirichlet, assemble_global, sbfem_interpolate,
                           solve)
@@ -262,11 +263,11 @@ def _assert_pairing(op, d):
 def acceptance_fixture_ops():
     rng = np.random.default_rng(77)
     out = []
-    for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
+    meshes = fixture_meshes_2d() + fixture_meshes_3d()
+    meshes.append(("wedge", singular_open_selement(2)))
+    for name, mesh in meshes:
         for k in (1, 2, 3, 4):
-            out.append((f"{name}-k{k}", operator_for(mesh, k)))
-    for k in (1, 2, 3, 4):
-        out.append((f"wedge-k{k}", operator_for(singular_open_selement(2), k)))
+            out.append((f"{name}-k{k}", mesh, operator_for(mesh, k)))
     return out
 
 
@@ -282,7 +283,7 @@ def _fixture_ops():
 
 def test_criterion_6_orthogonality():
     rng = np.random.default_rng(99)
-    for name, op in _fixture_ops():
+    for name, _, op in _fixture_ops():
         defining = orthogonality_residual(op.modes, op.E, [0.0, 1.0, -1.0],
                                           rng=rng)
         extended = orthogonality_residual(op.modes, op.E,
@@ -299,13 +300,13 @@ def test_criterion_6_orthogonality():
 
 
 def test_criterion_7_stiffness_cross_validation():
-    for name, op in _fixture_ops():
+    for name, _, op in _fixture_ops():
         K2 = stiffness_from_gram(op.modes, op.E)
         err = np.linalg.norm(op.K - K2) / np.linalg.norm(op.K)
         assert err < 1e-7, (name, err)
         w = np.linalg.eigvalsh(op.K)
         assert w.min() > -1e-9 * np.linalg.norm(op.K), name
-        if not op.selement.is_open:
+        if op.selement.open_boundary is None:
             kernel = (w < 1e-8 * w.max()).sum()
             assert kernel == 1, name
             ones = np.ones(op.K.shape[0])
@@ -364,10 +365,11 @@ def test_criterion_8_galerkin_optimality_and_slopes():
 
 def test_criterion_9_gradient_finite_differences():
     rng = np.random.default_rng(4242)
-    for name, op in _fixture_ops():
+    for name, mesh, op in _fixture_ops():
         if op.modes.n > 40:      # keep the FD sweep affordable
             continue
-        ctx = op.sectors[rng.integers(len(op.sectors))]
+        sectors = op_sectors(mesh, op)
+        ctx = sectors[rng.integers(len(sectors))]
         kind = ctx.sector.facet_kind.name
         for _ in range(20):
             xi = rng.uniform(0.2, 0.9)
@@ -377,8 +379,7 @@ def test_criterion_9_gradient_finite_differences():
                 eta = rng.uniform(-0.8, 0.8, 2)
             else:
                 eta = rng.dirichlet([1, 1, 1])[:2] * 0.75
-            _, grads = shape_eval(op.modes, op.A_eval[ctx.rows], ctx.sector,
-                                  ctx.basis, xi, eta)
+            _, grads = mode_fields(op, ctx, xi, eta)
             fd = fd_mode_gradients(op, ctx, xi, eta)
             scale = max(np.abs(grads).max(), 1.0)
             assert np.abs(grads - fd).max() < 1e-5 * scale, name

@@ -94,6 +94,20 @@ def test_shipped_configs_parse():
         build_mesh(cfg["mesh"], cfg["levels"][0])
 
 
+def test_config_command_must_match(tmp_path, capsys):
+    # interp-square.json names `interp`; running it as a Galerkin solve
+    # would write a different CSV under the same study
+    path = CONFIG_DIR / "interp-square.json"
+    rc = main(["convergence", "--config", str(path), "--levels", "1",
+               "--k", "1", "--output", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "'interp'" in err and "'convergence'" in err
+    assert not list(tmp_path.iterdir())
+    assert main(["interp", "--config", str(path), "--levels", "1", "--k", "1",
+                 "--output", str(tmp_path)]) == 0
+
+
 def test_dump_eigenvalues_flag(tmp_path):
     rc = main(["solve", "--mesh", "quad", "--level", "1", "--k", "1",
                "--problem", "const", "--output", str(tmp_path),
@@ -126,9 +140,10 @@ def test_module_error_exit_1(tmp_path, capsys):
 
 
 def test_mesh_file_run(tmp_path):
+    from conftest import save_mesh
     from sbfem.mesh import gen_quad_mesh
     mesh_path = tmp_path / "mesh.json"
-    gen_quad_mesh(2).save(mesh_path)
+    save_mesh(gen_quad_mesh(2), mesh_path)
     rc = main(["solve", "--mesh", f"file:{mesh_path}", "--k", "1",
                "--problem", "exp2d", "--output", str(tmp_path)])
     assert rc == 0

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import (fixture_meshes_2d, fixture_meshes_3d,
-                      jittered_quad_mesh, mesh_sector, operator_for,
-                      reference_assemble_E, sector_B, sector_E,
+from conftest import (Sector, fixture_meshes_2d, fixture_meshes_3d,
+                      jittered_quad_mesh, mesh_sector, mesh_to_json,
+                      op_sectors, operator_for, reference_assemble_E,
+                      sector_B, sector_E, sector_jacobian,
                       volume_gradient_inner)
 from sbfem import refgeom
 from sbfem.ematrix import assemble_E
@@ -13,7 +14,7 @@ from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         number_dofs)
 from sbfem.modes import apply_sideface_bc
 from sbfem.polyspace import facet_quadrature, trace_basis
-from sbfem.refgeom import FacetKind, Sector
+from sbfem.refgeom import FacetKind
 from sbfem.solver import build_operators
 
 
@@ -40,8 +41,7 @@ def test_constant_trace_gradient_is_inverse_jacobian_column():
     basis = trace_basis(FacetKind.SEGMENT, 1)
     for eta in (-0.7, 0.0, 0.4):
         B1, B2 = sector_B(sector, basis, eta)
-        from sbfem.refgeom import jacobian_columns_many
-        J1, _ = jacobian_columns_many(sector, np.array([[eta]]))
+        J1, _ = sector_jacobian(sector, np.array([[eta]]))
         expect = np.linalg.solve(J1[0].T, np.eye(2)[:, 0])
         assert B1.sum(axis=1) == pytest.approx(expect)
         assert np.abs(B2.sum(axis=1)).max() < 1e-13
@@ -65,8 +65,7 @@ def test_fd_gradient_of_mapped_duffy_function(rng):
 
             dxi = (phi_param(xi + step, eta) - phi_param(xi - step, eta)) / (2 * step)
             deta = (phi_param(xi, eta + step) - phi_param(xi, eta - step)) / (2 * step)
-            from sbfem.refgeom import jacobian_columns_many
-            J1, _ = jacobian_columns_many(sector, np.array([[eta]]))
+            J1, _ = sector_jacobian(sector, np.array([[eta]]))
             J = J1[0].copy()
             J[:, 1:] *= xi
             grad_fd = np.linalg.solve(J.T, np.array([dxi, deta]))
@@ -113,7 +112,7 @@ def test_geometry_scaling_law():
     rngl = np.random.default_rng(11)
     cube = affine_cube_mesh(rngl)
     s = 2.5
-    data = cube.to_json()
+    data = mesh_to_json(cube)
     data["vertices"] = [[s * c for c in v] for v in data["vertices"]]
     for entry in data["selements"]:
         entry["center"] = [s * c for c in entry["center"]]
@@ -181,7 +180,7 @@ def test_radial_form_matches_volume_integral(fixture_set, rng):
             radial = (6 * alpha @ E.E11 @ mu + 2 * alpha @ E.E12 @ mu
                       + 3 * alpha @ E.E21 @ mu + alpha @ E.E22 @ mu) / (d + 3)
             vol = volume_gradient_inner(
-                op, alpha, mu,
+                mesh, op, alpha, mu,
                 rho=lambda x: x ** 2, drho=lambda x: 2 * x,
                 sigma=lambda x: x ** 3, dsigma=lambda x: 3 * x ** 2)
             assert radial == pytest.approx(vol, rel=1e-8), name
@@ -223,7 +222,7 @@ def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
     for op in first.values():
         n = len(op.dofs_full)
         data = [(ctx.sector, ctx.basis, ctx.rows, 2 * k + 2)
-                for ctx in op.sectors]
+                for ctx in op_sectors(mesh, op)]
         ref = apply_sideface_bc(
             reference_assemble_E(data, n, mesh.dimension),
             np.setdiff1d(np.arange(n), op.kept_local))

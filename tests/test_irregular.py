@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import jittered_quad_mesh
+from conftest import jittered_quad_mesh, mesh_to_json
 from sbfem import ematrix, mesh, modes, postproc, refgeom, solver
 from sbfem.mesh import gen_hex_mesh, import_mesh, number_dofs
 from sbfem.postproc import get_exact, solution_errors
@@ -15,7 +15,7 @@ def sheared_hex_mesh(n):
     """Affine image of the uniform hex mesh: irregular but planar facets."""
     base = gen_hex_mesh(n)
     M = np.array([[1.0, 0.25, 0.1], [0.0, 1.0, 0.3], [0.05, 0.0, 1.0]])
-    data = base.to_json()
+    data = mesh_to_json(base)
     data["vertices"] = [list(M @ np.asarray(v)) for v in data["vertices"]]
     for entry in data["selements"]:
         entry["center"] = list(M @ np.asarray(entry["center"]))

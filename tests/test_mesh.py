@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (facet_map_many, hybrid_mesh, jittered_quad_mesh,
-                      mesh_sector, octahedron_mesh, polygon_mesh)
+                      mesh_sector, mesh_to_json, octahedron_mesh,
+                      polygon_mesh, sector_jacobian)
 from sbfem.cli import build_mesh, main
 from sbfem.errors import MeshError
 from sbfem.mesh import (PolytopalMesh, _lattice_perm, gen_coupled_singular,
@@ -53,7 +54,7 @@ def test_single_square_topology():
     mesh = gen_quad_mesh(1)
     assert len(mesh.selements) == 1
     assert len(mesh.selements[0].facet_ids) == 4
-    assert not mesh.selements[0].is_open
+    assert mesh.selements[0].open_boundary is None
 
 
 def test_polygon_case1_facet_count():
@@ -95,7 +96,7 @@ def test_singular_open_element():
         mesh = singular_open_selement(n)
         sel = mesh.selements[0]
         assert len(sel.facet_ids) == 4 * n
-        assert sel.is_open
+        assert sel.open_boundary is not None
         assert sel.center == pytest.approx([0.0, 0.0])
         nd = number_dofs(mesh, 1)
         assert nd.n_total == 4 * n + 1
@@ -107,14 +108,13 @@ def test_singular_open_element():
 
 def test_round_trip_identity():
     for mesh in (gen_quad_mesh(2), gen_hex_mesh(1), singular_open_selement(2)):
-        data = json.loads(json.dumps(mesh.to_json()))
+        data = json.loads(json.dumps(mesh_to_json(mesh)))
         back = import_mesh(data)
         assert np.allclose(back.vertices, mesh.vertices)
         assert len(back.facets) == len(mesh.facets)
         for k in (1, 2):
             assert number_dofs(back, k).n_total == number_dofs(mesh, k).n_total
-        again = back.to_json()
-        assert again == mesh.to_json()
+        assert mesh_to_json(back) == mesh_to_json(mesh)
 
 
 def test_two_pentagons_fixture():
@@ -211,7 +211,7 @@ def test_duplicate_vertices_import_as_the_clean_square(data, tmp_path):
     mesh = import_mesh(data)
     assert np.array_equal(mesh.vertices, clean.vertices)
     assert mesh.facets == clean.facets
-    assert mesh.to_json() == clean.to_json()
+    assert mesh_to_json(mesh) == mesh_to_json(clean)
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(data))
     assert main(["solve", "--mesh", f"file:{path}", "--k", "1",
@@ -236,7 +236,7 @@ MALFORMED = {
         selements=[{"facets": [[0, 1], [1, 2], [2, "x"], [3, 0]]}]),
     "non-numeric-coordinate": _square_file(
         vertices=SQUARE[:3] + [[0.0, "one"]]),
-    "non-integer-tag-key": _square_file(boundary_tags={"left": "wall"}),
+    "boundary-tags": _square_file(boundary_tags={"0": "wall"}),
     "selement-not-an-object": _square_file(selements=[[[0, 1], [1, 2]]]),
     "three-vertex-facet-2d": _square_file(
         selements=[{"facets": [[0, 1, 2], [2, 3], [3, 0]]}]),
@@ -270,6 +270,38 @@ def test_malformed_entries_raise_mesh_error(name, tmp_path):
                  "--problem", "exp2d", "--output", str(tmp_path)]) == 1
 
 
+def test_boundary_tags_key_rejected_by_name():
+    # the problem, not the mesh file, sets the Dirichlet facets
+    with pytest.raises(MeshError, match="boundary_tags"):
+        import_mesh(_square_file(boundary_tags={"0": "wall"}))
+
+
+def test_tiny_square_imports_as_a_square():
+    # merging is relative to the coordinate extent, not to fixed decimals
+    scale = 1e-13
+    mesh = import_mesh(_square_file(
+        vertices=[[scale * c for c in v] for v in SQUARE + [SQUARE[2]]],
+        selements=[{"facets": [[0, 1], [1, 4], [2, 3], [3, 0]]}]))
+    assert np.array_equal(mesh.vertices, scale * np.array(SQUARE))
+    assert len(mesh.facets) == 4
+    assert mesh.selements[0].open_boundary is None
+
+
+def test_nearly_coincident_vertices_rejected():
+    # two unit squares whose shared side is listed twice, 1e-11 apart: a
+    # crack, not one vertex pair
+    right = [[1.0 + 1e-11, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0 + 1e-11, 1.0]]
+    data = {"dimension": 2, "vertices": SQUARE + right,
+            "selements": [{"facets": SQUARE_FACETS},
+                          {"facets": [[4, 5], [5, 6], [6, 7], [7, 4]]}]}
+    with pytest.raises(MeshError, match=r"vertices 1 and 4 .*nearly coincident"):
+        import_mesh(data)
+    # the same mesh scaled up by 1e6 is still cracked
+    big = dict(data, vertices=[[1e6 * c for c in v] for v in data["vertices"]])
+    with pytest.raises(MeshError, match="nearly coincident"):
+        import_mesh(big)
+
+
 def test_sideface_indices_are_file_indices():
     # a duplicate vertex shifts the mesh ids of every later file index
     data = dict(OPEN, vertices=[[1, 0], [1, 0]] + OPEN["vertices"][1:],
@@ -298,8 +330,6 @@ def test_hybrid_pyramid_tetra_import():
 
 
 def test_node_permutations_match_physical_points(rng):
-    from sbfem.polyspace import trace_basis
-    from sbfem.refgeom import Sector
     for kind, verts in [
         (FacetKind.SEGMENT, np.array([[0.0, 0.0], [1.0, 0.3]])),
         (FacetKind.QUADRILATERAL,
@@ -307,11 +337,8 @@ def test_node_permutations_match_physical_points(rng):
         (FacetKind.TRIANGLE, np.array([[0, 0, 0], [1, 0, 0], [0.2, 1.1, 0]])),
     ]:
         k = 3
-        basis = trace_basis(kind, k)
-        m = kind.n_vertices
-        canon = Sector(collapsed_vertex=np.zeros(verts.shape[1]) - 1.0,
-                       facet_vertices=verts, facet_kind=kind)
-        pts_canon = facet_map_many(canon, basis.nodes)
+        nodes = trace_basis(kind, k).nodes
+        pts_canon = _facet_points(kind, nodes, verts)
         admissible = {
             FacetKind.SEGMENT: [(0, 1), (1, 0)],
             FacetKind.TRIANGLE: [(0, 1, 2), (1, 2, 0), (2, 0, 1),
@@ -322,10 +349,7 @@ def test_node_permutations_match_physical_points(rng):
         }[kind]
         for vperm in admissible:
             perm = _lattice_perm(kind, k, tuple(vperm))
-            reordered = Sector(collapsed_vertex=canon.collapsed_vertex,
-                               facet_vertices=verts[list(vperm)],
-                               facet_kind=kind)
-            pts = facet_map_many(reordered, basis.nodes)
+            pts = _facet_points(kind, nodes, verts[list(vperm)])
             assert np.allclose(pts, pts_canon[perm], atol=1e-12)
 
 
@@ -499,13 +523,12 @@ def test_import_orients_scrambled_3d_faces(rng):
                                            [scrambled[i] for i in order]}]})
         assert number_dofs(mesh, 2).n_total == 8 + 12 + 6
         sel = mesh.selements[0]
-        from sbfem.refgeom import jacobian_columns_many
         from sbfem.polyspace import facet_quadrature
         vol = 0.0
         for pos in range(6):
             sector = mesh_sector(mesh, sel, pos)
             rule = facet_quadrature(sector.facet_kind, 4)
-            _, det = jacobian_columns_many(sector, rule.points)
+            _, det = sector_jacobian(sector, rule.points)
             assert det.min() > 0
             vol += float(rule.weights @ det) / 3.0
         assert vol == pytest.approx(1.0, rel=1e-12)
@@ -522,13 +545,12 @@ def test_import_orients_scrambled_2d_edges(rng):
                             "selements": [{"facets":
                                            [scrambled[i] for i in order]}]})
         sel = mesh.selements[0]
-        from sbfem.refgeom import jacobian_columns_many
         from sbfem.polyspace import facet_quadrature
         area = 0.0
         for pos in range(5):
             sector = mesh_sector(mesh, sel, pos)
             rule = facet_quadrature(sector.facet_kind, 4)
-            _, det = jacobian_columns_many(sector, rule.points)
+            _, det = sector_jacobian(sector, rule.points)
             assert det.min() > 0
             area += float(rule.weights @ det) / 2.0
         assert area == pytest.approx(4.44, rel=1e-12)

@@ -3,16 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (affine_cube_mesh, fd_mode_gradients, fixture_meshes_2d,
-                      fixture_meshes_3d, mesh_sector, operator_for,
-                      random_polygon_mesh)
+from conftest import (affine_cube_mesh, duffy_map_many, fd_mode_gradients,
+                      fixture_meshes_2d, fixture_meshes_3d, mesh_sector,
+                      mode_fields, op_sectors, operator_for,
+                      orthogonality_residual, quadratic_residual,
+                      random_polygon_mesh, stiffness_from_gram)
 from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError, SpectrumError
 from sbfem.mesh import number_dofs, singular_open_selement
-from sbfem.modes import (apply_sideface_bc, build_system, eigenvalue_rows,
-                         element_stiffness, orthogonality_residual,
-                         quadratic_residual, select_modes, shape_eval,
-                         stiffness_from_gram)
+from sbfem.modes import (_radial_factors, apply_sideface_bc, build_system,
+                         eigenvalue_rows, element_stiffness, select_modes)
 from sbfem.postproc import get_exact, solution_errors
 from sbfem.solver import sbfem_interpolate
 
@@ -112,10 +112,9 @@ def test_flux_consistency():
 
 def test_constant_mode_evaluation(square_mesh):
     op = operator_for(square_mesh, 1)
-    ctx = op.sectors[0]
+    ctx = op_sectors(square_mesh, op)[0]
     for xi, eta in [(0.5, 0.2), (1.0, -0.7), (0.0, 0.0)]:
-        vals, grads = shape_eval(op.modes, op.A_eval[ctx.rows], ctx.sector,
-                                 ctx.basis, xi, eta)
+        vals, grads = mode_fields(op, ctx, xi, eta)
         ci = op.modes.constant_index
         norm = op.modes.A[0, ci]
         assert vals[ci] / norm == pytest.approx(1.0, abs=1e-12)
@@ -126,23 +125,22 @@ def test_square_top_mode_is_xy(square_mesh, rng):
     op = operator_for(square_mesh, 1)
     idx = int(np.argmax(op.modes.lambdas.real))
     assert op.modes.lambdas[idx].real == pytest.approx(2.0, abs=1e-9)
-    ctx = op.sectors[0]
-    from sbfem.refgeom import duffy_map
+    ctx = op_sectors(square_mesh, op)[0]
     xi0, eta0 = 0.77, 0.31
-    alpha = op.A_eval[ctx.rows]
-    v0, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi0, eta0)
-    x0 = duffy_map(ctx.sector, xi0, eta0)
+    v0, _ = mode_fields(op, ctx, xi0, eta0)
+    x0 = duffy_map_many(ctx.sector, [xi0], [[eta0]])[0, 0]
     c = v0[idx] / (x0[0] * x0[1])
     for _ in range(50):
         xi, eta = rng.uniform(0.1, 1.0), rng.uniform(-1, 1)
-        vals, _ = shape_eval(op.modes, alpha, ctx.sector, ctx.basis, xi, eta)
-        x = duffy_map(ctx.sector, xi, eta)
+        vals, _ = mode_fields(op, ctx, xi, eta)
+        x = duffy_map_many(ctx.sector, [xi], [[eta]])[0, 0]
         assert vals[idx] == pytest.approx(c * x[0] * x[1], abs=1e-9 * abs(c))
 
 
 def test_shape_gradients_match_finite_differences(rng):
-    for name, op in all_fixture_ops(ks=(2,)):
-        ctx = op.sectors[0]
+    for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
+        op = operator_for(mesh, 2)
+        ctx = op_sectors(mesh, op)[0]
         kind = ctx.sector.facet_kind
         for _ in range(20):
             xi = rng.uniform(0.25, 0.9)
@@ -152,19 +150,18 @@ def test_shape_gradients_match_finite_differences(rng):
                 eta = rng.uniform(-0.8, 0.8, 2)
             else:
                 eta = rng.dirichlet([1, 1, 1])[:2] * 0.75
-            _, grads = shape_eval(op.modes, op.A_eval[ctx.rows], ctx.sector,
-                                  ctx.basis, xi, eta)
+            _, grads = mode_fields(op, ctx, xi, eta)
             fd = fd_mode_gradients(op, ctx, xi, eta)
             scale = max(np.abs(grads).max(), 1.0)
             assert np.abs(grads - fd).max() < 1e-5 * scale, name
 
 
 def test_gradient_at_center_domain_error(wedge_mesh):
+    # the exponent-1/2 mode has no gradient at the scaling center
     op = operator_for(wedge_mesh, 1)
-    ctx = op.sectors[0]
+    ctx = op_sectors(wedge_mesh, op)[0]
     with pytest.raises(GeometryError):
-        shape_eval(op.modes, op.A_eval[ctx.rows], ctx.sector, ctx.basis, 0.0,
-                   0.0)
+        mode_fields(op, ctx, 0.0, 0.0)
 
 
 def test_stiffness_properties():
@@ -174,7 +171,7 @@ def test_stiffness_properties():
         assert np.abs(K - K.T).max() < 1e-9 * np.linalg.norm(K), name
         w = np.linalg.eigvalsh(K)
         assert w.min() > -1e-9 * np.linalg.norm(K), name
-        if not op.selement.is_open:
+        if op.selement.open_boundary is None:
             ones = np.ones(n)
             assert np.linalg.norm(K @ ones) < 1e-9 * np.linalg.norm(K), name
             # kernel is exactly the constants
@@ -224,11 +221,11 @@ def test_square_stiffness_matches_volume_quadrature(square_mesh):
     n = md.n
     rad = radial_quadrature(1.0, 8, 0)
     G = np.zeros((n, n), dtype=complex)
-    for ctx in op.sectors:
+    for ctx in op_sectors(square_mesh, op):
         frule = facet_quadrature(ctx.sector.facet_kind, 8)
         B1, B2, det = sector_B_many(ctx.sector, ctx.basis, frule.points)
         alpha = md.A[ctx.rows, :]
-        Zs, Z1s = md.radial_complex(rad.points[:, 0])
+        Zs, Z1s = _radial_factors(rad.points[:, 0], md.lambdas)
         C1 = np.einsum("qdm,mi->qdi", B1, alpha)
         C2 = np.einsum("qdm,mi->qdi", B2, alpha)
         W1 = Z1s * md.lambdas[None, :]

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sbfem.errors import QuadratureError
-from sbfem.polyspace import (facet_quadrature, radial_quadrature, shape_values,
-                             trace_basis)
+from sbfem.polyspace import facet_quadrature, radial_quadrature, trace_basis
 from sbfem.refgeom import FacetKind
 
 KINDS = [FacetKind.SEGMENT, FacetKind.QUADRILATERAL, FacetKind.TRIANGLE]
@@ -36,18 +35,18 @@ def test_cardinalities():
 
 def test_segment_linear_hats():
     basis = trace_basis(FacetKind.SEGMENT, 1)
-    vals, grads = shape_values(basis, 0.0)
-    assert vals == pytest.approx([0.5, 0.5])
-    assert grads[0] == pytest.approx([-0.5, 0.5])
+    vals, grads = basis.eval_many([[0.0]])
+    assert vals[0] == pytest.approx([0.5, 0.5])
+    assert grads[0, 0] == pytest.approx([-0.5, 0.5])
 
 
 def test_triangle_lattice_lagrange():
     basis = trace_basis(FacetKind.TRIANGLE, 2)
     for idx, node in enumerate(basis.nodes):
-        vals, _ = shape_values(basis, node)
+        vals, _ = basis.eval_many(node[None, :])
         expect = np.zeros(basis.cardinality)
         expect[idx] = 1.0
-        assert vals == pytest.approx(expect, abs=1e-12)
+        assert vals[0] == pytest.approx(expect, abs=1e-12)
 
 
 def test_vandermonde_conditioning_up_to_6():

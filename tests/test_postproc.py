@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import jittered_quad_mesh, reference_solution_errors
+from conftest import (jittered_quad_mesh, laplacian_residual,
+                      reference_solution_errors)
 from sbfem import postproc, refgeom
 from sbfem.errors import SbfemError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
@@ -9,8 +10,7 @@ from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_refined_square, singular_open_selement)
 from sbfem.polyspace import radial_quadrature
 from sbfem.postproc import (EXACT_SOLUTIONS, QuadratureConfig,
-                            convergence_table, energy_error, get_exact,
-                            l2_error, laplacian_residual, report_to_csv,
+                            convergence_table, get_exact, report_to_csv,
                             solution_errors)
 from sbfem.solver import (apply_dirichlet, assemble_global, sbfem_interpolate,
                           solve)
@@ -62,8 +62,9 @@ def test_constant_errors_zero():
     mesh = gen_quad_mesh(2)
     sol = sbfem_interpolate(mesh, 1, 1.0)
     exact = get_exact("const")
-    assert l2_error(sol, exact) < 1e-12
-    assert energy_error(sol, exact) < 1e-12
+    e_l2, e_h1 = solution_errors(sol, exact)
+    assert e_l2 < 1e-12
+    assert e_h1 < 1e-12
 
 
 def test_convergence_table_rates():
@@ -128,8 +129,8 @@ def test_galerkin_energy_below_interpolant_nodal_bc():
         interp = sbfem_interpolate(mesh, k, exact.value,
                                    operators=system.operators,
                                    numbering=system.numbering)
-        e_gal = energy_error(sol, exact)
-        e_int = energy_error(interp, exact)
+        e_gal = solution_errors(sol, exact)[1]
+        e_int = solution_errors(interp, exact)[1]
         assert e_gal <= e_int * (1 + 1e-9)
 
 
