@@ -118,12 +118,10 @@ def load_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     cfg["command"] = args.command
-    if cfg["levels"] is None:
-        cfg["levels"] = [cfg["level"] if cfg["level"] is not None else 1]
-    else:
-        cfg["levels"] = _parse_intlist(cfg["levels"])
-    if cfg["level"] is not None and [cfg["level"]] != cfg["levels"]:
-        cfg["levels"] = [cfg["level"]]
+    # a single --level wins over a level sweep
+    cfg["levels"] = ([cfg["level"]] if cfg["level"] is not None
+                     else [1] if cfg["levels"] is None
+                     else _parse_intlist(cfg["levels"]))
     cfg["k"] = _parse_intlist(cfg["k"])
     if any(k < 1 for k in cfg["k"]):
         raise ConfigError(f"trace degrees must be >= 1, got {cfg['k']}")

@@ -24,7 +24,8 @@ CONSTANT_TRACE_TOL = 1e-10
 
 @dataclass
 class EMatrices:
-    """Assembled coefficient matrices of an S-element over its scaled boundary."""
+    """Assembled coefficient matrices of an S-element over its scaled boundary,
+    or of a stack of S-elements along a leading axis."""
 
     E11: np.ndarray
     E12: np.ndarray
@@ -33,29 +34,28 @@ class EMatrices:
 
     @property
     def n(self) -> int:
-        return self.E11.shape[0]
+        return self.E11.shape[-1]
 
     @property
     def E21(self) -> np.ndarray:
-        return self.E12.T
+        return np.swapaxes(self.E12, -1, -2)
 
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.E11, self.E12, self.E21, self.E22
 
-    def condition_number(self) -> float:
-        """Spectral condition number of the (positive definite) E11 block."""
+    def condition_number(self):
+        """Spectral condition number of the E11 block; inf where it is not
+        positive definite."""
         w = np.linalg.eigvalsh(self.E11)
-        if w.min() <= 0:
-            return np.inf
-        return float(w.max() / w.min())
+        with np.errstate(divide="ignore"):
+            return np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)[()]
 
-    def constant_trace_admissible(self) -> bool:
-        """True when the all-ones trace is gradient-free (E12 1 = E22 1 = 0)."""
-        ones = np.ones(self.n)
-        tol = CONSTANT_TRACE_TOL * max(np.linalg.norm(self.E22),
-                                       np.linalg.norm(self.E12), 1e-300)
-        return bool(np.linalg.norm(self.E22 @ ones) <= tol
-                    and np.linalg.norm(self.E12 @ ones) <= tol)
+    def constant_trace_admissible(self):
+        """True where the all-ones trace is gradient-free (E12 1 = E22 1 = 0)."""
+        B = np.stack([self.E12, self.E22])
+        tol = CONSTANT_TRACE_TOL * np.maximum(
+            np.linalg.norm(B, axis=(-2, -1)).max(axis=0), 1e-300)
+        return (np.linalg.norm(B @ np.ones(self.n), axis=-1) <= tol).all(axis=0)
 
 
 def assemble_E(stacks: dict, sizes: dict, dim: int, k: int,

@@ -20,6 +20,8 @@ class QuadratureError(SbfemError):
 class SpectrumError(SbfemError):
     """Defective or unexpected eigenstructure of an S-element."""
 
+    selement: int | None = None   # id of the S-element the message names
+
 
 class AssemblyError(SbfemError):
     """Inconsistent degrees of freedom during assembly."""

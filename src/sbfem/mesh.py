@@ -11,8 +11,10 @@ facet and FE quad that contains it, whatever order lists their vertices.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,11 +78,12 @@ class PolytopalMesh:
         self._fkey: dict[tuple, int] = {}
         self._vlist: list[np.ndarray] = []
         self._pending: dict[int, tuple] = {}
+        self._extent = 1.0     # add_vertex merges at 1e-12 of this length
 
     # -- construction ----------------------------------------------------------
 
     def add_vertex(self, xyz) -> int:
-        key = tuple(round(float(c), 12) for c in xyz)
+        key = tuple(round(float(c) / self._extent, 12) for c in xyz)
         if key in self._vkey:
             return self._vkey[key]
         vid = len(self._vlist)
@@ -149,26 +152,21 @@ class PolytopalMesh:
             elif dbc:
                 raise MeshError(f"S-element {sel.id} is closed but lists "
                                 "side-face Dirichlet vertices")
+        self._stacks = self._build_sector_stacks()
         self.validate()
         return self
 
     def _chain_state(self, sel: SElement) -> tuple[bool, set]:
         if self.dimension == 2:
-            count: dict[int, int] = {}
-            for fid in sel.facet_ids:
-                for v in self.facets[fid].vertices:
-                    count[v] = count.get(v, 0) + 1
+            count = Counter(v for fid in sel.facet_ids
+                            for v in self.facets[fid].vertices)
             odd = {v for v, c in count.items() if c == 1}
             if len(odd) not in (0, 2) or any(c > 2 for c in count.values()):
                 raise MeshError(f"S-element {sel.id}: boundary facets do not "
                                 "form a chain or loop")
             return (len(odd) == 2), odd
-        count = {}
-        for fid in sel.facet_ids:
-            vs = self.facets[fid].vertices
-            for i in range(len(vs)):
-                e = tuple(sorted((vs[i], vs[(i + 1) % len(vs)])))
-                count[e] = count.get(e, 0) + 1
+        count = Counter(tuple(sorted(e)) for f in sel.facet_ids
+                        for e in _cycle_edges(self.facets[f].vertices))
         if any(c == 1 for c in count.values()):
             raise MeshError(f"S-element {sel.id}: open polyhedral boundaries "
                             "are not supported")
@@ -203,16 +201,23 @@ class PolytopalMesh:
     def _sector_stacks(self) -> dict:
         """Every sector of the mesh, stacked by facet kind in mesh order:
         kind -> (centres (S, d), facet vertices (S, n_vertices, d),
-        (S-element id, facet position) of each sector (S, 2))."""
+        (S-element id, facet position) of each sector (S, 2)).  Built once,
+        by `finalize`; the arrays are read-only."""
+        return self._stacks
+
+    def _build_sector_stacks(self) -> dict:
         owners: dict = {}
         for sel in self.selements:
             for pos, fid in enumerate(sel.facet_ids):
                 owners.setdefault(self.facets[fid].kind, []).append((sel.id, pos))
         sels = self.selements
-        return {kind: (np.array([sels[e].center for e, _ in own]),
-                       self.vertices[[sels[e].facet_orders[p] for e, p in own]],
-                       np.array(own, dtype=int))
-                for kind, own in owners.items()}
+        stacks = {kind: (np.array([sels[e].center for e, _ in own]),
+                         self.vertices[[sels[e].facet_orders[p] for e, p in own]],
+                         np.array(own, dtype=int))
+                  for kind, own in owners.items()}
+        for array in (a for arrays in stacks.values() for a in arrays):
+            array.flags.writeable = False
+        return stacks
 
     # -- validation ------------------------------------------------------------
 
@@ -364,6 +369,11 @@ def _mesh_ids(indices, ids: list, what: str) -> tuple:
                     f"0..{len(ids) - 1}")
 
 
+def _cycle_edges(vs) -> list:
+    """Directed edges (vs[i], vs[i + 1]) of a closed vertex cycle."""
+    return list(zip(vs, vs[1:] + vs[:1]))
+
+
 def _orient_2d(mesh: PolytopalMesh, facets: list, center) -> list:
     """Chain undirected 2D facets and direct them counter-clockwise."""
     if any(len(f) != 2 for f in facets):
@@ -393,16 +403,11 @@ def _orient_2d(mesh: PolytopalMesh, facets: list, center) -> list:
         mid = 0.5 * (np.asarray(verts[0]) + np.asarray(verts[1]))
         t = np.asarray(verts[1]) - np.asarray(verts[0])
         r = mid - np.asarray(center, dtype=float)
-        if r[0] * t[1] - r[1] * t[0] < 0:
-            ordered = [(b, a) for a, b in reversed(ordered)]
-    else:
-        area = 0.0
-        for a, b in ordered:
-            pa, pb = mesh._vlist[a], mesh._vlist[b]
-            area += pa[0] * pb[1] - pb[0] * pa[1]
-        if area < 0:
-            ordered = [(b, a) for a, b in reversed(ordered)]
-    return ordered
+        flip = r[0] * t[1] - r[1] * t[0] < 0
+    else:      # clockwise: negative signed area
+        flip = sum(pa[0] * pb[1] - pb[0] * pa[1]
+                   for pa, pb in zip(verts[:-1], verts[1:])) < 0
+    return [(b, a) for a, b in reversed(ordered)] if flip else ordered
 
 
 def _orient_3d(mesh: PolytopalMesh, facets: list, center) -> list:
@@ -411,25 +416,17 @@ def _orient_3d(mesh: PolytopalMesh, facets: list, center) -> list:
     oriented[0] = tuple(facets[0])
     edge_map: dict[tuple, list] = {}
     for idx, vs in enumerate(facets):
-        for i in range(len(vs)):
-            e = tuple(sorted((vs[i], vs[(i + 1) % len(vs)])))
-            edge_map.setdefault(e, []).append(idx)
-    visited = {0}
-    stack = [0]
+        for e in _cycle_edges(vs):
+            edge_map.setdefault(tuple(sorted(e)), []).append(idx)
+    visited, stack = {0}, [0]
     while stack:
-        idx = stack.pop()
-        vs = oriented[idx]
-        directed = {(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))}
-        for i in range(len(vs)):
-            e = tuple(sorted((vs[i], vs[(i + 1) % len(vs)])))
-            for nb in edge_map[e]:
-                if nb in visited:
-                    continue
+        directed = _cycle_edges(oriented[stack.pop()])
+        for e in directed:
+            for nb in (nb for nb in edge_map[tuple(sorted(e))] if nb not in visited):
                 nvs = tuple(facets[nb])
-                ndir = {(nvs[j], nvs[(j + 1) % len(nvs)]) for j in range(len(nvs))}
-                if directed & ndir:
-                    nvs = tuple(reversed(nvs))
-                oriented[nb] = nvs
+                # a shared edge runs in opposite directions in the two facets
+                oriented[nb] = (nvs[::-1] if set(directed) & set(_cycle_edges(nvs))
+                                else nvs)
                 visited.add(nb)
                 stack.append(nb)
     if len(visited) != len(facets):
@@ -462,10 +459,8 @@ class DofNumbering:
     coords: np.ndarray         # physical coordinates per dof
 
     def facet_boundary_dofs(self, facet_ids) -> np.ndarray:
-        out = set()
-        for fid in facet_ids:
-            out.update(int(g) for g in self.facet_nodes[fid])
-        return np.array(sorted(out), dtype=int)
+        return np.unique(np.concatenate(
+            [np.zeros(0, dtype=int)] + [self.facet_nodes[f] for f in facet_ids]))
 
 
 _NO_CORNER = np.iinfo(np.int64).max      # id of a zero-weight pair; sorts last
@@ -575,23 +570,16 @@ def selement_local_dofs(mesh: PolytopalMesh, numbering: DofNumbering,
     first-seen order, congruent across translated elements);
     ``sector_rows[p][j]`` is the S-local index of node j of sector p.
     """
-    global_ids: list[int] = []
-    position: dict[int, int] = {}
+    position: dict[int, int] = {}      # skeleton DOF -> S-local index
     sector_rows = []
     for fid, order in zip(sel.facet_ids, sel.facet_orders):
         facet = mesh.facets[fid]
         vperm = tuple(facet.vertices.index(v) for v in order)
         nodes = numbering.facet_nodes[fid][_lattice_perm(facet.kind, numbering.k,
                                                          vperm)]
-        rows = np.empty(len(nodes), dtype=int)
-        for j, g in enumerate(nodes):
-            g = int(g)
-            if g not in position:
-                position[g] = len(global_ids)
-                global_ids.append(g)
-            rows[j] = position[g]
-        sector_rows.append(rows)
-    return np.array(global_ids, dtype=int), sector_rows
+        sector_rows.append(np.array([position.setdefault(g, len(position))
+                                     for g in nodes.tolist()], dtype=int))
+    return np.array(list(position), dtype=int), sector_rows
 
 
 # -- generators -------------------------------------------------------------
@@ -603,20 +591,15 @@ def _quad_family(n: int, splits: int, domain) -> PolytopalMesh:
         raise MeshError("n and splits must be >= 1")
     (x0, x1), (y0, y1) = domain
     hx, hy = (x1 - x0) / n, (y1 - y0) / n
-    mesh = PolytopalMesh(2)
+    mesh = _generator_mesh(domain)
     for j in range(n):
         for i in range(n):
             ax, ay = x0 + i * hx, y0 + j * hy
             bx, by = ax + hx, ay + hy
-            loop = []
-            for s in range(splits):      # bottom, left to right
-                loop.append((ax + s * hx / splits, ay))
-            for s in range(splits):      # right, bottom to top
-                loop.append((bx, ay + s * hy / splits))
-            for s in range(splits):      # top, right to left
-                loop.append((bx - s * hx / splits, by))
-            for s in range(splits):      # left, top to bottom
-                loop.append((ax, by - s * hy / splits))
+            loop = ([(ax + s * hx / splits, ay) for s in range(splits)]
+                    + [(bx, ay + s * hy / splits) for s in range(splits)]
+                    + [(bx - s * hx / splits, by) for s in range(splits)]
+                    + [(ax, by - s * hy / splits) for s in range(splits)])
             vids = [mesh.add_vertex(p) for p in loop]
             facets = [(vids[t], vids[(t + 1) % len(vids)])
                       for t in range(len(vids))]
@@ -646,30 +629,26 @@ def _hex_family(n: int, splits: int, domain) -> PolytopalMesh:
     (x0, x1), (y0, y1), (z0, z1) = domain
     h = np.array([(x1 - x0) / n, (y1 - y0) / n, (z1 - z0) / n])
     lo = np.array([x0, y0, z0])
-    mesh = PolytopalMesh(3)
+    mesh = _generator_mesh(domain)
     s = splits
-    for kz in range(n):
-        for jy in range(n):
-            for ix in range(n):
-                a = lo + h * np.array([ix, jy, kz])
-                facets = []
-                for axis in range(3):
-                    u, v = (axis + 1) % 3, (axis + 2) % 3
-                    for side in (0, 1):
-                        for q in range(s):
-                            for p in range(s):
-                                corner = a.copy()
-                                corner[axis] += side * h[axis]
-                                quad = []
-                                for (du, dv) in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                                    pt = corner.copy()
-                                    pt[u] += (p + du) * h[u] / s
-                                    pt[v] += (q + dv) * h[v] / s
-                                    quad.append(pt)
-                                if side == 0:
-                                    quad = [quad[0], quad[3], quad[2], quad[1]]
-                                facets.append([mesh.add_vertex(p_) for p_ in quad])
-                mesh.add_selement(facets)
+    for kz, jy, ix in itertools.product(range(n), repeat=3):
+        a = lo + h * np.array([ix, jy, kz])
+        facets = []
+        for axis, side, q, p in itertools.product(range(3), (0, 1), range(s),
+                                                  range(s)):
+            u, v = (axis + 1) % 3, (axis + 2) % 3
+            corner = a.copy()
+            corner[axis] += side * h[axis]
+            quad = []
+            for (du, dv) in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                pt = corner.copy()
+                pt[u] += (p + du) * h[u] / s
+                pt[v] += (q + dv) * h[v] / s
+                quad.append(pt)
+            if side == 0:
+                quad = [quad[0], quad[3], quad[2], quad[1]]
+            facets.append([mesh.add_vertex(p_) for p_ in quad])
+        mesh.add_selement(facets)
     return mesh.finalize()
 
 
@@ -690,6 +669,27 @@ def gen_refined_cube(n: int, domain=((0.0, 1.0), (0.0, 1.0),
     return _hex_family(1, n, domain)
 
 
+def _generator_mesh(domain) -> PolytopalMesh:
+    """An empty mesh whose `add_vertex` merges relative to the domain extent."""
+    mesh = PolytopalMesh(len(domain))
+    mesh._extent = max(abs(hi - lo) for lo, hi in domain) or 1.0
+    return mesh
+
+
+def _add_open_selement(mesh: PolytopalMesh, n: int, domain):
+    """Open S-element scaled from the bottom middle of the rectangle `domain`:
+    n facets on each vertical side, 2n on the top, the bottom open, with a
+    homogeneous Dirichlet side-face condition at the bottom left corner."""
+    (x0, x1), (y0, y1) = domain
+    pts = ([(x1, y0 + s * (y1 - y0) / n) for s in range(n + 1)]
+           + [(x1 + s * (x0 - x1) / (2 * n), y1) for s in range(1, 2 * n + 1)]
+           + [(x0, y1 - s * (y1 - y0) / n) for s in range(1, n + 1)])
+    vids = [mesh.add_vertex(p) for p in pts]
+    mesh.add_selement([(vids[t], vids[t + 1]) for t in range(len(vids) - 1)],
+                      center=(0.5 * (x0 + x1), y0),
+                      dirichlet_sideface_vertices=(vids[-1],))
+
+
 def singular_open_selement(n: int, domain=((-1.0, 1.0), (0.0, 1.0))) -> PolytopalMesh:
     """One open S-element scaled from the boundary point at the bottom middle.
 
@@ -700,20 +700,8 @@ def singular_open_selement(n: int, domain=((-1.0, 1.0), (0.0, 1.0))) -> Polytopa
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    (x0, x1), (y0, y1) = domain
-    mesh = PolytopalMesh(2)
-    pts = []
-    for s in range(n + 1):               # right side, bottom to top
-        pts.append((x1, y0 + s * (y1 - y0) / n))
-    for s in range(1, 2 * n + 1):        # top, right to left
-        pts.append((x1 + s * (x0 - x1) / (2 * n), y1))
-    for s in range(1, n + 1):            # left side, top to bottom
-        pts.append((x0, y1 - s * (y1 - y0) / n))
-    vids = [mesh.add_vertex(p) for p in pts]
-    facets = [(vids[t], vids[t + 1]) for t in range(len(vids) - 1)]
-    center = (0.5 * (x0 + x1), y0)
-    mesh.add_selement(facets, center=center,
-                      dirichlet_sideface_vertices=(vids[-1],))
+    mesh = _generator_mesh(domain)
+    _add_open_selement(mesh, n, domain)
     return mesh.finalize()
 
 
@@ -726,19 +714,8 @@ def gen_coupled_singular(level: int) -> PolytopalMesh:
     if level < 1:
         raise MeshError("level must be >= 1")
     h = 2.0 ** (-level)
-    nsx = round(0.5 / h)
-    mesh = PolytopalMesh(2)
-    pts = []
-    for s in range(nsx + 1):             # right side of S, bottom to top
-        pts.append((0.5, s * h))
-    for s in range(1, 2 * nsx + 1):      # top of S, right to left
-        pts.append((0.5 - s * h, 0.5))
-    for s in range(1, nsx + 1):          # left side of S, top to bottom
-        pts.append((-0.5, 0.5 - s * h))
-    vids = [mesh.add_vertex(p) for p in pts]
-    facets = [(vids[t], vids[t + 1]) for t in range(len(vids) - 1)]
-    mesh.add_selement(facets, center=(0.0, 0.0),
-                      dirichlet_sideface_vertices=(vids[-1],))
+    mesh = _generator_mesh(((-1.0, 1.0), (0.0, 1.0)))
+    _add_open_selement(mesh, round(0.5 / h), ((-0.5, 0.5), (0.0, 0.5)))
     nx, ny = round(2.0 / h), round(1.0 / h)
     for j in range(ny):
         for i in range(nx):

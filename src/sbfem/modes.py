@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .ematrix import EMatrices
 from .errors import GeometryError, SpectrumError
@@ -27,12 +26,11 @@ COND_CAP = 1e12
 
 @dataclass(frozen=True)
 class EulerSystem:
-    """First-order form of the radial ODE in the variables (Phi, p)."""
+    """First-order form of the radial ODE in the variables (Phi, p), for one
+    S-element or a stack of them along a leading axis of M."""
 
     M: np.ndarray
     dim: int
-    n: int
-    E: EMatrices
     has_constant: bool
 
 
@@ -44,7 +42,8 @@ class SElementStiffness:
 
 @dataclass
 class SbfemModes:
-    """Selected eigen-modes of one S-element.
+    """Selected eigen-modes of one S-element, or of a stack of them along a
+    leading axis of every array field.
 
     ``A`` and ``P`` hold the complex trace eigenvectors and boundary flux
     vectors column by column, each column scaled to a unit trace part.  The
@@ -62,15 +61,31 @@ class SbfemModes:
     all_eigenvalues: np.ndarray
     selected_mask: np.ndarray
 
+    def __getitem__(self, j) -> "SbfemModes":
+        """Member j of a stack, as views into its arrays."""
+        return SbfemModes(self.lambdas[j], self.A[j], self.P[j],
+                          self.constant_index, self.dim, self.cond_A[j],
+                          self.all_eigenvalues[j], self.selected_mask[j])
+
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
     @property
     def min_positive_exponent(self) -> float:
         re = self.lambdas.real
         pos = re[re > 0.5 * ZERO_CLUSTER_TOL]
         return float(pos.min()) if pos.size else np.inf
+
+
+def _check(bad, ids, message: str, *values) -> None:
+    """Raise a SpectrumError naming the first stack member flagged in `bad`
+    (by `ids`, default its position), `message` formatted with its `values`."""
+    for j in np.flatnonzero(bad)[:1]:
+        error = SpectrumError(f"S-element {j if ids is None else ids[j]}: "
+                              + message.format(*(np.ravel(v)[j] for v in values)))
+        error.selement = int(j if ids is None else ids[j])
+        raise error
 
 
 def _radial_factors(xis: np.ndarray,
@@ -100,22 +115,26 @@ def _radial_factors(xis: np.ndarray,
     return Z, Z1
 
 
-def build_system(E: EMatrices, d: int) -> EulerSystem:
-    """Assemble the first-order Euler matrix from the coefficient matrices."""
+def build_system(E: EMatrices, d: int, ids=None) -> EulerSystem:
+    """Assemble the first-order Euler matrix from the coefficient matrices.
+    A stack of E-matrices gives a stack of systems, whose members must agree
+    on constant-trace admissibility; `ids` name them in errors."""
     E11, E12, E21, E22 = E.blocks()
     n = E.n
-    try:
-        cho = scipy.linalg.cho_factor(E11)
-    except scipy.linalg.LinAlgError as exc:
-        raise SpectrumError(f"E11 is not positive definite: {exc}") from exc
-    if E.condition_number() > 1e14:
-        raise SpectrumError("E11 is numerically singular")
-    X = scipy.linalg.cho_solve(cho, E12)       # E11^{-1} E12
-    Y = scipy.linalg.cho_solve(cho, np.eye(n))  # E11^{-1}
-    M = np.block([[-X, Y],
-                  [E22 - E21 @ X, (2 - d) * np.eye(n) + E21 @ Y]])
-    return EulerSystem(M=M, dim=d, n=n, E=E,
-                       has_constant=E.constant_trace_admissible())
+    cond = E.condition_number()
+    _check(np.isinf(cond), ids, "E11 is not positive definite")
+    _check(cond > 1e14, ids, "E11 is numerically singular")
+    eye = np.eye(n)
+    XY = np.linalg.solve(E11, np.concatenate(
+        [E12, np.broadcast_to(eye, E12.shape)], axis=-1))
+    X, Y = XY[..., :n], XY[..., n:]            # E11^{-1} E12, E11^{-1}
+    M = np.empty(E11.shape[:-2] + (2 * n, 2 * n))
+    M[..., :n, :n] = -X
+    M[..., :n, n:] = Y
+    M[..., n:, :n] = E22 - E21 @ X
+    M[..., n:, n:] = (2 - d) * eye + E21 @ Y
+    return EulerSystem(M=M, dim=d,
+                       has_constant=bool(np.all(E.constant_trace_admissible())))
 
 
 def apply_sideface_bc(E: EMatrices, constrained_local: np.ndarray) -> EMatrices:
@@ -133,85 +152,77 @@ def apply_sideface_bc(E: EMatrices, constrained_local: np.ndarray) -> EMatrices:
     return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E22=E.E22[ix], dim=E.dim)
 
 
-def _sort_key(lams: np.ndarray) -> np.ndarray:
-    return np.lexsort((np.sign(lams.imag), np.abs(lams.imag), lams.real))
-
-
-def select_modes(system: EulerSystem, label: str = "S-element",
-                 cond_cap: float = COND_CAP) -> SbfemModes:
+def select_modes(system: EulerSystem, ids=None) -> SbfemModes:
     """Eigen-solve the Euler system and keep the admissible modes.
 
     Keeps every eigenpair with positive real exponent plus, when the element
     admits a constant trace (closed boundary or unconstrained open one),
     exactly one exact constant mode in place of the numerically polluted
-    zero cluster (the logarithmic Jordan partner is discarded).
+    zero cluster (the logarithmic Jordan partner is discarded).  A stack of
+    systems is solved in one call; `ids` name its members in errors.
     """
     M = system.M
-    n = system.n
+    n = M.shape[-1] // 2
     lam_all, V = np.linalg.eig(M)
-    scale = max(float(np.abs(lam_all).max()), 1.0)
+    scale = np.maximum(np.abs(lam_all).max(axis=-1), 1.0)[..., None]
     cluster = np.abs(lam_all) <= ZERO_CLUSTER_TOL * scale
     positive = (~cluster) & (lam_all.real > POSITIVE_CUT * scale)
     expected_zero = (2 if system.dim == 2 else 1) if system.has_constant else 0
     n_positive_expected = n - (1 if system.has_constant else 0)
-    if int(cluster.sum()) != expected_zero or int(positive.sum()) != n_positive_expected:
-        raise SpectrumError(
-            f"{label}: unexpected spectrum split (zero cluster "
-            f"{int(cluster.sum())}/{expected_zero}, positive "
-            f"{int(positive.sum())}/{n_positive_expected})")
-    idx = np.flatnonzero(positive)
-    idx = idx[_sort_key(lam_all[idx])]
-    lams = lam_all[idx]
-    vecs = V[:, idx]
-
-    resid = M @ vecs - vecs * lams[None, :]
-    if resid.size and np.linalg.norm(resid, axis=0).max() > 1e-7 * scale:
-        raise SpectrumError(f"{label}: defective spectrum (eigenvector residual)")
-
+    n_zero, n_pos = cluster.sum(axis=-1), positive.sum(axis=-1)
+    _check((n_zero != expected_zero) | (n_pos != n_positive_expected), ids,
+           f"unexpected spectrum split (zero cluster {{}}/{expected_zero}, "
+           f"positive {{}}/{n_positive_expected})", n_zero, n_pos)
+    # positives first, by (real part, |imag|, sign of imag), ties by index
+    idx = np.lexsort((np.sign(lam_all.imag), np.abs(lam_all.imag),
+                      lam_all.real, ~positive), axis=-1)[..., :n_positive_expected]
+    lams = np.take_along_axis(lam_all, idx, axis=-1)
+    vecs = np.take_along_axis(V, idx[..., None, :], axis=-1)
+    resid = np.linalg.norm(M @ vecs - vecs * lams[..., None, :], axis=-2)
+    _check(resid.max(axis=-1, initial=0.0) > 1e-7 * scale[..., 0], ids,
+           "defective spectrum (eigenvector residual)")
     # scaling a column by any complex factor leaves K and u_h unchanged
-    vecs = vecs / np.linalg.norm(vecs[:n], axis=0)
-    A = vecs[:n, :]
-    P = vecs[n:, :]
-    constant_index = None
+    vecs = vecs / np.linalg.norm(vecs[..., :n, :], axis=-2)[..., None, :]
+    A = vecs[..., :n, :]
+    P = vecs[..., n:, :]
+    constant_index = 0 if system.has_constant else None
     if system.has_constant:
-        c = np.zeros((2 * n, 1), dtype=complex)
-        c[:n, 0] = 1.0 / np.sqrt(n)
-        lams = np.concatenate([[0.0 + 0.0j], lams])
-        A = np.hstack([c[:n], A])
-        P = np.hstack([c[n:], P])
-        constant_index = 0
-
-    cond_A = float(np.linalg.cond(A))
-    if cond_A > cond_cap:
-        raise SpectrumError(
-            f"{label}: defective spectrum (trace eigenvector condition "
-            f"{cond_A:.2e} beyond cap {cond_cap:.1e})")
-    selected_mask = np.zeros(2 * n, dtype=bool)
-    selected_mask[idx] = True
+        column = np.zeros(A.shape[:-1] + (1,), dtype=complex)
+        lams = np.concatenate([column[..., 0, :], lams], axis=-1)
+        A = np.concatenate([column + 1.0 / np.sqrt(n), A], axis=-1)
+        P = np.concatenate([column, P], axis=-1)
+    cond_A = np.linalg.cond(A)
+    _check(cond_A > COND_CAP, ids,
+           f"defective spectrum (trace eigenvector condition {{:.2e}} beyond "
+           f"cap {COND_CAP:.1e})", cond_A)
+    selected_mask = np.zeros(lam_all.shape, dtype=bool)
+    np.put_along_axis(selected_mask, idx, True, axis=-1)
     return SbfemModes(lambdas=lams, A=A, P=P, constant_index=constant_index,
                       dim=system.dim, cond_A=cond_A, all_eigenvalues=lam_all,
                       selected_mask=selected_mask)
 
 
-def element_stiffness(modes: SbfemModes) -> SElementStiffness:
+def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:
     """Boundary-flux stiffness K = P A^{-1}, symmetrized, in the nodal basis.
 
     K is the real solution of K [Re A, Im A] = [Re P, Im P].  The system is
     consistent exactly when the modes are closed under conjugation, and its
-    nonzero singular values are those of A, since A A^H is then real.
+    nonzero singular values are those of A, since A A^H is then real.  It is
+    solved by QR of [Re A, Im A]^T; `ids` name the members of a stack in errors.
     """
-    A = np.hstack([modes.A.real, modes.A.imag])
-    P = np.hstack([modes.P.real, modes.P.imag])
-    K = np.linalg.lstsq(A.T, P.T, rcond=None)[0].T
-    resid = float(np.linalg.norm(K @ A - P) / max(np.linalg.norm(P), 1e-300))
-    if resid > 1e-8:
-        raise SpectrumError(f"modes not closed under conjugation (stiffness "
-                            f"residual {resid:.2e})")
-    norm = max(np.linalg.norm(K), 1e-300)
-    asym = float(np.linalg.norm(K - K.T) / norm)
-    if asym > 1e-6:
-        raise SpectrumError(f"stiffness asymmetry {asym:.2e} beyond tolerance")
-    return SElementStiffness(K=0.5 * (K + K.T), asymmetry=asym)
+    A = np.concatenate([modes.A.real, modes.A.imag], axis=-1)
+    P = np.concatenate([modes.P.real, modes.P.imag], axis=-1)
+    Q, R = np.linalg.qr(np.swapaxes(A, -1, -2))
+    K = np.swapaxes(np.linalg.solve(R, np.swapaxes(P @ Q, -1, -2)), -1, -2)
+    norm = np.linalg.norm
+    resid = (norm(K @ A - P, axis=(-2, -1))
+             / np.maximum(norm(P, axis=(-2, -1)), 1e-300))
+    _check(resid > 1e-8, ids, "modes not closed under conjugation (stiffness "
+           "residual {:.2e})", resid)
+    KT = np.swapaxes(K, -1, -2)
+    asym = norm(K - KT, axis=(-2, -1)) / np.maximum(norm(K, axis=(-2, -1)), 1e-300)
+    _check(asym > 1e-6, ids, "stiffness asymmetry {:.2e} beyond tolerance", asym)
+    return SElementStiffness(K=0.5 * (K + KT), asymmetry=asym)
 
 
 def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
@@ -247,8 +258,5 @@ def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
 
 def eigenvalue_rows(modes: SbfemModes) -> list[tuple[float, float, int]]:
     """(re, im, selected) rows for every eigenvalue of the full system."""
-    rows = []
-    for lam, sel in zip(modes.all_eigenvalues, modes.selected_mask):
-        rows.append((float(lam.real), float(lam.imag), int(sel)))
-    rows.sort()
-    return rows
+    return sorted((float(lam.real), float(lam.imag), int(sel))
+                  for lam, sel in zip(modes.all_eigenvalues, modes.selected_mask))

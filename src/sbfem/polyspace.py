@@ -21,10 +21,6 @@ from .refgeom import FacetKind
 MAX_DEGREE = 8
 
 
-def _segment_nodes(k: int) -> np.ndarray:
-    return np.linspace(-1.0, 1.0, k + 1)
-
-
 def _monomial_powers(kind: FacetKind, k: int) -> np.ndarray:
     if kind is FacetKind.SEGMENT:
         return np.arange(k + 1)[:, None]
@@ -37,9 +33,9 @@ def _monomial_powers(kind: FacetKind, k: int) -> np.ndarray:
 
 def _lattice_nodes(kind: FacetKind, k: int) -> np.ndarray:
     if kind is FacetKind.SEGMENT:
-        return _segment_nodes(k)[:, None]
+        return np.linspace(-1.0, 1.0, k + 1)[:, None]
     if kind is FacetKind.QUADRILATERAL:
-        t = _segment_nodes(k)
+        t = np.linspace(-1.0, 1.0, k + 1)
         u, v = np.meshgrid(t, t, indexing="ij")
         # index n = j*(k+1) + i: first lattice direction fastest
         return np.column_stack([u.ravel(order="F"), v.ravel(order="F")])

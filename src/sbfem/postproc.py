@@ -31,15 +31,9 @@ class ExactSolution:
     neumann_predicate: object = None   # facet midpoint -> True for natural BC
 
     def dirichlet_facets(self, mesh) -> list[int]:
-        fids = mesh.boundary_facet_ids()
-        if self.neumann_predicate is None:
-            return fids
-        out = []
-        for fid in fids:
-            mid = mesh.vertices[list(mesh.facets[fid].vertices)].mean(axis=0)
-            if not self.neumann_predicate(mid):
-                out.append(fid)
-        return out
+        natural = self.neumann_predicate or (lambda mid: False)
+        return [fid for fid in mesh.boundary_facet_ids() if not natural(
+            mesh.vertices[list(mesh.facets[fid].vertices)].mean(axis=0))]
 
 
 def _exp2d_value(x):
@@ -78,17 +72,13 @@ def _sqrt2d_grad(x):
     return 2.0 ** 0.25 * np.column_stack([df.real, -df.imag])
 
 
-def _const_value(x):
-    return np.ones(x.shape[0])
-
-
 EXACT_SOLUTIONS = {
     "exp2d": ExactSolution("exp2d", 2, _exp2d_value, _exp2d_grad),
     "exp3d": ExactSolution("exp3d", 3, _exp3d_value, _exp3d_grad),
     "sqrt2d": ExactSolution(
         "sqrt2d", 2, _sqrt2d_value, _sqrt2d_grad,
         neumann_predicate=lambda mid: abs(mid[1]) < 1e-12 and mid[0] > 0.0),
-    "const": ExactSolution("const", 0, _const_value,
+    "const": ExactSolution("const", 0, lambda x: np.ones(x.shape[0]),
                            lambda x: np.zeros_like(x)),
 }
 
@@ -225,12 +215,9 @@ def convergence_table(runs: list) -> ErrorReport:
     dofs = [r[2] for r in runs]
     if any(b <= a for a, b in zip(dofs, dofs[1:])):
         raise SbfemError(f"DOF sequence {dofs} is not increasing")
-    if len(runs) >= 2:
-        (_, _, _, l2a, h1a), (_, _, _, l2b, h1b) = runs[-2], runs[-1]
-        rate_l2 = float(np.log2(l2a / l2b)) if l2a > 0 and l2b > 0 else 0.0
-        rate_h1 = float(np.log2(h1a / h1b)) if h1a > 0 and h1b > 0 else 0.0
-    else:
-        rate_l2 = rate_h1 = float("nan")
+    rate_l2, rate_h1 = ([float(np.log2(a / b)) if a > 0 and b > 0 else 0.0
+                         for a, b in zip(runs[-2][3:], runs[-1][3:])]
+                        if len(runs) >= 2 else [float("nan")] * 2)
     return ErrorReport(rows=list(runs), rate_l2=rate_l2, rate_h1=rate_h1)
 
 

@@ -16,11 +16,11 @@ import scipy.sparse.linalg
 
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
-from .errors import AssemblyError, SolveError
+from .errors import AssemblyError, SolveError, SpectrumError
 from .mesh import (DofNumbering, PolytopalMesh, SElement, number_dofs,
                    selement_local_dofs)
 from .polyspace import facet_quadrature, trace_basis
-from .refgeom import FacetKind, _facet_points, _facet_tangents
+from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 
 
 @dataclass
@@ -46,10 +46,6 @@ class SElementOperator:
         A[self.kept_local] = self.modes.A
         return A
 
-    def coefficients(self, nodal: np.ndarray) -> np.ndarray:
-        """Complex modal coefficients reproducing the global nodal values."""
-        return np.linalg.solve(self.modes.A, nodal[self.dofs_kept])
-
 
 def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
                     quad_order: int | None = None,
@@ -58,16 +54,18 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
 
     Congruent S-elements (translated copies, common in the structured
     generators) share one eigen-solve through the cache.  The E-matrices of
-    all cache misses are integrated in one stacked pass over their sectors.
+    all cache misses are integrated in one stacked pass over their sectors,
+    and their modes in one stack per (reduced trace size, constant-trace
+    admissible), cut into chunks under `refgeom.CHUNK_BUDGET` Euler-matrix
+    entries.  A SpectrumError names the first failing S-element by id.
     """
     k = numbering.k
     order = quad_order if quad_order is not None else 2 * k + 2
     cache = {} if cache is None else cache
     stacks = mesh._sector_stacks()
-    where = {}                 # (S-element id, position) -> (kind, stack index)
-    for kind, (_, _, owners) in stacks.items():
-        where.update({(e, pos): (kind, i)
-                      for i, (e, pos) in enumerate(owners.tolist())})
+    where = {(e, pos): (kind, i)      # (S-element id, position) -> stack row
+             for kind, (_, _, owners) in stacks.items()
+             for i, (e, pos) in enumerate(owners.tolist())}
     offsets = {kind: np.round(vertices - centres[:, None, :], 12)
                for kind, (centres, vertices, _) in stacks.items()}
     # local DOFs and congruence keys; the first S-element of a new key misses
@@ -75,15 +73,16 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
     for sel in mesh.selements:
         dofs_full, sector_rows = selement_local_dofs(mesh, numbering, sel)
         dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
-        constrained = np.flatnonzero(
-            np.isin(dofs_full, [numbering.vertex_dof[v] for v in dbc]))
+        pinned = {numbering.vertex_dof[v] for v in dbc}
+        free = [g not in pinned for g in dofs_full.tolist()]
+        constrained, kept = np.flatnonzero(np.logical_not(free)), np.flatnonzero(free)
         slots = [where[sel.id, pos] for pos in range(len(sector_rows))]
         key = (mesh.dimension, k, tuple(constrained.tolist())) + tuple(
-            (kind.value, offsets[kind][i].tobytes(), tuple(rows.tolist()))
+            (kind.value, offsets[kind][i].tobytes(), rows.tobytes())
             for (kind, i), rows in zip(slots, sector_rows))
         if key not in cache:
             misses.setdefault(key, sel.id)
-        local.append((dofs_full, sector_rows, constrained, key))
+        local.append((dofs_full, sector_rows, constrained, kept, key))
     # the E-matrices of every miss in one stacked pass
     sub = {}
     for kind, (centres, vertices, owners) in stacks.items():
@@ -93,20 +92,49 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
             sub[kind] = (centres[mask], vertices[mask], owners[mask], rows)
     Es = assemble_E(sub, {e: len(local[e][0]) for e in misses.values()},
                     mesh.dimension, k, order)
+    by_size: dict = {}         # reduced trace size -> misses, in order
+    for key, e in misses.items():
+        E = modes_mod.apply_sideface_bc(Es[e], local[e][2])
+        by_size.setdefault(E.n, []).append((e, key, E, local[e][3]))
+    errors = []
+    for n, members in by_size.items():
+        admissible = _stack_E(members, mesh.dimension).constant_trace_admissible()
+        for has in dict.fromkeys(admissible.tolist()):
+            group = [m for m, a in zip(members, admissible) if a == has]
+            errors += [_stack_modes(group[sl], mesh.dimension, cache)
+                       for sl in _chunks(len(group), 4 * n * n)]
+    if any(errors):
+        raise min(filter(None, errors), key=lambda exc: exc.selement)
     ops = []
-    for sel, (dofs_full, sector_rows, constrained, key) in zip(
-            mesh.selements, local):
-        if key not in cache:
-            kept = np.setdiff1d(np.arange(len(dofs_full)), constrained)
-            E_red = modes_mod.apply_sideface_bc(Es[sel.id], constrained)
-            system = modes_mod.build_system(E_red, mesh.dimension)
-            md = modes_mod.select_modes(system, label=f"S-element {sel.id}")
-            cache[key] = (E_red, md, modes_mod.element_stiffness(md).K, kept)
+    for sel, (dofs_full, sector_rows, _, _, key) in zip(mesh.selements, local):
         E_red, md, K, kept = cache[key]
         ops.append(SElementOperator(selement=sel, E=E_red, modes=md, K=K,
                                     dofs_full=dofs_full, kept_local=kept,
                                     sector_rows=sector_rows))
     return ops
+
+
+def _stack_E(members, dim: int) -> EMatrices:
+    return EMatrices(*(np.array([getattr(m[2], blk) for m in members])
+                       for blk in ("E11", "E12", "E22")), dim=dim)
+
+
+def _stack_modes(members, dim: int, cache: dict):
+    """Modes and stiffness of a stack of cache misses (S-element id, key,
+    E-matrices, kept local DOFs), stored in the cache.  Returns None or the
+    SpectrumError of the first member to fail any guard: when member j fails
+    one, the members before j go through all guards again."""
+    ids = [e for e, _, _, _ in members]
+    try:
+        md = modes_mod.select_modes(
+            modes_mod.build_system(_stack_E(members, dim), dim, ids), ids)
+        K = modes_mod.element_stiffness(md, ids).K
+    except SpectrumError as exc:
+        j = ids.index(exc.selement)
+        return (j and _stack_modes(members[:j], dim, cache)) or exc
+    for j, (_, key, E, kept) in enumerate(members):
+        cache[key] = (E, md[j], K[j], kept)
+    return None
 
 
 # -- standard FE elements (coupled formulation) --------------------------------
@@ -148,31 +176,29 @@ def assemble_global(mesh: PolytopalMesh, k: int,
     ops = build_operators(mesh, numbering, quad_order=quad_order, cache=cache)
     n = numbering.n_total
     blocks = [(op.dofs_kept, op.K) for op in ops]
-    fe_cache: dict = {}
-    for fe in mesh.fe_elements:
-        corners = mesh.vertices[list(fe.vertices)]
-        key = np.round(corners - corners[0], 12).tobytes()
-        if key not in fe_cache:
-            fe_cache[key] = fe_element_stiffness(corners, k)
-        blocks.append((numbering.fe_nodes[fe.id], fe_cache[key]))
-    rows, cols, vals = [], [], []
+    corners = mesh.vertices[[fe.vertices for fe in mesh.fe_elements]]
+    fe_K: dict = {}
+    for fe, c, key in zip(mesh.fe_elements, corners,
+                          np.round(corners - corners[:, :1], 12)):
+        key = key.tobytes()
+        if key not in fe_K:
+            fe_K[key] = fe_element_stiffness(c, k)
+        blocks.append((numbering.fe_nodes[fe.id], fe_K[key]))
     touched = np.zeros(n, dtype=bool)
-    for dofs, Kel in blocks:
+    parts = []
+    for m in dict.fromkeys(len(d) for d, _ in blocks):   # one scatter per size
+        dofs = np.array([d for d, _ in blocks if len(d) == m])        # (B, m)
         touched[dofs] = True
-        r, c = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(r.ravel())
-        cols.append(c.ravel())
-        vals.append(Kel.ravel())
-    K = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
+        parts.append((np.array([Kel for d, Kel in blocks if len(d) == m]).ravel(),
+                      np.repeat(dofs, m, axis=1).ravel(), np.tile(dofs, m).ravel()))
+    vals, rows, cols = (np.concatenate(p) for p in zip(*parts))
+    K = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     system = GlobalSystem(mesh=mesh, numbering=numbering, operators=ops,
                           K=K, rhs=np.zeros(n), touched=touched)
     # side-face Dirichlet traces are pinned to zero from the start
-    for sel in mesh.selements:
-        if sel.open_boundary is not None:
-            for v in sel.open_boundary.dirichlet_vertices:
-                system.dirichlet[numbering.vertex_dof[v]] = 0.0
+    system.dirichlet.update((numbering.vertex_dof[v], 0.0) for sel in mesh.selements
+                            if sel.open_boundary is not None
+                            for v in sel.open_boundary.dirichlet_vertices)
     dangling = np.flatnonzero(~touched
                               & ~np.isin(np.arange(n),
                                          list(system.dirichlet.keys())))
@@ -203,10 +229,8 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
         values = _project_trace(system, g, facet_ids, dofs)
     else:
         raise SolveError(f"unknown Dirichlet method '{method}'")
-    for dof, val in zip(dofs, values):
-        # side-face pins are exact homogeneous constraints; keep them
-        if int(dof) not in system.dirichlet:
-            system.dirichlet[int(dof)] = float(val)
+    for dof, val in zip(dofs.tolist(), values.tolist()):
+        system.dirichlet.setdefault(dof, val)   # keep the side-face pins
     return system
 
 
@@ -241,11 +265,8 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
 
 
 def _evaluate_field(g, coords: np.ndarray) -> np.ndarray:
-    if callable(g):
-        out = g(coords)
-        return np.full(coords.shape[0], float(out)) if np.ndim(out) == 0 \
-            else np.asarray(out, dtype=float)
-    return np.full(coords.shape[0], float(g))
+    """Values of a field (callable on points, or a constant) at coords."""
+    return np.full(coords.shape[0], g(coords) if callable(g) else g, dtype=float)
 
 
 @dataclass
@@ -293,10 +314,10 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
             raise SolveError(f"solver residual {residual:.2e} exceeds 1e-10")
     else:
         residual = 0.0
-    coeffs = [op.coefficients(u) for op in system.operators]
     return DiscreteSolution(mesh=system.mesh, numbering=system.numbering,
                             operators=system.operators, nodal=u,
-                            coefficients=coeffs, residual=residual)
+                            coefficients=_modal_coefficients(system.operators, u),
+                            residual=residual)
 
 
 def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
@@ -309,7 +330,18 @@ def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
     if operators is None:
         operators = build_operators(mesh, numbering, quad_order=quad_order)
     nodal = _evaluate_field(f, numbering.coords)
-    coeffs = [op.coefficients(nodal) for op in operators]
     return DiscreteSolution(mesh=mesh, numbering=numbering,
                             operators=operators, nodal=nodal,
-                            coefficients=coeffs)
+                            coefficients=_modal_coefficients(operators, nodal))
+
+
+def _modal_coefficients(operators: list, nodal: np.ndarray) -> list:
+    """Complex modal coefficients of every S-element reproducing the nodal
+    values: one stacked solve A c = u per mode count."""
+    coeffs = {}
+    for n in {op.modes.n for op in operators}:
+        ids = [i for i, op in enumerate(operators) if op.modes.n == n]
+        A = np.array([operators[i].modes.A for i in ids])
+        u = np.array([nodal[operators[i].dofs_kept] for i in ids])
+        coeffs.update(zip(ids, np.linalg.solve(A, u[..., None])[..., 0]))
+    return [coeffs[i] for i in range(len(operators))]

@@ -575,3 +575,40 @@ def orthogonality_residual(md, E: EMatrices, sigma_coeffs: np.ndarray,
             den = max(energies[i] * psi_en, 1e-300)
             worst = max(worst, abs(val) / den)
     return worst
+
+
+def reference_mode_chain(E, d):
+    """Per-element oracle for the stacked mode layer: the chain build_system
+    -> select_modes -> element_stiffness of one S-element, with `np.block`,
+    a sorted index selection and a least-squares K.
+
+    Returns the selected exponents, cond(A) and the symmetrized K.  E11 is
+    solved by the same LU solve as in the stack, not by Cholesky: the
+    exponent-1 eigenspace (the linear fields) is exactly degenerate, so
+    cond(A) depends on the basis LAPACK picks in it, which round-off in M
+    changes (a Cholesky solve moves cond(A) by factors 0.27 to 3.9 on a
+    jittered 6x6 mesh at k = 2).
+    """
+    E11, E12, E21, E22 = E.blocks()
+    n = E.n
+    X, Y = np.hsplit(np.linalg.solve(E11, np.hstack([E12, np.eye(n)])), 2)
+    M = np.block([[-X, Y], [E22 - E21 @ X, (2 - d) * np.eye(n) + E21 @ Y]])
+    has_constant = bool(E.constant_trace_admissible())
+    lam_all, V = np.linalg.eig(M)
+    scale = max(float(np.abs(lam_all).max()), 1.0)
+    cluster = np.abs(lam_all) <= modes.ZERO_CLUSTER_TOL * scale
+    positive = ~cluster & (lam_all.real > modes.POSITIVE_CUT * scale)
+    assert positive.sum() == n - has_constant
+    idx = np.flatnonzero(positive)
+    lams = lam_all[idx]
+    idx = idx[np.lexsort((np.sign(lams.imag), np.abs(lams.imag), lams.real))]
+    lams, vecs = lam_all[idx], V[:, idx]
+    vecs = vecs / np.linalg.norm(vecs[:n], axis=0)
+    A, P = vecs[:n], vecs[n:]
+    if has_constant:
+        lams = np.concatenate([[0.0], lams])
+        A = np.hstack([np.full((n, 1), 1.0 / np.sqrt(n)), A])
+        P = np.hstack([np.zeros((n, 1)), P])
+    Ar, Pr = np.hstack([A.real, A.imag]), np.hstack([P.real, P.imag])
+    K = np.linalg.lstsq(Ar.T, Pr.T, rcond=None)[0].T
+    return lams, np.linalg.cond(A), 0.5 * (K + K.T)

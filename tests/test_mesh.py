@@ -554,3 +554,22 @@ def test_import_orients_scrambled_2d_edges(rng):
             assert det.min() > 0
             area += float(rule.weights @ det) / 2.0
         assert area == pytest.approx(4.44, rel=1e-12)
+
+
+@pytest.mark.parametrize("gen", [gen_quad_mesh, gen_hex_mesh])
+def test_generators_merge_relative_to_domain_extent(gen):
+    # at 1e-13 scale, fixed 12-decimal rounding would merge every vertex
+    dim = 2 if gen is gen_quad_mesh else 3
+    tiny = gen(2, domain=((0.0, 1e-13),) * dim)
+    unit = gen(2, domain=((0.0, 1.0),) * dim)
+    assert len(tiny.vertices) == len(unit.vertices) == 3 ** dim
+    assert np.allclose(tiny.vertices * 1e13, unit.vertices, rtol=0, atol=1e-12)
+    assert [f.vertices for f in tiny.facets] == [f.vertices for f in unit.facets]
+
+
+def test_sector_stacks_built_once_and_read_only():
+    mesh = gen_quad_mesh(2)
+    stacks = mesh._sector_stacks()
+    assert mesh._sector_stacks() is stacks
+    assert not any(a.flags.writeable for arrays in stacks.values()
+                   for a in arrays)

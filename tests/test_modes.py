@@ -4,17 +4,21 @@ import numpy as np
 import pytest
 
 from conftest import (affine_cube_mesh, duffy_map_many, fd_mode_gradients,
-                      fixture_meshes_2d, fixture_meshes_3d, mesh_sector,
-                      mode_fields, op_sectors, operator_for,
-                      orthogonality_residual, quadratic_residual,
-                      random_polygon_mesh, stiffness_from_gram)
+                      fixture_meshes_2d, fixture_meshes_3d, hybrid_mesh,
+                      jittered_quad_mesh, mesh_sector, mode_fields, op_sectors,
+                      operator_for, orthogonality_residual, quadratic_residual,
+                      random_polygon_mesh, reference_mode_chain,
+                      stiffness_from_gram)
+from sbfem import modes, solver
 from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError, SpectrumError
-from sbfem.mesh import number_dofs, singular_open_selement
+from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh,
+                        gen_polyhedron_case1, import_mesh, number_dofs,
+                        singular_open_selement)
 from sbfem.modes import (_radial_factors, apply_sideface_bc, build_system,
                          eigenvalue_rows, element_stiffness, select_modes)
 from sbfem.postproc import get_exact, solution_errors
-from sbfem.solver import sbfem_interpolate
+from sbfem.solver import build_operators, sbfem_interpolate
 
 
 def all_fixture_ops(ks=(1, 2)):
@@ -308,11 +312,12 @@ def test_ill_conditioned_open_element_interpolates():
                                     1.9017328290407705e-07), rel=1e-8)
 
 
-def test_defective_detection_by_condition_cap(square_mesh):
+def test_defective_detection_by_condition_cap(square_mesh, monkeypatch):
     op_E = operator_for(square_mesh, 1).E
     system = build_system(op_E, 2)
-    with pytest.raises(SpectrumError):
-        select_modes(system, cond_cap=1.0)
+    monkeypatch.setattr(modes, "COND_CAP", 1.0)
+    with pytest.raises(SpectrumError, match="trace eigenvector condition"):
+        select_modes(system)
 
 
 def test_eigenvalue_rows_format(square_mesh):
@@ -348,3 +353,65 @@ def test_singular_E11_rejected(E11):
     zero = np.zeros((2, 2))
     with pytest.raises(SpectrumError):
         build_system(EMatrices(E11=E11, E12=zero, E22=zero, dim=2), 2)
+
+
+ORACLE_MESHES = {
+    "jittered-6x6": lambda: jittered_quad_mesh(6, 0.18),
+    "hybrid": hybrid_mesh,
+    "coupled-singular-l2": lambda: gen_coupled_singular(2),
+    "hex-n1": lambda: gen_hex_mesh(1),
+    "polyhedron-case1-n1": lambda: gen_polyhedron_case1(1),
+}
+
+
+@pytest.mark.parametrize("name", ORACLE_MESHES)
+def test_stacked_mode_layer_matches_per_element_oracle(name):
+    mesh = ORACLE_MESHES[name]()
+    for op in build_operators(mesh, number_dofs(mesh, 2)):
+        lams, cond_A, K = reference_mode_chain(op.E, mesh.dimension)
+        assert np.abs(op.modes.lambdas - lams).max() <= 1e-12 * np.abs(lams).max()
+        assert abs(op.modes.cond_A - cond_A) <= 1e-12 * cond_A
+        assert np.linalg.norm(op.K - K) <= 1e-12 * np.linalg.norm(K)
+
+
+def three_cell_mesh():
+    """A square, a pentagon and a trapezoid in a row: at k = 1 the trace
+    sizes are 4, 5 and 4, so the misses form two stacks, (0, 2) and (1,)."""
+    V = [[0, 0], [1, 0], [2, 0], [3.3, 0], [0, 1], [1, 1], [1.5, 1], [2, 1],
+         [3, 1]]
+    loops = [[0, 1, 5, 4], [1, 2, 7, 6, 5], [2, 3, 8, 7]]
+    return import_mesh({"dimension": 2, "vertices": V, "selements": [
+        {"facets": [[lp[t], lp[(t + 1) % len(lp)]] for t in range(len(lp))]}
+        for lp in loops]})
+
+
+def test_spectrum_error_names_lowest_failing_selement(monkeypatch):
+    mesh = three_cell_mesh()
+    numbering = number_dofs(mesh, 1)
+    cond = [op.modes.cond_A for op in build_operators(mesh, numbering)]
+    assert cond[0] < min(cond[1:])
+    # S-elements 1 and 2 fail the cap; the stack (0, 2) goes first
+    monkeypatch.setattr(modes, "COND_CAP", 0.5 * (cond[0] + min(cond[1:])))
+    with pytest.raises(SpectrumError,
+                       match="^S-element 1: .*trace eigenvector condition"):
+        build_operators(mesh, numbering)
+
+
+def test_spectrum_error_names_earlier_member_of_a_later_guard(monkeypatch):
+    # S-element 2 fails the E11 guard, which its stack (0, 2) meets before
+    # S-element 0 reaches the condition cap
+    mesh = three_cell_mesh()
+    numbering = number_dofs(mesh, 1)
+    assemble_E = solver.assemble_E
+
+    def negate_E11_of_2(*args):
+        Es = assemble_E(*args)
+        Es[2] = replace(Es[2], E11=-Es[2].E11)
+        return Es
+
+    monkeypatch.setattr(solver, "assemble_E", negate_E11_of_2)
+    with pytest.raises(SpectrumError, match="^S-element 2: E11 is not positive"):
+        build_operators(mesh, numbering)
+    monkeypatch.setattr(modes, "COND_CAP", 1.0)
+    with pytest.raises(SpectrumError, match="^S-element 0: .*condition"):
+        build_operators(mesh, numbering)

@@ -4,7 +4,8 @@ import pytest
 from sbfem.errors import AssemblyError, SolveError
 from sbfem.mesh import gen_coupled_singular, gen_quad_mesh, number_dofs
 from sbfem.postproc import get_exact, solution_errors
-from conftest import evaluate_in_fe, evaluate_in_sector, op_sectors
+from conftest import (evaluate_in_fe, evaluate_in_sector, jittered_quad_mesh,
+                      op_sectors, reference_mode_chain)
 from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
                           fe_element_stiffness, sbfem_interpolate, solve)
 
@@ -172,3 +173,29 @@ def test_congruence_cache_shares_modes():
     ops = build_operators(mesh, numbering, cache=cache)
     assert len(cache) == 1      # all nine elements are translates
     assert ops[0].modes is ops[-1].modes
+
+
+@pytest.mark.parametrize("make", [lambda: jittered_quad_mesh(9, 0.18),
+                                  lambda: gen_coupled_singular(2)],
+                         ids=["jittered-9x9", "coupled-singular-l2"])
+def test_stacked_scatter_and_coefficients_match_per_element(make):
+    # 81 jittered S-elements span two mode-layer chunks; the coupled mesh
+    # scatters FE blocks of another size
+    mesh = make()
+    system = assemble_global(mesh, 2)
+    numbering = system.numbering
+    K = np.zeros((numbering.n_total,) * 2)
+    for op in system.operators:
+        K[np.ix_(op.dofs_kept, op.dofs_kept)] += reference_mode_chain(
+            op.E, 2)[2]
+    for fe in mesh.fe_elements:
+        dofs = numbering.fe_nodes[fe.id]
+        K[np.ix_(dofs, dofs)] += fe_element_stiffness(
+            mesh.vertices[list(fe.vertices)], 2)
+    assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
+    exact = get_exact("exp2d")
+    sol = sbfem_interpolate(mesh, 2, exact.value, numbering=numbering,
+                            operators=system.operators)
+    for op, c in zip(system.operators, sol.coefficients):
+        want = np.linalg.solve(op.modes.A, sol.nodal[op.dofs_kept])
+        assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
