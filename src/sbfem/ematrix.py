@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GeometryError
 from .polyspace import facet_quadrature, trace_basis
-from .refgeom import _chunks, _sector_jacobians
+from .refgeom import _check_sectors, _chunks, _sector_jacobians
 
 # |E22 1| and |E12 1| below this (x the block norms) admit a constant trace
 CONSTANT_TRACE_TOL = 1e-10
@@ -83,11 +82,7 @@ def assemble_E(stacks: dict, sizes: dict, dim: int, k: int,
         for sl in _chunks(len(owners), N.size * dim):
             J, det = _sector_jacobians(kind, rule.points, centres[sl],
                                        vertices[sl])
-            bad = (det < 1e-14).any(axis=1)          # degenerate or inverted
-            if bad.any():
-                (e, pos), low = owners[sl][bad][0], det[bad][0].min()
-                raise GeometryError(f"S-element {e}, facet {pos}: degenerate or "
-                                    f"inverted sector (|J(1,eta)| = {low:.3e})")
+            _check_sectors(J, det, owners[sl])
             JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
             B1 = JinvT[..., :1] * N[:, None, :]               # (S, Q, d, m)
             B2 = JinvT[..., 1:] @ dN

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ematrix import EMatrices
 from .errors import GeometryError, SpectrumError
-from .refgeom import _sector_jacobians
+from .refgeom import _check_sectors, _sector_jacobians
 
 ZERO_CLUSTER_TOL = 1e-6    # |lambda| below this (x spectral radius) is "zero"
 POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
@@ -225,9 +225,10 @@ def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:
     return SElementStiffness(K=0.5 * (K + KT), asymmetry=asym)
 
 
-def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
+def _sector_fields(basis, xis, etas, owners, centres, vertices, alpha, coeffs,
                    lambdas):
-    """u_h on the (xi, eta) tensor grid of each of a stack of sectors.
+    """u_h on the (xi, eta) tensor grid of each of a stack of sectors, sector
+    s being facet position owners[s, 1] of S-element owners[s, 0].
 
     Returns mapped points (S, R, Q, d), values (S, R, Q), Cartesian
     gradients (S, R, Q, d) and surface Jacobians |J(1, eta)| (S, Q).
@@ -235,11 +236,7 @@ def _sector_fields(basis, xis, etas, centres, vertices, alpha, coeffs,
     """
     nvals, ngrads = basis.eval_many(etas)                 # (Q, m), (Q, d-1, m)
     J, det = _sector_jacobians(basis.facet_kind, etas, centres, vertices)
-    bad = det < 1e-14
-    if bad.any():
-        raise GeometryError(
-            f"degenerate or inverted sector (center "
-            f"{centres[bad.any(axis=1)][0]}): |J(1,eta)| = {det.min():.3e}")
+    _check_sectors(J, det, owners)
     JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
     Z, Z1 = _radial_factors(xis, lambdas)                   # (S, R, n)
     c = coeffs[:, None, :]

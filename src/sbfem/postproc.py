@@ -130,7 +130,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     for e, pos, kind, i in sectors:
         centres, vertices, _ = stacks[kind]
         groups.setdefault((kind, ops[e].modes.n, rules[e]), []).append(
-            (centres[i], vertices[i], alphas[e][ops[e].sector_rows[pos]],
+            ((e, pos), centres[i], vertices[i], alphas[e][ops[e].sector_rows[pos]],
              solution.coefficients[e], ops[e].modes.lambdas))
     sums = np.zeros(2)
     for (kind, n_modes, rule), members in groups.items():

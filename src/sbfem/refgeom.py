@@ -15,6 +15,8 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import GeometryError
+
 # Largest stacked intermediate of a sector kernel (E-matrices, error
 # integration), in entries; a stack of sectors is cut into chunks below it.
 CHUNK_BUDGET = 1 << 14
@@ -85,6 +87,18 @@ def _sector_jacobians(kind: FacetKind, etas: np.ndarray, centres: np.ndarray,
     J = np.concatenate([rays[..., None], _facet_tangents(kind, etas, vertices)],
                        axis=-1)
     return J, np.linalg.det(J)
+
+
+def _check_sectors(J: np.ndarray, det: np.ndarray, owners: np.ndarray) -> None:
+    """Raise GeometryError naming (S-element, facet position) `owners[s]` of
+    the first sector s of a stack whose J(1,eta) (S, q, d, d) is degenerate or
+    inverted: |J| at most 1e-14 times the product of J's column norms, a test
+    relative to the sector's size, so a scaled mesh gets the same verdict."""
+    bad = (det <= 1e-14 * np.linalg.norm(J, axis=-2).prod(axis=-1)).any(axis=1)
+    if bad.any():
+        (e, pos), low = owners[bad][0], det[bad][0].min()
+        raise GeometryError(f"S-element {e}, facet {pos}: degenerate or inverted "
+                            f"sector (|J(1,eta)| = {low:.3e})")
 
 
 def _chunks(n: int, per_member: int) -> list:

@@ -163,9 +163,7 @@ class GlobalSystem:
     numbering: DofNumbering
     operators: list
     K: scipy.sparse.csr_matrix
-    rhs: np.ndarray
     dirichlet: dict = field(default_factory=dict)   # dof -> value
-    touched: np.ndarray = None
 
 
 def assemble_global(mesh: PolytopalMesh, k: int,
@@ -184,28 +182,29 @@ def assemble_global(mesh: PolytopalMesh, k: int,
         if key not in fe_K:
             fe_K[key] = fe_element_stiffness(c, k)
         blocks.append((numbering.fe_nodes[fe.id], fe_K[key]))
-    touched = np.zeros(n, dtype=bool)
-    parts = []
-    for m in dict.fromkeys(len(d) for d, _ in blocks):   # one scatter per size
-        dofs = np.array([d for d, _ in blocks if len(d) == m])        # (B, m)
-        touched[dofs] = True
-        parts.append((np.array([Kel for d, Kel in blocks if len(d) == m]).ravel(),
-                      np.repeat(dofs, m, axis=1).ravel(), np.tile(dofs, m).ravel()))
-    vals, rows, cols = (np.concatenate(p) for p in zip(*parts))
-    K = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
     system = GlobalSystem(mesh=mesh, numbering=numbering, operators=ops,
-                          K=K, rhs=np.zeros(n), touched=touched)
+                          K=_scatter(blocks, n))
     # side-face Dirichlet traces are pinned to zero from the start
     system.dirichlet.update((numbering.vertex_dof[v], 0.0) for sel in mesh.selements
                             if sel.open_boundary is not None
                             for v in sel.open_boundary.dirichlet_vertices)
-    dangling = np.flatnonzero(~touched
-                              & ~np.isin(np.arange(n),
-                                         list(system.dirichlet.keys())))
+    empty = np.flatnonzero(np.diff(system.K.indptr) == 0)   # rows in no block
+    dangling = empty[~np.isin(empty, list(system.dirichlet))]
     if dangling.size:
         raise AssemblyError(f"{dangling.size} DOFs receive no element "
                             f"contribution (first: {dangling[:5].tolist()})")
     return system
+
+
+def _scatter(blocks, n: int) -> scipy.sparse.csr_matrix:
+    """(n, n) sum of blocks (DOFs (m,), matrix (m, m)), one scatter per m."""
+    parts = []
+    for m in dict.fromkeys(len(d) for d, _ in blocks):
+        dofs = np.array([d for d, _ in blocks if len(d) == m])        # (B, m)
+        parts.append((np.array([Kel for d, Kel in blocks if len(d) == m]).ravel(),
+                      np.repeat(dofs, m, axis=1).ravel(), np.tile(dofs, m).ravel()))
+    vals, rows, cols = (np.concatenate(p) for p in zip(*parts))
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
@@ -235,33 +234,27 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
 
 
 def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
-    """L2 projection of g onto the trace space of the given facets."""
-    mesh, numbering = system.mesh, system.numbering
-    k = numbering.k
-    pos = {int(d): i for i, d in enumerate(dofs)}
-    M = np.zeros((len(dofs), len(dofs)))
-    b = np.zeros(len(dofs))
-    for fid in facet_ids:
-        facet = mesh.facets[fid]
-        basis = trace_basis(facet.kind, k)
-        rule = facet_quadrature(facet.kind, 2 * k + 8)
-        vals, _ = basis.eval_many(rule.points)
-        corners = mesh.vertices[list(facet.vertices)]
-        pts = _facet_points(facet.kind, rule.points, corners)
-        tans = _facet_tangents(facet.kind, rule.points, corners)
-        if mesh.dimension == 2:
-            jac = np.linalg.norm(tans[:, :, 0], axis=1)
-        else:
-            jac = np.linalg.norm(np.cross(tans[:, :, 0], tans[:, :, 1]), axis=1)
-        ue = _evaluate_field(g, pts)
-        w = rule.weights * jac
-        Mel = np.einsum("q,qi,qj->ij", w, vals, vals)
-        bel = (w * ue) @ vals
-        gl = [pos[int(d)] for d in numbering.facet_nodes[fid]]
-        ix = np.ix_(gl, gl)
-        M[ix] += Mel
-        b[gl] += bel
-    return np.linalg.solve(M, b)
+    """L2 projection of g onto the trace space of the given facets (sorted
+    DOFs `dofs`): one stacked pass per facet kind, one sparse mass solve."""
+    if dofs.size == 0:
+        return np.zeros(0)
+    mesh, k = system.mesh, system.numbering.k
+    blocks, b = [], np.zeros(len(dofs))
+    for kind in dict.fromkeys(mesh.facets[f].kind for f in facet_ids):
+        fids = [f for f in facet_ids if mesh.facets[f].kind is kind]
+        rule = facet_quadrature(kind, 2 * k + 8)
+        vals, _ = trace_basis(kind, k).eval_many(rule.points)          # (Q, m)
+        corners = mesh.vertices[[mesh.facets[f].vertices for f in fids]]
+        pts = _facet_points(kind, rule.points, corners)                # (F, Q, d)
+        tans = _facet_tangents(kind, rule.points, corners)        # (F, Q, d, d-1)
+        jac = np.linalg.norm(tans[..., 0] if mesh.dimension == 2
+                             else np.cross(tans[..., 0], tans[..., 1]), axis=-1)
+        w = rule.weights * jac                                         # (F, Q)
+        ue = _evaluate_field(g, pts.reshape(-1, mesh.dimension)).reshape(w.shape)
+        rows = np.searchsorted(dofs, [system.numbering.facet_nodes[f] for f in fids])
+        blocks += zip(rows, np.einsum("fq,qi,qj->fij", w, vals, vals))
+        np.add.at(b, rows, (w * ue) @ vals)
+    return scipy.sparse.linalg.splu(_scatter(blocks, len(dofs)).tocsc()).solve(b)
 
 
 def _evaluate_field(g, coords: np.ndarray) -> np.ndarray:
@@ -301,7 +294,7 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
     if free.size:
         Kf = K[free]
         Kff = Kf[:, free].tocsc()
-        rhs = system.rhs[free] - Kf[:, pinned] @ pinned_vals
+        rhs = -(Kf[:, pinned] @ pinned_vals)
         try:
             lu = scipy.sparse.linalg.splu(Kff)
             u[free] = lu.solve(rhs)

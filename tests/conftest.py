@@ -17,7 +17,7 @@ from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
                            _sector_jacobians)
-from sbfem.solver import build_operators
+from sbfem.solver import _evaluate_field, build_operators
 
 
 class Sector(namedtuple("Sector", "collapsed_vertex facet_vertices facet_kind")):
@@ -28,8 +28,9 @@ class Sector(namedtuple("Sector", "collapsed_vertex facet_vertices facet_kind"))
         return self.facet_kind.ambient_dim
 
 
-# a sector of an S-element operator, its trace basis and S-local node rows
-SectorRows = namedtuple("SectorRows", "sector basis rows")
+# a sector of an S-element operator, its trace basis, S-local node rows and
+# facet position
+SectorRows = namedtuple("SectorRows", "sector basis rows pos")
 
 
 def mesh_sector(mesh, sel, pos):
@@ -50,7 +51,7 @@ def op_sectors(mesh, op):
         basis = next(b for b in (trace_basis(sector.facet_kind, k)
                                  for k in range(1, MAX_DEGREE + 1))
                      if b.cardinality == len(rows))
-        out.append(SectorRows(sector, basis, rows))
+        out.append(SectorRows(sector, basis, rows, pos))
     return out
 
 
@@ -75,7 +76,8 @@ def duffy_map_many(sector, xis, etas):
     zero = np.zeros((1, 1))
     pts, _, _, _ = modes._sector_fields(
         basis, np.asarray(xis, dtype=float), np.atleast_2d(etas),
-        sector.collapsed_vertex[None], sector.facet_vertices[None],
+        np.zeros((1, 2), dtype=int), sector.collapsed_vertex[None],
+        sector.facet_vertices[None],
         np.zeros((1, basis.cardinality, 1)), zero, zero)
     return pts[0]
 
@@ -92,8 +94,8 @@ def mode_fields(op, ctx, xi, eta):
     _, values, grads, _ = modes._sector_fields(
         ctx.basis, [xi], np.atleast_1d(np.asarray(eta, dtype=float))[None, :],
         *(np.broadcast_to(a, (2 * n,) + np.shape(a)) for a in
-          (ctx.sector.collapsed_vertex, ctx.sector.facet_vertices,
-           op.A_eval[ctx.rows])),
+          ((op.selement.id, ctx.pos), ctx.sector.collapsed_vertex,
+           ctx.sector.facet_vertices, op.A_eval[ctx.rows])),
         coeffs, np.broadcast_to(op.modes.lambdas, (2 * n, n)))
     v, g = values[:, 0, 0], grads[:, 0, 0]
     return v[:n] + 1j * v[n:], (g[:n] + 1j * g[n:]).T
@@ -353,9 +355,9 @@ def fd_mode_gradients(op, ctx, xi, eta, step=1e-6):
 def evaluate_in_sector(solution, op, ctx, xis, etas):
     """The error kernel on one sector: points (R, Q, d), values (R, Q) and
     gradients (R, Q, d) of u_h on a (xi, eta) tensor grid."""
-    member = (ctx.sector.collapsed_vertex, ctx.sector.facet_vertices,
-              op.A_eval[ctx.rows], solution.coefficients[op.selement.id],
-              op.modes.lambdas)
+    member = ((op.selement.id, ctx.pos), ctx.sector.collapsed_vertex,
+              ctx.sector.facet_vertices, op.A_eval[ctx.rows],
+              solution.coefficients[op.selement.id], op.modes.lambdas)
     pts, vals, grads, _ = modes._sector_fields(
         ctx.basis, np.asarray(xis, dtype=float), etas,
         *(np.asarray(a)[None] for a in member))
@@ -443,6 +445,40 @@ def reference_solution_errors(solution, exact, quad=None):
         acc_h1 += float(np.sum(w * np.sum((grads - exact.gradient(pts)) ** 2,
                                           axis=1)))
     return float(np.sqrt(acc_l2)), float(np.sqrt(acc_h1))
+
+
+def reference_project_trace(system, g, facet_ids, dofs) -> np.ndarray:
+    """L2 projection of g onto the trace space of the given facets by a loop
+    over facets into a dense boundary mass matrix.
+
+    Oracle for `solver._project_trace`.
+    """
+    mesh, numbering = system.mesh, system.numbering
+    k = numbering.k
+    pos = {int(d): i for i, d in enumerate(dofs)}
+    M = np.zeros((len(dofs), len(dofs)))
+    b = np.zeros(len(dofs))
+    for fid in facet_ids:
+        facet = mesh.facets[fid]
+        basis = trace_basis(facet.kind, k)
+        rule = facet_quadrature(facet.kind, 2 * k + 8)
+        vals, _ = basis.eval_many(rule.points)
+        corners = mesh.vertices[list(facet.vertices)]
+        pts = _facet_points(facet.kind, rule.points, corners)
+        tans = _facet_tangents(facet.kind, rule.points, corners)
+        if mesh.dimension == 2:
+            jac = np.linalg.norm(tans[:, :, 0], axis=1)
+        else:
+            jac = np.linalg.norm(np.cross(tans[:, :, 0], tans[:, :, 1]), axis=1)
+        ue = _evaluate_field(g, pts)
+        w = rule.weights * jac
+        Mel = np.einsum("q,qi,qj->ij", w, vals, vals)
+        bel = (w * ue) @ vals
+        gl = [pos[int(d)] for d in numbering.facet_nodes[fid]]
+        ix = np.ix_(gl, gl)
+        M[ix] += Mel
+        b[gl] += bel
+    return np.linalg.solve(M, b)
 
 
 # -- diagnostics that only tests use ---------------------------------------------

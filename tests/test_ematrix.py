@@ -237,9 +237,10 @@ def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
                                    [[1.0, 1.0], [1.0, -1.0]]])   # inverted
 def test_bad_sector_error_names_selement_and_facet(facet):
     centres = np.zeros((2, 2))
-    vertices = np.array([[[1.0, -1.0], [1.0, 1.0]], facet])
     owners = np.array([[3, 0], [7, 2]])
     rows = np.array([[0, 1], [0, 1]])
-    with pytest.raises(GeometryError, match=r"S-element 7, facet 2"):
-        assemble_E({FacetKind.SEGMENT: (centres, vertices, owners, rows)},
-                   {3: 2, 7: 2}, 2, 1, 4)
+    for scale in (1.0, 1e-13):     # the verdict does not depend on the scale
+        vertices = scale * np.array([[[1.0, -1.0], [1.0, 1.0]], facet])
+        with pytest.raises(GeometryError, match=r"S-element 7, facet 2"):
+            assemble_E({FacetKind.SEGMENT: (centres, vertices, owners, rows)},
+                       {3: 2, 7: 2}, 2, 1, 4)

@@ -139,7 +139,7 @@ def test_degenerate_sector_rejected():
                facet_kind=FacetKind.SEGMENT)
     _, det = sector_jacobian(s, np.array([[0.0]]))
     assert det[0] == 0.0
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match=r"S-element 0, facet 0"):
         duffy_map(s, 1.0, 0.0)
 
 

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from sbfem.errors import AssemblyError, SolveError
-from sbfem.mesh import gen_coupled_singular, gen_quad_mesh, number_dofs
+from sbfem.cli import build_mesh
+from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_quad_mesh,
+                        number_dofs, singular_open_selement)
 from sbfem.postproc import get_exact, solution_errors
-from conftest import (evaluate_in_fe, evaluate_in_sector, jittered_quad_mesh,
-                      op_sectors, reference_mode_chain)
-from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
-                          fe_element_stiffness, sbfem_interpolate, solve)
+from conftest import (evaluate_in_fe, evaluate_in_sector, hybrid_mesh,
+                      jittered_quad_mesh, octahedron_mesh, op_sectors,
+                      reference_mode_chain, reference_project_trace)
+from sbfem.solver import (_project_trace, apply_dirichlet, assemble_global,
+                          build_operators, fe_element_stiffness,
+                          sbfem_interpolate, solve)
 
 
 def test_fe_q1_unit_square():
@@ -146,16 +150,65 @@ def test_missing_dirichlet_rejected():
 def test_dangling_sideface_dof_auto_pinned():
     # the Dirichlet side-face trace DOF of an open S-element receives no
     # element contribution; it must be pinned to zero rather than dangle
-    from sbfem.mesh import singular_open_selement
     mesh = singular_open_selement(2)
     system = assemble_global(mesh, 1)
     nd = system.numbering
     vid = mesh.selements[0].open_boundary.dirichlet_vertices[0]
     dof = nd.vertex_dof[vid]
-    assert not system.touched[dof]
+    in_K = np.diff(system.K.indptr) > 0
+    assert not in_K[dof]
     assert system.dirichlet[dof] == 0.0
-    assert all(system.touched[d] or d in system.dirichlet
-               for d in range(nd.n_total))
+    assert all(in_K[d] or d in system.dirichlet for d in range(nd.n_total))
+
+
+def test_empty_dirichlet_facets_keep_sideface_pin():
+    # the side-face pin alone makes the open S-element's system solvable
+    system = assemble_global(singular_open_selement(2), 1)
+    pins = dict(system.dirichlet)
+    apply_dirichlet(system, 1.0, facet_ids=[])
+    assert system.dirichlet == pins
+    assert np.abs(solve(system).nodal).max() == 0.0
+
+
+_PROJECTION_CASES = {
+    "quad-l2-k3": (lambda: build_mesh("quad", 2), 3, "exp2d", "all"),
+    "hex-2-k2": (lambda: gen_hex_mesh(2), 2, "exp3d", "all"),
+    "hybrid-k2": (hybrid_mesh, 2, "exp3d", "all"),
+    "octahedron-k2": (octahedron_mesh, 2, "exp3d", "all"),
+    "coupled-singular-l2-k2": (lambda: build_mesh("coupled-singular", 2), 2,
+                               "sqrt2d", "exact"),
+    "quad-l2-k2-constant": (lambda: build_mesh("quad", 2), 2, 0.75, "all"),
+}
+
+
+@pytest.mark.parametrize("case", list(_PROJECTION_CASES))
+def test_stacked_projection_matches_per_facet_reference(case):
+    make, k, problem, where = _PROJECTION_CASES[case]
+    mesh = make()
+    system = assemble_global(mesh, k)
+    if isinstance(problem, str):
+        exact = get_exact(problem)
+        g = exact.value
+        facet_ids = (exact.dirichlet_facets(mesh) if where == "exact"
+                     else mesh.boundary_facet_ids())
+    else:
+        g, facet_ids = problem, mesh.boundary_facet_ids()
+    dofs = system.numbering.facet_boundary_dofs(facet_ids)
+    want = reference_project_trace(system, g, facet_ids, dofs)
+    got = _project_trace(system, g, facet_ids, dofs)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_assembly_accepts_uniformly_scaled_mesh():
+    # 2D stiffness is scale-invariant; the sector degeneracy test must be too
+    unit = assemble_global(gen_quad_mesh(2), 2)
+    tiny = assemble_global(gen_quad_mesh(2, domain=((0, 1e-13),) * 2), 2)
+    for a, b in zip(unit.operators, tiny.operators):
+        assert np.abs(a.K - b.K).max() <= 1e-12 * np.abs(a.K).max()
+    sol = sbfem_interpolate(tiny.mesh, 2, 1.0, operators=tiny.operators,
+                            numbering=tiny.numbering)
+    assert np.isfinite(solution_errors(sol, get_exact("exp2d"))).all()
 
 
 def test_solver_residual_reported():
