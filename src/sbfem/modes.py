@@ -17,7 +17,6 @@ import numpy as np
 
 from .ematrix import EMatrices
 from .errors import GeometryError, SpectrumError
-from .refgeom import _check_sectors, _sector_jacobians
 
 ZERO_CLUSTER_TOL = 1e-6    # |lambda| below this (x spectral radius) is "zero"
 POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
@@ -225,32 +224,30 @@ def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:
     return SElementStiffness(K=0.5 * (K + KT), asymmetry=asym)
 
 
-def _sector_fields(basis, xis, etas, owners, centres, vertices, alpha, coeffs,
-                   lambdas):
-    """u_h on the (xi, eta) tensor grid of each of a stack of sectors, sector
-    s being facet position owners[s, 1] of S-element owners[s, 0].
+def _sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
+    """u_h on the (xi, eta) tensor grid of the member sectors of a stack of
+    classes.  A class is the sectors at one facet position of S-elements that
+    share their modes; it has one J(1, eta) (S, Q, d, d), one trace block
+    alpha (S, p, n) and one set of exponents (S, n), and its members differ
+    only in their coefficients, the columns of coeffs (S, n, m).
 
-    Returns mapped points (S, R, Q, d), values (S, R, Q), Cartesian
-    gradients (S, R, Q, d) and surface Jacobians |J(1, eta)| (S, Q).
-    The sums run over the complex modes; their real parts are returned.
+    The modes are evaluated once per class; the member sums over them are
+    two matmuls.  Returns values (S, R, Q, m) and Cartesian gradients
+    (S, R, Q, m, d), the real parts of the complex sums.
     """
-    nvals, ngrads = basis.eval_many(etas)                 # (Q, m), (Q, d-1, m)
-    J, det = _sector_jacobians(basis.facet_kind, etas, centres, vertices)
-    _check_sectors(J, det, owners)
-    JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
+    nvals, ngrads = basis.eval_many(etas)                 # (Q, p), (Q, d-1, p)
     Z, Z1 = _radial_factors(xis, lambdas)                   # (S, R, n)
-    c = coeffs[:, None, :]
     T = nvals @ alpha                                        # (S, Q, n)
-    values = (Z @ np.swapaxes(T * c, 1, 2)).real
-    # parametric gradient: radial part lambda c T, surface part c dN alpha
-    D = np.concatenate([(T * (lambdas[:, None, :] * c))[:, :, None, :],
-                        (ngrads @ alpha[:, None]) * c[:, None]], axis=2)
-    S, Q, d, n = D.shape
-    P = (Z1 @ D.reshape(S, Q * d, n).swapaxes(1, 2)).real
-    grads = (JinvT[:, None] @ P.reshape(S, -1, Q, d, 1))[..., 0]
-    pts = (centres[:, None, None, :]
-           + np.asarray(xis)[None, :, None, None] * J[:, None, ..., 0])
-    return pts, values, grads, det
+    # parametric gradient: radial part lambda T, surface part dN alpha
+    D = np.concatenate([(T * lambdas[:, None, :])[:, :, None, :],
+                        ngrads @ alpha[:, None]], axis=2)    # (S, Q, d, n)
+    G = np.swapaxes(np.linalg.inv(J), -1, -2) @ D
+    S, Q, d, n = G.shape
+    C = coeffs[:, :, None, :]                                # (S, n, 1, m)
+    values = (Z @ (np.swapaxes(T, 1, 2)[..., None] * C).reshape(S, n, -1)).real
+    grads = (Z1 @ (G.transpose(0, 3, 1, 2)[..., None, :] * C[..., None])
+             .reshape(S, n, -1)).real
+    return values.reshape(S, len(xis), Q, -1), grads.reshape(S, len(xis), Q, -1, d)
 
 
 def eigenvalue_rows(modes: SbfemModes) -> list[tuple[float, float, int]]:

@@ -10,8 +10,9 @@ import numpy as np
 from .errors import QuadratureError, SbfemError
 from .modes import _sector_fields
 from .polyspace import facet_quadrature, radial_quadrature, trace_basis
-from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
-from .solver import DiscreteSolution
+from .refgeom import (FacetKind, _check_sectors, _chunks, _facet_points,
+                      _facet_tangents, _sector_jacobians, _sector_points)
+from .solver import DiscreteSolution, _shape_keys
 
 SINGULAR_COMPOSITE_LEVELS = 8
 SINGULAR_COMPOSITE_RATIO = 0.2
@@ -110,42 +111,60 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
     """(L2, energy) errors of a discrete solution against an exact one.
 
-    The rows of the mesh's sector stacks, taken in (S-element, position)
-    order, are grouped by (facet kind, mode count, radial rule).  Each group
-    is evaluated in chunks of at most `refgeom.CHUNK_BUDGET` (sectors x
-    radial points x max(Q d, n_modes)) entries, and the FE quads of a
-    coupled mesh likewise.
+    A class is the sectors at one facet position of the S-elements sharing a
+    congruence-cache entry (one modes object), in (S-element, position)
+    order.  Its mode fields are evaluated once, on its first member, and
+    contracted with the coefficients of all members; the points, weights
+    |J(1,eta)| and degeneracy check stay per sector.  Classes are grouped by
+    (facet kind, mode count, radial rule, size) and cut into chunks, a big
+    one into member blocks, of at most `refgeom.CHUNK_BUDGET` (sectors x
+    radial points x max(Q d, n_modes)) entries; FE quads likewise.
     """
     k = solution.k
     cfg = (quad or QuadratureConfig()).resolved(k)
     d = solution.mesh.dimension
     ops = solution.operators
-    rules = [_radial_rule_args(op, cfg, k) for op in ops]
-    alphas = [op.A_eval for op in ops]
     stacks = solution.mesh._sector_stacks()
     sectors = sorted((e, pos, kind, i)
                      for kind, (_, _, owners) in stacks.items()
                      for i, (e, pos) in enumerate(owners.tolist()))
-    groups: dict = {}
+    classes: dict = {}         # (modes, position) -> kind, [(S-element, row)]
     for e, pos, kind, i in sectors:
-        centres, vertices, _ = stacks[kind]
-        groups.setdefault((kind, ops[e].modes.n, rules[e]), []).append(
-            ((e, pos), centres[i], vertices[i], alphas[e][ops[e].sector_rows[pos]],
-             solution.coefficients[e], ops[e].modes.lambdas))
+        classes.setdefault((id(ops[e].modes), pos), (kind, []))[1].append((e, i))
+    entries, groups = {}, {}   # modes -> radial rule and A_eval of its first op
+    for (key, pos), (kind, members) in classes.items():
+        es, rows = zip(*members)
+        op = ops[es[0]]
+        if key not in entries:
+            entries[key] = _radial_rule_args(op, cfg, k), op.A_eval
+        rule, A = entries[key]
+        groups.setdefault((kind, op.modes.n, rule, len(es)), []).append(
+            (rows, A[op.sector_rows[pos]], [solution.coefficients[e] for e in es],
+             op.modes.lambdas))
     sums = np.zeros(2)
-    for (kind, n_modes, rule), members in groups.items():
+    for (kind, n_modes, rule, m), group in groups.items():
         frule = facet_quadrature(kind, cfg.facet_order)
         rad = radial_quadrature(*rule)
         xis = rad.points[:, 0]
         wxi = rad.weights * xis ** (d - 1)
         basis = trace_basis(kind, k)
-        stack = [np.array(a) for a in zip(*members)]
+        centres, vertices, owners = stacks[kind]
+        rows, alpha, coeffs, lambdas = (np.array(a) for a in zip(*group))
         per_sector = len(xis) * max(len(frule) * d, n_modes)
-        for sl in _chunks(len(members), per_sector):
-            pts, vals, grads, det = _sector_fields(
-                basis, xis, frule.points, *(a[sl] for a in stack))
-            w = wxi[:, None] * (frule.weights * det)[:, None, :]
-            sums += _error_sums(exact, w, pts, vals, grads)
+        for sl in _chunks(len(rows), per_sector * m):
+            for blk in _chunks(m, per_sector * len(rows[sl])):
+                s = rows[sl, blk]                  # stack rows (classes, members)
+                J, det = _sector_jacobians(kind, frule.points, centres[s],
+                                           vertices[s])
+                _check_sectors(J, det, owners[s])
+                if blk.start == 0:   # the first block holds the representatives
+                    vals, grads = _sector_fields(
+                        basis, xis, frule.points, J[:, 0], alpha[sl],
+                        np.swapaxes(coeffs[sl], 1, 2), lambdas[sl])
+                w = wxi[:, None] * (frule.weights * det)[..., None, :]
+                sums += _error_sums(exact, w, _sector_points(centres[s], xis, J),
+                                    np.moveaxis(vals[..., blk], -1, 1),
+                                    np.moveaxis(grads[..., blk, :], -2, 1))
     fes = solution.mesh.fe_elements
     if fes:
         frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
@@ -176,18 +195,18 @@ def _radial_rule_args(op, cfg: QuadratureConfig, k: int) -> tuple:
 
 def _fe_fields(solution: DiscreteSolution, fes, ref_pts):
     """u_h on a list of FE quads at reference points: mapped points, values,
-    gradients and Jacobian determinants, with shapes (F, Q[, 2])."""
-    mesh = solution.mesh
-    nvals, ngrads = trace_basis(FacetKind.QUADRILATERAL,
-                                solution.k).eval_many(ref_pts)
-    corners = np.array([mesh.vertices[list(fe.vertices)] for fe in fes])
-    fe_nodes = solution.numbering.fe_nodes
-    uel = solution.nodal[np.array([fe_nodes[fe.id] for fe in fes])]  # (F, m)
-    J = _facet_tangents(FacetKind.QUADRILATERAL, ref_pts, corners)
-    JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
-    grads = (JinvT @ (ngrads @ uel[:, None, :, None]))[..., 0]
-    return (_facet_points(FacetKind.QUADRILATERAL, ref_pts, corners),
-            uel @ nvals.T, grads, np.linalg.det(J))
+    gradients and Jacobian determinants, with shapes (F, Q[, 2]); J^-T grad N
+    once per class of translated quads (the keys of `assemble_global`)."""
+    mesh, quad = solution.mesh, FacetKind.QUADRILATERAL
+    nvals, ngrads = trace_basis(quad, solution.k).eval_many(ref_pts)
+    corners = mesh.vertices[[fe.vertices for fe in fes]]
+    uel = solution.nodal[[solution.numbering.fe_nodes[fe.id] for fe in fes]]
+    J = _facet_tangents(quad, ref_pts, corners)
+    _, first, cls = np.unique(_shape_keys(mesh, corners - corners[:, :1]).reshape(
+        len(fes), -1), axis=0, return_index=True, return_inverse=True)
+    B = np.swapaxes(np.linalg.inv(J[first]), -1, -2) @ ngrads   # (U, Q, 2, m)
+    return (_facet_points(quad, ref_pts, corners), uel @ nvals.T,
+            (B[cls] @ uel[:, None, :, None])[..., 0], np.linalg.det(J))
 
 
 def _error_sums(exact: ExactSolution, w, pts, vals, grads) -> np.ndarray:

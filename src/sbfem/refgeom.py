@@ -18,7 +18,7 @@ import numpy as np
 from .errors import GeometryError
 
 # Largest stacked intermediate of a sector kernel (E-matrices, error
-# integration), in entries; a stack of sectors is cut into chunks below it.
+# integration per sector), in entries; stacks are cut into chunks below it.
 CHUNK_BUDGET = 1 << 14
 
 
@@ -80,21 +80,28 @@ def _facet_tangents(kind: FacetKind, etas: np.ndarray,
 
 def _sector_jacobians(kind: FacetKind, etas: np.ndarray, centres: np.ndarray,
                       vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """J(1,eta) of a stack of sectors with centres (S, d) and facet vertices
-    (S, n_vertices, d): (S, q, d, d), whose first column is the ray
-    F_L(eta) - a0, and the determinants (S, q)."""
-    rays = _facet_points(kind, etas, vertices) - centres[:, None, :]
+    """J(1,eta) of a stack of sectors with centres (..., d) and facet vertices
+    (..., n_vertices, d): (..., q, d, d), whose first column is the ray
+    F_L(eta) - a0, and the determinants (..., q)."""
+    rays = _facet_points(kind, etas, vertices) - centres[..., None, :]
     J = np.concatenate([rays[..., None], _facet_tangents(kind, etas, vertices)],
                        axis=-1)
     return J, np.linalg.det(J)
 
 
+def _sector_points(centres: np.ndarray, xis, J: np.ndarray) -> np.ndarray:
+    """Mapped points a0 + xi (F_L(eta) - a0) on the (xi, eta) grid of a stack
+    of sectors with centres (..., d) and J(1,eta) (..., q, d, d): (..., R, q, d)."""
+    return (centres[..., None, None, :]
+            + np.asarray(xis)[:, None, None] * J[..., None, :, :, 0])
+
+
 def _check_sectors(J: np.ndarray, det: np.ndarray, owners: np.ndarray) -> None:
     """Raise GeometryError naming (S-element, facet position) `owners[s]` of
-    the first sector s of a stack whose J(1,eta) (S, q, d, d) is degenerate or
+    the first sector s of a stack whose J(1,eta) (..., q, d, d) is degenerate or
     inverted: |J| at most 1e-14 times the product of J's column norms, a test
     relative to the sector's size, so a scaled mesh gets the same verdict."""
-    bad = (det <= 1e-14 * np.linalg.norm(J, axis=-2).prod(axis=-1)).any(axis=1)
+    bad = (det <= 1e-14 * np.linalg.norm(J, axis=-2).prod(axis=-1)).any(axis=-1)
     if bad.any():
         (e, pos), low = owners[bad][0], det[bad][0].min()
         raise GeometryError(f"S-element {e}, facet {pos}: degenerate or inverted "

@@ -66,7 +66,7 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
     where = {(e, pos): (kind, i)      # (S-element id, position) -> stack row
              for kind, (_, _, owners) in stacks.items()
              for i, (e, pos) in enumerate(owners.tolist())}
-    offsets = {kind: np.round(vertices - centres[:, None, :], 12)
+    offsets = {kind: _shape_keys(mesh, vertices - centres[:, None, :])
                for kind, (centres, vertices, _) in stacks.items()}
     # local DOFs and congruence keys; the first S-element of a new key misses
     local, misses = [], {}
@@ -112,6 +112,13 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
                                     dofs_full=dofs_full, kept_local=kept,
                                     sector_rows=sector_rows))
     return ops
+
+
+def _shape_keys(mesh: PolytopalMesh, offsets: np.ndarray) -> np.ndarray:
+    """Congruence keys: offsets snapped to 1e-12 x the mesh's coordinate extent
+    (the vertex-merge rule), so copies match at any scale; + 0.0 drops -0.0."""
+    extent = float(np.ptp(mesh.vertices, axis=0).max()) or 1.0
+    return np.round(offsets / extent, 12) * extent + 0.0
 
 
 def _stack_E(members, dim: int) -> EMatrices:
@@ -177,7 +184,7 @@ def assemble_global(mesh: PolytopalMesh, k: int,
     corners = mesh.vertices[[fe.vertices for fe in mesh.fe_elements]]
     fe_K: dict = {}
     for fe, c, key in zip(mesh.fe_elements, corners,
-                          np.round(corners - corners[:, :1], 12)):
+                          _shape_keys(mesh, corners - corners[:, :1])):
         key = key.tobytes()
         if key not in fe_K:
             fe_K[key] = fe_element_stiffness(c, k)

@@ -16,7 +16,7 @@ from sbfem.mesh import (PolytopalMesh, gen_hex_mesh, gen_polygon_case1,
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
-                           _sector_jacobians)
+                           _check_sectors, _sector_jacobians, _sector_points)
 from sbfem.solver import _evaluate_field, build_operators
 
 
@@ -70,34 +70,31 @@ def sector_jacobian(sector, etas):
 
 
 def duffy_map_many(sector, xis, etas):
-    """Mapped points (len(xis), q, d) of one sector by the error kernel
-    `modes._sector_fields`, fed a single zero mode."""
-    basis = trace_basis(sector.facet_kind, 1)
-    zero = np.zeros((1, 1))
-    pts, _, _, _ = modes._sector_fields(
-        basis, np.asarray(xis, dtype=float), np.atleast_2d(etas),
-        np.zeros((1, 2), dtype=int), sector.collapsed_vertex[None],
-        sector.facet_vertices[None],
-        np.zeros((1, basis.cardinality, 1)), zero, zero)
-    return pts[0]
+    """Mapped points (len(xis), q, d) of one sector by the per-sector steps
+    of the error integration: `refgeom._sector_jacobians`, the degeneracy
+    check `refgeom._check_sectors` (naming S-element 0, facet 0) and
+    `refgeom._sector_points`."""
+    centre = sector.collapsed_vertex[None]
+    J, det = _sector_jacobians(sector.facet_kind, np.atleast_2d(etas), centre,
+                               sector.facet_vertices[None])
+    _check_sectors(J, det, np.zeros((1, 2), dtype=int))
+    return _sector_points(centre, np.asarray(xis, dtype=float), J)[0]
 
 
 def mode_fields(op, ctx, xi, eta):
     """Complex values (n,) and Cartesian gradients (d, n) of all modes of an
     S-element at one (xi, eta) of sector `ctx`, by `modes._sector_fields`.
 
-    The kernel returns real parts: coefficient rows I and -iI give the real
-    and the imaginary part of every mode, one stack member each.
+    The kernel returns real parts: coefficient columns I and -iI give the
+    real and the imaginary part of every mode, one class member each.
     """
     n = op.modes.n
-    coeffs = np.vstack([np.eye(n), -1j * np.eye(n)])
-    _, values, grads, _ = modes._sector_fields(
-        ctx.basis, [xi], np.atleast_1d(np.asarray(eta, dtype=float))[None, :],
-        *(np.broadcast_to(a, (2 * n,) + np.shape(a)) for a in
-          ((op.selement.id, ctx.pos), ctx.sector.collapsed_vertex,
-           ctx.sector.facet_vertices, op.A_eval[ctx.rows])),
-        coeffs, np.broadcast_to(op.modes.lambdas, (2 * n, n)))
-    v, g = values[:, 0, 0], grads[:, 0, 0]
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))[None, :]
+    J, _ = sector_jacobian(ctx.sector, eta)
+    values, grads = modes._sector_fields(
+        ctx.basis, [xi], eta, J[None], op.A_eval[ctx.rows][None],
+        np.hstack([np.eye(n), -1j * np.eye(n)])[None], op.modes.lambdas[None])
+    v, g = values[0, 0, 0], grads[0, 0, 0]
     return v[:n] + 1j * v[n:], (g[:n] + 1j * g[n:]).T
 
 
@@ -353,15 +350,15 @@ def fd_mode_gradients(op, ctx, xi, eta, step=1e-6):
 
 
 def evaluate_in_sector(solution, op, ctx, xis, etas):
-    """The error kernel on one sector: points (R, Q, d), values (R, Q) and
-    gradients (R, Q, d) of u_h on a (xi, eta) tensor grid."""
-    member = ((op.selement.id, ctx.pos), ctx.sector.collapsed_vertex,
-              ctx.sector.facet_vertices, op.A_eval[ctx.rows],
-              solution.coefficients[op.selement.id], op.modes.lambdas)
-    pts, vals, grads, _ = modes._sector_fields(
-        ctx.basis, np.asarray(xis, dtype=float), etas,
-        *(np.asarray(a)[None] for a in member))
-    return pts[0], vals[0], grads[0]
+    """The error kernels on one sector, a one-member class: points (R, Q, d),
+    values (R, Q) and gradients (R, Q, d) of u_h on a (xi, eta) grid."""
+    xis = np.asarray(xis, dtype=float)
+    J, _ = sector_jacobian(ctx.sector, etas)
+    vals, grads = modes._sector_fields(
+        ctx.basis, xis, etas, J[None], op.A_eval[ctx.rows][None],
+        solution.coefficients[op.selement.id][None, :, None],
+        op.modes.lambdas[None])
+    return duffy_map_many(ctx.sector, xis, etas), vals[0, ..., 0], grads[0, :, :, 0]
 
 
 def evaluate_in_fe(solution, fe, ref_pts):

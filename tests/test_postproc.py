@@ -3,11 +3,12 @@ import pytest
 
 from conftest import (jittered_quad_mesh, laplacian_residual,
                       reference_solution_errors)
-from sbfem import postproc, refgeom
+from sbfem import modes, postproc, refgeom
 from sbfem.errors import SbfemError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh,
-                        gen_refined_square, singular_open_selement)
+                        gen_refined_square, import_mesh,
+                        singular_open_selement)
 from sbfem.polyspace import radial_quadrature
 from sbfem.postproc import (EXACT_SOLUTIONS, QuadratureConfig,
                             convergence_table, get_exact, report_to_csv,
@@ -155,8 +156,28 @@ def _galerkin(mesh, k, problem):
     return solve(system), exact
 
 
+def tensor_quad_mesh(xs, ys):
+    """Quadrilateral S-elements on the tensor grid of xs and ys."""
+    n = len(xs)
+    corners = (j * n + i for j in range(len(ys) - 1) for i in range(n - 1))
+    return import_mesh({
+        "dimension": 2, "vertices": [[x, y] for y in ys for x in xs],
+        "selements": [{"facets": [[a, a + 1], [a + 1, a + n + 1],
+                                  [a + n + 1, a + n], [a + n, a]]}
+                      for a in corners]})
+
+
 BATCH_CASES = {
     "quad-l1-k3": (lambda: gen_quad_mesh(4), 3, "exp2d"),
+    # one class of 64 S-elements per facet position
+    "quad-l2-k3": (lambda: gen_quad_mesh(8), 3, "exp2d"),
+    # 27 S-elements per class, two member blocks at the default budget
+    "hex-n3-k2": (lambda: gen_hex_mesh(3), 2, "exp3d"),
+    "polygon-case1-n3-k2": (lambda: gen_polygon_case1(3), 2, "exp2d"),
+    # cells of widths (1/2, 1/2, 1/2, 1) x heights (1/2, 1/2, 1): classes of
+    # 6, 3, 2 and 1 S-elements in one pass
+    "tensor-4x3-k2": (lambda: tensor_quad_mesh([-1, -0.5, 0, 0.5, 1.5],
+                                               [-1, -0.5, 0, 1]), 2, "exp2d"),
     "hex-l1-k2": (lambda: gen_hex_mesh(2), 2, "exp3d"),
     "polygon-case1-l1-k2": (lambda: gen_polygon_case1(2), 2, "exp2d"),
     "polyhedron-case1-l1-k2": (lambda: gen_polyhedron_case1(1), 2, "exp3d"),
@@ -176,6 +197,34 @@ def test_batched_errors_match_per_sector_reference(case, one_sector_chunks,
     got = solution_errors(sol, exact)
     expect = reference_solution_errors(sol, exact)
     assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("one_sector_chunks", [False, True])
+def test_error_work_is_per_class(one_sector_chunks, monkeypatch):
+    # mode fields once per (cache entry, facet position), however many
+    # member blocks a class spans; the degeneracy check on every sector
+    if one_sector_chunks:
+        monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
+    rows = {"radial": 0, "checked": 0}
+    radial, check = modes._radial_factors, postproc._check_sectors
+
+    def counted_radial(xis, lambdas):
+        rows["radial"] += len(lambdas)
+        return radial(xis, lambdas)
+
+    def counted_check(J, det, owners):
+        rows["checked"] += len(np.reshape(owners, (-1, 2)))
+        return check(J, det, owners)
+
+    monkeypatch.setattr(modes, "_radial_factors", counted_radial)
+    monkeypatch.setattr(postproc, "_check_sectors", counted_check)
+    counts = []
+    for n in (4, 8):
+        sol, exact = _galerkin(gen_quad_mesh(n), 3, "exp2d")
+        rows.update(radial=0, checked=0)
+        solution_errors(sol, exact)
+        counts.append((rows["radial"], rows["checked"]))
+    assert counts == [(4, 64), (4, 256)]
 
 
 def test_radial_rule_round_off_floor_is_plain_gauss():

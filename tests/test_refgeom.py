@@ -1,5 +1,5 @@
 """Duffy sector geometry, checked through the stacked kernels: mapped points
-of `modes._sector_fields` and Jacobians of `refgeom._sector_jacobians`."""
+of `refgeom._sector_points` and Jacobians of `refgeom._sector_jacobians`."""
 
 import numpy as np
 import pytest

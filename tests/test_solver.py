@@ -3,12 +3,13 @@ import pytest
 
 from sbfem.errors import AssemblyError, SolveError
 from sbfem.cli import build_mesh
-from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_quad_mesh,
-                        number_dofs, singular_open_selement)
+from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
+                        gen_quad_mesh, import_mesh, number_dofs,
+                        singular_open_selement)
 from sbfem.postproc import get_exact, solution_errors
 from conftest import (evaluate_in_fe, evaluate_in_sector, hybrid_mesh,
-                      jittered_quad_mesh, octahedron_mesh, op_sectors,
-                      reference_mode_chain, reference_project_trace)
+                      jittered_quad_mesh, mesh_to_json, octahedron_mesh,
+                      op_sectors, reference_mode_chain, reference_project_trace)
 from sbfem.solver import (_project_trace, apply_dirichlet, assemble_global,
                           build_operators, fe_element_stiffness,
                           sbfem_interpolate, solve)
@@ -209,6 +210,28 @@ def test_assembly_accepts_uniformly_scaled_mesh():
     sol = sbfem_interpolate(tiny.mesh, 2, 1.0, operators=tiny.operators,
                             numbering=tiny.numbering)
     assert np.isfinite(solution_errors(sol, get_exact("exp2d"))).all()
+
+
+def test_congruence_keys_are_scale_relative():
+    # keys rounded at a fixed 1e-12 put all 16 S-elements of the 1e-13
+    # jittered mesh into one cache entry, and K was silently wrong
+    unit = jittered_quad_mesh(4, 0.18)
+    data = mesh_to_json(unit)
+    data["vertices"] = [[1e-13 * c for c in v] for v in data["vertices"]]
+    for entry in data["selements"]:
+        entry["center"] = [1e-13 * c for c in entry["center"]]
+    tiny = import_mesh(data)
+    caches = {}, {}
+    ops = [build_operators(mesh, number_dofs(mesh, 2), cache=cache)
+           for mesh, cache in zip((unit, tiny), caches)]
+    assert len(caches[0]) == len(caches[1]) == 16
+    for a, b in zip(*ops):          # 2D stiffness is scale-invariant
+        assert np.abs(a.K - b.K).max() <= 1e-12 * np.abs(a.K).max()
+    # translated copies still share one entry; -0.0 and 0.0 offsets too
+    for mesh in (gen_quad_mesh(16), gen_hex_mesh(4), gen_polygon_case1(3)):
+        cache = {}
+        build_operators(mesh, number_dofs(mesh, 2), cache=cache)
+        assert len(cache) == 1
 
 
 def test_solver_residual_reported():
