@@ -11,10 +11,8 @@ facet and FE quad that contains it, whatever order lists their vertices.
 
 from __future__ import annotations
 
-import itertools
 import json
 import operator
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +28,10 @@ _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
 # vertex; distinct ones closer than NEAR_RTOL x the extent are an error.
 MERGE_RTOL = 1e-12
 NEAR_RTOL = 1e-8
+# (1, 1/rho, 1/rho^2), rho the plastic number (rho^3 = rho + 1): independent
+# over the rationals, so no two points of a grid project alike (with
+# (1, phi - 1, 2 - phi) the points (i + 1, j, k) and (i, j + 1, k + 1) did)
+MERGE_DIRECTION = np.array([1.0, 0.7548776662466927, 0.5698402909980532])
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class FEQuad:
 
 
 class PolytopalMesh:
-    """Mesh of S-elements (plus optional coupled FE quads); immutable once built."""
+    """Mesh of S-elements (plus optional coupled FE quads); immutable once
+    built by `_register`, the one construction path of every constructor."""
 
     def __init__(self, dimension: int):
         if dimension not in (2, 3):
@@ -74,159 +77,153 @@ class PolytopalMesh:
         self.facets: list[Facet] = []
         self.selements: list[SElement] = []
         self.fe_elements: list[FEQuad] = []
-        self._vkey: dict[tuple, int] = {}
-        self._fkey: dict[tuple, int] = {}
-        self._vlist: list[np.ndarray] = []
-        self._pending: dict[int, tuple] = {}
-        self._extent = 1.0     # add_vertex merges at 1e-12 of this length
+        self._owner_counts = np.zeros(0, dtype=int)    # elements per facet
+        self._stacks: dict = {}
 
     # -- construction ----------------------------------------------------------
 
-    def add_vertex(self, xyz) -> int:
-        key = tuple(round(float(c) / self._extent, 12) for c in xyz)
-        if key in self._vkey:
-            return self._vkey[key]
-        vid = len(self._vlist)
-        self._vkey[key] = vid
-        self._vlist.append(np.asarray(xyz, dtype=float))
-        return vid
+    def _register(self, vertices: np.ndarray, table: np.ndarray, counts,
+                  centres=None, dirichlet=None) -> "PolytopalMesh":
+        """Build the mesh from its sector table in array passes, and validate.
 
-    def _facet_id(self, vertices: tuple) -> int:
-        key = tuple(sorted(vertices))
-        if key in self._fkey:
-            return self._fkey[key]
-        kind = _KIND_BY_SIZE.get(len(vertices))
-        if kind is None or kind.ambient_dim != self.dimension:
-            raise MeshError(f"unsupported facet with {len(vertices)} vertices "
-                            f"in dimension {self.dimension}")
-        fid = len(self.facets)
-        self.facets.append(Facet(vertices=tuple(vertices), kind=kind))
-        self._fkey[key] = fid
-        return fid
-
-    def add_selement(self, facet_vertex_lists, center=None,
-                     dirichlet_sideface_vertices=()) -> SElement:
-        """Register an S-element from outward-oriented facet vertex tuples."""
-        fids, orders = [], []
-        for vs in facet_vertex_lists:
-            vs = tuple(int(v) for v in vs)
-            fid = self._facet_id(vs)
-            canon = self.facets[fid].vertices
-            vperm = tuple(canon.index(v) for v in vs)
+        `table` (R, w) lists the outward-ordered vertex ids of every sector,
+        padded with -1, S-element by S-element in mesh order (S-element e
+        has `counts[e]` sectors), then the 4 edges (v_i, v_i+1) of each
+        counter-clockwise FE quad.  A facet takes the id and vertex order of
+        its first listing.  `centres` and `dirichlet` map S-element ids to
+        given scaling centres and side-face Dirichlet vertex ids; any other
+        centre is the mean of the element's distinct vertices.
+        """
+        dim, centres, dirichlet = self.dimension, centres or {}, dirichlet or {}
+        self.vertices = vertices
+        counts = np.asarray(counts, dtype=int)
+        n_s = counts.sum()
+        size = (table >= 0).sum(axis=1)
+        sizes = [s for s, kind in _KIND_BY_SIZE.items() if kind.ambient_dim == dim]
+        for r in np.flatnonzero(~np.isin(size, sizes))[:1]:
+            raise MeshError(f"unsupported facet with {size[r]} vertices "
+                            f"in dimension {dim}")
+        fid, first = _first_seen(np.sort(table, axis=1))
+        canon = table[first]
+        vperm = (table[:, :, None] == canon[fid][:, None, :]).argmax(axis=2)
+        for r in _first_seen(np.column_stack([size, vperm]))[1]:
             # k = 2 so that edge midpoints tell opposite quad corners apart
-            _lattice_perm(self.facets[fid].kind, 2, vperm)
-            fids.append(fid)
-            orders.append(vs)
-        sel = SElement(id=len(self.selements), center=None, facet_ids=fids,
-                       facet_orders=orders)
-        self.selements.append(sel)
-        self._pending[sel.id] = (center, tuple(dirichlet_sideface_vertices))
-        return sel
-
-    def add_fe_quad(self, vertex_ids) -> FEQuad:
-        vs = tuple(int(v) for v in vertex_ids)
-        edges = tuple(self._facet_id((vs[i], vs[(i + 1) % 4])) for i in range(4))
-        fe = FEQuad(id=len(self.fe_elements), vertices=vs, edge_facets=edges)
-        self.fe_elements.append(fe)
-        return fe
-
-    def finalize(self) -> "PolytopalMesh":
-        """Freeze vertices, resolve centers and open boundaries, validate."""
-        self.vertices = (np.array(self._vlist)
-                         if self._vlist else np.zeros((0, self.dimension)))
-        for sel in self.selements:
-            center, dbc = self._pending.get(sel.id, (None, ()))
-            is_open, endpoints = self._chain_state(sel)
-            if center is None:
-                vids = sorted({v for fid in sel.facet_ids
-                               for v in self.facets[fid].vertices})
-                center = self.vertices[vids].mean(axis=0)
-            sel.center = np.asarray(center, dtype=float)
-            if is_open:
-                for v in dbc:
-                    if v not in endpoints:
-                        raise MeshError(
-                            f"S-element {sel.id}: Dirichlet side-face vertex {v} "
-                            f"is not an open-boundary endpoint {sorted(endpoints)}")
-                sel.open_boundary = SideFaceBC(dirichlet_vertices=tuple(dbc))
-            elif dbc:
-                raise MeshError(f"S-element {sel.id} is closed but lists "
-                                "side-face Dirichlet vertices")
-        self._stacks = self._build_sector_stacks()
+            _lattice_perm(_KIND_BY_SIZE[size[r]], 2, tuple(vperm[r, :size[r]].tolist()))
+        rows = table[:n_s]
+        elem = np.repeat(np.arange(len(counts)), counts)
+        is_open = self._check_boundaries(rows, elem, len(counts), dirichlet)
+        centre = self._centres(rows, elem)
+        for e, c in centres.items():
+            centre[e] = np.asarray(c, dtype=float)
+        self.facets = [Facet(vertices=tuple(vs[:s]), kind=_KIND_BY_SIZE[s])
+                       for vs, s in zip(canon.tolist(), size[first].tolist())]
+        orders = [tuple(vs[:s]) for vs, s in zip(rows.tolist(), size.tolist())]
+        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        self.selements = [
+            SElement(id=e, center=centre[e], facet_ids=fid[a:b].tolist(),
+                     facet_orders=orders[a:b],
+                     open_boundary=(SideFaceBC(tuple(dirichlet.get(e, ())))
+                                    if is_open[e] else None))
+            for e, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+        self.fe_elements = [
+            FEQuad(id=q, vertices=tuple(vs), edge_facets=tuple(es))
+            for q, (vs, es) in enumerate(zip(table[n_s:, 0].reshape(-1, 4).tolist(),
+                                             fid[n_s:].reshape(-1, 4).tolist()))]
+        self._owner_counts = np.bincount(fid, minlength=len(first))
+        pos = np.arange(n_s) - np.repeat(bounds[:-1], counts)
+        for s in dict.fromkeys(size[:n_s].tolist()):
+            at = np.flatnonzero(size[:n_s] == s)
+            self._stacks[_KIND_BY_SIZE[s]] = (
+                centre[elem[at]], self.vertices[rows[at, :s]],
+                np.column_stack([elem[at], pos[at]]))
+        for array in (a for arrays in self._stacks.values() for a in arrays):
+            array.flags.writeable = False
         self.validate()
         return self
 
-    def _chain_state(self, sel: SElement) -> tuple[bool, set]:
+    def _check_boundaries(self, rows, elem, n_elements, dirichlet):
+        """Whether each S-element is open (2D only).  Raises a MeshError
+        naming the lowest S-element whose facets form no 2D chain or loop or
+        no closed 3D surface, or whose side-face Dirichlet vertices are not
+        ends of its open chain.  Counts the (S-element, vertex) pairs of the
+        facets in 2D and the (S-element, undirected edge) pairs in 3D."""
         if self.dimension == 2:
-            count = Counter(v for fid in sel.facet_ids
-                            for v in self.facets[fid].vertices)
-            odd = {v for v, c in count.items() if c == 1}
-            if len(odd) not in (0, 2) or any(c > 2 for c in count.values()):
-                raise MeshError(f"S-element {sel.id}: boundary facets do not "
-                                "form a chain or loop")
-            return (len(odd) == 2), odd
-        count = Counter(tuple(sorted(e)) for f in sel.facet_ids
-                        for e in _cycle_edges(self.facets[f].vertices))
-        if any(c == 1 for c in count.values()):
-            raise MeshError(f"S-element {sel.id}: open polyhedral boundaries "
-                            "are not supported")
-        if any(c > 2 for c in count.values()):
-            raise MeshError(f"S-element {sel.id}: non-manifold boundary surface")
-        return False, set()
+            keys = np.column_stack([np.repeat(elem, 2), rows[:, :2].ravel()])
+        else:      # a padded triangle closes back to its first vertex
+            ring = np.where(rows >= 0, rows, rows[:, :1])
+            nxt = np.roll(ring, -1, axis=1)
+            live = ring != nxt
+            keys = np.column_stack([np.broadcast_to(elem[:, None], live.shape)[live],
+                                    np.minimum(ring, nxt)[live],
+                                    np.maximum(ring, nxt)[live]])
+        ids, first = _first_seen(keys)
+        count = np.bincount(ids, minlength=len(first))
+        owner = keys[first, 0]
+        single = np.bincount(owner[count == 1], minlength=n_elements)
+        is_open = (single == 2) & (self.dimension == 2)
+        broken = ((np.bincount(owner[count > 2], minlength=n_elements) > 0)
+                  | ((single > 0) & ~is_open))
+        culprits = [(e, 0, f"S-element {e}: " + (
+            "boundary facets do not form a chain or loop" if self.dimension == 2
+            else "open polyhedral boundaries are not supported" if single[e]
+            else "non-manifold boundary surface"))
+            for e in np.flatnonzero(broken)[:1].tolist()]
+        tips = keys[first[count == 1]]
+        for e, dbc in sorted(dirichlet.items()):
+            ends = sorted(tips[tips[:, 0] == e, 1].tolist()) if is_open[e] else []
+            if loose := [v for v in dbc if v not in ends]:
+                culprits.append((e, 1, f"S-element {e}: Dirichlet side-face vertex "
+                                       f"{loose[0]} is not an open-boundary "
+                                       f"endpoint {ends}" if is_open[e] else
+                                 f"S-element {e} is closed but lists "
+                                 "side-face Dirichlet vertices"))
+        if culprits:
+            raise MeshError(min(culprits)[2])
+        return is_open
+
+    def _centres(self, rows, elem) -> np.ndarray:
+        """Mean of each S-element's distinct vertices, summed in id order as
+        `np.mean` sums the rows of `vertices[ids]`."""
+        nv = len(self.vertices) + 1
+        owner, vid = np.divmod(np.unique((elem[:, None] * nv + rows)[rows >= 0]), nv)
+        head = np.diff(owner, prepend=-1) > 0
+        sums = self.vertices[vid[head]]
+        np.add.at(sums, owner[~head], self.vertices[vid[~head]])
+        return sums / np.bincount(owner)[:, None]
 
     # -- queries ---------------------------------------------------------------
 
-    def facet_owners(self) -> list[list]:
-        owners = [[] for _ in self.facets]
-        for sel in self.selements:
-            for fid in sel.facet_ids:
-                owners[fid].append(("S", sel.id))
-        for fe in self.fe_elements:
-            for fid in fe.edge_facets:
-                owners[fid].append(("FE", fe.id))
-        return owners
-
     def boundary_facet_ids(self) -> list[int]:
-        return [fid for fid, ow in enumerate(self.facet_owners()) if len(ow) == 1]
+        return np.flatnonzero(self._owner_counts == 1).tolist()
 
     def h_max(self) -> float:
         """Largest distance between two vertices of one facet."""
-        h = 0.0
-        for kind in dict.fromkeys(f.kind for f in self.facets):
-            pts = self.vertices[[f.vertices for f in self.facets if f.kind is kind]]
-            diff = pts[:, :, None, :] - pts[:, None, :, :]
-            h = max(h, float(np.linalg.norm(diff, axis=-1).max()))
-        return h
+        return max((float(np.linalg.norm(p[:, :, None] - p[:, None], axis=-1).max())
+                    for _, p in self._facet_corners(range(len(self.facets))).values()),
+                   default=0.0)
+
+    def _facet_corners(self, fids) -> dict:
+        """kind -> (the facets of `fids` of that kind, their vertex coordinates
+        (F, n_vertices, d)), kinds in order of first appearance."""
+        by_kind: dict = {}
+        for f in fids:
+            by_kind.setdefault(self.facets[f].kind, []).append(f)
+        return {kind: (ids, self.vertices[[self.facets[f].vertices for f in ids]])
+                for kind, ids in by_kind.items()}
 
     def _sector_stacks(self) -> dict:
         """Every sector of the mesh, stacked by facet kind in mesh order:
         kind -> (centres (S, d), facet vertices (S, n_vertices, d),
         (S-element id, facet position) of each sector (S, 2)).  Built once,
-        by `finalize`; the arrays are read-only."""
+        by `_register`; the arrays are read-only."""
         return self._stacks
-
-    def _build_sector_stacks(self) -> dict:
-        owners: dict = {}
-        for sel in self.selements:
-            for pos, fid in enumerate(sel.facet_ids):
-                owners.setdefault(self.facets[fid].kind, []).append((sel.id, pos))
-        sels = self.selements
-        stacks = {kind: (np.array([sels[e].center for e, _ in own]),
-                         self.vertices[[sels[e].facet_orders[p] for e, p in own]],
-                         np.array(own, dtype=int))
-                  for kind, own in owners.items()}
-        for array in (a for arrays in stacks.values() for a in arrays):
-            array.flags.writeable = False
-        return stacks
 
     # -- validation ------------------------------------------------------------
 
     def validate(self):
-        owners = self.facet_owners()
-        for fid, ow in enumerate(owners):
-            if not 1 <= len(ow) <= 2:
-                raise MeshError(f"facet {fid} {self.facets[fid].vertices} is "
-                                f"shared by {len(ow)} elements")
+        for fid in np.flatnonzero(self._owner_counts > 2)[:1]:
+            raise MeshError(f"facet {fid} {self.facets[fid].vertices} is "
+                            f"shared by {self._owner_counts[fid]} elements")
         if self.dimension == 3:
             self._check_planarity()
         self._check_star_shape()
@@ -293,8 +290,8 @@ def import_mesh(source) -> PolytopalMesh:
     xyz = np.array([_coords(v, dim, f"vertex {i}") for i, v in enumerate(verts)]
                    ).reshape(-1, dim)
     first, ids = np.unique(_merge_vertices(xyz), return_inverse=True)
-    mesh._vlist = list(xyz[first])
-    ids = ids.tolist()
+    vertices, ids = xyz[first], ids.tolist()
+    oriented, centres, dirichlet = [], {}, {}
     for n, entry in enumerate(sels):
         if not isinstance(entry, dict):
             raise MeshError(f"S-element {n}: {entry!r} is not an object")
@@ -304,14 +301,16 @@ def import_mesh(source) -> PolytopalMesh:
             raise MeshError(f"S-element {n} has no facets")
         center = entry.get("center")
         if center is not None:
-            center = _coords(center, dim, f"S-element {n} center")
-        oriented = (_orient_2d(mesh, facets, center)
-                    if dim == 2 else _orient_3d(mesh, facets, center))
-        mesh.add_selement(oriented, center=center,
-                          dirichlet_sideface_vertices=_mesh_ids(
-                              entry.get("dirichlet_sideface_nodes", ()), ids,
-                              f"S-element {n} dirichlet_sideface_nodes"))
-    return mesh.finalize()
+            centres[n] = center = _coords(center, dim, f"S-element {n} center")
+        oriented.append(_orient_2d(vertices, facets, center) if dim == 2
+                        else _orient_3d(vertices, facets, center))
+        dirichlet[n] = _mesh_ids(entry.get("dirichlet_sideface_nodes", ()), ids,
+                                 f"S-element {n} dirichlet_sideface_nodes")
+    listed = [f for facets in oriented for f in facets]
+    width = max([4] + [len(f) for f in listed])
+    table = np.array([f + (-1,) * (width - len(f)) for f in listed], dtype=int)
+    return mesh._register(vertices, table.reshape(-1, width),
+                          [len(f) for f in oriented], centres, dirichlet)
 
 
 def _merge_vertices(xyz: np.ndarray) -> np.ndarray:
@@ -320,13 +319,13 @@ def _merge_vertices(xyz: np.ndarray) -> np.ndarray:
     Two vertices within MERGE_RTOL of the coordinate extent (max norm) are
     copies; two further apart but within NEAR_RTOL of it raise a MeshError,
     so the copies of a vertex are all within MERGE_RTOL of each other.
-    Candidate pairs are neighbours in the order of a projection onto a
-    direction that no grid axis shares, so the scan stays short.
+    Candidate pairs are neighbours in the order of a projection onto
+    MERGE_DIRECTION, so the scan stays short.
     """
     n, d = xyz.shape
     extent = float(np.ptp(xyz, axis=0).max()) if n else 0.0
     merge, near = MERGE_RTOL * extent, NEAR_RTOL * extent
-    w = np.array([1.0, 0.6180339887498949, 0.3819660112501051])[:d]
+    w = MERGE_DIRECTION[:d]
     proj = xyz @ w
     order = np.argsort(proj, kind="stable")
     first = np.arange(n)
@@ -374,7 +373,7 @@ def _cycle_edges(vs) -> list:
     return list(zip(vs, vs[1:] + vs[:1]))
 
 
-def _orient_2d(mesh: PolytopalMesh, facets: list, center) -> list:
+def _orient_2d(vertices: np.ndarray, facets: list, center) -> list:
     """Chain undirected 2D facets and direct them counter-clockwise."""
     if any(len(f) != 2 for f in facets):
         raise MeshError(f"2D facets {facets} are not all segments")
@@ -396,12 +395,12 @@ def _orient_2d(mesh: PolytopalMesh, facets: list, center) -> list:
         used.add(idx)
         ordered.append((v, nxt))
         v = nxt
-    verts = [mesh._vlist[a] for a, _ in ordered] + [mesh._vlist[ordered[-1][1]]]
+    verts = [vertices[a] for a, _ in ordered] + [vertices[ordered[-1][1]]]
     if odd:
         if center is None:
             center = np.mean(np.array(verts[:-1]), axis=0)
-        mid = 0.5 * (np.asarray(verts[0]) + np.asarray(verts[1]))
-        t = np.asarray(verts[1]) - np.asarray(verts[0])
+        mid = 0.5 * (verts[0] + verts[1])
+        t = verts[1] - verts[0]
         r = mid - np.asarray(center, dtype=float)
         flip = r[0] * t[1] - r[1] * t[0] < 0
     else:      # clockwise: negative signed area
@@ -410,7 +409,7 @@ def _orient_2d(mesh: PolytopalMesh, facets: list, center) -> list:
     return [(b, a) for a, b in reversed(ordered)] if flip else ordered
 
 
-def _orient_3d(mesh: PolytopalMesh, facets: list, center) -> list:
+def _orient_3d(vertices: np.ndarray, facets: list, center) -> list:
     """Consistently orient a closed 3D facet set outward (positive volume)."""
     oriented: list = [None] * len(facets)
     oriented[0] = tuple(facets[0])
@@ -433,11 +432,11 @@ def _orient_3d(mesh: PolytopalMesh, facets: list, center) -> list:
         raise MeshError("S-element surface is not edge-connected")
     vids = sorted({v for f in facets for v in f})
     if center is None:
-        center = np.mean([mesh._vlist[v] for v in vids], axis=0)
+        center = vertices[vids].mean(axis=0)
     center = np.asarray(center, dtype=float)
     vol = 0.0
     for vs in oriented:
-        pts = [np.asarray(mesh._vlist[v]) for v in vs]
+        pts = [vertices[v] for v in vs]
         for i in range(1, len(pts) - 1):
             vol += np.linalg.det(np.column_stack(
                 [pts[0] - center, pts[i] - center, pts[i + 1] - center])) / 6.0
@@ -585,26 +584,40 @@ def selement_local_dofs(mesh: PolytopalMesh, numbering: DofNumbering,
 # -- generators -------------------------------------------------------------
 
 
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the rows of `keys` (R, c), equal rows sharing one, numbered in
+    order of first appearance; and the first row of each id."""
+    order = np.lexsort(keys.T[::-1])          # stable: equal rows keep order
+    new = np.r_[True, (np.diff(keys[order], axis=0) != 0).any(axis=1)][:len(keys)]
+    first = order[new]
+    rank = np.argsort(np.argsort(first))
+    return rank[np.cumsum(new) - 1][np.argsort(order)], np.sort(first)
+
+
+def _lattice(points: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices and ids of a generator's corner stream (N, d): corners equal at
+    12 decimals of the domain extent are one vertex, ids in first-seen order."""
+    extent = max(abs(hi - lo) for lo, hi in domain) or 1.0
+    ids, first = _first_seen(np.round(points / extent, 12))
+    return points[first], ids
+
+
 def _quad_family(n: int, splits: int, domain) -> PolytopalMesh:
     """n x n square S-elements on `domain`, each side split `splits` times."""
     if n < 1 or splits < 1:
         raise MeshError("n and splits must be >= 1")
     (x0, x1), (y0, y1) = domain
     hx, hy = (x1 - x0) / n, (y1 - y0) / n
-    mesh = _generator_mesh(domain)
-    for j in range(n):
-        for i in range(n):
-            ax, ay = x0 + i * hx, y0 + j * hy
-            bx, by = ax + hx, ay + hy
-            loop = ([(ax + s * hx / splits, ay) for s in range(splits)]
-                    + [(bx, ay + s * hy / splits) for s in range(splits)]
-                    + [(bx - s * hx / splits, by) for s in range(splits)]
-                    + [(ax, by - s * hy / splits) for s in range(splits)])
-            vids = [mesh.add_vertex(p) for p in loop]
-            facets = [(vids[t], vids[(t + 1) % len(vids)])
-                      for t in range(len(vids))]
-            mesh.add_selement(facets)
-    return mesh.finalize()
+    j, i = np.divmod(np.arange(n * n), n)
+    ax, ay = (x0 + i * hx)[:, None], (y0 + j * hy)[:, None]
+    bx, by = ax + hx, ay + hy
+    sx, sy = np.arange(splits) * hx / splits, np.arange(splits) * hy / splits
+    xs = np.hstack([ax + sx, bx.repeat(splits, 1), bx - sx, ax.repeat(splits, 1)])
+    ys = np.hstack([ay.repeat(splits, 1), ay + sy, by.repeat(splits, 1), by - sy])
+    vertices, ids = _lattice(np.stack([xs, ys], axis=-1).reshape(-1, 2), domain)
+    ids = ids.reshape(n * n, 4 * splits)
+    facets = np.stack([ids, np.roll(ids, -1, axis=1)], axis=-1).reshape(-1, 2)
+    return PolytopalMesh(2)._register(vertices, facets, np.full(n * n, 4 * splits))
 
 
 def gen_quad_mesh(n: int, domain=((-1.0, 1.0), (-1.0, 1.0))) -> PolytopalMesh:
@@ -629,27 +642,20 @@ def _hex_family(n: int, splits: int, domain) -> PolytopalMesh:
     (x0, x1), (y0, y1), (z0, z1) = domain
     h = np.array([(x1 - x0) / n, (y1 - y0) / n, (z1 - z0) / n])
     lo = np.array([x0, y0, z0])
-    mesh = _generator_mesh(domain)
-    s = splits
-    for kz, jy, ix in itertools.product(range(n), repeat=3):
-        a = lo + h * np.array([ix, jy, kz])
-        facets = []
-        for axis, side, q, p in itertools.product(range(3), (0, 1), range(s),
-                                                  range(s)):
-            u, v = (axis + 1) % 3, (axis + 2) % 3
-            corner = a.copy()
-            corner[axis] += side * h[axis]
-            quad = []
-            for (du, dv) in ((0, 0), (1, 0), (1, 1), (0, 1)):
-                pt = corner.copy()
-                pt[u] += (p + du) * h[u] / s
-                pt[v] += (q + dv) * h[v] / s
-                quad.append(pt)
-            if side == 0:
-                quad = [quad[0], quad[3], quad[2], quad[1]]
-            facets.append([mesh.add_vertex(p_) for p_ in quad])
-        mesh.add_selement(facets)
-    return mesh.finalize()
+    # offset of each face corner from the cube's low corner, one addition
+    # per coordinate, in (axis, side, q, p, corner) order; side-0 faces run
+    # the other way round
+    axis, side, q, p, c = np.indices((3, 2, splits, splits, 4)).reshape(5, -1)
+    u, v, t = (axis + 1) % 3, (axis + 2) % 3, np.arange(len(axis))
+    turn = np.where(side == 1, c, -c % 4)
+    offsets = np.zeros((len(t), 3))
+    offsets[t, axis] = side * h[axis]
+    offsets[t, u] = (p + np.array([0, 1, 1, 0])[turn]) * h[u] / splits
+    offsets[t, v] = (q + np.array([0, 0, 1, 1])[turn]) * h[v] / splits
+    a = lo + h * (np.arange(n ** 3)[:, None] // [1, n, n * n] % n)   # (ix, jy, kz)
+    vertices, ids = _lattice((a[:, None] + offsets).reshape(-1, 3), domain)
+    return PolytopalMesh(3)._register(vertices, ids.reshape(-1, 4),
+                                      np.full(n ** 3, 6 * splits * splits))
 
 
 def gen_hex_mesh(n: int, domain=((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))) -> PolytopalMesh:
@@ -669,25 +675,23 @@ def gen_refined_cube(n: int, domain=((0.0, 1.0), (0.0, 1.0),
     return _hex_family(1, n, domain)
 
 
-def _generator_mesh(domain) -> PolytopalMesh:
-    """An empty mesh whose `add_vertex` merges relative to the domain extent."""
-    mesh = PolytopalMesh(len(domain))
-    mesh._extent = max(abs(hi - lo) for lo, hi in domain) or 1.0
-    return mesh
-
-
-def _add_open_selement(mesh: PolytopalMesh, n: int, domain):
-    """Open S-element scaled from the bottom middle of the rectangle `domain`:
-    n facets on each vertical side, 2n on the top, the bottom open, with a
-    homogeneous Dirichlet side-face condition at the bottom left corner."""
+def _open_mesh(n: int, domain, extent_domain, fe_corners=np.zeros((0, 4, 2))):
+    """The open S-element scaled from the bottom middle of the rectangle
+    `domain`: n facets on each vertical side, 2n on the top, the bottom open,
+    a homogeneous Dirichlet side-face condition at the bottom left corner.
+    FE quads with corners `fe_corners` (Q, 4, 2) follow; vertices merge
+    relative to the extent of `extent_domain`."""
     (x0, x1), (y0, y1) = domain
-    pts = ([(x1, y0 + s * (y1 - y0) / n) for s in range(n + 1)]
+    rim = ([(x1, y0 + s * (y1 - y0) / n) for s in range(n + 1)]
            + [(x1 + s * (x0 - x1) / (2 * n), y1) for s in range(1, 2 * n + 1)]
            + [(x0, y1 - s * (y1 - y0) / n) for s in range(1, n + 1)])
-    vids = [mesh.add_vertex(p) for p in pts]
-    mesh.add_selement([(vids[t], vids[t + 1]) for t in range(len(vids) - 1)],
-                      center=(0.5 * (x0 + x1), y0),
-                      dirichlet_sideface_vertices=(vids[-1],))
+    vertices, ids = _lattice(np.concatenate([rim, fe_corners.reshape(-1, 2)]),
+                             extent_domain)
+    chain, quads = ids[:len(rim)], ids[len(rim):].reshape(-1, 4)
+    edges = np.stack([quads, np.roll(quads, -1, axis=1)], axis=-1).reshape(-1, 2)
+    return PolytopalMesh(2)._register(
+        vertices, np.concatenate([np.column_stack([chain[:-1], chain[1:]]), edges]),
+        [4 * n], centres={0: (0.5 * (x0 + x1), y0)}, dirichlet={0: (int(chain[-1]),)})
 
 
 def singular_open_selement(n: int, domain=((-1.0, 1.0), (0.0, 1.0))) -> PolytopalMesh:
@@ -700,9 +704,7 @@ def singular_open_selement(n: int, domain=((-1.0, 1.0), (0.0, 1.0))) -> Polytopa
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    mesh = _generator_mesh(domain)
-    _add_open_selement(mesh, n, domain)
-    return mesh.finalize()
+    return _open_mesh(n, domain, domain)
 
 
 def gen_coupled_singular(level: int) -> PolytopalMesh:
@@ -714,15 +716,12 @@ def gen_coupled_singular(level: int) -> PolytopalMesh:
     if level < 1:
         raise MeshError("level must be >= 1")
     h = 2.0 ** (-level)
-    mesh = _generator_mesh(((-1.0, 1.0), (0.0, 1.0)))
-    _add_open_selement(mesh, round(0.5 / h), ((-0.5, 0.5), (0.0, 0.5)))
     nx, ny = round(2.0 / h), round(1.0 / h)
-    for j in range(ny):
-        for i in range(nx):
-            ax, ay = -1.0 + i * h, j * h
-            cx, cy = ax + 0.5 * h, ay + 0.5 * h
-            if -0.5 < cx < 0.5 and cy < 0.5:
-                continue
-            corners = [(ax, ay), (ax + h, ay), (ax + h, ay + h), (ax, ay + h)]
-            mesh.add_fe_quad([mesh.add_vertex(p) for p in corners])
-    return mesh.finalize()
+    j, i = np.divmod(np.arange(nx * ny), nx)
+    ax, ay = -1.0 + i * h, j * h
+    cx, cy = ax + 0.5 * h, ay + 0.5 * h
+    keep = ~((-0.5 < cx) & (cx < 0.5) & (cy < 0.5))
+    corners = np.stack([np.column_stack([ax, ax + h, ax + h, ax]),
+                        np.column_stack([ay, ay, ay + h, ay + h])], axis=-1)[keep]
+    return _open_mesh(round(0.5 / h), ((-0.5, 0.5), (0.0, 0.5)),
+                      ((-1.0, 1.0), (0.0, 1.0)), corners)

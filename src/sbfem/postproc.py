@@ -32,9 +32,12 @@ class ExactSolution:
     neumann_predicate: object = None   # facet midpoint -> True for natural BC
 
     def dirichlet_facets(self, mesh) -> list[int]:
-        natural = self.neumann_predicate or (lambda mid: False)
-        return [fid for fid in mesh.boundary_facet_ids() if not natural(
-            mesh.vertices[list(mesh.facets[fid].vertices)].mean(axis=0))]
+        fids = mesh.boundary_facet_ids()
+        if self.neumann_predicate is None:
+            return fids
+        return sorted(f for ids, corners in mesh._facet_corners(fids).values()
+                      for f, mid in zip(ids, corners.mean(axis=1))
+                      if not self.neumann_predicate(mid))
 
 
 def _exp2d_value(x):

@@ -247,11 +247,9 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
         return np.zeros(0)
     mesh, k = system.mesh, system.numbering.k
     blocks, b = [], np.zeros(len(dofs))
-    for kind in dict.fromkeys(mesh.facets[f].kind for f in facet_ids):
-        fids = [f for f in facet_ids if mesh.facets[f].kind is kind]
+    for kind, (fids, corners) in mesh._facet_corners(facet_ids).items():
         rule = facet_quadrature(kind, 2 * k + 8)
         vals, _ = trace_basis(kind, k).eval_many(rule.points)          # (Q, m)
-        corners = mesh.vertices[[mesh.facets[f].vertices for f in fids]]
         pts = _facet_points(kind, rule.points, corners)                # (F, Q, d)
         tans = _facet_tangents(kind, rule.points, corners)        # (F, Q, d, d-1)
         jac = np.linalg.norm(tans[..., 0] if mesh.dimension == 2
@@ -307,9 +305,9 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
             u[free] = lu.solve(rhs)
         except RuntimeError as exc:
             raise SolveError(f"sparse factorization failed: {exc}") from exc
-        res = np.linalg.norm(Kff @ u[free] - rhs)
-        scale = max(np.linalg.norm(rhs), np.linalg.norm(Kff @ u[free]), 1e-300)
-        residual = float(res / scale)
+        Ku = Kff @ u[free]
+        scale = max(np.linalg.norm(rhs), np.linalg.norm(Ku), 1e-300)
+        residual = float(np.linalg.norm(Ku - rhs) / scale)
         if residual > 1e-10:
             raise SolveError(f"solver residual {residual:.2e} exceeds 1e-10")
     else:

@@ -1,8 +1,9 @@
 """Shared fixtures: canonical S-elements, numeric oracles and the
 diagnostics that only tests use."""
 
+import itertools
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 import numpy as np
 import pytest
@@ -10,9 +11,11 @@ import pytest
 from sbfem import modes, postproc
 from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError
-from sbfem.mesh import (PolytopalMesh, gen_hex_mesh, gen_polygon_case1,
-                        gen_polyhedron_case1, gen_quad_mesh, import_mesh,
-                        number_dofs, singular_open_selement)
+from sbfem.mesh import (Facet, FEQuad, PolytopalMesh, SElement, SideFaceBC,
+                        _lattice_perm, _merge_vertices, _orient_2d, _orient_3d,
+                        gen_hex_mesh, gen_polygon_case1, gen_polyhedron_case1,
+                        gen_quad_mesh, import_mesh, number_dofs,
+                        singular_open_selement)
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
@@ -645,3 +648,196 @@ def reference_mode_chain(E, d):
     Ar, Pr = np.hstack([A.real, A.imag]), np.hstack([P.real, P.imag])
     K = np.linalg.lstsq(Ar.T, Pr.T, rcond=None)[0].T
     return lams, np.linalg.cond(A), 0.5 * (K + K.T)
+
+
+# -- per-element mesh builder: oracle for `PolytopalMesh._register` -------------
+
+
+def facet_owners(mesh) -> list[list]:
+    """Per facet, the ("S", id) / ("FE", id) elements that list it."""
+    owners = [[] for _ in mesh.facets]
+    for sel in mesh.selements:
+        for fid in sel.facet_ids:
+            owners[fid].append(("S", sel.id))
+    for fe in mesh.fe_elements:
+        for fid in fe.edge_facets:
+            owners[fid].append(("FE", fe.id))
+    return owners
+
+
+class ReferenceMesh:
+    """The per-element mesh builder that `PolytopalMesh._register` replaced:
+    one dict probe per vertex and facet, chain state and centre per
+    S-element, sector stacks from owner lists.  It builds the fields only;
+    validation stays with the mesh."""
+
+    def __init__(self, dimension, extent=1.0):
+        self.dimension = dimension
+        self.facets, self.selements, self.fe_elements = [], [], []
+        self._vkey, self._fkey, self._vlist, self._pending = {}, {}, [], {}
+        self._extent = extent
+
+    def add_vertex(self, xyz) -> int:
+        key = tuple(round(float(c) / self._extent, 12) for c in xyz)
+        if key in self._vkey:
+            return self._vkey[key]
+        vid = len(self._vlist)
+        self._vkey[key] = vid
+        self._vlist.append(np.asarray(xyz, dtype=float))
+        return vid
+
+    def _facet_id(self, vertices: tuple) -> int:
+        key = tuple(sorted(vertices))
+        if key not in self._fkey:
+            kind = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
+                    4: FacetKind.QUADRILATERAL}[len(vertices)]
+            self._fkey[key] = len(self.facets)
+            self.facets.append(Facet(vertices=tuple(vertices), kind=kind))
+        return self._fkey[key]
+
+    def add_selement(self, facet_vertex_lists, center=None,
+                     dirichlet_sideface_vertices=()):
+        fids, orders = [], []
+        for vs in facet_vertex_lists:
+            vs = tuple(int(v) for v in vs)
+            fid = self._facet_id(vs)
+            canon = self.facets[fid].vertices
+            _lattice_perm(self.facets[fid].kind, 2,
+                          tuple(canon.index(v) for v in vs))
+            fids.append(fid)
+            orders.append(vs)
+        sel = SElement(id=len(self.selements), center=None, facet_ids=fids,
+                       facet_orders=orders)
+        self.selements.append(sel)
+        self._pending[sel.id] = (center, tuple(dirichlet_sideface_vertices))
+
+    def add_fe_quad(self, vertex_ids):
+        vs = tuple(int(v) for v in vertex_ids)
+        edges = tuple(self._facet_id((vs[i], vs[(i + 1) % 4])) for i in range(4))
+        self.fe_elements.append(FEQuad(id=len(self.fe_elements), vertices=vs,
+                                       edge_facets=edges))
+
+    def finalize(self) -> "ReferenceMesh":
+        self.vertices = (np.array(self._vlist) if self._vlist
+                         else np.zeros((0, self.dimension)))
+        for sel in self.selements:
+            center, dbc = self._pending[sel.id]
+            count = Counter(v for fid in sel.facet_ids
+                            for v in self.facets[fid].vertices)
+            odd = {v for v, c in count.items() if c == 1}
+            if center is None:
+                vids = sorted(count)
+                center = self.vertices[vids].mean(axis=0)
+            sel.center = np.asarray(center, dtype=float)
+            if self.dimension == 2 and len(odd) == 2:
+                sel.open_boundary = SideFaceBC(dirichlet_vertices=tuple(dbc))
+        owners: dict = {}
+        for sel in self.selements:
+            for pos, fid in enumerate(sel.facet_ids):
+                owners.setdefault(self.facets[fid].kind, []).append((sel.id, pos))
+        sels = self.selements
+        self._stacks = {
+            kind: (np.array([sels[e].center for e, _ in own]),
+                   self.vertices[[sels[e].facet_orders[p] for e, p in own]],
+                   np.array(own, dtype=int))
+            for kind, own in owners.items()}
+        return self
+
+
+def reference_quad_family(n, splits, domain=((-1.0, 1.0), (-1.0, 1.0))):
+    (x0, x1), (y0, y1) = domain
+    hx, hy = (x1 - x0) / n, (y1 - y0) / n
+    mesh = ReferenceMesh(2, max(abs(hi - lo) for lo, hi in domain) or 1.0)
+    for j in range(n):
+        for i in range(n):
+            ax, ay = x0 + i * hx, y0 + j * hy
+            bx, by = ax + hx, ay + hy
+            loop = ([(ax + s * hx / splits, ay) for s in range(splits)]
+                    + [(bx, ay + s * hy / splits) for s in range(splits)]
+                    + [(bx - s * hx / splits, by) for s in range(splits)]
+                    + [(ax, by - s * hy / splits) for s in range(splits)])
+            vids = [mesh.add_vertex(p) for p in loop]
+            mesh.add_selement([(vids[t], vids[(t + 1) % len(vids)])
+                               for t in range(len(vids))])
+    return mesh.finalize()
+
+
+def reference_hex_family(n, splits, domain=((0.0, 1.0),) * 3):
+    (x0, x1), (y0, y1), (z0, z1) = domain
+    h = np.array([(x1 - x0) / n, (y1 - y0) / n, (z1 - z0) / n])
+    lo = np.array([x0, y0, z0])
+    mesh = ReferenceMesh(3, max(abs(hi - lo) for lo, hi in domain) or 1.0)
+    s = splits
+    for kz, jy, ix in itertools.product(range(n), repeat=3):
+        a = lo + h * np.array([ix, jy, kz])
+        facets = []
+        for axis, side, q, p in itertools.product(range(3), (0, 1), range(s),
+                                                  range(s)):
+            u, v = (axis + 1) % 3, (axis + 2) % 3
+            corner = a.copy()
+            corner[axis] += side * h[axis]
+            quad = []
+            for (du, dv) in ((0, 0), (1, 0), (1, 1), (0, 1)):
+                pt = corner.copy()
+                pt[u] += (p + du) * h[u] / s
+                pt[v] += (q + dv) * h[v] / s
+                quad.append(pt)
+            if side == 0:
+                quad = [quad[0], quad[3], quad[2], quad[1]]
+            facets.append([mesh.add_vertex(p_) for p_ in quad])
+        mesh.add_selement(facets)
+    return mesh.finalize()
+
+
+def _reference_open_selement(mesh, n, domain):
+    (x0, x1), (y0, y1) = domain
+    pts = ([(x1, y0 + s * (y1 - y0) / n) for s in range(n + 1)]
+           + [(x1 + s * (x0 - x1) / (2 * n), y1) for s in range(1, 2 * n + 1)]
+           + [(x0, y1 - s * (y1 - y0) / n) for s in range(1, n + 1)])
+    vids = [mesh.add_vertex(p) for p in pts]
+    mesh.add_selement([(vids[t], vids[t + 1]) for t in range(len(vids) - 1)],
+                      center=(0.5 * (x0 + x1), y0),
+                      dirichlet_sideface_vertices=(vids[-1],))
+
+
+def reference_singular_open_selement(n, domain=((-1.0, 1.0), (0.0, 1.0))):
+    mesh = ReferenceMesh(2, max(abs(hi - lo) for lo, hi in domain) or 1.0)
+    _reference_open_selement(mesh, n, domain)
+    return mesh.finalize()
+
+
+def reference_coupled_singular(level):
+    h = 2.0 ** (-level)
+    mesh = ReferenceMesh(2, 2.0)
+    _reference_open_selement(mesh, round(0.5 / h), ((-0.5, 0.5), (0.0, 0.5)))
+    nx, ny = round(2.0 / h), round(1.0 / h)
+    for j in range(ny):
+        for i in range(nx):
+            ax, ay = -1.0 + i * h, j * h
+            cx, cy = ax + 0.5 * h, ay + 0.5 * h
+            if -0.5 < cx < 0.5 and cy < 0.5:
+                continue
+            corners = [(ax, ay), (ax + h, ay), (ax + h, ay + h), (ax, ay + h)]
+            mesh.add_fe_quad([mesh.add_vertex(p) for p in corners])
+    return mesh.finalize()
+
+
+def reference_import(data):
+    """`import_mesh` of a well-formed file through the per-element builder:
+    the same vertex merge and orientation, one `add_selement` per entry."""
+    dim = data["dimension"]
+    xyz = np.array(data["vertices"], dtype=float).reshape(-1, dim)
+    first, ids = np.unique(_merge_vertices(xyz), return_inverse=True)
+    mesh = ReferenceMesh(dim)
+    mesh._vlist = list(xyz[first])
+    for entry in data["selements"]:
+        facets = [tuple(int(ids[i]) for i in f) for f in entry["facets"]]
+        center = entry.get("center")
+        if center is not None:
+            center = np.asarray(center, dtype=float)
+        orient = _orient_2d if dim == 2 else _orient_3d
+        mesh.add_selement(orient(xyz[first], facets, center), center=center,
+                          dirichlet_sideface_vertices=[
+                              int(ids[i]) for i in
+                              entry.get("dirichlet_sideface_nodes", ())])
+    return mesh.finalize()

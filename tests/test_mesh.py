@@ -4,12 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from conftest import (facet_map_many, hybrid_mesh, jittered_quad_mesh,
-                      mesh_sector, mesh_to_json, octahedron_mesh,
-                      polygon_mesh, sector_jacobian)
+from conftest import (facet_map_many, facet_owners, hybrid_mesh,
+                      jittered_quad_mesh, mesh_sector, mesh_to_json,
+                      octahedron_mesh, polygon_mesh,
+                      reference_coupled_singular, reference_hex_family,
+                      reference_import, reference_quad_family,
+                      reference_singular_open_selement, sector_jacobian)
 from sbfem.cli import build_mesh, main
 from sbfem.errors import MeshError
-from sbfem.mesh import (PolytopalMesh, _lattice_perm, gen_coupled_singular,
+from sbfem.mesh import (MERGE_DIRECTION, NEAR_RTOL, PolytopalMesh,
+                        _lattice_perm, _merge_vertices, gen_coupled_singular,
                         gen_hex_mesh, gen_polygon_case1, gen_polyhedron_case1,
                         gen_quad_mesh, gen_refined_cube, gen_refined_square,
                         import_mesh, number_dofs, selement_local_dofs,
@@ -75,7 +79,7 @@ def test_refined_families():
 
 def test_conformity_owner_counts():
     for mesh in (gen_quad_mesh(3), gen_hex_mesh(2), gen_coupled_singular(2)):
-        owners = mesh.facet_owners()
+        owners = facet_owners(mesh)
         boundary = 0
         for ow in owners:
             assert len(ow) in (1, 2)
@@ -85,7 +89,7 @@ def test_conformity_owner_counts():
 
 def test_quad_mesh_interior_shared():
     mesh = gen_quad_mesh(2)
-    owners = mesh.facet_owners()
+    owners = facet_owners(mesh)
     interior = [ow for ow in owners if len(ow) == 2]
     assert len(interior) == 4
     assert len(mesh.boundary_facet_ids()) == 8
@@ -129,7 +133,7 @@ def test_two_pentagons_fixture():
         ],
     })
     assert len(mesh.selements) == 2
-    owners = mesh.facet_owners()
+    owners = facet_owners(mesh)
     shared = [ow for ow in owners if len(ow) == 2]
     assert len(shared) == 1
     nd = number_dofs(mesh, 2)
@@ -358,12 +362,12 @@ def test_invalid_quad_vertex_order_rejected():
         _lattice_perm(FacetKind.QUADRILATERAL, 2, (0, 2, 1, 3))
     # a second element lists the shared quadrilateral with opposite corners
     # made adjacent
-    mesh = PolytopalMesh(3)
-    a, b, c, d = (mesh.add_vertex(p) for p in
-                  [(0, 0, 0), (1, 0, 0), (1, 1, 0), (0, 1, 0)])
-    mesh.add_selement([(a, b, c, d)])
+    square = {"dimension": 3,
+              "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]],
+              "selements": [{"facets": [[0, 1, 2, 3]]},
+                            {"facets": [[0, 2, 1, 3]]}]}
     with pytest.raises(MeshError, match="not a symmetry"):
-        mesh.add_selement([(a, c, b, d)])
+        import_mesh(square)
     # two unit cubes sharing the face x = 1, which the second lists twisted
     verts = [[x, y, z] for z in (0, 1) for y in (0, 1) for x in (0, 1, 2)]
     v = {tuple(p): i for i, p in enumerate(verts)}
@@ -573,3 +577,166 @@ def test_sector_stacks_built_once_and_read_only():
     assert mesh._sector_stacks() is stacks
     assert not any(a.flags.writeable for arrays in stacks.values()
                    for a in arrays)
+
+
+# -- one registration pass against the per-element builder ----------------------
+
+TINY2, TINY3 = ((0.0, 1e-13),) * 2, ((0.0, 1e-13),) * 3
+REGISTERED = (
+    [(f"quad-{n}", lambda n=n: gen_quad_mesh(n),
+      lambda n=n: reference_quad_family(n, 1)) for n in range(1, 17)]
+    + [(f"polygon-case1-{n}", lambda n=n: gen_polygon_case1(n),
+        lambda n=n: reference_quad_family(n, 2)) for n in range(1, 5)]
+    + [(f"refined-square-{n}", lambda n=n: gen_refined_square(n),
+        lambda n=n: reference_quad_family(1, n)) for n in (1, 3, 8)]
+    + [(f"hex-{n}", lambda n=n: gen_hex_mesh(n),
+        lambda n=n: reference_hex_family(n, 1)) for n in range(1, 5)]
+    + [(f"polyhedron-case1-{n}", lambda n=n: gen_polyhedron_case1(n),
+        lambda n=n: reference_hex_family(n, 2)) for n in (1, 2)]
+    + [(f"refined-cube-{n}", lambda n=n: gen_refined_cube(n),
+        lambda n=n: reference_hex_family(1, n)) for n in (1, 3)]
+    + [(f"singular-{n}", lambda n=n: singular_open_selement(n),
+        lambda n=n: reference_singular_open_selement(n)) for n in range(1, 5)]
+    + [(f"coupled-singular-{n}", lambda n=n: gen_coupled_singular(n),
+        lambda n=n: reference_coupled_singular(n)) for n in range(1, 7)]
+    + [("quad-tiny", lambda: gen_quad_mesh(3, TINY2),
+        lambda: reference_quad_family(3, 1, TINY2)),
+       ("polygon-case1-tiny", lambda: gen_polygon_case1(3, TINY2),
+        lambda: reference_quad_family(3, 2, TINY2)),
+       ("hex-tiny", lambda: gen_hex_mesh(2, TINY3),
+        lambda: reference_hex_family(2, 1, TINY3)),
+       ("singular-tiny", lambda: singular_open_selement(2, TINY2),
+        lambda: reference_singular_open_selement(2, TINY2))]
+)
+
+
+def assert_same_mesh(mesh, ref):
+    """Field-by-field identity, centres and coordinates to the bit."""
+    assert mesh.dimension == ref.dimension
+    assert mesh.vertices.tobytes() == ref.vertices.tobytes()
+    assert mesh.vertices.shape == ref.vertices.shape
+    assert [(f.vertices, f.kind) for f in mesh.facets] == [
+        (f.vertices, f.kind) for f in ref.facets]
+    assert len(mesh.selements) == len(ref.selements)
+    for sel, rsel in zip(mesh.selements, ref.selements):
+        assert (sel.id, sel.facet_ids, sel.facet_orders, sel.open_boundary) == (
+            rsel.id, rsel.facet_ids, rsel.facet_orders, rsel.open_boundary)
+        assert sel.center.tobytes() == rsel.center.tobytes()
+    assert mesh.fe_elements == ref.fe_elements
+    stacks = mesh._sector_stacks()
+    assert list(stacks) == list(ref._stacks)
+    for kind, arrays in stacks.items():
+        for a, b in zip(arrays, ref._stacks[kind]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert a.tobytes() == b.tobytes()
+    owners = facet_owners(mesh)
+    assert mesh.boundary_facet_ids() == [f for f, ow in enumerate(owners)
+                                         if len(ow) == 1]
+    json.dumps(mesh_to_json(mesh))          # plain Python ids throughout
+
+
+@pytest.mark.parametrize("build,reference", [r[1:] for r in REGISTERED],
+                         ids=[r[0] for r in REGISTERED])
+def test_generators_match_per_element_builder(build, reference):
+    assert_same_mesh(build(), reference())
+
+
+IMPORTED = {
+    "jittered-6x6": lambda: mesh_to_json(jittered_quad_mesh(6, 0.18)),
+    "hybrid": lambda: mesh_to_json(hybrid_mesh()),
+    "octahedron": lambda: mesh_to_json(octahedron_mesh()),
+    "polyhedron-case1-2": lambda: mesh_to_json(gen_polyhedron_case1(2)),
+    "coupled-open": lambda: mesh_to_json(singular_open_selement(3)),
+    "duplicates-uncentred": lambda: {
+        "dimension": 2,
+        "vertices": [[0, 0], [2, 0], [2.6, 1.4], [1, 2.4], [-0.6, 1.4],
+                     [3.8, 0.4], [4.2, 1.9], [3.2, 2.6], [2, 0]],
+        "selements": [{"facets": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
+                      {"facets": [[2, 8], [8, 5], [5, 6], [6, 7], [7, 2]]}]},
+    "no-selements": lambda: {"dimension": 2, "vertices": SQUARE, "selements": []},
+    "scrambled-cube": lambda: {
+        "dimension": 3,
+        "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+                     [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]],
+        "selements": [{"facets": [[4, 5, 6, 7], [0, 1, 2, 3], [2, 6, 5, 1],
+                                  [0, 1, 5, 4], [7, 6, 2, 3], [3, 7, 4, 0]]}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPORTED))
+def test_import_matches_per_element_builder(name):
+    data = IMPORTED[name]()
+    assert_same_mesh(import_mesh(data), reference_import(data))
+
+
+SQUARES = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [3, 0], [3, 1]]
+
+
+def _register_2d(loops, dirichlet=None):
+    corners = np.array([(a, b) for loop in loops for a, b in loop])
+    return PolytopalMesh(2)._register(np.array(SQUARES, dtype=float), corners,
+                                      [len(lp) for lp in loops],
+                                      dirichlet=dirichlet)
+
+
+CLOSED = [[(0, 1), (1, 2), (2, 3), (3, 0)], [(1, 4), (4, 5), (5, 2), (2, 1)],
+          [(4, 6), (6, 7), (7, 5), (5, 4)]]
+
+
+def test_registration_names_lowest_broken_chain():
+    # S-element 1 lists (5, 2) twice, so vertex 5 meets three facets;
+    # S-element 2 adds a diagonal to its loop
+    broken = [CLOSED[0], [(1, 4), (4, 5), (5, 2), (5, 2)],
+              CLOSED[2] + [(4, 7)]]
+    with pytest.raises(MeshError, match=r"^S-element 1: boundary facets do not "
+                                        "form a chain or loop"):
+        _register_2d(broken)
+    with pytest.raises(MeshError, match=r"^S-element 2: boundary facets"):
+        _register_2d(CLOSED[:2] + broken[2:])
+
+
+def test_registration_names_lowest_sideface_culprit():
+    chain = [(4, 6), (6, 7), (7, 5)]             # open at 4 and 5
+    with pytest.raises(MeshError, match=r"^S-element 1 is closed but lists"):
+        _register_2d(CLOSED[:2] + [chain], dirichlet={1: (4,), 2: (6,)})
+    with pytest.raises(MeshError, match=r"^S-element 2: Dirichlet side-face "
+                                        r"vertex 6 is not an open-boundary "
+                                        r"endpoint \[4, 5\]"):
+        _register_2d(CLOSED[:2] + [chain], dirichlet={2: (4, 6)})
+    # a chain error in a lower S-element is named first
+    with pytest.raises(MeshError, match=r"^S-element 1: boundary facets"):
+        _register_2d([CLOSED[0], CLOSED[1][:3] + [(5, 1)], chain],
+                     dirichlet={2: (6,)})
+    mesh = _register_2d(CLOSED[:2] + [chain], dirichlet={2: (5,)})
+    assert mesh.selements[2].open_boundary.dirichlet_vertices == (5,)
+    assert [s.open_boundary for s in mesh.selements[:2]] == [None, None]
+
+
+@pytest.mark.parametrize("drop,message", [
+    (1, "S-element 0: open polyhedral boundaries are not supported"),
+    (0, "S-element 0: non-manifold boundary surface")])
+def test_registration_checks_closed_surfaces(drop, message):
+    cube = IMPORTED["scrambled-cube"]()
+    faces = cube["selements"][0]["facets"]
+    if drop:
+        faces = faces[:-1]                                  # one face open
+    else:
+        faces = faces + [[3, 2, 1, 0], [0, 1, 2, 3]]   # the bottom three times
+    with pytest.raises(MeshError, match=message):
+        import_mesh(dict(cube, selements=[{"facets": faces}]))
+
+
+def test_merge_direction_separates_a_lattice():
+    # with the weights (1, phi - 1, 2 - phi) the points (i + 1, j, k) and
+    # (i, j + 1, k + 1) project alike, and the lag scan ran one lag per
+    # lattice layer
+    grid = np.stack(np.meshgrid(*[np.arange(17.0) / 16] * 3, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+    proj = np.sort(grid @ MERGE_DIRECTION)
+    assert np.diff(proj).min() > NEAR_RTOL * 1.0 * MERGE_DIRECTION.sum()
+    rng = np.random.default_rng(5)
+    copies = rng.integers(0, len(grid), 2000)
+    stream = np.concatenate([grid, grid[copies] + rng.uniform(-4e-13, 4e-13,
+                                                               (2000, 3))])
+    first = _merge_vertices(stream)
+    assert np.array_equal(first, np.concatenate([np.arange(len(grid)), copies]))
