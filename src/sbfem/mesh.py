@@ -675,7 +675,7 @@ def gen_refined_cube(n: int, domain=((0.0, 1.0), (0.0, 1.0),
     return _hex_family(1, n, domain)
 
 
-def _open_mesh(n: int, domain, extent_domain, fe_corners=np.zeros((0, 4, 2))):
+def _open_mesh(n: int, domain, extent_domain, fe_corners=()) -> PolytopalMesh:
     """The open S-element scaled from the bottom middle of the rectangle
     `domain`: n facets on each vertical side, 2n on the top, the bottom open,
     a homogeneous Dirichlet side-face condition at the bottom left corner.
@@ -685,7 +685,7 @@ def _open_mesh(n: int, domain, extent_domain, fe_corners=np.zeros((0, 4, 2))):
     rim = ([(x1, y0 + s * (y1 - y0) / n) for s in range(n + 1)]
            + [(x1 + s * (x0 - x1) / (2 * n), y1) for s in range(1, 2 * n + 1)]
            + [(x0, y1 - s * (y1 - y0) / n) for s in range(1, n + 1)])
-    vertices, ids = _lattice(np.concatenate([rim, fe_corners.reshape(-1, 2)]),
+    vertices, ids = _lattice(np.concatenate([rim, np.reshape(fe_corners, (-1, 2))]),
                              extent_domain)
     chain, quads = ids[:len(rim)], ids[len(rim):].reshape(-1, 4)
     edges = np.stack([quads, np.roll(quads, -1, axis=1)], axis=-1).reshape(-1, 2)

@@ -673,8 +673,8 @@ SQUARES = [[0, 0], [1, 0], [1, 1], [0, 1], [2, 0], [2, 1], [3, 0], [3, 1]]
 
 
 def _register_2d(loops, dirichlet=None):
-    corners = np.array([(a, b) for loop in loops for a, b in loop])
-    return PolytopalMesh(2)._register(np.array(SQUARES, dtype=float), corners,
+    table = np.array([(a, b) for loop in loops for a, b in loop])
+    return PolytopalMesh(2)._register(np.array(SQUARES, dtype=float), table,
                                       [len(lp) for lp in loops],
                                       dirichlet=dirichlet)
 
