@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import MeshError
 from .polyspace import facet_quadrature, trace_basis
-from .refgeom import FacetKind, _facet_points, _sector_jacobians
+from .refgeom import FacetKind, _facet_points, _flag_sectors, _sector_jacobians
 
 _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
                  4: FacetKind.QUADRILATERAL}
@@ -96,6 +96,9 @@ class PolytopalMesh:
         """
         dim, centres, dirichlet = self.dimension, centres or {}, dirichlet or {}
         self.vertices = vertices
+        self._extent = float(np.ptp(vertices, axis=0).max(initial=0.0)) or 1.0
+        # sector offsets with one key lie within: the key grid plus rounding
+        self._snap = MERGE_RTOL * self._extent + 1e-14 * np.abs(vertices).max(initial=0)
         counts = np.asarray(counts, dtype=int)
         n_s = counts.sum()
         size = (table >= 0).sum(axis=1)
@@ -111,8 +114,14 @@ class PolytopalMesh:
             _lattice_perm(_KIND_BY_SIZE[size[r]], 2, tuple(vperm[r, :size[r]].tolist()))
         rows = table[:n_s]
         elem = np.repeat(np.arange(len(counts)), counts)
-        is_open = self._check_boundaries(rows, elem, len(counts), dirichlet)
-        centre = self._centres(rows, elem)
+        # the (S-element, vertex) pairs, coded e nv + v, and the pair of each
+        # facet corner; a padded facet closes back to its first vertex
+        nv = len(vertices) + 1
+        ring = np.where(rows >= 0, rows, rows[:, :1])
+        pairs, node = np.unique(elem[:, None] * nv + ring, return_inverse=True)
+        node = node.reshape(rows.shape)
+        is_open = self._check_boundaries(pairs, node, nv, len(counts), dirichlet)
+        centre = self._centres(pairs, nv)
         for e, c in centres.items():
             centre[e] = np.asarray(c, dtype=float)
         self.facets = [Facet(vertices=tuple(vs[:s]), kind=_KIND_BY_SIZE[s])
@@ -136,29 +145,34 @@ class PolytopalMesh:
             self._stacks[_KIND_BY_SIZE[s]] = (
                 centre[elem[at]], self.vertices[rows[at, :s]],
                 np.column_stack([elem[at], pos[at]]))
+        self._keys = {kind: _shape_keys(self, v - c[:, None, :])   # congruence keys
+                      for kind, (c, v, _) in self._stacks.items()}
         for array in (a for arrays in self._stacks.values() for a in arrays):
             array.flags.writeable = False
         self.validate()
         return self
 
-    def _check_boundaries(self, rows, elem, n_elements, dirichlet):
+    def _check_boundaries(self, pairs, node, nv, n_elements, dirichlet):
         """Whether each S-element is open (2D only).  Raises a MeshError
         naming the lowest S-element whose facets form no 2D chain or loop or
-        no closed 3D surface, or whose side-face Dirichlet vertices are not
-        ends of its open chain.  Counts the (S-element, vertex) pairs of the
-        facets in 2D and the (S-element, undirected edge) pairs in 3D."""
+        no closed 3D surface, whose facets fall apart into disconnected
+        pieces, or whose side-face Dirichlet vertices are not ends of its open
+        chain.  Counts the facets at each (S-element, vertex) pair in 2D and
+        at each (S-element, undirected edge) in 3D, and the connected
+        components of each element's facet edges.  `pairs` holds the codes
+        e nv + v of the pairs, and `node` the pair of each facet corner."""
+        nxt = np.roll(node, -1, axis=1)
+        root = _roots(node.ravel(), nxt.ravel(), len(pairs))
+        pieces = np.bincount(pairs[root == np.arange(len(pairs))] // nv,
+                             minlength=n_elements)
         if self.dimension == 2:
-            keys = np.column_stack([np.repeat(elem, 2), rows[:, :2].ravel()])
-        else:      # a padded triangle closes back to its first vertex
-            ring = np.where(rows >= 0, rows, rows[:, :1])
-            nxt = np.roll(ring, -1, axis=1)
-            live = ring != nxt
-            keys = np.column_stack([np.broadcast_to(elem[:, None], live.shape)[live],
-                                    np.minimum(ring, nxt)[live],
-                                    np.maximum(ring, nxt)[live]])
-        ids, first = _first_seen(keys)
-        count = np.bincount(ids, minlength=len(first))
-        owner = keys[first, 0]
+            key, count = pairs, np.bincount(node[:, :2].ravel(), minlength=len(pairs))
+        else:
+            live = node != nxt
+            edge, count = np.unique(np.minimum(node, nxt)[live] * len(pairs)
+                                    + np.maximum(node, nxt)[live], return_counts=True)
+            key = pairs[edge // len(pairs)]
+        owner, tip = np.divmod(key, nv)
         single = np.bincount(owner[count == 1], minlength=n_elements)
         is_open = (single == 2) & (self.dimension == 2)
         broken = ((np.bincount(owner[count > 2], minlength=n_elements) > 0)
@@ -168,9 +182,12 @@ class PolytopalMesh:
             else "open polyhedral boundaries are not supported" if single[e]
             else "non-manifold boundary surface"))
             for e in np.flatnonzero(broken)[:1].tolist()]
-        tips = keys[first[count == 1]]
+        culprits += [(e, 0, f"S-element {e}: boundary facets form {pieces[e]} "
+                            "disconnected pieces")
+                     for e in np.flatnonzero((pieces > 1) & ~broken)[:1].tolist()]
         for e, dbc in sorted(dirichlet.items()):
-            ends = sorted(tips[tips[:, 0] == e, 1].tolist()) if is_open[e] else []
+            ends = (sorted(tip[(count == 1) & (owner == e)].tolist()) if is_open[e]
+                    else [])
             if loose := [v for v in dbc if v not in ends]:
                 culprits.append((e, 1, f"S-element {e}: Dirichlet side-face vertex "
                                        f"{loose[0]} is not an open-boundary "
@@ -181,11 +198,11 @@ class PolytopalMesh:
             raise MeshError(min(culprits)[2])
         return is_open
 
-    def _centres(self, rows, elem) -> np.ndarray:
-        """Mean of each S-element's distinct vertices, summed in id order as
-        `np.mean` sums the rows of `vertices[ids]`."""
-        nv = len(self.vertices) + 1
-        owner, vid = np.divmod(np.unique((elem[:, None] * nv + rows)[rows >= 0]), nv)
+    def _centres(self, pairs, nv) -> np.ndarray:
+        """Mean of each S-element's distinct vertices, from the codes e nv + v
+        of its (S-element, vertex) pairs, summed in id order as `np.mean` sums
+        the rows of `vertices[ids]`."""
+        owner, vid = np.divmod(pairs, nv)
         head = np.diff(owner, prepend=-1) > 0
         sums = self.vertices[vid[head]]
         np.add.at(sums, owner[~head], self.vertices[vid[~head]])
@@ -246,11 +263,22 @@ class PolytopalMesh:
                             f"(offset {off[i]:.2e} > {tol:.0e} x {scale:.2e})")
 
     def _check_star_shape(self):
+        """|J(1,eta)| > 0 at the degree-5 facet rule, on the first sector of
+        each congruence key and on every sector of a key whose first one is
+        within reach of failing (`refgeom._flag_sectors`)."""
         culprits = []
-        for kind, (centres, vertices, owners) in self._sector_stacks().items():
+        for kind, (centres, vertices, owners) in self._stacks.items():
             pts = facet_quadrature(kind, 5).points
-            _, det = _sector_jacobians(kind, pts, centres, vertices)
-            culprits.extend(owners[(det <= 0.0).any(axis=1)][:1].tolist())
+            keys = self._keys[kind].reshape(len(owners), -1)
+            _, first, cls = np.unique(keys.view(f"V{keys[0].nbytes}"),
+                                      return_index=True, return_inverse=True)
+            _, near = _flag_sectors(*_sector_jacobians(
+                kind, pts, centres[first], vertices[first]), 0.0, self._snap)
+            s = np.flatnonzero(near[cls.ravel()])
+            if s.size:
+                bad, _ = _flag_sectors(*_sector_jacobians(
+                    kind, pts, centres[s], vertices[s]), 0.0)
+                culprits.extend(owners[s[bad]][:1].tolist())
         if culprits:
             e, pos = min(culprits)
             sel = self.selements[e]
@@ -258,6 +286,26 @@ class PolytopalMesh:
                 f"S-element {sel.id} fails the star-shape check: facet "
                 f"{sel.facet_orders[pos]} is not fully visible from its "
                 f"scaling center {sel.center}")
+
+
+def _roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The lowest node of the connected component of each of n nodes of the
+    graph with edges (a, b): hook the higher root of each edge's ends onto
+    the lower one, compress the paths, and repeat until every edge lies in
+    one component."""
+    root = np.arange(n)
+    while (root[a] != root[b]).any():
+        ra, rb = root[a], root[b]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while (root[root] != root).any():
+            root = root[root]
+    return root
+
+
+def _shape_keys(mesh: PolytopalMesh, offsets: np.ndarray) -> np.ndarray:
+    """Congruence keys: offsets snapped to MERGE_RTOL x the mesh's extent (the
+    vertex-merge rule), so copies match at any scale; + 0.0 drops -0.0."""
+    return np.round(offsets / mesh._extent, 12) * mesh._extent + 0.0
 
 
 def import_mesh(source) -> PolytopalMesh:

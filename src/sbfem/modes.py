@@ -224,30 +224,35 @@ def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:
     return SElementStiffness(K=0.5 * (K + KT), asymmetry=asym)
 
 
-def _sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
-    """u_h on the (xi, eta) tensor grid of the member sectors of a stack of
-    classes.  A class is the sectors at one facet position of S-elements that
-    share their modes; it has one J(1, eta) (S, Q, d, d), one trace block
-    alpha (S, p, n) and one set of exponents (S, n), and its members differ
-    only in their coefficients, the columns of coeffs (S, n, m).
-
-    The modes are evaluated once per class; the member sums over them are
-    two matmuls.  Returns values (S, R, Q, m) and Cartesian gradients
-    (S, R, Q, m, d), the real parts of the complex sums.
-    """
+def _class_fields(basis, xis, etas, J, alpha, lambdas):
+    """The part of u_h on the (xi, eta) tensor grid that the sectors of a
+    class share, for a stack of classes.  A class is the sectors at one facet
+    position of S-elements that share their modes: one J(1, eta) (S, Q, d, d),
+    trace block alpha (S, p, n) and set of exponents (S, n).  Returns the
+    radial factors Z, Z1 (S, R, n), the trace modes T (S, Q, n) and the
+    Cartesian gradient basis G (S, Q, d, n)."""
     nvals, ngrads = basis.eval_many(etas)                 # (Q, p), (Q, d-1, p)
     Z, Z1 = _radial_factors(xis, lambdas)                   # (S, R, n)
     T = nvals @ alpha                                        # (S, Q, n)
     # parametric gradient: radial part lambda T, surface part dN alpha
     D = np.concatenate([(T * lambdas[:, None, :])[:, :, None, :],
                         ngrads @ alpha[:, None]], axis=2)    # (S, Q, d, n)
-    G = np.swapaxes(np.linalg.inv(J), -1, -2) @ D
-    S, Q, d, n = G.shape
+    return Z, Z1, T, np.swapaxes(np.linalg.inv(J), -1, -2) @ D
+
+
+def _member_fields(fields, coeffs):
+    """u_h on the grid of the member sectors of a stack of classes, from the
+    class part `fields` of `_class_fields` and the member coefficients, the
+    columns of coeffs (S, n, m): two matmuls.  Returns values (S, R, Q, m)
+    and Cartesian gradients (S, R, Q, m, d), the real parts of the complex
+    sums."""
+    Z, Z1, T, G = fields
+    (S, Q, d, n), m = G.shape, coeffs.shape[-1]
     C = coeffs[:, :, None, :]                                # (S, n, 1, m)
     values = (Z @ (np.swapaxes(T, 1, 2)[..., None] * C).reshape(S, n, -1)).real
     grads = (Z1 @ (G.transpose(0, 3, 1, 2)[..., None, :] * C[..., None])
              .reshape(S, n, -1)).real
-    return values.reshape(S, len(xis), Q, -1), grads.reshape(S, len(xis), Q, -1, d)
+    return values.reshape(S, -1, Q, m), grads.reshape(S, -1, Q, m, d)
 
 
 def eigenvalue_rows(modes: SbfemModes) -> list[tuple[float, float, int]]:

@@ -8,11 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, SbfemError
-from .modes import _sector_fields
+from .mesh import _shape_keys
+from .modes import _class_fields, _member_fields
 from .polyspace import facet_quadrature, radial_quadrature, trace_basis
 from .refgeom import (FacetKind, _check_sectors, _chunks, _facet_points,
-                      _facet_tangents, _sector_jacobians, _sector_points)
-from .solver import DiscreteSolution, _shape_keys
+                      _facet_tangents, _sector_jacobians)
+from .solver import DiscreteSolution
 
 SINGULAR_COMPOSITE_LEVELS = 8
 SINGULAR_COMPOSITE_RATIO = 0.2
@@ -116,34 +117,41 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
 
     A class is the sectors at one facet position of the S-elements sharing a
     congruence-cache entry (one modes object), in (S-element, position)
-    order.  Its mode fields are evaluated once, on its first member, and
-    contracted with the coefficients of all members; the points, weights
-    |J(1,eta)| and degeneracy check stay per sector.  Classes are grouped by
-    (facet kind, mode count, radial rule, size) and cut into chunks, a big
-    one into member blocks, of at most `refgeom.CHUNK_BUDGET` (sectors x
-    radial points x max(Q d, n_modes)) entries; FE quads likewise.
+    order.  Its members share a congruence key: the J(1,eta), weights
+    |J(1,eta)|, degeneracy check and mode fields of its first member serve
+    them all, and each member gets its own points and coefficients, and its
+    own check when the first is within reach of failing.  Classes are
+    grouped by (facet kind, mode count, radial rule, size) and cut into
+    chunks, a big one into member blocks, of at most `refgeom.CHUNK_BUDGET`
+    (sectors x radial points x max(Q d, n_modes)) entries; FE quads likewise.
     """
     k = solution.k
     cfg = (quad or QuadratureConfig()).resolved(k)
-    d = solution.mesh.dimension
-    ops = solution.operators
-    stacks = solution.mesh._sector_stacks()
-    sectors = sorted((e, pos, kind, i)
-                     for kind, (_, _, owners) in stacks.items()
-                     for i, (e, pos) in enumerate(owners.tolist()))
-    classes: dict = {}         # (modes, position) -> kind, [(S-element, row)]
-    for e, pos, kind, i in sectors:
-        classes.setdefault((id(ops[e].modes), pos), (kind, []))[1].append((e, i))
-    entries, groups = {}, {}   # modes -> radial rule and A_eval of its first op
-    for (key, pos), (kind, members) in classes.items():
-        es, rows = zip(*members)
-        op = ops[es[0]]
-        if key not in entries:
-            entries[key] = _radial_rule_args(op, cfg, k), op.A_eval
-        rule, A = entries[key]
-        groups.setdefault((kind, op.modes.n, rule, len(es)), []).append(
-            (rows, A[op.sector_rows[pos]], [solution.coefficients[e] for e in es],
-             op.modes.lambdas))
+    mesh, ops = solution.mesh, solution.operators
+    d = mesh.dimension
+    stacks = mesh._sector_stacks()
+    index: dict = {}           # modes object -> cache-entry index, first use first
+    entry = np.array([index.setdefault(id(op.modes), len(index)) for op in ops])
+    owners = [o for _, _, o in stacks.values()]
+    kind = np.repeat(list(stacks), [len(o) for o in owners])
+    row = np.concatenate([np.arange(len(o)) for o in owners])
+    e, pos = np.concatenate(owners).T
+    order = np.lexsort((e, pos, entry[e]))
+    start = np.flatnonzero(np.diff(entry[e][order], prepend=-1)
+                           | np.diff(pos[order], prepend=-1))
+    size = np.diff(start, append=len(order))
+    first = order[start]
+    entries, groups = {}, {}   # modes -> radial rule, A_eval, member coefficients
+    for c, (i, p, kd, m) in enumerate(zip(e[first].tolist(), pos[first].tolist(),
+                                          kind[first], size.tolist())):
+        op = ops[i]
+        if id(op.modes) not in entries:
+            members = e[order[start[c]:start[c] + m]].tolist()
+            entries[id(op.modes)] = (_radial_rule_args(op, cfg, k), op.A_eval,
+                                     [solution.coefficients[j] for j in members])
+        rule, A, coeffs = entries[id(op.modes)]
+        groups.setdefault((kd, op.modes.n, rule, m), []).append(
+            (start[c], A[op.sector_rows[p]], coeffs, op.modes.lambdas))
     sums = np.zeros(2)
     for (kind, n_modes, rule, m), group in groups.items():
         frule = facet_quadrature(kind, cfg.facet_order)
@@ -152,23 +160,32 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         wxi = rad.weights * xis ** (d - 1)
         basis = trace_basis(kind, k)
         centres, vertices, owners = stacks[kind]
-        rows, alpha, coeffs, lambdas = (np.array(a) for a in zip(*group))
+        at, alpha, coeffs, lambdas = (np.array(a) for a in zip(*group))
+        rows = row[order[at[:, None] + np.arange(m)]]      # (classes, members)
         per_sector = len(xis) * max(len(frule) * d, n_modes)
         for sl in _chunks(len(rows), per_sector * m):
-            for blk in _chunks(m, per_sector * len(rows[sl])):
+            rep = rows[sl, 0]                      # the representatives
+            J, det = _sector_jacobians(kind, frule.points, centres[rep],
+                                       vertices[rep])
+            near = _check_sectors(J, det, owners[rep], mesh._snap)
+            fields = _class_fields(basis, xis, frule.points, J, alpha[sl],
+                                   lambdas[sl])
+            w = wxi[:, None] * (frule.weights * det)[:, None, None, :]
+            for blk in _chunks(m, per_sector * len(rep)):
                 s = rows[sl, blk]                  # stack rows (classes, members)
-                J, det = _sector_jacobians(kind, frule.points, centres[s],
-                                           vertices[s])
-                _check_sectors(J, det, owners[s])
-                if blk.start == 0:   # the first block holds the representatives
-                    vals, grads = _sector_fields(
-                        basis, xis, frule.points, J[:, 0], alpha[sl],
-                        np.swapaxes(coeffs[sl], 1, 2), lambdas[sl])
-                w = wxi[:, None] * (frule.weights * det)[..., None, :]
-                sums += _error_sums(exact, w, _sector_points(centres[s], xis, J),
-                                    np.moveaxis(vals[..., blk], -1, 1),
-                                    np.moveaxis(grads[..., blk, :], -2, 1))
-    fes = solution.mesh.fe_elements
+                if near.any():                     # check every member
+                    t = s[near]
+                    _check_sectors(*_sector_jacobians(kind, frule.points, centres[t],
+                                                      vertices[t]), owners[t])
+                a0 = centres[s][..., None, :]
+                rays = (J[:, None, ..., 0] if m == 1      # the members are the reps
+                        else _facet_points(kind, frule.points, vertices[s]) - a0)
+                pts = a0[..., None, :] + xis[:, None, None] * rays[..., None, :, :]
+                vals, grads = _member_fields(fields,
+                                             np.swapaxes(coeffs[sl, blk], 1, 2))
+                sums += _error_sums(exact, w, pts, np.moveaxis(vals, -1, 1),
+                                    np.moveaxis(grads, -2, 1))
+    fes = mesh.fe_elements
     if fes:
         frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
         for sl in _chunks(len(fes), len(frule) * d):

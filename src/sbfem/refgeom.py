@@ -89,23 +89,35 @@ def _sector_jacobians(kind: FacetKind, etas: np.ndarray, centres: np.ndarray,
     return J, np.linalg.det(J)
 
 
-def _sector_points(centres: np.ndarray, xis, J: np.ndarray) -> np.ndarray:
-    """Mapped points a0 + xi (F_L(eta) - a0) on the (xi, eta) grid of a stack
-    of sectors with centres (..., d) and J(1,eta) (..., q, d, d): (..., R, q, d)."""
-    return (centres[..., None, None, :]
-            + np.asarray(xis)[:, None, None] * J[..., None, :, :, 0])
+def _flag_sectors(J: np.ndarray, det: np.ndarray, threshold: float,
+                  snap: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """Sectors of a stack, J(1,eta) (..., q, d, d) and |J| (..., q), with
+    |J| <= threshold x the product of J's column norms somewhere (a test
+    relative to the sector's size); and those within reach of it for a copy
+    whose offsets from its centre differ by up to `snap` per coordinate: its
+    columns move by at most delta = 2 sqrt(d) snap, its |J| by at most
+    prod(|c_j| + delta) - prod |c_j| (Hadamard), and twice that also covers
+    the change of the column norms."""
+    norms = np.sqrt(np.einsum("...ij,...ij->...j", J, J))      # column norms
+    scale = norms.prod(axis=-1)
+    reach = 2.0 * ((norms + 2.0 * np.sqrt(J.shape[-1]) * snap).prod(axis=-1)
+                   - scale)
+    return ((det <= threshold * scale).any(axis=-1),
+            (det <= threshold * scale + reach).any(axis=-1))
 
 
-def _check_sectors(J: np.ndarray, det: np.ndarray, owners: np.ndarray) -> None:
+def _check_sectors(J: np.ndarray, det: np.ndarray, owners: np.ndarray,
+                   snap: float = 0.0) -> np.ndarray:
     """Raise GeometryError naming (S-element, facet position) `owners[s]` of
-    the first sector s of a stack whose J(1,eta) (..., q, d, d) is degenerate or
-    inverted: |J| at most 1e-14 times the product of J's column norms, a test
-    relative to the sector's size, so a scaled mesh gets the same verdict."""
-    bad = (det <= 1e-14 * np.linalg.norm(J, axis=-2).prod(axis=-1)).any(axis=-1)
+    the first sector s of a stack whose J(1,eta) is degenerate or inverted:
+    `_flag_sectors` at threshold 1e-14, so a scaled mesh gets the same
+    verdict.  Returns the sectors whose copies within `snap` could fail."""
+    bad, near = _flag_sectors(J, det, 1e-14, snap)
     if bad.any():
         (e, pos), low = owners[bad][0], det[bad][0].min()
         raise GeometryError(f"S-element {e}, facet {pos}: degenerate or inverted "
                             f"sector (|J(1,eta)| = {low:.3e})")
+    return near
 
 
 def _chunks(n: int, per_member: int) -> list:

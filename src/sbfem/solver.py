@@ -17,8 +17,8 @@ import scipy.sparse.linalg
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError, SpectrumError
-from .mesh import (DofNumbering, PolytopalMesh, SElement, number_dofs,
-                   selement_local_dofs)
+from .mesh import (DofNumbering, PolytopalMesh, SElement, _shape_keys,
+                   number_dofs, selement_local_dofs)
 from .polyspace import facet_quadrature, trace_basis
 from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 
@@ -66,8 +66,6 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
     where = {(e, pos): (kind, i)      # (S-element id, position) -> stack row
              for kind, (_, _, owners) in stacks.items()
              for i, (e, pos) in enumerate(owners.tolist())}
-    offsets = {kind: _shape_keys(mesh, vertices - centres[:, None, :])
-               for kind, (centres, vertices, _) in stacks.items()}
     # local DOFs and congruence keys; the first S-element of a new key misses
     local, misses = [], {}
     for sel in mesh.selements:
@@ -78,7 +76,7 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
         constrained, kept = np.flatnonzero(np.logical_not(free)), np.flatnonzero(free)
         slots = [where[sel.id, pos] for pos in range(len(sector_rows))]
         key = (mesh.dimension, k, tuple(constrained.tolist())) + tuple(
-            (kind.value, offsets[kind][i].tobytes(), rows.tobytes())
+            (kind.value, mesh._keys[kind][i].tobytes(), rows.tobytes())
             for (kind, i), rows in zip(slots, sector_rows))
         if key not in cache:
             misses.setdefault(key, sel.id)
@@ -112,13 +110,6 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
                                     dofs_full=dofs_full, kept_local=kept,
                                     sector_rows=sector_rows))
     return ops
-
-
-def _shape_keys(mesh: PolytopalMesh, offsets: np.ndarray) -> np.ndarray:
-    """Congruence keys: offsets snapped to 1e-12 x the mesh's coordinate extent
-    (the vertex-merge rule), so copies match at any scale; + 0.0 drops -0.0."""
-    extent = float(np.ptp(mesh.vertices, axis=0).max()) or 1.0
-    return np.round(offsets / extent, 12) * extent + 0.0
 
 
 def _stack_E(members, dim: int) -> EMatrices:

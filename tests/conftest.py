@@ -19,7 +19,7 @@ from sbfem.mesh import (Facet, FEQuad, PolytopalMesh, SElement, SideFaceBC,
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
-                           _check_sectors, _sector_jacobians, _sector_points)
+                           _check_sectors, _sector_jacobians)
 from sbfem.solver import _evaluate_field, build_operators
 
 
@@ -72,11 +72,25 @@ def sector_jacobian(sector, etas):
     return J[0], det[0]
 
 
+def _sector_points(centres, xis, J):
+    """Mapped points a0 + xi (F_L(eta) - a0) on the (xi, eta) grid of a stack
+    of sectors with centres (..., d) and J(1,eta) (..., q, d, d): (..., R, q, d)."""
+    return (centres[..., None, None, :]
+            + np.asarray(xis)[:, None, None] * J[..., None, :, :, 0])
+
+
+def sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
+    """`modes._class_fields` followed by `modes._member_fields`: values
+    (S, R, Q, m) and gradients (S, R, Q, m, d) of a stack of classes."""
+    return modes._member_fields(
+        modes._class_fields(basis, xis, etas, J, alpha, lambdas), coeffs)
+
+
 def duffy_map_many(sector, xis, etas):
     """Mapped points (len(xis), q, d) of one sector by the per-sector steps
     of the error integration: `refgeom._sector_jacobians`, the degeneracy
-    check `refgeom._check_sectors` (naming S-element 0, facet 0) and
-    `refgeom._sector_points`."""
+    check `refgeom._check_sectors` (naming S-element 0, facet 0) and the
+    mapped-point formula."""
     centre = sector.collapsed_vertex[None]
     J, det = _sector_jacobians(sector.facet_kind, np.atleast_2d(etas), centre,
                                sector.facet_vertices[None])
@@ -86,7 +100,7 @@ def duffy_map_many(sector, xis, etas):
 
 def mode_fields(op, ctx, xi, eta):
     """Complex values (n,) and Cartesian gradients (d, n) of all modes of an
-    S-element at one (xi, eta) of sector `ctx`, by `modes._sector_fields`.
+    S-element at one (xi, eta) of sector `ctx`, by `sector_fields`.
 
     The kernel returns real parts: coefficient columns I and -iI give the
     real and the imaginary part of every mode, one class member each.
@@ -94,7 +108,7 @@ def mode_fields(op, ctx, xi, eta):
     n = op.modes.n
     eta = np.atleast_1d(np.asarray(eta, dtype=float))[None, :]
     J, _ = sector_jacobian(ctx.sector, eta)
-    values, grads = modes._sector_fields(
+    values, grads = sector_fields(
         ctx.basis, [xi], eta, J[None], op.A_eval[ctx.rows][None],
         np.hstack([np.eye(n), -1j * np.eye(n)])[None], op.modes.lambdas[None])
     v, g = values[0, 0, 0], grads[0, 0, 0]
@@ -357,7 +371,7 @@ def evaluate_in_sector(solution, op, ctx, xis, etas):
     values (R, Q) and gradients (R, Q, d) of u_h on a (xi, eta) grid."""
     xis = np.asarray(xis, dtype=float)
     J, _ = sector_jacobian(ctx.sector, etas)
-    vals, grads = modes._sector_fields(
+    vals, grads = sector_fields(
         ctx.basis, xis, etas, J[None], op.A_eval[ctx.rows][None],
         solution.coefficients[op.selement.id][None, :, None],
         op.modes.lambdas[None])
@@ -482,6 +496,17 @@ def reference_project_trace(system, g, facet_ids, dofs) -> np.ndarray:
 
 
 # -- diagnostics that only tests use ---------------------------------------------
+
+
+def flat_sector_squares(h0, h1) -> dict:
+    """Two 2 x 2 squares side by side whose scaling centres sit h0 and h1
+    above their bottom facets: for small |h0 - h1| the bottom sectors, nearly
+    flat, share one congruence key."""
+    return {"dimension": 2,
+            "vertices": [[-1, -1], [1, -1], [3, -1], [-1, 1], [1, 1], [3, 1]],
+            "selements": [
+                {"facets": [[0, 1], [1, 4], [4, 3], [3, 0]], "center": [0.0, -1 + h0]},
+                {"facets": [[1, 2], [2, 5], [5, 4], [4, 1]], "center": [2.0, -1 + h1]}]}
 
 
 def mesh_to_json(mesh) -> dict:

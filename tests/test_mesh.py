@@ -1,10 +1,12 @@
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
-from conftest import (facet_map_many, facet_owners, hybrid_mesh,
+from conftest import (facet_map_many, facet_owners, flat_sector_squares,
+                      hybrid_mesh,
                       jittered_quad_mesh, mesh_sector, mesh_to_json,
                       octahedron_mesh, polygon_mesh,
                       reference_coupled_singular, reference_hex_family,
@@ -710,6 +712,49 @@ def test_registration_names_lowest_sideface_culprit():
     mesh = _register_2d(CLOSED[:2] + [chain], dirichlet={2: (5,)})
     assert mesh.selements[2].open_boundary.dirichlet_vertices == (5,)
     assert [s.open_boundary for s in mesh.selements[:2]] == [None, None]
+
+
+@pytest.mark.parametrize("loops", [
+    [CLOSED[0], CLOSED[2] + [(1, 0)]],     # a loop plus a stray segment: "open"
+    [CLOSED[0], CLOSED[2] + CLOSED[0]]])   # two disjoint loops: "closed"
+def test_registration_rejects_disconnected_loops(loops):
+    with pytest.raises(MeshError, match=r"^S-element 1: boundary facets form 2 "
+                                        "disconnected pieces$"):
+        _register_2d(loops)
+
+
+def test_registration_rejects_two_disjoint_closed_surfaces():
+    cube = IMPORTED["scrambled-cube"]()
+    faces = np.array(cube["selements"][0]["facets"])
+    vertices = np.array(cube["vertices"], dtype=float)
+    with pytest.raises(MeshError, match=r"^S-element 0: boundary facets form 2 "
+                                        "disconnected pieces$"):
+        PolytopalMesh(3)._register(np.vstack([vertices, vertices + [2.0, 0, 0]]),
+                                   np.vstack([faces, faces + 8]), [12])
+
+
+def test_star_shape_verdict_on_a_pulled_structured_mesh():
+    # an interior vertex of a 4 x 4 grid pulled from (0, 0) into an element;
+    # the message is the one the per-sector check gives
+    data = mesh_to_json(gen_quad_mesh(4))
+    for entry in data["selements"]:
+        del entry["center"]
+    v = next(i for i, p in enumerate(data["vertices"]) if p == [0.0, 0.0])
+    data["vertices"][v] = [0.45, 0.45]
+    with pytest.raises(MeshError, match=re.escape(
+            "S-element 10 fails the star-shape check: facet (12, 13) is not "
+            "fully visible from its scaling center [0.3625 0.3625]")):
+        import_mesh(data)
+
+
+def test_star_shape_checks_every_copy_near_failing():
+    # one congruence key for both bottom sectors: the first (visible, its
+    # centre 4e-14 above the facet) is within reach of failing, and the copy
+    # (its centre 5e-15 below) fails
+    import_mesh(flat_sector_squares(4e-14, 5e-15))
+    with pytest.raises(MeshError, match=r"^S-element 1 fails the star-shape "
+                                        r"check: facet \(1, 2\)"):
+        import_mesh(flat_sector_squares(4e-14, -5e-15))
 
 
 @pytest.mark.parametrize("drop,message", [

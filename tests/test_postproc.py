@@ -1,15 +1,18 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import (jittered_quad_mesh, laplacian_residual,
-                      reference_solution_errors)
+from conftest import (flat_sector_squares, jittered_quad_mesh,
+                      laplacian_residual, reference_solution_errors)
 from sbfem import modes, postproc, refgeom
-from sbfem.errors import SbfemError
+from sbfem.errors import GeometryError, SbfemError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh,
                         gen_refined_square, import_mesh,
                         singular_open_selement)
-from sbfem.polyspace import radial_quadrature
+from sbfem.polyspace import facet_quadrature, radial_quadrature
 from sbfem.postproc import (EXACT_SOLUTIONS, QuadratureConfig,
                             convergence_table, get_exact, report_to_csv,
                             solution_errors)
@@ -201,8 +204,8 @@ def test_batched_errors_match_per_sector_reference(case, one_sector_chunks,
 
 @pytest.mark.parametrize("one_sector_chunks", [False, True])
 def test_error_work_is_per_class(one_sector_chunks, monkeypatch):
-    # mode fields once per (cache entry, facet position), however many
-    # member blocks a class spans; the degeneracy check on every sector
+    # mode fields and the degeneracy check once per (cache entry, facet
+    # position), however many member blocks a class spans
     if one_sector_chunks:
         monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
     rows = {"radial": 0, "checked": 0}
@@ -212,9 +215,9 @@ def test_error_work_is_per_class(one_sector_chunks, monkeypatch):
         rows["radial"] += len(lambdas)
         return radial(xis, lambdas)
 
-    def counted_check(J, det, owners):
+    def counted_check(J, det, owners, snap=0.0):
         rows["checked"] += len(np.reshape(owners, (-1, 2)))
-        return check(J, det, owners)
+        return check(J, det, owners, snap)
 
     monkeypatch.setattr(modes, "_radial_factors", counted_radial)
     monkeypatch.setattr(postproc, "_check_sectors", counted_check)
@@ -224,7 +227,39 @@ def test_error_work_is_per_class(one_sector_chunks, monkeypatch):
         rows.update(radial=0, checked=0)
         solution_errors(sol, exact)
         counts.append((rows["radial"], rows["checked"]))
-    assert counts == [(4, 64), (4, 256)]
+    assert counts == [(4, 4), (4, 4)]
+
+
+def test_degeneracy_is_checked_on_every_copy_near_the_threshold():
+    # S-elements 0 and 1 share one cache entry, so their bottom sectors form
+    # one class; its representative's relative |J| (4.4e-14) passes the
+    # 1e-14 threshold, the copy's (5.5e-15) does not
+    mesh = import_mesh(flat_sector_squares(4e-14, 5e-15))
+    sol, exact = _galerkin(mesh, 1, "exp2d")
+    assert sol.operators[0].modes is sol.operators[1].modes
+    kind, (centres, vertices, owners) = next(iter(mesh._sector_stacks().items()))
+    rule = facet_quadrature(kind, QuadratureConfig().resolved(1).facet_order)
+    J, det = refgeom._sector_jacobians(kind, rule.points, centres, vertices)
+    refgeom._check_sectors(J[:1], det[:1], owners[:1])
+    message = re.escape("S-element 1, facet 0: degenerate or inverted sector "
+                        "(|J(1,eta)| = 4.996e-15)")
+    with pytest.raises(GeometryError, match=message):
+        refgeom._check_sectors(J, det, owners)       # the per-sector verdict
+    with pytest.raises(GeometryError, match=message):
+        solution_errors(sol, exact)
+
+
+def test_error_memory_is_bounded_by_the_chunk_budget():
+    # classes of 216 S-elements; contracted whole, they peaked at 15 MB
+    sol, exact = _galerkin(gen_hex_mesh(6), 2, "exp3d")
+    tracemalloc.start()
+    try:
+        solution_errors(sol, exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a member block holds a few arrays of about CHUNK_BUDGET complex entries
+    assert peak < 16 * 16 * refgeom.CHUNK_BUDGET
 
 
 def test_radial_rule_round_off_floor_is_plain_gauss():

@@ -1,5 +1,6 @@
 """Duffy sector geometry, checked through the stacked kernels: mapped points
-of `refgeom._sector_points` and Jacobians of `refgeom._sector_jacobians`."""
+of `conftest._sector_points` (the error integration's point formula) and
+Jacobians of `refgeom._sector_jacobians`."""
 
 import numpy as np
 import pytest
