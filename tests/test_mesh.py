@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from conftest import (facet_map_many, facet_owners, flat_sector_squares,
-                      hybrid_mesh,
-                      jittered_quad_mesh, mesh_sector, mesh_to_json,
-                      octahedron_mesh, polygon_mesh,
+                      hybrid_mesh, jittered_quad_mesh, mesh_sector,
+                      mesh_to_json, octahedron_mesh, polygon_mesh,
                       reference_coupled_singular, reference_hex_family,
                       reference_import, reference_quad_family,
                       reference_singular_open_selement, sector_jacobian)
