@@ -25,9 +25,11 @@ from .refgeom import FacetKind, _facet_points, _flag_sectors, _sector_jacobians
 _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
                  4: FacetKind.QUADRILATERAL}
 # File vertices closer than MERGE_RTOL x the coordinate extent are one
-# vertex; distinct ones closer than NEAR_RTOL x the extent are an error.
+# vertex; distinct ones closer than NEAR_RTOL x the extent are an error.  A
+# quad facet's fourth vertex is within PLANARITY_RTOL x h_max of its plane.
 MERGE_RTOL = 1e-12
 NEAR_RTOL = 1e-8
+PLANARITY_RTOL = 1e-8
 # (1, 1/rho, 1/rho^2), rho the plastic number (rho^3 = rho + 1): independent
 # over the rationals, so no two points of a grid project alike (with
 # (1, phi - 1, 2 - phi) the points (i + 1, j, k) and (i, j + 1, k + 1) did)
@@ -97,7 +99,7 @@ class PolytopalMesh:
         dim, centres, dirichlet = self.dimension, centres or {}, dirichlet or {}
         self.vertices = vertices
         self._extent = float(np.ptp(vertices, axis=0).max(initial=0.0)) or 1.0
-        # sector offsets with one key lie within: the key grid plus rounding
+        # sector offsets of one class lie within: the key grid plus rounding
         self._snap = MERGE_RTOL * self._extent + 1e-14 * np.abs(vertices).max(initial=0)
         counts = np.asarray(counts, dtype=int)
         n_s = counts.sum()
@@ -114,11 +116,12 @@ class PolytopalMesh:
             _lattice_perm(_KIND_BY_SIZE[size[r]], 2, tuple(vperm[r, :size[r]].tolist()))
         rows = table[:n_s]
         elem = np.repeat(np.arange(len(counts)), counts)
-        # the (S-element, vertex) pairs, coded e nv + v, and the pair of each
-        # facet corner; a padded facet closes back to its first vertex
+        # the (S-element, vertex) pairs, coded e nv + v, where each is first
+        # listed, and the pair of each facet corner; padding repeats corner 0
         nv = len(vertices) + 1
         ring = np.where(rows >= 0, rows, rows[:, :1])
-        pairs, node = np.unique(elem[:, None] * nv + ring, return_inverse=True)
+        pairs, seen, node = np.unique(elem[:, None] * nv + ring, return_index=True,
+                                      return_inverse=True)
         node = node.reshape(rows.shape)
         is_open = self._check_boundaries(pairs, node, nv, len(counts), dirichlet)
         centre = self._centres(pairs, nv)
@@ -127,27 +130,44 @@ class PolytopalMesh:
         self.facets = [Facet(vertices=tuple(vs[:s]), kind=_KIND_BY_SIZE[s])
                        for vs, s in zip(canon.tolist(), size[first].tolist())]
         orders = [tuple(vs[:s]) for vs, s in zip(rows.tolist(), size.tolist())]
-        bounds = np.concatenate([[0], np.cumsum(counts)]).tolist()
+        start = np.cumsum(counts) - counts
         self.selements = [
-            SElement(id=e, center=centre[e], facet_ids=fid[a:b].tolist(),
-                     facet_orders=orders[a:b],
+            SElement(id=e, center=centre[e], facet_ids=fid[a:a + c].tolist(),
+                     facet_orders=orders[a:a + c],
                      open_boundary=(SideFaceBC(tuple(dirichlet.get(e, ())))
                                     if is_open[e] else None))
-            for e, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+            for e, (a, c) in enumerate(zip(start.tolist(), counts.tolist()))]
         self.fe_elements = [
             FEQuad(id=q, vertices=tuple(vs), edge_facets=tuple(es))
             for q, (vs, es) in enumerate(zip(table[n_s:, 0].reshape(-1, 4).tolist(),
                                              fid[n_s:].reshape(-1, 4).tolist()))]
         self._owner_counts = np.bincount(fid, minlength=len(first))
-        pos = np.arange(n_s) - np.repeat(bounds[:-1], counts)
+        pos = np.arange(n_s) - np.repeat(start, counts)
         for s in dict.fromkeys(size[:n_s].tolist()):
             at = np.flatnonzero(size[:n_s] == s)
             self._stacks[_KIND_BY_SIZE[s]] = (
                 centre[elem[at]], self.vertices[rows[at, :s]],
                 np.column_stack([elem[at], pos[at]]))
-        self._keys = {kind: _shape_keys(self, v - c[:, None, :])   # congruence keys
-                      for kind, (c, v, _) in self._stacks.items()}
-        for array in (a for arrays in self._stacks.values() for a in arrays):
+        # the class table: S-elements alike in each sector's snapped offsets and
+        # corners (named by first listing, negative if pinned; only padding
+        # repeats one) share a class, as do FE quads alike in corner offsets
+        pins = [e * nv + v for e, vs in dirichlet.items() for v in vs]
+        seen[np.searchsorted(pairs, np.array(pins, dtype=int))] -= node.size
+        label = seen[node] - (start * node.shape[1])[elem][:, None]
+        offsets = _shape_keys(self, np.take(vertices, ring, axis=0)
+                              - np.take(centre, elem, axis=0)[:, None])
+        sector = np.column_stack([label, offsets.reshape(n_s, ring.shape[1] * dim)])
+        rep = np.arange(len(counts))         # each S-element's lowest class member
+        for c in np.unique(counts).tolist():
+            at = np.flatnonzero(counts == c)
+            ids, first = _first_seen(np.take(
+                sector, start[at][:, None] + np.arange(c), axis=0).reshape(len(at), -1))
+            rep[at] = at[first][ids]
+        self._sel_class = (np.cumsum(rep == np.arange(len(rep))) - 1)[rep]
+        quads = np.take(vertices, table[n_s:, 0].reshape(-1, 4), axis=0)
+        self._fe_class = _first_seen(_shape_keys(self, quads - quads[:, :1]).reshape(
+            len(quads), 4 * dim))[0]
+        for array in sum(self._stacks.values(), (self._sel_class, self._fe_class)):
             array.flags.writeable = False
         self.validate()
         return self
@@ -245,7 +265,7 @@ class PolytopalMesh:
             self._check_planarity()
         self._check_star_shape()
 
-    def _check_planarity(self, tol: float = 1e-8):
+    def _check_planarity(self):
         scale = max(self.h_max(), 1e-300)
         fids = [fid for fid, f in enumerate(self.facets) if len(f.vertices) == 4]
         pts = self.vertices[[self.facets[f].vertices for f in fids]].reshape(-1, 4, 3)
@@ -254,31 +274,35 @@ class PolytopalMesh:
         degenerate = nn < 1e-14 * scale * scale
         off = np.abs(np.sum((pts[:, 3] - pts[:, 0]) * n, axis=-1)
                      / np.where(degenerate, 1.0, nn))
-        bad = np.flatnonzero(degenerate | (off > tol * scale))
+        bad = np.flatnonzero(degenerate | (off > PLANARITY_RTOL * scale))
         if bad.size:
             i = bad[0]
             if degenerate[i]:
                 raise MeshError(f"facet {fids[i]} is degenerate")
             raise MeshError(f"facet {fids[i]} is non-planar "
-                            f"(offset {off[i]:.2e} > {tol:.0e} x {scale:.2e})")
+                            f"(offset {off[i]:.2e} > {PLANARITY_RTOL:.0e} x {scale:.2e})")
 
     def _check_star_shape(self):
-        """|J(1,eta)| > 0 at the degree-5 facet rule, on the first sector of
-        each congruence key and on every sector of a key whose first one is
-        within reach of failing (`refgeom._flag_sectors`)."""
+        """|J(1,eta)| > 0 at the degree-5 facet rule, on every sector of each
+        class representative (its lowest member), and on the sectors of the
+        other members at each position where the representative's is within
+        reach of failing (`refgeom._flag_sectors`)."""
         culprits = []
+        rep = np.unique(self._sel_class, return_index=True)[1][self._sel_class]
         for kind, (centres, vertices, owners) in self._stacks.items():
             pts = facet_quadrature(kind, 5).points
-            keys = self._keys[kind].reshape(len(owners), -1)
-            _, first, cls = np.unique(keys.view(f"V{keys[0].nbytes}"),
-                                      return_index=True, return_inverse=True)
-            _, near = _flag_sectors(*_sector_jacobians(
-                kind, pts, centres[first], vertices[first]), 0.0, self._snap)
-            s = np.flatnonzero(near[cls.ravel()])
+            e, i = owners[:, 0], np.arange(len(owners))
+            # the sector of the representative at the same facet position
+            twin = np.searchsorted(e, rep[e]) + i - np.searchsorted(e, e)
+            r = np.flatnonzero(twin == i)
+            bad, near = _flag_sectors(*_sector_jacobians(
+                kind, pts, centres[r], vertices[r]), 0.0, self._snap)
+            culprits += owners[r[bad]][:1].tolist()
+            s = np.flatnonzero(np.isin(twin, r[near]) & (twin != i))
             if s.size:
                 bad, _ = _flag_sectors(*_sector_jacobians(
                     kind, pts, centres[s], vertices[s]), 0.0)
-                culprits.extend(owners[s[bad]][:1].tolist())
+                culprits += owners[s[bad]][:1].tolist()
         if culprits:
             e, pos = min(culprits)
             sel = self.selements[e]
@@ -350,8 +374,11 @@ def import_mesh(source) -> PolytopalMesh:
         center = entry.get("center")
         if center is not None:
             centres[n] = center = _coords(center, dim, f"S-element {n} center")
-        oriented.append(_orient_2d(vertices, facets, center) if dim == 2
-                        else _orient_3d(vertices, facets, center))
+        try:
+            oriented.append(_orient_2d(vertices, facets, center) if dim == 2
+                            else _orient_3d(vertices, facets, center))
+        except MeshError as exc:
+            raise MeshError(f"S-element {n}: {exc}") from None
         dirichlet[n] = _mesh_ids(entry.get("dirichlet_sideface_nodes", ()), ids,
                                  f"S-element {n} dirichlet_sideface_nodes")
     listed = [f for facets in oriented for f in facets]
@@ -477,7 +504,7 @@ def _orient_3d(vertices: np.ndarray, facets: list, center) -> list:
                 visited.add(nb)
                 stack.append(nb)
     if len(visited) != len(facets):
-        raise MeshError("S-element surface is not edge-connected")
+        raise MeshError("surface is not edge-connected")
     vids = sorted({v for f in facets for v in f})
     if center is None:
         center = vertices[vids].mean(axis=0)
@@ -633,20 +660,21 @@ def selement_local_dofs(mesh: PolytopalMesh, numbering: DofNumbering,
 
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ids of the rows of `keys` (R, c), equal rows sharing one, numbered in
-    order of first appearance; and the first row of each id."""
-    order = np.lexsort(keys.T[::-1])          # stable: equal rows keep order
-    new = np.r_[True, (np.diff(keys[order], axis=0) != 0).any(axis=1)][:len(keys)]
-    first = order[new]
-    rank = np.argsort(np.argsort(first))
-    return rank[np.cumsum(new) - 1][np.argsort(order)], np.sort(first)
+    """Ids of the rows of `keys` (R, c), rows of equal bytes sharing one (so
+    float keys need -0.0 mapped to 0.0), numbered in order of first
+    appearance; and the first row of each id.  One sort of the rows as
+    byte strings."""
+    keys = np.ascontiguousarray(keys)
+    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse], np.sort(first)
 
 
 def _lattice(points: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
     """Vertices and ids of a generator's corner stream (N, d): corners equal at
     12 decimals of the domain extent are one vertex, ids in first-seen order."""
     extent = max(abs(hi - lo) for lo, hi in domain) or 1.0
-    ids, first = _first_seen(np.round(points / extent, 12))
+    ids, first = _first_seen(np.round(points / extent, 12) + 0.0)
     return points[first], ids
 
 

@@ -8,7 +8,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, SbfemError
-from .mesh import _shape_keys
 from .modes import _class_fields, _member_fields
 from .polyspace import facet_quadrature, radial_quadrature, trace_basis
 from .refgeom import (FacetKind, _check_sectors, _chunks, _facet_points,
@@ -115,41 +114,40 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                     quad: QuadratureConfig | None = None) -> tuple[float, float]:
     """(L2, energy) errors of a discrete solution against an exact one.
 
-    A class is the sectors at one facet position of the S-elements sharing a
-    congruence-cache entry (one modes object), in (S-element, position)
-    order.  Its members share a congruence key: the J(1,eta), weights
-    |J(1,eta)|, degeneracy check and mode fields of its first member serve
-    them all, and each member gets its own points and coefficients, and its
-    own check when the first is within reach of failing.  Classes are
-    grouped by (facet kind, mode count, radial rule, size) and cut into
-    chunks, a big one into member blocks, of at most `refgeom.CHUNK_BUDGET`
-    (sectors x radial points x max(Q d, n_modes)) entries; FE quads likewise.
+    A class is the sectors at one facet position of the S-elements of one
+    congruence class (`PolytopalMesh._register`), in S-element order.  Its
+    members are translated copies: the J(1,eta), weights |J(1,eta)|,
+    degeneracy check and mode fields of its first member serve them all, and
+    each member gets its own points and coefficients, and its own check when
+    the first is within reach of failing.  Classes are grouped by (facet
+    kind, mode count, radial rule, size) and cut into chunks, a big one into
+    member blocks, of at most `refgeom.CHUNK_BUDGET` (sectors x radial points
+    x max(Q d, n_modes)) entries; FE quads likewise.
     """
     k = solution.k
     cfg = (quad or QuadratureConfig()).resolved(k)
     mesh, ops = solution.mesh, solution.operators
     d = mesh.dimension
     stacks = mesh._sector_stacks()
-    index: dict = {}           # modes object -> cache-entry index, first use first
-    entry = np.array([index.setdefault(id(op.modes), len(index)) for op in ops])
     owners = [o for _, _, o in stacks.values()]
     kind = np.repeat(list(stacks), [len(o) for o in owners])
     row = np.concatenate([np.arange(len(o)) for o in owners])
     e, pos = np.concatenate(owners).T
-    order = np.lexsort((e, pos, entry[e]))
-    start = np.flatnonzero(np.diff(entry[e][order], prepend=-1)
+    cls = mesh._sel_class[e]
+    order = np.lexsort((e, pos, cls))
+    start = np.flatnonzero(np.diff(cls[order], prepend=-1)
                            | np.diff(pos[order], prepend=-1))
     size = np.diff(start, append=len(order))
     first = order[start]
-    entries, groups = {}, {}   # modes -> radial rule, A_eval, member coefficients
+    entries, groups = {}, {}   # representative -> radial rule, A_eval, member coeffs
     for c, (i, p, kd, m) in enumerate(zip(e[first].tolist(), pos[first].tolist(),
                                           kind[first], size.tolist())):
         op = ops[i]
-        if id(op.modes) not in entries:
+        if i not in entries:
             members = e[order[start[c]:start[c] + m]].tolist()
-            entries[id(op.modes)] = (_radial_rule_args(op, cfg, k), op.A_eval,
-                                     [solution.coefficients[j] for j in members])
-        rule, A, coeffs = entries[id(op.modes)]
+            entries[i] = (_radial_rule_args(op, cfg, k), op.A_eval,
+                          [solution.coefficients[j] for j in members])
+        rule, A, coeffs = entries[i]
         groups.setdefault((kd, op.modes.n, rule, m), []).append(
             (start[c], A[op.sector_rows[p]], coeffs, op.modes.lambdas))
     sums = np.zeros(2)
@@ -173,7 +171,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
             w = wxi[:, None] * (frule.weights * det)[:, None, None, :]
             for blk in _chunks(m, per_sector * len(rep)):
                 s = rows[sl, blk]                  # stack rows (classes, members)
-                if near.any():                     # check every member
+                if m > 1 and near.any():           # check every member
                     t = s[near]
                     _check_sectors(*_sector_jacobians(kind, frule.points, centres[t],
                                                       vertices[t]), owners[t])
@@ -216,14 +214,14 @@ def _radial_rule_args(op, cfg: QuadratureConfig, k: int) -> tuple:
 def _fe_fields(solution: DiscreteSolution, fes, ref_pts):
     """u_h on a list of FE quads at reference points: mapped points, values,
     gradients and Jacobian determinants, with shapes (F, Q[, 2]); J^-T grad N
-    once per class of translated quads (the keys of `assemble_global`)."""
+    once per congruence class of the mesh's FE quads, on its first in `fes`."""
     mesh, quad = solution.mesh, FacetKind.QUADRILATERAL
     nvals, ngrads = trace_basis(quad, solution.k).eval_many(ref_pts)
     corners = mesh.vertices[[fe.vertices for fe in fes]]
     uel = solution.nodal[[solution.numbering.fe_nodes[fe.id] for fe in fes]]
     J = _facet_tangents(quad, ref_pts, corners)
-    _, first, cls = np.unique(_shape_keys(mesh, corners - corners[:, :1]).reshape(
-        len(fes), -1), axis=0, return_index=True, return_inverse=True)
+    _, first, cls = np.unique(mesh._fe_class[[fe.id for fe in fes]],
+                              return_index=True, return_inverse=True)
     B = np.swapaxes(np.linalg.inv(J[first]), -1, -2) @ ngrads   # (U, Q, 2, m)
     return (_facet_points(quad, ref_pts, corners), uel @ nvals.T,
             (B[cls] @ uel[:, None, :, None])[..., 0], np.linalg.det(J))

@@ -17,8 +17,8 @@ import scipy.sparse.linalg
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError, SpectrumError
-from .mesh import (DofNumbering, PolytopalMesh, SElement, _shape_keys,
-                   number_dofs, selement_local_dofs)
+from .mesh import (DofNumbering, PolytopalMesh, SElement, number_dofs,
+                   selement_local_dofs)
 from .polyspace import facet_quadrature, trace_basis
 from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 
@@ -48,68 +48,47 @@ class SElementOperator:
 
 
 def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
-                    quad_order: int | None = None,
-                    cache: dict | None = None) -> list[SElementOperator]:
+                    quad_order: int | None = None) -> list[SElementOperator]:
     """E-matrices, modes and stiffness for every S-element.
 
-    Congruent S-elements (translated copies, common in the structured
-    generators) share one eigen-solve through the cache.  The E-matrices of
-    all cache misses are integrated in one stacked pass over their sectors,
+    The S-elements of a class of the mesh's class table (translated copies)
+    share the eigen-solve of its lowest member.  The E-matrices of all class
+    representatives are integrated in one stacked pass over their sectors,
     and their modes in one stack per (reduced trace size, constant-trace
     admissible), cut into chunks under `refgeom.CHUNK_BUDGET` Euler-matrix
     entries.  A SpectrumError names the first failing S-element by id.
     """
     k = numbering.k
     order = quad_order if quad_order is not None else 2 * k + 2
-    cache = {} if cache is None else cache
-    stacks = mesh._sector_stacks()
-    where = {(e, pos): (kind, i)      # (S-element id, position) -> stack row
-             for kind, (_, _, owners) in stacks.items()
-             for i, (e, pos) in enumerate(owners.tolist())}
-    # local DOFs and congruence keys; the first S-element of a new key misses
-    local, misses = [], {}
-    for sel in mesh.selements:
-        dofs_full, sector_rows = selement_local_dofs(mesh, numbering, sel)
-        dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
-        pinned = {numbering.vertex_dof[v] for v in dbc}
-        free = [g not in pinned for g in dofs_full.tolist()]
-        constrained, kept = np.flatnonzero(np.logical_not(free)), np.flatnonzero(free)
-        slots = [where[sel.id, pos] for pos in range(len(sector_rows))]
-        key = (mesh.dimension, k, tuple(constrained.tolist())) + tuple(
-            (kind.value, mesh._keys[kind][i].tobytes(), rows.tobytes())
-            for (kind, i), rows in zip(slots, sector_rows))
-        if key not in cache:
-            misses.setdefault(key, sel.id)
-        local.append((dofs_full, sector_rows, constrained, kept, key))
-    # the E-matrices of every miss in one stacked pass
+    local = [selement_local_dofs(mesh, numbering, sel) for sel in mesh.selements]
+    reps = np.unique(mesh._sel_class, return_index=True)[1].tolist()
+    # the E-matrices of every representative in one stacked pass
     sub = {}
-    for kind, (centres, vertices, owners) in stacks.items():
-        mask = np.isin(owners[:, 0], list(misses.values()))
+    for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
+        mask = np.isin(owners[:, 0], reps)
         if mask.any():
             rows = np.array([local[e][1][p] for e, p in owners[mask].tolist()])
             sub[kind] = (centres[mask], vertices[mask], owners[mask], rows)
-    Es = assemble_E(sub, {e: len(local[e][0]) for e in misses.values()},
-                    mesh.dimension, k, order)
-    by_size: dict = {}         # reduced trace size -> misses, in order
-    for key, e in misses.items():
-        E = modes_mod.apply_sideface_bc(Es[e], local[e][2])
-        by_size.setdefault(E.n, []).append((e, key, E, local[e][3]))
-    errors = []
+    Es = assemble_E(sub, {e: len(local[e][0]) for e in reps}, mesh.dimension, k, order)
+    by_size: dict = {}         # reduced trace size -> representatives, in order
+    for c, e in enumerate(reps):
+        sel = mesh.selements[e]
+        dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
+        pinned = np.isin(local[e][0], [numbering.vertex_dof[v] for v in dbc])
+        E = modes_mod.apply_sideface_bc(Es[e], np.flatnonzero(pinned))
+        by_size.setdefault(E.n, []).append((e, c, E, np.flatnonzero(~pinned)))
+    errors, solved = [], {}    # class -> the operator fields its members share
     for n, members in by_size.items():
         admissible = _stack_E(members, mesh.dimension).constant_trace_admissible()
         for has in dict.fromkeys(admissible.tolist()):
             group = [m for m, a in zip(members, admissible) if a == has]
-            errors += [_stack_modes(group[sl], mesh.dimension, cache)
+            errors += [_stack_modes(group[sl], mesh.dimension, solved)
                        for sl in _chunks(len(group), 4 * n * n)]
     if any(errors):
         raise min(filter(None, errors), key=lambda exc: exc.selement)
-    ops = []
-    for sel, (dofs_full, sector_rows, _, _, key) in zip(mesh.selements, local):
-        E_red, md, K, kept = cache[key]
-        ops.append(SElementOperator(selement=sel, E=E_red, modes=md, K=K,
-                                    dofs_full=dofs_full, kept_local=kept,
-                                    sector_rows=sector_rows))
-    return ops
+    return [SElementOperator(selement=sel, dofs_full=dofs, sector_rows=rows, **solved[c])
+            for sel, (dofs, rows), c in zip(mesh.selements, local,
+                                            mesh._sel_class.tolist())]
 
 
 def _stack_E(members, dim: int) -> EMatrices:
@@ -117,11 +96,11 @@ def _stack_E(members, dim: int) -> EMatrices:
                        for blk in ("E11", "E12", "E22")), dim=dim)
 
 
-def _stack_modes(members, dim: int, cache: dict):
-    """Modes and stiffness of a stack of cache misses (S-element id, key,
-    E-matrices, kept local DOFs), stored in the cache.  Returns None or the
-    SpectrumError of the first member to fail any guard: when member j fails
-    one, the members before j go through all guards again."""
+def _stack_modes(members, dim: int, solved: dict):
+    """Modes and stiffness of a stack of class representatives (S-element
+    id, class, E-matrices, kept local DOFs), stored in `solved`.  Returns
+    None or the SpectrumError of the first member to fail any guard: when
+    member j fails one, the members before j go through all guards again."""
     ids = [e for e, _, _, _ in members]
     try:
         md = modes_mod.select_modes(
@@ -129,9 +108,9 @@ def _stack_modes(members, dim: int, cache: dict):
         K = modes_mod.element_stiffness(md, ids).K
     except SpectrumError as exc:
         j = ids.index(exc.selement)
-        return (j and _stack_modes(members[:j], dim, cache)) or exc
-    for j, (_, key, E, kept) in enumerate(members):
-        cache[key] = (E, md[j], K[j], kept)
+        return (j and _stack_modes(members[:j], dim, solved)) or exc
+    for j, (_, c, E, kept) in enumerate(members):
+        solved[c] = dict(E=E, modes=md[j], K=K[j], kept_local=kept)
     return None
 
 
@@ -165,21 +144,15 @@ class GlobalSystem:
 
 
 def assemble_global(mesh: PolytopalMesh, k: int,
-                    quad_order: int | None = None,
-                    cache: dict | None = None) -> GlobalSystem:
+                    quad_order: int | None = None) -> GlobalSystem:
     """Scatter S-element (and FE element) stiffness into the skeleton system."""
     numbering = number_dofs(mesh, k)
-    ops = build_operators(mesh, numbering, quad_order=quad_order, cache=cache)
+    ops = build_operators(mesh, numbering, quad_order=quad_order)
     n = numbering.n_total
-    blocks = [(op.dofs_kept, op.K) for op in ops]
-    corners = mesh.vertices[[fe.vertices for fe in mesh.fe_elements]]
-    fe_K: dict = {}
-    for fe, c, key in zip(mesh.fe_elements, corners,
-                          _shape_keys(mesh, corners - corners[:, :1])):
-        key = key.tobytes()
-        if key not in fe_K:
-            fe_K[key] = fe_element_stiffness(c, k)
-        blocks.append((numbering.fe_nodes[fe.id], fe_K[key]))
+    fe_K = [fe_element_stiffness(mesh.vertices[list(mesh.fe_elements[q].vertices)], k)
+            for q in np.unique(mesh._fe_class, return_index=True)[1].tolist()]
+    blocks = [(op.dofs_kept, op.K) for op in ops] + [
+        (numbering.fe_nodes[q], fe_K[c]) for q, c in enumerate(mesh._fe_class.tolist())]
     system = GlobalSystem(mesh=mesh, numbering=numbering, operators=ops,
                           K=_scatter(blocks, n))
     # side-face Dirichlet traces are pinned to zero from the start

@@ -12,10 +12,10 @@ from sbfem import modes, postproc
 from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError
 from sbfem.mesh import (Facet, FEQuad, PolytopalMesh, SElement, SideFaceBC,
-                        _lattice_perm, _merge_vertices, _orient_2d, _orient_3d,
-                        gen_hex_mesh, gen_polygon_case1, gen_polyhedron_case1,
-                        gen_quad_mesh, import_mesh, number_dofs,
-                        singular_open_selement)
+                        _lattice_perm, _merge_vertices, _open_mesh, _orient_2d,
+                        _orient_3d, _shape_keys, gen_hex_mesh, gen_polygon_case1,
+                        gen_polyhedron_case1, gen_quad_mesh, import_mesh,
+                        number_dofs, selement_local_dofs, singular_open_selement)
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
@@ -184,6 +184,39 @@ def sector_B(sector, basis, eta):
     return B1[0], B2[0]
 
 
+def reference_congruence_classes(mesh, numbering):
+    """Class ids per S-element and per FE quad, numbered first-seen, from the
+    per-element congruence keys that `build_operators` and `assemble_global`
+    once built: an S-element by (dimension, k, S-local indices of its pinned
+    side-face DOFs, and per sector the facet kind, the snapped offsets from
+    the centre and the S-local rows of its nodes); an FE quad by its snapped
+    corner offsets from its first corner.  Oracle for the class table of
+    `PolytopalMesh._register`."""
+    stacks = mesh._sector_stacks()
+    keys = {kind: _shape_keys(mesh, v - c[:, None, :])
+            for kind, (c, v, _) in stacks.items()}
+    where = {(e, pos): (kind, i)
+             for kind, (_, _, owners) in stacks.items()
+             for i, (e, pos) in enumerate(owners.tolist())}
+    seen, classes = {}, []
+    for sel in mesh.selements:
+        dofs_full, sector_rows = selement_local_dofs(mesh, numbering, sel)
+        dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
+        pinned = {numbering.vertex_dof[v] for v in dbc}
+        constrained = np.flatnonzero([g in pinned for g in dofs_full.tolist()])
+        slots = [where[sel.id, pos] for pos in range(len(sector_rows))]
+        key = (mesh.dimension, numbering.k, tuple(constrained.tolist())) + tuple(
+            (kind.value, keys[kind][i].tobytes(), rows.tobytes())
+            for (kind, i), rows in zip(slots, sector_rows))
+        classes.append(seen.setdefault(key, len(seen)))
+    corners = mesh.vertices[[fe.vertices for fe in mesh.fe_elements]].reshape(
+        -1, 4, mesh.dimension)
+    fe_seen = {}
+    fe_classes = [fe_seen.setdefault(key.tobytes(), len(fe_seen))
+                  for key in _shape_keys(mesh, corners - corners[:, :1])]
+    return np.array(classes, dtype=int), np.array(fe_classes, dtype=int)
+
+
 def operator_for(mesh, k, quad_order=None):
     """The S-element operator of a (usually single-element) mesh."""
     numbering = number_dofs(mesh, k)
@@ -261,6 +294,17 @@ def hybrid_mesh() -> PolytopalMesh:
              ]
     return import_mesh({"dimension": 3, "vertices": verts,
                         "selements": [{"facets": faces}]})
+
+
+def coupled_mixed_mesh() -> PolytopalMesh:
+    """The open S-element of `gen_coupled_singular(1)` among FE quads of two
+    widths, 1/2 and 1: two classes of FE quads."""
+    xs, ys = [-1.0, -0.5, 0.0, 0.5, 1.5], [0.0, 0.5, 1.0]
+    corners = [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+               for y0, y1 in zip(ys, ys[1:]) for x0, x1 in zip(xs, xs[1:])
+               if not (-0.5 <= x0 < 0.5 and y0 < 0.5)]
+    return _open_mesh(1, ((-0.5, 0.5), (0.0, 0.5)), ((-1.0, 1.5), (0.0, 1.0)),
+                      corners)
 
 
 def octahedron_mesh() -> PolytopalMesh:
@@ -522,6 +566,20 @@ def mesh_to_json(mesh) -> dict:
     return {"dimension": mesh.dimension,
             "vertices": [[float(c) for c in v] for v in mesh.vertices],
             "selements": sels}
+
+
+def relabelled(data: dict, perm) -> dict:
+    """A mesh file with its vertex list permuted (new vertex i is old vertex
+    perm[i]) and every index mapped to match: the same mesh, relabelled."""
+    new = np.argsort(perm).tolist()
+    sels = []
+    for entry in data["selements"]:
+        entry = dict(entry, facets=[[new[v] for v in f] for f in entry["facets"]])
+        if "dirichlet_sideface_nodes" in entry:
+            entry["dirichlet_sideface_nodes"] = [
+                new[v] for v in entry["dirichlet_sideface_nodes"]]
+        sels.append(entry)
+    return dict(data, vertices=[data["vertices"][i] for i in perm], selements=sels)
 
 
 def save_mesh(mesh, path):

@@ -8,9 +8,11 @@ import pytest
 from conftest import (facet_map_many, facet_owners, flat_sector_squares,
                       hybrid_mesh, jittered_quad_mesh, mesh_sector,
                       mesh_to_json, octahedron_mesh, polygon_mesh,
-                      reference_coupled_singular, reference_hex_family,
-                      reference_import, reference_quad_family,
-                      reference_singular_open_selement, sector_jacobian)
+                      reference_congruence_classes, reference_coupled_singular,
+                      reference_hex_family, reference_import,
+                      reference_quad_family, reference_singular_open_selement,
+                      relabelled, sector_jacobian)
+from test_postproc import BATCH_CASES
 from sbfem.cli import build_mesh, main
 from sbfem.errors import MeshError
 from sbfem.mesh import (MERGE_DIRECTION, NEAR_RTOL, PolytopalMesh,
@@ -784,3 +786,61 @@ def test_merge_direction_separates_a_lattice():
                                                                (2000, 3))])
     first = _merge_vertices(stream)
     assert np.array_equal(first, np.concatenate([np.arange(len(grid)), copies]))
+
+
+def _relabelled_import(mesh, seed):
+    data = mesh_to_json(mesh)
+    perm = np.random.default_rng(seed).permutation(len(data["vertices"]))
+    return import_mesh(relabelled(data, perm))
+
+
+def _open_pair(dirichlet):
+    """Two open S-elements, translated copies sharing a side, with the
+    side-face Dirichlet vertices `dirichlet`."""
+    vertices = np.array([[-1, 0], [-1, 1], [1, 1], [1, 0], [3, 1], [3, 0]], float)
+    table = np.array([(3, 2), (2, 1), (1, 0), (5, 4), (4, 2), (2, 3)])
+    return PolytopalMesh(2)._register(vertices, table, [3, 3], {0: (0, 0), 1: (2, 0)},
+                                      dirichlet)
+
+
+CLASS_CASES = {
+    **{name: make for name, (make, _, _) in BATCH_CASES.items()},
+    "jittered-6x6": lambda: jittered_quad_mesh(6, 0.18),
+    "coupled-singular-3": lambda: gen_coupled_singular(3),
+    "hybrid": hybrid_mesh,
+    "singular-open-2": lambda: singular_open_selement(2),
+    # vertex ids in no geometric order: corners ranked by id would split
+    # the 16 translated squares into 12 classes and the 8 cubes into 8
+    "quad-4-relabelled": lambda: _relabelled_import(gen_quad_mesh(4), 1),
+    "hex-2-relabelled": lambda: _relabelled_import(gen_hex_mesh(2), 2),
+    "open-pair-one-pinned": lambda: _open_pair({0: (0,)}),
+    "open-pair-both-pinned": lambda: _open_pair({0: (0,), 1: (3,)}),
+}
+# (S-element classes, FE quad classes)
+CLASS_COUNTS = {"quad-4-relabelled": (1, 0), "hex-2-relabelled": (1, 0),
+                "open-pair-one-pinned": (2, 0), "open-pair-both-pinned": (1, 0),
+                "coupled-mixed-fe-k2": (1, 2)}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_CASES))
+def test_class_table_matches_per_element_keys(name):
+    mesh = CLASS_CASES[name]()
+    for k in (1, 2, 3):
+        sel, fe = reference_congruence_classes(mesh, number_dofs(mesh, k))
+        assert np.array_equal(mesh._sel_class, sel)
+        assert np.array_equal(mesh._fe_class, fe)
+    if name in CLASS_COUNTS:
+        assert CLASS_COUNTS[name] == (len(set(mesh._sel_class.tolist())),
+                                      len(set(mesh._fe_class.tolist())))
+
+
+def test_import_names_the_selement_whose_surface_falls_apart():
+    cube = IMPORTED["scrambled-cube"]()
+    faces = cube["selements"][0]["facets"]
+    data = dict(cube, vertices=[[x + s, y, z] for s in (0, 2, 4)
+                                for x, y, z in cube["vertices"]])
+    apart = [[v + 8 * s for v in f] for s in (1, 2) for f in faces]
+    for sels, e in (([apart], 0), ([faces, apart], 1)):
+        with pytest.raises(MeshError, match=rf"^S-element {e}: surface is not "
+                                            "edge-connected$"):
+            import_mesh(dict(data, selements=[{"facets": f} for f in sels]))

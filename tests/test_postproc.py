@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (flat_sector_squares, jittered_quad_mesh,
-                      laplacian_residual, reference_solution_errors)
+from conftest import (coupled_mixed_mesh, flat_sector_squares,
+                      jittered_quad_mesh, laplacian_residual,
+                      reference_solution_errors)
 from sbfem import modes, postproc, refgeom
 from sbfem.errors import GeometryError, SbfemError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
@@ -186,6 +187,8 @@ BATCH_CASES = {
     "polyhedron-case1-l1-k2": (lambda: gen_polyhedron_case1(1), 2, "exp3d"),
     "jittered-8x8-k2": (lambda: jittered_quad_mesh(8, 0.18), 2, "exp2d"),
     "coupled-singular-l2-k2": (lambda: gen_coupled_singular(2), 2, "sqrt2d"),
+    # FE quads of two widths: two FE classes, both in one chunk
+    "coupled-mixed-fe-k2": (coupled_mixed_mesh, 2, "sqrt2d"),
 }
 
 

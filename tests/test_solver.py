@@ -7,9 +7,10 @@ from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_quad_mesh, import_mesh, number_dofs,
                         singular_open_selement)
 from sbfem.postproc import get_exact, solution_errors
-from conftest import (evaluate_in_fe, evaluate_in_sector, hybrid_mesh,
-                      jittered_quad_mesh, mesh_to_json, octahedron_mesh,
-                      op_sectors, reference_mode_chain, reference_project_trace)
+from conftest import (coupled_mixed_mesh, evaluate_in_fe, evaluate_in_sector,
+                      hybrid_mesh, jittered_quad_mesh, mesh_to_json,
+                      octahedron_mesh, op_sectors, reference_mode_chain,
+                      reference_project_trace)
 from sbfem.solver import (_project_trace, apply_dirichlet, assemble_global,
                           build_operators, fe_element_stiffness,
                           sbfem_interpolate, solve)
@@ -221,17 +222,14 @@ def test_congruence_keys_are_scale_relative():
     for entry in data["selements"]:
         entry["center"] = [1e-13 * c for c in entry["center"]]
     tiny = import_mesh(data)
-    caches = {}, {}
-    ops = [build_operators(mesh, number_dofs(mesh, 2), cache=cache)
-           for mesh, cache in zip((unit, tiny), caches)]
-    assert len(caches[0]) == len(caches[1]) == 16
+    ops = [build_operators(mesh, number_dofs(mesh, 2)) for mesh in (unit, tiny)]
+    assert [len({id(op.modes) for op in o}) for o in ops] == [16, 16]
     for a, b in zip(*ops):          # 2D stiffness is scale-invariant
         assert np.abs(a.K - b.K).max() <= 1e-12 * np.abs(a.K).max()
     # translated copies still share one entry; -0.0 and 0.0 offsets too
     for mesh in (gen_quad_mesh(16), gen_hex_mesh(4), gen_polygon_case1(3)):
-        cache = {}
-        build_operators(mesh, number_dofs(mesh, 2), cache=cache)
-        assert len(cache) == 1
+        ops = build_operators(mesh, number_dofs(mesh, 2))
+        assert len({id(op.modes) for op in ops}) == 1
 
 
 def test_solver_residual_reported():
@@ -245,15 +243,16 @@ def test_solver_residual_reported():
 def test_congruence_cache_shares_modes():
     mesh = gen_quad_mesh(3)
     numbering = number_dofs(mesh, 1)
-    cache = {}
-    ops = build_operators(mesh, numbering, cache=cache)
-    assert len(cache) == 1      # all nine elements are translates
+    ops = build_operators(mesh, numbering)
+    assert len({id(op.modes) for op in ops}) == 1   # all nine are translates
     assert ops[0].modes is ops[-1].modes
 
 
 @pytest.mark.parametrize("make", [lambda: jittered_quad_mesh(9, 0.18),
-                                  lambda: gen_coupled_singular(2)],
-                         ids=["jittered-9x9", "coupled-singular-l2"])
+                                  lambda: gen_coupled_singular(2),
+                                  coupled_mixed_mesh],
+                         ids=["jittered-9x9", "coupled-singular-l2",
+                              "coupled-mixed-fe"])
 def test_stacked_scatter_and_coefficients_match_per_element(make):
     # 81 jittered S-elements span two mode-layer chunks; the coupled mesh
     # scatters FE blocks of another size
