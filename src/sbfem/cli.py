@@ -75,8 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output directory (default: .)")
     p.add_argument("--bc", choices=["project", "nodal"],
                    help="Dirichlet enforcement (default: project)")
-    p.add_argument("--quad-order", type=int, dest="quad_order",
-                   help="facet quadrature order for the coefficient matrices")
     p.add_argument("--facet-order", type=int, dest="facet_order",
                    help="facet quadrature order for error integrals")
     p.add_argument("--radial-points", type=int, dest="radial_points",
@@ -91,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 _DEFAULTS = {"mesh": "quad", "level": None, "levels": None, "k": "1",
              "problem": "exp2d", "output": ".", "bc": "project",
-             "quad_order": None, "facet_order": None, "radial_points": None,
+             "facet_order": None, "radial_points": None,
              "composite_levels": None, "threads": 1,
              "dump_eigenvalues": False}
 
@@ -139,14 +137,13 @@ def _quad_config(cfg: dict) -> QuadratureConfig:
 def _run_one(cfg: dict, mesh, k: int, galerkin: bool):
     exact = get_exact(cfg["problem"])
     if galerkin:
-        system = assemble_global(mesh, k, quad_order=cfg["quad_order"])
+        system = assemble_global(mesh, k)
         apply_dirichlet(system, exact.value,
                         facet_ids=exact.dirichlet_facets(mesh),
                         method=cfg["bc"])
         sol = solve(system)
     else:
-        sol = sbfem_interpolate(mesh, k, exact.value,
-                                quad_order=cfg["quad_order"])
+        sol = sbfem_interpolate(mesh, k, exact.value)
     e_l2, e_h1 = solution_errors(sol, exact, _quad_config(cfg))
     return sol, e_l2, e_h1
 
@@ -174,8 +171,7 @@ def run(cfg: dict) -> int:
         for k in cfg["k"]:
             mesh = build_mesh(cfg["mesh"], cfg["levels"][0])
             numbering = mesh_mod.number_dofs(mesh, k)
-            ops = build_operators(mesh, numbering,
-                                  quad_order=cfg["quad_order"])
+            ops = build_operators(mesh, numbering)
             _eigen_csv(ops, out_dir, f"{_mesh_tag(cfg['mesh'])}_k{k}")
             lam = np.sort_complex(ops[0].modes.lambdas)
             print(f"mesh={cfg['mesh']} k={k}: selected exponents "

@@ -108,12 +108,19 @@ class PolytopalMesh:
         for r in np.flatnonzero(~np.isin(size, sizes))[:1]:
             raise MeshError(f"unsupported facet with {size[r]} vertices "
                             f"in dimension {dim}")
-        fid, first = _first_seen(np.sort(table, axis=1))
+        ordered = np.sort(table, axis=1)
+        fid, first = _first_seen(ordered)
         canon = table[first]
         vperm = (table[:, :, None] == canon[fid][:, None, :]).argmax(axis=2)
-        for r in _first_seen(np.column_stack([size, vperm]))[1]:
-            # k = 2 so that edge midpoints tell opposite quad corners apart
-            _lattice_perm(_KIND_BY_SIZE[size[r]], 2, tuple(vperm[r, :size[r]].tolist()))
+        # a listing maps the lattice onto its facet's first listing unless it
+        # repeats a vertex or makes opposite corners of a quadrilateral adjacent
+        bad = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1)
+        bad |= (size == 4) & ((vperm[:, 2:3] - vperm[:, :1]) % 4 != 2).any(axis=1)
+        for r in np.flatnonzero(bad)[:1]:
+            raise MeshError(f"facet vertex order {tuple(vperm[r, :size[r]].tolist())} "
+                            f"is not a symmetry of the reference "
+                            f"{_KIND_BY_SIZE[size[r]].value}")
+        self._table, self._first = table, first
         rows = table[:n_s]
         elem = np.repeat(np.arange(len(counts)), counts)
         # the (S-element, vertex) pairs, coded e nv + v, where each is first
@@ -146,7 +153,7 @@ class PolytopalMesh:
         for s in dict.fromkeys(size[:n_s].tolist()):
             at = np.flatnonzero(size[:n_s] == s)
             self._stacks[_KIND_BY_SIZE[s]] = (
-                centre[elem[at]], self.vertices[rows[at, :s]],
+                centre[elem[at]], np.take(vertices, rows[at, :s], axis=0),
                 np.column_stack([elem[at], pos[at]]))
         # the class table: S-elements alike in each sector's snapped offsets and
         # corners (named by first listing, negative if pinned; only padding
@@ -167,7 +174,8 @@ class PolytopalMesh:
         quads = np.take(vertices, table[n_s:, 0].reshape(-1, 4), axis=0)
         self._fe_class = _first_seen(_shape_keys(self, quads - quads[:, :1]).reshape(
             len(quads), 4 * dim))[0]
-        for array in sum(self._stacks.values(), (self._sel_class, self._fe_class)):
+        for array in sum(self._stacks.values(), (self._sel_class, self._fe_class,
+                                                 self._table, self._first)):
             array.flags.writeable = False
         self.validate()
         return self
@@ -531,6 +539,9 @@ class DofNumbering:
     facet_nodes: list          # per facet: global dof ids in canonical order
     fe_nodes: list             # per FE quad: global dof of each Q_k lattice node
     coords: np.ndarray         # physical coordinates per dof
+    selement_dofs: list        # per S-element: global dof of each S-local index
+    sector_rows: list          # per S-element, per facet position: S-local
+                               # index of each node, in the element's order
 
     def facet_boundary_dofs(self, facet_ids) -> np.ndarray:
         return np.unique(np.concatenate(
@@ -564,96 +575,81 @@ def _node_names(kind: FacetKind, k: int, vertex_ids) -> np.ndarray:
     return np.concatenate([pairs, pad], axis=-2).reshape(ids.shape[:2] + (8,))
 
 
-@lru_cache(maxsize=None)
-def _lattice_perm(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
-    """perm[l] = canonical lattice index of node l of the re-ordered facet.
-
-    `vperm[m]` is the canonical corner index of the m-th vertex in the
-    element's own facet order; only symmetries of the reference facet are
-    admitted.
-    """
-    canon = _node_names(kind, k, [range(kind.n_vertices)])[0]
-    index = {name.tobytes(): j for j, name in enumerate(canon)}
-    try:
-        perm = np.array([index[name.tobytes()]
-                         for name in _node_names(kind, k, [vperm])[0]])
-    except KeyError:
-        raise MeshError(f"facet vertex order {vperm} is not a symmetry of the "
-                        f"reference {kind.value}") from None
-    perm.flags.writeable = False
-    return perm
-
-
 def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
-    """One global DOF per named lattice node of the facets and FE quads.
+    """One global DOF per named lattice node of the facets and FE quads, and
+    the S-local DOFs of every S-element.
 
-    Vertices come first, by id; in 3D, edge nodes next, by (lower id, higher
-    id, distance from the lower); then every other node, in the order in
-    which the facets (by id) and then the FE quads first name it.
+    Every row of the mesh's sector table is named in its element's own
+    vertex order, then every FE quad.  Vertices come first, by id; in 3D,
+    edge nodes next, by (lower id, higher id, distance from the lower); then
+    every other node, in the order in which the rows first name it: a facet
+    first at its first listing, so facets by id, then FE quads.  The S-local
+    DOFs of an S-element are the DOFs that its sectors name, in that order.
     """
-    n_facets = len(mesh.facets)
-    kinds = ([f.kind for f in mesh.facets]
-             + [FacetKind.QUADRILATERAL] * len(mesh.fe_elements))
-    corners = ([f.vertices for f in mesh.facets]
-               + [fe.vertices for fe in mesh.fe_elements])
-    start = np.cumsum([0] + [len(_corner_weights(kind, k)) for kind in kinds])
-    groups: dict = {}          # (kind, FE quad?) -> members, in stream order
-    for i, kind in enumerate(kinds):
-        groups.setdefault((kind, i >= n_facets), []).append(i)
+    table, first = mesh._table, mesh._first
+    n_rows, n_fe = len(table), len(mesh.fe_elements)
+    n_s = n_rows - 4 * n_fe                # sector rows; FE quad edges follow
+    corners = np.full((n_rows + n_fe, max(table.shape[1], 4)), -1)
+    corners[:n_rows, :table.shape[1]] = table
+    corners[n_rows:, :4] = table[n_s:, 0].reshape(-1, 4)
+    size = (corners >= 0).sum(axis=1)
+    nodes = np.array([0, 0] + [len(_corner_weights(_KIND_BY_SIZE[s], k))
+                               for s in (2, 3, 4)])   # lattice nodes by size
+    start = np.concatenate([[0], np.cumsum(nodes[size])])
     names = np.empty((start[-1], 8), dtype=np.int64)
-    slots = {}
-    for (kind, fe), members in groups.items():
-        at = start[members][:, None] + np.arange(len(_corner_weights(kind, k)))
-        names[at] = _node_names(kind, k, [corners[i] for i in members])
-        slots[kind, fe] = at
+    for s in np.unique(size).tolist():
+        at = np.flatnonzero(size == s)
+        names[start[at][:, None] + np.arange(nodes[s])] = _node_names(
+            _KIND_BY_SIZE[s], k, corners[at, :s])
     # one 64-byte key per name: a byte-wise sort finds the distinct names
-    _, first, inverse = np.unique(names.view(np.dtype((np.void, 64))).ravel(),
-                                  return_index=True, return_inverse=True)
-    unique = names[first]
+    _, seen, inverse = np.unique(names.view(np.dtype((np.void, 64))).ravel(),
+                                 return_index=True, return_inverse=True)
+    unique = names[seen]
     n_pairs = (unique[:, 1::2] > 0).sum(axis=1)
     # vertices (one pair) by id, 3D edge nodes (two pairs) by (lower id,
     # higher id, weight of the higher), then the rest by first naming
     by_id = (n_pairs == 1) | ((n_pairs == 2) & (mesh.dimension == 3))
     order = np.lexsort((unique[:, 3] * by_id, unique[:, 2] * by_id,
-                        np.where(by_id, unique[:, 0], first), n_pairs * by_id,
+                        np.where(by_id, unique[:, 0], seen), n_pairs * by_id,
                         ~by_id))
     dof = np.empty(len(unique), dtype=int)
     dof[order] = np.arange(len(unique))
     slot_dof = dof[inverse.reshape(-1)]
     coords = np.zeros((len(unique), mesh.dimension))
-    for (kind, fe), members in groups.items():
-        # an FE quad sets only its interior nodes; the others lie on facets
-        own = (_corner_weights(kind, k) > 0).all(axis=1) if fe else slice(None)
-        coords[slot_dof[slots[kind, fe][:, own]]] = _facet_points(
+    # a facet sets its nodes from its first listing, an FE quad (the only row
+    # with more than d + 1 corners) only its interior nodes
+    heads = np.concatenate([first, np.arange(n_rows, len(corners))])
+    for s in dict.fromkeys(size[heads].tolist()):
+        at, kind = heads[size[heads] == s], _KIND_BY_SIZE[s]
+        own = np.flatnonzero((_corner_weights(kind, k) > 0).all(axis=1)
+                             | (s <= mesh.dimension + 1))
+        coords[slot_dof[start[at][:, None] + own]] = _facet_points(
             kind, trace_basis(kind, k).nodes[own],
-            mesh.vertices[[corners[i] for i in members]])
+            np.take(mesh.vertices, corners[at, :s], axis=0))
+    # S-local DOFs: the (S-element, DOF) pairs of the sector rows, coded
+    # e n + dof, numbered in order of first appearance, those of each
+    # S-element after those of the S-elements before it
+    counts = [len(sel.facet_ids) for sel in mesh.selements]
+    elem = np.repeat(np.repeat(np.arange(len(counts)), counts), nodes[size[:n_s]])
+    ids, firsts = _first_seen(elem * len(unique) + slot_dof[:start[n_s]])
+    rows = _pieces(ids - ids[np.searchsorted(elem, elem)], start[:n_s + 1])
+    parts = _pieces(slot_dof, start)
     n_vertices = int(np.sum(n_pairs == 1))
-    parts = [slot_dof[a:b] for a, b in zip(start[:-1], start[1:])]
     return DofNumbering(
         k=k, n_total=len(unique),
         vertex_dof=dict(zip(unique[order[:n_vertices], 0].tolist(),
                             range(n_vertices))),
-        facet_nodes=parts[:n_facets], fe_nodes=parts[n_facets:], coords=coords)
+        facet_nodes=[parts[r] for r in first.tolist()], fe_nodes=parts[n_rows:],
+        coords=coords, selement_dofs=_pieces(slot_dof[firsts], np.searchsorted(
+            elem[firsts], np.arange(len(counts) + 1))),
+        sector_rows=_pieces(rows, np.cumsum([0] + counts)))
 
 
-def selement_local_dofs(mesh: PolytopalMesh, numbering: DofNumbering,
-                        sel: SElement):
-    """S-element trace DOF list plus per-sector local node maps.
-
-    ``global_ids[l]`` is the skeleton DOF of S-local trace index l (geometric
-    first-seen order, congruent across translated elements);
-    ``sector_rows[p][j]`` is the S-local index of node j of sector p.
-    """
-    position: dict[int, int] = {}      # skeleton DOF -> S-local index
-    sector_rows = []
-    for fid, order in zip(sel.facet_ids, sel.facet_orders):
-        facet = mesh.facets[fid]
-        vperm = tuple(facet.vertices.index(v) for v in order)
-        nodes = numbering.facet_nodes[fid][_lattice_perm(facet.kind, numbering.k,
-                                                         vperm)]
-        sector_rows.append(np.array([position.setdefault(g, len(position))
-                                     for g in nodes.tolist()], dtype=int))
-    return np.array(list(position), dtype=int), sector_rows
+def _pieces(items, bounds) -> list:
+    """items[bounds[i]:bounds[i + 1]] for each i: views of an array, by plain
+    slices, which cost far less per piece than `np.split`."""
+    bounds = np.asarray(bounds).tolist()
+    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 # -- generators -------------------------------------------------------------
@@ -661,12 +657,13 @@ def selement_local_dofs(mesh: PolytopalMesh, numbering: DofNumbering,
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the rows of `keys` (R, c), rows of equal bytes sharing one (so
-    float keys need -0.0 mapped to 0.0), numbered in order of first
-    appearance; and the first row of each id.  One sort of the rows as
-    byte strings."""
+    float keys need -0.0 mapped to 0.0), or of the integers `keys` (R,),
+    numbered in order of first appearance; and the first row of each id.
+    One sort of the rows as byte strings, or of the integers."""
     keys = np.ascontiguousarray(keys)
-    rows = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(rows, return_index=True, return_inverse=True)
+    if keys.ndim == 2:
+        keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse], np.sort(first)
 
 

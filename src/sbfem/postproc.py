@@ -175,9 +175,10 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                     t = s[near]
                     _check_sectors(*_sector_jacobians(kind, frule.points, centres[t],
                                                       vertices[t]), owners[t])
-                a0 = centres[s][..., None, :]
+                a0 = np.take(centres, s, axis=0)[..., None, :]
                 rays = (J[:, None, ..., 0] if m == 1      # the members are the reps
-                        else _facet_points(kind, frule.points, vertices[s]) - a0)
+                        else _facet_points(kind, frule.points,
+                                           np.take(vertices, s, axis=0)) - a0)
                 pts = a0[..., None, :] + xis[:, None, None] * rays[..., None, :, :]
                 vals, grads = _member_fields(fields,
                                              np.swapaxes(coeffs[sl, blk], 1, 2))

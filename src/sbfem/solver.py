@@ -17,8 +17,7 @@ import scipy.sparse.linalg
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError, SpectrumError
-from .mesh import (DofNumbering, PolytopalMesh, SElement, number_dofs,
-                   selement_local_dofs)
+from .mesh import DofNumbering, PolytopalMesh, SElement, number_dofs
 from .polyspace import facet_quadrature, trace_basis
 from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 
@@ -47,34 +46,34 @@ class SElementOperator:
         return A
 
 
-def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
-                    quad_order: int | None = None) -> list[SElementOperator]:
+def build_operators(mesh: PolytopalMesh,
+                    numbering: DofNumbering) -> list[SElementOperator]:
     """E-matrices, modes and stiffness for every S-element.
 
     The S-elements of a class of the mesh's class table (translated copies)
     share the eigen-solve of its lowest member.  The E-matrices of all class
     representatives are integrated in one stacked pass over their sectors,
-    and their modes in one stack per (reduced trace size, constant-trace
-    admissible), cut into chunks under `refgeom.CHUNK_BUDGET` Euler-matrix
-    entries.  A SpectrumError names the first failing S-element by id.
+    by the facet rule of degree 2k + 2, and their modes in one stack per
+    (reduced trace size, constant-trace admissible), cut into chunks under
+    `refgeom.CHUNK_BUDGET` Euler-matrix entries.  A SpectrumError names the
+    first failing S-element by id.
     """
-    k = numbering.k
-    order = quad_order if quad_order is not None else 2 * k + 2
-    local = [selement_local_dofs(mesh, numbering, sel) for sel in mesh.selements]
+    k, dofs, local = numbering.k, numbering.selement_dofs, numbering.sector_rows
     reps = np.unique(mesh._sel_class, return_index=True)[1].tolist()
     # the E-matrices of every representative in one stacked pass
     sub = {}
     for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
         mask = np.isin(owners[:, 0], reps)
         if mask.any():
-            rows = np.array([local[e][1][p] for e, p in owners[mask].tolist()])
+            rows = np.array([local[e][p] for e, p in owners[mask].tolist()])
             sub[kind] = (centres[mask], vertices[mask], owners[mask], rows)
-    Es = assemble_E(sub, {e: len(local[e][0]) for e in reps}, mesh.dimension, k, order)
+    Es = assemble_E(sub, {e: len(dofs[e]) for e in reps}, mesh.dimension, k,
+                    2 * k + 2)
     by_size: dict = {}         # reduced trace size -> representatives, in order
     for c, e in enumerate(reps):
         sel = mesh.selements[e]
         dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
-        pinned = np.isin(local[e][0], [numbering.vertex_dof[v] for v in dbc])
+        pinned = np.isin(dofs[e], [numbering.vertex_dof[v] for v in dbc])
         E = modes_mod.apply_sideface_bc(Es[e], np.flatnonzero(pinned))
         by_size.setdefault(E.n, []).append((e, c, E, np.flatnonzero(~pinned)))
     errors, solved = [], {}    # class -> the operator fields its members share
@@ -86,9 +85,9 @@ def build_operators(mesh: PolytopalMesh, numbering: DofNumbering,
                        for sl in _chunks(len(group), 4 * n * n)]
     if any(errors):
         raise min(filter(None, errors), key=lambda exc: exc.selement)
-    return [SElementOperator(selement=sel, dofs_full=dofs, sector_rows=rows, **solved[c])
-            for sel, (dofs, rows), c in zip(mesh.selements, local,
-                                            mesh._sel_class.tolist())]
+    return [SElementOperator(selement=sel, dofs_full=d, sector_rows=rows, **solved[c])
+            for sel, d, rows, c in zip(mesh.selements, dofs, local,
+                                       mesh._sel_class.tolist())]
 
 
 def _stack_E(members, dim: int) -> EMatrices:
@@ -143,11 +142,10 @@ class GlobalSystem:
     dirichlet: dict = field(default_factory=dict)   # dof -> value
 
 
-def assemble_global(mesh: PolytopalMesh, k: int,
-                    quad_order: int | None = None) -> GlobalSystem:
+def assemble_global(mesh: PolytopalMesh, k: int) -> GlobalSystem:
     """Scatter S-element (and FE element) stiffness into the skeleton system."""
     numbering = number_dofs(mesh, k)
-    ops = build_operators(mesh, numbering, quad_order=quad_order)
+    ops = build_operators(mesh, numbering)
     n = numbering.n_total
     fe_K = [fe_element_stiffness(mesh.vertices[list(mesh.fe_elements[q].vertices)], k)
             for q in np.unique(mesh._fe_class, return_index=True)[1].tolist()]
@@ -283,14 +281,13 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
 
 
 def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
-                      quad_order: int | None = None,
                       operators: list | None = None,
                       numbering: DofNumbering | None = None) -> DiscreteSolution:
     """Radial extension of the nodal trace interpolant of f."""
     if numbering is None:
         numbering = number_dofs(mesh, k)
     if operators is None:
-        operators = build_operators(mesh, numbering, quad_order=quad_order)
+        operators = build_operators(mesh, numbering)
     nodal = _evaluate_field(f, numbering.coords)
     return DiscreteSolution(mesh=mesh, numbering=numbering,
                             operators=operators, nodal=nodal,

@@ -4,18 +4,19 @@ diagnostics that only tests use."""
 import itertools
 import json
 from collections import Counter, namedtuple
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from sbfem import modes, postproc
 from sbfem.ematrix import EMatrices
-from sbfem.errors import GeometryError
+from sbfem.errors import GeometryError, MeshError
 from sbfem.mesh import (Facet, FEQuad, PolytopalMesh, SElement, SideFaceBC,
-                        _lattice_perm, _merge_vertices, _open_mesh, _orient_2d,
+                        _merge_vertices, _node_names, _open_mesh, _orient_2d,
                         _orient_3d, _shape_keys, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh, import_mesh,
-                        number_dofs, selement_local_dofs, singular_open_selement)
+                        number_dofs, singular_open_selement)
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
@@ -184,6 +185,58 @@ def sector_B(sector, basis, eta):
     return B1[0], B2[0]
 
 
+@lru_cache(maxsize=None)
+def reference_lattice_perm(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
+    """perm[l] = canonical lattice index of node l of the re-ordered facet.
+
+    `vperm[m]` is the canonical corner index of the m-th vertex in the
+    element's own facet order; only symmetries of the reference facet are
+    admitted.
+    """
+    canon = _node_names(kind, k, [range(kind.n_vertices)])[0]
+    index = {name.tobytes(): j for j, name in enumerate(canon)}
+    try:
+        perm = np.array([index[name.tobytes()]
+                         for name in _node_names(kind, k, [vperm])[0]])
+    except KeyError:
+        raise MeshError(f"facet vertex order {vperm} is not a symmetry of the "
+                        f"reference {kind.value}") from None
+    perm.flags.writeable = False
+    return perm
+
+
+def reference_local_dofs(mesh, numbering, sel):
+    """S-element trace DOF list plus per-sector local node maps, by a loop
+    over the element's sectors through a lattice permutation per (facet
+    kind, k, vertex order).  Oracle for the S-local numbering of
+    `number_dofs`.
+
+    ``global_ids[l]`` is the skeleton DOF of S-local trace index l (geometric
+    first-seen order, congruent across translated elements);
+    ``sector_rows[p][j]`` is the S-local index of node j of sector p.
+    """
+    position: dict[int, int] = {}      # skeleton DOF -> S-local index
+    sector_rows = []
+    for fid, order in zip(sel.facet_ids, sel.facet_orders):
+        facet = mesh.facets[fid]
+        vperm = tuple(facet.vertices.index(v) for v in order)
+        nodes = numbering.facet_nodes[fid][reference_lattice_perm(
+            facet.kind, numbering.k, vperm)]
+        sector_rows.append(np.array([position.setdefault(g, len(position))
+                                     for g in nodes.tolist()], dtype=int))
+    return np.array(list(position), dtype=int), sector_rows
+
+
+def assert_local_dofs_match(mesh, numbering):
+    """The S-local DOFs and sector rows of `numbering` equal the oracle's."""
+    for sel in mesh.selements:
+        dofs, rows = reference_local_dofs(mesh, numbering, sel)
+        assert np.array_equal(numbering.selement_dofs[sel.id], dofs)
+        assert len(numbering.sector_rows[sel.id]) == len(rows)
+        for got, want in zip(numbering.sector_rows[sel.id], rows):
+            assert np.array_equal(got, want)
+
+
 def reference_congruence_classes(mesh, numbering):
     """Class ids per S-element and per FE quad, numbered first-seen, from the
     per-element congruence keys that `build_operators` and `assemble_global`
@@ -200,7 +253,7 @@ def reference_congruence_classes(mesh, numbering):
              for i, (e, pos) in enumerate(owners.tolist())}
     seen, classes = {}, []
     for sel in mesh.selements:
-        dofs_full, sector_rows = selement_local_dofs(mesh, numbering, sel)
+        dofs_full, sector_rows = reference_local_dofs(mesh, numbering, sel)
         dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
         pinned = {numbering.vertex_dof[v] for v in dbc}
         constrained = np.flatnonzero([g in pinned for g in dofs_full.tolist()])
@@ -217,10 +270,9 @@ def reference_congruence_classes(mesh, numbering):
     return np.array(classes, dtype=int), np.array(fe_classes, dtype=int)
 
 
-def operator_for(mesh, k, quad_order=None):
+def operator_for(mesh, k):
     """The S-element operator of a (usually single-element) mesh."""
-    numbering = number_dofs(mesh, k)
-    return build_operators(mesh, numbering, quad_order=quad_order)[0]
+    return build_operators(mesh, number_dofs(mesh, k))[0]
 
 
 def polygon_mesh(vertices) -> PolytopalMesh:
@@ -785,8 +837,8 @@ class ReferenceMesh:
             vs = tuple(int(v) for v in vs)
             fid = self._facet_id(vs)
             canon = self.facets[fid].vertices
-            _lattice_perm(self.facets[fid].kind, 2,
-                          tuple(canon.index(v) for v in vs))
+            reference_lattice_perm(self.facets[fid].kind, 2,
+                                   tuple(canon.index(v) for v in vs))
             fids.append(fid)
             orders.append(vs)
         sel = SElement(id=len(self.selements), center=None, facet_ids=fids,

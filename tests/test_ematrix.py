@@ -150,10 +150,10 @@ def test_cube_selement_counts(cube_mesh):
 
 def test_open_boundary_cross_sum_survives(wedge_mesh):
     # before side-face reduction the open chain keeps nonzero E12^T 1
-    from sbfem.mesh import number_dofs, selement_local_dofs
+    from sbfem.mesh import number_dofs
     nd = number_dofs(wedge_mesh, 1)
     sel = wedge_mesh.selements[0]
-    dofs, rows = selement_local_dofs(wedge_mesh, nd, sel)
+    dofs, rows = nd.selement_dofs[0], nd.sector_rows[0]
     data = []
     for pos in range(len(sel.facet_ids)):
         sector = mesh_sector(wedge_mesh, sel, pos)

@@ -5,22 +5,22 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (facet_map_many, facet_owners, flat_sector_squares,
-                      hybrid_mesh, jittered_quad_mesh, mesh_sector,
-                      mesh_to_json, octahedron_mesh, polygon_mesh,
+from conftest import (assert_local_dofs_match, facet_map_many, facet_owners,
+                      flat_sector_squares, hybrid_mesh, jittered_quad_mesh,
+                      mesh_sector, mesh_to_json, octahedron_mesh, polygon_mesh,
                       reference_congruence_classes, reference_coupled_singular,
                       reference_hex_family, reference_import,
-                      reference_quad_family, reference_singular_open_selement,
-                      relabelled, sector_jacobian)
+                      reference_lattice_perm, reference_quad_family,
+                      reference_singular_open_selement, relabelled,
+                      sector_jacobian)
 from test_postproc import BATCH_CASES
 from sbfem.cli import build_mesh, main
 from sbfem.errors import MeshError
 from sbfem.mesh import (MERGE_DIRECTION, NEAR_RTOL, PolytopalMesh,
-                        _lattice_perm, _merge_vertices, gen_coupled_singular,
-                        gen_hex_mesh, gen_polygon_case1, gen_polyhedron_case1,
-                        gen_quad_mesh, gen_refined_cube, gen_refined_square,
-                        import_mesh, number_dofs, selement_local_dofs,
-                        singular_open_selement)
+                        _merge_vertices, gen_coupled_singular, gen_hex_mesh,
+                        gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
+                        gen_refined_cube, gen_refined_square, import_mesh,
+                        number_dofs, singular_open_selement)
 from sbfem.polyspace import trace_basis
 from sbfem.refgeom import FacetKind, _facet_points
 
@@ -355,14 +355,32 @@ def test_node_permutations_match_physical_points(rng):
                                       (2, 1, 0, 3), (1, 0, 3, 2)],
         }[kind]
         for vperm in admissible:
-            perm = _lattice_perm(kind, k, tuple(vperm))
+            perm = reference_lattice_perm(kind, k, tuple(vperm))
             pts = _facet_points(kind, nodes, verts[list(vperm)])
             assert np.allclose(pts, pts_canon[perm], atol=1e-12)
 
 
 def test_invalid_quad_vertex_order_rejected():
     with pytest.raises(MeshError):
-        _lattice_perm(FacetKind.QUADRILATERAL, 2, (0, 2, 1, 3))
+        reference_lattice_perm(FacetKind.QUADRILATERAL, 2, (0, 2, 1, 3))
+    # registration: a second listing of a quadrilateral that makes opposite
+    # corners adjacent, or a listing that repeats a vertex
+    cubes = gen_hex_mesh(2)
+    table = np.array(cubes._table)
+    key = [tuple(sorted(row)) for row in table.tolist()]
+    again = next(r for r in range(len(key)) if key[r] in key[:r])
+    a, b, c, d = table[key.index(key[again])]
+    for row, listing, order in ((again, [a, c, b, d], (0, 2, 1, 3)),
+                                (0, [a, b, b, d], (0, 1, 1, 3))):
+        bad = table.copy()
+        bad[row] = listing
+        with pytest.raises(MeshError, match=re.escape(
+                f"facet vertex order {order} is not a symmetry of the "
+                "reference quadrilateral")):
+            PolytopalMesh(3)._register(cubes.vertices, bad, [6] * 8)
+    with pytest.raises(MeshError, match=re.escape(
+            "facet vertex order (0, 0) is not a symmetry of the reference segment")):
+        PolytopalMesh(2)._register(np.eye(2), np.array([[0, 1], [1, 1]]), [2])
     # a second element lists the shared quadrilateral with opposite corners
     # made adjacent
     square = {"dimension": 3,
@@ -424,7 +442,7 @@ def test_lattice_dofs_sit_at_their_points(name, k):
     for fid, facet in enumerate(mesh.facets):
         check(facet.kind, facet.vertices, nd.facet_nodes[fid])
     for sel in mesh.selements:
-        dofs, rows = selement_local_dofs(mesh, nd, sel)
+        dofs, rows = nd.selement_dofs[sel.id], nd.sector_rows[sel.id]
         for pos, fid in enumerate(sel.facet_ids):
             check(mesh.facets[fid].kind, sel.facet_orders[pos], dofs[rows[pos]])
     for fe in mesh.fe_elements:
@@ -460,7 +478,7 @@ def test_neighbor_elements_share_facet_dofs():
     nd = number_dofs(mesh, 3)
     seen = {}
     for sel in mesh.selements:
-        dofs, rows = selement_local_dofs(mesh, nd, sel)
+        dofs, rows = nd.selement_dofs[sel.id], nd.sector_rows[sel.id]
         for pos, fid in enumerate(sel.facet_ids):
             ids = dofs[rows[pos]]
             sector = mesh_sector(mesh, sel, pos)
@@ -832,6 +850,13 @@ def test_class_table_matches_per_element_keys(name):
     if name in CLASS_COUNTS:
         assert CLASS_COUNTS[name] == (len(set(mesh._sel_class.tolist())),
                                       len(set(mesh._fe_class.tolist())))
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_CASES))
+def test_local_dofs_match_per_element_oracle(name):
+    mesh = CLASS_CASES[name]()
+    for k in (1, 2, 3, 4):
+        assert_local_dofs_match(mesh, number_dofs(mesh, k))
 
 
 def test_import_names_the_selement_whose_surface_falls_apart():

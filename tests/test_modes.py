@@ -243,10 +243,9 @@ def test_square_stiffness_matches_volume_quadrature(square_mesh):
 
 
 def test_sideface_reduction_counts(wedge_mesh):
-    from sbfem.mesh import selement_local_dofs
     nd = number_dofs(wedge_mesh, 1)
     sel = wedge_mesh.selements[0]
-    dofs, rows = selement_local_dofs(wedge_mesh, nd, sel)
+    dofs, rows = nd.selement_dofs[0], nd.sector_rows[0]
     from conftest import reference_assemble_E
     from sbfem.polyspace import trace_basis
     data = []

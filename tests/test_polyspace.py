@@ -163,14 +163,13 @@ def test_radial_errors():
 
 
 def test_cached_arrays_are_read_only():
-    from sbfem.mesh import _corner_weights, _lattice_perm
+    from sbfem.mesh import _corner_weights
     rule = radial_quadrature(0.0, 12, 0)
     assert radial_quadrature(0.0, 12, 0) is rule
     basis = trace_basis(FacetKind.QUADRILATERAL, 2)
     shared = [rule.points, rule.weights,
               facet_quadrature(FacetKind.TRIANGLE, 6).weights,
               basis.nodes, basis.coeffs,
-              _lattice_perm(FacetKind.SEGMENT, 2, (1, 0)),
               _corner_weights(FacetKind.TRIANGLE, 3)]
     for arr in shared:
         with pytest.raises(ValueError):
