@@ -88,11 +88,12 @@ class PolytopalMesh:
                   centres=None, dirichlet=None) -> "PolytopalMesh":
         """Build the mesh from its sector table in array passes, and validate.
 
-        `table` (R, w) lists the outward-ordered vertex ids of every sector,
-        padded with -1, S-element by S-element in mesh order (S-element e
-        has `counts[e]` sectors), then the 4 edges (v_i, v_i+1) of each
-        counter-clockwise FE quad.  A facet takes the id and vertex order of
-        its first listing.  `centres` and `dirichlet` map S-element ids to
+        `table` (R, w) lists the vertex ids of every sector, padded with -1,
+        S-element by S-element in mesh order (S-element e has `counts[e]`
+        sectors), then the 4 edges (v_i, v_i+1) of each counter-clockwise FE
+        quad.  Each sector is turned to face its S-element's centre, so it
+        may be listed either way round; a facet takes the id and vertex
+        order of its first listing so turned.  `centres` and `dirichlet` map S-element ids to
         given scaling centres and side-face Dirichlet vertex ids; any other
         centre is the mean of the element's distinct vertices.
         """
@@ -105,9 +106,37 @@ class PolytopalMesh:
         n_s = counts.sum()
         size = (table >= 0).sum(axis=1)
         sizes = [s for s, kind in _KIND_BY_SIZE.items() if kind.ambient_dim == dim]
-        for r in np.flatnonzero(~np.isin(size, sizes))[:1]:
-            raise MeshError(f"unsupported facet with {size[r]} vertices "
-                            f"in dimension {dim}")
+        elem = np.repeat(np.arange(len(counts)), counts)
+        for r in np.flatnonzero(~np.isin(size[:n_s], sizes))[:1]:
+            raise MeshError(f"S-element {elem[r]}: unsupported facet with {size[r]} "
+                            f"vertices in dimension {dim}")
+        rows = table[:n_s]
+        # the (S-element, vertex) pairs, coded e nv + v, where each is first
+        # listed, and the pair of each facet corner; padding repeats corner 0
+        nv = len(vertices) + 1
+        ring = np.where(rows >= 0, rows, rows[:, :1])
+        code = elem[:, None] * nv
+        pairs, seen, node = np.unique(code + ring, return_index=True, return_inverse=True)
+        centre = self._centres(pairs, nv)
+        for e, c in centres.items():
+            centre[e] = np.asarray(c, dtype=float)
+        # turn each sector to face its centre: the signed measure of its cone,
+        # a fan over the corner offsets o = v - c, is o0 x o1 in 2D and
+        # sum_i o0 . (oi x oi+1) in 3D; reverse (a, b, c, d) -> (d, c, b, a)
+        # where it is negative
+        o = np.take(vertices, ring, axis=0) - np.take(centre, elem, axis=0)[:, None]
+        sign = (o[:, 0, 0] * o[:, 1, 1] - o[:, 0, 1] * o[:, 1, 0] if dim == 2
+                else np.einsum("rd,rd->r", o[:, 0],
+                               np.cross(o[:, 1:-1], o[:, 2:]).sum(axis=1)))
+        if (sign < 0).any():
+            j, s = np.arange(table.shape[1]), size[:n_s, None]
+            turn = np.where(sign[:, None] < 0, np.where(j < s, s - 1 - j, s - 1), j)
+            ring = np.take_along_axis(ring, turn, axis=1)
+            o = np.take_along_axis(o, turn[..., None], axis=1)
+            rows = np.where(rows >= 0, ring, -1)
+            table = np.concatenate([rows, table[n_s:]])
+            _, seen, node = np.unique(code + ring, return_index=True, return_inverse=True)
+        node = node.reshape(rows.shape)
         ordered = np.sort(table, axis=1)
         fid, first = _first_seen(ordered)
         canon = table[first]
@@ -121,19 +150,7 @@ class PolytopalMesh:
                             f"is not a symmetry of the reference "
                             f"{_KIND_BY_SIZE[size[r]].value}")
         self._table, self._first = table, first
-        rows = table[:n_s]
-        elem = np.repeat(np.arange(len(counts)), counts)
-        # the (S-element, vertex) pairs, coded e nv + v, where each is first
-        # listed, and the pair of each facet corner; padding repeats corner 0
-        nv = len(vertices) + 1
-        ring = np.where(rows >= 0, rows, rows[:, :1])
-        pairs, seen, node = np.unique(elem[:, None] * nv + ring, return_index=True,
-                                      return_inverse=True)
-        node = node.reshape(rows.shape)
-        is_open = self._check_boundaries(pairs, node, nv, len(counts), dirichlet)
-        centre = self._centres(pairs, nv)
-        for e, c in centres.items():
-            centre[e] = np.asarray(c, dtype=float)
+        is_open, clash = self._check_boundaries(pairs, node, nv, len(counts), dirichlet)
         self.facets = [Facet(vertices=tuple(vs[:s]), kind=_KIND_BY_SIZE[s])
                        for vs, s in zip(canon.tolist(), size[first].tolist())]
         orders = [tuple(vs[:s]) for vs, s in zip(rows.tolist(), size.tolist())]
@@ -161,8 +178,7 @@ class PolytopalMesh:
         pins = [e * nv + v for e, vs in dirichlet.items() for v in vs]
         seen[np.searchsorted(pairs, np.array(pins, dtype=int))] -= node.size
         label = seen[node] - (start * node.shape[1])[elem][:, None]
-        offsets = _shape_keys(self, np.take(vertices, ring, axis=0)
-                              - np.take(centre, elem, axis=0)[:, None])
+        offsets = _shape_keys(self, o)
         sector = np.column_stack([label, offsets.reshape(n_s, ring.shape[1] * dim)])
         rep = np.arange(len(counts))         # each S-element's lowest class member
         for c in np.unique(counts).tolist():
@@ -177,29 +193,36 @@ class PolytopalMesh:
         for array in sum(self._stacks.values(), (self._sel_class, self._fe_class,
                                                  self._table, self._first)):
             array.flags.writeable = False
-        self.validate()
+        self.validate([(int(elem[a]), int(pos[a]), int(pos[b])) for a, b in clash])
         return self
 
     def _check_boundaries(self, pairs, node, nv, n_elements, dirichlet):
-        """Whether each S-element is open (2D only).  Raises a MeshError
-        naming the lowest S-element whose facets form no 2D chain or loop or
-        no closed 3D surface, whose facets fall apart into disconnected
-        pieces, or whose side-face Dirichlet vertices are not ends of its open
-        chain.  Counts the facets at each (S-element, vertex) pair in 2D and
-        at each (S-element, undirected edge) in 3D, and the connected
+        """Whether each S-element is open (2D only), and the lowest pair of
+        sector rows, if any, that meet head to head or tail to tail (one of
+        the two facets is seen from behind).  Raises a MeshError naming the
+        lowest S-element whose facets form no 2D chain or loop or no closed
+        3D surface, whose facets fall apart into disconnected pieces, or whose
+        side-face Dirichlet vertices are not ends of its open chain.  Counts
+        the facets at each (S-element, vertex) pair in 2D and at each
+        (S-element, undirected edge) in 3D, by direction, and the connected
         components of each element's facet edges.  `pairs` holds the codes
         e nv + v of the pairs, and `node` the pair of each facet corner."""
         nxt = np.roll(node, -1, axis=1)
         root = _roots(node.ravel(), nxt.ravel(), len(pairs))
         pieces = np.bincount(pairs[root == np.arange(len(pairs))] // nv,
                              minlength=n_elements)
+        # each use of a pair (2D) or an edge (3D), coded twice its index plus
+        # 1 at a facet's head (2D) or along the edge's direction of ascent (3D)
         if self.dimension == 2:
             key, count = pairs, np.bincount(node[:, :2].ravel(), minlength=len(pairs))
+            row = np.repeat(np.arange(len(node)), 2)
+            use = (node[:, :2] * 2 + [0, 1]).ravel()
         else:
-            live = node != nxt
-            edge, count = np.unique(np.minimum(node, nxt)[live] * len(pairs)
-                                    + np.maximum(node, nxt)[live], return_counts=True)
-            key = pairs[edge // len(pairs)]
+            row, col = np.nonzero(node != nxt)
+            a, b = node[row, col], nxt[row, col]
+            edge, at, count = np.unique(np.minimum(a, b) * len(pairs) + np.maximum(a, b),
+                                        return_inverse=True, return_counts=True)
+            key, use = pairs[edge // len(pairs)], at * 2 + (a < b)
         owner, tip = np.divmod(key, nv)
         single = np.bincount(owner[count == 1], minlength=n_elements)
         is_open = (single == 2) & (self.dimension == 2)
@@ -224,7 +247,10 @@ class PolytopalMesh:
                                  "side-face Dirichlet vertices"))
         if culprits:
             raise MeshError(min(culprits)[2])
-        return is_open
+        # two uses alike: sectors that meet head to head or tail to tail
+        order = np.argsort(use, kind="stable")
+        row, twin = row[order], np.flatnonzero(np.diff(use[order]) == 0)
+        return is_open, sorted(zip(row[twin].tolist(), row[twin + 1].tolist()))[:1]
 
     def _centres(self, pairs, nv) -> np.ndarray:
         """Mean of each S-element's distinct vertices, from the codes e nv + v
@@ -265,13 +291,13 @@ class PolytopalMesh:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self):
+    def validate(self, conflicts=()):
         for fid in np.flatnonzero(self._owner_counts > 2)[:1]:
             raise MeshError(f"facet {fid} {self.facets[fid].vertices} is "
                             f"shared by {self._owner_counts[fid]} elements")
         if self.dimension == 3:
             self._check_planarity()
-        self._check_star_shape()
+        self._check_star_shape(conflicts)
 
     def _check_planarity(self):
         scale = max(self.h_max(), 1e-300)
@@ -290,12 +316,14 @@ class PolytopalMesh:
             raise MeshError(f"facet {fids[i]} is non-planar "
                             f"(offset {off[i]:.2e} > {PLANARITY_RTOL:.0e} x {scale:.2e})")
 
-    def _check_star_shape(self):
+    def _check_star_shape(self, conflicts):
         """|J(1,eta)| > 0 at the degree-5 facet rule, on every sector of each
         class representative (its lowest member), and on the sectors of the
         other members at each position where the representative's is within
-        reach of failing (`refgeom._flag_sectors`)."""
-        culprits = []
+        reach of failing (`refgeom._flag_sectors`).  `conflicts` lists
+        (S-element, position, position) of sectors that meet head to head or
+        tail to tail; the lowest (S-element, position) of all is named."""
+        culprits = list(conflicts)
         rep = np.unique(self._sel_class, return_index=True)[1][self._sel_class]
         for kind, (centres, vertices, owners) in self._stacks.items():
             pts = facet_quadrature(kind, 5).points
@@ -305,19 +333,21 @@ class PolytopalMesh:
             r = np.flatnonzero(twin == i)
             bad, near = _flag_sectors(*_sector_jacobians(
                 kind, pts, centres[r], vertices[r]), 0.0, self._snap)
-            culprits += owners[r[bad]][:1].tolist()
+            culprits += [(*owner, -1) for owner in owners[r[bad]][:1].tolist()]
             s = np.flatnonzero(np.isin(twin, r[near]) & (twin != i))
             if s.size:
                 bad, _ = _flag_sectors(*_sector_jacobians(
                     kind, pts, centres[s], vertices[s]), 0.0)
-                culprits += owners[s[bad]][:1].tolist()
+                culprits += [(*owner, -1) for owner in owners[s[bad]][:1].tolist()]
         if culprits:
-            e, pos = min(culprits)
+            e, pos, other = min(culprits)
             sel = self.selements[e]
             raise MeshError(
-                f"S-element {sel.id} fails the star-shape check: facet "
-                f"{sel.facet_orders[pos]} is not fully visible from its "
-                f"scaling center {sel.center}")
+                f"S-element {sel.id} fails the star-shape check: " + (
+                    f"facet {sel.facet_orders[pos]} is not fully visible from"
+                    if other < 0 else f"facets {sel.facet_orders[pos]} and "
+                    f"{sel.facet_orders[other]} cannot both face")
+                + f" its scaling center {sel.center}")
 
 
 def _roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -366,12 +396,14 @@ def import_mesh(source) -> PolytopalMesh:
         sels = list(data["selements"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MeshError(f"malformed mesh file: {exc!r}") from exc
+    if not sels:
+        raise MeshError("mesh file lists no S-elements")
     mesh = PolytopalMesh(dim)
     xyz = np.array([_coords(v, dim, f"vertex {i}") for i, v in enumerate(verts)]
                    ).reshape(-1, dim)
     first, ids = np.unique(_merge_vertices(xyz), return_inverse=True)
     vertices, ids = xyz[first], ids.tolist()
-    oriented, centres, dirichlet = [], {}, {}
+    listed, counts, centres, dirichlet = [], [], {}, {}
     for n, entry in enumerate(sels):
         if not isinstance(entry, dict):
             raise MeshError(f"S-element {n}: {entry!r} is not an object")
@@ -379,21 +411,16 @@ def import_mesh(source) -> PolytopalMesh:
                   for f in entry.get("facets", [])]
         if not facets:
             raise MeshError(f"S-element {n} has no facets")
-        center = entry.get("center")
-        if center is not None:
-            centres[n] = center = _coords(center, dim, f"S-element {n} center")
-        try:
-            oriented.append(_orient_2d(vertices, facets, center) if dim == 2
-                            else _orient_3d(vertices, facets, center))
-        except MeshError as exc:
-            raise MeshError(f"S-element {n}: {exc}") from None
+        listed += facets
+        counts.append(len(facets))
+        if entry.get("center") is not None:
+            centres[n] = _coords(entry["center"], dim, f"S-element {n} center")
         dirichlet[n] = _mesh_ids(entry.get("dirichlet_sideface_nodes", ()), ids,
                                  f"S-element {n} dirichlet_sideface_nodes")
-    listed = [f for facets in oriented for f in facets]
     width = max([4] + [len(f) for f in listed])
     table = np.array([f + (-1,) * (width - len(f)) for f in listed], dtype=int)
-    return mesh._register(vertices, table.reshape(-1, width),
-                          [len(f) for f in oriented], centres, dirichlet)
+    return mesh._register(vertices, table.reshape(-1, width), counts, centres,
+                          dirichlet)
 
 
 def _merge_vertices(xyz: np.ndarray) -> np.ndarray:
@@ -449,83 +476,6 @@ def _mesh_ids(indices, ids: list, what: str) -> tuple:
         pass
     raise MeshError(f"{what} {indices!r} is not a list of vertex indices in "
                     f"0..{len(ids) - 1}")
-
-
-def _cycle_edges(vs) -> list:
-    """Directed edges (vs[i], vs[i + 1]) of a closed vertex cycle."""
-    return list(zip(vs, vs[1:] + vs[:1]))
-
-
-def _orient_2d(vertices: np.ndarray, facets: list, center) -> list:
-    """Chain undirected 2D facets and direct them counter-clockwise."""
-    if any(len(f) != 2 for f in facets):
-        raise MeshError(f"2D facets {facets} are not all segments")
-    adj: dict[int, list] = {}
-    for idx, (a, b) in enumerate(facets):
-        adj.setdefault(a, []).append((idx, b))
-        adj.setdefault(b, []).append((idx, a))
-    odd = [v for v, nb in adj.items() if len(nb) == 1]
-    if any(len(nb) > 2 for nb in adj.values()) or len(odd) not in (0, 2):
-        raise MeshError(f"2D facets {facets} do not form a chain or loop")
-    start = min(odd) if odd else facets[0][0]
-    ordered, used = [], set()
-    v = start
-    for _ in range(len(facets)):
-        steps = [(i, b) for i, b in adj[v] if i not in used]
-        if not steps:       # the facets form more than one chain or loop
-            raise MeshError(f"2D facets {facets} do not form a chain or loop")
-        idx, nxt = steps[0]
-        used.add(idx)
-        ordered.append((v, nxt))
-        v = nxt
-    verts = [vertices[a] for a, _ in ordered] + [vertices[ordered[-1][1]]]
-    if odd:
-        if center is None:
-            center = np.mean(np.array(verts[:-1]), axis=0)
-        mid = 0.5 * (verts[0] + verts[1])
-        t = verts[1] - verts[0]
-        r = mid - np.asarray(center, dtype=float)
-        flip = r[0] * t[1] - r[1] * t[0] < 0
-    else:      # clockwise: negative signed area
-        flip = sum(pa[0] * pb[1] - pb[0] * pa[1]
-                   for pa, pb in zip(verts[:-1], verts[1:])) < 0
-    return [(b, a) for a, b in reversed(ordered)] if flip else ordered
-
-
-def _orient_3d(vertices: np.ndarray, facets: list, center) -> list:
-    """Consistently orient a closed 3D facet set outward (positive volume)."""
-    oriented: list = [None] * len(facets)
-    oriented[0] = tuple(facets[0])
-    edge_map: dict[tuple, list] = {}
-    for idx, vs in enumerate(facets):
-        for e in _cycle_edges(vs):
-            edge_map.setdefault(tuple(sorted(e)), []).append(idx)
-    visited, stack = {0}, [0]
-    while stack:
-        directed = _cycle_edges(oriented[stack.pop()])
-        for e in directed:
-            for nb in (nb for nb in edge_map[tuple(sorted(e))] if nb not in visited):
-                nvs = tuple(facets[nb])
-                # a shared edge runs in opposite directions in the two facets
-                oriented[nb] = (nvs[::-1] if set(directed) & set(_cycle_edges(nvs))
-                                else nvs)
-                visited.add(nb)
-                stack.append(nb)
-    if len(visited) != len(facets):
-        raise MeshError("surface is not edge-connected")
-    vids = sorted({v for f in facets for v in f})
-    if center is None:
-        center = vertices[vids].mean(axis=0)
-    center = np.asarray(center, dtype=float)
-    vol = 0.0
-    for vs in oriented:
-        pts = [vertices[v] for v in vs]
-        for i in range(1, len(pts) - 1):
-            vol += np.linalg.det(np.column_stack(
-                [pts[0] - center, pts[i] - center, pts[i + 1] - center])) / 6.0
-    if vol < 0:
-        oriented = [tuple(reversed(vs)) for vs in oriented]
-    return oriented
 
 
 # -- degree-of-freedom numbering ------------------------------------------------

@@ -13,8 +13,8 @@ from sbfem import modes, postproc
 from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError, MeshError
 from sbfem.mesh import (Facet, FEQuad, PolytopalMesh, SElement, SideFaceBC,
-                        _merge_vertices, _node_names, _open_mesh, _orient_2d,
-                        _orient_3d, _shape_keys, gen_hex_mesh, gen_polygon_case1,
+                        _merge_vertices, _node_names, _open_mesh,
+                        _shape_keys, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh, import_mesh,
                         number_dofs, singular_open_selement)
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
@@ -959,7 +959,9 @@ def reference_coupled_singular(level):
 
 def reference_import(data):
     """`import_mesh` of a well-formed file through the per-element builder:
-    the same vertex merge and orientation, one `add_selement` per entry."""
+    the same vertex merge, each facet turned to face its element's centre
+    (the sign of det(o0, o1) in 2D, of the fan sum of det(o0, oi, oi+1) in
+    3D, o = v - c), one `add_selement` per entry in file order."""
     dim = data["dimension"]
     xyz = np.array(data["vertices"], dtype=float).reshape(-1, dim)
     first, ids = np.unique(_merge_vertices(xyz), return_inverse=True)
@@ -968,10 +970,12 @@ def reference_import(data):
     for entry in data["selements"]:
         facets = [tuple(int(ids[i]) for i in f) for f in entry["facets"]]
         center = entry.get("center")
-        if center is not None:
-            center = np.asarray(center, dtype=float)
-        orient = _orient_2d if dim == 2 else _orient_3d
-        mesh.add_selement(orient(xyz[first], facets, center), center=center,
+        c = (np.asarray(center, dtype=float) if center is not None else
+             xyz[first][sorted({v for f in facets for v in f})].mean(axis=0))
+        fans = [[np.linalg.det(xyz[first][[f[0], f[i], f[i + 1]][-dim:]] - c)
+                 for i in range(dim - 2, len(f) - 1)] for f in facets]
+        mesh.add_selement([f if sum(fan) >= 0 else f[::-1]
+                           for f, fan in zip(facets, fans)], center=center,
                           dirichlet_sideface_vertices=[
                               int(ids[i]) for i in
                               entry.get("dirichlet_sideface_nodes", ())])

@@ -149,3 +149,15 @@ def test_mesh_file_run(tmp_path):
     assert rc == 0
     files = list(tmp_path.glob("solve_exp2d_*.csv"))
     assert files
+
+
+@pytest.mark.parametrize("command", ["interp", "solve", "modes"])
+def test_mesh_file_without_selements_exit_1(tmp_path, capsys, command):
+    mesh_path = tmp_path / "empty.json"
+    mesh_path.write_text(json.dumps({"dimension": 2, "vertices": [[0, 0], [1, 0]],
+                                     "selements": []}))
+    rc = main([command, "--mesh", f"file:{mesh_path}", "--k", "1",
+               "--output", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        "sbfem: error: mesh file lists no S-elements")

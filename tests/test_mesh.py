@@ -674,7 +674,6 @@ IMPORTED = {
                      [3.8, 0.4], [4.2, 1.9], [3.2, 2.6], [2, 0]],
         "selements": [{"facets": [[0, 1], [1, 2], [2, 3], [3, 4], [4, 0]]},
                       {"facets": [[2, 8], [8, 5], [5, 6], [6, 7], [7, 2]]}]},
-    "no-selements": lambda: {"dimension": 2, "vertices": SQUARE, "selements": []},
     "scrambled-cube": lambda: {
         "dimension": 3,
         "vertices": [[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
@@ -753,27 +752,82 @@ def test_registration_rejects_two_disjoint_closed_surfaces():
 
 
 def test_star_shape_verdict_on_a_pulled_structured_mesh():
-    # an interior vertex of a 4 x 4 grid pulled from (0, 0) into an element;
-    # the message is the one the per-sector check gives
+    # an interior vertex of a 4 x 4 grid pulled from (0, 0) into an element:
+    # the element's two facets at the pulled vertex are seen from behind and,
+    # turned to face the centre, meet their other neighbours tail to tail
+    # and head to head
     data = mesh_to_json(gen_quad_mesh(4))
     for entry in data["selements"]:
         del entry["center"]
     v = next(i for i, p in enumerate(data["vertices"]) if p == [0.0, 0.0])
     data["vertices"][v] = [0.45, 0.45]
     with pytest.raises(MeshError, match=re.escape(
-            "S-element 10 fails the star-shape check: facet (12, 13) is not "
-            "fully visible from its scaling center [0.3625 0.3625]")):
+            "S-element 10 fails the star-shape check: facets (13, 12) and "
+            "(13, 18) cannot both face its scaling center [0.3625 0.3625]")):
         import_mesh(data)
 
 
 def test_star_shape_checks_every_copy_near_failing():
     # one congruence key for both bottom sectors: the first (visible, its
     # centre 4e-14 above the facet) is within reach of failing, and the copy
-    # (its centre 5e-15 below) fails
+    # (its centre on the facet's line) fails; a centre 5e-15 below the facet
+    # sees it from behind, which turns it against its neighbours
     import_mesh(flat_sector_squares(4e-14, 5e-15))
     with pytest.raises(MeshError, match=r"^S-element 1 fails the star-shape "
-                                        r"check: facet \(1, 2\)"):
+                                        r"check: facet \(1, 2\) is not fully"):
+        import_mesh(flat_sector_squares(4e-14, 0.0))
+    with pytest.raises(MeshError, match=r"^S-element 1 fails the star-shape "
+                                        r"check: facets \(2, 1\) and \(2, 5\) "
+                                        "cannot both face"):
         import_mesh(flat_sector_squares(4e-14, -5e-15))
+
+
+L_SHAPE = [[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3]]
+
+
+@pytest.mark.parametrize("listing", ["ccw", "cw", "shuffled"])
+def test_import_rejects_a_facet_seen_from_behind(listing):
+    # from the mean of its corners, (4/3, 4/3), the L-shape's two facets at
+    # the reentrant corner (1, 1) are seen from behind
+    facets = [[i, (i + 1) % 6] for i in range(6)]
+    if listing == "cw":
+        facets = [f[::-1] for f in facets[::-1]]
+    elif listing == "shuffled":
+        facets = [facets[i][::(-1) ** i] for i in (4, 0, 3, 5, 1, 2)]
+    with pytest.raises(MeshError, match=r"^S-element 0 fails the star-shape "
+                                        "check: facets") as err:
+        import_mesh({"dimension": 2, "vertices": L_SHAPE,
+                     "selements": [{"facets": facets}]})
+    named = re.findall(r"\((\d+), (\d+)\)", str(err.value))
+    behind = [{2, 3}, {3, 4}]
+    assert [{int(a), int(b)} in behind for a, b in named].count(True) == 1
+
+
+def test_import_rejects_two_cubes_sharing_one_vertex():
+    # one surface, edge-manifold and connected through the shared vertex
+    # (1, 1, 1), listed twice and merged, which is the centre: the six faces
+    # through it are edge-on
+    cube = IMPORTED["scrambled-cube"]()
+    faces = cube["selements"][0]["facets"]
+    data = dict(cube, vertices=cube["vertices"] + [
+        [x + 1, y + 1, z + 1] for x, y, z in cube["vertices"]])
+    with pytest.raises(MeshError, match="^S-element 0 fails the star-shape check"):
+        import_mesh(dict(data, selements=[
+            {"facets": faces + [[v + 8 for v in f] for f in faces]}]))
+
+
+def test_registration_turns_an_inward_square_outward():
+    inward = [[(b, a) for a, b in CLOSED[0][::-1]]]
+    mesh = _register_2d(inward)
+    assert mesh.selements[0].facet_orders == [(3, 0), (2, 3), (1, 2), (0, 1)]
+    _, vertices, _ = mesh._sector_stacks()[FacetKind.SEGMENT]
+    o = vertices - mesh.selements[0].center
+    assert (o[:, 0, 0] * o[:, 1, 1] - o[:, 0, 1] * o[:, 1, 0] > 0).all()
+
+
+def test_import_rejects_a_file_without_selements():
+    with pytest.raises(MeshError, match="^mesh file lists no S-elements$"):
+        import_mesh({"dimension": 2, "vertices": SQUARE, "selements": []})
 
 
 @pytest.mark.parametrize("drop,message", [
@@ -866,6 +920,6 @@ def test_import_names_the_selement_whose_surface_falls_apart():
                                 for x, y, z in cube["vertices"]])
     apart = [[v + 8 * s for v in f] for s in (1, 2) for f in faces]
     for sels, e in (([apart], 0), ([faces, apart], 1)):
-        with pytest.raises(MeshError, match=rf"^S-element {e}: surface is not "
-                                            "edge-connected$"):
+        with pytest.raises(MeshError, match=rf"^S-element {e}: boundary facets "
+                                            "form 2 disconnected pieces$"):
             import_mesh(dict(data, selements=[{"facets": f} for f in sels]))
