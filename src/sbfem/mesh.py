@@ -211,18 +211,20 @@ class PolytopalMesh:
         root = _roots(node.ravel(), nxt.ravel(), len(pairs))
         pieces = np.bincount(pairs[root == np.arange(len(pairs))] // nv,
                              minlength=n_elements)
-        # each use of a pair (2D) or an edge (3D), coded twice its index plus
-        # 1 at a facet's head (2D) or along the edge's direction of ascent (3D)
+        # the uses of each pair (2D: the two ends of a facet) or undirected
+        # edge (3D), each at the corner that starts it, and how many run up:
+        # end at the pair, or ascend the edge
         if self.dimension == 2:
-            key, count = pairs, np.bincount(node[:, :2].ravel(), minlength=len(pairs))
-            row = np.repeat(np.arange(len(node)), 2)
-            use = (node[:, :2] * 2 + [0, 1]).ravel()
+            starts = np.broadcast_to(np.arange(node.shape[1]) < 2, node.shape)
+            at = node[:, :2].ravel()
+            key, count = pairs, np.bincount(at, minlength=len(pairs))
+            up = np.bincount(node[:, 1], minlength=len(pairs))
         else:
-            row, col = np.nonzero(node != nxt)
-            a, b = node[row, col], nxt[row, col]
+            starts = node != nxt
+            a, b = node[starts], nxt[starts]
             edge, at, count = np.unique(np.minimum(a, b) * len(pairs) + np.maximum(a, b),
                                         return_inverse=True, return_counts=True)
-            key, use = pairs[edge // len(pairs)], at * 2 + (a < b)
+            key, up = pairs[edge // len(pairs)], np.bincount(at, weights=a < b)
         owner, tip = np.divmod(key, nv)
         single = np.bincount(owner[count == 1], minlength=n_elements)
         is_open = (single == 2) & (self.dimension == 2)
@@ -247,10 +249,11 @@ class PolytopalMesh:
                                  "side-face Dirichlet vertices"))
         if culprits:
             raise MeshError(min(culprits)[2])
-        # two uses alike: sectors that meet head to head or tail to tail
-        order = np.argsort(use, kind="stable")
-        row, twin = row[order], np.flatnonzero(np.diff(use[order]) == 0)
-        return is_open, sorted(zip(row[twin].tolist(), row[twin + 1].tolist()))[:1]
+        # a pair or edge used twice the same way: sectors that meet head to
+        # head or tail to tail, as rows in ascending order
+        twice = ((count == 2) & (up != 1))[at]
+        rows = np.nonzero(starts)[0][twice][np.argsort(at[twice], kind="stable")]
+        return is_open, sorted(rows.reshape(-1, 2).tolist())[:1]
 
     def _centres(self, pairs, nv) -> np.ndarray:
         """Mean of each S-element's distinct vertices, from the codes e nv + v
@@ -609,12 +612,21 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ids of the rows of `keys` (R, c), rows of equal bytes sharing one (so
     float keys need -0.0 mapped to 0.0), or of the integers `keys` (R,),
     numbered in order of first appearance; and the first row of each id.
-    One sort of the rows as byte strings, or of the integers."""
+    One stable sort of the rows as byte strings, or of the integers, in
+    which a run of equal keys starts at its first row."""
     keys = np.ascontiguousarray(keys)
+    bits = keys.view(f"u{keys.itemsize}")
     if keys.ndim == 2:
         keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return np.argsort(np.argsort(first))[inverse], np.sort(first)
+    else:
+        bits = bits[:, None]
+    order = np.argsort(keys, kind="stable")
+    head = np.ones(len(keys), dtype=bool)
+    head[1:] = np.diff(bits[order], axis=0).any(axis=1)
+    first = order[head]
+    ids = np.empty(len(keys), dtype=int)
+    ids[order] = np.argsort(np.argsort(first))[np.cumsum(head) - 1]
+    return ids, np.sort(first)
 
 
 def _lattice(points: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:

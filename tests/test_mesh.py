@@ -803,6 +803,21 @@ def test_import_rejects_a_facet_seen_from_behind(listing):
     assert [{int(a), int(b)} in behind for a, b in named].count(True) == 1
 
 
+def test_import_rejects_a_face_seen_from_behind():
+    # the L-shape extruded to a prism; the two side faces at the reentrant
+    # edge are seen from behind from the mean of the corners
+    vertices = [p + [z] for z in (0, 1) for p in L_SHAPE]
+    faces = [[0, 1, 2, 3], [0, 3, 4, 5], [6, 7, 8, 9], [6, 9, 10, 11]] + [
+        [i, (i + 1) % 6, (i + 1) % 6 + 6, i + 6] for i in range(6)]
+    with pytest.raises(MeshError, match=r"^S-element 0 fails the star-shape "
+                                        "check: facets") as err:
+        import_mesh({"dimension": 3, "vertices": vertices,
+                     "selements": [{"facets": faces}]})
+    named = re.findall(r"\(([\d, ]+)\)", str(err.value))
+    behind = [{2, 3, 8, 9}, {3, 4, 9, 10}]
+    assert [set(map(int, f.split(", "))) in behind for f in named].count(True) == 1
+
+
 def test_import_rejects_two_cubes_sharing_one_vertex():
     # one surface, edge-manifold and connected through the shared vertex
     # (1, 1, 1), listed twice and merged, which is the centre: the six faces
