@@ -143,14 +143,19 @@ def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
         return QuadratureRule(points=np.column_stack([u.ravel(), v.ravel()]),
                               weights=ww.ravel(), exactness_degree=2 * n - 1)
     # Duffy tensorization: eta = (u(1-v), u v) with Jacobian u picks up one
-    # extra power in the u direction.
+    # extra power in the u direction.  The collapsed rule singles out vertex
+    # 0 (it is symmetric under 1 <-> 2 only), so it is averaged over the
+    # three cyclic rotations of the vertices: the rule is then the same
+    # whichever vertex a facet lists first.
     nu = (order + 3) // 2
     xu, wu = _gauss01(nu)
     xv, wv = _gauss01(n)
     u, v = np.meshgrid(xu, xv, indexing="ij")
-    ww = np.outer(wu * xu, wv)
-    pts = np.column_stack([(u * (1.0 - v)).ravel(), (u * v).ravel()])
-    return QuadratureRule(points=pts, weights=ww.ravel(), exactness_degree=order)
+    x, y = (u * (1.0 - v)).ravel(), (u * v).ravel()
+    z = 1.0 - x - y
+    pts = np.column_stack([np.concatenate([x, z, y]), np.concatenate([y, x, z])])
+    ww = np.tile(np.outer(wu * xu, wv).ravel() / 3.0, 3)
+    return QuadratureRule(points=pts, weights=ww, exactness_degree=order)
 
 
 @lru_cache(maxsize=64)

@@ -2,17 +2,20 @@
 
 A file is rewritten with some vertices listed twice, each copy referenced
 by different facets, with its vertex list permuted and relabelled, with the
-facets of every S-element reordered, and each facet's vertex list rotated
-or flipped, the same way in every S-element, and possibly scaled by a power
-of two.  `import_mesh` either rejects the result with an `SbfemError`, or
-returns a mesh with the same DOF count and the same congruence classes,
-whose S-local DOFs match the per-element oracle; unscaled, it also has the
-same interpolation errors (the exact solutions are not scale-invariant).
-Triangles are flipped but not rotated: the collapsed Gauss rule on a
-triangle singles out its first vertex, so rotating one moves the error
-integral by the rule's quadrature error (9e-7 relative on `hybrid`).
+facets of every S-element reordered, each facet's vertex list rotated the
+same way in every S-element and reversed or not in each S-element on its
+own, and possibly scaled by a power of two.  `import_mesh` either rejects
+the result with an `SbfemError`, or returns a mesh with the same DOF count
+and the same congruence classes, whose S-local DOFs match the per-element
+oracle; unscaled, it also has the same interpolation errors (the exact
+solutions are not scale-invariant).  A file with a stray facet, a facet of
+one S-element listed again in another or in its own, is rejected.  The CLI
+runs some rewritten files, an empty one among them, to an exit code.
 """
+import json
+import tempfile
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, reject, settings
@@ -20,7 +23,8 @@ from hypothesis import strategies as st
 
 from conftest import (assert_local_dofs_match, hybrid_mesh, jittered_quad_mesh,
                       mesh_to_json, relabelled)
-from sbfem.errors import SbfemError
+from sbfem.cli import main
+from sbfem.errors import MeshError, SbfemError
 from sbfem.mesh import (gen_hex_mesh, gen_quad_mesh, import_mesh, number_dofs,
                         singular_open_selement)
 from sbfem.postproc import get_exact, solution_errors
@@ -62,10 +66,11 @@ def _original(name):
 
 @st.composite
 def rewritten(draw):
-    """(mesh name, binary exponent of the scale, its file rewritten)."""
+    """(mesh name, binary exponent of the scale, its file rewritten, whether
+    the file has a stray facet)."""
     name = draw(st.sampled_from(sorted(MESHES)))
     data, _ = _original(name)
-    n = len(data["vertices"])
+    n, n_sels = len(data["vertices"]), len(data["selements"])
     # the second copy of a listed twice vertex takes every other reference
     twice = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
     copy = {v: n + j for j, v in enumerate(twice)}
@@ -75,7 +80,12 @@ def rewritten(draw):
     perm = draw(st.permutations(range(n + len(twice))))
     order = draw(st.permutations(range(width)))
     turns = draw(st.lists(st.integers(0, 3), min_size=width, max_size=width))
-    flips = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+    flips = draw(st.lists(st.lists(st.booleans(), min_size=width, max_size=width),
+                          min_size=n_sels, max_size=n_sels))
+    # (S-element that lists it again, S-element and position of the facet)
+    stray = draw(st.none() | st.tuples(st.integers(0, n_sels - 1),
+                                       st.integers(0, n_sels - 1),
+                                       st.integers(0, width - 1)))
 
     def listed(v):
         if v not in copy:
@@ -84,27 +94,35 @@ def rewritten(draw):
         return copy[v] if uses[v] % 2 == 0 else v
 
     sels = []
-    for entry in data["selements"]:
+    for entry, flip in zip(data["selements"], flips):
         facets = []
         for p in (p for p in order if p < len(entry["facets"])):
             f = [listed(v) for v in entry["facets"][p]]
-            t = turns[p] % len(f) if len(f) != 3 else 0
+            t = turns[p] % len(f)
             f = f[t:] + f[:t]
-            facets.append(f[::-1] if flips[p] else f)
+            facets.append(f[::-1] if flip[p] else f)
         sels.append(dict(entry, facets=facets,
                          center=[c * 2.0 ** exponent for c in entry["center"]]))
+    if stray is not None:
+        e, source, p = stray
+        extra = sels[source]["facets"]
+        sels[e]["facets"] = sels[e]["facets"] + [extra[p % len(extra)]]
     vertices = [[c * 2.0 ** exponent for c in xyz]
                 for xyz in data["vertices"] + [data["vertices"][v] for v in twice]]
     return name, exponent, relabelled(dict(data, vertices=vertices, selements=sels),
-                                      perm)
+                                      perm), stray is not None
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(rewritten())
 def test_rewritten_file_imports_as_the_same_mesh(case):
-    name, exponent, data = case
+    name, exponent, data, stray = case
     _, k, problem = MESHES[name]
+    if stray:
+        with pytest.raises(MeshError):
+            import_mesh(data)
+        return
     try:
         got = _figures(import_mesh(data), k, problem, errors=exponent == 0)
     except SbfemError:
@@ -113,3 +131,19 @@ def test_rewritten_file_imports_as_the_same_mesh(case):
     assert got[:2] == (dofs, classes)
     if exponent == 0:
         assert got[2] == pytest.approx(errors, rel=1e-12, abs=0.0)
+
+
+@settings(max_examples=12, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(rewritten().filter(lambda case: case[1] == 0), st.booleans())
+def test_cli_runs_rewritten_files_to_an_exit_code(case, empty):
+    name, _, data, _ = case
+    _, k, problem = MESHES[name]
+    if empty:
+        data = dict(data, selements=[])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mesh.json"
+        path.write_text(json.dumps(data))
+        rc = main(["interp", "--mesh", f"file:{path}", "--k", str(k),
+                   "--problem", problem, "--output", tmp])
+    assert rc in ((1,) if empty else (0, 1, 2))
