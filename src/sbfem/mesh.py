@@ -93,9 +93,9 @@ class PolytopalMesh:
         sectors), then the 4 edges (v_i, v_i+1) of each counter-clockwise FE
         quad.  Each sector is turned to face its S-element's centre, so it
         may be listed either way round; a facet takes the id and vertex
-        order of its first listing so turned.  `centres` and `dirichlet` map S-element ids to
-        given scaling centres and side-face Dirichlet vertex ids; any other
-        centre is the mean of the element's distinct vertices.
+        order of its first listing so turned.  `centres` and `dirichlet` map
+        S-element ids to given scaling centres and side-face Dirichlet vertex
+        ids; any other centre is the mean of the element's distinct vertices.
         """
         dim, centres, dirichlet = self.dimension, centres or {}, dirichlet or {}
         self.vertices = vertices
@@ -122,12 +122,12 @@ class PolytopalMesh:
             centre[e] = np.asarray(c, dtype=float)
         # turn each sector to face its centre: the signed measure of its cone,
         # a fan over the corner offsets o = v - c, is o0 x o1 in 2D and
-        # sum_i o0 . (oi x oi+1) in 3D; reverse (a, b, c, d) -> (d, c, b, a)
-        # where it is negative
+        # o0 . (o1 x o2 + o2 x o3) = o0 . ((o2 - o0) x (o3 - o1)) over the
+        # ring of 4 in 3D; reverse (a, b, c, d) -> (d, c, b, a) where negative
         o = np.take(vertices, ring, axis=0) - np.take(centre, elem, axis=0)[:, None]
-        sign = (o[:, 0, 0] * o[:, 1, 1] - o[:, 0, 1] * o[:, 1, 0] if dim == 2
-                else np.einsum("rd,rd->r", o[:, 0],
-                               np.cross(o[:, 1:-1], o[:, 2:]).sum(axis=1)))
+        sign = (o[:, 0, 0] * o[:, 1, 1] - o[:, 0, 1] * o[:, 1, 0] if dim == 2 else
+                np.einsum("rd,rd->r", o[:, 0],
+                          np.cross(o[:, 2] - o[:, 0], o[:, 3] - o[:, 1])))
         if (sign < 0).any():
             j, s = np.arange(table.shape[1]), size[:n_s, None]
             turn = np.where(sign[:, None] < 0, np.where(j < s, s - 1 - j, s - 1), j)
@@ -193,7 +193,7 @@ class PolytopalMesh:
         for array in sum(self._stacks.values(), (self._sel_class, self._fe_class,
                                                  self._table, self._first)):
             array.flags.writeable = False
-        self.validate([(int(elem[a]), int(pos[a]), int(pos[b])) for a, b in clash])
+        self.validate([(elem[a], pos[a], pos[b]) for a, b in clash])
         return self
 
     def _check_boundaries(self, pairs, node, nv, n_elements, dirichlet):
@@ -294,7 +294,7 @@ class PolytopalMesh:
 
     # -- validation ------------------------------------------------------------
 
-    def validate(self, conflicts=()):
+    def validate(self, conflicts):
         for fid in np.flatnonzero(self._owner_counts > 2)[:1]:
             raise MeshError(f"facet {fid} {self.facets[fid].vertices} is "
                             f"shared by {self._owner_counts[fid]} elements")
@@ -345,12 +345,11 @@ class PolytopalMesh:
         if culprits:
             e, pos, other = min(culprits)
             sel = self.selements[e]
-            raise MeshError(
-                f"S-element {sel.id} fails the star-shape check: " + (
-                    f"facet {sel.facet_orders[pos]} is not fully visible from"
+            what = (f"facet {sel.facet_orders[pos]} is not fully visible from"
                     if other < 0 else f"facets {sel.facet_orders[pos]} and "
                     f"{sel.facet_orders[other]} cannot both face")
-                + f" its scaling center {sel.center}")
+            raise MeshError(f"S-element {sel.id} fails the star-shape check: "
+                            f"{what} its scaling center {sel.center}")
 
 
 def _roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -422,8 +421,7 @@ def import_mesh(source) -> PolytopalMesh:
                                  f"S-element {n} dirichlet_sideface_nodes")
     width = max([4] + [len(f) for f in listed])
     table = np.array([f + (-1,) * (width - len(f)) for f in listed], dtype=int)
-    return mesh._register(vertices, table.reshape(-1, width), counts, centres,
-                          dirichlet)
+    return mesh._register(vertices, table, counts, centres, dirichlet)
 
 
 def _merge_vertices(xyz: np.ndarray) -> np.ndarray:

@@ -143,10 +143,8 @@ def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
         return QuadratureRule(points=np.column_stack([u.ravel(), v.ravel()]),
                               weights=ww.ravel(), exactness_degree=2 * n - 1)
     # Duffy tensorization: eta = (u(1-v), u v) with Jacobian u picks up one
-    # extra power in the u direction.  The collapsed rule singles out vertex
-    # 0 (it is symmetric under 1 <-> 2 only), so it is averaged over the
-    # three cyclic rotations of the vertices: the rule is then the same
-    # whichever vertex a facet lists first.
+    # extra power in the u direction.  It singles out vertex 0, so it is
+    # averaged over the three cyclic rotations of the vertices.
     nu = (order + 3) // 2
     xu, wu = _gauss01(nu)
     xv, wv = _gauss01(n)

@@ -174,3 +174,14 @@ def test_cached_arrays_are_read_only():
     for arr in shared:
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_triangle_rule_is_invariant_under_vertex_rotation():
+    # a facet integrates alike whichever vertex it lists first
+    rule = facet_quadrature(FacetKind.TRIANGLE, 5)
+    x, y = rule.points.T
+    for pts in (np.column_stack([1.0 - x - y, x]), np.column_stack([y, x])):
+        a = np.column_stack([rule.points, rule.weights])
+        b = np.column_stack([pts, rule.weights])
+        assert np.allclose(a[np.lexsort(a.T[::-1].round(12))],
+                           b[np.lexsort(b.T[::-1].round(12))], rtol=0, atol=1e-15)
