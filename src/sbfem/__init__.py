@@ -15,11 +15,10 @@ from .ematrix import EMatrices, assemble_E
 from .modes import (EulerSystem, SbfemModes, SElementStiffness,
                     apply_sideface_bc, build_system, element_stiffness,
                     select_modes)
-from .mesh import (DofNumbering, PolytopalMesh, SElement, SideFaceBC,
-                   gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
-                   gen_polyhedron_case1, gen_quad_mesh, gen_refined_cube,
-                   gen_refined_square, import_mesh, number_dofs,
-                   singular_open_selement)
+from .mesh import (DofNumbering, PolytopalMesh, gen_coupled_singular,
+                   gen_hex_mesh, gen_polygon_case1, gen_polyhedron_case1,
+                   gen_quad_mesh, gen_refined_cube, gen_refined_square,
+                   import_mesh, number_dofs, singular_open_selement)
 from .solver import (DiscreteSolution, GlobalSystem, apply_dirichlet,
                      assemble_global, build_operators, fe_element_stiffness,
                      sbfem_interpolate, solve)

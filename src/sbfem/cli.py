@@ -149,8 +149,8 @@ def _run_one(cfg: dict, mesh, k: int, galerkin: bool):
 
 
 def _eigen_csv(sol_ops, out_dir: Path, tag: str):
-    for op in sol_ops:
-        path = out_dir / f"eigenvalues_{tag}_s{op.selement.id}.csv"
+    for e, op in enumerate(sol_ops):
+        path = out_dir / f"eigenvalues_{tag}_s{e}.csv"
         with open(path, "w") as fh:
             fh.write("re,im,selected\n")
             for re, im, selected in eigenvalue_rows(op.modes):

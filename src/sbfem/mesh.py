@@ -36,37 +36,6 @@ PLANARITY_RTOL = 1e-8
 MERGE_DIRECTION = np.array([1.0, 0.7548776662466927, 0.5698402909980532])
 
 
-@dataclass(frozen=True)
-class Facet:
-    vertices: tuple
-    kind: FacetKind
-
-
-@dataclass
-class SideFaceBC:
-    """Open-boundary side-face data: vertex ids with homogeneous Dirichlet trace."""
-
-    dirichlet_vertices: tuple = ()
-
-
-@dataclass
-class SElement:
-    id: int
-    center: np.ndarray
-    facet_ids: list            # canonical facet ids
-    facet_orders: list         # per facet: this element's outward vertex order
-    open_boundary: SideFaceBC | None = None
-
-
-@dataclass
-class FEQuad:
-    """Tensor-product finite element on a quadrilateral (counter-clockwise)."""
-
-    id: int
-    vertices: tuple
-    edge_facets: tuple
-
-
 class PolytopalMesh:
     """Mesh of S-elements (plus optional coupled FE quads); immutable once
     built by `_register`, the one construction path of every constructor."""
@@ -76,10 +45,6 @@ class PolytopalMesh:
             raise MeshError(f"unsupported dimension {dimension}")
         self.dimension = dimension
         self.vertices = np.zeros((0, dimension))
-        self.facets: list[Facet] = []
-        self.selements: list[SElement] = []
-        self.fe_elements: list[FEQuad] = []
-        self._owner_counts = np.zeros(0, dtype=int)    # elements per facet
         self._stacks: dict = {}
 
     # -- construction ----------------------------------------------------------
@@ -149,23 +114,11 @@ class PolytopalMesh:
             raise MeshError(f"facet vertex order {tuple(vperm[r, :size[r]].tolist())} "
                             f"is not a symmetry of the reference "
                             f"{_KIND_BY_SIZE[size[r]].value}")
-        self._table, self._first = table, first
-        is_open, clash = self._check_boundaries(pairs, node, nv, len(counts), dirichlet)
-        self.facets = [Facet(vertices=tuple(vs[:s]), kind=_KIND_BY_SIZE[s])
-                       for vs, s in zip(canon.tolist(), size[first].tolist())]
-        orders = [tuple(vs[:s]) for vs, s in zip(rows.tolist(), size.tolist())]
+        self._table, self._first, self._fid = table, first, fid
+        self.centres, self._counts = centre, counts
+        self._dirichlet = {e: tuple(vs) for e, vs in sorted(dirichlet.items()) if vs}
+        clash = self._check_boundaries(pairs, node, nv, len(counts), dirichlet)
         start = np.cumsum(counts) - counts
-        self.selements = [
-            SElement(id=e, center=centre[e], facet_ids=fid[a:a + c].tolist(),
-                     facet_orders=orders[a:a + c],
-                     open_boundary=(SideFaceBC(tuple(dirichlet.get(e, ())))
-                                    if is_open[e] else None))
-            for e, (a, c) in enumerate(zip(start.tolist(), counts.tolist()))]
-        self.fe_elements = [
-            FEQuad(id=q, vertices=tuple(vs), edge_facets=tuple(es))
-            for q, (vs, es) in enumerate(zip(table[n_s:, 0].reshape(-1, 4).tolist(),
-                                             fid[n_s:].reshape(-1, 4).tolist()))]
-        self._owner_counts = np.bincount(fid, minlength=len(first))
         pos = np.arange(n_s) - np.repeat(start, counts)
         for s in dict.fromkeys(size[:n_s].tolist()):
             at = np.flatnonzero(size[:n_s] == s)
@@ -187,26 +140,27 @@ class PolytopalMesh:
                 sector, start[at][:, None] + np.arange(c), axis=0).reshape(len(at), -1))
             rep[at] = at[first][ids]
         self._sel_class = (np.cumsum(rep == np.arange(len(rep))) - 1)[rep]
-        quads = np.take(vertices, table[n_s:, 0].reshape(-1, 4), axis=0)
+        quads = np.take(vertices, self._quads(), axis=0)
         self._fe_class = _first_seen(_shape_keys(self, quads - quads[:, :1]).reshape(
             len(quads), 4 * dim))[0]
         for array in sum(self._stacks.values(), (self._sel_class, self._fe_class,
-                                                 self._table, self._first)):
+                                                 self._table, self._first, self._fid,
+                                                 self.centres, self._counts)):
             array.flags.writeable = False
         self.validate([(elem[a], pos[a], pos[b]) for a, b in clash])
         return self
 
     def _check_boundaries(self, pairs, node, nv, n_elements, dirichlet):
-        """Whether each S-element is open (2D only), and the lowest pair of
-        sector rows, if any, that meet head to head or tail to tail (one of
-        the two facets is seen from behind).  Raises a MeshError naming the
-        lowest S-element whose facets form no 2D chain or loop or no closed
-        3D surface, whose facets fall apart into disconnected pieces, or whose
-        side-face Dirichlet vertices are not ends of its open chain.  Counts
-        the facets at each (S-element, vertex) pair in 2D and at each
-        (S-element, undirected edge) in 3D, by direction, and the connected
-        components of each element's facet edges.  `pairs` holds the codes
-        e nv + v of the pairs, and `node` the pair of each facet corner."""
+        """The lowest pair of sector rows, if any, that meet head to head or
+        tail to tail (one of the two facets is seen from behind).  Raises a
+        MeshError naming the lowest S-element whose facets form no 2D chain or
+        loop or no closed 3D surface, whose facets fall apart into
+        disconnected pieces, or whose side-face Dirichlet vertices are not
+        ends of its open chain.  Counts the facets at each (S-element, vertex)
+        pair in 2D and at each (S-element, undirected edge) in 3D, by
+        direction, and the connected components of each element's facet
+        edges.  `pairs` holds the codes e nv + v of the pairs, and `node` the
+        pair of each facet corner."""
         nxt = np.roll(node, -1, axis=1)
         root = _roots(node.ravel(), nxt.ravel(), len(pairs))
         pieces = np.bincount(pairs[root == np.arange(len(pairs))] // nv,
@@ -253,7 +207,7 @@ class PolytopalMesh:
         # head or tail to tail, as rows in ascending order
         twice = ((count == 2) & (up != 1))[at]
         rows = np.nonzero(starts)[0][twice][np.argsort(at[twice], kind="stable")]
-        return is_open, sorted(rows.reshape(-1, 2).tolist())[:1]
+        return sorted(rows.reshape(-1, 2).tolist())[:1]
 
     def _centres(self, pairs, nv) -> np.ndarray:
         """Mean of each S-element's distinct vertices, from the codes e nv + v
@@ -268,22 +222,33 @@ class PolytopalMesh:
     # -- queries ---------------------------------------------------------------
 
     def boundary_facet_ids(self) -> list[int]:
-        return np.flatnonzero(self._owner_counts == 1).tolist()
+        return np.flatnonzero(np.bincount(self._fid) == 1).tolist()
 
     def h_max(self) -> float:
         """Largest distance between two vertices of one facet."""
         return max((float(np.linalg.norm(p[:, :, None] - p[:, None], axis=-1).max())
-                    for _, p in self._facet_corners(range(len(self.facets))).values()),
+                    for _, p in self._facet_corners(range(len(self._first))).values()),
                    default=0.0)
 
     def _facet_corners(self, fids) -> dict:
-        """kind -> (the facets of `fids` of that kind, their vertex coordinates
-        (F, n_vertices, d)), kinds in order of first appearance."""
-        by_kind: dict = {}
-        for f in fids:
-            by_kind.setdefault(self.facets[f].kind, []).append(f)
-        return {kind: (ids, self.vertices[[self.facets[f].vertices for f in ids]])
-                for kind, ids in by_kind.items()}
+        """kind -> (the facets of `fids` of that kind, in the given order,
+        their vertex coordinates (F, n_vertices, d)), kinds in order of first
+        appearance; read from the first listing of each facet."""
+        fids = np.asarray(fids, dtype=int)
+        rows = self._table[self._first[fids]]
+        size = (rows >= 0).sum(axis=1)
+        return {_KIND_BY_SIZE[s]: (fids[size == s].tolist(),
+                                   np.take(self.vertices, rows[size == s, :s], axis=0))
+                for s in dict.fromkeys(size.tolist())}
+
+    def _listing(self, r) -> tuple:
+        """The vertex ids of row r of the sector table."""
+        return tuple(v for v in self._table[r].tolist() if v >= 0)
+
+    def _quads(self) -> np.ndarray:
+        """Corner ids (Q, 4) of the FE quads, counter-clockwise: the first
+        vertex of each of their edge rows, which follow the sector rows."""
+        return self._table[self._counts.sum():, 0].reshape(-1, 4)
 
     def _sector_stacks(self) -> dict:
         """Every sector of the mesh, stacked by facet kind in mesh order:
@@ -295,17 +260,18 @@ class PolytopalMesh:
     # -- validation ------------------------------------------------------------
 
     def validate(self, conflicts):
-        for fid in np.flatnonzero(self._owner_counts > 2)[:1]:
-            raise MeshError(f"facet {fid} {self.facets[fid].vertices} is "
-                            f"shared by {self._owner_counts[fid]} elements")
+        owners = np.bincount(self._fid)
+        for fid in np.flatnonzero(owners > 2)[:1]:
+            raise MeshError(f"facet {fid} {self._listing(self._first[fid])} is "
+                            f"shared by {owners[fid]} elements")
         if self.dimension == 3:
             self._check_planarity()
         self._check_star_shape(conflicts)
 
     def _check_planarity(self):
         scale = max(self.h_max(), 1e-300)
-        fids = [fid for fid, f in enumerate(self.facets) if len(f.vertices) == 4]
-        pts = self.vertices[[self.facets[f].vertices for f in fids]].reshape(-1, 4, 3)
+        fids, pts = self._facet_corners(range(len(self._first))).get(
+            FacetKind.QUADRILATERAL, ([], np.zeros((0, 4, 3))))
         n = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
         nn = np.linalg.norm(n, axis=-1)
         degenerate = nn < 1e-14 * scale * scale
@@ -344,12 +310,12 @@ class PolytopalMesh:
                 culprits += [(*owner, -1) for owner in owners[s[bad]][:1].tolist()]
         if culprits:
             e, pos, other = min(culprits)
-            sel = self.selements[e]
-            what = (f"facet {sel.facet_orders[pos]} is not fully visible from"
-                    if other < 0 else f"facets {sel.facet_orders[pos]} and "
-                    f"{sel.facet_orders[other]} cannot both face")
-            raise MeshError(f"S-element {sel.id} fails the star-shape check: "
-                            f"{what} its scaling center {sel.center}")
+            row = int(self._counts[:e].sum())
+            what = (f"facet {self._listing(row + pos)} is not fully visible from"
+                    if other < 0 else f"facets {self._listing(row + pos)} and "
+                    f"{self._listing(row + other)} cannot both face")
+            raise MeshError(f"S-element {e} fails the star-shape check: "
+                            f"{what} its scaling center {self.centres[e]}")
 
 
 def _roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -537,12 +503,11 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
     first at its first listing, so facets by id, then FE quads.  The S-local
     DOFs of an S-element are the DOFs that its sectors name, in that order.
     """
-    table, first = mesh._table, mesh._first
-    n_rows, n_fe = len(table), len(mesh.fe_elements)
-    n_s = n_rows - 4 * n_fe                # sector rows; FE quad edges follow
-    corners = np.full((n_rows + n_fe, max(table.shape[1], 4)), -1)
+    table, first, counts = mesh._table, mesh._first, mesh._counts
+    n_rows, n_s, quads = len(table), counts.sum(), mesh._quads()
+    corners = np.full((n_rows + len(quads), max(table.shape[1], 4)), -1)
     corners[:n_rows, :table.shape[1]] = table
-    corners[n_rows:, :4] = table[n_s:, 0].reshape(-1, 4)
+    corners[n_rows:, :4] = quads
     size = (corners >= 0).sum(axis=1)
     nodes = np.array([0, 0] + [len(_corner_weights(_KIND_BY_SIZE[s], k))
                                for s in (2, 3, 4)])   # lattice nodes by size
@@ -580,7 +545,6 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
     # S-local DOFs: the (S-element, DOF) pairs of the sector rows, coded
     # e n + dof, numbered in order of first appearance, those of each
     # S-element after those of the S-elements before it
-    counts = [len(sel.facet_ids) for sel in mesh.selements]
     elem = np.repeat(np.repeat(np.arange(len(counts)), counts), nodes[size[:n_s]])
     ids, firsts = _first_seen(elem * len(unique) + slot_dof[:start[n_s]])
     rows = _pieces(ids - ids[np.searchsorted(elem, elem)], start[:n_s + 1])
@@ -593,7 +557,7 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
         facet_nodes=[parts[r] for r in first.tolist()], fe_nodes=parts[n_rows:],
         coords=coords, selement_dofs=_pieces(slot_dof[firsts], np.searchsorted(
             elem[firsts], np.arange(len(counts) + 1))),
-        sector_rows=_pieces(rows, np.cumsum([0] + counts)))
+        sector_rows=_pieces(rows, np.append(0, np.cumsum(counts))))
 
 
 def _pieces(items, bounds) -> list:

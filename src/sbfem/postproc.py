@@ -145,7 +145,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         op = ops[i]
         if i not in entries:
             members = e[order[start[c]:start[c] + m]].tolist()
-            entries[i] = (_radial_rule_args(op, cfg, k), op.A_eval,
+            entries[i] = (_radial_rule_args(op, i, cfg, k), op.A_eval,
                           [solution.coefficients[j] for j in members])
         rule, A, coeffs = entries[i]
         groups.setdefault((kd, op.modes.n, rule, m), []).append(
@@ -184,21 +184,21 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                                              np.swapaxes(coeffs[sl, blk], 1, 2))
                 sums += _error_sums(exact, w, pts, np.moveaxis(vals, -1, 1),
                                     np.moveaxis(grads, -2, 1))
-    fes = mesh.fe_elements
-    if fes:
+    n_fe = len(mesh._fe_class)
+    if n_fe:
         frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
-        for sl in _chunks(len(fes), len(frule) * d):
-            pts, vals, grads, det = _fe_fields(solution, fes[sl], frule.points)
+        for sl in _chunks(n_fe, len(frule) * d):
+            pts, vals, grads, det = _fe_fields(solution, sl, frule.points)
             sums += _error_sums(exact, frule.weights * det, pts, vals, grads)
     return float(np.sqrt(sums[0])), float(np.sqrt(sums[1]))
 
 
-def _radial_rule_args(op, cfg: QuadratureConfig, k: int) -> tuple:
-    """radial_quadrature arguments for the error integral of one S-element."""
+def _radial_rule_args(op, e: int, cfg: QuadratureConfig, k: int) -> tuple:
+    """radial_quadrature arguments for the error integral of S-element e."""
     lam_min = op.modes.min_positive_exponent
     if not np.isfinite(lam_min) or lam_min <= 0.0:
         raise QuadratureError(
-            f"S-element {op.selement.id}: no positive exponent to set the "
+            f"S-element {e}: no positive exponent to set the "
             "radial quadrature floor")
     floor = lam_min - 1.0
     if abs(floor) < RADIAL_FLOOR_TOL:
@@ -212,17 +212,18 @@ def _radial_rule_args(op, cfg: QuadratureConfig, k: int) -> tuple:
     return floor, n_rad, levels, SINGULAR_COMPOSITE_RATIO
 
 
-def _fe_fields(solution: DiscreteSolution, fes, ref_pts):
-    """u_h on a list of FE quads at reference points: mapped points, values,
-    gradients and Jacobian determinants, with shapes (F, Q[, 2]); J^-T grad N
-    once per congruence class of the mesh's FE quads, on its first in `fes`."""
+def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts):
+    """u_h on the slice `sl` of the FE quads at reference points: mapped
+    points, values, gradients and Jacobian determinants, with shapes
+    (F, Q[, 2]); J^-T grad N once per congruence class of the mesh's FE
+    quads, on its first in `sl`."""
     mesh, quad = solution.mesh, FacetKind.QUADRILATERAL
     nvals, ngrads = trace_basis(quad, solution.k).eval_many(ref_pts)
-    corners = mesh.vertices[[fe.vertices for fe in fes]]
-    uel = solution.nodal[[solution.numbering.fe_nodes[fe.id] for fe in fes]]
+    corners = np.take(mesh.vertices, mesh._quads()[sl], axis=0)
+    uel = solution.nodal[solution.numbering.fe_nodes[sl]]
     J = _facet_tangents(quad, ref_pts, corners)
-    _, first, cls = np.unique(mesh._fe_class[[fe.id for fe in fes]],
-                              return_index=True, return_inverse=True)
+    _, first, cls = np.unique(mesh._fe_class[sl], return_index=True,
+                              return_inverse=True)
     B = np.swapaxes(np.linalg.inv(J[first]), -1, -2) @ ngrads   # (U, Q, 2, m)
     return (_facet_points(quad, ref_pts, corners), uel @ nvals.T,
             (B[cls] @ uel[:, None, :, None])[..., 0], np.linalg.det(J))

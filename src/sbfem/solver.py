@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError, SpectrumError
-from .mesh import DofNumbering, PolytopalMesh, SElement, number_dofs
+from .mesh import DofNumbering, PolytopalMesh, number_dofs
 from .polyspace import facet_quadrature, trace_basis
 from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 
@@ -26,7 +26,6 @@ from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 class SElementOperator:
     """Modes, stiffness and local DOFs of one S-element."""
 
-    selement: SElement
     E: EMatrices               # side-face-reduced coefficient matrices
     modes: modes_mod.SbfemModes
     K: np.ndarray              # stiffness over the kept trace DOFs
@@ -71,9 +70,8 @@ def build_operators(mesh: PolytopalMesh,
                     2 * k + 2)
     by_size: dict = {}         # reduced trace size -> representatives, in order
     for c, e in enumerate(reps):
-        sel = mesh.selements[e]
-        dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
-        pinned = np.isin(dofs[e], [numbering.vertex_dof[v] for v in dbc])
+        pinned = np.isin(dofs[e], [numbering.vertex_dof[v]
+                                   for v in mesh._dirichlet.get(e, ())])
         E = modes_mod.apply_sideface_bc(Es[e], np.flatnonzero(pinned))
         by_size.setdefault(E.n, []).append((e, c, E, np.flatnonzero(~pinned)))
     errors, solved = [], {}    # class -> the operator fields its members share
@@ -85,9 +83,8 @@ def build_operators(mesh: PolytopalMesh,
                        for sl in _chunks(len(group), 4 * n * n)]
     if any(errors):
         raise min(filter(None, errors), key=lambda exc: exc.selement)
-    return [SElementOperator(selement=sel, dofs_full=d, sector_rows=rows, **solved[c])
-            for sel, d, rows, c in zip(mesh.selements, dofs, local,
-                                       mesh._sel_class.tolist())]
+    return [SElementOperator(dofs_full=d, sector_rows=rows, **solved[c])
+            for d, rows, c in zip(dofs, local, mesh._sel_class.tolist())]
 
 
 def _stack_E(members, dim: int) -> EMatrices:
@@ -147,16 +144,15 @@ def assemble_global(mesh: PolytopalMesh, k: int) -> GlobalSystem:
     numbering = number_dofs(mesh, k)
     ops = build_operators(mesh, numbering)
     n = numbering.n_total
-    fe_K = [fe_element_stiffness(mesh.vertices[list(mesh.fe_elements[q].vertices)], k)
-            for q in np.unique(mesh._fe_class, return_index=True)[1].tolist()]
+    fe_K = [fe_element_stiffness(mesh.vertices[quad], k) for quad in mesh._quads()[
+        np.unique(mesh._fe_class, return_index=True)[1]]]
     blocks = [(op.dofs_kept, op.K) for op in ops] + [
         (numbering.fe_nodes[q], fe_K[c]) for q, c in enumerate(mesh._fe_class.tolist())]
     system = GlobalSystem(mesh=mesh, numbering=numbering, operators=ops,
                           K=_scatter(blocks, n))
     # side-face Dirichlet traces are pinned to zero from the start
-    system.dirichlet.update((numbering.vertex_dof[v], 0.0) for sel in mesh.selements
-                            if sel.open_boundary is not None
-                            for v in sel.open_boundary.dirichlet_vertices)
+    system.dirichlet.update((numbering.vertex_dof[v], 0.0)
+                            for pins in mesh._dirichlet.values() for v in pins)
     empty = np.flatnonzero(np.diff(system.K.indptr) == 0)   # rows in no block
     dangling = empty[~np.isin(empty, list(system.dirichlet))]
     if dangling.size:

@@ -4,6 +4,7 @@ diagnostics that only tests use."""
 import itertools
 import json
 from collections import Counter, namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -12,11 +13,10 @@ import pytest
 from sbfem import modes, postproc
 from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError, MeshError
-from sbfem.mesh import (Facet, FEQuad, PolytopalMesh, SElement, SideFaceBC,
-                        _merge_vertices, _node_names, _open_mesh,
-                        _shape_keys, gen_hex_mesh, gen_polygon_case1,
-                        gen_polyhedron_case1, gen_quad_mesh, import_mesh,
-                        number_dofs, singular_open_selement)
+from sbfem.mesh import (_KIND_BY_SIZE, PolytopalMesh, _merge_vertices,
+                        _node_names, _open_mesh, _shape_keys, gen_hex_mesh,
+                        gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
+                        import_mesh, number_dofs, singular_open_selement)
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
@@ -37,21 +37,54 @@ class Sector(namedtuple("Sector", "collapsed_vertex facet_vertices facet_kind"))
 SectorRows = namedtuple("SectorRows", "sector basis rows pos")
 
 
-def mesh_sector(mesh, sel, pos):
-    """The Sector of facet position `pos` of S-element `sel`, read from
+# -- the mesh's registration arrays, read per element --------------------------
+
+
+def selement_facets(mesh, e) -> tuple[list, list]:
+    """Facet ids and vertex orders (tuples) of the sectors of S-element e:
+    its rows of the sector table."""
+    start = int(mesh._counts[:e].sum())
+    rows = range(start, start + int(mesh._counts[e]))
+    return mesh._fid[start:rows.stop].tolist(), [mesh._listing(r) for r in rows]
+
+
+def facet_vertices(mesh, fid) -> tuple:
+    """The vertex ids of a facet, in the order of its first listing."""
+    return mesh._listing(mesh._first[fid])
+
+
+def facet_kind(mesh, fid) -> FacetKind:
+    return _KIND_BY_SIZE[len(facet_vertices(mesh, fid))]
+
+
+def facet_list(mesh) -> list[tuple]:
+    """(vertex ids, kind) of every facet, by facet id."""
+    return [(facet_vertices(mesh, f), facet_kind(mesh, f))
+            for f in range(len(mesh._first))]
+
+
+def is_open(mesh, e) -> bool:
+    """Whether S-element e is open: a 2D chain with two ends, each a vertex
+    that one facet of the element lists."""
+    count = Counter(v for order in selement_facets(mesh, e)[1] for v in order)
+    return mesh.dimension == 2 and sum(c == 1 for c in count.values()) == 2
+
+
+def mesh_sector(mesh, e, pos):
+    """The Sector of facet position `pos` of S-element e, read from
     `PolytopalMesh._sector_stacks`."""
     for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
-        hit = np.flatnonzero((owners == (sel.id, pos)).all(axis=1))
+        hit = np.flatnonzero((owners == (e, pos)).all(axis=1))
         if hit.size:
             return Sector(centres[hit[0]], vertices[hit[0]], kind)
-    raise KeyError((sel.id, pos))
+    raise KeyError((e, pos))
 
 
-def op_sectors(mesh, op):
-    """The SectorRows of every facet position of an S-element operator."""
+def op_sectors(mesh, op, e):
+    """The SectorRows of every facet position of the operator of S-element e."""
     out = []
     for pos, rows in enumerate(op.sector_rows):
-        sector = mesh_sector(mesh, op.selement, pos)
+        sector = mesh_sector(mesh, e, pos)
         basis = next(b for b in (trace_basis(sector.facet_kind, k)
                                  for k in range(1, MAX_DEGREE + 1))
                      if b.cardinality == len(rows))
@@ -205,7 +238,7 @@ def reference_lattice_perm(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
     return perm
 
 
-def reference_local_dofs(mesh, numbering, sel):
+def reference_local_dofs(mesh, numbering, e):
     """S-element trace DOF list plus per-sector local node maps, by a loop
     over the element's sectors through a lattice permutation per (facet
     kind, k, vertex order).  Oracle for the S-local numbering of
@@ -217,11 +250,10 @@ def reference_local_dofs(mesh, numbering, sel):
     """
     position: dict[int, int] = {}      # skeleton DOF -> S-local index
     sector_rows = []
-    for fid, order in zip(sel.facet_ids, sel.facet_orders):
-        facet = mesh.facets[fid]
-        vperm = tuple(facet.vertices.index(v) for v in order)
+    for fid, order in zip(*selement_facets(mesh, e)):
+        vperm = tuple(facet_vertices(mesh, fid).index(v) for v in order)
         nodes = numbering.facet_nodes[fid][reference_lattice_perm(
-            facet.kind, numbering.k, vperm)]
+            facet_kind(mesh, fid), numbering.k, vperm)]
         sector_rows.append(np.array([position.setdefault(g, len(position))
                                      for g in nodes.tolist()], dtype=int))
     return np.array(list(position), dtype=int), sector_rows
@@ -229,11 +261,11 @@ def reference_local_dofs(mesh, numbering, sel):
 
 def assert_local_dofs_match(mesh, numbering):
     """The S-local DOFs and sector rows of `numbering` equal the oracle's."""
-    for sel in mesh.selements:
-        dofs, rows = reference_local_dofs(mesh, numbering, sel)
-        assert np.array_equal(numbering.selement_dofs[sel.id], dofs)
-        assert len(numbering.sector_rows[sel.id]) == len(rows)
-        for got, want in zip(numbering.sector_rows[sel.id], rows):
+    for e in range(len(mesh._counts)):
+        dofs, rows = reference_local_dofs(mesh, numbering, e)
+        assert np.array_equal(numbering.selement_dofs[e], dofs)
+        assert len(numbering.sector_rows[e]) == len(rows)
+        for got, want in zip(numbering.sector_rows[e], rows):
             assert np.array_equal(got, want)
 
 
@@ -252,18 +284,16 @@ def reference_congruence_classes(mesh, numbering):
              for kind, (_, _, owners) in stacks.items()
              for i, (e, pos) in enumerate(owners.tolist())}
     seen, classes = {}, []
-    for sel in mesh.selements:
-        dofs_full, sector_rows = reference_local_dofs(mesh, numbering, sel)
-        dbc = sel.open_boundary.dirichlet_vertices if sel.open_boundary else ()
-        pinned = {numbering.vertex_dof[v] for v in dbc}
+    for e in range(len(mesh._counts)):
+        dofs_full, sector_rows = reference_local_dofs(mesh, numbering, e)
+        pinned = {numbering.vertex_dof[v] for v in mesh._dirichlet.get(e, ())}
         constrained = np.flatnonzero([g in pinned for g in dofs_full.tolist()])
-        slots = [where[sel.id, pos] for pos in range(len(sector_rows))]
+        slots = [where[e, pos] for pos in range(len(sector_rows))]
         key = (mesh.dimension, numbering.k, tuple(constrained.tolist())) + tuple(
             (kind.value, keys[kind][i].tobytes(), rows.tobytes())
             for (kind, i), rows in zip(slots, sector_rows))
         classes.append(seen.setdefault(key, len(seen)))
-    corners = mesh.vertices[[fe.vertices for fe in mesh.fe_elements]].reshape(
-        -1, 4, mesh.dimension)
+    corners = mesh.vertices[mesh._quads()].reshape(-1, 4, mesh.dimension)
     fe_seen = {}
     fe_classes = [fe_seen.setdefault(key.tobytes(), len(fe_seen))
                   for key in _shape_keys(mesh, corners - corners[:, :1])]
@@ -418,11 +448,12 @@ def fixture_meshes_3d():
 def volume_gradient_inner(mesh, op, alpha, mu, rho, drho, sigma, dsigma,
                           facet_order=24, radial_points=20):
     """Tensor-quadrature oracle for the gradient inner product of two Duffy
-    functions with polynomial radial parts vanishing at the center."""
+    functions with polynomial radial parts vanishing at the center, on the
+    one S-element of a mesh."""
     d = op.E.dim
     rad = radial_quadrature(1.0, radial_points, 0)
     total = 0.0
-    for ctx in op_sectors(mesh, op):
+    for ctx in op_sectors(mesh, op, 0):
         frule = facet_quadrature(ctx.sector.facet_kind, facet_order)
         B1, B2, det = sector_B_many(ctx.sector, ctx.basis, frule.points)
         a = alpha[ctx.rows]
@@ -462,31 +493,35 @@ def fd_mode_gradients(op, ctx, xi, eta, step=1e-6):
     return np.linalg.solve(J.T, P)
 
 
-def evaluate_in_sector(solution, op, ctx, xis, etas):
-    """The error kernels on one sector, a one-member class: points (R, Q, d),
-    values (R, Q) and gradients (R, Q, d) of u_h on a (xi, eta) grid."""
+def evaluate_in_sector(solution, e, ctx, xis, etas):
+    """The error kernels on one sector of S-element e, a one-member class:
+    points (R, Q, d), values (R, Q) and gradients (R, Q, d) of u_h on a
+    (xi, eta) grid."""
+    op = solution.operators[e]
     xis = np.asarray(xis, dtype=float)
     J, _ = sector_jacobian(ctx.sector, etas)
     vals, grads = sector_fields(
         ctx.basis, xis, etas, J[None], op.A_eval[ctx.rows][None],
-        solution.coefficients[op.selement.id][None, :, None],
+        solution.coefficients[e][None, :, None],
         op.modes.lambdas[None])
     return duffy_map_many(ctx.sector, xis, etas), vals[0, ..., 0], grads[0, :, :, 0]
 
 
-def evaluate_in_fe(solution, fe, ref_pts):
-    """The error kernel on one FE quad: points, values, gradients, det J."""
-    pts, vals, grads, det = postproc._fe_fields(solution, [fe], ref_pts)
+def evaluate_in_fe(solution, q, ref_pts):
+    """The error kernel on FE quad q: points, values, gradients, det J."""
+    pts, vals, grads, det = postproc._fe_fields(solution, slice(q, q + 1), ref_pts)
     return pts[0], vals[0], grads[0], det[0]
 
 
 # -- per-sector reference for the batched error integration ----------------------
 
 
-def _reference_sector(solution, op, ctx, xis, etas):
-    """u_h on one sector's (xi, eta) grid, one mode sum per sector."""
+def _reference_sector(solution, e, ctx, xis, etas):
+    """u_h on a sector's (xi, eta) grid of S-element e, one mode sum per
+    sector."""
+    op = solution.operators[e]
     md = op.modes
-    c = solution.coefficients[op.selement.id]
+    c = solution.coefficients[e]
     alpha = op.A_eval[ctx.rows, :]                     # (m, n_modes) complex
     nvals, _ = ctx.basis.eval_many(etas)               # (Q, m)
     xis = np.asarray(xis, dtype=float)
@@ -506,13 +541,13 @@ def _reference_sector(solution, op, ctx, xis, etas):
     return pts, values, grads
 
 
-def _reference_fe(solution, fe, ref_pts):
-    """u_h on one FE quad at reference points."""
+def _reference_fe(solution, q, ref_pts):
+    """u_h on FE quad q at reference points."""
     mesh, numbering = solution.mesh, solution.numbering
     basis = trace_basis(FacetKind.QUADRILATERAL, numbering.k)
-    uel = solution.nodal[numbering.fe_nodes[fe.id]]
+    uel = solution.nodal[numbering.fe_nodes[q]]
     nvals, ngrads = basis.eval_many(ref_pts)
-    corners = mesh.vertices[list(fe.vertices)]
+    corners = mesh.vertices[mesh._quads()[q]]
     pts = _facet_points(FacetKind.QUADRILATERAL, ref_pts, corners)
     tans = _facet_tangents(FacetKind.QUADRILATERAL, ref_pts, corners)
     det = np.linalg.det(tans)
@@ -533,13 +568,13 @@ def reference_solution_errors(solution, exact, quad=None):
     d = solution.mesh.dimension
     acc_l2 = 0.0
     acc_h1 = 0.0
-    for op in solution.operators:
-        rad = radial_quadrature(*postproc._radial_rule_args(op, cfg, k))
+    for e, op in enumerate(solution.operators):
+        rad = radial_quadrature(*postproc._radial_rule_args(op, e, cfg, k))
         xis = rad.points[:, 0]
-        for ctx in op_sectors(solution.mesh, op):
+        for ctx in op_sectors(solution.mesh, op, e):
             frule = facet_quadrature(ctx.sector.facet_kind, cfg.facet_order)
             _, det = sector_jacobian(ctx.sector, frule.points)
-            pts, vals, grads = _reference_sector(solution, op, ctx, xis,
+            pts, vals, grads = _reference_sector(solution, e, ctx, xis,
                                                  frule.points)
             flat = pts.reshape(-1, d)
             ev = exact.value(flat).reshape(vals.shape)
@@ -548,8 +583,8 @@ def reference_solution_errors(solution, exact, quad=None):
             acc_l2 += float(np.sum(w * (vals - ev) ** 2))
             acc_h1 += float(np.sum(w * np.sum((grads - eg) ** 2, axis=2)))
     frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
-    for fe in solution.mesh.fe_elements:
-        pts, vals, grads, det = _reference_fe(solution, fe, frule.points)
+    for q in range(len(solution.mesh._quads())):
+        pts, vals, grads, det = _reference_fe(solution, q, frule.points)
         w = frule.weights * det
         acc_l2 += float(np.sum(w * (vals - exact.value(pts)) ** 2))
         acc_h1 += float(np.sum(w * np.sum((grads - exact.gradient(pts)) ** 2,
@@ -569,13 +604,13 @@ def reference_project_trace(system, g, facet_ids, dofs) -> np.ndarray:
     M = np.zeros((len(dofs), len(dofs)))
     b = np.zeros(len(dofs))
     for fid in facet_ids:
-        facet = mesh.facets[fid]
-        basis = trace_basis(facet.kind, k)
-        rule = facet_quadrature(facet.kind, 2 * k + 8)
+        kind = facet_kind(mesh, fid)
+        basis = trace_basis(kind, k)
+        rule = facet_quadrature(kind, 2 * k + 8)
         vals, _ = basis.eval_many(rule.points)
-        corners = mesh.vertices[list(facet.vertices)]
-        pts = _facet_points(facet.kind, rule.points, corners)
-        tans = _facet_tangents(facet.kind, rule.points, corners)
+        corners = mesh.vertices[list(facet_vertices(mesh, fid))]
+        pts = _facet_points(kind, rule.points, corners)
+        tans = _facet_tangents(kind, rule.points, corners)
         if mesh.dimension == 2:
             jac = np.linalg.norm(tans[:, :, 0], axis=1)
         else:
@@ -608,12 +643,11 @@ def flat_sector_squares(h0, h1) -> dict:
 def mesh_to_json(mesh) -> dict:
     """A mesh in the JSON schema that `import_mesh` reads."""
     sels = []
-    for sel in mesh.selements:
-        entry = {"facets": [list(o) for o in sel.facet_orders],
-                 "center": [float(c) for c in sel.center]}
-        if sel.open_boundary is not None:
-            entry["dirichlet_sideface_nodes"] = list(
-                sel.open_boundary.dirichlet_vertices)
+    for e, centre in enumerate(mesh.centres.tolist()):
+        entry = {"facets": [list(o) for o in selement_facets(mesh, e)[1]],
+                 "center": centre}
+        if is_open(mesh, e):
+            entry["dirichlet_sideface_nodes"] = list(mesh._dirichlet.get(e, ()))
         sels.append(entry)
     return {"dimension": mesh.dimension,
             "vertices": [[float(c) for c in v] for v in mesh.vertices],
@@ -790,21 +824,34 @@ def reference_mode_chain(E, d):
 
 def facet_owners(mesh) -> list[list]:
     """Per facet, the ("S", id) / ("FE", id) elements that list it."""
-    owners = [[] for _ in mesh.facets]
-    for sel in mesh.selements:
-        for fid in sel.facet_ids:
-            owners[fid].append(("S", sel.id))
-    for fe in mesh.fe_elements:
-        for fid in fe.edge_facets:
-            owners[fid].append(("FE", fe.id))
+    counts = mesh._counts.tolist()
+    elements = [("S", e) for e, c in enumerate(counts) for _ in range(c)] + [
+        ("FE", q) for q in range(len(mesh._quads())) for _ in range(4)]
+    owners = [[] for _ in mesh._first]
+    for fid, element in zip(mesh._fid.tolist(), elements):
+        owners[fid].append(element)
     return owners
+
+
+Facet = namedtuple("Facet", "vertices kind")
+FEQuad = namedtuple("FEQuad", "id vertices edge_facets")
+
+
+@dataclass
+class SElement:
+    id: int
+    center: np.ndarray
+    facet_ids: list            # facet ids
+    facet_orders: list         # per facet: this element's outward vertex order
+    dirichlet: tuple | None = None     # side-face Dirichlet vertices if open
 
 
 class ReferenceMesh:
     """The per-element mesh builder that `PolytopalMesh._register` replaced:
     one dict probe per vertex and facet, chain state and centre per
-    S-element, sector stacks from owner lists.  It builds the fields only;
-    validation stays with the mesh."""
+    S-element, sector stacks from owner lists, and one record per facet,
+    S-element and FE quad.  It builds the fields only; validation stays
+    with the mesh."""
 
     def __init__(self, dimension, extent=1.0):
         self.dimension = dimension
@@ -865,7 +912,7 @@ class ReferenceMesh:
                 center = self.vertices[vids].mean(axis=0)
             sel.center = np.asarray(center, dtype=float)
             if self.dimension == 2 and len(odd) == 2:
-                sel.open_boundary = SideFaceBC(dirichlet_vertices=tuple(dbc))
+                sel.dirichlet = tuple(dbc)
         owners: dict = {}
         for sel in self.selements:
             for pos, fid in enumerate(sel.facet_ids):

@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import (affine_cube_mesh, fd_mode_gradients, fixture_meshes_2d,
-                      fixture_meshes_3d, mode_fields, op_sectors, operator_for,
+                      fixture_meshes_3d, is_open, mode_fields, op_sectors,
+                      operator_for,
                       orthogonality_residual, random_polygon_mesh,
                       stiffness_from_gram)
 from sbfem.cli import MESH_FAMILIES
@@ -300,13 +301,13 @@ def test_criterion_6_orthogonality():
 
 
 def test_criterion_7_stiffness_cross_validation():
-    for name, _, op in _fixture_ops():
+    for name, mesh, op in _fixture_ops():
         K2 = stiffness_from_gram(op.modes, op.E)
         err = np.linalg.norm(op.K - K2) / np.linalg.norm(op.K)
         assert err < 1e-7, (name, err)
         w = np.linalg.eigvalsh(op.K)
         assert w.min() > -1e-9 * np.linalg.norm(op.K), name
-        if op.selement.open_boundary is None:
+        if not is_open(mesh, 0):
             kernel = (w < 1e-8 * w.max()).sum()
             assert kernel == 1, name
             ones = np.ones(op.K.shape[0])
@@ -368,7 +369,7 @@ def test_criterion_9_gradient_finite_differences():
     for name, mesh, op in _fixture_ops():
         if op.modes.n > 40:      # keep the FD sweep affordable
             continue
-        sectors = op_sectors(mesh, op)
+        sectors = op_sectors(mesh, op, 0)
         ctx = sectors[rng.integers(len(sectors))]
         kind = ctx.sector.facet_kind.name
         for _ in range(20):

@@ -20,8 +20,7 @@ from sbfem.solver import build_operators
 
 def test_B2_annihilates_constants(rng):
     for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
-        sel = mesh.selements[0]
-        sector = mesh_sector(mesh, sel, 0)
+        sector = mesh_sector(mesh, 0, 0)
         basis = trace_basis(sector.facet_kind, 2)
         for _ in range(5):
             if sector.facet_kind is FacetKind.SEGMENT:
@@ -37,7 +36,7 @@ def test_B2_annihilates_constants(rng):
 def test_constant_trace_gradient_is_inverse_jacobian_column():
     # alpha = 1, rho = xi: the mapped function has gradient J(1,eta)^-T e1
     mesh = gen_quad_mesh(1)
-    sector = mesh_sector(mesh, mesh.selements[0], 0)
+    sector = mesh_sector(mesh, 0, 0)
     basis = trace_basis(FacetKind.SEGMENT, 1)
     for eta in (-0.7, 0.0, 0.4):
         B1, B2 = sector_B(sector, basis, eta)
@@ -51,7 +50,7 @@ def test_fd_gradient_of_mapped_duffy_function(rng):
     # phi(x) = rho(xi) N_l(eta) with rho = xi: compare the B-vector gradient
     # against central differences in the parametric coordinates
     mesh = gen_quad_mesh(1)
-    sector = mesh_sector(mesh, mesh.selements[0], 0)
+    sector = mesh_sector(mesh, 0, 0)
     basis = trace_basis(FacetKind.SEGMENT, 1)
     step = 1e-6
     for l in range(2):
@@ -76,7 +75,7 @@ def test_fd_gradient_of_mapped_duffy_function(rng):
 
 def test_sector_E_definiteness(rng):
     for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
-        sector = mesh_sector(mesh, mesh.selements[0], 0)
+        sector = mesh_sector(mesh, 0, 0)
         basis = trace_basis(sector.facet_kind, 2)
         rule = facet_quadrature(sector.facet_kind, 6)
         se = sector_E(sector, basis, rule)
@@ -152,11 +151,10 @@ def test_open_boundary_cross_sum_survives(wedge_mesh):
     # before side-face reduction the open chain keeps nonzero E12^T 1
     from sbfem.mesh import number_dofs
     nd = number_dofs(wedge_mesh, 1)
-    sel = wedge_mesh.selements[0]
     dofs, rows = nd.selement_dofs[0], nd.sector_rows[0]
     data = []
-    for pos in range(len(sel.facet_ids)):
-        sector = mesh_sector(wedge_mesh, sel, pos)
+    for pos in range(len(rows)):
+        sector = mesh_sector(wedge_mesh, 0, pos)
         data.append((sector, trace_basis(sector.facet_kind, 1), rows[pos], 4))
     E = reference_assemble_E(data, len(dofs), 2)
     ones = np.ones(E.n)
@@ -218,11 +216,12 @@ def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
     make, k, rtol = E_CASES[case]
     mesh = make()
     ops = build_operators(mesh, number_dofs(mesh, k))
-    first = {id(op.modes): op for op in reversed(ops)}   # cache hits share
-    for op in first.values():
+    first = {id(op.modes): (e, op)                       # cache hits share
+             for e, op in reversed(list(enumerate(ops)))}
+    for e, op in first.values():
         n = len(op.dofs_full)
         data = [(ctx.sector, ctx.basis, ctx.rows, 2 * k + 2)
-                for ctx in op_sectors(mesh, op)]
+                for ctx in op_sectors(mesh, op, e)]
         ref = apply_sideface_bc(
             reference_assemble_E(data, n, mesh.dimension),
             np.setdiff1d(np.arange(n), op.kept_local))

@@ -5,14 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (assert_local_dofs_match, facet_map_many, facet_owners,
-                      flat_sector_squares, hybrid_mesh, jittered_quad_mesh,
-                      mesh_sector, mesh_to_json, octahedron_mesh, polygon_mesh,
+from conftest import (assert_local_dofs_match, facet_kind, facet_list,
+                      facet_map_many, facet_owners, flat_sector_squares,
+                      hybrid_mesh, is_open, jittered_quad_mesh, mesh_sector,
+                      mesh_to_json, octahedron_mesh, polygon_mesh,
                       reference_congruence_classes, reference_coupled_singular,
                       reference_hex_family, reference_import,
                       reference_lattice_perm, reference_quad_family,
                       reference_singular_open_selement, relabelled,
-                      sector_jacobian)
+                      sector_jacobian, selement_facets)
 from test_postproc import BATCH_CASES
 from sbfem.cli import build_mesh, main
 from sbfem.errors import MeshError
@@ -59,25 +60,25 @@ def test_coupled_dof_counts():
 
 def test_single_square_topology():
     mesh = gen_quad_mesh(1)
-    assert len(mesh.selements) == 1
-    assert len(mesh.selements[0].facet_ids) == 4
-    assert mesh.selements[0].open_boundary is None
+    assert len(mesh.centres) == 1
+    assert len(selement_facets(mesh, 0)[0]) == 4
+    assert not is_open(mesh, 0)
 
 
 def test_polygon_case1_facet_count():
     mesh = gen_polygon_case1(2)
-    for sel in mesh.selements:
-        assert len(sel.facet_ids) == 8
+    for e in range(len(mesh.centres)):
+        assert len(selement_facets(mesh, e)[0]) == 8
 
 
 def test_polyhedron_case1_facet_count():
     mesh = gen_polyhedron_case1(1)
-    assert len(mesh.selements[0].facet_ids) == 24
+    assert len(selement_facets(mesh, 0)[0]) == 24
 
 
 def test_refined_families():
-    assert len(gen_refined_square(4).selements[0].facet_ids) == 16
-    assert len(gen_refined_cube(2).selements[0].facet_ids) == 24
+    assert len(selement_facets(gen_refined_square(4), 0)[0]) == 16
+    assert len(selement_facets(gen_refined_cube(2), 0)[0]) == 24
 
 
 def test_conformity_owner_counts():
@@ -101,14 +102,13 @@ def test_quad_mesh_interior_shared():
 def test_singular_open_element():
     for n in (1, 2, 4):
         mesh = singular_open_selement(n)
-        sel = mesh.selements[0]
-        assert len(sel.facet_ids) == 4 * n
-        assert sel.open_boundary is not None
-        assert sel.center == pytest.approx([0.0, 0.0])
+        assert len(selement_facets(mesh, 0)[0]) == 4 * n
+        assert is_open(mesh, 0)
+        assert mesh.centres[0] == pytest.approx([0.0, 0.0])
         nd = number_dofs(mesh, 1)
         assert nd.n_total == 4 * n + 1
     mesh = singular_open_selement(1)
-    v = mesh.selements[0].open_boundary.dirichlet_vertices
+    v = mesh._dirichlet[0]
     assert len(v) == 1
     assert mesh.vertices[v[0]] == pytest.approx([-1.0, 0.0])
 
@@ -118,7 +118,7 @@ def test_round_trip_identity():
         data = json.loads(json.dumps(mesh_to_json(mesh)))
         back = import_mesh(data)
         assert np.allclose(back.vertices, mesh.vertices)
-        assert len(back.facets) == len(mesh.facets)
+        assert len(facet_list(back)) == len(facet_list(mesh))
         for k in (1, 2):
             assert number_dofs(back, k).n_total == number_dofs(mesh, k).n_total
         assert mesh_to_json(back) == mesh_to_json(mesh)
@@ -135,12 +135,23 @@ def test_two_pentagons_fixture():
             {"facets": [[2, 1], [1, 5], [5, 6], [6, 7], [7, 2]]},
         ],
     })
-    assert len(mesh.selements) == 2
+    assert len(mesh.centres) == 2
     owners = facet_owners(mesh)
     shared = [ow for ow in owners if len(ow) == 2]
     assert len(shared) == 1
     nd = number_dofs(mesh, 2)
     assert nd.n_total == 8 + 9   # vertices + one interior node per facet
+
+
+def test_facet_of_three_selements_is_named_with_its_first_listing():
+    # each S-element alone is a star-shaped loop; all three border (0, 1)
+    data = {"dimension": 2,
+            "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0, -1], [1, -1], [0.5, 0.8]],
+            "selements": [{"facets": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+                          {"facets": [[1, 0], [0, 4], [4, 5], [5, 1]]},
+                          {"facets": [[0, 1], [1, 6], [6, 0]]}]}
+    with pytest.raises(MeshError, match=r"^facet 0 \(0, 1\) is shared by 3 elements$"):
+        import_mesh(data)
 
 
 def test_l_shape_star_violation():
@@ -217,7 +228,7 @@ def test_duplicate_vertices_import_as_the_clean_square(data, tmp_path):
     clean = import_mesh(_square_file())
     mesh = import_mesh(data)
     assert np.array_equal(mesh.vertices, clean.vertices)
-    assert mesh.facets == clean.facets
+    assert facet_list(mesh) == facet_list(clean)
     assert mesh_to_json(mesh) == mesh_to_json(clean)
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(data))
@@ -290,8 +301,8 @@ def test_tiny_square_imports_as_a_square():
         vertices=[[scale * c for c in v] for v in SQUARE + [SQUARE[2]]],
         selements=[{"facets": [[0, 1], [1, 4], [2, 3], [3, 0]]}]))
     assert np.array_equal(mesh.vertices, scale * np.array(SQUARE))
-    assert len(mesh.facets) == 4
-    assert mesh.selements[0].open_boundary is None
+    assert len(facet_list(mesh)) == 4
+    assert not is_open(mesh, 0)
 
 
 def test_nearly_coincident_vertices_rejected():
@@ -315,16 +326,15 @@ def test_sideface_indices_are_file_indices():
                 selements=[{"facets": [[1, 2], [2, 3], [3, 4]],
                             "center": [0, 0], "dirichlet_sideface_nodes": [4]}])
     mesh = import_mesh(data)
-    assert mesh.selements[0].open_boundary.dirichlet_vertices == (3,)
+    assert mesh._dirichlet == {0: (3,)}
     assert np.array_equal(mesh.vertices[3], [-1, 0])
 
 
 def test_octahedron_import_and_sectors():
     mesh = octahedron_mesh()
-    sel = mesh.selements[0]
-    assert len(sel.facet_ids) == 8
+    assert len(selement_facets(mesh, 0)[0]) == 8
     for pos in range(8):
-        sector = mesh_sector(mesh, sel, pos)
+        sector = mesh_sector(mesh, 0, pos)
         assert sector.facet_kind is FacetKind.TRIANGLE
     assert number_dofs(mesh, 1).n_total == 6
     assert number_dofs(mesh, 2).n_total == 6 + 12  # vertices + edge nodes
@@ -332,7 +342,7 @@ def test_octahedron_import_and_sectors():
 
 def test_hybrid_pyramid_tetra_import():
     mesh = hybrid_mesh()
-    kinds = {mesh.facets[f].kind for f in mesh.selements[0].facet_ids}
+    kinds = {facet_kind(mesh, f) for f in selement_facets(mesh, 0)[0]}
     assert kinds == {FacetKind.QUADRILATERAL, FacetKind.TRIANGLE}
 
 
@@ -408,7 +418,7 @@ def test_invalid_quad_vertex_order_rejected():
     shared_face = [v[1, 0, 0], v[1, 1, 0], v[1, 1, 1], v[1, 0, 1]]
     good = {"dimension": 3, "vertices": verts,
             "selements": [cube(0, "right"), cube(1, "left")]}
-    assert len(import_mesh(good).facets) == 11
+    assert len(facet_list(import_mesh(good))) == 11
     shared_face = [v[1, 0, 0], v[1, 1, 1], v[1, 1, 0], v[1, 0, 1]]
     twisted = {"dimension": 3, "vertices": verts,
                "selements": [good["selements"][0], cube(1, "left")]}
@@ -439,14 +449,14 @@ def test_lattice_dofs_sit_at_their_points(name, k):
                             mesh.vertices[list(vertex_ids)])
         assert np.abs(nd.coords[dofs] - pts).max() <= 1e-12
 
-    for fid, facet in enumerate(mesh.facets):
-        check(facet.kind, facet.vertices, nd.facet_nodes[fid])
-    for sel in mesh.selements:
-        dofs, rows = nd.selement_dofs[sel.id], nd.sector_rows[sel.id]
-        for pos, fid in enumerate(sel.facet_ids):
-            check(mesh.facets[fid].kind, sel.facet_orders[pos], dofs[rows[pos]])
-    for fe in mesh.fe_elements:
-        check(FacetKind.QUADRILATERAL, fe.vertices, nd.fe_nodes[fe.id])
+    for fid, (vertices, kind) in enumerate(facet_list(mesh)):
+        check(kind, vertices, nd.facet_nodes[fid])
+    for e in range(len(mesh.centres)):
+        dofs, rows = nd.selement_dofs[e], nd.sector_rows[e]
+        for pos, (fid, order) in enumerate(zip(*selement_facets(mesh, e))):
+            check(facet_kind(mesh, fid), order, dofs[rows[pos]])
+    for q, quad in enumerate(mesh._quads()):
+        check(FacetKind.QUADRILATERAL, quad, nd.fe_nodes[q])
     gap = np.linalg.norm(nd.coords[:, None] - nd.coords[None], axis=-1)
     np.fill_diagonal(gap, np.inf)
     assert gap.min() > 1e-9
@@ -477,11 +487,11 @@ def test_neighbor_elements_share_facet_dofs():
     mesh = gen_quad_mesh(2)
     nd = number_dofs(mesh, 3)
     seen = {}
-    for sel in mesh.selements:
-        dofs, rows = nd.selement_dofs[sel.id], nd.sector_rows[sel.id]
-        for pos, fid in enumerate(sel.facet_ids):
+    for e in range(len(mesh.centres)):
+        dofs, rows = nd.selement_dofs[e], nd.sector_rows[e]
+        for pos, fid in enumerate(selement_facets(mesh, e)[0]):
             ids = dofs[rows[pos]]
-            sector = mesh_sector(mesh, sel, pos)
+            sector = mesh_sector(mesh, e, pos)
             pts = facet_map_many(sector, np.linspace(-1, 1, 4)[:, None])
             key = fid
             if key in seen:
@@ -547,11 +557,10 @@ def test_import_orients_scrambled_3d_faces(rng):
                             "selements": [{"facets":
                                            [scrambled[i] for i in order]}]})
         assert number_dofs(mesh, 2).n_total == 8 + 12 + 6
-        sel = mesh.selements[0]
         from sbfem.polyspace import facet_quadrature
         vol = 0.0
         for pos in range(6):
-            sector = mesh_sector(mesh, sel, pos)
+            sector = mesh_sector(mesh, 0, pos)
             rule = facet_quadrature(sector.facet_kind, 4)
             _, det = sector_jacobian(sector, rule.points)
             assert det.min() > 0
@@ -569,11 +578,10 @@ def test_import_orients_scrambled_2d_edges(rng):
         mesh = import_mesh({"dimension": 2, "vertices": verts,
                             "selements": [{"facets":
                                            [scrambled[i] for i in order]}]})
-        sel = mesh.selements[0]
         from sbfem.polyspace import facet_quadrature
         area = 0.0
         for pos in range(5):
-            sector = mesh_sector(mesh, sel, pos)
+            sector = mesh_sector(mesh, 0, pos)
             rule = facet_quadrature(sector.facet_kind, 4)
             _, det = sector_jacobian(sector, rule.points)
             assert det.min() > 0
@@ -589,7 +597,7 @@ def test_generators_merge_relative_to_domain_extent(gen):
     unit = gen(2, domain=((0.0, 1.0),) * dim)
     assert len(tiny.vertices) == len(unit.vertices) == 3 ** dim
     assert np.allclose(tiny.vertices * 1e13, unit.vertices, rtol=0, atol=1e-12)
-    assert [f.vertices for f in tiny.facets] == [f.vertices for f in unit.facets]
+    assert facet_list(tiny) == facet_list(unit)
 
 
 def test_sector_stacks_built_once_and_read_only():
@@ -632,18 +640,24 @@ REGISTERED = (
 
 
 def assert_same_mesh(mesh, ref):
-    """Field-by-field identity, centres and coordinates to the bit."""
+    """The registration arrays against the per-element builder's records,
+    centres and coordinates to the bit."""
     assert mesh.dimension == ref.dimension
     assert mesh.vertices.tobytes() == ref.vertices.tobytes()
     assert mesh.vertices.shape == ref.vertices.shape
-    assert [(f.vertices, f.kind) for f in mesh.facets] == [
-        (f.vertices, f.kind) for f in ref.facets]
-    assert len(mesh.selements) == len(ref.selements)
-    for sel, rsel in zip(mesh.selements, ref.selements):
-        assert (sel.id, sel.facet_ids, sel.facet_orders, sel.open_boundary) == (
-            rsel.id, rsel.facet_ids, rsel.facet_orders, rsel.open_boundary)
-        assert sel.center.tobytes() == rsel.center.tobytes()
-    assert mesh.fe_elements == ref.fe_elements
+    assert facet_list(mesh) == [(f.vertices, f.kind) for f in ref.facets]
+    sels, fes = ref.selements, ref.fe_elements
+    assert mesh._counts.tolist() == [len(sel.facet_ids) for sel in sels]
+    assert mesh._fid.tolist() == [f for sel in sels for f in sel.facet_ids] + [
+        f for fe in fes for f in fe.edge_facets]
+    assert [mesh._listing(r) for r in range(len(mesh._table))] == [
+        order for sel in sels for order in sel.facet_orders] + [
+        (v, fe.vertices[(i + 1) % 4]) for fe in fes for i, v in enumerate(fe.vertices)]
+    assert mesh._quads().tolist() == [list(fe.vertices) for fe in fes]
+    assert mesh.centres.tobytes() == np.array([sel.center for sel in sels]).tobytes()
+    assert [is_open(mesh, e) for e in range(len(sels))] == [
+        sel.dirichlet is not None for sel in sels]
+    assert mesh._dirichlet == {sel.id: sel.dirichlet for sel in sels if sel.dirichlet}
     stacks = mesh._sector_stacks()
     assert list(stacks) == list(ref._stacks)
     for kind, arrays in stacks.items():
@@ -728,8 +742,8 @@ def test_registration_names_lowest_sideface_culprit():
         _register_2d([CLOSED[0], CLOSED[1][:3] + [(5, 1)], chain],
                      dirichlet={2: (6,)})
     mesh = _register_2d(CLOSED[:2] + [chain], dirichlet={2: (5,)})
-    assert mesh.selements[2].open_boundary.dirichlet_vertices == (5,)
-    assert [s.open_boundary for s in mesh.selements[:2]] == [None, None]
+    assert mesh._dirichlet == {2: (5,)}
+    assert [is_open(mesh, e) for e in range(3)] == [False, False, True]
 
 
 @pytest.mark.parametrize("loops", [
@@ -834,9 +848,9 @@ def test_import_rejects_two_cubes_sharing_one_vertex():
 def test_registration_turns_an_inward_square_outward():
     inward = [[(b, a) for a, b in CLOSED[0][::-1]]]
     mesh = _register_2d(inward)
-    assert mesh.selements[0].facet_orders == [(3, 0), (2, 3), (1, 2), (0, 1)]
+    assert selement_facets(mesh, 0)[1] == [(3, 0), (2, 3), (1, 2), (0, 1)]
     _, vertices, _ = mesh._sector_stacks()[FacetKind.SEGMENT]
-    o = vertices - mesh.selements[0].center
+    o = vertices - mesh.centres[0]
     assert (o[:, 0, 0] * o[:, 1, 1] - o[:, 0, 1] * o[:, 1, 0] > 0).all()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import (affine_cube_mesh, duffy_map_many, fd_mode_gradients,
                       fixture_meshes_2d, fixture_meshes_3d, hybrid_mesh,
-                      jittered_quad_mesh, mesh_sector, mode_fields, op_sectors,
+                      is_open, jittered_quad_mesh, mesh_sector, mode_fields, op_sectors,
                       operator_for, orthogonality_residual, quadratic_residual,
                       random_polygon_mesh, reference_mode_chain,
                       stiffness_from_gram)
@@ -25,7 +25,7 @@ def all_fixture_ops(ks=(1, 2)):
     out = []
     for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
         for k in ks:
-            out.append((f"{name}-k{k}", operator_for(mesh, k)))
+            out.append((f"{name}-k{k}", mesh, operator_for(mesh, k)))
     return out
 
 
@@ -87,7 +87,7 @@ def test_eigenvalue_pairing_randomized(dim, rng):
 
 
 def test_exactly_one_constant_mode():
-    for name, op in all_fixture_ops():
+    for name, mesh, op in all_fixture_ops():
         ci = op.modes.constant_index
         assert ci == 0, name
         near_zero = np.abs(op.modes.lambdas) < 1e-8
@@ -95,14 +95,14 @@ def test_exactly_one_constant_mode():
 
 
 def test_ode_residual_invariant():
-    for name, op in all_fixture_ops():
+    for name, mesh, op in all_fixture_ops():
         res = quadratic_residual(op.modes, op.E)
         assert res < 1e-7, (name, res)
 
 
 def test_flux_consistency():
     # eigenvector flux part equals (lambda E11 + E12) A
-    for name, op in all_fixture_ops(ks=(2,)):
+    for name, mesh, op in all_fixture_ops(ks=(2,)):
         md, E = op.modes, op.E
         for i, lam in enumerate(md.lambdas):
             expect = (lam * E.E11 + E.E12) @ md.A[:, i]
@@ -116,7 +116,7 @@ def test_flux_consistency():
 
 def test_constant_mode_evaluation(square_mesh):
     op = operator_for(square_mesh, 1)
-    ctx = op_sectors(square_mesh, op)[0]
+    ctx = op_sectors(square_mesh, op, 0)[0]
     for xi, eta in [(0.5, 0.2), (1.0, -0.7), (0.0, 0.0)]:
         vals, grads = mode_fields(op, ctx, xi, eta)
         ci = op.modes.constant_index
@@ -129,7 +129,7 @@ def test_square_top_mode_is_xy(square_mesh, rng):
     op = operator_for(square_mesh, 1)
     idx = int(np.argmax(op.modes.lambdas.real))
     assert op.modes.lambdas[idx].real == pytest.approx(2.0, abs=1e-9)
-    ctx = op_sectors(square_mesh, op)[0]
+    ctx = op_sectors(square_mesh, op, 0)[0]
     xi0, eta0 = 0.77, 0.31
     v0, _ = mode_fields(op, ctx, xi0, eta0)
     x0 = duffy_map_many(ctx.sector, [xi0], [[eta0]])[0, 0]
@@ -144,7 +144,7 @@ def test_square_top_mode_is_xy(square_mesh, rng):
 def test_shape_gradients_match_finite_differences(rng):
     for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
         op = operator_for(mesh, 2)
-        ctx = op_sectors(mesh, op)[0]
+        ctx = op_sectors(mesh, op, 0)[0]
         kind = ctx.sector.facet_kind
         for _ in range(20):
             xi = rng.uniform(0.25, 0.9)
@@ -163,19 +163,19 @@ def test_shape_gradients_match_finite_differences(rng):
 def test_gradient_at_center_domain_error(wedge_mesh):
     # the exponent-1/2 mode has no gradient at the scaling center
     op = operator_for(wedge_mesh, 1)
-    ctx = op_sectors(wedge_mesh, op)[0]
+    ctx = op_sectors(wedge_mesh, op, 0)[0]
     with pytest.raises(GeometryError):
         mode_fields(op, ctx, 0.0, 0.0)
 
 
 def test_stiffness_properties():
-    for name, op in all_fixture_ops():
+    for name, mesh, op in all_fixture_ops():
         K = op.K
         n = K.shape[0]
         assert np.abs(K - K.T).max() < 1e-9 * np.linalg.norm(K), name
         w = np.linalg.eigvalsh(K)
         assert w.min() > -1e-9 * np.linalg.norm(K), name
-        if op.selement.open_boundary is None:
+        if not is_open(mesh, 0):
             ones = np.ones(n)
             assert np.linalg.norm(K @ ones) < 1e-9 * np.linalg.norm(K), name
             # kernel is exactly the constants
@@ -183,7 +183,7 @@ def test_stiffness_properties():
 
 
 def test_stiffness_matches_gram():
-    for name, op in all_fixture_ops():
+    for name, mesh, op in all_fixture_ops():
         K2 = stiffness_from_gram(op.modes, op.E)
         err = np.linalg.norm(op.K - K2) / np.linalg.norm(op.K)
         assert err < 1e-7, (name, err)
@@ -225,7 +225,7 @@ def test_square_stiffness_matches_volume_quadrature(square_mesh):
     n = md.n
     rad = radial_quadrature(1.0, 8, 0)
     G = np.zeros((n, n), dtype=complex)
-    for ctx in op_sectors(square_mesh, op):
+    for ctx in op_sectors(square_mesh, op, 0):
         frule = facet_quadrature(ctx.sector.facet_kind, 8)
         B1, B2, det = sector_B_many(ctx.sector, ctx.basis, frule.points)
         alpha = md.A[ctx.rows, :]
@@ -244,13 +244,12 @@ def test_square_stiffness_matches_volume_quadrature(square_mesh):
 
 def test_sideface_reduction_counts(wedge_mesh):
     nd = number_dofs(wedge_mesh, 1)
-    sel = wedge_mesh.selements[0]
     dofs, rows = nd.selement_dofs[0], nd.sector_rows[0]
     from conftest import reference_assemble_E
     from sbfem.polyspace import trace_basis
     data = []
-    for pos in range(len(sel.facet_ids)):
-        sector = mesh_sector(wedge_mesh, sel, pos)
+    for pos in range(len(rows)):
+        sector = mesh_sector(wedge_mesh, 0, pos)
         data.append((sector, trace_basis(sector.facet_kind, 1), rows[pos], 4))
     E = reference_assemble_E(data, len(dofs), 2)
     reduced = apply_sideface_bc(E, np.array([3]))
@@ -273,7 +272,7 @@ def test_wedge_min_exponent_half():
 
 
 def test_orthogonality_defining_and_extended(rng):
-    for name, op in all_fixture_ops():
+    for name, mesh, op in all_fixture_ops():
         r1 = orthogonality_residual(op.modes, op.E, [0.0, 1.0, -1.0], rng=rng)
         r2 = orthogonality_residual(op.modes, op.E, [1.0, -3.0, 3.0, -1.0],
                                     rng=rng)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (coupled_mixed_mesh, flat_sector_squares,
+from conftest import (coupled_mixed_mesh, facet_vertices, flat_sector_squares,
                       jittered_quad_mesh, laplacian_residual,
                       reference_solution_errors)
 from sbfem import modes, postproc, refgeom
@@ -56,7 +56,7 @@ def test_sqrt2d_boundary_split():
     exact = get_exact("sqrt2d")
     dir_facets = set(exact.dirichlet_facets(mesh))
     for fid in mesh.boundary_facet_ids():
-        mid = mesh.vertices[list(mesh.facets[fid].vertices)].mean(axis=0)
+        mid = mesh.vertices[list(facet_vertices(mesh, fid))].mean(axis=0)
         if abs(mid[1]) < 1e-12 and mid[0] > 0:
             assert fid not in dir_facets
         else:
@@ -269,12 +269,12 @@ def test_radial_rule_round_off_floor_is_plain_gauss():
     # lambda_min of a hex S-element is 1 up to round-off on either side
     cfg = QuadratureConfig().resolved(2)
     sol, _ = _galerkin(gen_hex_mesh(2), 2, "exp3d")
-    for op in sol.operators:
+    for e, op in enumerate(sol.operators):
         assert abs(op.modes.min_positive_exponent - 1.0) < 1e-12
-        rule = radial_quadrature(*postproc._radial_rule_args(op, cfg, 2))
+        rule = radial_quadrature(*postproc._radial_rule_args(op, e, cfg, 2))
         assert len(rule) == 12
     open_op = sbfem_interpolate(singular_open_selement(1), 2, 0.0).operators[0]
-    floor, n_rad, levels, _ = postproc._radial_rule_args(open_op, cfg, 2)
+    floor, n_rad, levels, _ = postproc._radial_rule_args(open_op, 0, cfg, 2)
     assert floor == pytest.approx(-0.5, abs=1e-3)
     assert levels == postproc.SINGULAR_COMPOSITE_LEVELS
     assert len(radial_quadrature(floor, n_rad, levels, 0.2)) == 12 * (levels + 1)

@@ -104,8 +104,7 @@ def test_map_affine_in_xi():
 def test_fd_jacobian_determinant_property(rng):
     from conftest import fixture_meshes_2d, fixture_meshes_3d
     for name, mesh in fixture_meshes_2d() + fixture_meshes_3d():
-        sel = mesh.selements[0]
-        sector = mesh_sector(mesh, sel, 0)
+        sector = mesh_sector(mesh, 0, 0)
         d = sector.dim
         for _ in range(10):
             xi = rng.uniform(0.2, 0.95)

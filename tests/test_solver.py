@@ -58,9 +58,10 @@ def test_constant_reproduced():
     exact = get_exact("const")
     for mesh in (gen_quad_mesh(2), gen_coupled_singular(1)):
         system = assemble_global(mesh, 1)
-        facets = (mesh.boundary_facet_ids() if not mesh.fe_elements
+        has_fe = len(mesh._quads()) > 0
+        facets = (mesh.boundary_facet_ids() if not has_fe
                   else exact.dirichlet_facets(mesh))
-        if mesh.fe_elements:
+        if has_fe:
             # homogeneous side-face pin conflicts with u = 1; use plain mesh
             continue
         apply_dirichlet(system, 1.0, facet_ids=facets)
@@ -90,9 +91,9 @@ def test_interpolate_constant_and_xy():
     op = sol.operators[0]
     rng = np.random.default_rng(5)
     xis = rng.uniform(0.05, 1.0, 6)
-    for ctx in op_sectors(mesh, op):
+    for ctx in op_sectors(mesh, op, 0):
         etas = rng.uniform(-0.95, 0.95, (4, 1))
-        pts, vals, grads = evaluate_in_sector(sol, op, ctx, xis, etas)
+        pts, vals, grads = evaluate_in_sector(sol, 0, ctx, xis, etas)
         assert np.abs(vals - pts[..., 0] * pts[..., 1]).max() < 1e-9
         expect = np.stack([pts[..., 1], pts[..., 0]], axis=-1)
         assert np.abs(grads - expect).max() < 1e-9
@@ -106,10 +107,10 @@ def test_trace_interpolant_reproduces_nodal_data():
     f = np.sin(nd.coords[:, 0]) + nd.coords[:, 1] ** 2
     assert np.abs(sol.nodal - f).max() < 1e-12
     # reconstruction at xi=1 equals the nodal data
-    for op in sol.operators:
-        for ctx in op_sectors(mesh, op):
+    for e, op in enumerate(sol.operators):
+        for ctx in op_sectors(mesh, op, e):
             nodes = ctx.basis.nodes
-            pts, vals, _ = evaluate_in_sector(sol, op, ctx, np.array([1.0]),
+            pts, vals, _ = evaluate_in_sector(sol, e, ctx, np.array([1.0]),
                                               nodes)
             expect = sol.nodal[op.dofs_full[ctx.rows]]
             assert np.abs(vals[0] - expect).max() < 1e-9
@@ -123,8 +124,8 @@ def test_interface_trace_continuity_coupled():
     sol = solve(system)
     op = sol.operators[0]
     interface = set(op.dofs_full.tolist())
-    for fe in mesh.fe_elements:
-        dofs = system.numbering.fe_nodes[fe.id]
+    for q in range(len(mesh._quads())):
+        dofs = system.numbering.fe_nodes[q]
         shared = [i for i, g in enumerate(dofs) if int(g) in interface]
         if not shared:
             continue
@@ -132,12 +133,12 @@ def test_interface_trace_continuity_coupled():
         t = np.linspace(-1, 1, k + 1)
         u, v = np.meshgrid(t, t, indexing="ij")
         ref = np.column_stack([u.ravel(order="F"), v.ravel(order="F")])
-        pts, vals, grads, det = evaluate_in_fe(sol, fe, ref[shared])
+        pts, vals, grads, det = evaluate_in_fe(sol, q, ref[shared])
         # FE nodal values at interface nodes agree with the SBFEM trace
         assert np.abs(vals - sol.nodal[dofs[shared]]).max() < 1e-9
     # SBFEM reconstruction at its Lagrange nodes equals the same nodal data
-    for ctx in op_sectors(mesh, op):
-        pts, vals, _ = evaluate_in_sector(sol, op, ctx, np.array([1.0]),
+    for ctx in op_sectors(mesh, op, 0):
+        pts, vals, _ = evaluate_in_sector(sol, 0, ctx, np.array([1.0]),
                                           ctx.basis.nodes)
         expect = sol.nodal[op.dofs_full[ctx.rows]]
         assert np.abs(vals[0] - expect).max() < 1e-9
@@ -155,7 +156,7 @@ def test_dangling_sideface_dof_auto_pinned():
     mesh = singular_open_selement(2)
     system = assemble_global(mesh, 1)
     nd = system.numbering
-    vid = mesh.selements[0].open_boundary.dirichlet_vertices[0]
+    vid = mesh._dirichlet[0][0]
     dof = nd.vertex_dof[vid]
     in_K = np.diff(system.K.indptr) > 0
     assert not in_K[dof]
@@ -263,10 +264,9 @@ def test_stacked_scatter_and_coefficients_match_per_element(make):
     for op in system.operators:
         K[np.ix_(op.dofs_kept, op.dofs_kept)] += reference_mode_chain(
             op.E, 2)[2]
-    for fe in mesh.fe_elements:
-        dofs = numbering.fe_nodes[fe.id]
-        K[np.ix_(dofs, dofs)] += fe_element_stiffness(
-            mesh.vertices[list(fe.vertices)], 2)
+    for q, quad in enumerate(mesh._quads()):
+        dofs = numbering.fe_nodes[q]
+        K[np.ix_(dofs, dofs)] += fe_element_stiffness(mesh.vertices[quad], 2)
     assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
     exact = get_exact("exp2d")
     sol = sbfem_interpolate(mesh, 2, exact.value, numbering=numbering,
