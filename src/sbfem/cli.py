@@ -49,16 +49,26 @@ def build_mesh(name: str, level: int):
     return gen(n)
 
 
-def _parse_intlist(text) -> list[int]:
-    if isinstance(text, int):
-        return [text]
-    if isinstance(text, (list, tuple)):
-        return [int(v) for v in text]
-    text = str(text)
-    if ".." in text:
-        a, b = text.split("..")
-        return list(range(int(a), int(b) + 1))
-    return [int(tok) for tok in text.split(",") if tok]
+def _integer(key: str, value, low=None) -> int:
+    """A config value that must be an integer, and at least `low` if given."""
+    floor = "" if low is None else f" >= {low}"
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (low is not None and value < low)):
+        raise ConfigError(f"{key} must be an integer{floor}, got {value!r}")
+    return value
+
+
+def _parse_intlist(key: str, value) -> list[int]:
+    """An integer, a list of integers, or a string "a..b" or "a,b,c"."""
+    if not isinstance(value, str):
+        return [_integer(key, v) for v in (value if isinstance(value, list) else [value])]
+    try:
+        a, dots, b = value.partition("..")
+        return (list(range(int(a), int(b) + 1)) if dots
+                else [int(tok) for tok in value.split(",") if tok])
+    except ValueError:
+        raise ConfigError(f"{key} must be an integer, a list a,b,c or a range "
+                          f"a..b, got {value!r}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,25 +127,26 @@ def load_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     cfg["command"] = args.command
     # a single --level wins over a level sweep
-    cfg["levels"] = ([cfg["level"]] if cfg["level"] is not None
+    cfg["levels"] = ([_integer("level", cfg["level"])] if cfg["level"] is not None
                      else [1] if cfg["levels"] is None
-                     else _parse_intlist(cfg["levels"]))
-    cfg["k"] = _parse_intlist(cfg["k"])
+                     else _parse_intlist("levels", cfg["levels"]))
+    cfg["k"] = _parse_intlist("k", cfg["k"])
     if any(k < 1 for k in cfg["k"]):
         raise ConfigError(f"trace degrees must be >= 1, got {cfg['k']}")
+    _integer("threads", cfg["threads"], 1)
+    for key, low in (("facet_order", 1), ("radial_points", 1), ("composite_levels", 0)):
+        if cfg[key] is not None:
+            _integer(key, cfg[key], low)
     if cfg["command"] == "convergence" and not cfg["levels"]:
         raise ConfigError("convergence needs a non-empty level list")
     return cfg
 
 
-def _quad_config(cfg: dict) -> QuadratureConfig:
-    return QuadratureConfig(facet_order=cfg["facet_order"],
-                            radial_points=cfg["radial_points"],
-                            composite_levels=cfg["composite_levels"])
-
-
 def _run_one(cfg: dict, mesh, k: int, galerkin: bool):
     exact = get_exact(cfg["problem"])
+    if exact.dim not in (0, mesh.dimension):
+        raise ConfigError(f"problem '{exact.name}' is {exact.dim}D but mesh "
+                          f"'{cfg['mesh']}' is {mesh.dimension}D")
     if galerkin:
         system = assemble_global(mesh, k)
         apply_dirichlet(system, exact.value,
@@ -144,7 +155,8 @@ def _run_one(cfg: dict, mesh, k: int, galerkin: bool):
         sol = solve(system)
     else:
         sol = sbfem_interpolate(mesh, k, exact.value)
-    e_l2, e_h1 = solution_errors(sol, exact, _quad_config(cfg))
+    e_l2, e_h1 = solution_errors(sol, exact, QuadratureConfig(
+        cfg["facet_order"], cfg["radial_points"], cfg["composite_levels"]))
     return sol, e_l2, e_h1
 
 
@@ -166,7 +178,6 @@ def run(cfg: dict) -> int:
     out_dir = Path(cfg["output"])
     out_dir.mkdir(parents=True, exist_ok=True)
     command = cfg["command"]
-    threads = max(int(cfg["threads"] or 1), 1)
     if command == "modes":
         for k in cfg["k"]:
             mesh = build_mesh(cfg["mesh"], cfg["levels"][0])
@@ -188,8 +199,8 @@ def run(cfg: dict) -> int:
             sol, e_l2, e_h1 = _run_one(cfg, mesh, k, galerkin)
             return lev, 2.0 ** (-lev), sol.n_dofs, e_l2, e_h1, sol
 
-        if threads > 1 and len(levels) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        if cfg["threads"] > 1 and len(levels) > 1:
+            with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
                 results = list(pool.map(job, levels))
         else:
             results = [job(lev) for lev in levels]

@@ -184,12 +184,13 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                                              np.swapaxes(coeffs[sl, blk], 1, 2))
                 sums += _error_sums(exact, w, pts, np.moveaxis(vals, -1, 1),
                                     np.moveaxis(grads, -2, 1))
-    n_fe = len(mesh._fe_class)
-    if n_fe:
-        frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
-        for sl in _chunks(n_fe, len(frule) * d):
-            pts, vals, grads, det = _fe_fields(solution, sl, frule.points)
-            sums += _error_sums(exact, frule.weights * det, pts, vals, grads)
+    frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
+    for sl in _chunks(len(mesh._fe_class), len(frule) * d):
+        pts, vals, grads, det = _fe_fields(solution, sl, frule.points)
+        sums += _error_sums(exact, frule.weights * det, pts, vals, grads)
+    if not np.isfinite(sums).all():
+        raise SbfemError(f"error integrals against '{exact.name}' are not finite: "
+                         f"{sums.tolist()}")
     return float(np.sqrt(sums[0])), float(np.sqrt(sums[1]))
 
 

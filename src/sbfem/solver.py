@@ -266,7 +266,7 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
         Ku = Kff @ u[free]
         scale = max(np.linalg.norm(rhs), np.linalg.norm(Ku), 1e-300)
         residual = float(np.linalg.norm(Ku - rhs) / scale)
-        if residual > 1e-10:
+        if not residual <= 1e-10:          # a NaN residual fails too
             raise SolveError(f"solver residual {residual:.2e} exceeds 1e-10")
     else:
         residual = 0.0

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sbfem.cli import build_mesh, load_config, main
@@ -161,3 +162,70 @@ def test_mesh_file_without_selements_exit_1(tmp_path, capsys, command):
     assert rc == 1
     assert capsys.readouterr().err.startswith(
         "sbfem: error: mesh file lists no S-elements")
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--k", "x"], "k must be an integer, a list a,b,c or a range a..b, got 'x'"),
+    (["--k", "1.."], "k must be an integer, a list a,b,c or a range a..b, got '1..'"),
+    (["--levels", "a"], "levels must be an integer, a list a,b,c or a range a..b, "
+                        "got 'a'"),
+    (["--facet-order", "0"], "facet_order must be an integer >= 1, got 0"),
+    (["--radial-points", "0"], "radial_points must be an integer >= 1, got 0"),
+    (["--composite-levels", "-1"], "composite_levels must be an integer >= 0, got -1"),
+    (["--threads", "-4"], "threads must be an integer >= 1, got -4"),
+], ids=["k-word", "k-open-range", "levels-word", "facet-order-0",
+        "radial-points-0", "composite-levels-negative", "threads-negative"])
+def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
+    rc = main(["interp", "--mesh", "quad", "--output", str(tmp_path)] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err == f"sbfem: config error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("entry,message", [
+    ({"k": 1.5}, "k must be an integer, got 1.5"),
+    ({"k": True}, "k must be an integer, got True"),
+    ({"levels": [1, "a"]}, "levels must be an integer, got 'a'"),
+    ({"threads": "x"}, "threads must be an integer >= 1, got 'x'"),
+    ({"facet_order": "x"}, "facet_order must be an integer >= 1, got 'x'"),
+    ({"level": "2"}, "level must be an integer, got '2'"),
+], ids=["k-float", "k-bool", "levels-word", "threads-word", "facet-order-word",
+        "level-string"])
+def test_malformed_config_value_exit_2(tmp_path, capsys, entry, message):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict({"mesh": "quad"}, **entry)))
+    rc = main(["interp", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"sbfem: config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_problem_of_another_dimension_exit_2(tmp_path, capsys):
+    rc = main(["interp", "--mesh", "single-square", "--problem", "exp3d",
+               "--output", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("sbfem: config error: problem 'exp3d' is 3D "
+                                       "but mesh 'single-square' is 2D\n")
+
+
+@pytest.mark.parametrize("command", ["interp", "solve"])
+def test_non_finite_errors_exit_1(tmp_path, capsys, command):
+    # exp2d overflows on gen_quad_mesh(2) scaled by 2^40: the interpolant's
+    # error integrals and the Galerkin solve's residual are NaN
+    from conftest import mesh_to_json
+    from sbfem.mesh import gen_quad_mesh
+    data = mesh_to_json(gen_quad_mesh(2))
+    data["vertices"] = [[c * 2.0 ** 40 for c in v] for v in data["vertices"]]
+    for entry in data["selements"]:
+        entry["center"] = [c * 2.0 ** 40 for c in entry["center"]]
+    mesh_path = tmp_path / "big.json"
+    mesh_path.write_text(json.dumps(data))
+    with np.errstate(all="ignore"):
+        rc = main([command, "--mesh", f"file:{mesh_path}", "--k", "1",
+                   "--problem", "exp2d", "--output", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == {
+        "interp": "sbfem: error: error integrals against 'exp2d' are not finite: "
+                  "[nan, nan]\n",
+        "solve": "sbfem: error: solver residual nan exceeds 1e-10\n"}[command]
+    assert not list((tmp_path / "out").glob("*.csv"))
