@@ -14,8 +14,8 @@ import numpy as np
 from . import mesh as mesh_mod
 from .errors import ConfigError, SbfemError
 from .modes import eigenvalue_rows
-from .postproc import (QuadratureConfig, convergence_table, get_exact,
-                       report_to_csv, solution_errors)
+from .postproc import (EXACT_SOLUTIONS, QuadratureConfig, convergence_table,
+                       get_exact, report_to_csv, solution_errors)
 from .solver import (apply_dirichlet, assemble_global, build_operators,
                      sbfem_interpolate, solve)
 
@@ -137,6 +137,13 @@ def load_config(args: argparse.Namespace) -> dict:
     for key, low in (("facet_order", 1), ("radial_points", 1), ("composite_levels", 0)):
         if cfg[key] is not None:
             _integer(key, cfg[key], low)
+    for key, kind, what in (("mesh", str, "a string"), ("output", str, "a string"),
+                            ("dump_eigenvalues", bool, "true or false")):
+        if not isinstance(cfg[key], kind):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+    for key, ok in (("bc", ["nodal", "project"]), ("problem", sorted(EXACT_SOLUTIONS))):
+        if cfg[key] not in ok:
+            raise ConfigError(f"{key} must be one of {ok}, got {cfg[key]!r}")
     if cfg["command"] == "convergence" and not cfg["levels"]:
         raise ConfigError("convergence needs a non-empty level list")
     return cfg
@@ -160,13 +167,12 @@ def _run_one(cfg: dict, mesh, k: int, galerkin: bool):
     return sol, e_l2, e_h1
 
 
-def _eigen_csv(sol_ops, out_dir: Path, tag: str):
-    for e, op in enumerate(sol_ops):
-        path = out_dir / f"eigenvalues_{tag}_s{e}.csv"
-        with open(path, "w") as fh:
-            fh.write("re,im,selected\n")
-            for re, im, selected in eigenvalue_rows(op.modes):
-                fh.write(f"{re:.5E},{im:.5E},{selected}\n")
+def _eigen_csv(mesh, ops, out_dir: Path, tag: str):
+    """One eigenvalue CSV per S-element, from the rows of its class."""
+    text = ["re,im,selected\n" + "".join(f"{re:.5E},{im:.5E},{sel}\n" for re, im, sel
+                                        in eigenvalue_rows(op.modes)) for op in ops]
+    for e, c in enumerate(mesh._sel_class.tolist()):
+        (out_dir / f"eigenvalues_{tag}_s{e}.csv").write_text(text[c])
 
 
 def _mesh_tag(name: str) -> str:
@@ -181,9 +187,8 @@ def run(cfg: dict) -> int:
     if command == "modes":
         for k in cfg["k"]:
             mesh = build_mesh(cfg["mesh"], cfg["levels"][0])
-            numbering = mesh_mod.number_dofs(mesh, k)
-            ops = build_operators(mesh, numbering)
-            _eigen_csv(ops, out_dir, f"{_mesh_tag(cfg['mesh'])}_k{k}")
+            ops = build_operators(mesh, mesh_mod.number_dofs(mesh, k))
+            _eigen_csv(mesh, ops, out_dir, f"{_mesh_tag(cfg['mesh'])}_k{k}")
             lam = np.sort_complex(ops[0].modes.lambdas)
             print(f"mesh={cfg['mesh']} k={k}: selected exponents "
                   + ", ".join(f"{v.real:.6g}{v.imag:+.2g}j" if abs(v.imag) > 1e-12
@@ -210,7 +215,7 @@ def run(cfg: dict) -> int:
                   f"k={k} level={lev}: dof={dof} e_l2={e_l2:.5E} "
                   f"e_h1={e_h1:.5E}")
             if cfg["dump_eigenvalues"]:
-                _eigen_csv(sol.operators, out_dir,
+                _eigen_csv(sol.mesh, sol.operators, out_dir,
                            f"{_mesh_tag(cfg['mesh'])}_k{k}_l{lev}")
         report = convergence_table(rows)
         csv_text = report_to_csv(report)

@@ -450,19 +450,24 @@ def _mesh_ids(indices, ids: list, what: str) -> tuple:
 
 @dataclass
 class DofNumbering:
+    """Global and S-local DOFs of a mesh's lattice nodes; a table of entries
+    of unequal length is flat, entry i being items[start[i]:start[i + 1]]."""
+
     k: int
     n_total: int
-    vertex_dof: dict
-    facet_nodes: list          # per facet: global dof ids in canonical order
-    fe_nodes: list             # per FE quad: global dof of each Q_k lattice node
-    coords: np.ndarray         # physical coordinates per dof
-    selement_dofs: list        # per S-element: global dof of each S-local index
-    sector_rows: list          # per S-element, per facet position: S-local
-                               # index of each node, in the element's order
+    vertex_dof: np.ndarray     # per mesh vertex: its DOF, -1 if on no facet
+    coords: np.ndarray         # physical coordinates per DOF
+    facet_dofs: np.ndarray     # per facet, by id: its DOFs in canonical order
+    facet_start: np.ndarray    # (facets + 1,) offsets into facet_dofs
+    fe_nodes: np.ndarray       # (FE quads, (k+1)^2): DOF of each lattice node
+    selement_dofs: np.ndarray  # per S-element: the DOF of each S-local index
+    selement_start: np.ndarray  # (S-elements + 1,) offsets into selement_dofs
+    sector_rows: dict          # kind -> S-local index (sectors, nodes) of each node
+                               # of `PolytopalMesh._sector_stacks`, element's order
 
     def facet_boundary_dofs(self, facet_ids) -> np.ndarray:
-        return np.unique(np.concatenate(
-            [np.zeros(0, dtype=int)] + [self.facet_nodes[f] for f in facet_ids]))
+        owner = np.repeat(np.arange(len(self.facet_start) - 1), np.diff(self.facet_start))
+        return np.unique(self.facet_dofs[np.isin(owner, facet_ids)])
 
 
 _NO_CORNER = np.iinfo(np.int64).max      # id of a zero-weight pair; sorts last
@@ -547,24 +552,22 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
     # S-element after those of the S-elements before it
     elem = np.repeat(np.repeat(np.arange(len(counts)), counts), nodes[size[:n_s]])
     ids, firsts = _first_seen(elem * len(unique) + slot_dof[:start[n_s]])
-    rows = _pieces(ids - ids[np.searchsorted(elem, elem)], start[:n_s + 1])
-    parts = _pieces(slot_dof, start)
-    n_vertices = int(np.sum(n_pairs == 1))
+    local = ids - ids[np.searchsorted(elem, elem)]
+    vertex_dof = np.full(len(mesh.vertices), -1)
+    vertex_dof[unique[n_pairs == 1, 0]] = dof[n_pairs == 1]
+    facet_size = nodes[size[first]]
+    facet_start = np.concatenate([[0], np.cumsum(facet_size)])
     return DofNumbering(
-        k=k, n_total=len(unique),
-        vertex_dof=dict(zip(unique[order[:n_vertices], 0].tolist(),
-                            range(n_vertices))),
-        facet_nodes=[parts[r] for r in first.tolist()], fe_nodes=parts[n_rows:],
-        coords=coords, selement_dofs=_pieces(slot_dof[firsts], np.searchsorted(
-            elem[firsts], np.arange(len(counts) + 1))),
-        sector_rows=_pieces(rows, np.append(0, np.cumsum(counts))))
-
-
-def _pieces(items, bounds) -> list:
-    """items[bounds[i]:bounds[i + 1]] for each i: views of an array, by plain
-    slices, which cost far less per piece than `np.split`."""
-    bounds = np.asarray(bounds).tolist()
-    return [items[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+        k=k, n_total=len(unique), vertex_dof=vertex_dof, coords=coords,
+        facet_dofs=slot_dof[np.repeat(start[first] - facet_start[:-1], facet_size)
+                            + np.arange(facet_start[-1])],
+        facet_start=facet_start,
+        fe_nodes=slot_dof[start[n_rows]:].reshape(len(quads), nodes[4]),
+        selement_dofs=slot_dof[firsts],
+        selement_start=np.searchsorted(elem[firsts], np.arange(len(counts) + 1)),
+        sector_rows={_KIND_BY_SIZE[s]: local[start[:n_s][size[:n_s] == s][:, None]
+                                             + np.arange(nodes[s])]
+                     for s in np.unique(size[:n_s]).tolist()})
 
 
 # -- generators -------------------------------------------------------------

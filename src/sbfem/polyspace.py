@@ -113,7 +113,6 @@ class QuadratureRule:
 
     points: np.ndarray      # (n, dim) -- dim 1 for segment/radial rules
     weights: np.ndarray
-    exactness_degree: int
 
     def __post_init__(self):   # cached and shared between callers
         for a in (self.points, self.weights):
@@ -136,12 +135,11 @@ def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
     n = (order + 2) // 2
     x, w = roots_legendre(n)
     if kind is FacetKind.SEGMENT:
-        return QuadratureRule(points=x[:, None], weights=w, exactness_degree=2 * n - 1)
+        return QuadratureRule(points=x[:, None], weights=w)
     if kind is FacetKind.QUADRILATERAL:
         u, v = np.meshgrid(x, x, indexing="ij")
         ww = np.outer(w, w)
-        return QuadratureRule(points=np.column_stack([u.ravel(), v.ravel()]),
-                              weights=ww.ravel(), exactness_degree=2 * n - 1)
+        return QuadratureRule(np.column_stack([u.ravel(), v.ravel()]), ww.ravel())
     # Duffy tensorization: eta = (u(1-v), u v) with Jacobian u picks up one
     # extra power in the u direction.  It singles out vertex 0, so it is
     # averaged over the three cyclic rotations of the vertices.
@@ -153,7 +151,7 @@ def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
     z = 1.0 - x - y
     pts = np.column_stack([np.concatenate([x, z, y]), np.concatenate([y, x, z])])
     ww = np.tile(np.outer(wu * xu, wv).ravel() / 3.0, 3)
-    return QuadratureRule(points=pts, weights=ww, exactness_degree=order)
+    return QuadratureRule(points=pts, weights=ww)
 
 
 @lru_cache(maxsize=64)
@@ -178,8 +176,7 @@ def radial_quadrature(exponent_floor: float, order: int,
         raise QuadratureError("composite_levels must be non-negative")
     if composite_levels == 0 or exponent_floor >= 1.0:
         x, w = _gauss01(order)
-        return QuadratureRule(points=x[:, None], weights=w,
-                              exactness_degree=2 * order - 1)
+        return QuadratureRule(points=x[:, None], weights=w)
     pts, wts = [], []
     hi = 1.0
     x01, w01 = _gauss01(order)
@@ -203,5 +200,4 @@ def radial_quadrature(exponent_floor: float, order: int,
         wts.append(w / x ** alpha)
     points = np.concatenate(pts)[::-1]
     weights = np.concatenate(wts)[::-1]
-    return QuadratureRule(points=points[:, None], weights=weights,
-                          exactness_degree=2 * order - 1)
+    return QuadratureRule(points=points[:, None], weights=weights)

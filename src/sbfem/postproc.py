@@ -10,6 +10,7 @@ import numpy as np
 from .errors import QuadratureError, SbfemError
 from .modes import _class_fields, _member_fields
 from .polyspace import facet_quadrature, radial_quadrature, trace_basis
+from .mesh import _first_seen
 from .refgeom import (FacetKind, _check_sectors, _chunks, _facet_points,
                       _facet_tangents, _sector_jacobians)
 from .solver import DiscreteSolution
@@ -29,15 +30,15 @@ class ExactSolution:
     dim: int
     value: object              # (n, d) -> (n,)
     gradient: object           # (n, d) -> (n, d)
-    neumann_predicate: object = None   # facet midpoint -> True for natural BC
+    neumann_predicate: object = None   # facet midpoints (F, d) -> True: natural BC
 
     def dirichlet_facets(self, mesh) -> list[int]:
         fids = mesh.boundary_facet_ids()
         if self.neumann_predicate is None:
             return fids
-        return sorted(f for ids, corners in mesh._facet_corners(fids).values()
-                      for f, mid in zip(ids, corners.mean(axis=1))
-                      if not self.neumann_predicate(mid))
+        return np.sort(np.concatenate([
+            np.array(ids)[~self.neumann_predicate(corners.mean(axis=1))]
+            for ids, corners in mesh._facet_corners(fids).values()])).tolist()
 
 
 def _exp2d_value(x):
@@ -81,7 +82,7 @@ EXACT_SOLUTIONS = {
     "exp3d": ExactSolution("exp3d", 3, _exp3d_value, _exp3d_grad),
     "sqrt2d": ExactSolution(
         "sqrt2d", 2, _sqrt2d_value, _sqrt2d_grad,
-        neumann_predicate=lambda mid: abs(mid[1]) < 1e-12 and mid[0] > 0.0),
+        neumann_predicate=lambda mid: (abs(mid[:, 1]) < 1e-12) & (mid[:, 0] > 0.0)),
     "const": ExactSolution("const", 0, lambda x: np.ones(x.shape[0]),
                            lambda x: np.zeros_like(x)),
 }
@@ -120,17 +121,20 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     degeneracy check and mode fields of its first member serve them all, and
     each member gets its own points and coefficients, and its own check when
     the first is within reach of failing.  Classes are grouped by (facet
-    kind, mode count, radial rule, size) and cut into chunks, a big one into
-    member blocks, of at most `refgeom.CHUNK_BUDGET` (sectors x radial points
-    x max(Q d, n_modes)) entries; FE quads likewise.
+    kind, mode count, size, radial rule) and cut into chunks, a big one into
+    member blocks, whose sectors x R x max(Q d, n_modes) stays within
+    `refgeom.CHUNK_BUDGET` (R radial, Q facet points).  A block of s sectors
+    holds s n_modes Q d complex entries in the operand G x C of
+    `modes._member_fields` and s R Q (d + 1) in its output.  FE quads go in
+    chunks of Q d entries each.
     """
-    k = solution.k
+    k = solution.numbering.k
     cfg = (quad or QuadratureConfig()).resolved(k)
-    mesh, ops = solution.mesh, solution.operators
+    mesh, ops, nd = solution.mesh, solution.operators, solution.numbering
     d = mesh.dimension
     stacks = mesh._sector_stacks()
-    owners = [o for _, _, o in stacks.values()]
-    kind = np.repeat(list(stacks), [len(o) for o in owners])
+    kinds, owners = list(stacks), [o for _, _, o in stacks.values()]
+    kind = np.repeat(np.arange(len(kinds)), [len(o) for o in owners])
     row = np.concatenate([np.arange(len(o)) for o in owners])
     e, pos = np.concatenate(owners).T
     cls = mesh._sel_class[e]
@@ -139,31 +143,34 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                            | np.diff(pos[order], prepend=-1))
     size = np.diff(start, append=len(order))
     first = order[start]
-    entries, groups = {}, {}   # representative -> radial rule, A_eval, member coeffs
-    for c, (i, p, kd, m) in enumerate(zip(e[first].tolist(), pos[first].tolist(),
-                                          kind[first], size.tolist())):
-        op = ops[i]
-        if i not in entries:
-            members = e[order[start[c]:start[c] + m]].tolist()
-            entries[i] = (_radial_rule_args(op, i, cfg, k), op.A_eval,
-                          [solution.coefficients[j] for j in members])
-        rule, A, coeffs = entries[i]
-        groups.setdefault((kd, op.modes.n, rule, m), []).append(
-            (start[c], A[op.sector_rows[p]], coeffs, op.modes.lambdas))
+    # the radial rule of each class, named by its representative; groups of
+    # classes by (facet kind, mode count, size, rule) in order of appearance
+    reps = np.unique(mesh._sel_class, return_index=True)[1]
+    rules = [_radial_rule_args(op, r, cfg, k) for op, r in zip(ops, reps.tolist())]
+    n_modes, c = np.array([op.modes.n for op in ops]), cls[first]
+    group = _first_seen(np.column_stack([kind[first], n_modes[c], size,
+                                         np.array(rules)[c]]) + 0.0)[0]
     sums = np.zeros(2)
-    for (kind, n_modes, rule, m), group in groups.items():
-        frule = facet_quadrature(kind, cfg.facet_order)
-        rad = radial_quadrature(*rule)
+    for i in (np.flatnonzero(group == g) for g in range(group.max() + 1)):
+        kd, m, n = kinds[kind[first[i[0]]]], int(size[i[0]]), int(n_modes[c[i[0]]])
+        frule = facet_quadrature(kd, cfg.facet_order)
+        rad = radial_quadrature(*rules[c[i[0]]])
         xis = rad.points[:, 0]
         wxi = rad.weights * xis ** (d - 1)
-        basis = trace_basis(kind, k)
-        centres, vertices, owners = stacks[kind]
-        at, alpha, coeffs, lambdas = (np.array(a) for a in zip(*group))
-        rows = row[order[at[:, None] + np.arange(m)]]      # (classes, members)
-        per_sector = len(xis) * max(len(frule) * d, n_modes)
+        basis = trace_basis(kd, k)
+        centres, vertices, owners = stacks[kd]
+        uc, inv = np.unique(c[i], return_inverse=True)
+        A = np.zeros((len(uc), np.diff(nd.selement_start).max(), n), complex)
+        for j, x in enumerate(uc.tolist()):
+            A[j, ops[x].kept] = ops[x].modes.A     # pinned rows stay zero
+        alpha = A[inv[:, None], nd.sector_rows[kd][row[first[i]]]]
+        lambdas = np.array([ops[x].modes.lambdas for x in uc.tolist()])[inv]
+        coeffs = np.array([solution.coefficients[x] for x in uc.tolist()])[inv]
+        rows = row[order[start[i][:, None] + np.arange(m)]]   # (classes, members)
+        per_sector = len(xis) * max(len(frule) * d, n)
         for sl in _chunks(len(rows), per_sector * m):
             rep = rows[sl, 0]                      # the representatives
-            J, det = _sector_jacobians(kind, frule.points, centres[rep],
+            J, det = _sector_jacobians(kd, frule.points, centres[rep],
                                        vertices[rep])
             near = _check_sectors(J, det, owners[rep], mesh._snap)
             fields = _class_fields(basis, xis, frule.points, J, alpha[sl],
@@ -173,11 +180,11 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                 s = rows[sl, blk]                  # stack rows (classes, members)
                 if m > 1 and near.any():           # check every member
                     t = s[near]
-                    _check_sectors(*_sector_jacobians(kind, frule.points, centres[t],
+                    _check_sectors(*_sector_jacobians(kd, frule.points, centres[t],
                                                       vertices[t]), owners[t])
                 a0 = np.take(centres, s, axis=0)[..., None, :]
                 rays = (J[:, None, ..., 0] if m == 1      # the members are the reps
-                        else _facet_points(kind, frule.points,
+                        else _facet_points(kd, frule.points,
                                            np.take(vertices, s, axis=0)) - a0)
                 pts = a0[..., None, :] + xis[:, None, None] * rays[..., None, :, :]
                 vals, grads = _member_fields(fields,
@@ -195,7 +202,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
 
 
 def _radial_rule_args(op, e: int, cfg: QuadratureConfig, k: int) -> tuple:
-    """radial_quadrature arguments for the error integral of S-element e."""
+    """radial_quadrature arguments for class operator op, named S-element e."""
     lam_min = op.modes.min_positive_exponent
     if not np.isfinite(lam_min) or lam_min <= 0.0:
         raise QuadratureError(
@@ -219,7 +226,7 @@ def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts):
     (F, Q[, 2]); J^-T grad N once per congruence class of the mesh's FE
     quads, on its first in `sl`."""
     mesh, quad = solution.mesh, FacetKind.QUADRILATERAL
-    nvals, ngrads = trace_basis(quad, solution.k).eval_many(ref_pts)
+    nvals, ngrads = trace_basis(quad, solution.numbering.k).eval_many(ref_pts)
     corners = np.take(mesh.vertices, mesh._quads()[sl], axis=0)
     uel = solution.nodal[solution.numbering.fe_nodes[sl]]
     J = _facet_tangents(quad, ref_pts, corners)

@@ -8,7 +8,7 @@ through shared interface traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
@@ -23,58 +23,48 @@ from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 
 
 @dataclass
-class SElementOperator:
-    """Modes, stiffness and local DOFs of one S-element."""
+class ClassOperator:
+    """Modes and stiffness shared by the S-elements of one congruence class."""
 
     E: EMatrices               # side-face-reduced coefficient matrices
     modes: modes_mod.SbfemModes
     K: np.ndarray              # stiffness over the kept trace DOFs
-    dofs_full: np.ndarray      # global ids of all Gamma^S trace DOFs
-    kept_local: np.ndarray     # indices of unconstrained DOFs in the full set
-    sector_rows: list          # per facet position: S-local row of each node
-
-    @property
-    def dofs_kept(self) -> np.ndarray:
-        return self.dofs_full[self.kept_local]
-
-    @property
-    def A_eval(self) -> np.ndarray:
-        """Trace eigenvectors over all Gamma^S DOFs, constrained rows zero."""
-        A = np.zeros((len(self.dofs_full), self.modes.n), dtype=complex)
-        A[self.kept_local] = self.modes.A
-        return A
+    kept: np.ndarray           # S-local indices of the unconstrained DOFs
 
 
 def build_operators(mesh: PolytopalMesh,
-                    numbering: DofNumbering) -> list[SElementOperator]:
-    """E-matrices, modes and stiffness for every S-element.
+                    numbering: DofNumbering) -> list[ClassOperator]:
+    """E-matrices, modes and stiffness of each class of the mesh's class table.
 
-    The S-elements of a class of the mesh's class table (translated copies)
-    share the eigen-solve of its lowest member.  The E-matrices of all class
+    The S-elements of a class (translated copies) share the eigen-solve of
+    its lowest member, the representative.  The E-matrices of all
     representatives are integrated in one stacked pass over their sectors,
     by the facet rule of degree 2k + 2, and their modes in one stack per
     (reduced trace size, constant-trace admissible), cut into chunks under
     `refgeom.CHUNK_BUDGET` Euler-matrix entries.  A SpectrumError names the
     first failing S-element by id.
     """
-    k, dofs, local = numbering.k, numbering.selement_dofs, numbering.sector_rows
-    reps = np.unique(mesh._sel_class, return_index=True)[1].tolist()
+    k, start, N = numbering.k, numbering.selement_start, numbering.n_total
+    reps = np.unique(mesh._sel_class, return_index=True)[1]
     # the E-matrices of every representative in one stacked pass
     sub = {}
     for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
         mask = np.isin(owners[:, 0], reps)
-        if mask.any():
-            rows = np.array([local[e][p] for e, p in owners[mask].tolist()])
-            sub[kind] = (centres[mask], vertices[mask], owners[mask], rows)
-    Es = assemble_E(sub, {e: len(dofs[e]) for e in reps}, mesh.dimension, k,
-                    2 * k + 2)
+        sub[kind] = (centres[mask], vertices[mask], owners[mask],
+                     numbering.sector_rows[kind][mask])
+    Es = assemble_E(sub, dict(zip(reps.tolist(), np.diff(start)[reps].tolist())),
+                    mesh.dimension, k, 2 * k + 2)
+    # the S-local slots of the side-face pins: (S-element, DOF) pairs as e N + dof
+    owner = np.repeat(np.arange(len(start) - 1), np.diff(start))
+    pins = [e * N + numbering.vertex_dof[v] for e, vs in mesh._dirichlet.items()
+            for v in vs]
+    pinned = np.isin(owner * N + numbering.selement_dofs, pins)
     by_size: dict = {}         # reduced trace size -> representatives, in order
-    for c, e in enumerate(reps):
-        pinned = np.isin(dofs[e], [numbering.vertex_dof[v]
-                                   for v in mesh._dirichlet.get(e, ())])
-        E = modes_mod.apply_sideface_bc(Es[e], np.flatnonzero(pinned))
-        by_size.setdefault(E.n, []).append((e, c, E, np.flatnonzero(~pinned)))
-    errors, solved = [], {}    # class -> the operator fields its members share
+    for c, e in enumerate(reps.tolist()):
+        at = pinned[start[e]:start[e + 1]]
+        E = modes_mod.apply_sideface_bc(Es[e], np.flatnonzero(at))
+        by_size.setdefault(E.n, []).append((e, c, E, np.flatnonzero(~at)))
+    errors, solved = [], [None] * len(reps)
     for n, members in by_size.items():
         admissible = _stack_E(members, mesh.dimension).constant_trace_admissible()
         for has in dict.fromkeys(admissible.tolist()):
@@ -83,8 +73,7 @@ def build_operators(mesh: PolytopalMesh,
                        for sl in _chunks(len(group), 4 * n * n)]
     if any(errors):
         raise min(filter(None, errors), key=lambda exc: exc.selement)
-    return [SElementOperator(dofs_full=d, sector_rows=rows, **solved[c])
-            for d, rows, c in zip(dofs, local, mesh._sel_class.tolist())]
+    return solved
 
 
 def _stack_E(members, dim: int) -> EMatrices:
@@ -92,7 +81,7 @@ def _stack_E(members, dim: int) -> EMatrices:
                        for blk in ("E11", "E12", "E22")), dim=dim)
 
 
-def _stack_modes(members, dim: int, solved: dict):
+def _stack_modes(members, dim: int, solved: list):
     """Modes and stiffness of a stack of class representatives (S-element
     id, class, E-matrices, kept local DOFs), stored in `solved`.  Returns
     None or the SpectrumError of the first member to fail any guard: when
@@ -106,7 +95,7 @@ def _stack_modes(members, dim: int, solved: dict):
         j = ids.index(exc.selement)
         return (j and _stack_modes(members[:j], dim, solved)) or exc
     for j, (_, c, E, kept) in enumerate(members):
-        solved[c] = dict(E=E, modes=md[j], K=K[j], kept_local=kept)
+        solved[c] = ClassOperator(E=E, modes=md[j], K=K[j], kept=kept)
     return None
 
 
@@ -136,39 +125,45 @@ class GlobalSystem:
     numbering: DofNumbering
     operators: list
     K: scipy.sparse.csr_matrix
-    dirichlet: dict = field(default_factory=dict)   # dof -> value
+    dirichlet_dofs: np.ndarray     # pinned DOFs, each once
+    dirichlet_values: np.ndarray   # their values
 
 
 def assemble_global(mesh: PolytopalMesh, k: int) -> GlobalSystem:
     """Scatter S-element (and FE element) stiffness into the skeleton system."""
     numbering = number_dofs(mesh, k)
     ops = build_operators(mesh, numbering)
-    n = numbering.n_total
-    fe_K = [fe_element_stiffness(mesh.vertices[quad], k) for quad in mesh._quads()[
-        np.unique(mesh._fe_class, return_index=True)[1]]]
-    blocks = [(op.dofs_kept, op.K) for op in ops] + [
-        (numbering.fe_nodes[q], fe_K[c]) for q, c in enumerate(mesh._fe_class.tolist())]
-    system = GlobalSystem(mesh=mesh, numbering=numbering, operators=ops,
-                          K=_scatter(blocks, n))
+    fe_K = np.array([fe_element_stiffness(mesh.vertices[quad], k) for quad in
+                     mesh._quads()[np.unique(mesh._fe_class, return_index=True)[1]]])
+    # per kept size, in order of appearance: each class's K for its members
+    cls, blocks = mesh._sel_class, []
+    size = np.array([len(op.kept) for op in ops])[cls]
+    for m in size[np.sort(np.unique(size, return_index=True)[1])].tolist():
+        e = np.flatnonzero(size == m)
+        cs, at = np.unique(cls[e], return_inverse=True)
+        dofs = numbering.selement_dofs[numbering.selement_start[e][:, None]
+                                       + np.array([ops[c].kept for c in cs])[at]]
+        blocks.append((dofs, np.take(np.array([ops[c].K for c in cs]), at, axis=0)))
+    K = _scatter(blocks + [(numbering.fe_nodes, np.take(fe_K, mesh._fe_class, axis=0))],
+                 numbering.n_total)
     # side-face Dirichlet traces are pinned to zero from the start
-    system.dirichlet.update((numbering.vertex_dof[v], 0.0)
-                            for pins in mesh._dirichlet.values() for v in pins)
-    empty = np.flatnonzero(np.diff(system.K.indptr) == 0)   # rows in no block
-    dangling = empty[~np.isin(empty, list(system.dirichlet))]
+    pins = np.unique(numbering.vertex_dof[
+        [v for vs in mesh._dirichlet.values() for v in vs]])
+    system = GlobalSystem(mesh=mesh, numbering=numbering, operators=ops, K=K,
+                          dirichlet_dofs=pins, dirichlet_values=np.zeros(len(pins)))
+    empty = np.flatnonzero(np.diff(K.indptr) == 0)   # rows in no block
+    dangling = empty[~np.isin(empty, pins)]
     if dangling.size:
         raise AssemblyError(f"{dangling.size} DOFs receive no element "
                             f"contribution (first: {dangling[:5].tolist()})")
     return system
 
 
-def _scatter(blocks, n: int) -> scipy.sparse.csr_matrix:
-    """(n, n) sum of blocks (DOFs (m,), matrix (m, m)), one scatter per m."""
-    parts = []
-    for m in dict.fromkeys(len(d) for d, _ in blocks):
-        dofs = np.array([d for d, _ in blocks if len(d) == m])        # (B, m)
-        parts.append((np.array([Kel for d, Kel in blocks if len(d) == m]).ravel(),
-                      np.repeat(dofs, m, axis=1).ravel(), np.tile(dofs, m).ravel()))
-    vals, rows, cols = (np.concatenate(p) for p in zip(*parts))
+def _scatter(groups, n: int) -> scipy.sparse.csr_matrix:
+    """(n, n) sum of element matrices in groups of DOFs (B, m), matrices (B, m, m)."""
+    vals, rows, cols = (np.concatenate(p) for p in zip(*[
+        (mats.ravel(), np.repeat(dofs, dofs.shape[1], axis=1).ravel(),
+         np.tile(dofs, dofs.shape[1]).ravel()) for dofs, mats in groups]))
     return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
@@ -185,7 +180,7 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
     if facet_ids is None:
         facet_ids = system.mesh.boundary_facet_ids()
     dofs = system.numbering.facet_boundary_dofs(facet_ids)
-    if dofs.size == 0 and not system.dirichlet:
+    if dofs.size == 0 and not system.dirichlet_dofs.size:
         raise SolveError("no Dirichlet boundary: the Laplace system is singular")
     if method == "nodal":
         values = _evaluate_field(g, system.numbering.coords[dofs])
@@ -193,8 +188,9 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
         values = _project_trace(system, g, facet_ids, dofs)
     else:
         raise SolveError(f"unknown Dirichlet method '{method}'")
-    for dof, val in zip(dofs.tolist(), values.tolist()):
-        system.dirichlet.setdefault(dof, val)   # keep the side-face pins
+    new = ~np.isin(dofs, system.dirichlet_dofs)   # the first value wins
+    system.dirichlet_dofs = np.concatenate([system.dirichlet_dofs, dofs[new]])
+    system.dirichlet_values = np.concatenate([system.dirichlet_values, values[new]])
     return system
 
 
@@ -203,19 +199,20 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
     DOFs `dofs`): one stacked pass per facet kind, one sparse mass solve."""
     if dofs.size == 0:
         return np.zeros(0)
-    mesh, k = system.mesh, system.numbering.k
+    mesh, nd = system.mesh, system.numbering
     blocks, b = [], np.zeros(len(dofs))
     for kind, (fids, corners) in mesh._facet_corners(facet_ids).items():
-        rule = facet_quadrature(kind, 2 * k + 8)
-        vals, _ = trace_basis(kind, k).eval_many(rule.points)          # (Q, m)
+        rule = facet_quadrature(kind, 2 * nd.k + 8)
+        vals, _ = trace_basis(kind, nd.k).eval_many(rule.points)       # (Q, m)
         pts = _facet_points(kind, rule.points, corners)                # (F, Q, d)
         tans = _facet_tangents(kind, rule.points, corners)        # (F, Q, d, d-1)
         jac = np.linalg.norm(tans[..., 0] if mesh.dimension == 2
                              else np.cross(tans[..., 0], tans[..., 1]), axis=-1)
         w = rule.weights * jac                                         # (F, Q)
         ue = _evaluate_field(g, pts.reshape(-1, mesh.dimension)).reshape(w.shape)
-        rows = np.searchsorted(dofs, [system.numbering.facet_nodes[f] for f in fids])
-        blocks += zip(rows, np.einsum("fq,qi,qj->fij", w, vals, vals))
+        rows = np.searchsorted(dofs, nd.facet_dofs[nd.facet_start[fids][:, None]
+                                                   + np.arange(vals.shape[1])])
+        blocks.append((rows, np.einsum("fq,qi,qj->fij", w, vals, vals)))
         np.add.at(b, rows, (w * ue) @ vals)
     return scipy.sparse.linalg.splu(_scatter(blocks, len(dofs)).tocsc()).solve(b)
 
@@ -227,18 +224,14 @@ def _evaluate_field(g, coords: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DiscreteSolution:
-    """Nodal skeleton values plus per-S-element modal coefficients."""
+    """Nodal skeleton values plus the modal coefficients of every class."""
 
     mesh: PolytopalMesh
     numbering: DofNumbering
     operators: list
     nodal: np.ndarray
-    coefficients: list         # per S-element modal coefficient vector
+    coefficients: list         # per class: (members, n), members in id order
     residual: float = 0.0
-
-    @property
-    def k(self) -> int:
-        return self.numbering.k
 
     @property
     def n_dofs(self) -> int:
@@ -248,16 +241,14 @@ class DiscreteSolution:
 def solve(system: GlobalSystem) -> DiscreteSolution:
     """Direct sparse solve of the constrained Galerkin system."""
     n = system.numbering.n_total
-    pinned = np.array(sorted(system.dirichlet.keys()), dtype=int)
-    pinned_vals = np.array([system.dirichlet[d] for d in pinned])
-    free = np.setdiff1d(np.arange(n), pinned)
     u = np.zeros(n)
-    u[pinned] = pinned_vals
-    K = system.K
+    u[system.dirichlet_dofs] = system.dirichlet_values
+    pinned = np.sort(system.dirichlet_dofs)
+    free = np.setdiff1d(np.arange(n), pinned)
     if free.size:
-        Kf = K[free]
+        Kf = system.K[free]
         Kff = Kf[:, free].tocsc()
-        rhs = -(Kf[:, pinned] @ pinned_vals)
+        rhs = -(Kf[:, pinned] @ u[pinned])
         try:
             lu = scipy.sparse.linalg.splu(Kff)
             u[free] = lu.solve(rhs)
@@ -270,33 +261,30 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
             raise SolveError(f"solver residual {residual:.2e} exceeds 1e-10")
     else:
         residual = 0.0
-    return DiscreteSolution(mesh=system.mesh, numbering=system.numbering,
-                            operators=system.operators, nodal=u,
-                            coefficients=_modal_coefficients(system.operators, u),
-                            residual=residual)
+    return DiscreteSolution(
+        mesh=system.mesh, numbering=system.numbering, operators=system.operators,
+        nodal=u, residual=residual, coefficients=_modal_coefficients(
+            system.operators, system.mesh, system.numbering, u))
 
 
 def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
                       operators: list | None = None,
                       numbering: DofNumbering | None = None) -> DiscreteSolution:
     """Radial extension of the nodal trace interpolant of f."""
-    if numbering is None:
-        numbering = number_dofs(mesh, k)
-    if operators is None:
-        operators = build_operators(mesh, numbering)
+    numbering = numbering or number_dofs(mesh, k)
+    operators = operators or build_operators(mesh, numbering)
     nodal = _evaluate_field(f, numbering.coords)
-    return DiscreteSolution(mesh=mesh, numbering=numbering,
-                            operators=operators, nodal=nodal,
-                            coefficients=_modal_coefficients(operators, nodal))
+    return DiscreteSolution(
+        mesh=mesh, numbering=numbering, operators=operators, nodal=nodal,
+        coefficients=_modal_coefficients(operators, mesh, numbering, nodal))
 
 
-def _modal_coefficients(operators: list, nodal: np.ndarray) -> list:
-    """Complex modal coefficients of every S-element reproducing the nodal
-    values: one stacked solve A c = u per mode count."""
-    coeffs = {}
-    for n in {op.modes.n for op in operators}:
-        ids = [i for i, op in enumerate(operators) if op.modes.n == n]
-        A = np.array([operators[i].modes.A for i in ids])
-        u = np.array([nodal[operators[i].dofs_kept] for i in ids])
-        coeffs.update(zip(ids, np.linalg.solve(A, u[..., None])[..., 0]))
-    return [coeffs[i] for i in range(len(operators))]
+def _modal_coefficients(operators: list, mesh: PolytopalMesh,
+                        numbering: DofNumbering, nodal: np.ndarray) -> list:
+    """Complex modal coefficients (members, n) of each class reproducing the
+    nodal values: one solve A C = U per class, the members as right-hand sides."""
+    order = np.argsort(mesh._sel_class, kind="stable")
+    ends = np.cumsum(np.bincount(mesh._sel_class)).tolist()
+    at = numbering.selement_start[order]
+    return [np.linalg.solve(op.modes.A, nodal[numbering.selement_dofs[
+        at[a:b, None] + op.kept]].T).T for op, a, b in zip(operators, [0] + ends, ends)]

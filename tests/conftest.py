@@ -252,7 +252,7 @@ def reference_local_dofs(mesh, numbering, e):
     sector_rows = []
     for fid, order in zip(*selement_facets(mesh, e)):
         vperm = tuple(facet_vertices(mesh, fid).index(v) for v in order)
-        nodes = numbering.facet_nodes[fid][reference_lattice_perm(
+        nodes = facet_nodes(numbering, fid)[reference_lattice_perm(
             facet_kind(mesh, fid), numbering.k, vperm)]
         sector_rows.append(np.array([position.setdefault(g, len(position))
                                      for g in nodes.tolist()], dtype=int))
@@ -263,10 +263,11 @@ def assert_local_dofs_match(mesh, numbering):
     """The S-local DOFs and sector rows of `numbering` equal the oracle's."""
     for e in range(len(mesh._counts)):
         dofs, rows = reference_local_dofs(mesh, numbering, e)
-        assert np.array_equal(numbering.selement_dofs[e], dofs)
-        assert len(numbering.sector_rows[e]) == len(rows)
-        for got, want in zip(numbering.sector_rows[e], rows):
-            assert np.array_equal(got, want)
+        assert np.array_equal(selement_dofs(numbering, e), dofs)
+        got = sector_rows(mesh, numbering, e)
+        assert len(got) == len(rows)
+        for a, b in zip(got, rows):
+            assert np.array_equal(a, b)
 
 
 def reference_congruence_classes(mesh, numbering):
@@ -286,7 +287,7 @@ def reference_congruence_classes(mesh, numbering):
     seen, classes = {}, []
     for e in range(len(mesh._counts)):
         dofs_full, sector_rows = reference_local_dofs(mesh, numbering, e)
-        pinned = {numbering.vertex_dof[v] for v in mesh._dirichlet.get(e, ())}
+        pinned = {int(numbering.vertex_dof[v]) for v in mesh._dirichlet.get(e, ())}
         constrained = np.flatnonzero([g in pinned for g in dofs_full.tolist()])
         slots = [where[e, pos] for pos in range(len(sector_rows))]
         key = (mesh.dimension, numbering.k, tuple(constrained.tolist())) + tuple(
@@ -301,8 +302,93 @@ def reference_congruence_classes(mesh, numbering):
 
 
 def operator_for(mesh, k):
-    """The S-element operator of a (usually single-element) mesh."""
-    return build_operators(mesh, number_dofs(mesh, k))[0]
+    """The SElementView of S-element 0 of a (usually single-element) mesh."""
+    numbering = number_dofs(mesh, k)
+    return selement_view(mesh, numbering, build_operators(mesh, numbering), 0)
+
+
+# -- the per-S-element view of the class records -------------------------------
+
+
+def facet_nodes(numbering, fid) -> np.ndarray:
+    """The DOFs of facet fid, in its canonical order."""
+    return numbering.facet_dofs[numbering.facet_start[fid]:
+                                numbering.facet_start[fid + 1]]
+
+
+def selement_dofs(numbering, e) -> np.ndarray:
+    """The DOF of each S-local index of S-element e."""
+    return numbering.selement_dofs[numbering.selement_start[e]:
+                                   numbering.selement_start[e + 1]]
+
+
+def sector_rows(mesh, numbering, e) -> list:
+    """Per facet position of S-element e, the S-local index of each node,
+    read from the per-kind tables `numbering.sector_rows`."""
+    rows = {}
+    for kind, (_, _, owners) in mesh._sector_stacks().items():
+        for i in np.flatnonzero(owners[:, 0] == e).tolist():
+            rows[int(owners[i, 1])] = numbering.sector_rows[kind][i]
+    return [rows[p] for p in range(len(rows))]
+
+
+def member_coefficients(solution, e) -> np.ndarray:
+    """The modal coefficients of S-element e: its row of its class's array."""
+    cls = solution.mesh._sel_class
+    return solution.coefficients[cls[e]][np.count_nonzero(cls[:e] == cls[e])]
+
+
+@dataclass
+class SElementView:
+    """One S-element's operator as a record of its own, as the solver once
+    stored it: its class's E, modes and K, with the DOFs, kept indices,
+    sector rows and (given nodal values) modal coefficients of the element."""
+
+    E: EMatrices
+    modes: object
+    K: np.ndarray
+    dofs_full: np.ndarray      # global ids of all Gamma^S trace DOFs
+    kept_local: np.ndarray     # indices of unconstrained DOFs in the full set
+    sector_rows: list          # per facet position: S-local row of each node
+    coefficients: np.ndarray | None = None
+
+    @property
+    def dofs_kept(self) -> np.ndarray:
+        return self.dofs_full[self.kept_local]
+
+    @property
+    def A_eval(self) -> np.ndarray:
+        """Trace eigenvectors over all Gamma^S DOFs, constrained rows zero."""
+        A = np.zeros((len(self.dofs_full), self.modes.n), dtype=complex)
+        A[self.kept_local] = self.modes.A
+        return A
+
+
+def selement_view(mesh, numbering, ops, e, nodal=None) -> SElementView:
+    """The SElementView of S-element e, its DOFs and sector rows from
+    `reference_local_dofs`, its kept indices from the mesh's side-face pins,
+    and its coefficients from its own solve A c = u: independent of the
+    class records but for the modes, E and K of its class."""
+    dofs, rows = reference_local_dofs(mesh, numbering, e)
+    pins = [numbering.vertex_dof[v] for v in mesh._dirichlet.get(e, ())]
+    kept = np.flatnonzero(~np.isin(dofs, pins))
+    op = ops[mesh._sel_class[e]]
+    coeffs = (None if nodal is None
+              else np.linalg.solve(op.modes.A, nodal[dofs[kept]]))
+    return SElementView(op.E, op.modes, op.K, dofs, kept, rows, coeffs)
+
+
+def dirichlet_map(system) -> dict:
+    """The pinned DOFs of a GlobalSystem and their values, as a dict."""
+    return dict(zip(system.dirichlet_dofs.tolist(), system.dirichlet_values.tolist()))
+
+
+def selement_views(owner) -> list:
+    """The SElementView of every S-element of a GlobalSystem or a
+    DiscreteSolution (with coefficients)."""
+    return [selement_view(owner.mesh, owner.numbering, owner.operators, e,
+                          getattr(owner, "nodal", None))
+            for e in range(len(owner.mesh._counts))]
 
 
 def polygon_mesh(vertices) -> PolytopalMesh:
@@ -387,6 +473,15 @@ def coupled_mixed_mesh() -> PolytopalMesh:
                if not (-0.5 <= x0 < 0.5 and y0 < 0.5)]
     return _open_mesh(1, ((-0.5, 0.5), (0.0, 0.5)), ((-1.0, 1.5), (0.0, 1.0)),
                       corners)
+
+
+def open_element_pinned_first() -> PolytopalMesh:
+    """`singular_open_selement(2)` with its facets listed in reverse: the
+    pinned vertex is named first, so the pin removes an early S-local DOF
+    (in every generated open S-element it removes the last)."""
+    data = mesh_to_json(singular_open_selement(2))
+    data["selements"][0]["facets"].reverse()
+    return import_mesh(data)
 
 
 def octahedron_mesh() -> PolytopalMesh:
@@ -497,12 +592,12 @@ def evaluate_in_sector(solution, e, ctx, xis, etas):
     """The error kernels on one sector of S-element e, a one-member class:
     points (R, Q, d), values (R, Q) and gradients (R, Q, d) of u_h on a
     (xi, eta) grid."""
-    op = solution.operators[e]
+    op = selement_view(solution.mesh, solution.numbering, solution.operators, e)
     xis = np.asarray(xis, dtype=float)
     J, _ = sector_jacobian(ctx.sector, etas)
     vals, grads = sector_fields(
         ctx.basis, xis, etas, J[None], op.A_eval[ctx.rows][None],
-        solution.coefficients[e][None, :, None],
+        member_coefficients(solution, e)[None, :, None],
         op.modes.lambdas[None])
     return duffy_map_many(ctx.sector, xis, etas), vals[0, ..., 0], grads[0, :, :, 0]
 
@@ -516,12 +611,11 @@ def evaluate_in_fe(solution, q, ref_pts):
 # -- per-sector reference for the batched error integration ----------------------
 
 
-def _reference_sector(solution, e, ctx, xis, etas):
-    """u_h on a sector's (xi, eta) grid of S-element e, one mode sum per
-    sector."""
-    op = solution.operators[e]
+def _reference_sector(op, ctx, xis, etas):
+    """u_h on a sector's (xi, eta) grid of the S-element of SElementView op,
+    one mode sum per sector."""
     md = op.modes
-    c = solution.coefficients[e]
+    c = op.coefficients
     alpha = op.A_eval[ctx.rows, :]                     # (m, n_modes) complex
     nvals, _ = ctx.basis.eval_many(etas)               # (Q, m)
     xis = np.asarray(xis, dtype=float)
@@ -563,19 +657,18 @@ def reference_solution_errors(solution, exact, quad=None):
     Oracle for `postproc.solution_errors`; it picks each S-element's radial
     rule with the same helper.
     """
-    k = solution.k
+    k = solution.numbering.k
     cfg = (quad or postproc.QuadratureConfig()).resolved(k)
     d = solution.mesh.dimension
     acc_l2 = 0.0
     acc_h1 = 0.0
-    for e, op in enumerate(solution.operators):
+    for e, op in enumerate(selement_views(solution)):
         rad = radial_quadrature(*postproc._radial_rule_args(op, e, cfg, k))
         xis = rad.points[:, 0]
         for ctx in op_sectors(solution.mesh, op, e):
             frule = facet_quadrature(ctx.sector.facet_kind, cfg.facet_order)
             _, det = sector_jacobian(ctx.sector, frule.points)
-            pts, vals, grads = _reference_sector(solution, e, ctx, xis,
-                                                 frule.points)
+            pts, vals, grads = _reference_sector(op, ctx, xis, frule.points)
             flat = pts.reshape(-1, d)
             ev = exact.value(flat).reshape(vals.shape)
             eg = exact.gradient(flat).reshape(grads.shape)
@@ -619,7 +712,7 @@ def reference_project_trace(system, g, facet_ids, dofs) -> np.ndarray:
         w = rule.weights * jac
         Mel = np.einsum("q,qi,qj->ij", w, vals, vals)
         bel = (w * ue) @ vals
-        gl = [pos[int(d)] for d in numbering.facet_nodes[fid]]
+        gl = [pos[int(d)] for d in facet_nodes(numbering, fid)]
         ix = np.ix_(gl, gl)
         M[ix] += Mel
         b[gl] += bel

@@ -189,12 +189,23 @@ def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
     ({"threads": "x"}, "threads must be an integer >= 1, got 'x'"),
     ({"facet_order": "x"}, "facet_order must be an integer >= 1, got 'x'"),
     ({"level": "2"}, "level must be an integer, got '2'"),
+    ({"output": 5}, "output must be a string, got 5"),
+    ({"mesh": 5}, "mesh must be a string, got 5"),
+    ({"dump_eigenvalues": "no"}, "dump_eigenvalues must be true or false, got 'no'"),
+    ({"bc": "foo"}, "bc must be one of ['nodal', 'project'], got 'foo'"),
+    ({"problem": 5}, "problem must be one of ['const', 'exp2d', 'exp3d', 'sqrt2d'], "
+                     "got 5"),
+    ({"problem": "nope"}, "problem must be one of ['const', 'exp2d', 'exp3d', "
+                          "'sqrt2d'], got 'nope'"),
 ], ids=["k-float", "k-bool", "levels-word", "threads-word", "facet-order-word",
-        "level-string"])
+        "level-string", "output-number", "mesh-number", "dump-eigenvalues-word",
+        "bc-unknown", "problem-number", "problem-unknown"])
 def test_malformed_config_value_exit_2(tmp_path, capsys, entry, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict({"mesh": "quad"}, **entry)))
-    rc = main(["interp", "--config", str(path), "--output", str(tmp_path / "out")])
+    # a flag overrides the config's value, so the output case goes without one
+    flags = [] if "output" in entry else ["--output", str(tmp_path / "out")]
+    rc = main(["interp", "--config", str(path)] + flags)
     assert rc == 2
     assert capsys.readouterr().err == f"sbfem: config error: {message}\n"
     assert not (tmp_path / "out").exists()

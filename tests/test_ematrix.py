@@ -4,8 +4,8 @@ import pytest
 from conftest import (Sector, fixture_meshes_2d, fixture_meshes_3d,
                       jittered_quad_mesh, mesh_sector, mesh_to_json,
                       op_sectors, operator_for, reference_assemble_E,
-                      sector_B, sector_E, sector_jacobian,
-                      volume_gradient_inner)
+                      sector_B, sector_E, sector_jacobian, sector_rows,
+                      selement_dofs, selement_view, volume_gradient_inner)
 from sbfem import refgeom
 from sbfem.ematrix import assemble_E
 from sbfem.errors import GeometryError
@@ -151,7 +151,7 @@ def test_open_boundary_cross_sum_survives(wedge_mesh):
     # before side-face reduction the open chain keeps nonzero E12^T 1
     from sbfem.mesh import number_dofs
     nd = number_dofs(wedge_mesh, 1)
-    dofs, rows = nd.selement_dofs[0], nd.sector_rows[0]
+    dofs, rows = selement_dofs(nd, 0), sector_rows(wedge_mesh, nd, 0)
     data = []
     for pos in range(len(rows)):
         sector = mesh_sector(wedge_mesh, 0, pos)
@@ -215,10 +215,10 @@ def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
         monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
     make, k, rtol = E_CASES[case]
     mesh = make()
-    ops = build_operators(mesh, number_dofs(mesh, k))
-    first = {id(op.modes): (e, op)                       # cache hits share
-             for e, op in reversed(list(enumerate(ops)))}
-    for e, op in first.values():
+    numbering = number_dofs(mesh, k)
+    ops = build_operators(mesh, numbering)
+    for e in np.unique(mesh._sel_class, return_index=True)[1].tolist():
+        op = selement_view(mesh, numbering, ops, e)     # a class representative
         n = len(op.dofs_full)
         data = [(ctx.sector, ctx.basis, ctx.rows, 2 * k + 2)
                 for ctx in op_sectors(mesh, op, e)]

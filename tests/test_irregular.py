@@ -5,7 +5,7 @@ import pytest
 
 from conftest import jittered_quad_mesh, mesh_to_json
 from sbfem import ematrix, mesh, modes, postproc, refgeom, solver
-from sbfem.mesh import gen_hex_mesh, import_mesh, number_dofs
+from sbfem.mesh import gen_hex_mesh, gen_quad_mesh, import_mesh, number_dofs
 from sbfem.postproc import get_exact, solution_errors
 from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
                           sbfem_interpolate, solve)
@@ -136,3 +136,31 @@ def test_assembly_work_does_not_grow_with_the_mesh(monkeypatch):
         assemble_global(jittered_quad_mesh(n, 0.18), 2)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_solver_work_is_one_per_class(monkeypatch):
+    # one operator, one radial rule and one coefficient solve per congruence
+    # class, however many S-elements share it
+    calls = {"rule": 0, "solve": 0}
+    rule, linsolve = postproc._radial_rule_args, np.linalg.solve
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(postproc, "_radial_rule_args", counted("rule", rule))
+    exact = get_exact("exp2d")
+    for n in (4, 8):
+        grid = gen_quad_mesh(n)
+        system = assemble_global(grid, 2)
+        sol = solve(apply_dirichlet(system, exact.value))
+        calls.update(rule=0, solve=0)
+        solution_errors(sol, exact)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", counted("solve", linsolve))
+            solver._modal_coefficients(system.operators, grid, system.numbering,
+                                       sol.nodal)
+        classes = grid._sel_class.max() + 1
+        assert (len(system.operators), calls["rule"], calls["solve"]) == (classes,) * 3

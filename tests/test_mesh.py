@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 
 from conftest import (assert_local_dofs_match, facet_kind, facet_list,
-                      facet_map_many, facet_owners, flat_sector_squares,
+                      facet_map_many, facet_nodes, facet_owners,
+                      flat_sector_squares,
                       hybrid_mesh, is_open, jittered_quad_mesh, mesh_sector,
                       mesh_to_json, octahedron_mesh, polygon_mesh,
                       reference_congruence_classes, reference_coupled_singular,
                       reference_hex_family, reference_import,
                       reference_lattice_perm, reference_quad_family,
                       reference_singular_open_selement, relabelled,
-                      sector_jacobian, selement_facets)
+                      sector_jacobian, sector_rows, selement_dofs,
+                      selement_facets)
 from test_postproc import BATCH_CASES
 from sbfem.cli import build_mesh, main
 from sbfem.errors import MeshError
@@ -450,9 +452,9 @@ def test_lattice_dofs_sit_at_their_points(name, k):
         assert np.abs(nd.coords[dofs] - pts).max() <= 1e-12
 
     for fid, (vertices, kind) in enumerate(facet_list(mesh)):
-        check(kind, vertices, nd.facet_nodes[fid])
+        check(kind, vertices, facet_nodes(nd, fid))
     for e in range(len(mesh.centres)):
-        dofs, rows = nd.selement_dofs[e], nd.sector_rows[e]
+        dofs, rows = selement_dofs(nd, e), sector_rows(mesh, nd, e)
         for pos, (fid, order) in enumerate(zip(*selement_facets(mesh, e))):
             check(facet_kind(mesh, fid), order, dofs[rows[pos]])
     for q, quad in enumerate(mesh._quads()):
@@ -462,7 +464,7 @@ def test_lattice_dofs_sit_at_their_points(name, k):
     assert gap.min() > 1e-9
 
 
-# sha256 (first 16 hex digits) of n_total, facet_nodes and fe_nodes.  The DOF
+# sha256 (first 16 hex digits) of n_total, facet and FE nodes.  The DOF
 # order fixes the layout of K and of every nodal vector, so it may only
 # change on purpose.
 NUMBERING_DIGESTS = [
@@ -478,7 +480,8 @@ def test_numbering_order_is_pinned(family, level, k, n_total, digest):
     mesh = hybrid_mesh() if level is None else build_mesh(family, level)
     nd = number_dofs(mesh, k)
     h = hashlib.sha256(str(nd.n_total).encode())
-    for ids in list(nd.facet_nodes) + list(nd.fe_nodes):
+    for ids in [facet_nodes(nd, f) for f in range(len(nd.facet_start) - 1)] + list(
+            nd.fe_nodes):
         h.update(np.asarray(ids, dtype=np.int64).tobytes())
     assert (nd.n_total, h.hexdigest()[:16]) == (n_total, digest)
 
@@ -488,7 +491,7 @@ def test_neighbor_elements_share_facet_dofs():
     nd = number_dofs(mesh, 3)
     seen = {}
     for e in range(len(mesh.centres)):
-        dofs, rows = nd.selement_dofs[e], nd.sector_rows[e]
+        dofs, rows = selement_dofs(nd, e), sector_rows(mesh, nd, e)
         for pos, fid in enumerate(selement_facets(mesh, e)[0]):
             ids = dofs[rows[pos]]
             sector = mesh_sector(mesh, e, pos)

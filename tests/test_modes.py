@@ -8,7 +8,7 @@ from conftest import (affine_cube_mesh, duffy_map_many, fd_mode_gradients,
                       is_open, jittered_quad_mesh, mesh_sector, mode_fields, op_sectors,
                       operator_for, orthogonality_residual, quadratic_residual,
                       random_polygon_mesh, reference_mode_chain,
-                      stiffness_from_gram)
+                      sector_rows, selement_dofs, stiffness_from_gram)
 from sbfem import modes, solver
 from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError, SpectrumError
@@ -244,7 +244,7 @@ def test_square_stiffness_matches_volume_quadrature(square_mesh):
 
 def test_sideface_reduction_counts(wedge_mesh):
     nd = number_dofs(wedge_mesh, 1)
-    dofs, rows = nd.selement_dofs[0], nd.sector_rows[0]
+    dofs, rows = selement_dofs(nd, 0), sector_rows(wedge_mesh, nd, 0)
     from conftest import reference_assemble_E
     from sbfem.polyspace import trace_basis
     data = []

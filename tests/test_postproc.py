@@ -6,7 +6,8 @@ import pytest
 
 from conftest import (coupled_mixed_mesh, facet_vertices, flat_sector_squares,
                       jittered_quad_mesh, laplacian_residual,
-                      reference_solution_errors)
+                      open_element_pinned_first, reference_solution_errors,
+                      selement_views)
 from sbfem import modes, postproc, refgeom
 from sbfem.errors import GeometryError, SbfemError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
@@ -189,6 +190,8 @@ BATCH_CASES = {
     "coupled-singular-l2-k2": (lambda: gen_coupled_singular(2), 2, "sqrt2d"),
     # FE quads of two widths: two FE classes, both in one chunk
     "coupled-mixed-fe-k2": (coupled_mixed_mesh, 2, "sqrt2d"),
+    # the side-face pin removes an early S-local DOF, not the last
+    "open-pinned-first-k2": (open_element_pinned_first, 2, "sqrt2d"),
 }
 
 
@@ -239,7 +242,7 @@ def test_degeneracy_is_checked_on_every_copy_near_the_threshold():
     # 1e-14 threshold, the copy's (5.5e-15) does not
     mesh = import_mesh(flat_sector_squares(4e-14, 5e-15))
     sol, exact = _galerkin(mesh, 1, "exp2d")
-    assert sol.operators[0].modes is sol.operators[1].modes
+    assert mesh._sel_class.tolist() == [0, 0] and len(sol.operators) == 1
     kind, (centres, vertices, owners) = next(iter(mesh._sector_stacks().items()))
     rule = facet_quadrature(kind, QuadratureConfig().resolved(1).facet_order)
     J, det = refgeom._sector_jacobians(kind, rule.points, centres, vertices)
@@ -269,7 +272,7 @@ def test_radial_rule_round_off_floor_is_plain_gauss():
     # lambda_min of a hex S-element is 1 up to round-off on either side
     cfg = QuadratureConfig().resolved(2)
     sol, _ = _galerkin(gen_hex_mesh(2), 2, "exp3d")
-    for e, op in enumerate(sol.operators):
+    for e, op in enumerate(selement_views(sol)):
         assert abs(op.modes.min_positive_exponent - 1.0) < 1e-12
         rule = radial_quadrature(*postproc._radial_rule_args(op, e, cfg, 2))
         assert len(rule) == 12

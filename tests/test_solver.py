@@ -7,10 +7,12 @@ from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_quad_mesh, import_mesh, number_dofs,
                         singular_open_selement)
 from sbfem.postproc import get_exact, solution_errors
-from conftest import (coupled_mixed_mesh, evaluate_in_fe, evaluate_in_sector,
-                      hybrid_mesh, jittered_quad_mesh, mesh_to_json,
-                      octahedron_mesh, op_sectors, reference_mode_chain,
-                      reference_project_trace)
+from conftest import (coupled_mixed_mesh, dirichlet_map, evaluate_in_fe,
+                      evaluate_in_sector, hybrid_mesh, jittered_quad_mesh,
+                      member_coefficients, mesh_to_json, octahedron_mesh,
+                      op_sectors, open_element_pinned_first,
+                      reference_mode_chain, reference_project_trace,
+                      sector_rows, selement_dofs, selement_views)
 from sbfem.solver import (_project_trace, apply_dirichlet, assemble_global,
                           build_operators, fe_element_stiffness,
                           sbfem_interpolate, solve)
@@ -41,7 +43,7 @@ def test_single_selement_global_equals_element():
     mesh = gen_quad_mesh(1)
     system = assemble_global(mesh, 1)
     K = system.K.toarray()
-    op = system.operators[0]
+    op = selement_views(system)[0]
     assert np.abs(K[np.ix_(op.dofs_kept, op.dofs_kept)] - op.K).max() < 1e-14
 
 
@@ -88,7 +90,7 @@ def test_interpolate_constant_and_xy():
     e_l2, e_h1 = solution_errors(sol, exact)
     assert e_l2 < 1e-12 and e_h1 < 1e-12
     sol = sbfem_interpolate(mesh, 1, lambda x: x[:, 0] * x[:, 1])
-    op = sol.operators[0]
+    op = selement_views(sol)[0]
     rng = np.random.default_rng(5)
     xis = rng.uniform(0.05, 1.0, 6)
     for ctx in op_sectors(mesh, op, 0):
@@ -107,7 +109,7 @@ def test_trace_interpolant_reproduces_nodal_data():
     f = np.sin(nd.coords[:, 0]) + nd.coords[:, 1] ** 2
     assert np.abs(sol.nodal - f).max() < 1e-12
     # reconstruction at xi=1 equals the nodal data
-    for e, op in enumerate(sol.operators):
+    for e, op in enumerate(selement_views(sol)):
         for ctx in op_sectors(mesh, op, e):
             nodes = ctx.basis.nodes
             pts, vals, _ = evaluate_in_sector(sol, e, ctx, np.array([1.0]),
@@ -122,7 +124,7 @@ def test_interface_trace_continuity_coupled():
     system = assemble_global(mesh, 2)
     apply_dirichlet(system, exact.value, facet_ids=exact.dirichlet_facets(mesh))
     sol = solve(system)
-    op = sol.operators[0]
+    op = selement_views(sol)[0]
     interface = set(op.dofs_full.tolist())
     for q in range(len(mesh._quads())):
         dofs = system.numbering.fe_nodes[q]
@@ -160,16 +162,17 @@ def test_dangling_sideface_dof_auto_pinned():
     dof = nd.vertex_dof[vid]
     in_K = np.diff(system.K.indptr) > 0
     assert not in_K[dof]
-    assert system.dirichlet[dof] == 0.0
-    assert all(in_K[d] or d in system.dirichlet for d in range(nd.n_total))
+    pins = dirichlet_map(system)
+    assert pins[dof] == 0.0
+    assert all(in_K[d] or d in pins for d in range(nd.n_total))
 
 
 def test_empty_dirichlet_facets_keep_sideface_pin():
     # the side-face pin alone makes the open S-element's system solvable
     system = assemble_global(singular_open_selement(2), 1)
-    pins = dict(system.dirichlet)
+    pins = dirichlet_map(system)
     apply_dirichlet(system, 1.0, facet_ids=[])
-    assert system.dirichlet == pins
+    assert dirichlet_map(system) == pins
     assert np.abs(solve(system).nodal).max() == 0.0
 
 
@@ -245,8 +248,8 @@ def test_congruence_cache_shares_modes():
     mesh = gen_quad_mesh(3)
     numbering = number_dofs(mesh, 1)
     ops = build_operators(mesh, numbering)
-    assert len({id(op.modes) for op in ops}) == 1   # all nine are translates
-    assert ops[0].modes is ops[-1].modes
+    assert len(ops) == 1                 # all nine are translates of one class
+    assert (mesh._sel_class == 0).all()
 
 
 @pytest.mark.parametrize("make", [lambda: jittered_quad_mesh(9, 0.18),
@@ -261,7 +264,7 @@ def test_stacked_scatter_and_coefficients_match_per_element(make):
     system = assemble_global(mesh, 2)
     numbering = system.numbering
     K = np.zeros((numbering.n_total,) * 2)
-    for op in system.operators:
+    for op in selement_views(system):
         K[np.ix_(op.dofs_kept, op.dofs_kept)] += reference_mode_chain(
             op.E, 2)[2]
     for q, quad in enumerate(mesh._quads()):
@@ -271,6 +274,40 @@ def test_stacked_scatter_and_coefficients_match_per_element(make):
     exact = get_exact("exp2d")
     sol = sbfem_interpolate(mesh, 2, exact.value, numbering=numbering,
                             operators=system.operators)
-    for op, c in zip(system.operators, sol.coefficients):
+    for e, op in enumerate(selement_views(sol)):
         want = np.linalg.solve(op.modes.A, sol.nodal[op.dofs_kept])
+        c = member_coefficients(sol, e)
         assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("make,k,problem", [
+    (lambda: gen_quad_mesh(4), 3, "exp2d"),
+    (lambda: jittered_quad_mesh(6, 0.18), 2, "exp2d"),
+    (lambda: gen_coupled_singular(2), 2, "sqrt2d"),
+    (open_element_pinned_first, 2, "sqrt2d")],
+    ids=["quad-4-k3", "jittered-6x6-k2", "coupled-l2-k2", "open-pinned-first-k2"])
+def test_class_records_reproduce_the_per_element_view(make, k, problem):
+    # the per-S-element oracle (DOFs and sector rows by lattice permutation,
+    # kept indices from the pins, coefficients by one solve per element)
+    # against the class records, the numbering's arrays and the class
+    # coefficient arrays, bit for bit
+    mesh, exact = make(), get_exact(problem)
+    system = assemble_global(mesh, k)
+    nd = system.numbering
+    sol = solve(apply_dirichlet(system, exact.value,
+                                facet_ids=exact.dirichlet_facets(mesh)))
+    assert len(sol.operators) == mesh._sel_class.max() + 1
+    if mesh._dirichlet:                 # the pins remove some S-local DOFs
+        assert sum(len(op.kept) < np.diff(nd.selement_start)[0]
+                   for op in sol.operators)
+    for e, view in enumerate(selement_views(sol)):
+        op = sol.operators[mesh._sel_class[e]]
+        assert np.array_equal(selement_dofs(nd, e), view.dofs_full)
+        assert np.array_equal(op.kept, view.kept_local)
+        rows = sector_rows(mesh, nd, e)
+        assert len(rows) == len(view.sector_rows)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, view.sector_rows))
+        A = np.zeros((len(selement_dofs(nd, e)), op.modes.n), dtype=complex)
+        A[op.kept] = op.modes.A
+        assert np.array_equal(A, view.A_eval)
+        assert np.array_equal(member_coefficients(sol, e), view.coefficients)
