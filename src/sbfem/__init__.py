@@ -12,9 +12,8 @@ from .refgeom import FacetKind
 from .polyspace import (QuadratureRule, TraceBasis, facet_quadrature,
                         radial_quadrature, trace_basis)
 from .ematrix import EMatrices, assemble_E
-from .modes import (EulerSystem, SbfemModes, SElementStiffness,
-                    apply_sideface_bc, build_system, element_stiffness,
-                    select_modes)
+from .modes import (SbfemModes, SElementStiffness, build_system,
+                    element_stiffness, select_modes)
 from .mesh import (DofNumbering, PolytopalMesh, gen_coupled_singular,
                    gen_hex_mesh, gen_polygon_case1, gen_polyhedron_case1,
                    gen_quad_mesh, gen_refined_cube, gen_refined_square,

@@ -14,6 +14,7 @@ import numpy as np
 from . import mesh as mesh_mod
 from .errors import ConfigError, SbfemError
 from .modes import eigenvalue_rows
+from .polyspace import MAX_DEGREE
 from .postproc import (EXACT_SOLUTIONS, QuadratureConfig, convergence_table,
                        get_exact, report_to_csv, solution_errors)
 from .solver import (apply_dirichlet, assemble_global, build_operators,
@@ -59,16 +60,21 @@ def _integer(key: str, value, low=None) -> int:
 
 
 def _parse_intlist(key: str, value) -> list[int]:
-    """An integer, a list of integers, or a string "a..b" or "a,b,c"."""
+    """A non-empty list from an integer, a list of integers, or a string
+    "a..b" or "a,b,c"."""
     if not isinstance(value, str):
-        return [_integer(key, v) for v in (value if isinstance(value, list) else [value])]
-    try:
-        a, dots, b = value.partition("..")
-        return (list(range(int(a), int(b) + 1)) if dots
-                else [int(tok) for tok in value.split(",") if tok])
-    except ValueError:
-        raise ConfigError(f"{key} must be an integer, a list a,b,c or a range "
-                          f"a..b, got {value!r}") from None
+        out = [_integer(key, v) for v in (value if isinstance(value, list) else [value])]
+    else:
+        try:
+            a, dots, b = value.partition("..")
+            out = (list(range(int(a), int(b) + 1)) if dots
+                   else [int(tok) for tok in value.split(",") if tok])
+        except ValueError:
+            raise ConfigError(f"{key} must be an integer, a list a,b,c or a range "
+                              f"a..b, got {value!r}") from None
+    if not out:
+        raise ConfigError(f"{key} must list at least one integer, got {value!r}")
+    return out
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -131,8 +137,8 @@ def load_config(args: argparse.Namespace) -> dict:
                      else [1] if cfg["levels"] is None
                      else _parse_intlist("levels", cfg["levels"]))
     cfg["k"] = _parse_intlist("k", cfg["k"])
-    if any(k < 1 for k in cfg["k"]):
-        raise ConfigError(f"trace degrees must be >= 1, got {cfg['k']}")
+    for k in [k for k in cfg["k"] if not 1 <= k <= MAX_DEGREE][:1]:
+        raise ConfigError(f"k must be between 1 and {MAX_DEGREE}, got {k}")
     _integer("threads", cfg["threads"], 1)
     for key, low in (("facet_order", 1), ("radial_points", 1), ("composite_levels", 0)):
         if cfg[key] is not None:
@@ -144,8 +150,6 @@ def load_config(args: argparse.Namespace) -> dict:
     for key, ok in (("bc", ["nodal", "project"]), ("problem", sorted(EXACT_SOLUTIONS))):
         if cfg[key] not in ok:
             raise ConfigError(f"{key} must be one of {ok}, got {cfg[key]!r}")
-    if cfg["command"] == "convergence" and not cfg["levels"]:
-        raise ConfigError("convergence needs a non-empty level list")
     return cfg
 
 

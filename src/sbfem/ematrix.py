@@ -42,6 +42,10 @@ class EMatrices:
     def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return self.E11, self.E12, self.E21, self.E22
 
+    def __getitem__(self, j) -> "EMatrices":
+        """Member j (or a slice) of a stack, as views into its arrays."""
+        return EMatrices(self.E11[j], self.E12[j], self.E22[j], self.dim)
+
     def condition_number(self):
         """Spectral condition number of the E11 block; inf where it is not
         positive definite."""
@@ -57,24 +61,24 @@ class EMatrices:
         return (np.linalg.norm(B @ np.ones(self.n), axis=-1) <= tol).all(axis=0)
 
 
-def assemble_E(stacks: dict, sizes: dict, dim: int, k: int,
-               order: int) -> dict:
-    """Coefficient matrices of several S-elements from their stacked sectors.
+def assemble_E(stacks: dict, member: np.ndarray, sizes: list, dim: int,
+               k: int, order: int) -> list:
+    """Coefficient matrices of stacks of S-elements from their sectors.
 
     `stacks` maps a facet kind to (centres (S, d), facet vertices
     (S, n_vertices, d), owners (S, 2), rows (S, m)): sector s is facet
-    position owners[s, 1] of S-element owners[s, 0], and rows[s, l] is the
-    S-element trace index of its shape function l.  `sizes` maps each
-    S-element id to its trace DOF count.  Each kind is integrated with the
-    facet rule of `order` in chunks of at most `refgeom.CHUNK_BUDGET`
-    entries; every S-element's blocks receive its sectors in stack order.
-    Returns S-element id -> EMatrices.
+    position owners[s, 1] of S-element e = owners[s, 0], whose blocks are
+    member member[e] of the concatenated output stacks, and rows[s, l] is
+    the trace index there of its shape function l, or -1 for a shape
+    function left out (a pinned DOF).  `sizes` lists each output stack's
+    (trace size, member count).  Each kind is integrated with the facet
+    rule of `order` in chunks of at most `refgeom.CHUNK_BUDGET` entries;
+    every member's blocks receive its sectors in stack order.  Returns one
+    EMatrices stack per entry of `sizes`.
     """
-    ids = list(sizes)
-    n = np.zeros(max(ids, default=-1) + 1, dtype=int)
-    n[ids] = [sizes[e] for e in ids]
-    base = np.zeros_like(n)
-    base[ids] = np.cumsum(n[ids] ** 2) - n[ids] ** 2
+    sizes = np.array(sizes, dtype=int).reshape(-1, 2)
+    n = np.repeat(*sizes.T)                             # trace size per member
+    base = np.cumsum(n ** 2) - n ** 2
     flat = np.zeros((3, int(np.sum(n ** 2))))          # E11, E12, E22
     for kind, (centres, vertices, owners, rows) in stacks.items():
         rule = facet_quadrature(kind, order)
@@ -90,15 +94,13 @@ def assemble_E(stacks: dict, sizes: dict, dim: int, k: int,
             E11 = np.einsum("sq,sqdi,sqdj->sij", w, B1, B1)
             E12 = np.einsum("sq,sqdi,sqdj->sij", w, B1, B2)
             E22 = np.einsum("sq,sqdi,sqdj->sij", w, B2, B2)
-            e, r = owners[sl, 0], rows[sl]
+            e, r = member[owners[sl, 0]], rows[sl]
             at = (base[e][:, None, None] + r[:, :, None] * n[e][:, None, None]
                   + r[:, None, :])
+            keep = (r[:, :, None] >= 0) & (r[:, None, :] >= 0)
             for blk, E in zip(flat, (0.5 * (E11 + np.swapaxes(E11, 1, 2)), E12,
                                      0.5 * (E22 + np.swapaxes(E22, 1, 2)))):
-                np.add.at(blk, at, E)
-    out = {}
-    for e in ids:
-        E11, E12, E22 = (blk[base[e]:base[e] + n[e] ** 2].reshape(n[e], n[e])
-                         for blk in flat)
-        out[e] = EMatrices(E11=E11, E12=E12, E22=E22, dim=dim)
-    return out
+                np.add.at(blk, at[keep], E[keep])
+    ends = np.cumsum(sizes[:, 1] * sizes[:, 0] ** 2).tolist()
+    return [EMatrices(*(blk[a:b].reshape(m, s, s) for blk in flat), dim=dim)
+            for (s, m), a, b in zip(sizes.tolist(), [0] + ends, ends)]

@@ -23,16 +23,6 @@ POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
 COND_CAP = 1e12
 
 
-@dataclass(frozen=True)
-class EulerSystem:
-    """First-order form of the radial ODE in the variables (Phi, p), for one
-    S-element or a stack of them along a leading axis of M."""
-
-    M: np.ndarray
-    dim: int
-    has_constant: bool
-
-
 @dataclass
 class SElementStiffness:
     K: np.ndarray
@@ -114,10 +104,10 @@ def _radial_factors(xis: np.ndarray,
     return Z, Z1
 
 
-def build_system(E: EMatrices, d: int, ids=None) -> EulerSystem:
-    """Assemble the first-order Euler matrix from the coefficient matrices.
-    A stack of E-matrices gives a stack of systems, whose members must agree
-    on constant-trace admissibility; `ids` name them in errors."""
+def build_system(E: EMatrices, d: int, ids=None) -> np.ndarray:
+    """The first-order Euler matrix M in the variables (Phi, p) from the
+    coefficient matrices.  A stack of E-matrices gives a stack of matrices
+    along a leading axis; `ids` name its members in errors."""
     E11, E12, E21, E22 = E.blocks()
     n = E.n
     cond = E.condition_number()
@@ -132,42 +122,27 @@ def build_system(E: EMatrices, d: int, ids=None) -> EulerSystem:
     M[..., :n, n:] = Y
     M[..., n:, :n] = E22 - E21 @ X
     M[..., n:, n:] = (2 - d) * eye + E21 @ Y
-    return EulerSystem(M=M, dim=d,
-                       has_constant=bool(np.all(E.constant_trace_admissible())))
+    return M
 
 
-def apply_sideface_bc(E: EMatrices, constrained_local: np.ndarray) -> EMatrices:
-    """Delete Dirichlet-constrained side-face trace DOFs from the E-matrices."""
-    constrained = np.unique(np.asarray(constrained_local, dtype=int))
-    if constrained.size == 0:
-        return E
-    if constrained.min() < 0 or constrained.max() >= E.n:
-        raise SpectrumError(
-            f"side-face constraint index out of range 0..{E.n - 1}")
-    keep = np.setdiff1d(np.arange(E.n), constrained)
-    if keep.size == 0:
-        raise SpectrumError("side-face constraints would remove every trace DOF")
-    ix = np.ix_(keep, keep)
-    return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E22=E.E22[ix], dim=E.dim)
-
-
-def select_modes(system: EulerSystem, ids=None) -> SbfemModes:
-    """Eigen-solve the Euler system and keep the admissible modes.
+def select_modes(M: np.ndarray, dim: int, has_constant: bool,
+                 ids=None) -> SbfemModes:
+    """Eigen-solve the Euler matrix M and keep the admissible modes.
 
     Keeps every eigenpair with positive real exponent plus, when the element
-    admits a constant trace (closed boundary or unconstrained open one),
-    exactly one exact constant mode in place of the numerically polluted
-    zero cluster (the logarithmic Jordan partner is discarded).  A stack of
-    systems is solved in one call; `ids` name its members in errors.
+    admits a constant trace (`has_constant`: closed boundary or unconstrained
+    open one), exactly one exact constant mode in place of the numerically
+    polluted zero cluster (the logarithmic Jordan partner is discarded).  A
+    stack of matrices, which share `has_constant`, is solved in one call;
+    `ids` name its members in errors.
     """
-    M = system.M
     n = M.shape[-1] // 2
     lam_all, V = np.linalg.eig(M)
     scale = np.maximum(np.abs(lam_all).max(axis=-1), 1.0)[..., None]
     cluster = np.abs(lam_all) <= ZERO_CLUSTER_TOL * scale
     positive = (~cluster) & (lam_all.real > POSITIVE_CUT * scale)
-    expected_zero = (2 if system.dim == 2 else 1) if system.has_constant else 0
-    n_positive_expected = n - (1 if system.has_constant else 0)
+    expected_zero = (2 if dim == 2 else 1) if has_constant else 0
+    n_positive_expected = n - (1 if has_constant else 0)
     n_zero, n_pos = cluster.sum(axis=-1), positive.sum(axis=-1)
     _check((n_zero != expected_zero) | (n_pos != n_positive_expected), ids,
            f"unexpected spectrum split (zero cluster {{}}/{expected_zero}, "
@@ -184,8 +159,8 @@ def select_modes(system: EulerSystem, ids=None) -> SbfemModes:
     vecs = vecs / np.linalg.norm(vecs[..., :n, :], axis=-2)[..., None, :]
     A = vecs[..., :n, :]
     P = vecs[..., n:, :]
-    constant_index = 0 if system.has_constant else None
-    if system.has_constant:
+    constant_index = 0 if has_constant else None
+    if has_constant:
         column = np.zeros(A.shape[:-1] + (1,), dtype=complex)
         lams = np.concatenate([column[..., 0, :], lams], axis=-1)
         A = np.concatenate([column + 1.0 / np.sqrt(n), A], axis=-1)
@@ -197,7 +172,7 @@ def select_modes(system: EulerSystem, ids=None) -> SbfemModes:
     selected_mask = np.zeros(lam_all.shape, dtype=bool)
     np.put_along_axis(selected_mask, idx, True, axis=-1)
     return SbfemModes(lambdas=lams, A=A, P=P, constant_index=constant_index,
-                      dim=system.dim, cond_A=cond_A, all_eigenvalues=lam_all,
+                      dim=dim, cond_A=cond_A, all_eigenvalues=lam_all,
                       selected_mask=selected_mask)
 
 

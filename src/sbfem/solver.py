@@ -26,7 +26,7 @@ from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 class ClassOperator:
     """Modes and stiffness shared by the S-elements of one congruence class."""
 
-    E: EMatrices               # side-face-reduced coefficient matrices
+    E: EMatrices               # coefficient matrices over the kept DOFs
     modes: modes_mod.SbfemModes
     K: np.ndarray              # stiffness over the kept trace DOFs
     kept: np.ndarray           # S-local indices of the unconstrained DOFs
@@ -39,64 +39,72 @@ def build_operators(mesh: PolytopalMesh,
     The S-elements of a class (translated copies) share the eigen-solve of
     its lowest member, the representative.  The E-matrices of all
     representatives are integrated in one stacked pass over their sectors,
-    by the facet rule of degree 2k + 2, and their modes in one stack per
-    (reduced trace size, constant-trace admissible), cut into chunks under
+    by the facet rule of degree 2k + 2, straight over their kept (unpinned)
+    trace DOFs, one stack per kept size.  Each stack is split once by
+    constant-trace admissibility, and its modes are solved in chunks under
     `refgeom.CHUNK_BUDGET` Euler-matrix entries.  A SpectrumError names the
     first failing S-element by id.
     """
     k, start, N = numbering.k, numbering.selement_start, numbering.n_total
     reps = np.unique(mesh._sel_class, return_index=True)[1]
-    # the E-matrices of every representative in one stacked pass
-    sub = {}
-    for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
-        mask = np.isin(owners[:, 0], reps)
-        sub[kind] = (centres[mask], vertices[mask], owners[mask],
-                     numbering.sector_rows[kind][mask])
-    Es = assemble_E(sub, dict(zip(reps.tolist(), np.diff(start)[reps].tolist())),
-                    mesh.dimension, k, 2 * k + 2)
-    # the S-local slots of the side-face pins: (S-element, DOF) pairs as e N + dof
+    # each S-local slot's index among its S-element's kept DOFs, -1 if pinned
     owner = np.repeat(np.arange(len(start) - 1), np.diff(start))
     pins = [e * N + numbering.vertex_dof[v] for e, vs in mesh._dirichlet.items()
             for v in vs]
-    pinned = np.isin(owner * N + numbering.selement_dofs, pins)
-    by_size: dict = {}         # reduced trace size -> representatives, in order
-    for c, e in enumerate(reps.tolist()):
-        at = pinned[start[e]:start[e + 1]]
-        E = modes_mod.apply_sideface_bc(Es[e], np.flatnonzero(at))
-        by_size.setdefault(E.n, []).append((e, c, E, np.flatnonzero(~at)))
+    free = ~np.isin(owner * N + numbering.selement_dofs, pins)
+    before = np.concatenate([[0], np.cumsum(free)])[start]   # kept slots before e
+    slot = np.where(free, np.cumsum(free) - 1 - before[owner], -1)
+    # the representatives in one stack per kept size, by first appearance
+    n_kept = np.diff(before)[reps]
+    sizes = n_kept[np.sort(np.unique(n_kept, return_index=True)[1])].tolist()
+    stacks = [reps[n_kept == n] for n in sizes]
+    member = np.full(len(start) - 1, -1)
+    member[np.concatenate(stacks)] = np.arange(len(reps))
+    sub = {}
+    for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
+        mask = member[owners[:, 0]] >= 0
+        rows = start[owners[mask, 0], None] + numbering.sector_rows[kind][mask]
+        sub[kind] = (centres[mask], vertices[mask], owners[mask], slot[rows])
+    Es = assemble_E(sub, member, list(zip(sizes, map(len, stacks))),
+                    mesh.dimension, k, 2 * k + 2)
+    for e in reps[n_kept == 0][:1]:
+        raise SpectrumError(f"S-element {e}: side-face constraints would remove "
+                            "every trace DOF")
+    local = np.flatnonzero(free) - start[owner[free]]     # kept S-local indices
     errors, solved = [], [None] * len(reps)
-    for n, members in by_size.items():
-        admissible = _stack_E(members, mesh.dimension).constant_trace_admissible()
+    for E, es in zip(Es, stacks):
+        kept = local[before[es][:, None] + np.arange(E.n)]
+        admissible = E.constant_trace_admissible()
         for has in dict.fromkeys(admissible.tolist()):
-            group = [m for m, a in zip(members, admissible) if a == has]
-            errors += [_stack_modes(group[sl], mesh.dimension, solved)
-                       for sl in _chunks(len(group), 4 * n * n)]
-    if any(errors):
-        raise min(filter(None, errors), key=lambda exc: exc.selement)
+            group = np.flatnonzero(admissible == has)
+            for js in (group[sl] for sl in _chunks(len(group), 4 * E.n ** 2)):
+                try:
+                    md, K = _stack_modes(E[js], has, es[js].tolist())
+                except SpectrumError as exc:
+                    errors.append(exc)
+                    continue
+                for i, j in enumerate(js.tolist()):
+                    solved[mesh._sel_class[es[j]]] = ClassOperator(
+                        E[j], md[i], K[i], kept[j])
+    if errors:
+        raise min(errors, key=lambda exc: exc.selement)
     return solved
 
 
-def _stack_E(members, dim: int) -> EMatrices:
-    return EMatrices(*(np.array([getattr(m[2], blk) for m in members])
-                       for blk in ("E11", "E12", "E22")), dim=dim)
-
-
-def _stack_modes(members, dim: int, solved: list):
-    """Modes and stiffness of a stack of class representatives (S-element
-    id, class, E-matrices, kept local DOFs), stored in `solved`.  Returns
-    None or the SpectrumError of the first member to fail any guard: when
-    member j fails one, the members before j go through all guards again."""
-    ids = [e for e, _, _, _ in members]
+def _stack_modes(E: EMatrices, has_constant: bool, ids: list):
+    """Modes and stiffness K of a stack of class representatives, named by
+    their S-element ids `ids`.  Raises the SpectrumError of the first member
+    to fail any guard: when member j fails one, the members before j go
+    through all guards again."""
     try:
-        md = modes_mod.select_modes(
-            modes_mod.build_system(_stack_E(members, dim), dim, ids), ids)
-        K = modes_mod.element_stiffness(md, ids).K
+        md = modes_mod.select_modes(modes_mod.build_system(E, E.dim, ids),
+                                    E.dim, has_constant, ids)
+        return md, modes_mod.element_stiffness(md, ids).K
     except SpectrumError as exc:
         j = ids.index(exc.selement)
-        return (j and _stack_modes(members[:j], dim, solved)) or exc
-    for j, (_, c, E, kept) in enumerate(members):
-        solved[c] = ClassOperator(E=E, modes=md[j], K=K[j], kept=kept)
-    return None
+        if j:
+            _stack_modes(E[:j], has_constant, ids[:j])
+        raise
 
 
 # -- standard FE elements (coupled formulation) --------------------------------
@@ -282,9 +290,19 @@ def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
 def _modal_coefficients(operators: list, mesh: PolytopalMesh,
                         numbering: DofNumbering, nodal: np.ndarray) -> list:
     """Complex modal coefficients (members, n) of each class reproducing the
-    nodal values: one solve A C = U per class, the members as right-hand sides."""
+    nodal values: A C = U with the members as right-hand sides, one stacked
+    solve per (mode count, member count)."""
     order = np.argsort(mesh._sel_class, kind="stable")
-    ends = np.cumsum(np.bincount(mesh._sel_class)).tolist()
-    at = numbering.selement_start[order]
-    return [np.linalg.solve(op.modes.A, nodal[numbering.selement_dofs[
-        at[a:b, None] + op.kept]].T).T for op, a, b in zip(operators, [0] + ends, ends)]
+    counts = np.bincount(mesh._sel_class)
+    first = np.cumsum(counts) - counts           # each class's start in `order`
+    shapes = [(op.modes.n, m) for op, m in zip(operators, counts.tolist())]
+    out = {}
+    for n, m in dict.fromkeys(shapes):
+        cs = [c for c, shape in enumerate(shapes) if shape == (n, m)]
+        at = numbering.selement_start[order[first[cs][:, None] + np.arange(m)]]
+        U = nodal[numbering.selement_dofs[at[..., None] + np.array(
+            [operators[c].kept for c in cs])[:, None, :]]]          # (G, m, n)
+        C = np.linalg.solve(np.array([operators[c].modes.A for c in cs]),
+                            np.swapaxes(U, 1, 2))
+        out.update(zip(cs, np.swapaxes(C, 1, 2)))
+    return [out[c] for c in range(len(operators))]

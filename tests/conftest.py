@@ -203,6 +203,15 @@ def reference_assemble_E(sector_data, n_local, dim):
     return EMatrices(E11=E11, E12=E12, E22=E22, dim=dim)
 
 
+def apply_sideface_bc(E, constrained_local) -> EMatrices:
+    """E-matrices with the side-face-constrained trace DOFs deleted: oracle
+    for `build_operators`' assembly over the kept DOFs, which drops their
+    entries while it scatters the sector Grams."""
+    keep = np.setdiff1d(np.arange(E.n), constrained_local)
+    ix = np.ix_(keep, keep)
+    return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E22=E.E22[ix], dim=E.dim)
+
+
 def sector_B(sector, basis, eta):
     """B-vector matrices at one surface point; columns indexed by shape function.
 

@@ -173,12 +173,28 @@ def test_mesh_file_without_selements_exit_1(tmp_path, capsys, command):
     (["--radial-points", "0"], "radial_points must be an integer >= 1, got 0"),
     (["--composite-levels", "-1"], "composite_levels must be an integer >= 0, got -1"),
     (["--threads", "-4"], "threads must be an integer >= 1, got -4"),
+    (["--k", "3..1"], "k must list at least one integer, got '3..1'"),
+    (["--levels", "3..1"], "levels must list at least one integer, got '3..1'"),
+    (["--k", "7..9"], "k must be between 1 and 8, got 9"),
+    (["--k", "0"], "k must be between 1 and 8, got 0"),
 ], ids=["k-word", "k-open-range", "levels-word", "facet-order-0",
-        "radial-points-0", "composite-levels-negative", "threads-negative"])
+        "radial-points-0", "composite-levels-negative", "threads-negative",
+        "k-empty-range", "levels-empty-range", "k-above-max", "k-0"])
 def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
     rc = main(["interp", "--mesh", "quad", "--output", str(tmp_path)] + flags)
     assert rc == 2
     assert capsys.readouterr().err == f"sbfem: config error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["modes", "solve", "convergence"])
+def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
+    # every command refuses it when the config is loaded (`interp` above)
+    rc = main([command, "--mesh", "quad", "--levels", "3..1", "--output",
+               str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == ("sbfem: config error: levels must list at "
+                                       "least one integer, got '3..1'\n")
     assert not list(tmp_path.iterdir())
 
 
@@ -197,9 +213,14 @@ def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
                      "got 5"),
     ({"problem": "nope"}, "problem must be one of ['const', 'exp2d', 'exp3d', "
                           "'sqrt2d'], got 'nope'"),
+    ({"k": []}, "k must list at least one integer, got []"),
+    ({"levels": []}, "levels must list at least one integer, got []"),
+    ({"levels": ","}, "levels must list at least one integer, got ','"),
+    ({"k": 9}, "k must be between 1 and 8, got 9"),
 ], ids=["k-float", "k-bool", "levels-word", "threads-word", "facet-order-word",
         "level-string", "output-number", "mesh-number", "dump-eigenvalues-word",
-        "bc-unknown", "problem-number", "problem-unknown"])
+        "bc-unknown", "problem-number", "problem-unknown", "k-empty", "levels-empty",
+        "levels-no-entry", "k-above-max"])
 def test_malformed_config_value_exit_2(tmp_path, capsys, entry, message):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict({"mesh": "quad"}, **entry)))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import (Sector, fixture_meshes_2d, fixture_meshes_3d,
-                      jittered_quad_mesh, mesh_sector, mesh_to_json,
-                      op_sectors, operator_for, reference_assemble_E,
+from conftest import (Sector, apply_sideface_bc, fixture_meshes_2d,
+                      fixture_meshes_3d, jittered_quad_mesh, mesh_sector,
+                      mesh_to_json, op_sectors, operator_for, reference_assemble_E,
                       sector_B, sector_E, sector_jacobian, sector_rows,
                       selement_dofs, selement_view, volume_gradient_inner)
 from sbfem import refgeom
@@ -12,7 +12,6 @@ from sbfem.errors import GeometryError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh, import_mesh,
                         number_dofs)
-from sbfem.modes import apply_sideface_bc
 from sbfem.polyspace import facet_quadrature, trace_basis
 from sbfem.refgeom import FacetKind
 from sbfem.solver import build_operators
@@ -237,9 +236,10 @@ def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
 def test_bad_sector_error_names_selement_and_facet(facet):
     centres = np.zeros((2, 2))
     owners = np.array([[3, 0], [7, 2]])
+    member = np.array([-1, -1, -1, 0, -1, -1, -1, 1])    # S-elements 3 and 7
     rows = np.array([[0, 1], [0, 1]])
     for scale in (1.0, 1e-13):     # the verdict does not depend on the scale
         vertices = scale * np.array([[[1.0, -1.0], [1.0, 1.0]], facet])
         with pytest.raises(GeometryError, match=r"S-element 7, facet 2"):
             assemble_E({FacetKind.SEGMENT: (centres, vertices, owners, rows)},
-                       {3: 2, 7: 2}, 2, 1, 4)
+                       member, [(2, 2)], 2, 1, 4)

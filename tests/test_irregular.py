@@ -164,3 +164,14 @@ def test_solver_work_is_one_per_class(monkeypatch):
                                        sol.nodal)
         classes = grid._sel_class.max() + 1
         assert (len(system.operators), calls["rule"], calls["solve"]) == (classes,) * 3
+    # classes of equal mode and member counts share one stacked solve: the
+    # 64 singleton classes of a jittered mesh make one call
+    jittered = jittered_quad_mesh(8, 0.18)
+    numbering = number_dofs(jittered, 2)
+    ops = build_operators(jittered, numbering)
+    calls.update(solve=0)
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", counted("solve", linsolve))
+        solver._modal_coefficients(ops, jittered, numbering,
+                                   np.ones(numbering.n_total))
+    assert (len(ops), calls["solve"]) == (64, 1)

@@ -5,18 +5,18 @@ import pytest
 
 from conftest import (affine_cube_mesh, duffy_map_many, fd_mode_gradients,
                       fixture_meshes_2d, fixture_meshes_3d, hybrid_mesh,
-                      is_open, jittered_quad_mesh, mesh_sector, mode_fields, op_sectors,
-                      operator_for, orthogonality_residual, quadratic_residual,
-                      random_polygon_mesh, reference_mode_chain,
-                      sector_rows, selement_dofs, stiffness_from_gram)
+                      is_open, jittered_quad_mesh, mesh_to_json, mode_fields,
+                      op_sectors, operator_for, orthogonality_residual,
+                      quadratic_residual, random_polygon_mesh,
+                      reference_mode_chain, stiffness_from_gram)
 from sbfem import modes, solver
 from sbfem.ematrix import EMatrices
 from sbfem.errors import GeometryError, SpectrumError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh,
                         gen_polyhedron_case1, import_mesh, number_dofs,
                         singular_open_selement)
-from sbfem.modes import (_radial_factors, apply_sideface_bc, build_system,
-                         eigenvalue_rows, element_stiffness, select_modes)
+from sbfem.modes import (_radial_factors, build_system, eigenvalue_rows,
+                         element_stiffness, select_modes)
 from sbfem.postproc import get_exact, solution_errors
 from sbfem.solver import build_operators, sbfem_interpolate
 
@@ -32,13 +32,13 @@ def all_fixture_ops(ks=(1, 2)):
 def test_euler_blocks_2d(square_mesh):
     op = operator_for(square_mesh, 1)
     E = op.E
-    system = build_system(E, 2)
+    M = build_system(E, 2)
     n = E.n
     Y = np.linalg.inv(E.E11)
-    assert np.allclose(system.M[:n, :n], -Y @ E.E12)
-    assert np.allclose(system.M[:n, n:], Y)
+    assert np.allclose(M[:n, :n], -Y @ E.E12)
+    assert np.allclose(M[:n, n:], Y)
     # for d = 2 the lower-right block reduces to the bare cross term
-    assert np.allclose(system.M[n:, n:], E.E21 @ Y)
+    assert np.allclose(M[n:, n:], E.E21 @ Y)
 
 
 def test_square_full_spectrum(square_mesh):
@@ -243,23 +243,29 @@ def test_square_stiffness_matches_volume_quadrature(square_mesh):
 
 
 def test_sideface_reduction_counts(wedge_mesh):
-    nd = number_dofs(wedge_mesh, 1)
-    dofs, rows = selement_dofs(nd, 0), sector_rows(wedge_mesh, nd, 0)
-    from conftest import reference_assemble_E
-    from sbfem.polyspace import trace_basis
-    data = []
-    for pos in range(len(rows)):
-        sector = mesh_sector(wedge_mesh, 0, pos)
-        data.append((sector, trace_basis(sector.facet_kind, 1), rows[pos], 4))
-    E = reference_assemble_E(data, len(dofs), 2)
-    reduced = apply_sideface_bc(E, np.array([3]))
-    assert reduced.n == E.n - 1
-    same = apply_sideface_bc(E, np.array([], dtype=int))
-    assert same.n == E.n
-    with pytest.raises(SpectrumError):
-        apply_sideface_bc(E, np.arange(E.n))
-    with pytest.raises(SpectrumError):
-        apply_sideface_bc(E, np.array([E.n + 3]))
+    # each side-face pin removes one trace DOF from the class operator; an
+    # unpinned open S-element keeps them all and its constant mode
+    data = mesh_to_json(wedge_mesh)
+    n = len(operator_for(wedge_mesh, 1).dofs_full)
+    for pins in ([], [8], [0, 8]):
+        data["selements"][0]["dirichlet_sideface_nodes"] = pins
+        op = operator_for(import_mesh(data), 1)
+        m = n - len(pins)
+        assert (op.E.n, op.modes.n, len(op.kept_local)) == (m, m, m)
+        assert (op.modes.constant_index is None) == bool(pins)
+
+
+def test_all_pinned_open_selement_is_named():
+    # a one-segment open S-element whose two side-face nodes are both pinned
+    # has no trace DOF left at k = 1
+    mesh = import_mesh({"dimension": 2, "vertices": [[0, 0], [2, 0], [2, 1]],
+                        "selements": [
+                            {"facets": [[0, 1], [1, 2], [2, 0]]},
+                            {"facets": [[1, 2]], "center": [3.0, 0.5],
+                             "dirichlet_sideface_nodes": [1, 2]}]})
+    with pytest.raises(SpectrumError, match="^S-element 1: side-face constraints "
+                       "would remove every trace DOF$"):
+        build_operators(mesh, number_dofs(mesh, 1))
 
 
 def test_wedge_min_exponent_half():
@@ -290,7 +296,7 @@ def test_stiffness_rejects_modes_not_closed_under_conjugation():
     assert np.array_equal(element_stiffness(md).K, op.K)
     # swap the partner of a conjugate pair for a rejected eigenvector
     partner = int(np.flatnonzero(md.lambdas.imag < -1e-8)[0])
-    lam, V = np.linalg.eig(build_system(op.E, 2).M)
+    lam, V = np.linalg.eig(build_system(op.E, 2))
     v = V[:, np.argmin(lam.real)]
     v = v / np.linalg.norm(v[:n])
     A, P = md.A.copy(), md.P.copy()
@@ -312,10 +318,10 @@ def test_ill_conditioned_open_element_interpolates():
 
 def test_defective_detection_by_condition_cap(square_mesh, monkeypatch):
     op_E = operator_for(square_mesh, 1).E
-    system = build_system(op_E, 2)
+    M = build_system(op_E, 2)
     monkeypatch.setattr(modes, "COND_CAP", 1.0)
     with pytest.raises(SpectrumError, match="trace eigenvector condition"):
-        select_modes(system)
+        select_modes(M, 2, True)
 
 
 def test_eigenvalue_rows_format(square_mesh):
@@ -404,7 +410,7 @@ def test_spectrum_error_names_earlier_member_of_a_later_guard(monkeypatch):
 
     def negate_E11_of_2(*args):
         Es = assemble_E(*args)
-        Es[2] = replace(Es[2], E11=-Es[2].E11)
+        Es[0].E11[1] *= -1.0         # member 1 of the size-4 stack (0, 2)
         return Es
 
     monkeypatch.setattr(solver, "assemble_E", negate_E11_of_2)

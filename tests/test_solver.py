@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -311,3 +314,22 @@ def test_class_records_reproduce_the_per_element_view(make, k, problem):
         A[op.kept] = op.modes.A
         assert np.array_equal(A, view.A_eval)
         assert np.array_equal(member_coefficients(sol, e), view.coefficients)
+
+
+def test_perfbench_health_values_are_finite():
+    # perfbench's health report reads each class's E, modes and the
+    # asymmetry of element_stiffness(modes); only `health` is called, since
+    # `Tracer.install()` would patch the package for the rest of the session
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    mesh, exact = gen_coupled_singular(2), get_exact("sqrt2d")
+    system = assemble_global(mesh, 2)
+    sol = solve(apply_dirichlet(system, exact.value,
+                                facet_ids=exact.dirichlet_facets(mesh)))
+    values = spans.health([sol])
+    assert sorted(values) == ["ematrix.cond_E11_max", "modes.asymmetry_max",
+                              "modes.cond_A_max", "modes.lam_min_pos",
+                              "solver.residual_max"]
+    assert all(np.isfinite(v) for v in values.values()), values
