@@ -21,18 +21,16 @@ from .solver import (apply_dirichlet, assemble_global, build_operators,
                      sbfem_interpolate, solve)
 
 MESH_FAMILIES = {
-    # name: (generator(n), level -> n, is_3d)
-    "quad": (mesh_mod.gen_quad_mesh, lambda lev: 2 ** (lev + 1), False),
-    "polygon-case1": (mesh_mod.gen_polygon_case1, lambda lev: 2 ** lev, False),
-    "hex": (mesh_mod.gen_hex_mesh, lambda lev: 2 ** lev, True),
-    "polyhedron-case1": (mesh_mod.gen_polyhedron_case1,
-                         lambda lev: 2 ** (lev - 1), True),
-    "refined-square": (mesh_mod.gen_refined_square, lambda lev: 2 ** lev, False),
-    "refined-cube": (mesh_mod.gen_refined_cube, lambda lev: 2 ** (lev - 1), True),
-    "singular": (mesh_mod.singular_open_selement,
-                 lambda lev: 2 ** (lev - 1), False),
-    "coupled-singular": (mesh_mod.gen_coupled_singular, lambda lev: lev, False),
-    "single-square": (lambda n: mesh_mod.gen_quad_mesh(1), lambda lev: 1, False),
+    # name: (generator(n), level -> n), for levels >= 1
+    "quad": (mesh_mod.gen_quad_mesh, lambda lev: 2 ** (lev + 1)),
+    "polygon-case1": (mesh_mod.gen_polygon_case1, lambda lev: 2 ** lev),
+    "hex": (mesh_mod.gen_hex_mesh, lambda lev: 2 ** lev),
+    "polyhedron-case1": (mesh_mod.gen_polyhedron_case1, lambda lev: 2 ** (lev - 1)),
+    "refined-square": (mesh_mod.gen_refined_square, lambda lev: 2 ** lev),
+    "refined-cube": (mesh_mod.gen_refined_cube, lambda lev: 2 ** (lev - 1)),
+    "singular": (mesh_mod.singular_open_selement, lambda lev: 2 ** (lev - 1)),
+    "coupled-singular": (mesh_mod.gen_coupled_singular, lambda lev: lev),
+    "single-square": (lambda n: mesh_mod.gen_quad_mesh(1), lambda lev: 1),
 }
 
 
@@ -40,14 +38,11 @@ def build_mesh(name: str, level: int):
     if name.startswith("file:"):
         return mesh_mod.import_mesh(name[5:])
     try:
-        gen, level_to_n, _ = MESH_FAMILIES[name]
+        gen, level_to_n = MESH_FAMILIES[name]
     except KeyError:
         raise ConfigError(f"unknown mesh '{name}'; choose from "
                           f"{sorted(MESH_FAMILIES)} or file:<path>") from None
-    n = level_to_n(level)
-    if n < 1:
-        raise ConfigError(f"mesh '{name}' has no level {level}")
-    return gen(n)
+    return gen(level_to_n(level))
 
 
 def _integer(key: str, value, low=None) -> int:
@@ -132,10 +127,18 @@ def load_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     cfg["command"] = args.command
-    # a single --level wins over a level sweep
-    cfg["levels"] = ([_integer("level", cfg["level"])] if cfg["level"] is not None
-                     else [1] if cfg["levels"] is None
-                     else _parse_intlist("levels", cfg["levels"]))
+    # a single --level wins over a level sweep; levels are >= 1 and increase
+    key = "levels" if cfg["level"] is None else "level"
+    given = cfg[key]
+    levels = ([1] if given is None else [_integer(key, given)] if key == "level"
+              else _parse_intlist(key, given))
+    if min(levels) < 1:
+        raise ConfigError(f"{key} must be >= 1, got {min(levels)}")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ConfigError(f"levels must be strictly increasing, got {given!r}")
+    if args.command == "modes" and len(levels) > 1:
+        raise ConfigError(f"levels must name one level for modes, got {given!r}")
+    cfg["levels"] = levels
     cfg["k"] = _parse_intlist("k", cfg["k"])
     for k in [k for k in cfg["k"] if not 1 <= k <= MAX_DEGREE][:1]:
         raise ConfigError(f"k must be between 1 and {MAX_DEGREE}, got {k}")
@@ -171,12 +174,21 @@ def _run_one(cfg: dict, mesh, k: int, galerkin: bool):
     return sol, e_l2, e_h1
 
 
+def _write(path: Path, text: str):
+    """Write one output file, making its directory first."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise SbfemError(f"cannot write output file {path}: {exc}") from None
+
+
 def _eigen_csv(mesh, ops, out_dir: Path, tag: str):
     """One eigenvalue CSV per S-element, from the rows of its class."""
     text = ["re,im,selected\n" + "".join(f"{re:.5E},{im:.5E},{sel}\n" for re, im, sel
                                         in eigenvalue_rows(op.modes)) for op in ops]
     for e, c in enumerate(mesh._sel_class.tolist()):
-        (out_dir / f"eigenvalues_{tag}_s{e}.csv").write_text(text[c])
+        _write(out_dir / f"eigenvalues_{tag}_s{e}.csv", text[c])
 
 
 def _mesh_tag(name: str) -> str:
@@ -186,11 +198,10 @@ def _mesh_tag(name: str) -> str:
 
 def run(cfg: dict) -> int:
     out_dir = Path(cfg["output"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     command = cfg["command"]
     if command == "modes":
+        mesh = build_mesh(cfg["mesh"], cfg["levels"][0])
         for k in cfg["k"]:
-            mesh = build_mesh(cfg["mesh"], cfg["levels"][0])
             ops = build_operators(mesh, mesh_mod.number_dofs(mesh, k))
             _eigen_csv(mesh, ops, out_dir, f"{_mesh_tag(cfg['mesh'])}_k{k}")
             lam = np.sort_complex(ops[0].modes.lambdas)
@@ -224,7 +235,7 @@ def run(cfg: dict) -> int:
         report = convergence_table(rows)
         csv_text = report_to_csv(report)
         name = f"{command}_{cfg['problem']}_{_mesh_tag(cfg['mesh'])}_k{k}.csv"
-        (out_dir / name).write_text(csv_text)
+        _write(out_dir / name, csv_text)
         if len(rows) > 1:
             print(f"  rates (last two levels): l2={report.rate_l2:.3f} "
                   f"h1={report.rate_h1:.3f} -> {out_dir / name}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyspace import facet_quadrature, trace_basis
-from .refgeom import _check_sectors, _chunks, _sector_jacobians
+from .refgeom import _chunks, _sector_jacobians
 
 # |E22 1| and |E12 1| below this (x the block norms) admit a constant trace
 CONSTANT_TRACE_TOL = 1e-10
@@ -73,8 +73,9 @@ def assemble_E(stacks: dict, member: np.ndarray, sizes: list, dim: int,
     function left out (a pinned DOF).  `sizes` lists each output stack's
     (trace size, member count).  Each kind is integrated with the facet
     rule of `order` in chunks of at most `refgeom.CHUNK_BUDGET` entries;
-    every member's blocks receive its sectors in stack order.  Returns one
-    EMatrices stack per entry of `sizes`.
+    every member's blocks receive its sectors in stack order; registration
+    has checked every sector (`PolytopalMesh._check_star_shape`).  Returns
+    one EMatrices stack per entry of `sizes`.
     """
     sizes = np.array(sizes, dtype=int).reshape(-1, 2)
     n = np.repeat(*sizes.T)                             # trace size per member
@@ -86,7 +87,6 @@ def assemble_E(stacks: dict, member: np.ndarray, sizes: list, dim: int,
         for sl in _chunks(len(owners), N.size * dim):
             J, det = _sector_jacobians(kind, rule.points, centres[sl],
                                        vertices[sl])
-            _check_sectors(J, det, owners[sl])
             JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
             B1 = JinvT[..., :1] * N[:, None, :]               # (S, Q, d, m)
             B2 = JinvT[..., 1:] @ dN

@@ -19,14 +19,15 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import MeshError
-from .polyspace import facet_quadrature, trace_basis
-from .refgeom import FacetKind, _facet_points, _flag_sectors, _sector_jacobians
+from .polyspace import trace_basis
+from .refgeom import FacetKind, _facet_points, _sector_jacobians
 
 _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
                  4: FacetKind.QUADRILATERAL}
 # File vertices closer than MERGE_RTOL x the coordinate extent are one
 # vertex; distinct ones closer than NEAR_RTOL x the extent are an error.  A
-# quad facet's fourth vertex is within PLANARITY_RTOL x h_max of its plane.
+# quad facet's diagonals (skew even at a straight angle, where three corners
+# are collinear) pass within PLANARITY_RTOL x h_max of each other.
 MERGE_RTOL = 1e-12
 NEAR_RTOL = 1e-8
 PLANARITY_RTOL = 1e-8
@@ -65,8 +66,6 @@ class PolytopalMesh:
         dim, centres, dirichlet = self.dimension, centres or {}, dirichlet or {}
         self.vertices = vertices
         self._extent = float(np.ptp(vertices, axis=0).max(initial=0.0)) or 1.0
-        # sector offsets of one class lie within: the key grid plus rounding
-        self._snap = MERGE_RTOL * self._extent + 1e-14 * np.abs(vertices).max(initial=0)
         counts = np.asarray(counts, dtype=int)
         n_s = counts.sum()
         size = (table >= 0).sum(axis=1)
@@ -272,10 +271,10 @@ class PolytopalMesh:
         scale = max(self.h_max(), 1e-300)
         fids, pts = self._facet_corners(range(len(self._first))).get(
             FacetKind.QUADRILATERAL, ([], np.zeros((0, 4, 3))))
-        n = np.cross(pts[:, 1] - pts[:, 0], pts[:, 2] - pts[:, 0])
+        n = np.cross(pts[:, 2] - pts[:, 0], pts[:, 3] - pts[:, 1])
         nn = np.linalg.norm(n, axis=-1)
         degenerate = nn < 1e-14 * scale * scale
-        off = np.abs(np.sum((pts[:, 3] - pts[:, 0]) * n, axis=-1)
+        off = np.abs(np.sum((pts[:, 1] - pts[:, 0]) * n, axis=-1)
                      / np.where(degenerate, 1.0, nn))
         bad = np.flatnonzero(degenerate | (off > PLANARITY_RTOL * scale))
         if bad.size:
@@ -286,28 +285,20 @@ class PolytopalMesh:
                             f"(offset {off[i]:.2e} > {PLANARITY_RTOL:.0e} x {scale:.2e})")
 
     def _check_star_shape(self, conflicts):
-        """|J(1,eta)| > 0 at the degree-5 facet rule, on every sector of each
-        class representative (its lowest member), and on the sectors of the
-        other members at each position where the representative's is within
-        reach of failing (`refgeom._flag_sectors`).  `conflicts` lists
-        (S-element, position, position) of sectors that meet head to head or
-        tail to tail; the lowest (S-element, position) of all is named."""
+        """|J(1,eta)| > 0 on every sector's open facet, decided exactly at the
+        reference corners (|J| is constant on a segment or triangle, bilinear
+        on a quadrilateral): a sector fails if |J| < -tol at a corner (it
+        folds) or |J| <= tol at all (it is flat), tol = 1e-14 x the product of
+        J's column norms there, so scaling keeps the verdict; a straight angle
+        passes.  `conflicts` lists (S-element, position, position) of sectors
+        meeting head to head or tail to tail; the lowest of all is named."""
         culprits = list(conflicts)
-        rep = np.unique(self._sel_class, return_index=True)[1][self._sel_class]
         for kind, (centres, vertices, owners) in self._stacks.items():
-            pts = facet_quadrature(kind, 5).points
-            e, i = owners[:, 0], np.arange(len(owners))
-            # the sector of the representative at the same facet position
-            twin = np.searchsorted(e, rep[e]) + i - np.searchsorted(e, e)
-            r = np.flatnonzero(twin == i)
-            bad, near = _flag_sectors(*_sector_jacobians(
-                kind, pts, centres[r], vertices[r]), 0.0, self._snap)
-            culprits += [(*owner, -1) for owner in owners[r[bad]][:1].tolist()]
-            s = np.flatnonzero(np.isin(twin, r[near]) & (twin != i))
-            if s.size:
-                bad, _ = _flag_sectors(*_sector_jacobians(
-                    kind, pts, centres[s], vertices[s]), 0.0)
-                culprits += [(*owner, -1) for owner in owners[s[bad]][:1].tolist()]
+            J, det = _sector_jacobians(kind, trace_basis(kind, 1).nodes, centres,
+                                       vertices)
+            tol = 1e-14 * np.sqrt(np.einsum("sqij,sqij->sqj", J, J)).prod(axis=-1)
+            bad = (det < -tol).any(axis=1) | (det <= tol).all(axis=1)
+            culprits += [(*owner, -1) for owner in owners[bad][:1].tolist()]
         if culprits:
             e, pos, other = min(culprits)
             row = int(self._counts[:e].sum())

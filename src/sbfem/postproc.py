@@ -11,8 +11,8 @@ from .errors import QuadratureError, SbfemError
 from .modes import _class_fields, _member_fields
 from .polyspace import facet_quadrature, radial_quadrature, trace_basis
 from .mesh import _first_seen
-from .refgeom import (FacetKind, _check_sectors, _chunks, _facet_points,
-                      _facet_tangents, _sector_jacobians)
+from .refgeom import (FacetKind, _chunks, _facet_points, _facet_tangents,
+                      _sector_jacobians)
 from .solver import DiscreteSolution
 
 SINGULAR_COMPOSITE_LEVELS = 8
@@ -117,10 +117,10 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
 
     A class is the sectors at one facet position of the S-elements of one
     congruence class (`PolytopalMesh._register`), in S-element order.  Its
-    members are translated copies: the J(1,eta), weights |J(1,eta)|,
-    degeneracy check and mode fields of its first member serve them all, and
-    each member gets its own points and coefficients, and its own check when
-    the first is within reach of failing.  Classes are grouped by (facet
+    members are translated copies: the J(1,eta), weights |J(1,eta)| and
+    mode fields of its first member serve them all, and each member gets
+    its own points and coefficients; registration has checked every
+    sector (`PolytopalMesh._check_star_shape`).  Classes are grouped by (facet
     kind, mode count, size, radial rule) and cut into chunks, a big one into
     member blocks, whose sectors x R x max(Q d, n_modes) stays within
     `refgeom.CHUNK_BUDGET` (R radial, Q facet points).  A block of s sectors
@@ -158,7 +158,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         xis = rad.points[:, 0]
         wxi = rad.weights * xis ** (d - 1)
         basis = trace_basis(kd, k)
-        centres, vertices, owners = stacks[kd]
+        centres, vertices, _ = stacks[kd]
         uc, inv = np.unique(c[i], return_inverse=True)
         A = np.zeros((len(uc), np.diff(nd.selement_start).max(), n), complex)
         for j, x in enumerate(uc.tolist()):
@@ -172,16 +172,11 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
             rep = rows[sl, 0]                      # the representatives
             J, det = _sector_jacobians(kd, frule.points, centres[rep],
                                        vertices[rep])
-            near = _check_sectors(J, det, owners[rep], mesh._snap)
             fields = _class_fields(basis, xis, frule.points, J, alpha[sl],
                                    lambdas[sl])
             w = wxi[:, None] * (frule.weights * det)[:, None, None, :]
             for blk in _chunks(m, per_sector * len(rep)):
                 s = rows[sl, blk]                  # stack rows (classes, members)
-                if m > 1 and near.any():           # check every member
-                    t = s[near]
-                    _check_sectors(*_sector_jacobians(kd, frule.points, centres[t],
-                                                      vertices[t]), owners[t])
                 a0 = np.take(centres, s, axis=0)[..., None, :]
                 rays = (J[:, None, ..., 0] if m == 1      # the members are the reps
                         else _facet_points(kd, frule.points,

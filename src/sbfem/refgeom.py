@@ -15,8 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GeometryError
-
 # Largest stacked intermediate of a sector kernel (E-matrices, error
 # integration per sector), in entries; stacks are cut into chunks below it.
 CHUNK_BUDGET = 1 << 14
@@ -39,11 +37,7 @@ class FacetKind(Enum):
 
 def _facet_points(kind: FacetKind, etas: np.ndarray,
                   vertices: np.ndarray) -> np.ndarray:
-    """F_L for facet vertices stacked as (..., n_vertices, d): (..., q, d).
-
-    Here and in `_facet_tangents` the vertex terms are summed one by one,
-    not by matmul, so that no BLAS kernel changes the rounding.
-    """
+    """F_L for facet vertices stacked as (..., n_vertices, d): (..., q, d)."""
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if kind is FacetKind.SEGMENT:
         t = etas[:, 0]
@@ -55,8 +49,7 @@ def _facet_points(kind: FacetKind, etas: np.ndarray,
     else:
         u, v = etas[:, 0], etas[:, 1]
         N = np.column_stack([1.0 - u - v, u, v])
-    vs = np.asarray(vertices, dtype=float)[..., None, :, :]
-    return (N[..., None] * vs).sum(axis=-2)
+    return _vertex_sum(N, vertices)
 
 
 def _facet_tangents(kind: FacetKind, etas: np.ndarray,
@@ -74,8 +67,20 @@ def _facet_tangents(kind: FacetKind, etas: np.ndarray,
                       axis=1) * 0.25
     else:
         dN = np.broadcast_to([[[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]], (q, 2, 3))
-    vs = np.asarray(vertices, dtype=float)[..., None, None, :, :]
-    return np.swapaxes((dN[..., None] * vs).sum(axis=-2), -1, -2)
+    return np.swapaxes(_vertex_sum(dN, vertices), -1, -2)
+
+
+def _vertex_sum(W: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """sum_c W[..., c] vertices[..., c, :] for weights W (q, [t,] n_vertices)
+    and vertices (..., n_vertices, d): (..., q, [t,] d), added term by term
+    from +0.0 as a sum over the vertex axis adds them; not by matmul, whose
+    BLAS kernel would change the rounding."""
+    vs = np.asarray(vertices, dtype=float)
+    vs = vs.reshape(vs.shape[:-2] + (1,) * (W.ndim - 1) + vs.shape[-2:])
+    out = 0.0
+    for c in range(W.shape[-1]):
+        out = out + W[..., c, None] * vs[..., c, :]
+    return out
 
 
 def _sector_jacobians(kind: FacetKind, etas: np.ndarray, centres: np.ndarray,
@@ -87,37 +92,6 @@ def _sector_jacobians(kind: FacetKind, etas: np.ndarray, centres: np.ndarray,
     J = np.concatenate([rays[..., None], _facet_tangents(kind, etas, vertices)],
                        axis=-1)
     return J, np.linalg.det(J)
-
-
-def _flag_sectors(J: np.ndarray, det: np.ndarray, threshold: float,
-                  snap: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Sectors of a stack, J(1,eta) (..., q, d, d) and |J| (..., q), with
-    |J| <= threshold x the product of J's column norms somewhere (a test
-    relative to the sector's size); and those within reach of it for a copy
-    whose offsets from its centre differ by up to `snap` per coordinate: its
-    columns move by at most delta = 2 sqrt(d) snap, its |J| by at most
-    prod(|c_j| + delta) - prod |c_j| (Hadamard), and twice that also covers
-    the change of the column norms."""
-    norms = np.sqrt(np.einsum("...ij,...ij->...j", J, J))      # column norms
-    scale = norms.prod(axis=-1)
-    reach = 2.0 * ((norms + 2.0 * np.sqrt(J.shape[-1]) * snap).prod(axis=-1)
-                   - scale)
-    return ((det <= threshold * scale).any(axis=-1),
-            (det <= threshold * scale + reach).any(axis=-1))
-
-
-def _check_sectors(J: np.ndarray, det: np.ndarray, owners: np.ndarray,
-                   snap: float = 0.0) -> np.ndarray:
-    """Raise GeometryError naming (S-element, facet position) `owners[s]` of
-    the first sector s of a stack whose J(1,eta) is degenerate or inverted:
-    `_flag_sectors` at threshold 1e-14, so a scaled mesh gets the same
-    verdict.  Returns the sectors whose copies within `snap` could fail."""
-    bad, near = _flag_sectors(J, det, 1e-14, snap)
-    if bad.any():
-        (e, pos), low = owners[bad][0], det[bad][0].min()
-        raise GeometryError(f"S-element {e}, facet {pos}: degenerate or inverted "
-                            f"sector (|J(1,eta)| = {low:.3e})")
-    return near
 
 
 def _chunks(n: int, per_member: int) -> list:

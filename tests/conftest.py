@@ -20,7 +20,7 @@ from sbfem.mesh import (_KIND_BY_SIZE, PolytopalMesh, _merge_vertices,
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
-                           _check_sectors, _sector_jacobians)
+                           _sector_jacobians)
 from sbfem.solver import _evaluate_field, build_operators
 
 
@@ -120,15 +120,28 @@ def sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
         modes._class_fields(basis, xis, etas, J, alpha, lambdas), coeffs)
 
 
+def check_sectors(J, det, owners):
+    """Raise GeometryError naming (S-element, facet position) `owners[s]` of
+    the first sector s of a stack, J(1,eta) (S, q, d, d) and |J| (S, q),
+    whose |J| is at most 1e-14 x the product of J's column norms at one of
+    its sample points: degenerate or inverted there."""
+    norms = np.sqrt(np.einsum("...ij,...ij->...j", J, J))
+    bad = (det <= 1e-14 * norms.prod(axis=-1)).any(axis=-1)
+    if bad.any():
+        (e, pos), low = owners[bad][0], det[bad][0].min()
+        raise GeometryError(f"S-element {e}, facet {pos}: degenerate or inverted "
+                            f"sector (|J(1,eta)| = {low:.3e})")
+
+
 def duffy_map_many(sector, xis, etas):
     """Mapped points (len(xis), q, d) of one sector by the per-sector steps
-    of the error integration: `refgeom._sector_jacobians`, the degeneracy
-    check `refgeom._check_sectors` (naming S-element 0, facet 0) and the
-    mapped-point formula."""
+    of the error integration: `refgeom._sector_jacobians`, a degeneracy
+    check at the sample points (`check_sectors`, naming S-element 0, facet
+    0) and the mapped-point formula."""
     centre = sector.collapsed_vertex[None]
     J, det = _sector_jacobians(sector.facet_kind, np.atleast_2d(etas), centre,
                                sector.facet_vertices[None])
-    _check_sectors(J, det, np.zeros((1, 2), dtype=int))
+    check_sectors(J, det, np.zeros((1, 2), dtype=int))
     return _sector_points(centre, np.asarray(xis, dtype=float), J)[0]
 
 

@@ -36,7 +36,7 @@ def run_case(family: str, level: int, k: int, problem: str,
     key = (family, level, k, problem, bc, galerkin)
     if key in _cache:
         return _cache[key]
-    gen, level_to_n, _ = MESH_FAMILIES[family]
+    gen, level_to_n = MESH_FAMILIES[family]
     mesh = gen(level_to_n(level))
     exact = get_exact(problem)
     t0 = time.perf_counter()
@@ -324,7 +324,7 @@ def test_criterion_8_galerkin_optimality_and_slopes():
             ("quad", "exp2d", (1, 2, 3), (1, 2)),
             ("polygon-case1", "exp2d", (1, 2), (1, 2)),
             ("hex", "exp3d", (1, 2), (1,))]:
-        gen, level_to_n, _ = MESH_FAMILIES[family]
+        gen, level_to_n = MESH_FAMILIES[family]
         exact = get_exact(problem)
         for k in ks:
             for lev in levels:

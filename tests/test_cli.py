@@ -177,11 +177,21 @@ def test_mesh_file_without_selements_exit_1(tmp_path, capsys, command):
     (["--levels", "3..1"], "levels must list at least one integer, got '3..1'"),
     (["--k", "7..9"], "k must be between 1 and 8, got 9"),
     (["--k", "0"], "k must be between 1 and 8, got 0"),
+    (["--levels", "-1"], "levels must be >= 1, got -1"),
+    (["--levels", "0..2"], "levels must be >= 1, got 0"),
+    (["--level", "0"], "level must be >= 1, got 0"),
+    (["--levels", "2,1"], "levels must be strictly increasing, got '2,1'"),
+    (["--levels", "1,1"], "levels must be strictly increasing, got '1,1'"),
+    (["modes", "--levels", "1..3"], "levels must name one level for modes, got '1..3'"),
 ], ids=["k-word", "k-open-range", "levels-word", "facet-order-0",
         "radial-points-0", "composite-levels-negative", "threads-negative",
-        "k-empty-range", "levels-empty-range", "k-above-max", "k-0"])
+        "k-empty-range", "levels-empty-range", "k-above-max", "k-0",
+        "levels-negative", "levels-from-0", "level-0", "levels-decreasing",
+        "levels-repeated", "modes-level-sweep"])
 def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
-    rc = main(["interp", "--mesh", "quad", "--output", str(tmp_path)] + flags)
+    # a case that names no command runs `interp`
+    command = [] if flags[0] == "modes" else ["interp"]
+    rc = main(command + flags + ["--mesh", "quad", "--output", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"sbfem: config error: {message}\n"
     assert not list(tmp_path.iterdir())
@@ -230,6 +240,29 @@ def test_malformed_config_value_exit_2(tmp_path, capsys, entry, message):
     assert rc == 2
     assert capsys.readouterr().err == f"sbfem: config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--mesh", "nosuch"],
+                                   ["--mesh", "quad", "--problem", "exp3d"]],
+                         ids=["unknown-mesh", "problem-of-another-dimension"])
+def test_config_error_writes_nothing(tmp_path, capsys, flags):
+    # the output directory is made at the first file write
+    rc = main(["solve", "--output", str(tmp_path / "o1")] + flags)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("sbfem: config error: ")
+    assert not (tmp_path / "o1").exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "under-a-file"])
+def test_output_path_error_exit_1(tmp_path, capsys, sub):
+    (tmp_path / "f1").write_text("")
+    out = tmp_path / "f1" / sub
+    rc = main(["solve", "--mesh", "quad", "--level", "1", "--output", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sbfem: error: cannot write output file "
+                          f"{out / 'solve_exp2d_quad_k1.csv'}: ")
+    assert err.count("\n") == 1
 
 
 def test_problem_of_another_dimension_exit_2(tmp_path, capsys):

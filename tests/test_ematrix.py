@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,7 @@ from conftest import (Sector, apply_sideface_bc, fixture_meshes_2d,
                       sector_B, sector_E, sector_jacobian, sector_rows,
                       selement_dofs, selement_view, volume_gradient_inner)
 from sbfem import refgeom
-from sbfem.ematrix import assemble_E
-from sbfem.errors import GeometryError
+from sbfem.errors import MeshError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh, import_mesh,
                         number_dofs)
@@ -231,15 +232,21 @@ def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
                 assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
-@pytest.mark.parametrize("facet", [[[0.0, 0.0], [1.0, 0.0]],     # degenerate
-                                   [[1.0, 1.0], [1.0, -1.0]]])   # inverted
+@pytest.mark.parametrize("facet", [[[0.0, 0.0], [2.0, 0.0]],     # degenerate
+                                   [[0.0, 0.5], [2.0, 0.5]]])   # inverted
 def test_bad_sector_error_names_selement_and_facet(facet):
-    centres = np.zeros((2, 2))
-    owners = np.array([[3, 0], [7, 2]])
-    member = np.array([-1, -1, -1, 0, -1, -1, -1, 1])    # S-elements 3 and 7
-    rows = np.array([[0, 1], [0, 1]])
+    # assemble_E integrates only registered sectors: a bottom facet through
+    # S-element 1's centre (1, 0), or seen from behind it, fails the import
+    message = ("S-element 1 fails the star-shape check: facet (4, 5) is not "
+               "fully visible" if facet[0][1] == 0.0 else
+               "S-element 1 fails the star-shape check: facets (5, 4) and "
+               "(5, 6) cannot both face")
     for scale in (1.0, 1e-13):     # the verdict does not depend on the scale
-        vertices = scale * np.array([[[1.0, -1.0], [1.0, 1.0]], facet])
-        with pytest.raises(GeometryError, match=r"S-element 7, facet 2"):
-            assemble_E({FacetKind.SEGMENT: (centres, vertices, owners, rows)},
-                       member, [(2, 2)], 2, 1, 4)
+        data = {"dimension": 2,
+                "vertices": (scale * np.array([[3, 0], [4, 0], [4, 1], [3, 1]]
+                                              + facet + [[2, 2], [0, 2]])).tolist(),
+                "selements": [{"facets": [[0, 1], [1, 2], [2, 3], [3, 0]]},
+                              {"facets": [[4, 5], [5, 6], [6, 7], [7, 4]],
+                               "center": [scale, 0.0]}]}
+        with pytest.raises(MeshError, match=re.escape(message)):
+            import_mesh(data)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 
@@ -785,18 +786,46 @@ def test_star_shape_verdict_on_a_pulled_structured_mesh():
 
 
 def test_star_shape_checks_every_copy_near_failing():
-    # one congruence key for both bottom sectors: the first (visible, its
-    # centre 4e-14 above the facet) is within reach of failing, and the copy
-    # (its centre on the facet's line) fails; a centre 5e-15 below the facet
-    # sees it from behind, which turns it against its neighbours
-    import_mesh(flat_sector_squares(4e-14, 5e-15))
-    with pytest.raises(MeshError, match=r"^S-element 1 fails the star-shape "
-                                        r"check: facet \(1, 2\) is not fully"):
-        import_mesh(flat_sector_squares(4e-14, 0.0))
-    with pytest.raises(MeshError, match=r"^S-element 1 fails the star-shape "
-                                        r"check: facets \(2, 1\) and \(2, 5\) "
-                                        "cannot both face"):
-        import_mesh(flat_sector_squares(4e-14, -5e-15))
+    # one congruence key for both bottom sectors: each is checked, the copy
+    # as well as the first (visible, its centre 4e-14 above the facet); a
+    # copy whose centre sits 5e-15 above or below the facet (relative |J|
+    # below 1e-14; seen from below, the facet is turned) or on its line is
+    # flat, one 2e-14 above passes
+    for h1, facet in ((5e-15, "(1, 2)"), (0.0, "(1, 2)"), (-5e-15, "(2, 1)")):
+        with pytest.raises(MeshError, match=re.escape(
+                f"S-element 1 fails the star-shape check: facet {facet} is not "
+                "fully visible")):
+            import_mesh(flat_sector_squares(4e-14, h1))
+    assert import_mesh(flat_sector_squares(4e-14, 2e-14))._sel_class.tolist() == [0, 0]
+
+
+def dart_prism(t: float, scale: float, bottom=(0, 3, 2, 1)) -> dict:
+    """The prism z in [0, 1] over the quadrilateral (0, 0), (2, 0), (t, t),
+    (0, 2), scaled, its centre at (0.3, 0.3, 0.5), its bottom facet listed
+    as `bottom`: for t < 1 the corner (t, t) is reflex and the bottom facet
+    folds away from the centre there."""
+    base = [[0, 0], [2, 0], [t, t], [0, 2]]
+    return {"dimension": 3,
+            "vertices": [[scale * x, scale * y, scale * z] for z in (0.0, 1.0)
+                         for x, y in base],
+            "selements": [{"facets": [list(bottom), [4, 5, 6, 7], [0, 1, 5, 4],
+                                      [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]],
+                           "center": [0.3 * scale, 0.3 * scale, 0.5 * scale]}]}
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -40, 2.0 ** 40])
+def test_star_shape_is_decided_at_the_facet_corners(scale):
+    # |J(1,eta)| of the bottom sector is bilinear in eta: negative at the
+    # reflex corner for t < 1, zero there at the straight angle t = 1, and
+    # positive on the whole facet for t > 1; whichever corner a listing
+    # starts from, the straight angle is no degenerate facet
+    for t in (0.95, 0.99):
+        with pytest.raises(MeshError, match=re.escape(
+                "S-element 0 fails the star-shape check: facet (0, 3, 2, 1) is "
+                "not fully visible")):
+            import_mesh(dart_prism(t, scale))
+    for t, bottom in itertools.product((1.0, 1.01), ((0, 3, 2, 1), (3, 2, 1, 0))):
+        import_mesh(dart_prism(t, scale, bottom))
 
 
 L_SHAPE = [[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3]]

@@ -4,10 +4,13 @@ Jacobians of `refgeom._sector_jacobians`."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import Sector, duffy_map_many, mesh_sector, sector_jacobian
 from sbfem.errors import GeometryError
-from sbfem.refgeom import FacetKind
+from sbfem.polyspace import trace_basis
+from sbfem.refgeom import FacetKind, _sector_jacobians
 
 
 def tri_sector():
@@ -156,3 +159,42 @@ def test_jacobian_inverse_factorization():
             scale[1:] = 1.0 / xi
             assert np.allclose((scale[:, None] * np.linalg.inv(J1[0])) @ J,
                                np.eye(sector.dim), atol=1e-9)
+
+
+def _facet_grid(kind: FacetKind, n: int = 41) -> np.ndarray:
+    """n points per side of the reference facet, its corners among them."""
+    t = np.linspace(-1.0, 1.0, n)
+    if kind is FacetKind.SEGMENT:
+        return t[:, None]
+    u, v = np.meshgrid(t, t, indexing="ij")
+    grid = np.column_stack([u.ravel(), v.ravel()])
+    if kind is FacetKind.TRIANGLE:
+        grid = 0.5 * (grid + 1.0)
+        grid = grid[grid.sum(axis=1) <= 1.0]
+    return grid
+
+
+coordinate = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(FacetKind)), planar=st.booleans(),
+       points=st.lists(st.lists(coordinate, min_size=3, max_size=3),
+                       min_size=5, max_size=5))
+def test_corners_decide_the_sign_of_the_sector_jacobian(kind, planar, points):
+    # |J(1,eta)| is constant on a segment or triangle sector and bilinear on
+    # a quadrilateral one, planar or not: its minimum over the facet is the
+    # minimum at the reference corners, which registration checks (to
+    # round-off relative to the sector's size)
+    points = np.array(points)
+    d, n = kind.ambient_dim, kind.n_vertices
+    vertices = points[1:n + 1, :d]
+    if kind is FacetKind.QUADRILATERAL and planar:
+        vertices[:, 2] = vertices[:, :2] @ points[0, :2]
+    centre = points[0, :d] if d == 2 else points[0]
+    _, det = _sector_jacobians(kind, _facet_grid(kind), centre[None],
+                               vertices[None])
+    _, corner = _sector_jacobians(kind, trace_basis(kind, 1).nodes, centre[None],
+                                  vertices[None])
+    size = max(np.abs(vertices).max(), np.abs(centre).max())
+    assert det.min() >= corner.min() - 1e-12 * size ** d
