@@ -150,6 +150,11 @@ def load_config(args: argparse.Namespace) -> dict:
                             ("dump_eigenvalues", bool, "true or false")):
         if not isinstance(cfg[key], kind):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
+    if cfg["mesh"].startswith("file:") and len(levels) > 1:
+        raise ConfigError(f"levels must name one level for a file: mesh, got {given!r}")
+    out = Path(cfg["output"])
+    for p in [p for p in (out, *out.parents) if p.exists() and not p.is_dir()][:1]:
+        raise ConfigError(f"output must be a directory, but {p} is not one")
     for key, ok in (("bc", ["nodal", "project"]), ("problem", sorted(EXACT_SOLUTIONS))):
         if cfg[key] not in ok:
             raise ConfigError(f"{key} must be one of {ok}, got {cfg[key]!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyspace import facet_quadrature, trace_basis
+from .polyspace import _basis_table, facet_quadrature
 from .refgeom import _chunks, _sector_jacobians
 
 # |E22 1| and |E12 1| below this (x the block norms) admit a constant trace
@@ -83,7 +83,7 @@ def assemble_E(stacks: dict, member: np.ndarray, sizes: list, dim: int,
     flat = np.zeros((3, int(np.sum(n ** 2))))          # E11, E12, E22
     for kind, (centres, vertices, owners, rows) in stacks.items():
         rule = facet_quadrature(kind, order)
-        N, dN = trace_basis(kind, k).eval_many(rule.points)   # (Q, m), (Q, d-1, m)
+        N, dN = _basis_table(kind, k, order)              # (Q, m), (Q, d-1, m)
         for sl in _chunks(len(owners), N.size * dim):
             J, det = _sector_jacobians(kind, rule.points, centres[sl],
                                        vertices[sl])

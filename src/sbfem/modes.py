@@ -62,9 +62,13 @@ class SbfemModes:
 
     @property
     def min_positive_exponent(self) -> float:
-        re = self.lambdas.real
-        pos = re[re > 0.5 * ZERO_CLUSTER_TOL]
-        return float(pos.min()) if pos.size else np.inf
+        return float(_min_positive(self.lambdas.real.ravel(), [0])[0])
+
+
+def _min_positive(re: np.ndarray, at) -> np.ndarray:
+    """The smallest exponent real part beyond the zero cluster of each run of
+    `re` that starts at an index in `at`; inf for a run without one."""
+    return np.minimum.reduceat(np.where(re > 0.5 * ZERO_CLUSTER_TOL, re, np.inf), at)
 
 
 def _check(bad, ids, message: str, *values) -> None:
@@ -199,20 +203,21 @@ def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:
     return SElementStiffness(K=0.5 * (K + KT), asymmetry=asym)
 
 
-def _class_fields(basis, xis, etas, J, alpha, lambdas):
+def _class_fields(table, factors, J, alpha, lambdas):
     """The part of u_h on the (xi, eta) tensor grid that the sectors of a
     class share, for a stack of classes.  A class is the sectors at one facet
     position of S-elements that share their modes: one J(1, eta) (S, Q, d, d),
-    trace block alpha (S, p, n) and set of exponents (S, n).  Returns the
-    radial factors Z, Z1 (S, R, n), the trace modes T (S, Q, n) and the
-    Cartesian gradient basis G (S, Q, d, n)."""
-    nvals, ngrads = basis.eval_many(etas)                 # (Q, p), (Q, d-1, p)
-    Z, Z1 = _radial_factors(xis, lambdas)                   # (S, R, n)
+    trace block alpha (S, p, n), set of exponents (S, n) and radial factors
+    Z, Z1 (S, R, n) of `_radial_factors`; `table` holds the trace basis
+    values (Q, p) and eta-gradients (Q, d-1, p) at the Q facet points.
+    Returns Z, Z1, the trace modes T (S, Q, n) and the Cartesian gradient
+    basis G (S, Q, d, n)."""
+    nvals, ngrads = table
     T = nvals @ alpha                                        # (S, Q, n)
     # parametric gradient: radial part lambda T, surface part dN alpha
     D = np.concatenate([(T * lambdas[:, None, :])[:, :, None, :],
                         ngrads @ alpha[:, None]], axis=2)    # (S, Q, d, n)
-    return Z, Z1, T, np.swapaxes(np.linalg.inv(J), -1, -2) @ D
+    return *factors, T, np.swapaxes(np.linalg.inv(J), -1, -2) @ D
 
 
 def _member_fields(fields, coeffs):

@@ -127,7 +127,7 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
     """Rule on the reference facet exact for polynomials of total degree `order`."""
     if order < 1:
@@ -152,6 +152,16 @@ def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
     pts = np.column_stack([np.concatenate([x, z, y]), np.concatenate([y, x, z])])
     ww = np.tile(np.outer(wu * xu, wv).ravel() / 3.0, 3)
     return QuadratureRule(points=pts, weights=ww)
+
+
+@lru_cache(maxsize=64)
+def _basis_table(kind: FacetKind, k: int, order: int) -> tuple:
+    """Read-only `trace_basis(kind, k).eval_many` at the points of
+    `facet_quadrature(kind, order)`: values (Q, m), eta-gradients (Q, d-1, m)."""
+    table = trace_basis(kind, k).eval_many(facet_quadrature(kind, order).points)
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=64)

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, SbfemError
-from .modes import _class_fields, _member_fields
-from .polyspace import facet_quadrature, radial_quadrature, trace_basis
+from .modes import _class_fields, _member_fields, _min_positive, _radial_factors
+from .polyspace import _basis_table, facet_quadrature, radial_quadrature
 from .mesh import _first_seen
 from .refgeom import (FacetKind, _chunks, _facet_points, _facet_tangents,
                       _sector_jacobians)
@@ -24,13 +24,21 @@ RADIAL_FLOOR_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closed-form harmonic reference solution."""
+    """Closed-form harmonic reference solution.  `value_and_gradient` shares
+    the work of both fields; `value` and `gradient` default to its parts."""
 
     name: str
     dim: int
-    value: object              # (n, d) -> (n,)
-    gradient: object           # (n, d) -> (n, d)
+    value_and_gradient: object  # (n, d) -> values (n,), gradients (n, d)
     neumann_predicate: object = None   # facet midpoints (F, d) -> True: natural BC
+    value: object = None       # (n, d) -> (n,)
+    gradient: object = None    # (n, d) -> (n, d)
+
+    def __post_init__(self):
+        for j, name in enumerate(("value", "gradient")):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, lambda x, j=j:
+                                   self.value_and_gradient(x)[j])
 
     def dirichlet_facets(self, mesh) -> list[int]:
         fids = mesh.boundary_facet_ids()
@@ -41,50 +49,33 @@ class ExactSolution:
             for ids, corners in mesh._facet_corners(fids).values()])).tolist()
 
 
-def _exp2d_value(x):
-    return np.exp(np.pi * x[:, 0]) * np.sin(np.pi * x[:, 1])
+def _exp2d(x):
+    e, s = np.exp(np.pi * x[:, 0]), np.sin(np.pi * x[:, 1])
+    return e * s, np.pi * np.column_stack([e * s, e * np.cos(np.pi * x[:, 1])])
 
 
-def _exp2d_grad(x):
-    e = np.exp(np.pi * x[:, 0])
-    return np.pi * np.column_stack([e * np.sin(np.pi * x[:, 1]),
-                                    e * np.cos(np.pi * x[:, 1])])
-
-
-def _exp3d_value(x):
-    q = 0.25 * np.pi
-    return 4.0 * (np.exp(q * x[:, 0]) * np.sin(q * x[:, 1])
-                  + np.exp(q * x[:, 1]) * np.sin(q * x[:, 2]))
-
-
-def _exp3d_grad(x):
+def _exp3d(x):
     q = 0.25 * np.pi
     ex, ey = np.exp(q * x[:, 0]), np.exp(q * x[:, 1])
-    return np.pi * np.column_stack([
-        ex * np.sin(q * x[:, 1]),
-        ex * np.cos(q * x[:, 1]) + ey * np.sin(q * x[:, 2]),
-        ey * np.cos(q * x[:, 2])])
+    a, b = ex * np.sin(q * x[:, 1]), ey * np.sin(q * x[:, 2])
+    return 4.0 * (a + b), np.pi * np.column_stack([
+        a, ex * np.cos(q * x[:, 1]) + b, ey * np.cos(q * x[:, 2])])
 
 
-def _sqrt2d_value(x):
-    z = x[:, 0] + 1j * np.abs(x[:, 1])
-    return 2.0 ** 0.25 * np.sqrt(z).real
-
-
-def _sqrt2d_grad(x):
-    z = x[:, 0] + 1j * np.abs(x[:, 1])
-    df = 0.5 / np.sqrt(z)
-    return 2.0 ** 0.25 * np.column_stack([df.real, -df.imag])
+def _sqrt2d(x):
+    r = np.sqrt(x[:, 0] + 1j * np.abs(x[:, 1]))
+    df = 0.5 / r
+    return 2.0 ** 0.25 * r.real, 2.0 ** 0.25 * np.column_stack([df.real, -df.imag])
 
 
 EXACT_SOLUTIONS = {
-    "exp2d": ExactSolution("exp2d", 2, _exp2d_value, _exp2d_grad),
-    "exp3d": ExactSolution("exp3d", 3, _exp3d_value, _exp3d_grad),
+    "exp2d": ExactSolution("exp2d", 2, _exp2d),
+    "exp3d": ExactSolution("exp3d", 3, _exp3d),
     "sqrt2d": ExactSolution(
-        "sqrt2d", 2, _sqrt2d_value, _sqrt2d_grad,
+        "sqrt2d", 2, _sqrt2d,
         neumann_predicate=lambda mid: (abs(mid[:, 1]) < 1e-12) & (mid[:, 0] > 0.0)),
-    "const": ExactSolution("const", 0, lambda x: np.ones(x.shape[0]),
-                           lambda x: np.zeros_like(x)),
+    "const": ExactSolution("const", 0, lambda x: (np.ones(x.shape[0]),
+                                                  np.zeros_like(x))),
 }
 
 
@@ -121,12 +112,14 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     mode fields of its first member serve them all, and each member gets
     its own points and coefficients; registration has checked every
     sector (`PolytopalMesh._check_star_shape`).  Classes are grouped by (facet
-    kind, mode count, size, radial rule) and cut into chunks, a big one into
-    member blocks, whose sectors x R x max(Q d, n_modes) stays within
-    `refgeom.CHUNK_BUDGET` (R radial, Q facet points).  A block of s sectors
-    holds s n_modes Q d complex entries in the operand G x C of
-    `modes._member_fields` and s R Q (d + 1) in its output.  FE quads go in
-    chunks of Q d entries each.
+    kind, mode count, size, radial rule).  A group holds the radial factors,
+    padded trace modes and coefficients of its congruence classes, each made
+    once and indexed per chunk, so the facet positions of a class share
+    them.  It is cut into chunks, a big class into member blocks, whose
+    sectors x R x max(Q d, n_modes) stays within `refgeom.CHUNK_BUDGET`
+    (R radial, Q facet points).  A block of s sectors holds s n_modes Q d
+    complex entries in the operand G x C of `modes._member_fields` and
+    s R Q (d + 1) in its output.  FE quads go in chunks of Q d entries each.
     """
     k = solution.numbering.k
     cfg = (quad or QuadratureConfig()).resolved(k)
@@ -145,8 +138,8 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     first = order[start]
     # the radial rule of each class, named by its representative; groups of
     # classes by (facet kind, mode count, size, rule) in order of appearance
-    reps = np.unique(mesh._sel_class, return_index=True)[1]
-    rules = [_radial_rule_args(op, r, cfg, k) for op, r in zip(ops, reps.tolist())]
+    rules = _radial_rules(ops, np.unique(mesh._sel_class, return_index=True)[1],
+                          cfg, k)
     n_modes, c = np.array([op.modes.n for op in ops]), cls[first]
     group = _first_seen(np.column_stack([kind[first], n_modes[c], size,
                                          np.array(rules)[c]]) + 0.0)[0]
@@ -157,23 +150,24 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         rad = radial_quadrature(*rules[c[i[0]]])
         xis = rad.points[:, 0]
         wxi = rad.weights * xis ** (d - 1)
-        basis = trace_basis(kd, k)
+        table = _basis_table(kd, k, cfg.facet_order)
         centres, vertices, _ = stacks[kd]
         uc, inv = np.unique(c[i], return_inverse=True)
         A = np.zeros((len(uc), np.diff(nd.selement_start).max(), n), complex)
         for j, x in enumerate(uc.tolist()):
             A[j, ops[x].kept] = ops[x].modes.A     # pinned rows stay zero
-        alpha = A[inv[:, None], nd.sector_rows[kd][row[first[i]]]]
-        lambdas = np.array([ops[x].modes.lambdas for x in uc.tolist()])[inv]
-        coeffs = np.array([solution.coefficients[x] for x in uc.tolist()])[inv]
+        srows = nd.sector_rows[kd][row[first[i]]]        # (records, p)
+        lambdas = np.array([ops[x].modes.lambdas for x in uc.tolist()])
+        Z, Z1 = _radial_factors(xis, lambdas)             # (classes, R, n)
+        coeffs = np.array([solution.coefficients[x] for x in uc.tolist()])
         rows = row[order[start[i][:, None] + np.arange(m)]]   # (classes, members)
         per_sector = len(xis) * max(len(frule) * d, n)
         for sl in _chunks(len(rows), per_sector * m):
             rep = rows[sl, 0]                      # the representatives
             J, det = _sector_jacobians(kd, frule.points, centres[rep],
                                        vertices[rep])
-            fields = _class_fields(basis, xis, frule.points, J, alpha[sl],
-                                   lambdas[sl])
+            fields = _class_fields(table, (Z[inv[sl]], Z1[inv[sl]]), J,
+                                   A[inv[sl, None], srows[sl]], lambdas[inv[sl]])
             w = wxi[:, None] * (frule.weights * det)[:, None, None, :]
             for blk in _chunks(m, per_sector * len(rep)):
                 s = rows[sl, blk]                  # stack rows (classes, members)
@@ -182,13 +176,15 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                         else _facet_points(kd, frule.points,
                                            np.take(vertices, s, axis=0)) - a0)
                 pts = a0[..., None, :] + xis[:, None, None] * rays[..., None, :, :]
-                vals, grads = _member_fields(fields,
-                                             np.swapaxes(coeffs[sl, blk], 1, 2))
+                vals, grads = _member_fields(
+                    fields, np.swapaxes(coeffs[inv[sl], blk], 1, 2))
                 sums += _error_sums(exact, w, pts, np.moveaxis(vals, -1, 1),
                                     np.moveaxis(grads, -2, 1))
+        del Z, Z1                  # before the next group makes its own
     frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
+    table = _basis_table(FacetKind.QUADRILATERAL, k, cfg.facet_order)
     for sl in _chunks(len(mesh._fe_class), len(frule) * d):
-        pts, vals, grads, det = _fe_fields(solution, sl, frule.points)
+        pts, vals, grads, det = _fe_fields(solution, sl, frule.points, table)
         sums += _error_sums(exact, frule.weights * det, pts, vals, grads)
     if not np.isfinite(sums).all():
         raise SbfemError(f"error integrals against '{exact.name}' are not finite: "
@@ -196,32 +192,36 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     return float(np.sqrt(sums[0])), float(np.sqrt(sums[1]))
 
 
-def _radial_rule_args(op, e: int, cfg: QuadratureConfig, k: int) -> tuple:
-    """radial_quadrature arguments for class operator op, named S-element e."""
-    lam_min = op.modes.min_positive_exponent
-    if not np.isfinite(lam_min) or lam_min <= 0.0:
-        raise QuadratureError(
-            f"S-element {e}: no positive exponent to set the "
-            "radial quadrature floor")
+def _radial_rules(ops: list, ids, cfg: QuadratureConfig, k: int) -> list:
+    """radial_quadrature arguments of each class operator in `ops`, from
+    arrays over the classes; a QuadratureError names the class by its
+    representative S-element in `ids`."""
+    re = [op.modes.lambdas.real for op in ops]
+    at = np.cumsum([0] + [len(r) for r in re])[:-1]     # each class's first
+    re = np.concatenate(re)
+    lam_min = _min_positive(re, at)
+    for j in np.flatnonzero(~np.isfinite(lam_min))[:1]:
+        raise QuadratureError(f"S-element {ids[j]}: no positive exponent to set "
+                              "the radial quadrature floor")
     floor = lam_min - 1.0
-    if abs(floor) < RADIAL_FLOOR_TOL:
-        floor = 0.0
-    levels = cfg.composite_levels
-    if levels is None:
-        levels = SINGULAR_COMPOSITE_LEVELS if floor < 0.0 else 0
+    floor[np.abs(floor) < RADIAL_FLOOR_TOL] = 0.0
+    levels = (np.where(floor < 0.0, SINGULAR_COMPOSITE_LEVELS, 0)
+              if cfg.composite_levels is None
+              else np.full(len(ops), cfg.composite_levels))
     # plain Gauss is exact for the top L2 term xi^(2 lambda_max + d - 1)
-    top = int(np.ceil(op.modes.lambdas.real.max() + 0.5 * op.modes.dim))
-    n_rad = max(cfg.radial_points, top if floor >= 0.0 else k + 6)
-    return floor, n_rad, levels, SINGULAR_COMPOSITE_RATIO
+    top = np.ceil(np.maximum.reduceat(re, at) + 0.5 * ops[0].modes.dim)
+    n_rad = np.maximum(cfg.radial_points, np.where(floor >= 0.0, top, k + 6))
+    return list(zip(floor.tolist(), n_rad.astype(int).tolist(), levels.tolist(),
+                    [SINGULAR_COMPOSITE_RATIO] * len(ops)))
 
 
-def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts):
-    """u_h on the slice `sl` of the FE quads at reference points: mapped
-    points, values, gradients and Jacobian determinants, with shapes
-    (F, Q[, 2]); J^-T grad N once per congruence class of the mesh's FE
-    quads, on its first in `sl`."""
+def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts, table):
+    """u_h on the slice `sl` of the FE quads at reference points, where the
+    Q_k basis takes the values and gradients `table`: mapped points, values,
+    gradients and Jacobian determinants, with shapes (F, Q[, 2]); J^-T grad N
+    once per congruence class of the mesh's FE quads, on its first in `sl`."""
     mesh, quad = solution.mesh, FacetKind.QUADRILATERAL
-    nvals, ngrads = trace_basis(quad, solution.numbering.k).eval_many(ref_pts)
+    nvals, ngrads = table
     corners = np.take(mesh.vertices, mesh._quads()[sl], axis=0)
     uel = solution.nodal[solution.numbering.fe_nodes[sl]]
     J = _facet_tangents(quad, ref_pts, corners)
@@ -234,11 +234,10 @@ def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts):
 
 def _error_sums(exact: ExactSolution, w, pts, vals, grads) -> np.ndarray:
     """Weighted sums of squared value and gradient errors."""
-    flat = pts.reshape(-1, pts.shape[-1])
-    ev = exact.value(flat).reshape(vals.shape)
-    eg = exact.gradient(flat).reshape(grads.shape)
-    return np.array([np.sum(w * (vals - ev) ** 2),
-                     np.sum(w * np.sum((grads - eg) ** 2, axis=-1))])
+    ev, eg = exact.value_and_gradient(pts.reshape(-1, pts.shape[-1]))
+    return np.array([np.sum(w * (vals - ev.reshape(vals.shape)) ** 2),
+                     np.sum(w * np.sum((grads - eg.reshape(grads.shape)) ** 2,
+                                       axis=-1))])
 
 
 @dataclass

@@ -18,7 +18,7 @@ from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError, SpectrumError
 from .mesh import DofNumbering, PolytopalMesh, number_dofs
-from .polyspace import facet_quadrature, trace_basis
+from .polyspace import _basis_table, facet_quadrature
 from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
 
 
@@ -114,7 +114,7 @@ def fe_element_stiffness(vertices: np.ndarray, k: int) -> np.ndarray:
     """H^1 Laplace stiffness of a Q_k quadrilateral (2D)."""
     quad = FacetKind.QUADRILATERAL
     rule = facet_quadrature(quad, 2 * k)
-    _, grads = trace_basis(quad, k).eval_many(rule.points)
+    _, grads = _basis_table(quad, k, 2 * k)
     tans = _facet_tangents(quad, rule.points, vertices)         # (q, 2, 2)
     det = np.linalg.det(tans)
     if np.any(det <= 0.0):
@@ -211,7 +211,7 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
     blocks, b = [], np.zeros(len(dofs))
     for kind, (fids, corners) in mesh._facet_corners(facet_ids).items():
         rule = facet_quadrature(kind, 2 * nd.k + 8)
-        vals, _ = trace_basis(kind, nd.k).eval_many(rule.points)       # (Q, m)
+        vals, _ = _basis_table(kind, nd.k, 2 * nd.k + 8)              # (Q, m)
         pts = _facet_points(kind, rule.points, corners)                # (F, Q, d)
         tans = _facet_tangents(kind, rule.points, corners)        # (F, Q, d, d-1)
         jac = np.linalg.norm(tans[..., 0] if mesh.dimension == 2

@@ -114,10 +114,12 @@ def _sector_points(centres, xis, J):
 
 
 def sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
-    """`modes._class_fields` followed by `modes._member_fields`: values
+    """`modes._class_fields` on the basis table at `etas` and the radial
+    factors at `xis`, followed by `modes._member_fields`: values
     (S, R, Q, m) and gradients (S, R, Q, m, d) of a stack of classes."""
-    return modes._member_fields(
-        modes._class_fields(basis, xis, etas, J, alpha, lambdas), coeffs)
+    return modes._member_fields(modes._class_fields(
+        basis.eval_many(etas), modes._radial_factors(xis, lambdas), J, alpha,
+        lambdas), coeffs)
 
 
 def check_sectors(J, det, owners):
@@ -626,7 +628,9 @@ def evaluate_in_sector(solution, e, ctx, xis, etas):
 
 def evaluate_in_fe(solution, q, ref_pts):
     """The error kernel on FE quad q: points, values, gradients, det J."""
-    pts, vals, grads, det = postproc._fe_fields(solution, slice(q, q + 1), ref_pts)
+    basis = trace_basis(FacetKind.QUADRILATERAL, solution.numbering.k)
+    pts, vals, grads, det = postproc._fe_fields(solution, slice(q, q + 1), ref_pts,
+                                                basis.eval_many(ref_pts))
     return pts[0], vals[0], grads[0], det[0]
 
 
@@ -685,7 +689,7 @@ def reference_solution_errors(solution, exact, quad=None):
     acc_l2 = 0.0
     acc_h1 = 0.0
     for e, op in enumerate(selement_views(solution)):
-        rad = radial_quadrature(*postproc._radial_rule_args(op, e, cfg, k))
+        rad = radial_quadrature(*postproc._radial_rules([op], [e], cfg, k)[0])
         xis = rad.points[:, 0]
         for ctx in op_sectors(solution.mesh, op, e):
             frule = facet_quadrature(ctx.sector.facet_kind, cfg.facet_order)

@@ -254,15 +254,30 @@ def test_config_error_writes_nothing(tmp_path, capsys, flags):
 
 
 @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "under-a-file"])
-def test_output_path_error_exit_1(tmp_path, capsys, sub):
+def test_output_path_error_exit_2(tmp_path, capsys, sub):
+    # refused at load time, before any level runs
     (tmp_path / "f1").write_text("")
     out = tmp_path / "f1" / sub
     rc = main(["solve", "--mesh", "quad", "--level", "1", "--output", str(out)])
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"sbfem: error: cannot write output file "
-                          f"{out / 'solve_exp2d_quad_k1.csv'}: ")
-    assert err.count("\n") == 1
+    assert rc == 2
+    assert capsys.readouterr() == ("", "sbfem: config error: output must be a "
+                                   f"directory, but {tmp_path / 'f1'} is not one\n")
+
+
+def test_file_mesh_level_sweep_exit_2(tmp_path, capsys):
+    # a file mesh has no levels: a sweep would solve it once per level
+    from conftest import save_mesh
+    from sbfem.mesh import gen_quad_mesh
+    mesh_path = tmp_path / "mesh.json"
+    save_mesh(gen_quad_mesh(2), mesh_path)
+    rc = main(["solve", "--mesh", f"file:{mesh_path}", "--levels", "1..3",
+               "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "sbfem: config error: levels must name one "
+                                   "level for a file: mesh, got '1..3'\n")
+    assert not (tmp_path / "out").exists()
+    assert main(["solve", "--mesh", f"file:{mesh_path}", "--levels", "2",
+                 "--output", str(tmp_path / "out")]) == 0
 
 
 def test_problem_of_another_dimension_exit_2(tmp_path, capsys):

@@ -142,15 +142,17 @@ def test_solver_work_is_one_per_class(monkeypatch):
     # one operator, one radial rule and one coefficient solve per congruence
     # class, however many S-elements share it
     calls = {"rule": 0, "solve": 0}
-    rule, linsolve = postproc._radial_rule_args, np.linalg.solve
+    rule, linsolve = postproc._radial_rules, np.linalg.solve
 
-    def counted(key, fn):
+    def counted(key, fn, count=lambda args: 1):
         def wrapper(*args):
-            calls[key] += 1
+            calls[key] += count(args)
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(postproc, "_radial_rule_args", counted("rule", rule))
+    # radial rules are rows of one array pass over the classes
+    monkeypatch.setattr(postproc, "_radial_rules",
+                        counted("rule", rule, lambda args: len(args[0])))
     exact = get_exact("exp2d")
     for n in (4, 8):
         grid = gen_quad_mesh(n)

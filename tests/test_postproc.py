@@ -1,5 +1,7 @@
+import dataclasses
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,16 +10,18 @@ from conftest import (coupled_mixed_mesh, facet_vertices, flat_sector_squares,
                       jittered_quad_mesh, laplacian_residual,
                       open_element_pinned_first, reference_solution_errors,
                       selement_views)
-from sbfem import modes, postproc, refgeom
-from sbfem.errors import MeshError, SbfemError
+from sbfem import postproc, refgeom
+from sbfem.errors import MeshError, QuadratureError, SbfemError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_polyhedron_case1, gen_quad_mesh,
                         gen_refined_square, import_mesh,
                         singular_open_selement)
-from sbfem.polyspace import radial_quadrature
+from sbfem.polyspace import (TraceBasis, _basis_table, facet_quadrature,
+                             radial_quadrature, trace_basis)
 from sbfem.postproc import (EXACT_SOLUTIONS, QuadratureConfig,
                             convergence_table, get_exact, report_to_csv,
                             solution_errors)
+from sbfem.refgeom import FacetKind
 from sbfem.solver import (apply_dirichlet, assemble_global, sbfem_interpolate,
                           solve)
 
@@ -210,25 +214,86 @@ def test_batched_errors_match_per_sector_reference(case, one_sector_chunks,
 
 @pytest.mark.parametrize("one_sector_chunks", [False, True])
 def test_error_work_is_per_class(one_sector_chunks, monkeypatch):
-    # mode fields once per (cache entry, facet position), however many
-    # member blocks a class spans
+    # radial factors once per congruence class, shared by its four facet
+    # positions, however many chunks and member blocks they span
     if one_sector_chunks:
         monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
     rows = {"radial": 0}
-    radial = modes._radial_factors
+    radial = postproc._radial_factors
 
     def counted_radial(xis, lambdas):
         rows["radial"] += len(lambdas)
         return radial(xis, lambdas)
 
-    monkeypatch.setattr(modes, "_radial_factors", counted_radial)
+    monkeypatch.setattr(postproc, "_radial_factors", counted_radial)
     counts = []
     for n in (4, 8):
         sol, exact = _galerkin(gen_quad_mesh(n), 3, "exp2d")
         rows.update(radial=0)
         solution_errors(sol, exact)
         counts.append(rows["radial"])
-    assert counts == [4, 4]
+    assert counts == [1, 1]
+
+
+@pytest.mark.parametrize("make, problem", [
+    (lambda: gen_coupled_singular(3), "sqrt2d"),
+    (lambda: jittered_quad_mesh(8, 0.18), "exp2d")], ids=["coupled", "jittered"])
+def test_error_tables_are_computed_once(make, problem, monkeypatch):
+    # the radial factors of a class serve all its sector records, and the
+    # basis table of a (facet kind, k, rule order) serves every pass
+    mesh = make()
+    sol, exact = _galerkin(mesh, 2, problem)
+    rows, tables = [0], Counter()
+    radial, eval_many = postproc._radial_factors, TraceBasis.eval_many
+
+    def counted_radial(xis, lambdas):
+        rows[0] += len(lambdas)
+        return radial(xis, lambdas)
+
+    def counted_eval(self, etas):
+        tables[self.facet_kind, self.degree, np.asarray(etas).tobytes()] += 1
+        return eval_many(self, etas)
+
+    monkeypatch.setattr(postproc, "_radial_factors", counted_radial)
+    monkeypatch.setattr(TraceBasis, "eval_many", counted_eval)
+    _basis_table.cache_clear()
+    expect = solution_errors(sol, exact)
+    assert solution_errors(sol, exact) == expect
+    records = sum(len(o) for *_, o in mesh._sector_stacks().values())
+    assert rows[0] == 2 * len(sol.operators) < 2 * records
+    assert tables and set(tables.values()) == {1}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SOLUTIONS))
+def test_value_and_gradient_match_the_fields(name):
+    # bit for bit, on sqrt2d's branch cut (y = 0, x < 0) and at the origin
+    exact = EXACT_SOLUTIONS[name]
+    d = 3 if name == "exp3d" else 2
+    x = np.zeros((7, d))
+    x[:, 0] = [0.0, -1.0, -0.25, 0.5, 0.3, -0.7, 1.0]
+    x[4:, 1] = [0.2, -0.4, 0.0]
+    with np.errstate(all="ignore"):
+        value, gradient = exact.value_and_gradient(x)
+        assert np.array_equal(value, exact.value(x), equal_nan=True)
+        assert np.array_equal(gradient, exact.gradient(x), equal_nan=True)
+    assert value.shape == (7,) and gradient.shape == (7, d)
+
+
+def test_exact_solutions_take_replaced_fields():
+    # a tracer replaces value and gradient by wrappers of its own, and reads
+    # the cache statistics of the trace basis and the facet rule
+    for exact in EXACT_SOLUTIONS.values():
+        traced = dataclasses.replace(exact, value=lambda x: exact.value(x) + 1.0,
+                                     gradient=lambda x: 2.0 * exact.gradient(x))
+        x = np.full((3, 3), 0.5)
+        assert np.array_equal(traced.value(x), exact.value(x) + 1.0)
+        assert np.array_equal(traced.gradient(x), 2.0 * exact.gradient(x))
+        assert traced.value_and_gradient is exact.value_and_gradient
+    for cached in (trace_basis, facet_quadrature):
+        cached(FacetKind.SEGMENT, 2)
+        hits = cached.cache_info().hits
+        cached(FacetKind.SEGMENT, 2)
+        assert cached.cache_info().hits == hits + 1
 
 
 def test_degeneracy_is_checked_on_every_copy_near_the_threshold():
@@ -263,12 +328,13 @@ def test_radial_rule_round_off_floor_is_plain_gauss():
     # lambda_min of a hex S-element is 1 up to round-off on either side
     cfg = QuadratureConfig().resolved(2)
     sol, _ = _galerkin(gen_hex_mesh(2), 2, "exp3d")
-    for e, op in enumerate(selement_views(sol)):
+    views = selement_views(sol)
+    rules = postproc._radial_rules(views, range(len(views)), cfg, 2)
+    for op, args in zip(views, rules):
         assert abs(op.modes.min_positive_exponent - 1.0) < 1e-12
-        rule = radial_quadrature(*postproc._radial_rule_args(op, e, cfg, 2))
-        assert len(rule) == 12
+        assert len(radial_quadrature(*args)) == 12
     open_op = sbfem_interpolate(singular_open_selement(1), 2, 0.0).operators[0]
-    floor, n_rad, levels, _ = postproc._radial_rule_args(open_op, 0, cfg, 2)
+    floor, n_rad, levels, _ = postproc._radial_rules([open_op], [0], cfg, 2)[0]
     assert floor == pytest.approx(-0.5, abs=1e-3)
     assert levels == postproc.SINGULAR_COMPOSITE_LEVELS
     assert len(radial_quadrature(floor, n_rad, levels, 0.2)) == 12 * (levels + 1)
@@ -283,3 +349,21 @@ def test_regular_radial_rule_follows_the_largest_exponent():
     got = solution_errors(sol, exact)
     dense = solution_errors(sol, exact, QuadratureConfig(radial_points=100))
     assert got == pytest.approx(dense, rel=1e-9, abs=0.0)
+
+
+def test_class_without_positive_exponent_names_its_representative():
+    # of two such classes, the first in class order is named, by the lowest
+    # S-element of the class
+    mesh = tensor_quad_mesh([-1, -0.5, 0, 0.5, 1.5], [-1, -0.5, 0, 1])
+    sol, exact = _galerkin(mesh, 2, "exp2d")
+    classes = mesh._sel_class
+    assert classes.max() == 3 and np.flatnonzero(classes == 1)[0] > 1
+    for c in (2, 1):
+        op = sol.operators[c]
+        sol.operators[c] = dataclasses.replace(op, modes=dataclasses.replace(
+            op.modes, lambdas=np.zeros_like(op.modes.lambdas)))
+    rep = int(np.flatnonzero(classes == 1)[0])
+    with pytest.raises(QuadratureError, match=re.escape(
+            f"S-element {rep}: no positive exponent to set the radial "
+            "quadrature floor")):
+        solution_errors(sol, exact)
