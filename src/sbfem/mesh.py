@@ -454,7 +454,8 @@ class DofNumbering:
     selement_dofs: np.ndarray  # per S-element: the DOF of each S-local index
     selement_start: np.ndarray  # (S-elements + 1,) offsets into selement_dofs
     sector_rows: dict          # kind -> S-local index (sectors, nodes) of each node
-                               # of `PolytopalMesh._sector_stacks`, element's order
+                               # of `PolytopalMesh._sector_stacks`, element's order,
+                               # -1 at a side-face pin
 
     def facet_boundary_dofs(self, facet_ids) -> np.ndarray:
         owner = np.repeat(np.arange(len(self.facet_start) - 1), np.diff(self.facet_start))
@@ -497,7 +498,8 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
     edge nodes next, by (lower id, higher id, distance from the lower); then
     every other node, in the order in which the rows first name it: a facet
     first at its first listing, so facets by id, then FE quads.  The S-local
-    DOFs of an S-element are the DOFs that its sectors name, in that order.
+    DOFs of an S-element are the DOFs that its sectors name, in that order,
+    but for its side-face Dirichlet pins, which only remove trace functions.
     """
     table, first, counts = mesh._table, mesh._first, mesh._counts
     n_rows, n_s, quads = len(table), counts.sum(), mesh._quads()
@@ -538,14 +540,22 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
         coords[slot_dof[start[at][:, None] + own]] = _facet_points(
             kind, trace_basis(kind, k).nodes[own],
             np.take(mesh.vertices, corners[at, :s], axis=0))
-    # S-local DOFs: the (S-element, DOF) pairs of the sector rows, coded
-    # e n + dof, numbered in order of first appearance, those of each
-    # S-element after those of the S-elements before it
-    elem = np.repeat(np.repeat(np.arange(len(counts)), counts), nodes[size[:n_s]])
-    ids, firsts = _first_seen(elem * len(unique) + slot_dof[:start[n_s]])
-    local = ids - ids[np.searchsorted(elem, elem)]
     vertex_dof = np.full(len(mesh.vertices), -1)
     vertex_dof[unique[n_pairs == 1, 0]] = dof[n_pairs == 1]
+    # S-local DOFs: the (S-element, DOF) pairs of the sector rows, coded
+    # e n + dof, numbered in order of first appearance, those of each
+    # S-element after those of the S-elements before it; a side-face pin
+    # gets no S-local index, and its sector rows name it -1
+    elem = np.repeat(np.repeat(np.arange(len(counts)), counts), nodes[size[:n_s]])
+    code = elem * len(unique) + slot_dof[:start[n_s]]
+    ids, firsts = _first_seen(code)
+    pinned = np.isin(code[firsts], np.array(
+        [e * len(unique) + vertex_dof[v] for e, vs in mesh._dirichlet.items()
+         for v in vs], dtype=int))
+    firsts = firsts[~pinned]
+    selement_start = np.searchsorted(elem[firsts], np.arange(len(counts) + 1))
+    local = np.where(pinned[ids], -1,
+                     np.cumsum(~pinned)[ids] - 1 - selement_start[elem])
     facet_size = nodes[size[first]]
     facet_start = np.concatenate([[0], np.cumsum(facet_size)])
     return DofNumbering(
@@ -554,8 +564,7 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
                             + np.arange(facet_start[-1])],
         facet_start=facet_start,
         fe_nodes=slot_dof[start[n_rows]:].reshape(len(quads), nodes[4]),
-        selement_dofs=slot_dof[firsts],
-        selement_start=np.searchsorted(elem[firsts], np.arange(len(counts) + 1)),
+        selement_dofs=slot_dof[firsts], selement_start=selement_start,
         sector_rows={_KIND_BY_SIZE[s]: local[start[:n_s][size[:n_s] == s][:, None]
                                              + np.arange(nodes[s])]
                      for s in np.unique(size[:n_s]).tolist()})

@@ -19,6 +19,9 @@ from .errors import QuadratureError
 from .refgeom import FacetKind
 
 MAX_DEGREE = 8
+# each cell of a composite radial rule spans this fraction of [0, hi] below
+# the one before it, so the cells shrink geometrically toward xi = 0
+COMPOSITE_RATIO = 0.2
 
 
 def _monomial_powers(kind: FacetKind, k: int) -> np.ndarray:
@@ -166,13 +169,14 @@ def _basis_table(kind: FacetKind, k: int, order: int) -> tuple:
 
 @lru_cache(maxsize=64)
 def radial_quadrature(exponent_floor: float, order: int,
-                      composite_levels: int = 0, ratio: float = 0.2) -> QuadratureRule:
+                      composite_levels: int = 0) -> QuadratureRule:
     """Rule on [0,1] for integrands behaving like xi^exponent_floor near 0.
 
     `order` is the Gauss point count per subinterval.  With
     ``composite_levels == 0`` (or a benign exponent) this is a plain Gauss
-    rule.  Otherwise the interval is subdivided geometrically toward 0 and
-    the innermost cell uses a Gauss-Jacobi rule whose weights absorb the
+    rule.  Otherwise the interval is subdivided geometrically toward 0, each
+    cell COMPOSITE_RATIO times the length of the one outside it, and the
+    innermost cell uses a Gauss-Jacobi rule whose weights absorb the
     xi^exponent_floor factor.
     """
     if exponent_floor <= -1.0:
@@ -180,8 +184,6 @@ def radial_quadrature(exponent_floor: float, order: int,
             f"exponent floor {exponent_floor} <= -1: integrand is not integrable")
     if order < 1:
         raise QuadratureError(f"radial order must be >= 1, got {order}")
-    if not (0.0 < ratio < 1.0):
-        raise QuadratureError(f"geometric ratio must lie in (0,1), got {ratio}")
     if composite_levels < 0:
         raise QuadratureError("composite_levels must be non-negative")
     if composite_levels == 0 or exponent_floor >= 1.0:
@@ -191,7 +193,7 @@ def radial_quadrature(exponent_floor: float, order: int,
     hi = 1.0
     x01, w01 = _gauss01(order)
     for _ in range(composite_levels):
-        lo = hi * ratio
+        lo = hi * COMPOSITE_RATIO
         pts.append(lo + (hi - lo) * x01)
         wts.append((hi - lo) * w01)
         hi = lo

@@ -16,7 +16,6 @@ from .refgeom import (FacetKind, _chunks, _facet_points, _facet_tangents,
 from .solver import DiscreteSolution
 
 SINGULAR_COMPOSITE_LEVELS = 8
-SINGULAR_COMPOSITE_RATIO = 0.2
 # A radial floor lambda_min - 1 within this of 0 is round-off on an exact
 # exponent-1 (linear) mode, not a singularity: it gets the plain Gauss rule.
 RADIAL_FLOOR_TOL = 1e-8
@@ -112,19 +111,24 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     mode fields of its first member serve them all, and each member gets
     its own points and coefficients; registration has checked every
     sector (`PolytopalMesh._check_star_shape`).  Classes are grouped by (facet
-    kind, mode count, size, radial rule).  A group holds the radial factors,
-    padded trace modes and coefficients of its congruence classes, each made
-    once and indexed per chunk, so the facet positions of a class share
-    them.  It is cut into chunks, a big class into member blocks, whose
-    sectors x R x max(Q d, n_modes) stays within `refgeom.CHUNK_BUDGET`
-    (R radial, Q facet points).  A block of s sectors holds s n_modes Q d
-    complex entries in the operand G x C of `modes._member_fields` and
-    s R Q (d + 1) in its output.  FE quads go in chunks of Q d entries each.
+    kind, mode count, size, radial rule).  A group solves A C = U once for
+    the modal coefficients of its congruence classes, each class's members
+    in id order as right-hand sides, and holds their radial factors and
+    trace modes (a zero row for the -1 of a side-face pin), each made once
+    and indexed per chunk, so the facet positions of a class share them.
+    It is cut into chunks, a big class into member blocks, whose sectors x
+    R x max(Q d, n_modes) stays within `refgeom.CHUNK_BUDGET` (R radial, Q
+    facet points).  A block of s sectors holds s n_modes Q d complex entries
+    in the operand G x C of `modes._member_fields` and s R Q (d + 1) in its
+    output.  FE quads go in chunks of Q d entries each.
     """
     k = solution.numbering.k
     cfg = (quad or QuadratureConfig()).resolved(k)
     mesh, ops, nd = solution.mesh, solution.operators, solution.numbering
     d = mesh.dimension
+    if exact.dim not in (0, d):
+        raise SbfemError(f"exact solution '{exact.name}' is {exact.dim}D but the "
+                         f"mesh is {d}D")
     stacks = mesh._sector_stacks()
     kinds, owners = list(stacks), [o for _, _, o in stacks.values()]
     kind = np.repeat(np.arange(len(kinds)), [len(o) for o in owners])
@@ -152,15 +156,23 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         wxi = rad.weights * xis ** (d - 1)
         table = _basis_table(kd, k, cfg.facet_order)
         centres, vertices, _ = stacks[kd]
-        uc, inv = np.unique(c[i], return_inverse=True)
-        A = np.zeros((len(uc), np.diff(nd.selement_start).max(), n), complex)
-        for j, x in enumerate(uc.tolist()):
-            A[j, ops[x].kept] = ops[x].modes.A     # pinned rows stay zero
-        srows = nd.sector_rows[kd][row[first[i]]]        # (records, p)
+        uc, head, inv = np.unique(c[i], return_index=True, return_inverse=True)
+        A = np.array([ops[x].modes.A for x in uc.tolist()])   # (classes, n, n)
         lambdas = np.array([ops[x].modes.lambdas for x in uc.tolist()])
         Z, Z1 = _radial_factors(xis, lambdas)             # (classes, R, n)
-        coeffs = np.array([solution.coefficients[x] for x in uc.tolist()])
-        rows = row[order[start[i][:, None] + np.arange(m)]]   # (classes, members)
+        recs = order[start[i][:, None] + np.arange(m)]   # (classes, members)
+        rows = row[recs]
+        # the coefficients: A C = U, each class's members in id order as the
+        # right-hand sides, kept as (classes, members, n): `_member_fields`
+        # runs faster on columns whose n entries are adjacent
+        at = nd.selement_start[e[recs[head]]]
+        C = np.swapaxes(np.linalg.solve(A, np.swapaxes(solution.nodal[
+            nd.selement_dofs[at[..., None] + np.arange(n)]], 1, 2)), 1, 2).copy()
+        # a side-face pin, row -1 of a sector, gets a zero trace row; it is
+        # complex, since `eig` gives a real A for an all-real spectrum and a
+        # real trace block would take other (real) matmul kernels
+        A = np.concatenate([A, np.zeros((len(uc), 1, n), complex)], axis=1)
+        srows = nd.sector_rows[kd][row[first[i]]]        # (records, p)
         per_sector = len(xis) * max(len(frule) * d, n)
         for sl in _chunks(len(rows), per_sector * m):
             rep = rows[sl, 0]                      # the representatives
@@ -177,7 +189,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                                            np.take(vertices, s, axis=0)) - a0)
                 pts = a0[..., None, :] + xis[:, None, None] * rays[..., None, :, :]
                 vals, grads = _member_fields(
-                    fields, np.swapaxes(coeffs[inv[sl], blk], 1, 2))
+                    fields, np.swapaxes(C[inv[sl], blk], 1, 2))
                 sums += _error_sums(exact, w, pts, np.moveaxis(vals, -1, 1),
                                     np.moveaxis(grads, -2, 1))
         del Z, Z1                  # before the next group makes its own
@@ -211,8 +223,7 @@ def _radial_rules(ops: list, ids, cfg: QuadratureConfig, k: int) -> list:
     # plain Gauss is exact for the top L2 term xi^(2 lambda_max + d - 1)
     top = np.ceil(np.maximum.reduceat(re, at) + 0.5 * ops[0].modes.dim)
     n_rad = np.maximum(cfg.radial_points, np.where(floor >= 0.0, top, k + 6))
-    return list(zip(floor.tolist(), n_rad.astype(int).tolist(), levels.tolist(),
-                    [SINGULAR_COMPOSITE_RATIO] * len(ops)))
+    return list(zip(floor.tolist(), n_rad.astype(int).tolist(), levels.tolist()))
 
 
 def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts, table):

@@ -29,7 +29,6 @@ class ClassOperator:
     E: EMatrices               # coefficient matrices over the kept DOFs
     modes: modes_mod.SbfemModes
     K: np.ndarray              # stiffness over the kept trace DOFs
-    kept: np.ndarray           # S-local indices of the unconstrained DOFs
 
 
 def build_operators(mesh: PolytopalMesh,
@@ -39,23 +38,16 @@ def build_operators(mesh: PolytopalMesh,
     The S-elements of a class (translated copies) share the eigen-solve of
     its lowest member, the representative.  The E-matrices of all
     representatives are integrated in one stacked pass over their sectors,
-    by the facet rule of degree 2k + 2, straight over their kept (unpinned)
-    trace DOFs, one stack per kept size.  Each stack is split once by
-    constant-trace admissibility, and its modes are solved in chunks under
-    `refgeom.CHUNK_BUDGET` Euler-matrix entries.  A SpectrumError names the
-    first failing S-element by id.
+    by the facet rule of degree 2k + 2, straight over their S-local DOFs
+    (`number_dofs` leaves side-face pins out), one stack per S-local size.
+    Each stack is split once by constant-trace admissibility, and its modes
+    are solved in chunks under `refgeom.CHUNK_BUDGET` Euler-matrix entries.
+    A SpectrumError names the first failing S-element by id.
     """
-    k, start, N = numbering.k, numbering.selement_start, numbering.n_total
+    k, start = numbering.k, numbering.selement_start
     reps = np.unique(mesh._sel_class, return_index=True)[1]
-    # each S-local slot's index among its S-element's kept DOFs, -1 if pinned
-    owner = np.repeat(np.arange(len(start) - 1), np.diff(start))
-    pins = [e * N + numbering.vertex_dof[v] for e, vs in mesh._dirichlet.items()
-            for v in vs]
-    free = ~np.isin(owner * N + numbering.selement_dofs, pins)
-    before = np.concatenate([[0], np.cumsum(free)])[start]   # kept slots before e
-    slot = np.where(free, np.cumsum(free) - 1 - before[owner], -1)
-    # the representatives in one stack per kept size, by first appearance
-    n_kept = np.diff(before)[reps]
+    # the representatives in one stack per S-local size, by first appearance
+    n_kept = np.diff(start)[reps]
     sizes = n_kept[np.sort(np.unique(n_kept, return_index=True)[1])].tolist()
     stacks = [reps[n_kept == n] for n in sizes]
     member = np.full(len(start) - 1, -1)
@@ -63,17 +55,15 @@ def build_operators(mesh: PolytopalMesh,
     sub = {}
     for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
         mask = member[owners[:, 0]] >= 0
-        rows = start[owners[mask, 0], None] + numbering.sector_rows[kind][mask]
-        sub[kind] = (centres[mask], vertices[mask], owners[mask], slot[rows])
+        sub[kind] = (centres[mask], vertices[mask], owners[mask],
+                     numbering.sector_rows[kind][mask])
     Es = assemble_E(sub, member, list(zip(sizes, map(len, stacks))),
                     mesh.dimension, k, 2 * k + 2)
     for e in reps[n_kept == 0][:1]:
         raise SpectrumError(f"S-element {e}: side-face constraints would remove "
                             "every trace DOF")
-    local = np.flatnonzero(free) - start[owner[free]]     # kept S-local indices
     errors, solved = [], [None] * len(reps)
     for E, es in zip(Es, stacks):
-        kept = local[before[es][:, None] + np.arange(E.n)]
         admissible = E.constant_trace_admissible()
         for has in dict.fromkeys(admissible.tolist()):
             group = np.flatnonzero(admissible == has)
@@ -85,7 +75,7 @@ def build_operators(mesh: PolytopalMesh,
                     continue
                 for i, j in enumerate(js.tolist()):
                     solved[mesh._sel_class[es[j]]] = ClassOperator(
-                        E[j], md[i], K[i], kept[j])
+                        E[j], md[i], K[i])
     if errors:
         raise min(errors, key=lambda exc: exc.selement)
     return solved
@@ -143,15 +133,14 @@ def assemble_global(mesh: PolytopalMesh, k: int) -> GlobalSystem:
     ops = build_operators(mesh, numbering)
     fe_K = np.array([fe_element_stiffness(mesh.vertices[quad], k) for quad in
                      mesh._quads()[np.unique(mesh._fe_class, return_index=True)[1]]])
-    # per kept size, in order of appearance: each class's K for its members
-    cls, blocks = mesh._sel_class, []
-    size = np.array([len(op.kept) for op in ops])[cls]
+    # per S-local size, in order of appearance: each class's K for its members
+    cls, start, blocks = mesh._sel_class, numbering.selement_start, []
+    size = np.diff(start)
     for m in size[np.sort(np.unique(size, return_index=True)[1])].tolist():
         e = np.flatnonzero(size == m)
         cs, at = np.unique(cls[e], return_inverse=True)
-        dofs = numbering.selement_dofs[numbering.selement_start[e][:, None]
-                                       + np.array([ops[c].kept for c in cs])[at]]
-        blocks.append((dofs, np.take(np.array([ops[c].K for c in cs]), at, axis=0)))
+        blocks.append((numbering.selement_dofs[start[e][:, None] + np.arange(m)],
+                       np.take(np.array([ops[c].K for c in cs]), at, axis=0)))
     K = _scatter(blocks + [(numbering.fe_nodes, np.take(fe_K, mesh._fe_class, axis=0))],
                  numbering.n_total)
     # side-face Dirichlet traces are pinned to zero from the start
@@ -232,13 +221,13 @@ def _evaluate_field(g, coords: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DiscreteSolution:
-    """Nodal skeleton values plus the modal coefficients of every class."""
+    """Nodal skeleton values of a discrete solution and the class operators
+    that extend them into the S-elements."""
 
     mesh: PolytopalMesh
     numbering: DofNumbering
     operators: list
     nodal: np.ndarray
-    coefficients: list         # per class: (members, n), members in id order
     residual: float = 0.0
 
     @property
@@ -271,8 +260,7 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
         residual = 0.0
     return DiscreteSolution(
         mesh=system.mesh, numbering=system.numbering, operators=system.operators,
-        nodal=u, residual=residual, coefficients=_modal_coefficients(
-            system.operators, system.mesh, system.numbering, u))
+        nodal=u, residual=residual)
 
 
 def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
@@ -281,28 +269,6 @@ def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
     """Radial extension of the nodal trace interpolant of f."""
     numbering = numbering or number_dofs(mesh, k)
     operators = operators or build_operators(mesh, numbering)
-    nodal = _evaluate_field(f, numbering.coords)
-    return DiscreteSolution(
-        mesh=mesh, numbering=numbering, operators=operators, nodal=nodal,
-        coefficients=_modal_coefficients(operators, mesh, numbering, nodal))
+    return DiscreteSolution(mesh=mesh, numbering=numbering, operators=operators,
+                            nodal=_evaluate_field(f, numbering.coords))
 
-
-def _modal_coefficients(operators: list, mesh: PolytopalMesh,
-                        numbering: DofNumbering, nodal: np.ndarray) -> list:
-    """Complex modal coefficients (members, n) of each class reproducing the
-    nodal values: A C = U with the members as right-hand sides, one stacked
-    solve per (mode count, member count)."""
-    order = np.argsort(mesh._sel_class, kind="stable")
-    counts = np.bincount(mesh._sel_class)
-    first = np.cumsum(counts) - counts           # each class's start in `order`
-    shapes = [(op.modes.n, m) for op, m in zip(operators, counts.tolist())]
-    out = {}
-    for n, m in dict.fromkeys(shapes):
-        cs = [c for c, shape in enumerate(shapes) if shape == (n, m)]
-        at = numbering.selement_start[order[first[cs][:, None] + np.arange(m)]]
-        U = nodal[numbering.selement_dofs[at[..., None] + np.array(
-            [operators[c].kept for c in cs])[:, None, :]]]          # (G, m, n)
-        C = np.linalg.solve(np.array([operators[c].modes.A for c in cs]),
-                            np.swapaxes(U, 1, 2))
-        out.update(zip(cs, np.swapaxes(C, 1, 2)))
-    return [out[c] for c in range(len(operators))]

@@ -262,7 +262,7 @@ def reference_lattice_perm(kind: FacetKind, k: int, vperm: tuple) -> np.ndarray:
     return perm
 
 
-def reference_local_dofs(mesh, numbering, e):
+def reference_local_dofs(mesh, numbering, e, keep_pins=False):
     """S-element trace DOF list plus per-sector local node maps, by a loop
     over the element's sectors through a lattice permutation per (facet
     kind, k, vertex order).  Oracle for the S-local numbering of
@@ -270,7 +270,9 @@ def reference_local_dofs(mesh, numbering, e):
 
     ``global_ids[l]`` is the skeleton DOF of S-local trace index l (geometric
     first-seen order, congruent across translated elements);
-    ``sector_rows[p][j]`` is the S-local index of node j of sector p.
+    ``sector_rows[p][j]`` is the S-local index of node j of sector p.  The
+    element's side-face Dirichlet pins are dropped and their nodes named -1,
+    unless `keep_pins` asks for the full S-local set.
     """
     position: dict[int, int] = {}      # skeleton DOF -> S-local index
     sector_rows = []
@@ -280,7 +282,13 @@ def reference_local_dofs(mesh, numbering, e):
             facet_kind(mesh, fid), numbering.k, vperm)]
         sector_rows.append(np.array([position.setdefault(g, len(position))
                                      for g in nodes.tolist()], dtype=int))
-    return np.array(list(position), dtype=int), sector_rows
+    dofs = np.array(list(position), dtype=int)
+    if keep_pins:
+        return dofs, sector_rows
+    pins = [numbering.vertex_dof[v] for v in mesh._dirichlet.get(e, ())]
+    kept = ~np.isin(dofs, pins)
+    local = np.where(kept, np.cumsum(kept) - 1, -1)
+    return dofs[kept], [local[rows] for rows in sector_rows]
 
 
 def assert_local_dofs_match(mesh, numbering):
@@ -310,7 +318,8 @@ def reference_congruence_classes(mesh, numbering):
              for i, (e, pos) in enumerate(owners.tolist())}
     seen, classes = {}, []
     for e in range(len(mesh._counts)):
-        dofs_full, sector_rows = reference_local_dofs(mesh, numbering, e)
+        dofs_full, sector_rows = reference_local_dofs(mesh, numbering, e,
+                                                      keep_pins=True)
         pinned = {int(numbering.vertex_dof[v]) for v in mesh._dirichlet.get(e, ())}
         constrained = np.flatnonzero([g in pinned for g in dofs_full.tolist()])
         slots = [where[e, pos] for pos in range(len(sector_rows))]
@@ -356,10 +365,31 @@ def sector_rows(mesh, numbering, e) -> list:
     return [rows[p] for p in range(len(rows))]
 
 
+def modal_coefficients(solution) -> list:
+    """Complex modal coefficients (members, n) of each class reproducing the
+    nodal values: A C = U with the members in id order as right-hand sides,
+    one stacked solve per (mode count, member count).  Oracle for the
+    coefficients that `postproc.solution_errors` solves per error group."""
+    ops, mesh, nd = solution.operators, solution.mesh, solution.numbering
+    order = np.argsort(mesh._sel_class, kind="stable")
+    counts = np.bincount(mesh._sel_class)
+    first = np.cumsum(counts) - counts           # each class's start in `order`
+    shapes = [(op.modes.n, m) for op, m in zip(ops, counts.tolist())]
+    out = {}
+    for n, m in dict.fromkeys(shapes):
+        cs = [c for c, shape in enumerate(shapes) if shape == (n, m)]
+        at = nd.selement_start[order[first[cs][:, None] + np.arange(m)]]
+        U = solution.nodal[nd.selement_dofs[at[..., None] + np.arange(n)]]
+        C = np.linalg.solve(np.array([ops[c].modes.A for c in cs]),
+                            np.swapaxes(U, 1, 2))                   # (G, n, m)
+        out.update(zip(cs, np.swapaxes(C, 1, 2)))
+    return [out[c] for c in range(len(ops))]
+
+
 def member_coefficients(solution, e) -> np.ndarray:
     """The modal coefficients of S-element e: its row of its class's array."""
     cls = solution.mesh._sel_class
-    return solution.coefficients[cls[e]][np.count_nonzero(cls[:e] == cls[e])]
+    return modal_coefficients(solution)[cls[e]][np.count_nonzero(cls[:e] == cls[e])]
 
 
 @dataclass
@@ -393,7 +423,7 @@ def selement_view(mesh, numbering, ops, e, nodal=None) -> SElementView:
     `reference_local_dofs`, its kept indices from the mesh's side-face pins,
     and its coefficients from its own solve A c = u: independent of the
     class records but for the modes, E and K of its class."""
-    dofs, rows = reference_local_dofs(mesh, numbering, e)
+    dofs, rows = reference_local_dofs(mesh, numbering, e, keep_pins=True)
     pins = [numbering.vertex_dof[v] for v in mesh._dirichlet.get(e, ())]
     kept = np.flatnonzero(~np.isin(dofs, pins))
     op = ops[mesh._sel_class[e]]

@@ -6,8 +6,8 @@ import pytest
 from conftest import (Sector, apply_sideface_bc, fixture_meshes_2d,
                       fixture_meshes_3d, jittered_quad_mesh, mesh_sector,
                       mesh_to_json, op_sectors, operator_for, reference_assemble_E,
-                      sector_B, sector_E, sector_jacobian, sector_rows,
-                      selement_dofs, selement_view, volume_gradient_inner)
+                      reference_local_dofs, sector_B, sector_E, sector_jacobian,
+                      selement_view, volume_gradient_inner)
 from sbfem import refgeom
 from sbfem.errors import MeshError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
@@ -148,10 +148,11 @@ def test_cube_selement_counts(cube_mesh):
 
 
 def test_open_boundary_cross_sum_survives(wedge_mesh):
-    # before side-face reduction the open chain keeps nonzero E12^T 1
+    # before side-face reduction the open chain keeps nonzero E12^T 1; the
+    # numbering leaves the pins out, so the full S-local set is the oracle's
     from sbfem.mesh import number_dofs
     nd = number_dofs(wedge_mesh, 1)
-    dofs, rows = selement_dofs(nd, 0), sector_rows(wedge_mesh, nd, 0)
+    dofs, rows = reference_local_dofs(wedge_mesh, nd, 0, keep_pins=True)
     data = []
     for pos in range(len(rows)):
         sector = mesh_sector(wedge_mesh, 0, pos)

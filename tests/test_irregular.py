@@ -139,10 +139,12 @@ def test_assembly_work_does_not_grow_with_the_mesh(monkeypatch):
 
 
 def test_solver_work_is_one_per_class(monkeypatch):
-    # one operator, one radial rule and one coefficient solve per congruence
-    # class, however many S-elements share it
-    calls = {"rule": 0, "solve": 0}
-    rule, linsolve = postproc._radial_rules, np.linalg.solve
+    # one operator and one radial rule per congruence class, however many
+    # S-elements share it, and one coefficient solve per error group (one
+    # `_radial_factors` call each) inside solution_errors
+    calls = {"rule": 0, "solve": 0, "group": 0}
+    rule, linsolve, factors = (postproc._radial_rules, np.linalg.solve,
+                               postproc._radial_factors)
 
     def counted(key, fn, count=lambda args: 1):
         def wrapper(*args):
@@ -150,30 +152,29 @@ def test_solver_work_is_one_per_class(monkeypatch):
             return fn(*args)
         return wrapper
 
-    # radial rules are rows of one array pass over the classes
-    monkeypatch.setattr(postproc, "_radial_rules",
-                        counted("rule", rule, lambda args: len(args[0])))
+    def errors(sol):
+        calls.update(rule=0, solve=0, group=0)
+        with monkeypatch.context() as m:
+            # radial rules are rows of one array pass over the classes
+            m.setattr(postproc, "_radial_rules",
+                      counted("rule", rule, lambda args: len(args[0])))
+            m.setattr(postproc, "_radial_factors", counted("group", factors))
+            m.setattr(np.linalg, "solve", counted("solve", linsolve))
+            solution_errors(sol, exact)
+        return calls["rule"], calls["solve"], calls["group"]
+
     exact = get_exact("exp2d")
     for n in (4, 8):
         grid = gen_quad_mesh(n)
         system = assemble_global(grid, 2)
         sol = solve(apply_dirichlet(system, exact.value))
-        calls.update(rule=0, solve=0)
-        solution_errors(sol, exact)
-        with monkeypatch.context() as m:
-            m.setattr(np.linalg, "solve", counted("solve", linsolve))
-            solver._modal_coefficients(system.operators, grid, system.numbering,
-                                       sol.nodal)
         classes = grid._sel_class.max() + 1
-        assert (len(system.operators), calls["rule"], calls["solve"]) == (classes,) * 3
-    # classes of equal mode and member counts share one stacked solve: the
-    # 64 singleton classes of a jittered mesh make one call
+        assert len(system.operators) == classes
+        assert errors(sol) == (classes, 1, 1)
+    # classes of equal mode and member counts share a group and its stacked
+    # solve: the 64 singleton classes of a jittered mesh make fewer calls
     jittered = jittered_quad_mesh(8, 0.18)
-    numbering = number_dofs(jittered, 2)
-    ops = build_operators(jittered, numbering)
-    calls.update(solve=0)
-    with monkeypatch.context() as m:
-        m.setattr(np.linalg, "solve", counted("solve", linsolve))
-        solver._modal_coefficients(ops, jittered, numbering,
-                                   np.ones(numbering.n_total))
-    assert (len(ops), calls["solve"]) == (64, 1)
+    sol = sbfem_interpolate(jittered, 2, exact.value)
+    rules, solves, groups = errors(sol)
+    assert (len(sol.operators), rules) == (64, 64)
+    assert solves == groups < 64

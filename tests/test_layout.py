@@ -1,18 +1,19 @@
-"""Layout rules of the package: no public code that only tests use."""
+"""Layout rules of the package: no code that only tests use."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# public functions, methods and properties allowed to have no caller in
-# src/ or perfbench/, each with its reason
+# functions, methods and properties, private ones included, allowed to have
+# no caller in src/ or perfbench/, each with its reason
 ALLOWED: dict = {}
 
 
 class _Scan(ast.NodeVisitor):
-    """Public definitions of a module and the names it references; a name
-    used inside a definition of the same name (recursion) is no use."""
+    """Definitions of a module (dunders excepted) and the names it
+    references; a name used inside a definition of the same name
+    (recursion) is no use."""
 
     def __init__(self, path: Path):
         self.defs, self.refs = [], set()
@@ -25,7 +26,8 @@ class _Scan(ast.NodeVisitor):
         self._classes.pop()
 
     def visit_FunctionDef(self, node):
-        if not node.name.startswith("_") and not self._functions:
+        dunder = node.name.startswith("__") and node.name.endswith("__")
+        if not dunder and not self._functions:
             self.defs.append(".".join(self._classes + [node.name]))
         self._functions.append(node.name)
         self.generic_visit(node)
@@ -51,5 +53,5 @@ def test_public_code_has_a_caller_outside_tests():
     unused = [d for d in defs if d.rsplit(".", 1)[1] not in used
               and d not in ALLOWED]
     assert not unused, (
-        f"public code that nothing in src/ or perfbench/ calls: {unused}; "
+        f"code that nothing in src/ or perfbench/ calls: {unused}; "
         "move test-only helpers to tests/conftest.py")

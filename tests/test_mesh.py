@@ -10,10 +10,11 @@ from conftest import (assert_local_dofs_match, facet_kind, facet_list,
                       facet_map_many, facet_nodes, facet_owners,
                       flat_sector_squares,
                       hybrid_mesh, is_open, jittered_quad_mesh, mesh_sector,
-                      mesh_to_json, octahedron_mesh, polygon_mesh,
-                      reference_congruence_classes, reference_coupled_singular,
-                      reference_hex_family, reference_import,
-                      reference_lattice_perm, reference_quad_family,
+                      mesh_to_json, octahedron_mesh, open_element_pinned_first,
+                      polygon_mesh, reference_congruence_classes,
+                      reference_coupled_singular, reference_hex_family,
+                      reference_import, reference_lattice_perm,
+                      reference_local_dofs, reference_quad_family,
                       reference_singular_open_selement, relabelled,
                       sector_jacobian, sector_rows, selement_dofs,
                       selement_facets)
@@ -455,7 +456,8 @@ def test_lattice_dofs_sit_at_their_points(name, k):
     for fid, (vertices, kind) in enumerate(facet_list(mesh)):
         check(kind, vertices, facet_nodes(nd, fid))
     for e in range(len(mesh.centres)):
-        dofs, rows = selement_dofs(nd, e), sector_rows(mesh, nd, e)
+        # the full S-local set, side-face pins included
+        dofs, rows = reference_local_dofs(mesh, nd, e, keep_pins=True)
         for pos, (fid, order) in enumerate(zip(*selement_facets(mesh, e))):
             check(facet_kind(mesh, fid), order, dofs[rows[pos]])
     for q, quad in enumerate(mesh._quads()):
@@ -965,6 +967,32 @@ def test_class_table_matches_per_element_keys(name):
     if name in CLASS_COUNTS:
         assert CLASS_COUNTS[name] == (len(set(mesh._sel_class.tolist())),
                                       len(set(mesh._fe_class.tolist())))
+
+
+PIN_CASES = {
+    "singular-open-2": lambda: singular_open_selement(2),
+    "coupled-singular-2": lambda: gen_coupled_singular(2),
+    "open-pinned-first": open_element_pinned_first,
+    "open-pair-one-pinned": lambda: _open_pair({0: (0,)}),
+    "open-pair-both-pinned": lambda: _open_pair({0: (0,), 1: (3,)}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIN_CASES))
+def test_sideface_pins_have_no_slocal_index(name):
+    # a side-face pin only removes trace functions: the numbering gives it
+    # no S-local DOF, and the sector rows name its nodes -1
+    mesh = PIN_CASES[name]()
+    assert mesh._dirichlet
+    for k in (1, 2, 3):
+        nd = number_dofs(mesh, k)
+        for e, vs in mesh._dirichlet.items():
+            pins = nd.vertex_dof[list(vs)]
+            assert not np.isin(selement_dofs(nd, e), pins).any()
+            full, full_rows = reference_local_dofs(mesh, nd, e, keep_pins=True)
+            for rows, every in zip(sector_rows(mesh, nd, e), full_rows):
+                assert np.array_equal(rows == -1, np.isin(full[every], pins))
+            assert len(selement_dofs(nd, e)) == len(full) - len(vs)
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_CASES))

@@ -130,7 +130,7 @@ def test_radial_plain_gauss():
 
 
 def test_radial_composite_weak_singularity():
-    rule = radial_quadrature(-0.5, 10, 8, ratio=0.2)
+    rule = radial_quadrature(-0.5, 10, 8)
     val = np.dot(rule.weights, rule.points[:, 0] ** -0.5)
     assert val == pytest.approx(2.0, rel=1e-8)
 

@@ -77,6 +77,17 @@ def test_constant_errors_zero():
     assert e_h1 < 1e-12
 
 
+@pytest.mark.parametrize("make,k,problem,dims", [
+    (lambda: gen_hex_mesh(1), 2, "exp2d", "2D but the mesh is 3D"),
+    (lambda: gen_quad_mesh(2), 1, "exp3d", "3D but the mesh is 2D")],
+    ids=["hex-exp2d", "quad-exp3d"])
+def test_exact_solution_of_another_dimension_is_named(make, k, problem, dims):
+    # an SbfemError that names both dimensions, not a numpy error
+    sol = sbfem_interpolate(make(), k, 1.0)
+    with pytest.raises(SbfemError, match=f"^exact solution '{problem}' is {dims}$"):
+        solution_errors(sol, get_exact(problem))
+
+
 def test_convergence_table_rates():
     rows = [(1, 0.5, 25, 1.0, 2.0), (2, 0.25, 81, 0.25, 1.0),
             (3, 0.125, 289, 0.0625, 0.5)]
@@ -334,10 +345,10 @@ def test_radial_rule_round_off_floor_is_plain_gauss():
         assert abs(op.modes.min_positive_exponent - 1.0) < 1e-12
         assert len(radial_quadrature(*args)) == 12
     open_op = sbfem_interpolate(singular_open_selement(1), 2, 0.0).operators[0]
-    floor, n_rad, levels, _ = postproc._radial_rules([open_op], [0], cfg, 2)[0]
+    floor, n_rad, levels = postproc._radial_rules([open_op], [0], cfg, 2)[0]
     assert floor == pytest.approx(-0.5, abs=1e-3)
     assert levels == postproc.SINGULAR_COMPOSITE_LEVELS
-    assert len(radial_quadrature(floor, n_rad, levels, 0.2)) == 12 * (levels + 1)
+    assert len(radial_quadrature(floor, n_rad, levels)) == 12 * (levels + 1)
 
 
 def test_regular_radial_rule_follows_the_largest_exponent():
@@ -367,3 +378,21 @@ def test_class_without_positive_exponent_names_its_representative():
             f"S-element {rep}: no positive exponent to set the radial "
             "quadrature floor")):
         solution_errors(sol, exact)
+
+
+def test_trace_blocks_stay_complex_for_a_real_spectrum(monkeypatch):
+    # `eig` gives a real A when a spectrum is all real, as for the open
+    # S-element of coupled level 3 at k = 2; the error pass still hands
+    # complex trace blocks (zero row for the side-face pin included) to
+    # `_class_fields`, since real and complex kernels round differently
+    exact = get_exact("sqrt2d")
+    sol = sbfem_interpolate(gen_coupled_singular(3), 2, exact.value)
+    dtypes, class_fields = [], postproc._class_fields
+
+    def capture(table, factors, J, alpha, lambdas):
+        dtypes.append(alpha.dtype)
+        return class_fields(table, factors, J, alpha, lambdas)
+
+    monkeypatch.setattr(postproc, "_class_fields", capture)
+    solution_errors(sol, exact)
+    assert dtypes and set(dtypes) == {np.dtype(complex)}

@@ -9,13 +9,15 @@ from sbfem.cli import build_mesh
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_quad_mesh, import_mesh, number_dofs,
                         singular_open_selement)
+from sbfem import postproc
 from sbfem.postproc import get_exact, solution_errors
 from conftest import (coupled_mixed_mesh, dirichlet_map, evaluate_in_fe,
                       evaluate_in_sector, hybrid_mesh, jittered_quad_mesh,
-                      member_coefficients, mesh_to_json, octahedron_mesh,
-                      op_sectors, open_element_pinned_first,
+                      member_coefficients, mesh_to_json, modal_coefficients,
+                      octahedron_mesh, op_sectors, open_element_pinned_first,
                       reference_mode_chain, reference_project_trace,
                       sector_rows, selement_dofs, selement_views)
+from test_postproc import _galerkin
 from sbfem.solver import (_project_trace, apply_dirichlet, assemble_global,
                           build_operators, fe_element_stiffness,
                           sbfem_interpolate, solve)
@@ -283,37 +285,64 @@ def test_stacked_scatter_and_coefficients_match_per_element(make):
         assert np.abs(c - want).max() <= 1e-12 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("make,k,problem", [
+RECORD_CASES = pytest.mark.parametrize("make,k,problem", [
     (lambda: gen_quad_mesh(4), 3, "exp2d"),
     (lambda: jittered_quad_mesh(6, 0.18), 2, "exp2d"),
     (lambda: gen_coupled_singular(2), 2, "sqrt2d"),
     (open_element_pinned_first, 2, "sqrt2d")],
     ids=["quad-4-k3", "jittered-6x6-k2", "coupled-l2-k2", "open-pinned-first-k2"])
+
+
+@RECORD_CASES
 def test_class_records_reproduce_the_per_element_view(make, k, problem):
     # the per-S-element oracle (DOFs and sector rows by lattice permutation,
     # kept indices from the pins, coefficients by one solve per element)
-    # against the class records, the numbering's arrays and the class
-    # coefficient arrays, bit for bit
-    mesh, exact = make(), get_exact(problem)
-    system = assemble_global(mesh, k)
-    nd = system.numbering
-    sol = solve(apply_dirichlet(system, exact.value,
-                                facet_ids=exact.dirichlet_facets(mesh)))
+    # against the class records, the numbering's arrays (pins left out and
+    # named -1) and the class coefficient arrays, bit for bit
+    sol, _ = _galerkin(make(), k, problem)
+    mesh, nd = sol.mesh, sol.numbering
     assert len(sol.operators) == mesh._sel_class.max() + 1
+    views = selement_views(sol)
     if mesh._dirichlet:                 # the pins remove some S-local DOFs
-        assert sum(len(op.kept) < np.diff(nd.selement_start)[0]
-                   for op in sol.operators)
-    for e, view in enumerate(selement_views(sol)):
+        assert sum(len(v.kept_local) < len(v.dofs_full) for v in views)
+    for e, view in enumerate(views):
         op = sol.operators[mesh._sel_class[e]]
-        assert np.array_equal(selement_dofs(nd, e), view.dofs_full)
-        assert np.array_equal(op.kept, view.kept_local)
+        assert np.array_equal(selement_dofs(nd, e), view.dofs_kept)
+        assert op.modes.n == len(view.kept_local)
         rows = sector_rows(mesh, nd, e)
         assert len(rows) == len(view.sector_rows)
-        assert all(np.array_equal(a, b) for a, b in zip(rows, view.sector_rows))
-        A = np.zeros((len(selement_dofs(nd, e)), op.modes.n), dtype=complex)
-        A[op.kept] = op.modes.A
-        assert np.array_equal(A, view.A_eval)
+        # the error pass's trace rows: modes.A and a zero row for the -1
+        A = np.concatenate([op.modes.A, np.zeros((1, op.modes.n), complex)])
+        assert all(np.array_equal(A[a], view.A_eval[b])
+                   for a, b in zip(rows, view.sector_rows))
         assert np.array_equal(member_coefficients(sol, e), view.coefficients)
+
+
+@RECORD_CASES
+def test_error_pass_coefficients_match_the_class_oracle(make, k, problem,
+                                                        monkeypatch):
+    # every coefficient block the error pass contracts is its class's
+    # oracle array, members in id order, bit for bit, and every member gets
+    # its own coefficients once per facet position
+    sol, exact = _galerkin(make(), k, problem)
+    mesh, blocks = sol.mesh, []
+
+    def capture(fields, coeffs):
+        blocks.append(coeffs.copy())
+        return member_fields(fields, coeffs)
+
+    member_fields = postproc._member_fields
+    monkeypatch.setattr(postproc, "_member_fields", capture)
+    solution_errors(sol, exact)
+    oracle = modal_coefficients(sol)
+    where = {c.tobytes(): (x, j) for x, C in enumerate(oracle)
+             for j, c in enumerate(C)}
+    uses = np.zeros(len(mesh._counts), dtype=int)
+    for block in (b for C in blocks for b in C):                  # (n, members)
+        x, j = where[block[:, 0].tobytes()]
+        assert np.array_equal(block.T, oracle[x][j:j + block.shape[1]])
+        uses[np.flatnonzero(mesh._sel_class == x)[j:j + block.shape[1]]] += 1
+    assert np.array_equal(uses, mesh._counts)
 
 
 def test_perfbench_health_values_are_finite():
