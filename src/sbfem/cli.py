@@ -215,13 +215,11 @@ def run(cfg: dict) -> int:
                               else f"{v.real:.6g}" for v in lam))
         return 0
     galerkin = command == "solve" or command == "convergence"
+    levels, meshes = cfg["levels"], {}   # each level's mesh, shared by every k
     for k in cfg["k"]:
-        rows = []
-        levels = cfg["levels"]
-
         def job(lev):
-            mesh = build_mesh(cfg["mesh"], lev)
-            sol, e_l2, e_h1 = _run_one(cfg, mesh, k, galerkin)
+            meshes[lev] = meshes.get(lev) or build_mesh(cfg["mesh"], lev)
+            sol, e_l2, e_h1 = _run_one(cfg, meshes[lev], k, galerkin)
             return lev, 2.0 ** (-lev), sol.n_dofs, e_l2, e_h1, sol
 
         if cfg["threads"] > 1 and len(levels) > 1:
@@ -229,8 +227,8 @@ def run(cfg: dict) -> int:
                 results = list(pool.map(job, levels))
         else:
             results = [job(lev) for lev in levels]
+        rows = [r[:5] for r in results]
         for lev, h, dof, e_l2, e_h1, sol in results:
-            rows.append((lev, h, dof, e_l2, e_h1))
             print(f"{command} mesh={cfg['mesh']} problem={cfg['problem']} "
                   f"k={k} level={lev}: dof={dof} e_l2={e_l2:.5E} "
                   f"e_h1={e_h1:.5E}")
@@ -238,9 +236,8 @@ def run(cfg: dict) -> int:
                 _eigen_csv(sol.mesh, sol.operators, out_dir,
                            f"{_mesh_tag(cfg['mesh'])}_k{k}_l{lev}")
         report = convergence_table(rows)
-        csv_text = report_to_csv(report)
         name = f"{command}_{cfg['problem']}_{_mesh_tag(cfg['mesh'])}_k{k}.csv"
-        _write(out_dir / name, csv_text)
+        _write(out_dir / name, report_to_csv(report))
         if len(rows) > 1:
             print(f"  rates (last two levels): l2={report.rate_l2:.3f} "
                   f"h1={report.rate_h1:.3f} -> {out_dir / name}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polyspace import _basis_table, facet_quadrature
-from .refgeom import _chunks, _sector_jacobians
+from .refgeom import _chunks, _inv, _sector_jacobians
 
 # |E22 1| and |E12 1| below this (x the block norms) admit a constant trace
 CONSTANT_TRACE_TOL = 1e-10
@@ -87,7 +87,7 @@ def assemble_E(stacks: dict, member: np.ndarray, sizes: list, dim: int,
         for sl in _chunks(len(owners), N.size * dim):
             J, det = _sector_jacobians(kind, rule.points, centres[sl],
                                        vertices[sl])
-            JinvT = np.swapaxes(np.linalg.inv(J), -1, -2)
+            JinvT = np.swapaxes(_inv(J), -1, -2)
             B1 = JinvT[..., :1] * N[:, None, :]               # (S, Q, d, m)
             B2 = JinvT[..., 1:] @ dN
             w = rule.weights * det

@@ -17,6 +17,7 @@ import numpy as np
 
 from .ematrix import EMatrices
 from .errors import GeometryError, SpectrumError
+from .refgeom import _inv
 
 ZERO_CLUSTER_TOL = 1e-6    # |lambda| below this (x spectral radius) is "zero"
 POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
@@ -217,7 +218,7 @@ def _class_fields(table, factors, J, alpha, lambdas):
     # parametric gradient: radial part lambda T, surface part dN alpha
     D = np.concatenate([(T * lambdas[:, None, :])[:, :, None, :],
                         ngrads @ alpha[:, None]], axis=2)    # (S, Q, d, n)
-    return *factors, T, np.swapaxes(np.linalg.inv(J), -1, -2) @ D
+    return *factors, T, np.swapaxes(_inv(J), -1, -2) @ D
 
 
 def _member_fields(fields, coeffs):

@@ -11,8 +11,8 @@ from .errors import QuadratureError, SbfemError
 from .modes import _class_fields, _member_fields, _min_positive, _radial_factors
 from .polyspace import _basis_table, facet_quadrature, radial_quadrature
 from .mesh import _first_seen
-from .refgeom import (FacetKind, _chunks, _facet_points, _facet_tangents,
-                      _sector_jacobians)
+from .refgeom import (FacetKind, _chunks, _det, _facet_points, _facet_tangents,
+                      _inv, _sector_jacobians)
 from .solver import DiscreteSolution
 
 SINGULAR_COMPOSITE_LEVELS = 8
@@ -110,17 +110,17 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     members are translated copies: the J(1,eta), weights |J(1,eta)| and
     mode fields of its first member serve them all, and each member gets
     its own points and coefficients; registration has checked every
-    sector (`PolytopalMesh._check_star_shape`).  Classes are grouped by (facet
-    kind, mode count, size, radial rule).  A group solves A C = U once for
-    the modal coefficients of its congruence classes, each class's members
-    in id order as right-hand sides, and holds their radial factors and
-    trace modes (a zero row for the -1 of a side-face pin), each made once
-    and indexed per chunk, so the facet positions of a class share them.
-    It is cut into chunks, a big class into member blocks, whose sectors x
-    R x max(Q d, n_modes) stays within `refgeom.CHUNK_BUDGET` (R radial, Q
-    facet points).  A block of s sectors holds s n_modes Q d complex entries
-    in the operand G x C of `modes._member_fields` and s R Q (d + 1) in its
-    output.  FE quads go in chunks of Q d entries each.
+    sector (`PolytopalMesh._check_star_shape`).  Classes are grouped by (mode
+    count, size, radial rule).  A group solves A C = U once for the modal
+    coefficients of its classes, each class's members in id order as
+    right-hand sides, and makes their radial factors and trace modes (a zero
+    row for the -1 of a side-face pin) once; its facet kinds go in turn.
+    Each is cut into chunks, a big class into member blocks, whose sectors x
+    R x Q d stays within `refgeom.CHUNK_BUDGET` (R radial, Q facet points);
+    a chunk of one class broadcasts its radial factors.  A block of s sectors
+    holds s n_modes Q d complex entries in the operand G x C of
+    `modes._member_fields` and s R Q (d + 1) in its output.  FE quads go in
+    chunks of Q d entries each.
     """
     k = solution.numbering.k
     cfg = (quad or QuadratureConfig()).resolved(k)
@@ -141,21 +141,17 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     size = np.diff(start, append=len(order))
     first = order[start]
     # the radial rule of each class, named by its representative; groups of
-    # classes by (facet kind, mode count, size, rule) in order of appearance
+    # classes by (mode count, size, rule) in order of appearance
     rules = _radial_rules(ops, np.unique(mesh._sel_class, return_index=True)[1],
                           cfg, k)
     n_modes, c = np.array([op.modes.n for op in ops]), cls[first]
-    group = _first_seen(np.column_stack([kind[first], n_modes[c], size,
-                                         np.array(rules)[c]]) + 0.0)[0]
+    group = _first_seen(np.column_stack([n_modes[c], size, np.array(rules)[c]]) + 0.0)[0]
     sums = np.zeros(2)
     for i in (np.flatnonzero(group == g) for g in range(group.max() + 1)):
-        kd, m, n = kinds[kind[first[i[0]]]], int(size[i[0]]), int(n_modes[c[i[0]]])
-        frule = facet_quadrature(kd, cfg.facet_order)
+        m, n = int(size[i[0]]), int(n_modes[c[i[0]]])
         rad = radial_quadrature(*rules[c[i[0]]])
         xis = rad.points[:, 0]
         wxi = rad.weights * xis ** (d - 1)
-        table = _basis_table(kd, k, cfg.facet_order)
-        centres, vertices, _ = stacks[kd]
         uc, head, inv = np.unique(c[i], return_index=True, return_inverse=True)
         A = np.array([ops[x].modes.A for x in uc.tolist()])   # (classes, n, n)
         lambdas = np.array([ops[x].modes.lambdas for x in uc.tolist()])
@@ -172,26 +168,31 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         # complex, since `eig` gives a real A for an all-real spectrum and a
         # real trace block would take other (real) matmul kernels
         A = np.concatenate([A, np.zeros((len(uc), 1, n), complex)], axis=1)
-        srows = nd.sector_rows[kd][row[first[i]]]        # (records, p)
-        per_sector = len(xis) * max(len(frule) * d, n)
-        for sl in _chunks(len(rows), per_sector * m):
-            rep = rows[sl, 0]                      # the representatives
-            J, det = _sector_jacobians(kd, frule.points, centres[rep],
-                                       vertices[rep])
-            fields = _class_fields(table, (Z[inv[sl]], Z1[inv[sl]]), J,
-                                   A[inv[sl, None], srows[sl]], lambdas[inv[sl]])
-            w = wxi[:, None] * (frule.weights * det)[:, None, None, :]
-            for blk in _chunks(m, per_sector * len(rep)):
-                s = rows[sl, blk]                  # stack rows (classes, members)
-                a0 = np.take(centres, s, axis=0)[..., None, :]
-                rays = (J[:, None, ..., 0] if m == 1      # the members are the reps
-                        else _facet_points(kd, frule.points,
-                                           np.take(vertices, s, axis=0)) - a0)
-                pts = a0[..., None, :] + xis[:, None, None] * rays[..., None, :, :]
-                vals, grads = _member_fields(
-                    fields, np.swapaxes(C[inv[sl], blk], 1, 2))
-                sums += _error_sums(exact, w, pts, np.moveaxis(vals, -1, 1),
-                                    np.moveaxis(grads, -2, 1))
+        for kk in dict.fromkeys(kind[first[i]].tolist()):
+            kd, r = kinds[kk], np.flatnonzero(kind[first[i]] == kk)
+            frule = facet_quadrature(kd, cfg.facet_order)
+            table = _basis_table(kd, k, cfg.facet_order)
+            centres, vertices, _ = stacks[kd]
+            per_sector = len(xis) * len(frule) * d
+            for sl in (r[part] for part in _chunks(len(r), per_sector * m)):
+                rep, u = rows[sl, 0], inv[sl]      # the representatives, classes
+                J, det = _sector_jacobians(kd, frule.points, centres[rep],
+                                           vertices[rep])
+                f = u[:1] if u[0] == u[-1] else u  # one class: broadcast
+                fields = _class_fields(table, (Z[f], Z1[f]), J, A[u[:, None],
+                                       nd.sector_rows[kd][rep]], lambdas[u])
+                w = wxi[:, None] * (frule.weights * det)[:, None, None, :]
+                for blk in _chunks(m, per_sector * len(rep)):
+                    s = rows[sl, blk]              # stack rows (records, members)
+                    a0 = np.take(centres, s, axis=0)[..., None, :]
+                    rays = (J[:, None, ..., 0] if m == 1  # the members are the reps
+                            else _facet_points(kd, frule.points,
+                                               np.take(vertices, s, axis=0)) - a0)
+                    pts = a0[..., None, :] + xis[:, None, None] * rays[..., None, :, :]
+                    vals, grads = _member_fields(
+                        fields, np.swapaxes(C[u, blk], 1, 2))
+                    sums += _error_sums(exact, w, pts, np.moveaxis(vals, -1, 1),
+                                        np.moveaxis(grads, -2, 1))
         del Z, Z1                  # before the next group makes its own
     frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
     table = _basis_table(FacetKind.QUADRILATERAL, k, cfg.facet_order)
@@ -238,9 +239,9 @@ def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts, table):
     J = _facet_tangents(quad, ref_pts, corners)
     _, first, cls = np.unique(mesh._fe_class[sl], return_index=True,
                               return_inverse=True)
-    B = np.swapaxes(np.linalg.inv(J[first]), -1, -2) @ ngrads   # (U, Q, 2, m)
+    B = np.swapaxes(_inv(J[first]), -1, -2) @ ngrads   # (U, Q, 2, m)
     return (_facet_points(quad, ref_pts, corners), uel @ nvals.T,
-            (B[cls] @ uel[:, None, :, None])[..., 0], np.linalg.det(J))
+            (B[cls] @ uel[:, None, :, None])[..., 0], _det(J))
 
 
 def _error_sums(exact: ExactSolution, w, pts, vals, grads) -> np.ndarray:

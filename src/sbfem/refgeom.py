@@ -18,6 +18,7 @@ import numpy as np
 # Largest stacked intermediate of a sector kernel (E-matrices, error
 # integration per sector), in entries; stacks are cut into chunks below it.
 CHUNK_BUDGET = 1 << 14
+_CYCLE = ((1, 2), (2, 0), (0, 1))
 
 
 class FacetKind(Enum):
@@ -91,7 +92,29 @@ def _sector_jacobians(kind: FacetKind, etas: np.ndarray, centres: np.ndarray,
     rays = _facet_points(kind, etas, vertices) - centres[..., None, :]
     J = np.concatenate([rays[..., None], _facet_tangents(kind, etas, vertices)],
                        axis=-1)
-    return J, np.linalg.det(J)
+    return J, _det(J)
+
+
+def _cofactors(J: np.ndarray, rows) -> list:
+    """Cofactors C[r][c] in the given rows of a stack of 2x2 or 3x3 matrices
+    (..., d, d), as (...) arrays in closed form: LAPACK would factor each
+    tiny matrix on its own.  The cyclic index pairs carry the 3x3 signs."""
+    if J.shape[-1] == 2:
+        return [[(-1) ** (r + c) * J[..., 1 - r, 1 - c] for c in (0, 1)] for r in rows]
+    return [[J[..., r1, c1] * J[..., r2, c2] - J[..., r1, c2] * J[..., r2, c1]
+             for c1, c2 in _CYCLE] for r1, r2 in (_CYCLE[r] for r in rows)]
+
+
+def _det(J: np.ndarray, C=None) -> np.ndarray:
+    """Determinants of a stack of 2x2 or 3x3 matrices, by first-row cofactors."""
+    return sum(J[..., 0, c] * x for c, x in enumerate((C or _cofactors(J, [0]))[0]))
+
+
+def _inv(J: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 2x2 or 3x3 matrices: the adjugate over |J|."""
+    C = _cofactors(J, range(J.shape[-1]))
+    det = _det(J, C)
+    return np.stack([x / det for col in zip(*C) for x in col], axis=-1).reshape(J.shape)
 
 
 def _chunks(n: int, per_member: int) -> list:

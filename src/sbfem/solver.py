@@ -19,7 +19,11 @@ from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError, SpectrumError
 from .mesh import DofNumbering, PolytopalMesh, number_dofs
 from .polyspace import _basis_table, facet_quadrature
-from .refgeom import FacetKind, _chunks, _facet_points, _facet_tangents
+from .refgeom import FacetKind, _chunks, _det, _facet_points, _facet_tangents, _inv
+
+# SuperLU's symmetric mode for SPD systems: minimum degree on A + A^T, diagonal pivots
+SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True})
 
 
 @dataclass
@@ -106,11 +110,10 @@ def fe_element_stiffness(vertices: np.ndarray, k: int) -> np.ndarray:
     rule = facet_quadrature(quad, 2 * k)
     _, grads = _basis_table(quad, k, 2 * k)
     tans = _facet_tangents(quad, rule.points, vertices)         # (q, 2, 2)
-    det = np.linalg.det(tans)
+    det = _det(tans)
     if np.any(det <= 0.0):
         raise AssemblyError("inverted FE element")
-    JinvT = np.transpose(np.linalg.inv(tans), (0, 2, 1))
-    g = JinvT @ grads                                           # (q, 2, m)
+    g = np.swapaxes(_inv(tans), 1, 2) @ grads                   # (q, 2, m)
     return np.einsum("q,qdi,qdj->ij", rule.weights * det, g, g)
 
 
@@ -211,7 +214,8 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
                                                    + np.arange(vals.shape[1])])
         blocks.append((rows, np.einsum("fq,qi,qj->fij", w, vals, vals)))
         np.add.at(b, rows, (w * ue) @ vals)
-    return scipy.sparse.linalg.splu(_scatter(blocks, len(dofs)).tocsc()).solve(b)
+    return scipy.sparse.linalg.splu(_scatter(blocks, len(dofs)).tocsc(),
+                                   **SPD_SPLU).solve(b)
 
 
 def _evaluate_field(g, coords: np.ndarray) -> np.ndarray:
@@ -247,8 +251,7 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
         Kff = Kf[:, free].tocsc()
         rhs = -(Kf[:, pinned] @ u[pinned])
         try:
-            lu = scipy.sparse.linalg.splu(Kff)
-            u[free] = lu.solve(rhs)
+            u[free] = scipy.sparse.linalg.splu(Kff, **SPD_SPLU).solve(rhs)
         except RuntimeError as exc:
             raise SolveError(f"sparse factorization failed: {exc}") from exc
         Ku = Kff @ u[free]

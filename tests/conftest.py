@@ -19,8 +19,8 @@ from sbfem.mesh import (_KIND_BY_SIZE, PolytopalMesh, _merge_vertices,
                         import_mesh, number_dofs, singular_open_selement)
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
-from sbfem.refgeom import (FacetKind, _facet_points, _facet_tangents,
-                           _sector_jacobians)
+from sbfem.refgeom import (FacetKind, _det, _facet_points, _facet_tangents,
+                           _inv, _sector_jacobians)
 from sbfem.solver import _evaluate_field, build_operators
 
 
@@ -172,7 +172,7 @@ def sector_B_many(sector, basis, etas):
     if np.any(np.abs(det) < 1e-14):
         raise GeometryError(
             f"degenerate sector (center {sector.collapsed_vertex}): |J| ~ 0")
-    Jinv_T = np.transpose(np.linalg.inv(J1), (0, 2, 1))
+    Jinv_T = np.transpose(_inv(J1), (0, 2, 1))
     N = values[:, None, :]
     B1 = Jinv_T @ np.concatenate([N, np.zeros_like(grads)], axis=1)
     B2 = Jinv_T @ np.concatenate([np.zeros_like(N), grads], axis=1)
@@ -700,8 +700,8 @@ def _reference_fe(solution, q, ref_pts):
     corners = mesh.vertices[mesh._quads()[q]]
     pts = _facet_points(FacetKind.QUADRILATERAL, ref_pts, corners)
     tans = _facet_tangents(FacetKind.QUADRILATERAL, ref_pts, corners)
-    det = np.linalg.det(tans)
-    JinvT = np.transpose(np.linalg.inv(tans), (0, 2, 1))
+    det = _det(tans)
+    JinvT = np.transpose(_inv(tans), (0, 2, 1))
     values = nvals @ uel
     grads = np.einsum("qde,qem->qdm", JinvT, ngrads) @ uel
     return pts, values, grads, det

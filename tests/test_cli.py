@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sbfem import cli
 from sbfem.cli import build_mesh, load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -68,6 +69,27 @@ def test_threads_match_serial(tmp_path):
                    "--output", str(out)])
         assert rc == 0
         outs.append((out / "interp_exp2d_refined-square_k2.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+def test_sweep_builds_each_level_once(tmp_path, monkeypatch):
+    # every k of a sweep shares the level's mesh, with 1 or 2 threads alike
+    built = []
+
+    def counted(name, level):
+        built.append(level)
+        return build_mesh(name, level)
+
+    monkeypatch.setattr(cli, "build_mesh", counted)
+    outs = []
+    for threads in ("1", "2"):
+        built.clear()
+        rc = main(["convergence", "--mesh", "coupled-singular", "--levels", "1..3",
+                   "--k", "1..2", "--problem", "sqrt2d", "--threads", threads,
+                   "--output", str(tmp_path / threads)])
+        assert rc == 0 and sorted(built) == [1, 2, 3]
+        outs.append([(tmp_path / threads / f"convergence_sqrt2d_coupled-singular_k{k}"
+                      ".csv").read_bytes() for k in (1, 2)])
     assert outs[0] == outs[1]
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (coupled_mixed_mesh, facet_vertices, flat_sector_squares,
-                      jittered_quad_mesh, laplacian_residual,
+                      hybrid_mesh, jittered_quad_mesh, laplacian_residual,
                       open_element_pinned_first, reference_solution_errors,
                       selement_views)
 from sbfem import postproc, refgeom
@@ -273,6 +273,58 @@ def test_error_tables_are_computed_once(make, problem, monkeypatch):
     records = sum(len(o) for *_, o in mesh._sector_stacks().values())
     assert rows[0] == 2 * len(sol.operators) < 2 * records
     assert tables and set(tables.values()) == {1}
+
+
+@pytest.mark.parametrize("make, k, problem, rtol", [
+    (lambda: gen_hex_mesh(4), 2, "exp3d", 1e-12),
+    (lambda: gen_quad_mesh(8), 3, "exp2d", 1e-12),
+    (lambda: gen_coupled_singular(3), 2, "sqrt2d", 1e-8)],
+    ids=["hex-l2-k2", "quad-8x8-k3", "coupled-l3-k2"])
+def test_energy_identity(make, k, problem, rtol):
+    # SBFEM functions are gradient-orthogonal to those vanishing on the
+    # skeleton, so the energy of u_h is u K u, the error against a constant
+    # its quadrature.  The radial rule of a regular class integrates smooth
+    # powers of xi to round-off; the open S-element's r^(-1/2) gradient is
+    # integrated by a geometric composite rule, to about 1e-9 only.
+    mesh = make()
+    exact = get_exact(problem)
+    system = assemble_global(mesh, k)
+    apply_dirichlet(system, exact.value, facet_ids=exact.dirichlet_facets(mesh))
+    sol = solve(system)
+    energy = sol.nodal @ (system.K @ sol.nodal)
+    h1 = solution_errors(sol, get_exact("const"))[1]
+    assert abs(h1 ** 2 - energy) <= rtol * energy
+
+
+def test_error_chunks_count_sector_arrays_only(monkeypatch):
+    # the open S-element of coupled level 4, k = 2 (64 modes, a composite
+    # radial rule of 108 points, 32 facets): its radial factors are made
+    # once and broadcast over the sectors of a chunk, so only the per-sector
+    # arrays fill the chunk budget
+    sol, exact = _galerkin(gen_coupled_singular(4), 2, "sqrt2d")
+    shapes, fields = [], postproc._class_fields
+
+    def counted(table, factors, J, alpha, lambdas):
+        shapes.append((alpha.shape[-1], factors[0].shape[0]))
+        return fields(table, factors, J, alpha, lambdas)
+
+    monkeypatch.setattr(postproc, "_class_fields", counted)
+    solution_errors(sol, exact)
+    assert 1 <= len(shapes) <= 4 and set(shapes) == {(64, 1)}
+
+
+def test_coefficients_are_solved_once_per_class(monkeypatch):
+    # one congruence class with quadrilateral and triangular sectors
+    sol = sbfem_interpolate(hybrid_mesh(), 2, get_exact("exp3d").value)
+    calls, linsolve = [], np.linalg.solve
+
+    def counted(*args):
+        calls.append(args[0].shape)
+        return linsolve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    solution_errors(sol, get_exact("exp3d"))
+    assert len(calls) == 1 and calls[0][0] == 1
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_SOLUTIONS))

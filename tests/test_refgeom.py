@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Sector, duffy_map_many, mesh_sector, sector_jacobian
+from sbfem.cli import MESH_FAMILIES, build_mesh
 from sbfem.errors import GeometryError
-from sbfem.polyspace import trace_basis
-from sbfem.refgeom import FacetKind, _sector_jacobians
+from sbfem.polyspace import facet_quadrature, trace_basis
+from sbfem.refgeom import (FacetKind, _det, _facet_tangents, _inv,
+                           _sector_jacobians)
 
 
 def tri_sector():
@@ -198,3 +200,38 @@ def test_corners_decide_the_sign_of_the_sector_jacobian(kind, planar, points):
                                   vertices[None])
     size = max(np.abs(vertices).max(), np.abs(centre).max())
     assert det.min() >= corner.min() - 1e-12 * size ** d
+
+
+def assert_matches_lapack(J):
+    # closed-form determinants and inverses within 1e-13 relative of LAPACK's,
+    # each matrix against its own scale
+    det, inv = np.linalg.det(J), np.linalg.inv(J)
+    assert _det(J).shape == det.shape and _inv(J).shape == inv.shape
+    assert (np.abs(_det(J) - det) <= 1e-13 * np.abs(det)).all()
+    scale = np.abs(inv).max(axis=(-2, -1), keepdims=True)
+    assert (np.abs(_inv(J) - inv) <= 1e-13 * scale).all()
+
+
+@pytest.mark.parametrize("family", sorted(MESH_FAMILIES))
+def test_closed_form_jacobian_algebra_on_every_mesh_family(family):
+    # J(1,eta) of every sector at the error rule's facet points, and the
+    # Jacobians of the FE quads where the family has them
+    mesh = build_mesh(family, 2)
+    for kind, (centres, vertices, _) in mesh._sector_stacks().items():
+        J, det = _sector_jacobians(kind, facet_quadrature(kind, 8).points,
+                                   centres, vertices)
+        assert det.shape == J.shape[:-2] and np.array_equal(det, _det(J))
+        assert_matches_lapack(J)
+    quad = FacetKind.QUADRILATERAL
+    if len(mesh._quads()):
+        assert_matches_lapack(_facet_tangents(
+            quad, facet_quadrature(quad, 8).points, mesh.vertices[mesh._quads()]))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_closed_form_jacobian_algebra_on_random_stacks(d, rng):
+    # well-conditioned stacks: rotations times singular values in [0.5, 2],
+    # of either orientation, at scales from 1e-3 to 1e3
+    Q = np.linalg.qr(rng.normal(size=(4, 50, d, d)))[0]
+    s = rng.uniform(0.5, 2.0, (4, 50, 1, d)) * 10.0 ** rng.uniform(-3, 3, (4, 50, 1, 1))
+    assert_matches_lapack((Q * s) @ np.swapaxes(Q, -1, -2)[..., ::-1, :])
