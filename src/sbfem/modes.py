@@ -17,7 +17,6 @@ import numpy as np
 
 from .ematrix import EMatrices
 from .errors import GeometryError, SpectrumError
-from .refgeom import _inv
 
 ZERO_CLUSTER_TOL = 1e-6    # |lambda| below this (x spectral radius) is "zero"
 POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
@@ -204,10 +203,10 @@ def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:
     return SElementStiffness(K=0.5 * (K + KT), asymmetry=asym)
 
 
-def _class_fields(table, factors, J, alpha, lambdas):
+def _class_fields(table, factors, Jinv, alpha, lambdas):
     """The part of u_h on the (xi, eta) tensor grid that the sectors of a
     class share, for a stack of classes.  A class is the sectors at one facet
-    position of S-elements that share their modes: one J(1, eta) (S, Q, d, d),
+    position of S-elements that share their modes: one J(1, eta)^-1 (S, Q, d, d),
     trace block alpha (S, p, n), set of exponents (S, n) and radial factors
     Z, Z1 (S, R, n) of `_radial_factors`; `table` holds the trace basis
     values (Q, p) and eta-gradients (Q, d-1, p) at the Q facet points.
@@ -218,15 +217,35 @@ def _class_fields(table, factors, J, alpha, lambdas):
     # parametric gradient: radial part lambda T, surface part dN alpha
     D = np.concatenate([(T * lambdas[:, None, :])[:, :, None, :],
                         ngrads @ alpha[:, None]], axis=2)    # (S, Q, d, n)
-    return *factors, T, np.swapaxes(_inv(J), -1, -2) @ D
+    return *factors, T, np.swapaxes(Jinv, -1, -2) @ D
+
+
+def _mode_basis(fields, m: int):
+    """The operands of `_member_fields` for blocks of up to m members: the
+    class fields, or the mode basis [Z x T, Z1 x G] (S, R, Q, 1 + d, n) where
+    it is the smaller intermediate, R Q (1 + d) n against Q (1 + d) n m."""
+    Z, Z1, T, G = fields
+    (S, Q, d, n), R = G.shape, Z.shape[-2]
+    if R > m:
+        return fields
+    B = np.empty((S, R, Q, 1 + d, n), complex)
+    np.multiply(Z[:, :, None, None], T[:, None, :, None], out=B[:, :, :, :1])
+    np.multiply(Z1[:, :, None, None], G[:, None], out=B[:, :, :, 1:])
+    return (B,)
 
 
 def _member_fields(fields, coeffs):
-    """u_h on the grid of the member sectors of a stack of classes, from the
-    class part `fields` of `_class_fields` and the member coefficients, the
-    columns of coeffs (S, n, m): two matmuls.  Returns values (S, R, Q, m)
-    and Cartesian gradients (S, R, Q, m, d), the real parts of the complex
-    sums."""
+    """u_h, the real part of a sum over the modes, on the grid of the member
+    sectors of a stack of classes, from the operands `fields` of `_mode_basis`
+    and member coefficients, the columns of coeffs (S, n, m): class fields by
+    Z @ (T x C) and Z1 @ (G x C), two complex matmuls; a mode basis, read as
+    real (Re, Im interleaved), by one real matmul with [Re C, -Im C].  Returns
+    values (S, R, Q, m) and Cartesian gradients (S, R, Q, m, d)."""
+    if len(fields) == 1:
+        B, C = fields[0], np.stack([coeffs.real, -coeffs.imag], axis=-2)
+        out = (B.reshape(len(B), -1, B.shape[-1]).view(float) @ C.reshape(
+            len(C), -1, C.shape[-1])).reshape(B.shape[:-1] + (-1,))
+        return out[..., 0, :], np.moveaxis(out[..., 1:, :], 3, -1)
     Z, Z1, T, G = fields
     (S, Q, d, n), m = G.shape, coeffs.shape[-1]
     C = coeffs[:, :, None, :]                                # (S, n, 1, m)

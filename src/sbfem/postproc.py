@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, SbfemError
-from .modes import _class_fields, _member_fields, _min_positive, _radial_factors
+from .modes import (_class_fields, _member_fields, _min_positive, _mode_basis,
+                    _radial_factors)
 from .polyspace import _basis_table, facet_quadrature, radial_quadrature
 from .mesh import _first_seen
 from .refgeom import (FacetKind, _chunks, _det, _facet_points, _facet_tangents,
@@ -107,20 +108,20 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
 
     A class is the sectors at one facet position of the S-elements of one
     congruence class (`PolytopalMesh._register`), in S-element order.  Its
-    members are translated copies: the J(1,eta), weights |J(1,eta)| and
-    mode fields of its first member serve them all, and each member gets
-    its own points and coefficients; registration has checked every
-    sector (`PolytopalMesh._check_star_shape`).  Classes are grouped by (mode
-    count, size, radial rule).  A group solves A C = U once for the modal
-    coefficients of its classes, each class's members in id order as
-    right-hand sides, and makes their radial factors and trace modes (a zero
-    row for the -1 of a side-face pin) once; its facet kinds go in turn.
-    Each is cut into chunks, a big class into member blocks, whose sectors x
-    R x Q d stays within `refgeom.CHUNK_BUDGET` (R radial, Q facet points);
-    a chunk of one class broadcasts its radial factors.  A block of s sectors
-    holds s n_modes Q d complex entries in the operand G x C of
-    `modes._member_fields` and s R Q (d + 1) in its output.  FE quads go in
-    chunks of Q d entries each.
+    members are translated copies: the J(1,eta), rays F_L(eta) - a0, weights
+    |J(1,eta)| and mode fields of its first member serve them all, and each
+    member gets its own centre a0 and coefficients; registration has checked
+    every sector.  Classes are grouped by (mode count, size, radial rule).  A
+    group solves A C = U once for the modal coefficients of its classes
+    (members in id order as right-hand sides) and makes their radial factors
+    and trace modes (a zero row for a side-face pin's -1) once; its facet
+    kinds go in turn, each with the representatives' J(1,eta) and inverse.
+    A pass is cut into chunks, a big class into member blocks, by sectors x
+    R x Q d within `refgeom.CHUNK_BUDGET` (R radial, Q facet points).  For
+    blocks of s sectors and up to m members, `modes._mode_basis` picks the
+    operand G x C of s n_modes Q (d + 1) m complex entries per block or, when
+    R <= m, a mode basis of s R Q (d + 1) n_modes per chunk; the output has
+    s R Q (d + 1) m.  FE quads go in chunks of Q d entries each.
     """
     k = solution.numbering.k
     cfg = (quad or QuadratureConfig()).resolved(k)
@@ -158,9 +159,8 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         Z, Z1 = _radial_factors(xis, lambdas)             # (classes, R, n)
         recs = order[start[i][:, None] + np.arange(m)]   # (classes, members)
         rows = row[recs]
-        # the coefficients: A C = U, each class's members in id order as the
-        # right-hand sides, kept as (classes, members, n): `_member_fields`
-        # runs faster on columns whose n entries are adjacent
+        # the coefficients A C = U, kept as (classes, members, n):
+        # `_member_fields` runs faster when a column's n entries are adjacent
         at = nd.selement_start[e[recs[head]]]
         C = np.swapaxes(np.linalg.solve(A, np.swapaxes(solution.nodal[
             nd.selement_dofs[at[..., None] + np.arange(n)]], 1, 2)), 1, 2).copy()
@@ -173,26 +173,24 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
             frule = facet_quadrature(kd, cfg.facet_order)
             table = _basis_table(kd, k, cfg.facet_order)
             centres, vertices, _ = stacks[kd]
+            # the representatives' geometry; their rays serve every member
+            rep = rows[r, 0]
+            J, det = _sector_jacobians(kd, frule.points, centres[rep], vertices[rep])
+            Jinv, rays = _inv(J), J[:, None, :, None, :, 0]  # (S, 1, Q, 1, d)
             per_sector = len(xis) * len(frule) * d
-            for sl in (r[part] for part in _chunks(len(r), per_sector * m)):
-                rep, u = rows[sl, 0], inv[sl]      # the representatives, classes
-                J, det = _sector_jacobians(kd, frule.points, centres[rep],
-                                           vertices[rep])
+            for sl in _chunks(len(r), per_sector * m):
+                u = inv[r[sl]]                     # the classes
                 f = u[:1] if u[0] == u[-1] else u  # one class: broadcast
-                fields = _class_fields(table, (Z[f], Z1[f]), J, A[u[:, None],
-                                       nd.sector_rows[kd][rep]], lambdas[u])
-                w = wxi[:, None] * (frule.weights * det)[:, None, None, :]
-                for blk in _chunks(m, per_sector * len(rep)):
-                    s = rows[sl, blk]              # stack rows (records, members)
-                    a0 = np.take(centres, s, axis=0)[..., None, :]
-                    rays = (J[:, None, ..., 0] if m == 1  # the members are the reps
-                            else _facet_points(kd, frule.points,
-                                               np.take(vertices, s, axis=0)) - a0)
-                    pts = a0[..., None, :] + xis[:, None, None] * rays[..., None, :, :]
-                    vals, grads = _member_fields(
-                        fields, np.swapaxes(C[u, blk], 1, 2))
-                    sums += _error_sums(exact, w, pts, np.moveaxis(vals, -1, 1),
-                                        np.moveaxis(grads, -2, 1))
+                blocks = _chunks(m, per_sector * len(u))
+                alpha = A[u[:, None], nd.sector_rows[kd][rep[sl]]]
+                fields = _mode_basis(_class_fields(table, (Z[f], Z1[f]), Jinv[sl], alpha,
+                                                   lambdas[u]), min(m, blocks[0].stop))
+                w = wxi[:, None, None] * (frule.weights * det[sl])[:, None, :, None]
+                steps = xis[:, None, None, None] * rays[sl]  # (S, R, Q, 1, d)
+                for blk in blocks:
+                    a0 = np.take(centres, rows[r[sl], blk], axis=0)[:, None, None]
+                    sums += _error_sums(exact, w, a0 + steps, *_member_fields(
+                        fields, np.swapaxes(C[u, blk], 1, 2)))
         del Z, Z1                  # before the next group makes its own
     frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
     table = _basis_table(FacetKind.QUADRILATERAL, k, cfg.facet_order)
@@ -245,11 +243,14 @@ def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts, table):
 
 
 def _error_sums(exact: ExactSolution, w, pts, vals, grads) -> np.ndarray:
-    """Weighted sums of squared value and gradient errors."""
+    """Weighted sums of squared value and gradient errors: the exact fields are
+    subtracted from the kernel output in place, each sum is one contraction."""
     ev, eg = exact.value_and_gradient(pts.reshape(-1, pts.shape[-1]))
-    return np.array([np.sum(w * (vals - ev.reshape(vals.shape)) ** 2),
-                     np.sum(w * np.sum((grads - eg.reshape(grads.shape)) ** 2,
-                                       axis=-1))])
+    vals -= ev.reshape(vals.shape)
+    grads -= eg.reshape(grads.shape)
+    ax = "abcde"[:vals.ndim]                   # w broadcasts against vals
+    return np.array([np.einsum(f"{ax},{ax},{ax}->", w, vals, vals),
+                     np.einsum(f"{ax},{ax}z,{ax}z->", w, grads, grads)])
 
 
 @dataclass

@@ -118,8 +118,8 @@ def sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
     factors at `xis`, followed by `modes._member_fields`: values
     (S, R, Q, m) and gradients (S, R, Q, m, d) of a stack of classes."""
     return modes._member_fields(modes._class_fields(
-        basis.eval_many(etas), modes._radial_factors(xis, lambdas), J, alpha,
-        lambdas), coeffs)
+        basis.eval_many(etas), modes._radial_factors(xis, lambdas), _inv(J),
+        alpha, lambdas), coeffs)
 
 
 def check_sectors(J, det, owners):

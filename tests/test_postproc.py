@@ -448,3 +448,102 @@ def test_trace_blocks_stay_complex_for_a_real_spectrum(monkeypatch):
     monkeypatch.setattr(postproc, "_class_fields", capture)
     solution_errors(sol, exact)
     assert dtypes and set(dtypes) == {np.dtype(complex)}
+
+
+@pytest.mark.parametrize("contraction", ["basis", "coefficients"])
+@pytest.mark.parametrize("one_sector_chunks", [False, True])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_batched_errors_match_the_reference_with_either_contraction(
+        case, one_sector_chunks, contraction, monkeypatch):
+    # `modes._mode_basis` forced each way: every chunk builds its mode basis,
+    # or every member block contracts its coefficients first
+    if one_sector_chunks:
+        monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
+    members, taken, rule = (np.inf if contraction == "basis" else 0), set(), \
+        postproc._mode_basis
+
+    def forced(fields, m):
+        out = rule(fields, members)
+        taken.add(len(out))
+        return out
+
+    monkeypatch.setattr(postproc, "_mode_basis", forced)
+    make, k, problem = BATCH_CASES[case]
+    sol, exact = _galerkin(make(), k, problem)
+    got = solution_errors(sol, exact)
+    assert taken == {1 if contraction == "basis" else 4}
+    assert got == pytest.approx(reference_solution_errors(sol, exact),
+                                rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make, k, problem, basis", [
+    (lambda: gen_quad_mesh(4), 3, "exp2d", True),
+    (lambda: gen_hex_mesh(3), 2, "exp3d", True),
+    (lambda: jittered_quad_mesh(8, 0.18), 2, "exp2d", False),
+    (lambda: gen_coupled_singular(4), 2, "sqrt2d", False)],
+    ids=["quad-4x4-k3", "hex-n3-k2", "jittered-8x8-k2", "coupled-l4-k2"])
+def test_contraction_takes_the_smaller_intermediate(make, k, problem, basis,
+                                                    monkeypatch):
+    # a mode basis of R Q (1 + d) n entries per sector where a member block
+    # has at least R members (16 quads against 14 radial points, blocks of
+    # 18 hexes against 12), else the coefficients first: jittered singletons
+    # and the open S-element of 108 radial points
+    sol, exact = _galerkin(make(), k, problem)
+    forms, member_fields = [], postproc._member_fields
+
+    def capture(fields, coeffs):
+        forms.append(len(fields))
+        return member_fields(fields, coeffs)
+
+    monkeypatch.setattr(postproc, "_member_fields", capture)
+    solution_errors(sol, exact)
+    assert forms and set(forms) == {1 if basis else 4}
+
+
+def test_representative_geometry_is_computed_once_per_pass(monkeypatch):
+    # hex level 2, k = 2: one class of 64 members at 6 facet positions, one
+    # chunk each; J(1,eta) and its inverse are made once for all 6
+    sol, exact = _galerkin(gen_hex_mesh(4), 2, "exp3d")
+    calls, jacobians, inverse = Counter(), postproc._sector_jacobians, postproc._inv
+
+    def counted_jacobians(kind, etas, centres, vertices):
+        calls["jacobians", len(centres)] += 1
+        return jacobians(kind, etas, centres, vertices)
+
+    def counted_inverse(J):
+        calls["inverse", len(J)] += 1
+        return inverse(J)
+
+    monkeypatch.setattr(postproc, "_sector_jacobians", counted_jacobians)
+    monkeypatch.setattr(postproc, "_inv", counted_inverse)
+    solution_errors(sol, exact)
+    assert calls == {("jacobians", 6): 1, ("inverse", 6): 1}
+
+
+@pytest.mark.parametrize("make, k, basis", [
+    (lambda: gen_hex_mesh(6), 2, True), (lambda: gen_hex_mesh(8), 2, True),
+    (lambda: gen_quad_mesh(32), 4, True), (lambda: gen_hex_mesh(3), 3, False)],
+    ids=["hex-l6-k2", "hex-l8-k2", "quad-32x32-k4", "hex-n3-k3"])
+def test_mode_basis_memory_is_bounded_by_the_chunk_budget(make, k, basis,
+                                                          monkeypatch):
+    # the mode basis of a chunk is no larger than the G x C operand of one
+    # of its member blocks, so the bound of the coefficient-first blocks
+    # holds.  Hex n3, k = 3: 27 members and 14 radial points, but blocks of
+    # 10; its basis (1.8 MB per sector) would break the bound
+    exact = get_exact("exp3d" if make().dimension == 3 else "exp2d")
+    sol = sbfem_interpolate(make(), k, exact.value)
+    forms, member_fields = set(), postproc._member_fields
+
+    def capture(fields, coeffs):
+        forms.add(len(fields))
+        return member_fields(fields, coeffs)
+
+    monkeypatch.setattr(postproc, "_member_fields", capture)
+    tracemalloc.start()
+    try:
+        solution_errors(sol, exact)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forms == {1 if basis else 4}
+    assert peak < 16 * 16 * refgeom.CHUNK_BUDGET
