@@ -117,6 +117,33 @@ def test_shipped_configs_parse():
         build_mesh(cfg["mesh"], cfg["levels"][0])
 
 
+# each shipped config: command, mesh, levels, k, problem; every other key
+# it leaves out takes its default
+SHIPPED = {
+    "coupled-singular": ("convergence", "coupled-singular", [1, 2, 3], [1, 2], "sqrt2d"),
+    "hex": ("convergence", "hex", [1, 2], [1, 2], "exp3d"),
+    "interp-cube": ("interp", "refined-cube", [1, 2, 3], [1, 2], "exp3d"),
+    "interp-singular": ("interp", "singular", [1, 2, 3, 4], [1, 2, 3, 4], "sqrt2d"),
+    "interp-square": ("interp", "refined-square", [1, 2, 3], [1, 2, 3, 4], "exp2d"),
+    "polygon-case1": ("convergence", "polygon-case1", [1, 2, 3], [1, 2], "exp2d"),
+    "polyhedron-case1": ("convergence", "polyhedron-case1", [1, 2], [1, 2], "exp3d"),
+    "quad": ("convergence", "quad", [1, 2, 3, 4], [1, 2, 3], "exp2d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_loads_to_its_full_dict(name):
+    import argparse
+    command, mesh, levels, k, problem = SHIPPED[name]
+    cfg = load_config(argparse.Namespace(command=command,
+                                         config=str(CONFIG_DIR / f"{name}.json")))
+    assert cfg == {"command": command, "mesh": mesh, "level": None, "levels": levels,
+                   "k": k, "problem": problem, "output": f"results/{name}",
+                   "bc": "project", "facet_order": None, "radial_points": None,
+                   "composite_levels": None, "threads": 1, "dump_eigenvalues": False}
+    assert sorted(SHIPPED) == sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+
+
 def test_config_command_must_match(tmp_path, capsys):
     # interp-square.json names `interp`; running it as a Galerkin solve
     # would write a different CSV under the same study
