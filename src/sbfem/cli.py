@@ -17,8 +17,8 @@ from .modes import eigenvalue_rows
 from .polyspace import MAX_DEGREE
 from .postproc import (EXACT_SOLUTIONS, QuadratureConfig, convergence_table,
                        get_exact, report_to_csv, solution_errors)
-from .solver import (apply_dirichlet, assemble_global, build_operators,
-                     sbfem_interpolate, solve)
+from .solver import (DIRICHLET_METHODS, apply_dirichlet, assemble_global,
+                     build_operators, sbfem_interpolate, solve)
 
 MESH_FAMILIES = {
     # name: (generator(n), level -> n), for levels >= 1
@@ -45,31 +45,51 @@ def build_mesh(name: str, level: int):
     return gen(level_to_n(level))
 
 
-def _integer(key: str, value, low=None) -> int:
-    """A config value that must be an integer, and at least `low` if given."""
-    floor = "" if low is None else f" >= {low}"
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (low is not None and value < low)):
-        raise ConfigError(f"{key} must be an integer{floor}, got {value!r}")
-    return value
+# Each config key, and its flag: (default, accepted values, flag help).  Accepted:
+# `str`; `bool` (a store_true flag); `int`, or an int n for integers >= n (int flags);
+# `list`: an integer, a list of them, "a..b" or "a,b,c"; or a sorted list of names.
+OPTIONS = {
+    "mesh": ("quad", str, "mesh family name or file:<path>"),
+    "level": (None, int, "single refinement level"),
+    "levels": (None, list, "level sweep, e.g. 1..4 or 1,2,3"),
+    "k": ("1", list, "trace degree(s), e.g. 2 or 1..3"),
+    "problem": ("exp2d", sorted(EXACT_SOLUTIONS), "exact solution registry name"),
+    "output": (".", str, "output directory"),
+    "bc": ("project", sorted(DIRICHLET_METHODS), "Dirichlet enforcement"),
+    "facet_order": (None, 1, "facet quadrature order for error integrals"),
+    "radial_points": (None, 1, "radial Gauss points per subinterval for error integrals"),
+    "composite_levels": (None, 0, "geometric radial subdivisions for error integrals"),
+    "threads": (1, 1, "worker threads"),
+    "dump_eigenvalues": (False, bool, "write per-S-element eigenvalue CSVs"),
+}
 
 
-def _parse_intlist(key: str, value) -> list[int]:
-    """A non-empty list from an integer, a list of integers, or a string
-    "a..b" or "a,b,c"."""
-    if not isinstance(value, str):
-        out = [_integer(key, v) for v in (value if isinstance(value, list) else [value])]
+def _check(key: str, value, accepts):
+    """`value` as the run uses it, or a ConfigError naming `key`."""
+    if accepts is list:
+        out = value if isinstance(value, list) else [value]
+        if isinstance(value, str):
+            try:
+                a, dots, b = value.partition("..")
+                out = (list(range(int(a), int(b) + 1)) if dots
+                       else [int(tok) for tok in value.split(",") if tok])
+            except ValueError:
+                raise ConfigError(f"{key} must be an integer, a list a,b,c or a range "
+                                  f"a..b, got {value!r}") from None
+        if not out:
+            raise ConfigError(f"{key} must list at least one integer, got {value!r}")
+        return [_check(key, v, int) for v in out]
+    if accepts is int or isinstance(accepts, int):
+        ok = type(value) is int and (accepts is int or value >= accepts)
+        what = "an integer" + ("" if accepts is int else f" >= {accepts}")
+    elif isinstance(accepts, list):
+        ok, what = value in accepts, f"one of {accepts}"
     else:
-        try:
-            a, dots, b = value.partition("..")
-            out = (list(range(int(a), int(b) + 1)) if dots
-                   else [int(tok) for tok in value.split(",") if tok])
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer, a list a,b,c or a range "
-                              f"a..b, got {value!r}") from None
-    if not out:
-        raise ConfigError(f"{key} must list at least one integer, got {value!r}")
-    return out
+        ok = isinstance(value, accepts)
+        what = "a string" if accepts is str else "true or false"
+    if not ok:
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,35 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scaled boundary finite elements for the Laplace equation")
     p.add_argument("command", choices=["modes", "interp", "solve", "convergence"])
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--mesh", help="mesh family name or file:<path>")
-    p.add_argument("--level", type=int, help="single refinement level")
-    p.add_argument("--levels", help="level sweep, e.g. 1..4 or 1,2,3")
-    p.add_argument("--k", help="trace degree(s), e.g. 2 or 1..3")
-    p.add_argument("--problem", help="exact solution registry name")
-    p.add_argument("--output", help="output directory (default: .)")
-    p.add_argument("--bc", choices=["project", "nodal"],
-                   help="Dirichlet enforcement (default: project)")
-    p.add_argument("--facet-order", type=int, dest="facet_order",
-                   help="facet quadrature order for error integrals")
-    p.add_argument("--radial-points", type=int, dest="radial_points",
-                   help="radial Gauss points per subinterval for error integrals")
-    p.add_argument("--composite-levels", type=int, dest="composite_levels",
-                   help="geometric radial subdivisions for error integrals")
-    p.add_argument("--threads", type=int, help="worker threads (default 1)")
-    p.add_argument("--dump-eigenvalues", action="store_true", default=None,
-                   help="write per-S-element eigenvalue CSVs")
+    for key, (default, accepts, text) in OPTIONS.items():
+        kind = ({"action": "store_true"} if accepts is bool else {"type": int}
+                if accepts is int or isinstance(accepts, int) else {})
+        p.add_argument("--" + key.replace("_", "-"), default=None, **kind, help=text
+                       + ("" if default in (None, False) else f" (default: {default})"))
     return p
 
 
-_DEFAULTS = {"mesh": "quad", "level": None, "levels": None, "k": "1",
-             "problem": "exp2d", "output": ".", "bc": "project",
-             "facet_order": None, "radial_points": None,
-             "composite_levels": None, "threads": 1,
-             "dump_eigenvalues": False}
-
-
 def load_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    given = {key: default for key, (default, _, _) in OPTIONS.items()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -115,49 +116,36 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(data) - set(_DEFAULTS) - {"command"}
+        unknown = set(data) - set(OPTIONS) - {"command"}
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if data.get("command", args.command) != args.command:
             raise ConfigError(f"config {args.config} is for command "
                               f"'{data['command']}', not '{args.command}'")
-        cfg.update(data)
-    for key in _DEFAULTS:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
+        given.update(data)
+    given.update({k: v for k in OPTIONS if (v := getattr(args, k, None)) is not None})
+    cfg = {key: None if given[key] is None and default is None
+           else _check(key, given[key], accepts)
+           for key, (default, accepts, _) in OPTIONS.items()}
     cfg["command"] = args.command
-    # a single --level wins over a level sweep; levels are >= 1 and increase
-    key = "levels" if cfg["level"] is None else "level"
-    given = cfg[key]
-    levels = ([1] if given is None else [_integer(key, given)] if key == "level"
-              else _parse_intlist(key, given))
-    if min(levels) < 1:
-        raise ConfigError(f"{key} must be >= 1, got {min(levels)}")
-    if any(b <= a for a, b in zip(levels, levels[1:])):
-        raise ConfigError(f"levels must be strictly increasing, got {given!r}")
-    if args.command == "modes" and len(levels) > 1:
-        raise ConfigError(f"levels must name one level for modes, got {given!r}")
-    cfg["levels"] = levels
-    cfg["k"] = _parse_intlist("k", cfg["k"])
+    # a single level wins over a sweep; both are >= 1, and a sweep increases
+    single = [] if cfg["level"] is None else [cfg["level"]]
+    for key, levels in (("level", single), ("levels", cfg["levels"] or [])):
+        if levels and min(levels) < 1:
+            raise ConfigError(f"{key} must be >= 1, got {min(levels)}")
+        if any(b <= a for a, b in zip(levels, levels[1:])):
+            raise ConfigError(f"levels must be strictly increasing, got {given[key]!r}")
+    levels = cfg["levels"] = single or cfg["levels"] or [1]
+    for where, one in (("modes", args.command == "modes"),
+                       ("a file: mesh", cfg["mesh"].startswith("file:"))):
+        if one and len(levels) > 1:
+            raise ConfigError(f"levels must name one level for {where}, "
+                              f"got {given['levels']!r}")
     for k in [k for k in cfg["k"] if not 1 <= k <= MAX_DEGREE][:1]:
         raise ConfigError(f"k must be between 1 and {MAX_DEGREE}, got {k}")
-    _integer("threads", cfg["threads"], 1)
-    for key, low in (("facet_order", 1), ("radial_points", 1), ("composite_levels", 0)):
-        if cfg[key] is not None:
-            _integer(key, cfg[key], low)
-    for key, kind, what in (("mesh", str, "a string"), ("output", str, "a string"),
-                            ("dump_eigenvalues", bool, "true or false")):
-        if not isinstance(cfg[key], kind):
-            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
-    if cfg["mesh"].startswith("file:") and len(levels) > 1:
-        raise ConfigError(f"levels must name one level for a file: mesh, got {given!r}")
     out = Path(cfg["output"])
     for p in [p for p in (out, *out.parents) if p.exists() and not p.is_dir()][:1]:
         raise ConfigError(f"output must be a directory, but {p} is not one")
-    for key, ok in (("bc", ["nodal", "project"]), ("problem", sorted(EXACT_SOLUTIONS))):
-        if cfg[key] not in ok:
-            raise ConfigError(f"{key} must be one of {ok}, got {cfg[key]!r}")
     return cfg
 
 

@@ -24,6 +24,7 @@ from .refgeom import FacetKind, _chunks, _det, _facet_points, _facet_tangents, _
 # SuperLU's symmetric mode for SPD systems: minimum degree on A + A^T, diagonal pivots
 SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True})
+DIRICHLET_METHODS = ("nodal", "project")      # the `method`s of apply_dirichlet
 
 
 @dataclass
@@ -182,12 +183,10 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
     dofs = system.numbering.facet_boundary_dofs(facet_ids)
     if dofs.size == 0 and not system.dirichlet_dofs.size:
         raise SolveError("no Dirichlet boundary: the Laplace system is singular")
-    if method == "nodal":
-        values = _evaluate_field(g, system.numbering.coords[dofs])
-    elif method == "project":
-        values = _project_trace(system, g, facet_ids, dofs)
-    else:
+    if method not in DIRICHLET_METHODS:
         raise SolveError(f"unknown Dirichlet method '{method}'")
+    values = (_evaluate_field(g, system.numbering.coords[dofs]) if method == "nodal"
+              else _project_trace(system, g, facet_ids, dofs))
     new = ~np.isin(dofs, system.dirichlet_dofs)   # the first value wins
     system.dirichlet_dofs = np.concatenate([system.dirichlet_dofs, dofs[new]])
     system.dirichlet_values = np.concatenate([system.dirichlet_values, values[new]])

@@ -246,6 +246,26 @@ def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("flags,entry,message", [
+    (["--level", "1", "--levels", "a"], {},
+     "levels must be an integer, a list a,b,c or a range a..b, got 'a'"),
+    ([], {"level": 1, "levels": [3, 1]}, "levels must be strictly increasing, got [3, 1]"),
+    (["--level", "2"], {"levels": "0..2"}, "levels must be >= 1, got 0"),
+    (["--bc", "foo"], {}, "bc must be one of ['nodal', 'project'], got 'foo'"),
+], ids=["levels-flag-beside-level", "levels-key-beside-level",
+        "levels-key-beside-level-flag", "bc-flag-unknown"])
+def test_every_given_key_is_checked(tmp_path, capsys, flags, entry, message):
+    # a key that another key overrides is still checked, and a flag gives the
+    # config key's message
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict({"mesh": "quad"}, **entry)))
+    rc = main(["interp", "--config", str(path), "--output", str(tmp_path / "out")]
+              + flags)
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"sbfem: config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["modes", "solve", "convergence"])
 def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
     # every command refuses it when the config is loaded (`interp` above)
