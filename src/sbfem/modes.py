@@ -38,13 +38,13 @@ class SbfemModes:
     vectors column by column, each column scaled to a unit trace part.  The
     selection is closed under conjugation: a complex exponent comes with its
     conjugate, and the real combinations of a pair are the radial factors
-    xi^a cos(b ln xi) and xi^a sin(b ln xi).
+    xi^a cos(b ln xi) and xi^a sin(b ln xi).  Where the trace space admits a
+    constant, column 0 is the constant mode, with exponent exactly 0.
     """
 
     lambdas: np.ndarray        # complex, selected, ascending real part
     A: np.ndarray              # complex trace eigenvectors (n x n)
     P: np.ndarray              # complex boundary flux vectors (n x n)
-    constant_index: int | None
     dim: int
     cond_A: float
     all_eigenvalues: np.ndarray
@@ -52,9 +52,9 @@ class SbfemModes:
 
     def __getitem__(self, j) -> "SbfemModes":
         """Member j of a stack, as views into its arrays."""
-        return SbfemModes(self.lambdas[j], self.A[j], self.P[j],
-                          self.constant_index, self.dim, self.cond_A[j],
-                          self.all_eigenvalues[j], self.selected_mask[j])
+        return SbfemModes(self.lambdas[j], self.A[j], self.P[j], self.dim,
+                          self.cond_A[j], self.all_eigenvalues[j],
+                          self.selected_mask[j])
 
     @property
     def n(self) -> int:
@@ -163,7 +163,6 @@ def select_modes(M: np.ndarray, dim: int, has_constant: bool,
     vecs = vecs / np.linalg.norm(vecs[..., :n, :], axis=-2)[..., None, :]
     A = vecs[..., :n, :]
     P = vecs[..., n:, :]
-    constant_index = 0 if has_constant else None
     if has_constant:
         column = np.zeros(A.shape[:-1] + (1,), dtype=complex)
         lams = np.concatenate([column[..., 0, :], lams], axis=-1)
@@ -175,9 +174,8 @@ def select_modes(M: np.ndarray, dim: int, has_constant: bool,
            f"cap {COND_CAP:.1e})", cond_A)
     selected_mask = np.zeros(lam_all.shape, dtype=bool)
     np.put_along_axis(selected_mask, idx, True, axis=-1)
-    return SbfemModes(lambdas=lams, A=A, P=P, constant_index=constant_index,
-                      dim=dim, cond_A=cond_A, all_eigenvalues=lam_all,
-                      selected_mask=selected_mask)
+    return SbfemModes(lambdas=lams, A=A, P=P, dim=dim, cond_A=cond_A,
+                      all_eigenvalues=lam_all, selected_mask=selected_mask)
 
 
 def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:

@@ -50,8 +50,6 @@ def _lattice_nodes(kind: FacetKind, k: int) -> np.ndarray:
 class TraceBasis:
     """Nodal Lagrange basis for the trace space V_k on a reference facet."""
 
-    facet_kind: FacetKind
-    degree: int
     nodes: np.ndarray          # (cardinality, d-1)
     powers: np.ndarray         # monomial exponents, (cardinality, d-1)
     coeffs: np.ndarray         # inverse Vandermonde: column l = basis function l
@@ -106,8 +104,7 @@ def trace_basis(kind: FacetKind, k: int) -> TraceBasis:
     for v in range(powers.shape[1]):
         vmat *= nodes[:, v][:, None] ** powers[:, v]
     coeffs = np.linalg.inv(vmat)
-    return TraceBasis(facet_kind=kind, degree=k, nodes=nodes,
-                      powers=powers, coeffs=coeffs)
+    return TraceBasis(nodes=nodes, powers=powers, coeffs=coeffs)
 
 
 @dataclass(frozen=True)

@@ -841,6 +841,12 @@ def laplacian_residual(exact, points: np.ndarray, step: float = 1e-3) -> float:
     return worst
 
 
+def constant_index(md) -> int | None:
+    """Column of the constant mode of one S-element's modes, or None: column
+    0 when its exponent is exactly 0."""
+    return 0 if md.lambdas[0] == 0 else None
+
+
 def mode_gram(md, E: EMatrices) -> np.ndarray:
     """Closed-form Hermitian energy Gram of the modes via the radial integral.
 
@@ -854,8 +860,8 @@ def mode_gram(md, E: EMatrices) -> np.ndarray:
     L_j = md.lambdas[None, :]
     denom = L_i + L_j + (md.dim - 2)
     G = (L_i * L_j * S11 + L_i * S12 + L_j * S21 + S22)
-    if md.constant_index is not None:
-        ci = md.constant_index
+    ci = constant_index(md)
+    if ci is not None:
         G[ci, :] = 0.0
         G[:, ci] = 0.0
         denom[ci, :] = 1.0
@@ -876,7 +882,7 @@ def quadratic_residual(md, E: EMatrices) -> float:
     scale = max(np.linalg.norm(b) for b in (E11, E12, E21, E22))
     worst = 0.0
     for i, lam in enumerate(md.lambdas):
-        if md.constant_index is not None and i == md.constant_index:
+        if i == constant_index(md):
             continue
         a = md.A[:, i]
         r = (lam * (lam - 1.0) * (E11 @ a)
@@ -916,7 +922,7 @@ def orthogonality_residual(md, E: EMatrices, sigma_coeffs: np.ndarray,
         psi_en = np.sqrt(max(float(mu @ E.E11 @ mu)
                              * float(dsig @ pow_int @ dsig), 1e-300))
         for i, li in enumerate(lam):
-            if md.constant_index is not None and i == md.constant_index:
+            if i == constant_index(md):
                 continue
             a = A[:, i]
             t11 = a @ (E.E11 @ mu)

@@ -1,4 +1,5 @@
-"""Layout rules of the package: no code that only tests use."""
+"""Layout rules of the package: no code and no stored state that only tests
+use."""
 
 import ast
 from pathlib import Path
@@ -11,16 +12,19 @@ ALLOWED: dict = {}
 
 
 class _Scan(ast.NodeVisitor):
-    """Definitions of a module (dunders excepted) and the names it
-    references; a name used inside a definition of the same name
-    (recursion) is no use."""
+    """Definitions of a module (dunders excepted), the names it references,
+    its dataclass fields and the attributes it reads outside dunder methods;
+    a name used inside a definition of the same name (recursion) is no use."""
 
     def __init__(self, path: Path):
-        self.defs, self.refs = [], set()
+        self.defs, self.refs, self.fields, self.reads = [], set(), [], set()
         self._classes, self._functions = [path.stem], []
         self.visit(ast.parse(path.read_text(), filename=str(path)))
 
     def visit_ClassDef(self, node):
+        if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+            self.fields += [f"{node.name}.{a.target.id}" for a in node.body
+                            if isinstance(a, ast.AnnAssign)]
         self._classes.append(node.name)
         self.generic_visit(node)
         self._classes.pop()
@@ -40,6 +44,9 @@ class _Scan(ast.NodeVisitor):
     def visit_Attribute(self, node):
         if node.attr not in self._functions:
             self.refs.add(node.attr)
+        if isinstance(node.ctx, ast.Load) and not any(
+                f.startswith("__") and f.endswith("__") for f in self._functions):
+            self.reads.add(node.attr)
         self.generic_visit(node)
 
 
@@ -55,3 +62,17 @@ def test_public_code_has_a_caller_outside_tests():
     assert not unused, (
         f"code that nothing in src/ or perfbench/ calls: {unused}; "
         "move test-only helpers to tests/conftest.py")
+
+
+def test_dataclass_fields_are_read_outside_tests():
+    # a field that only dunder methods (the constructor, __getitem__) and
+    # tests read is stored state that no computation uses
+    package = [_Scan(p) for p in sorted((ROOT / "src" / "sbfem").glob("*.py"))]
+    bench = [_Scan(p) for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    read = set().union(*(s.reads for s in package + bench))
+    fields = [f for s in package for f in s.fields]
+    assert len(fields) > 20        # the scan sees the dataclasses
+    unread = [f for f in fields if f.rsplit(".", 1)[1] not in read]
+    assert not unread, (
+        f"dataclass fields that nothing in src/ or perfbench/ reads: {unread}; "
+        "derive them in tests/conftest.py")

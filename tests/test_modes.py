@@ -3,9 +3,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (affine_cube_mesh, duffy_map_many, fd_mode_gradients,
-                      fixture_meshes_2d, fixture_meshes_3d, hybrid_mesh,
-                      is_open, jittered_quad_mesh, mesh_to_json, mode_fields,
+from conftest import (affine_cube_mesh, constant_index, duffy_map_many,
+                      fd_mode_gradients, fixture_meshes_2d, fixture_meshes_3d,
+                      hybrid_mesh, is_open, jittered_quad_mesh, mesh_to_json, mode_fields,
                       op_sectors, operator_for, orthogonality_residual,
                       quadratic_residual, random_polygon_mesh,
                       reference_mode_chain, stiffness_from_gram)
@@ -52,7 +52,7 @@ def test_square_selected_modes(square_mesh):
     op = operator_for(square_mesh, 1)
     lam = np.sort(op.modes.lambdas.real)
     assert lam == pytest.approx([0, 1, 1, 2], abs=1e-8)
-    ci = op.modes.constant_index
+    ci = constant_index(op.modes)
     assert ci is not None
     col = op.modes.A[:, ci]
     assert np.abs(col - col[0]).max() < 1e-12
@@ -88,7 +88,7 @@ def test_eigenvalue_pairing_randomized(dim, rng):
 
 def test_exactly_one_constant_mode():
     for name, mesh, op in all_fixture_ops():
-        ci = op.modes.constant_index
+        ci = constant_index(op.modes)
         assert ci == 0, name
         near_zero = np.abs(op.modes.lambdas) < 1e-8
         assert near_zero.sum() == 1, name
@@ -109,7 +109,7 @@ def test_flux_consistency():
             assert np.abs(md.P[:, i] - expect).max() < 1e-8 * max(
                 1.0, np.abs(expect).max()), name
         # every non-constant column has a unit trace part
-        norms = np.linalg.norm(np.delete(md.A, md.constant_index, axis=1),
+        norms = np.linalg.norm(np.delete(md.A, constant_index(md), axis=1),
                                axis=0)
         assert np.abs(norms - 1.0).max() < 1e-12, name
 
@@ -119,7 +119,7 @@ def test_constant_mode_evaluation(square_mesh):
     ctx = op_sectors(square_mesh, op, 0)[0]
     for xi, eta in [(0.5, 0.2), (1.0, -0.7), (0.0, 0.0)]:
         vals, grads = mode_fields(op, ctx, xi, eta)
-        ci = op.modes.constant_index
+        ci = constant_index(op.modes)
         norm = op.modes.A[0, ci]
         assert vals[ci] / norm == pytest.approx(1.0, abs=1e-12)
         assert np.abs(grads[:, ci]).max() < 1e-10
@@ -252,7 +252,7 @@ def test_sideface_reduction_counts(wedge_mesh):
         op = operator_for(import_mesh(data), 1)
         m = n - len(pins)
         assert (op.E.n, op.modes.n, len(op.kept_local)) == (m, m, m)
-        assert (op.modes.constant_index is None) == bool(pins)
+        assert (constant_index(op.modes) is None) == bool(pins)
 
 
 def test_all_pinned_open_selement_is_named():
@@ -272,7 +272,7 @@ def test_wedge_min_exponent_half():
     mesh = singular_open_selement(4)
     op = operator_for(mesh, 3)
     assert abs(op.modes.min_positive_exponent - 0.5) < 1e-3
-    assert op.modes.constant_index is None
+    assert constant_index(op.modes) is None
     # count equals the constrained DOF count
     assert op.modes.n == len(op.dofs_full) - 1
 
