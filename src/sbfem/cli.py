@@ -4,6 +4,7 @@ and convergence studies reproducing the reference tables."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -46,8 +47,9 @@ def build_mesh(name: str, level: int):
 
 
 # Each config key, and its flag: (default, accepted values, flag help).  Accepted:
-# `str`; `bool` (a store_true flag); `int`, or an int n for integers >= n (int flags);
-# `list`: an integer, a list of them, "a..b" or "a,b,c"; or a sorted list of names.
+# `str`; `bool` (a store_true flag); `int`, or an int n for integers >= n; `list`:
+# an integer, a strictly increasing list of them, "a..b" or "a,b,c"; or a sorted
+# list of names.
 OPTIONS = {
     "mesh": ("quad", str, "mesh family name or file:<path>"),
     "level": (None, int, "single refinement level"),
@@ -78,7 +80,10 @@ def _check(key: str, value, accepts):
                                   f"a..b, got {value!r}") from None
         if not out:
             raise ConfigError(f"{key} must list at least one integer, got {value!r}")
-        return [_check(key, v, int) for v in out]
+        out = [_check(key, v, int) for v in out]
+        if any(b <= a for a, b in zip(out, out[1:])):
+            raise ConfigError(f"{key} must be strictly increasing, got {value!r}")
+        return out
     if accepts is int or isinstance(accepts, int):
         ok = type(value) is int and (accepts is int or value >= accepts)
         what = "an integer" + ("" if accepts is int else f" >= {accepts}")
@@ -99,8 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=["modes", "interp", "solve", "convergence"])
     p.add_argument("--config", help="JSON config file; flags override its keys")
     for key, (default, accepts, text) in OPTIONS.items():
-        kind = ({"action": "store_true"} if accepts is bool else {"type": int}
-                if accepts is int or isinstance(accepts, int) else {})
+        kind = {"action": "store_true"} if accepts is bool else {}
         p.add_argument("--" + key.replace("_", "-"), default=None, **kind, help=text
                        + ("" if default in (None, False) else f" (default: {default})"))
     return p
@@ -123,18 +127,22 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config {args.config} is for command "
                               f"'{data['command']}', not '{args.command}'")
         given.update(data)
-    given.update({k: v for k in OPTIONS if (v := getattr(args, k, None)) is not None})
+    # a flag's integer string is its int key's integer; `_check` refuses the rest
+    for key, (_, accepts, _) in OPTIONS.items():
+        if (v := getattr(args, key, None)) is not None:
+            given[key] = v
+            if accepts is int or isinstance(accepts, int):
+                with contextlib.suppress(ValueError):
+                    given[key] = int(v)
     cfg = {key: None if given[key] is None and default is None
            else _check(key, given[key], accepts)
            for key, (default, accepts, _) in OPTIONS.items()}
     cfg["command"] = args.command
-    # a single level wins over a sweep; both are >= 1, and a sweep increases
+    # a single level wins over a sweep; both are >= 1
     single = [] if cfg["level"] is None else [cfg["level"]]
     for key, levels in (("level", single), ("levels", cfg["levels"] or [])):
         if levels and min(levels) < 1:
             raise ConfigError(f"{key} must be >= 1, got {min(levels)}")
-        if any(b <= a for a, b in zip(levels, levels[1:])):
-            raise ConfigError(f"levels must be strictly increasing, got {given[key]!r}")
     levels = cfg["levels"] = single or cfg["levels"] or [1]
     for where, one in (("modes", args.command == "modes"),
                        ("a file: mesh", cfg["mesh"].startswith("file:"))):

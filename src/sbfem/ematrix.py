@@ -17,9 +17,6 @@ import numpy as np
 from .polyspace import _basis_table, facet_quadrature
 from .refgeom import _chunks, _inv, _sector_jacobians
 
-# |E22 1| and |E12 1| below this (x the block norms) admit a constant trace
-CONSTANT_TRACE_TOL = 1e-10
-
 
 @dataclass
 class EMatrices:
@@ -29,7 +26,6 @@ class EMatrices:
     E11: np.ndarray
     E12: np.ndarray
     E22: np.ndarray
-    dim: int
 
     @property
     def n(self) -> int:
@@ -44,7 +40,7 @@ class EMatrices:
 
     def __getitem__(self, j) -> "EMatrices":
         """Member j (or a slice) of a stack, as views into its arrays."""
-        return EMatrices(self.E11[j], self.E12[j], self.E22[j], self.dim)
+        return EMatrices(self.E11[j], self.E12[j], self.E22[j])
 
     def condition_number(self):
         """Spectral condition number of the E11 block; inf where it is not
@@ -53,16 +49,9 @@ class EMatrices:
         with np.errstate(divide="ignore"):
             return np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)[()]
 
-    def constant_trace_admissible(self):
-        """True where the all-ones trace is gradient-free (E12 1 = E22 1 = 0)."""
-        B = np.stack([self.E12, self.E22])
-        tol = CONSTANT_TRACE_TOL * np.maximum(
-            np.linalg.norm(B, axis=(-2, -1)).max(axis=0), 1e-300)
-        return (np.linalg.norm(B @ np.ones(self.n), axis=-1) <= tol).all(axis=0)
 
-
-def assemble_E(stacks: dict, member: np.ndarray, sizes: list, dim: int,
-               k: int, order: int) -> list:
+def assemble_E(stacks: dict, member: np.ndarray, sizes: list, k: int,
+               order: int) -> list:
     """Coefficient matrices of stacks of S-elements from their sectors.
 
     `stacks` maps a facet kind to (centres (S, d), facet vertices
@@ -84,7 +73,7 @@ def assemble_E(stacks: dict, member: np.ndarray, sizes: list, dim: int,
     for kind, (centres, vertices, owners, rows) in stacks.items():
         rule = facet_quadrature(kind, order)
         N, dN = _basis_table(kind, k, order)              # (Q, m), (Q, d-1, m)
-        for sl in _chunks(len(owners), N.size * dim):
+        for sl in _chunks(len(owners), N.size * centres.shape[1]):
             J, det = _sector_jacobians(kind, rule.points, centres[sl],
                                        vertices[sl])
             JinvT = np.swapaxes(_inv(J), -1, -2)
@@ -102,5 +91,5 @@ def assemble_E(stacks: dict, member: np.ndarray, sizes: list, dim: int,
                                      0.5 * (E22 + np.swapaxes(E22, 1, 2)))):
                 np.add.at(blk, at[keep], E[keep])
     ends = np.cumsum(sizes[:, 1] * sizes[:, 0] ** 2).tolist()
-    return [EMatrices(*(blk[a:b].reshape(m, s, s) for blk in flat), dim=dim)
+    return [EMatrices(*(blk[a:b].reshape(m, s, s) for blk in flat))
             for (s, m), a, b in zip(sizes.tolist(), [0] + ends, ends)]

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ematrix import EMatrices
-from .errors import GeometryError, SpectrumError
+from .errors import SpectrumError
 
 ZERO_CLUSTER_TOL = 1e-6    # |lambda| below this (x spectral radius) is "zero"
 POSITIVE_CUT = 1e-8        # Re lambda cut for admissible modes
@@ -45,16 +45,14 @@ class SbfemModes:
     lambdas: np.ndarray        # complex, selected, ascending real part
     A: np.ndarray              # complex trace eigenvectors (n x n)
     P: np.ndarray              # complex boundary flux vectors (n x n)
-    dim: int
     cond_A: float
     all_eigenvalues: np.ndarray
     selected_mask: np.ndarray
 
     def __getitem__(self, j) -> "SbfemModes":
         """Member j of a stack, as views into its arrays."""
-        return SbfemModes(self.lambdas[j], self.A[j], self.P[j], self.dim,
-                          self.cond_A[j], self.all_eigenvalues[j],
-                          self.selected_mask[j])
+        return SbfemModes(self.lambdas[j], self.A[j], self.P[j], self.cond_A[j],
+                          self.all_eigenvalues[j], self.selected_mask[j])
 
     @property
     def n(self) -> int:
@@ -83,29 +81,14 @@ def _check(bad, ids, message: str, *values) -> None:
 
 def _radial_factors(xis: np.ndarray,
                     lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """xi^lambda and xi^(lambda-1) for exponents (..., n): (..., len(xis), n).
-
-    The second factor is zero for the constant mode, whose gradient
-    vanishes; at xi <= 0 both take their xi -> 0 limit where it exists.
+    """xi^lambda and xi^(lambda-1) for exponents (..., n) at radial points
+    xis in (0, 1], where every radial rule puts its points: (..., len(xis), n).
+    The second factor is zero for the constant mode, whose gradient vanishes.
     """
     xis = np.asarray(xis, dtype=float)[:, None]
     lam = np.asarray(lambdas, dtype=complex)[..., None, :]
-    positive = xis > 0.0
-    safe = np.where(positive, xis, 1.0)
-    Z = np.exp(lam * np.log(safe))
-    const = np.abs(lam) < 1e-14
-    Z1 = np.where(const, 0.0, Z / safe)
-    if not positive.all():
-        unit = np.abs(lam - 1.0) < 1e-14
-        bad = ~const & ~unit & (lam.real <= 1.0)
-        if bad.any():
-            raise GeometryError(
-                f"radial factors of exponent {lam[bad][0]:.3g} have no limit "
-                "at the scaling center")
-        at0 = ~positive[:, 0]
-        Z[..., at0, :] = const
-        Z1[..., at0, :] = unit
-    return Z, Z1
+    Z = np.exp(lam * np.log(xis))
+    return Z, np.where(np.abs(lam) < 1e-14, 0.0, Z / xis)
 
 
 def build_system(E: EMatrices, d: int, ids=None) -> np.ndarray:
@@ -174,7 +157,7 @@ def select_modes(M: np.ndarray, dim: int, has_constant: bool,
            f"cap {COND_CAP:.1e})", cond_A)
     selected_mask = np.zeros(lam_all.shape, dtype=bool)
     np.put_along_axis(selected_mask, idx, True, axis=-1)
-    return SbfemModes(lambdas=lams, A=A, P=P, dim=dim, cond_A=cond_A,
+    return SbfemModes(lambdas=lams, A=A, P=P, cond_A=cond_A,
                       all_eigenvalues=lam_all, selected_mask=selected_mask)
 
 

@@ -144,7 +144,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     # the radial rule of each class, named by its representative; groups of
     # classes by (mode count, size, rule) in order of appearance
     rules = _radial_rules(ops, np.unique(mesh._sel_class, return_index=True)[1],
-                          cfg, k)
+                          cfg, k, d)
     n_modes, c = np.array([op.modes.n for op in ops]), cls[first]
     group = _first_seen(np.column_stack([n_modes[c], size, np.array(rules)[c]]) + 0.0)[0]
     sums = np.zeros(2)
@@ -203,10 +203,10 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     return float(np.sqrt(sums[0])), float(np.sqrt(sums[1]))
 
 
-def _radial_rules(ops: list, ids, cfg: QuadratureConfig, k: int) -> list:
-    """radial_quadrature arguments of each class operator in `ops`, from
-    arrays over the classes; a QuadratureError names the class by its
-    representative S-element in `ids`."""
+def _radial_rules(ops: list, ids, cfg: QuadratureConfig, k: int, d: int) -> list:
+    """radial_quadrature arguments of each class operator in `ops` of a
+    d-dimensional mesh, from arrays over the classes; a QuadratureError names
+    the class by its representative S-element in `ids`."""
     re = [op.modes.lambdas.real for op in ops]
     at = np.cumsum([0] + [len(r) for r in re])[:-1]     # each class's first
     re = np.concatenate(re)
@@ -220,7 +220,7 @@ def _radial_rules(ops: list, ids, cfg: QuadratureConfig, k: int) -> list:
               if cfg.composite_levels is None
               else np.full(len(ops), cfg.composite_levels))
     # plain Gauss is exact for the top L2 term xi^(2 lambda_max + d - 1)
-    top = np.ceil(np.maximum.reduceat(re, at) + 0.5 * ops[0].modes.dim)
+    top = np.ceil(np.maximum.reduceat(re, at) + 0.5 * d)
     n_rad = np.maximum(cfg.radial_points, np.where(floor >= 0.0, top, k + 6))
     return list(zip(floor.tolist(), n_rad.astype(int).tolist(), levels.tolist()))
 

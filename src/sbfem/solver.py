@@ -44,17 +44,21 @@ def build_operators(mesh: PolytopalMesh,
     its lowest member, the representative.  The E-matrices of all
     representatives are integrated in one stacked pass over their sectors,
     by the facet rule of degree 2k + 2, straight over their S-local DOFs
-    (`number_dofs` leaves side-face pins out), one stack per S-local size.
-    Each stack is split once by constant-trace admissibility, and its modes
-    are solved in chunks under `refgeom.CHUNK_BUDGET` Euler-matrix entries.
-    A SpectrumError names the first failing S-element by id.
+    (`number_dofs` leaves side-face pins out), one stack per S-local size
+    and constant trace, which a trace space holds exactly when it lost no
+    pin.  Each stack's modes are solved in chunks under `refgeom.CHUNK_BUDGET`
+    Euler-matrix entries.  A SpectrumError names the first failing S-element.
     """
     k, start = numbering.k, numbering.selement_start
     reps = np.unique(mesh._sel_class, return_index=True)[1]
-    # the representatives in one stack per S-local size, by first appearance
     n_kept = np.diff(start)[reps]
-    sizes = n_kept[np.sort(np.unique(n_kept, return_index=True)[1])].tolist()
-    stacks = [reps[n_kept == n] for n in sizes]
+    for e in reps[n_kept == 0][:1]:
+        raise SpectrumError(f"S-element {e}: side-face constraints would remove "
+                            "every trace DOF")
+    # a stack per key 2 (S-local size) + (constant trace), by first appearance
+    key = 2 * n_kept + ~np.isin(reps, list(mesh._dirichlet))
+    keys = key[np.sort(np.unique(key, return_index=True)[1])].tolist()
+    stacks = [reps[key == c] for c in keys]
     member = np.full(len(start) - 1, -1)
     member[np.concatenate(stacks)] = np.arange(len(reps))
     sub = {}
@@ -62,60 +66,55 @@ def build_operators(mesh: PolytopalMesh,
         mask = member[owners[:, 0]] >= 0
         sub[kind] = (centres[mask], vertices[mask], owners[mask],
                      numbering.sector_rows[kind][mask])
-    Es = assemble_E(sub, member, list(zip(sizes, map(len, stacks))),
-                    mesh.dimension, k, 2 * k + 2)
-    for e in reps[n_kept == 0][:1]:
-        raise SpectrumError(f"S-element {e}: side-face constraints would remove "
-                            "every trace DOF")
+    Es = assemble_E(sub, member, [(c // 2, len(es)) for c, es in zip(keys, stacks)],
+                    k, 2 * k + 2)
     errors, solved = [], [None] * len(reps)
-    for E, es in zip(Es, stacks):
-        admissible = E.constant_trace_admissible()
-        for has in dict.fromkeys(admissible.tolist()):
-            group = np.flatnonzero(admissible == has)
-            for js in (group[sl] for sl in _chunks(len(group), 4 * E.n ** 2)):
-                try:
-                    md, K = _stack_modes(E[js], has, es[js].tolist())
-                except SpectrumError as exc:
-                    errors.append(exc)
-                    continue
-                for i, j in enumerate(js.tolist()):
-                    solved[mesh._sel_class[es[j]]] = ClassOperator(
-                        E[j], md[i], K[i])
+    for E, es, c in zip(Es, stacks, keys):
+        for sl in _chunks(len(es), 4 * E.n ** 2):
+            ids = es[sl].tolist()
+            try:
+                md, K = _stack_modes(E[sl], mesh.dimension, bool(c % 2), ids)
+            except SpectrumError as exc:
+                errors.append(exc)
+                continue
+            for i, e in enumerate(ids):
+                solved[mesh._sel_class[e]] = ClassOperator(E[sl.start + i], md[i], K[i])
     if errors:
         raise min(errors, key=lambda exc: exc.selement)
     return solved
 
 
-def _stack_modes(E: EMatrices, has_constant: bool, ids: list):
-    """Modes and stiffness K of a stack of class representatives, named by
-    their S-element ids `ids`.  Raises the SpectrumError of the first member
-    to fail any guard: when member j fails one, the members before j go
-    through all guards again."""
+def _stack_modes(E: EMatrices, dim: int, has_constant: bool, ids: list):
+    """Modes and stiffness K of a stack of class representatives of dimension
+    `dim`, named by their S-element ids `ids`.  Raises the SpectrumError of
+    the first member to fail any guard: when member j fails one, the members
+    before j go through all guards again."""
     try:
-        md = modes_mod.select_modes(modes_mod.build_system(E, E.dim, ids),
-                                    E.dim, has_constant, ids)
+        md = modes_mod.select_modes(modes_mod.build_system(E, dim, ids), dim,
+                                    has_constant, ids)
         return md, modes_mod.element_stiffness(md, ids).K
     except SpectrumError as exc:
         j = ids.index(exc.selement)
         if j:
-            _stack_modes(E[:j], has_constant, ids[:j])
+            _stack_modes(E[:j], dim, has_constant, ids[:j])
         raise
 
 
 # -- standard FE elements (coupled formulation) --------------------------------
 
 
-def fe_element_stiffness(vertices: np.ndarray, k: int) -> np.ndarray:
-    """H^1 Laplace stiffness of a Q_k quadrilateral (2D)."""
+def fe_element_stiffness(corners: np.ndarray, k: int) -> np.ndarray:
+    """H^1 Laplace stiffness (F, m, m) of a stack of Q_k quadrilaterals (2D)
+    with corners (F, 4, 2)."""
     quad = FacetKind.QUADRILATERAL
     rule = facet_quadrature(quad, 2 * k)
     _, grads = _basis_table(quad, k, 2 * k)
-    tans = _facet_tangents(quad, rule.points, vertices)         # (q, 2, 2)
+    tans = _facet_tangents(quad, rule.points, corners)          # (F, q, 2, 2)
     det = _det(tans)
     if np.any(det <= 0.0):
         raise AssemblyError("inverted FE element")
-    g = np.swapaxes(_inv(tans), 1, 2) @ grads                   # (q, 2, m)
-    return np.einsum("q,qdi,qdj->ij", rule.weights * det, g, g)
+    g = np.swapaxes(_inv(tans), -1, -2) @ grads                 # (F, q, 2, m)
+    return np.einsum("fq,fqdi,fqdj->fij", rule.weights * det, g, g)
 
 
 # -- global system ---------------------------------------------------------------
@@ -135,8 +134,6 @@ def assemble_global(mesh: PolytopalMesh, k: int) -> GlobalSystem:
     """Scatter S-element (and FE element) stiffness into the skeleton system."""
     numbering = number_dofs(mesh, k)
     ops = build_operators(mesh, numbering)
-    fe_K = np.array([fe_element_stiffness(mesh.vertices[quad], k) for quad in
-                     mesh._quads()[np.unique(mesh._fe_class, return_index=True)[1]]])
     # per S-local size, in order of appearance: each class's K for its members
     cls, start, blocks = mesh._sel_class, numbering.selement_start, []
     size = np.diff(start)
@@ -145,8 +142,11 @@ def assemble_global(mesh: PolytopalMesh, k: int) -> GlobalSystem:
         cs, at = np.unique(cls[e], return_inverse=True)
         blocks.append((numbering.selement_dofs[start[e][:, None] + np.arange(m)],
                        np.take(np.array([ops[c].K for c in cs]), at, axis=0)))
-    K = _scatter(blocks + [(numbering.fe_nodes, np.take(fe_K, mesh._fe_class, axis=0))],
-                 numbering.n_total)
+    if len(mesh._fe_class):     # no FE quads in 3D, where corners have 3 columns
+        first = np.unique(mesh._fe_class, return_index=True)[1]
+        blocks.append((numbering.fe_nodes, fe_element_stiffness(
+            mesh.vertices[mesh._quads()[first]], k)[mesh._fe_class]))
+    K = _scatter(blocks, numbering.n_total)
     # side-face Dirichlet traces are pinned to zero from the start
     pins = np.unique(numbering.vertex_dof[
         [v for vs in mesh._dirichlet.values() for v in vs]])

@@ -113,12 +113,31 @@ def _sector_points(centres, xis, J):
             + np.asarray(xis)[:, None, None] * J[..., None, :, :, 0])
 
 
+def radial_factors(xis, lambdas):
+    """`modes._radial_factors` at xis in [0, 1]: at the scaling center xi = 0
+    both factors take their xi -> 0 limit, and a GeometryError names an
+    exponent for which one has none."""
+    xis = np.asarray(xis, dtype=float)
+    at0 = xis <= 0.0
+    Z, Z1 = modes._radial_factors(np.where(at0, 1.0, xis), lambdas)
+    if at0.any():
+        lam = np.asarray(lambdas, dtype=complex)[..., None, :]
+        const, unit = np.abs(lam) < 1e-14, np.abs(lam - 1.0) < 1e-14
+        bad = ~const & ~unit & (lam.real <= 1.0)
+        if bad.any():
+            raise GeometryError(f"radial factors of exponent {lam[bad][0]:.3g} have "
+                                "no limit at the scaling center")
+        Z[..., at0, :] = const
+        Z1[..., at0, :] = unit
+    return Z, Z1
+
+
 def sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
     """`modes._class_fields` on the basis table at `etas` and the radial
     factors at `xis`, followed by `modes._member_fields`: values
     (S, R, Q, m) and gradients (S, R, Q, m, d) of a stack of classes."""
     return modes._member_fields(modes._class_fields(
-        basis.eval_many(etas), modes._radial_factors(xis, lambdas), _inv(J),
+        basis.eval_many(etas), radial_factors(xis, lambdas), _inv(J),
         alpha, lambdas), coeffs)
 
 
@@ -198,7 +217,7 @@ def sector_E(sector, basis, rule):
     return SectorE(E11=E11, E12=E12, E21=E12.T.copy(), E22=E22)
 
 
-def reference_assemble_E(sector_data, n_local, dim):
+def reference_assemble_E(sector_data, n_local):
     """Per-sector oracle for the stacked `ematrix.assemble_E`.
 
     `sector_data` yields (Sector, TraceBasis, local_indices, order) tuples
@@ -215,7 +234,7 @@ def reference_assemble_E(sector_data, n_local, dim):
         E11[ix] += se.E11
         E12[ix] += se.E12
         E22[ix] += se.E22
-    return EMatrices(E11=E11, E12=E12, E22=E22, dim=dim)
+    return EMatrices(E11=E11, E12=E12, E22=E22)
 
 
 def apply_sideface_bc(E, constrained_local) -> EMatrices:
@@ -224,7 +243,7 @@ def apply_sideface_bc(E, constrained_local) -> EMatrices:
     entries while it scatters the sector Grams."""
     keep = np.setdiff1d(np.arange(E.n), constrained_local)
     ix = np.ix_(keep, keep)
-    return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E22=E.E22[ix], dim=E.dim)
+    return EMatrices(E11=E.E11[ix], E12=E.E12[ix], E22=E.E22[ix])
 
 
 def sector_B(sector, basis, eta):
@@ -599,7 +618,7 @@ def volume_gradient_inner(mesh, op, alpha, mu, rho, drho, sigma, dsigma,
     """Tensor-quadrature oracle for the gradient inner product of two Duffy
     functions with polynomial radial parts vanishing at the center, on the
     one S-element of a mesh."""
-    d = op.E.dim
+    d = mesh.dimension
     rad = radial_quadrature(1.0, radial_points, 0)
     total = 0.0
     for ctx in op_sectors(mesh, op, 0):
@@ -675,7 +694,7 @@ def _reference_sector(op, ctx, xis, etas):
     alpha = op.A_eval[ctx.rows, :]                     # (m, n_modes) complex
     nvals, _ = ctx.basis.eval_many(etas)               # (Q, m)
     xis = np.asarray(xis, dtype=float)
-    Z, Z1 = modes._radial_factors(xis, md.lambdas)
+    Z, Z1 = radial_factors(xis, md.lambdas)
     a0 = ctx.sector.collapsed_vertex
     rays = facet_map_many(ctx.sector, etas) - a0
     pts = a0 + xis[:, None, None] * rays[None, :, :]
@@ -719,7 +738,7 @@ def reference_solution_errors(solution, exact, quad=None):
     acc_l2 = 0.0
     acc_h1 = 0.0
     for e, op in enumerate(selement_views(solution)):
-        rad = radial_quadrature(*postproc._radial_rules([op], [e], cfg, k)[0])
+        rad = radial_quadrature(*postproc._radial_rules([op], [e], cfg, k, d)[0])
         xis = rad.points[:, 0]
         for ctx in op_sectors(solution.mesh, op, e):
             frule = facet_quadrature(ctx.sector.facet_kind, cfg.facet_order)
@@ -847,7 +866,7 @@ def constant_index(md) -> int | None:
     return 0 if md.lambdas[0] == 0 else None
 
 
-def mode_gram(md, E: EMatrices) -> np.ndarray:
+def mode_gram(md, E: EMatrices, d: int) -> np.ndarray:
     """Closed-form Hermitian energy Gram of the modes via the radial integral.
 
     Uses int_0^1 xi^{conj(li)+lj+d-3} dxi = 1/(conj(li)+lj+d-2) applied to
@@ -858,7 +877,7 @@ def mode_gram(md, E: EMatrices) -> np.ndarray:
     S11, S12, S21, S22 = (A.conj().T @ B @ A for B in E.blocks())
     L_i = md.lambdas.conj()[:, None]
     L_j = md.lambdas[None, :]
-    denom = L_i + L_j + (md.dim - 2)
+    denom = L_i + L_j + (d - 2)
     G = (L_i * L_j * S11 + L_i * S12 + L_j * S21 + S22)
     ci = constant_index(md)
     if ci is not None:
@@ -869,16 +888,15 @@ def mode_gram(md, E: EMatrices) -> np.ndarray:
     return G / denom
 
 
-def stiffness_from_gram(md, E: EMatrices) -> np.ndarray:
+def stiffness_from_gram(md, E: EMatrices, d: int) -> np.ndarray:
     """Independent stiffness A^{-H} G A^{-1} from the closed-form radial Gram."""
     Ainv = np.linalg.inv(md.A)
-    return (Ainv.conj().T @ mode_gram(md, E) @ Ainv).real
+    return (Ainv.conj().T @ mode_gram(md, E, d) @ Ainv).real
 
 
-def quadratic_residual(md, E: EMatrices) -> float:
+def quadratic_residual(md, E: EMatrices, d: int) -> float:
     """Worst scaled residual of the second-order radial ODE over the modes."""
     E11, E12, E21, E22 = E.blocks()
-    d = md.dim
     scale = max(np.linalg.norm(b) for b in (E11, E12, E21, E22))
     worst = 0.0
     for i, lam in enumerate(md.lambdas):
@@ -893,7 +911,7 @@ def quadratic_residual(md, E: EMatrices) -> float:
     return worst
 
 
-def orthogonality_residual(md, E: EMatrices, sigma_coeffs: np.ndarray,
+def orthogonality_residual(md, E: EMatrices, d: int, sigma_coeffs: np.ndarray,
                            traces: np.ndarray | None = None,
                            rng: np.random.Generator | None = None,
                            n_trials: int = 5) -> float:
@@ -909,9 +927,8 @@ def orthogonality_residual(md, E: EMatrices, sigma_coeffs: np.ndarray,
         rng = rng or np.random.default_rng(0)
         traces = rng.standard_normal((n_trials, 1)) * np.ones((1, E.n))
     lam = md.lambdas
-    d = md.dim
     A = md.A
-    G = mode_gram(md, E)
+    G = mode_gram(md, E, d)
     energies = np.sqrt(np.maximum(np.diag(G).real, 0.0))
     dsig = sigma[1:] * np.arange(1, sigma.size)
     worst = 0.0
@@ -937,6 +954,19 @@ def orthogonality_residual(md, E: EMatrices, sigma_coeffs: np.ndarray,
     return worst
 
 
+# |E22 1| and |E12 1| below this (x the block norms) admit a constant trace
+CONSTANT_TRACE_TOL = 1e-10
+
+
+def constant_trace_admissible(E: EMatrices):
+    """Numeric oracle for the pin rule of `build_operators`: True where the
+    all-ones trace is gradient-free (E12 1 = E22 1 = 0), for one E or a stack."""
+    B = np.stack([E.E12, E.E22])
+    tol = CONSTANT_TRACE_TOL * np.maximum(
+        np.linalg.norm(B, axis=(-2, -1)).max(axis=0), 1e-300)
+    return (np.linalg.norm(B @ np.ones(E.n), axis=-1) <= tol).all(axis=0)
+
+
 def reference_mode_chain(E, d):
     """Per-element oracle for the stacked mode layer: the chain build_system
     -> select_modes -> element_stiffness of one S-element, with `np.block`,
@@ -953,7 +983,7 @@ def reference_mode_chain(E, d):
     n = E.n
     X, Y = np.hsplit(np.linalg.solve(E11, np.hstack([E12, np.eye(n)])), 2)
     M = np.block([[-X, Y], [E22 - E21 @ X, (2 - d) * np.eye(n) + E21 @ Y]])
-    has_constant = bool(E.constant_trace_admissible())
+    has_constant = bool(constant_trace_admissible(E))
     lam_all, V = np.linalg.eig(M)
     scale = max(float(np.abs(lam_all).max()), 1.0)
     cluster = np.abs(lam_all) <= modes.ZERO_CLUSTER_TOL * scale

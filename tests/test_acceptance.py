@@ -284,14 +284,15 @@ def _fixture_ops():
 
 def test_criterion_6_orthogonality():
     rng = np.random.default_rng(99)
-    for name, _, op in _fixture_ops():
-        defining = orthogonality_residual(op.modes, op.E, [0.0, 1.0, -1.0],
+    for name, mesh, op in _fixture_ops():
+        d = mesh.dimension
+        defining = orthogonality_residual(op.modes, op.E, d, [0.0, 1.0, -1.0],
                                           rng=rng)
-        extended = orthogonality_residual(op.modes, op.E,
+        extended = orthogonality_residual(op.modes, op.E, d,
                                           [1.0, -3.0, 3.0, -1.0], rng=rng)
         assert defining < 1e-9, (name, defining)
         assert extended < 1e-9, (name, extended)
-        arb = orthogonality_residual(op.modes, op.E, [0.0, 1.0, -1.0],
+        arb = orthogonality_residual(op.modes, op.E, d, [0.0, 1.0, -1.0],
                                      traces=rng.standard_normal((3, op.E.n)))
         assert arb < 1e-9, (name, arb)
     print("\nACCEPTANCE 6 (orthogonality suite): PASS")
@@ -302,7 +303,7 @@ def test_criterion_6_orthogonality():
 
 def test_criterion_7_stiffness_cross_validation():
     for name, mesh, op in _fixture_ops():
-        K2 = stiffness_from_gram(op.modes, op.E)
+        K2 = stiffness_from_gram(op.modes, op.E, mesh.dimension)
         err = np.linalg.norm(op.K - K2) / np.linalg.norm(op.K)
         assert err < 1e-7, (name, err)
         w = np.linalg.eigvalsh(op.K)

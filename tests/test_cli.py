@@ -282,6 +282,7 @@ def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
     ({"k": True}, "k must be an integer, got True"),
     ({"levels": [1, "a"]}, "levels must be an integer, got 'a'"),
     ({"threads": "x"}, "threads must be an integer >= 1, got 'x'"),
+    ({"threads": "2"}, "threads must be an integer >= 1, got '2'"),
     ({"facet_order": "x"}, "facet_order must be an integer >= 1, got 'x'"),
     ({"level": "2"}, "level must be an integer, got '2'"),
     ({"output": 5}, "output must be a string, got 5"),
@@ -296,7 +297,8 @@ def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
     ({"levels": []}, "levels must list at least one integer, got []"),
     ({"levels": ","}, "levels must list at least one integer, got ','"),
     ({"k": 9}, "k must be between 1 and 8, got 9"),
-], ids=["k-float", "k-bool", "levels-word", "threads-word", "facet-order-word",
+], ids=["k-float", "k-bool", "levels-word", "threads-word", "threads-string",
+        "facet-order-word",
         "level-string", "output-number", "mesh-number", "dump-eigenvalues-word",
         "bc-unknown", "problem-number", "problem-unknown", "k-empty", "levels-empty",
         "levels-no-entry", "k-above-max"])
@@ -378,3 +380,26 @@ def test_non_finite_errors_exit_1(tmp_path, capsys, command):
                   "[nan, nan]\n",
         "solve": "sbfem: error: solver residual nan exceeds 1e-10\n"}[command]
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("flags,entry,message", [
+    (["--k", "2,2"], {}, "k must be strictly increasing, got '2,2'"),
+    ([], {"k": [2, 1]}, "k must be strictly increasing, got [2, 1]"),
+    (["--threads", "x"], {}, "threads must be an integer >= 1, got 'x'"),
+    (["--level", "x"], {}, "level must be an integer, got 'x'"),
+    (["--facet-order", "x"], {}, "facet_order must be an integer >= 1, got 'x'"),
+    (["--threads", "1.5"], {}, "threads must be an integer >= 1, got '1.5'"),
+], ids=["k-flag-repeated", "k-key-decreasing", "threads-flag-word", "level-flag-word",
+        "facet-order-flag-word", "threads-flag-float"])
+def test_flags_and_lists_go_through_the_key_check(tmp_path, capsys, flags, entry,
+                                                 message):
+    # every integer list increases strictly, and an integer flag that does not
+    # read as an integer gets its key's one-line message, as a config value does
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(dict({"mesh": "quad"}, **entry)))
+    rc = main(["interp", "--config", str(path), "--output", str(tmp_path / "out")]
+              + flags)
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"sbfem: config error: {message}\n")
+    assert not (tmp_path / "out").exists()
+

@@ -28,7 +28,7 @@ INVALID = {
     "mesh": [5, ["quad"], "nosuch", None],
     "level": ["2", 1.5, True, 0, -1],
     "levels": [1.5, True, {"a": 1}, "a", -1, "0..2", "2,1", [2, 1], [1, 1], []],
-    "k": [1.5, True, "x", 0, 9, "7..9", [], None],
+    "k": [1.5, True, "x", 0, 9, "7..9", [], None, "2,2", [2, 1]],
     "problem": [5, "nosuch", None],
     "output": [5, ["out"], None],
     "bc": [5, "foo", None],

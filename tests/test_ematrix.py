@@ -157,7 +157,7 @@ def test_open_boundary_cross_sum_survives(wedge_mesh):
     for pos in range(len(rows)):
         sector = mesh_sector(wedge_mesh, 0, pos)
         data.append((sector, trace_basis(sector.facet_kind, 1), rows[pos], 4))
-    E = reference_assemble_E(data, len(dofs), 2)
+    E = reference_assemble_E(data, len(dofs))
     ones = np.ones(E.n)
     assert np.linalg.norm(E.E12.T @ ones) > 1e-3
     # the pointwise partition-of-unity identities still hold
@@ -171,7 +171,7 @@ def test_radial_form_matches_volume_integral(fixture_set, rng):
     for name, mesh in meshes:
         op = operator_for(mesh, 2)
         E = op.E
-        d = E.dim
+        d = mesh.dimension
         n_trials = 20 if fixture_set == "2d" else 4
         for _ in range(n_trials):
             alpha = rng.standard_normal(E.n)
@@ -224,7 +224,7 @@ def test_stacked_E_matches_per_sector_reference(case, one_sector_chunks,
         data = [(ctx.sector, ctx.basis, ctx.rows, 2 * k + 2)
                 for ctx in op_sectors(mesh, op, e)]
         ref = apply_sideface_bc(
-            reference_assemble_E(data, n, mesh.dimension),
+            reference_assemble_E(data, n),
             np.setdiff1d(np.arange(n), op.kept_local))
         for got, want in zip(op.E.blocks(), ref.blocks()):
             if rtol == 0.0:

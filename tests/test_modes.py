@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (affine_cube_mesh, constant_index, duffy_map_many,
+from conftest import (affine_cube_mesh, constant_index, constant_trace_admissible,
+                      coupled_mixed_mesh, duffy_map_many,
                       fd_mode_gradients, fixture_meshes_2d, fixture_meshes_3d,
                       hybrid_mesh, is_open, jittered_quad_mesh, mesh_to_json, mode_fields,
                       op_sectors, operator_for, orthogonality_residual,
-                      quadratic_residual, random_polygon_mesh,
+                      quadratic_residual, radial_factors, random_polygon_mesh,
                       reference_mode_chain, stiffness_from_gram)
 from sbfem import modes, solver
 from sbfem.ematrix import EMatrices
@@ -18,7 +19,10 @@ from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh,
 from sbfem.modes import (_radial_factors, build_system, eigenvalue_rows,
                          element_stiffness, select_modes)
 from sbfem.postproc import get_exact, solution_errors
-from sbfem.solver import build_operators, sbfem_interpolate
+from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
+                          sbfem_interpolate, solve)
+from sbfem.cli import MESH_FAMILIES, build_mesh
+from test_mesh import _open_pair
 
 
 def all_fixture_ops(ks=(1, 2)):
@@ -96,7 +100,7 @@ def test_exactly_one_constant_mode():
 
 def test_ode_residual_invariant():
     for name, mesh, op in all_fixture_ops():
-        res = quadratic_residual(op.modes, op.E)
+        res = quadratic_residual(op.modes, op.E, mesh.dimension)
         assert res < 1e-7, (name, res)
 
 
@@ -184,7 +188,7 @@ def test_stiffness_properties():
 
 def test_stiffness_matches_gram():
     for name, mesh, op in all_fixture_ops():
-        K2 = stiffness_from_gram(op.modes, op.E)
+        K2 = stiffness_from_gram(op.modes, op.E, mesh.dimension)
         err = np.linalg.norm(op.K - K2) / np.linalg.norm(op.K)
         assert err < 1e-7, (name, err)
 
@@ -279,13 +283,14 @@ def test_wedge_min_exponent_half():
 
 def test_orthogonality_defining_and_extended(rng):
     for name, mesh, op in all_fixture_ops():
-        r1 = orthogonality_residual(op.modes, op.E, [0.0, 1.0, -1.0], rng=rng)
-        r2 = orthogonality_residual(op.modes, op.E, [1.0, -3.0, 3.0, -1.0],
+        d = mesh.dimension
+        r1 = orthogonality_residual(op.modes, op.E, d, [0.0, 1.0, -1.0], rng=rng)
+        r2 = orthogonality_residual(op.modes, op.E, d, [1.0, -3.0, 3.0, -1.0],
                                     rng=rng)
         assert r1 < 1e-9, (name, r1)
         assert r2 < 1e-9, (name, r2)
         traces = rng.standard_normal((4, op.E.n))
-        r3 = orthogonality_residual(op.modes, op.E, [0.0, 1.0, -1.0],
+        r3 = orthogonality_residual(op.modes, op.E, d, [0.0, 1.0, -1.0],
                                     traces=traces)
         assert r3 < 1e-9, (name, r3)
 
@@ -333,22 +338,21 @@ def test_eigenvalue_rows_format(square_mesh):
 
 
 def test_radial_factor_limits_at_center():
-    from sbfem.modes import _radial_factors
     lams = np.array([0.0, 1.0, 2.0, 1.5 + 0.5j, 1.5 - 0.5j])
     xis = np.array([0.0, 0.25])
-    Z, Z1 = _radial_factors(xis, lams)
+    Z, Z1 = radial_factors(xis, lams)
     assert np.array_equal(Z[0], [1, 0, 0, 0, 0])
     assert np.array_equal(Z1[0], [0, 1, 0, 0, 0])
     assert np.abs(Z[1] - 0.25 ** lams).max() < 1e-15
     assert np.all(Z1[:, 0] == 0.0)
     assert np.abs(Z1[1, 1:] - 0.25 ** (lams[1:] - 1)).max() < 1e-14
     # stacked exponent sets broadcast over a leading axis
-    Zs, _ = _radial_factors(xis, np.stack([lams, lams[::-1]]))
+    Zs, _ = radial_factors(xis, np.stack([lams, lams[::-1]]))
     assert np.array_equal(Zs[1], Z[:, ::-1])
     for bad in (-0.5, 0.5j, 0.5, 0.8 + 0.3j):
         with pytest.raises(GeometryError):
-            _radial_factors(xis, np.array([0.0, bad]))
-        _radial_factors(xis[1:], np.array([0.0, bad]))   # fine off the center
+            radial_factors(xis, np.array([0.0, bad]))
+        radial_factors(xis[1:], np.array([0.0, bad]))   # fine off the center
 
 
 @pytest.mark.parametrize("E11", [np.diag([1.0, -1.0]), np.diag([1.0, 1e-15])],
@@ -356,7 +360,7 @@ def test_radial_factor_limits_at_center():
 def test_singular_E11_rejected(E11):
     zero = np.zeros((2, 2))
     with pytest.raises(SpectrumError):
-        build_system(EMatrices(E11=E11, E12=zero, E22=zero, dim=2), 2)
+        build_system(EMatrices(E11=E11, E12=zero, E22=zero), 2)
 
 
 ORACLE_MESHES = {
@@ -419,3 +423,27 @@ def test_spectrum_error_names_earlier_member_of_a_later_guard(monkeypatch):
     monkeypatch.setattr(modes, "COND_CAP", 1.0)
     with pytest.raises(SpectrumError, match="^S-element 0: .*condition"):
         build_operators(mesh, numbering)
+
+
+PIN_RULE_MESHES = {
+    **{f"{name}-l2": lambda name=name: build_mesh(name, 2) for name in MESH_FAMILIES},
+    "hybrid": hybrid_mesh,
+    "singular-open-2": lambda: singular_open_selement(2),
+    "coupled-mixed": coupled_mixed_mesh,
+    # S-element 1 is open without pins: it keeps the constant
+    "open-pair-one-pinned": lambda: _open_pair({0: (0,)}),
+    "open-pair-both-pinned": lambda: _open_pair({0: (0,), 1: (3,)}),
+}
+
+
+@pytest.mark.parametrize("name", PIN_RULE_MESHES)
+def test_constant_trace_follows_the_side_face_pins(name):
+    # build_operators gives a class the constant mode exactly when its
+    # S-elements have no side-face pin; the numeric E-check agrees
+    mesh = PIN_RULE_MESHES[name]()
+    system = assemble_global(mesh, 2)
+    for e, c in enumerate(mesh._sel_class.tolist()):
+        op, pinned = system.operators[c], e in mesh._dirichlet
+        assert bool(constant_trace_admissible(op.E)) is not pinned, e
+        assert (constant_index(op.modes) is None) is pinned, e
+    assert np.isfinite(solve(apply_dirichlet(system, 1.0)).nodal).all()

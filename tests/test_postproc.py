@@ -392,12 +392,12 @@ def test_radial_rule_round_off_floor_is_plain_gauss():
     cfg = QuadratureConfig().resolved(2)
     sol, _ = _galerkin(gen_hex_mesh(2), 2, "exp3d")
     views = selement_views(sol)
-    rules = postproc._radial_rules(views, range(len(views)), cfg, 2)
+    rules = postproc._radial_rules(views, range(len(views)), cfg, 2, 3)
     for op, args in zip(views, rules):
         assert abs(op.modes.min_positive_exponent - 1.0) < 1e-12
         assert len(radial_quadrature(*args)) == 12
     open_op = sbfem_interpolate(singular_open_selement(1), 2, 0.0).operators[0]
-    floor, n_rad, levels = postproc._radial_rules([open_op], [0], cfg, 2)[0]
+    floor, n_rad, levels = postproc._radial_rules([open_op], [0], cfg, 2, 2)[0]
     assert floor == pytest.approx(-0.5, abs=1e-3)
     assert levels == postproc.SINGULAR_COMPOSITE_LEVELS
     assert len(radial_quadrature(floor, n_rad, levels)) == 12 * (levels + 1)

@@ -24,7 +24,7 @@ from sbfem.solver import (_project_trace, apply_dirichlet, assemble_global,
 
 
 def test_fe_q1_unit_square():
-    K = fe_element_stiffness(np.array([[0, 0], [1, 0], [1, 1], [0, 1]]), 1)
+    K = fe_element_stiffness(np.array([[[0, 0], [1, 0], [1, 1], [0, 1]]]), 1)[0]
     assert np.abs(np.diag(K) - 2.0 / 3.0).max() < 1e-13
     assert np.abs(K.sum(axis=1)).max() < 1e-13
     assert np.abs(K - K.T).max() < 1e-13
@@ -35,13 +35,13 @@ def test_fe_row_sums_vanish(rng):
         quad = np.array([[0, 0], [1, 0], [1, 1], [0, 1]]) \
             + rng.uniform(-0.2, 0.2, (4, 2))
         for k in (1, 2, 3):
-            K = fe_element_stiffness(quad, k)
+            K = fe_element_stiffness(quad[None], k)[0]
             assert np.abs(K.sum(axis=1)).max() < 1e-11
 
 
 def test_fe_inverted_element_rejected():
     with pytest.raises(AssemblyError):
-        fe_element_stiffness(np.array([[0, 0], [0, 1], [1, 1], [1, 0]]), 1)
+        fe_element_stiffness(np.array([[[0, 0], [0, 1], [1, 1], [1, 0]]]), 1)
 
 
 def test_single_selement_global_equals_element():
@@ -274,7 +274,7 @@ def test_stacked_scatter_and_coefficients_match_per_element(make):
             op.E, 2)[2]
     for q, quad in enumerate(mesh._quads()):
         dofs = numbering.fe_nodes[q]
-        K[np.ix_(dofs, dofs)] += fe_element_stiffness(mesh.vertices[quad], 2)
+        K[np.ix_(dofs, dofs)] += fe_element_stiffness(mesh.vertices[quad][None], 2)[0]
     assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
     exact = get_exact("exp2d")
     sol = sbfem_interpolate(mesh, 2, exact.value, numbering=numbering,
@@ -353,12 +353,13 @@ def test_perfbench_health_values_are_finite():
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
-    mesh, exact = gen_coupled_singular(2), get_exact("sqrt2d")
-    system = assemble_global(mesh, 2)
-    sol = solve(apply_dirichlet(system, exact.value,
-                                facet_ids=exact.dirichlet_facets(mesh)))
-    values = spans.health([sol])
-    assert sorted(values) == ["ematrix.cond_E11_max", "modes.asymmetry_max",
-                              "modes.cond_A_max", "modes.lam_min_pos",
-                              "solver.residual_max"]
-    assert all(np.isfinite(v) for v in values.values()), values
+    for mesh, exact in ((gen_coupled_singular(2), get_exact("sqrt2d")),
+                        (gen_hex_mesh(1), get_exact("exp3d"))):
+        system = assemble_global(mesh, 2)
+        sol = solve(apply_dirichlet(system, exact.value,
+                                    facet_ids=exact.dirichlet_facets(mesh)))
+        values = spans.health([sol])
+        assert sorted(values) == ["ematrix.cond_E11_max", "modes.asymmetry_max",
+                                  "modes.cond_A_max", "modes.lam_min_pos",
+                                  "solver.residual_max"]
+        assert all(np.isfinite(v) for v in values.values()), (mesh.dimension, values)
