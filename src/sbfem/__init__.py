@@ -6,8 +6,8 @@ extended radially through the eigen-modes of a collapsed-coordinate ODE
 system, and only the skeleton carries unknowns.
 """
 
-from .errors import (AssemblyError, ConfigError, GeometryError, MeshError,
-                     QuadratureError, SbfemError, SolveError, SpectrumError)
+from .errors import (AssemblyError, ConfigError, MeshError, QuadratureError,
+                     SbfemError, SolveError, SpectrumError)
 from .refgeom import FacetKind
 from .polyspace import (QuadratureRule, TraceBasis, facet_quadrature,
                         radial_quadrature, trace_basis)

@@ -5,10 +5,6 @@ class SbfemError(Exception):
     """Base class for all package errors."""
 
 
-class GeometryError(SbfemError):
-    """Degenerate or mis-oriented sector geometry."""
-
-
 class MeshError(SbfemError):
     """Invalid mesh topology or failed validation."""
 

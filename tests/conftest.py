@@ -9,10 +9,11 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi, roots_legendre
 
 from sbfem import modes, postproc
 from sbfem.ematrix import EMatrices
-from sbfem.errors import GeometryError, MeshError
+from sbfem.errors import MeshError, SbfemError
 from sbfem.mesh import (_KIND_BY_SIZE, PolytopalMesh, _merge_vertices,
                         _node_names, _open_mesh, _shape_keys, gen_hex_mesh,
                         gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
@@ -22,6 +23,11 @@ from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
 from sbfem.refgeom import (FacetKind, _det, _facet_points, _facet_tangents,
                            _inv, _sector_jacobians)
 from sbfem.solver import _evaluate_field, build_operators
+
+
+class GeometryError(SbfemError):
+    """Degenerate or mis-oriented sector geometry, as the reference sector
+    checks below report it."""
 
 
 class Sector(namedtuple("Sector", "collapsed_vertex facet_vertices facet_kind")):
@@ -35,6 +41,12 @@ class Sector(namedtuple("Sector", "collapsed_vertex facet_vertices facet_kind"))
 # a sector of an S-element operator, its trace basis, S-local node rows and
 # facet position
 SectorRows = namedtuple("SectorRows", "sector basis rows pos")
+
+
+def reference_gauss_jacobi(n: int, b: float = 0.0) -> tuple:
+    """scipy's n-point Gauss rule for the weight (1 + x)^b on [-1, 1]: the
+    rule `polyspace` took before its own Golub-Welsch routine."""
+    return roots_jacobi(n, 0.0, b) if b else roots_legendre(n)
 
 
 # -- the mesh's registration arrays, read per element --------------------------

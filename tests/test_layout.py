@@ -2,6 +2,9 @@
 use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,3 +79,13 @@ def test_dataclass_fields_are_read_outside_tests():
     assert not unread, (
         f"dataclass fields that nothing in src/ or perfbench/ reads: {unread}; "
         "derive them in tests/conftest.py")
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    # scipy.special adds about 3.5 MB of resident memory and 20 ms to every
+    # start; the package's Gauss rules need numpy alone
+    code = "import sys, sbfem, sbfem.cli; assert 'scipy.special' not in sys.modules"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert run.returncode == 0, run.stderr

@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (affine_cube_mesh, constant_index, constant_trace_admissible,
-                      coupled_mixed_mesh, duffy_map_many,
+from conftest import (GeometryError, affine_cube_mesh, constant_index,
+                      constant_trace_admissible, coupled_mixed_mesh, duffy_map_many,
                       fd_mode_gradients, fixture_meshes_2d, fixture_meshes_3d,
                       hybrid_mesh, is_open, jittered_quad_mesh, mesh_to_json, mode_fields,
                       op_sectors, operator_for, orthogonality_residual,
@@ -12,7 +12,7 @@ from conftest import (affine_cube_mesh, constant_index, constant_trace_admissibl
                       reference_mode_chain, stiffness_from_gram)
 from sbfem import modes, solver
 from sbfem.ematrix import EMatrices
-from sbfem.errors import GeometryError, SpectrumError
+from sbfem.errors import SpectrumError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh,
                         gen_polyhedron_case1, import_mesh, number_dofs,
                         singular_open_selement)

@@ -1,8 +1,13 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 import pytest
 
+from conftest import reference_gauss_jacobi
 from sbfem.errors import QuadratureError
-from sbfem.polyspace import facet_quadrature, radial_quadrature, trace_basis
+from sbfem.polyspace import (_gauss_jacobi, facet_quadrature, radial_quadrature,
+                             trace_basis)
 from sbfem.refgeom import FacetKind
 
 KINDS = [FacetKind.SEGMENT, FacetKind.QUADRILATERAL, FacetKind.TRIANGLE]
@@ -185,3 +190,39 @@ def test_triangle_rule_is_invariant_under_vertex_rotation():
         b = np.column_stack([pts, rule.weights])
         assert np.allclose(a[np.lexsort(a.T[::-1].round(12))],
                            b[np.lexsort(b.T[::-1].round(12))], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("b", [0.0, -0.25, -0.5, -0.9])
+def test_gauss_jacobi_matches_the_scipy_rule(b):
+    for n in range(1, 121):
+        x, w = _gauss_jacobi(n, b)
+        x_ref, w_ref = reference_gauss_jacobi(n, b)
+        assert np.abs(x - x_ref).max() <= 1e-15, n
+        # scipy's own weights are off by up to 3e-10 relative (n = 108, b = -0.9)
+        assert np.abs(w / w_ref - 1.0).max() <= 1e-9, n
+
+
+def _jacobi_moment(j: int, b: float) -> float:
+    """int_{-1}^{1} x^j (1 + x)^b dx = 2^(b+1) sum_i C(j,i) (-1)^(j-i) 2^i / (i+b+1),
+    from x = (1 + x) - 1; the sum is exact in rationals."""
+    s = sum(Fraction(comb(j, i) * (-1) ** (j - i) * 2 ** i) / (i + 1 + Fraction(b))
+            for i in range(j + 1))
+    return float(s) * 2.0 ** (b + 1.0)
+
+
+@pytest.mark.parametrize("b", [0.0, -0.5])
+def test_gauss_jacobi_integrates_moments_to_round_off(b):
+    # exact for degree 2n - 1, to 5e-14 of the absolute sum; scipy's rules
+    # miss this by 4e-13 (b = 0) and 2e-12 (b = -1/2)
+    for n in range(1, 41):
+        x, w = _gauss_jacobi(n, b)
+        for j in range(2 * n):
+            err = abs(np.dot(w, x ** j) - _jacobi_moment(j, b))
+            assert err <= 5e-14 * np.dot(w, np.abs(x) ** j), (n, j)
+
+
+@pytest.mark.parametrize("b", [0.0, -0.5, -0.9, -0.999])
+def test_gauss_jacobi_weights_sum_to_the_weight_integral(b):
+    mu0 = 2.0 ** (b + 1.0) / (b + 1.0)
+    for n in range(1, 121):
+        assert abs(_gauss_jacobi(n, b)[1].sum() / mu0 - 1.0) <= 1e-14, n

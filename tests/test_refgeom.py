@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import Sector, duffy_map_many, mesh_sector, sector_jacobian
+from conftest import (GeometryError, Sector, duffy_map_many, mesh_sector,
+                      sector_jacobian)
 from sbfem.cli import MESH_FAMILIES, build_mesh
-from sbfem.errors import GeometryError
 from sbfem.polyspace import facet_quadrature, trace_basis
 from sbfem.refgeom import (FacetKind, _det, _facet_tangents, _inv,
                            _sector_jacobians)
