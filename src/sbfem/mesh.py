@@ -5,8 +5,9 @@ and facet-interior DOFs, shared exactly by neighbouring S-elements (and
 coupled FE quadrilaterals).  Each facet is stored once with a canonical
 vertex order; an element that references it with a rotated or reversed
 order keeps its own order for the sector map.  A lattice node is named by
-its corners (`_node_names`), so it has one name, and one DOF, in every
-facet and FE quad that contains it, whatever order lists their vertices.
+one int64 built from its corner ids and weights (`number_dofs`), so it has
+one name, and one DOF, in every facet and FE quad that contains it,
+whatever order lists their vertices.
 """
 
 from __future__ import annotations
@@ -358,27 +359,47 @@ def import_mesh(source) -> PolytopalMesh:
     if not sels:
         raise MeshError("mesh file lists no S-elements")
     mesh = PolytopalMesh(dim)
-    xyz = np.array([_coords(v, dim, f"vertex {i}") for i, v in enumerate(verts)]
-                   ).reshape(-1, dim)
-    first, ids = np.unique(_merge_vertices(xyz), return_inverse=True)
-    vertices, ids = xyz[first], ids.tolist()
-    listed, counts, centres, dirichlet = [], [], {}, {}
+    try:    # one conversion; where it fails, the first bad vertex is named
+        xyz = np.array(verts, dtype=float)
+    except (TypeError, ValueError):
+        xyz = np.zeros(0)
+    if xyz.shape != (len(verts), dim) or not np.isfinite(xyz).all():
+        for i, v in enumerate(verts):
+            _coords(v, dim, f"vertex {i}")
+    xyz = xyz.reshape(-1, dim)
+    first, inverse = np.unique(_merge_vertices(xyz), return_inverse=True)
+    ids = inverse.tolist()
+    # every facet listing flat, its indices checked in one pass; a fault sends
+    # the file through the entry-by-entry check, which names the first bad entry
+    try:
+        lists = [f for entry in sels for f in entry["facets"]]
+        flat = np.array([operator.index(i) for f in lists for i in f], dtype=np.int64)
+        bad = ((flat < 0) | (flat >= len(ids))).any()
+    except (KeyError, TypeError, OverflowError):
+        bad = True
+    counts, centres, dirichlet = [], {}, {}
     for n, entry in enumerate(sels):
         if not isinstance(entry, dict):
             raise MeshError(f"S-element {n}: {entry!r} is not an object")
-        facets = [_mesh_ids(f, ids, f"S-element {n} facet")
-                  for f in entry.get("facets", [])]
+        try:
+            facets = list(entry.get("facets", []))
+        except TypeError:
+            raise MeshError(f"S-element {n} facets {entry['facets']!r} is not a list"
+                            ) from None
+        if bad:
+            facets = [_mesh_ids(f, ids, f"S-element {n} facet") for f in facets]
         if not facets:
             raise MeshError(f"S-element {n} has no facets")
-        listed += facets
         counts.append(len(facets))
         if entry.get("center") is not None:
             centres[n] = _coords(entry["center"], dim, f"S-element {n} center")
-        dirichlet[n] = _mesh_ids(entry.get("dirichlet_sideface_nodes", ()), ids,
-                                 f"S-element {n} dirichlet_sideface_nodes")
-    width = max([4] + [len(f) for f in listed])
-    table = np.array([f + (-1,) * (width - len(f)) for f in listed], dtype=int)
-    return mesh._register(vertices, table, counts, centres, dirichlet)
+        if "dirichlet_sideface_nodes" in entry:
+            dirichlet[n] = _mesh_ids(entry["dirichlet_sideface_nodes"], ids,
+                                     f"S-element {n} dirichlet_sideface_nodes")
+    size = np.fromiter(map(len, lists), int, len(lists))
+    table = np.full((len(lists), max(4, size.max())), -1)
+    table[np.arange(table.shape[1]) < size[:, None]] = inverse[flat]
+    return mesh._register(xyz[first], table, counts, centres, dirichlet)
 
 
 def _merge_vertices(xyz: np.ndarray) -> np.ndarray:
@@ -462,9 +483,6 @@ class DofNumbering:
         return np.unique(self.facet_dofs[np.isin(owner, facet_ids)])
 
 
-_NO_CORNER = np.iinfo(np.int64).max      # id of a zero-weight pair; sorts last
-
-
 @lru_cache(maxsize=None)
 def _corner_weights(kind: FacetKind, k: int) -> np.ndarray:
     """k^2 N_c at the lattice nodes of the reference facet: (L, n_vertices)
@@ -475,18 +493,17 @@ def _corner_weights(kind: FacetKind, k: int) -> np.ndarray:
     return W
 
 
-def _node_names(kind: FacetKind, k: int, vertex_ids) -> np.ndarray:
-    """Names of the lattice nodes of elements with corner ids (E, n_vertices):
-    (E, L, 8), four (corner id, k^2 N_c) pairs per node sorted by id, the
-    zero weights padded as (_NO_CORNER, 0).  A node shared by two elements
-    has one name whatever order lists their corners."""
+@lru_cache(maxsize=None)
+def _node_corners(kind: FacetKind, k: int) -> tuple:
+    """The lattice nodes of the reference facet with one or two nonzero
+    corner weights (`_corner_weights`), their first and last such corner
+    (F, 2) and its weights (F, 2); the other nodes and their weights."""
     W = _corner_weights(kind, k)
-    ids = np.where(W > 0, np.asarray(vertex_ids, dtype=np.int64)[:, None, :],
-                   _NO_CORNER)
-    pairs = np.stack([ids, np.broadcast_to(W, ids.shape)], axis=-1)
-    pairs = np.take_along_axis(pairs, np.argsort(ids)[..., None], axis=-2)
-    pad = np.broadcast_to([_NO_CORNER, 0], ids.shape[:2] + (4 - W.shape[1], 2))
-    return np.concatenate([pairs, pad], axis=-2).reshape(ids.shape[:2] + (8,))
+    nz, n = W > 0, (W > 0).sum(axis=1)
+    few, more = np.flatnonzero(n <= 2), np.flatnonzero(n > 2)
+    ends = np.column_stack([nz[few].argmax(axis=1),
+                            W.shape[1] - 1 - nz[few, ::-1].argmax(axis=1)])
+    return few, ends, np.take_along_axis(W[few], ends, axis=1), more, W[more]
 
 
 def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
@@ -510,25 +527,37 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
     nodes = np.array([0, 0] + [len(_corner_weights(_KIND_BY_SIZE[s], k))
                                for s in (2, 3, 4)])   # lattice nodes by size
     start = np.concatenate([[0], np.cumsum(nodes[size])])
-    names = np.empty((start[-1], 8), dtype=np.int64)
+    # one int64 name per node, the same in every listing, from its nonzero
+    # weights W_c = k^2 N_c, base = k^2 + 1: a vertex its id v < nv; a node
+    # between corners lo < hi nv + (lo nv + hi) base + W_hi < edge; any other,
+    # inside facet or FE quad o (quads after facets), edge + o base^4 + sum_c
+    # W_c base^rank(c), rank(c) that of corner c's id in its row.  Exact while
+    # edge + owners base^4 <= 2^63: nv^2 (k^2 + 1) < 2^63, nv < 3.7e8 at k = 8
+    nv, base, owner = len(mesh.vertices), k * k + 1, np.append(
+        mesh._fid, len(first) + np.arange(len(quads)))
+    edge = nv * (1 + nv * base)
+    if edge + len(owner) * base ** 4 > 2 ** 63:
+        raise MeshError(f"a mesh of {nv} vertices is too large to name its "
+                        f"degree-{k} lattice nodes in int64")
+    names = np.empty(start[-1], dtype=np.int64)
     for s in np.unique(size).tolist():
         at = np.flatnonzero(size == s)
-        names[start[at][:, None] + np.arange(nodes[s])] = _node_names(
-            _KIND_BY_SIZE[s], k, corners[at, :s])
-    # one 64-byte key per name: a byte-wise sort finds the distinct names
-    _, seen, inverse = np.unique(names.view(np.dtype((np.void, 64))).ravel(),
-                                 return_index=True, return_inverse=True)
-    unique = names[seen]
-    n_pairs = (unique[:, 1::2] > 0).sum(axis=1)
-    # vertices (one pair) by id, 3D edge nodes (two pairs) by (lower id,
-    # higher id, weight of the higher), then the rest by first naming
-    by_id = (n_pairs == 1) | ((n_pairs == 2) & (mesh.dimension == 3))
-    order = np.lexsort((unique[:, 3] * by_id, unique[:, 2] * by_id,
-                        np.where(by_id, unique[:, 0], seen), n_pairs * by_id,
-                        ~by_id))
+        ids, slot = corners[at, :s], start[at][:, None]
+        few, ends, w, more, W = _node_corners(_KIND_BY_SIZE[s], k)
+        a, b = ids[:, ends[:, 0]], ids[:, ends[:, 1]]
+        names[slot + few] = np.where(a == b, a, nv + np.where(a < b, w[:, 1], w[:, 0])
+                                     + (np.minimum(a, b) * nv + np.maximum(a, b)) * base)
+        if len(more):       # no interior nodes on a segment
+            rank = np.argsort(np.argsort(ids, axis=1), axis=1)
+            names[slot + more] = edge + owner[at][:, None] * base ** 4 + base ** rank @ W.T
+    # vertices by id and, in 3D, edge nodes by (lo, hi, W_hi), as their
+    # names sort; then the rest by first naming
+    unique, seen, inverse = np.unique(names, return_index=True, return_inverse=True)
+    by_name = np.searchsorted(unique, nv if mesh.dimension == 2 else edge)
+    seen[:by_name] = np.arange(-by_name, 0)
     dof = np.empty(len(unique), dtype=int)
-    dof[order] = np.arange(len(unique))
-    slot_dof = dof[inverse.reshape(-1)]
+    dof[np.argsort(seen)] = np.arange(len(unique))
+    slot_dof = dof[inverse]
     coords = np.zeros((len(unique), mesh.dimension))
     # a facet sets its nodes from its first listing, an FE quad (the only row
     # with more than d + 1 corners) only its interior nodes
@@ -540,8 +569,8 @@ def number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
         coords[slot_dof[start[at][:, None] + own]] = _facet_points(
             kind, trace_basis(kind, k).nodes[own],
             np.take(mesh.vertices, corners[at, :s], axis=0))
-    vertex_dof = np.full(len(mesh.vertices), -1)
-    vertex_dof[unique[n_pairs == 1, 0]] = dof[n_pairs == 1]
+    vertex_dof = np.full(nv, -1)
+    vertex_dof[unique[unique < nv]] = dof[unique < nv]
     # S-local DOFs: the (S-element, DOF) pairs of the sector rows, coded
     # e n + dof, numbered in order of first appearance, those of each
     # S-element after those of the S-elements before it; a side-face pin

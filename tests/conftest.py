@@ -14,8 +14,9 @@ from scipy.special import roots_jacobi, roots_legendre
 from sbfem import modes, postproc
 from sbfem.ematrix import EMatrices
 from sbfem.errors import MeshError, SbfemError
-from sbfem.mesh import (_KIND_BY_SIZE, PolytopalMesh, _merge_vertices,
-                        _node_names, _open_mesh, _shape_keys, gen_hex_mesh,
+from sbfem.mesh import (_KIND_BY_SIZE, DofNumbering, PolytopalMesh,
+                        _corner_weights, _first_seen, _merge_vertices,
+                        _open_mesh, _shape_keys, gen_hex_mesh,
                         gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
                         import_mesh, number_dofs, singular_open_selement)
 from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
@@ -271,6 +272,96 @@ def sector_B(sector, basis, eta):
             f"non-positive surface Jacobian {det[0]:.3e} at eta={eta} "
             f"(center {sector.collapsed_vertex})")
     return B1[0], B2[0]
+
+
+_NO_CORNER = np.iinfo(np.int64).max      # id of a zero-weight pair; sorts last
+
+
+def _node_names(kind: FacetKind, k: int, vertex_ids) -> np.ndarray:
+    """Names of the lattice nodes of elements with corner ids (E, n_vertices):
+    (E, L, 8), four (corner id, k^2 N_c) pairs per node sorted by id, the
+    zero weights padded as (_NO_CORNER, 0).  A node shared by two elements
+    has one name whatever order lists their corners."""
+    W = _corner_weights(kind, k)
+    ids = np.where(W > 0, np.asarray(vertex_ids, dtype=np.int64)[:, None, :],
+                   _NO_CORNER)
+    pairs = np.stack([ids, np.broadcast_to(W, ids.shape)], axis=-1)
+    pairs = np.take_along_axis(pairs, np.argsort(ids)[..., None], axis=-2)
+    pad = np.broadcast_to([_NO_CORNER, 0], ids.shape[:2] + (4 - W.shape[1], 2))
+    return np.concatenate([pairs, pad], axis=-2).reshape(ids.shape[:2] + (8,))
+
+
+def reference_number_dofs(mesh: PolytopalMesh, k: int) -> DofNumbering:
+    """`number_dofs` by (corner id, weight) pair names: every lattice node
+    is named by its four sorted pairs, and one `np.unique` over the 64-byte
+    names finds the distinct nodes.  Oracle for the int64 names."""
+    table, first, counts = mesh._table, mesh._first, mesh._counts
+    n_rows, n_s, quads = len(table), counts.sum(), mesh._quads()
+    corners = np.full((n_rows + len(quads), max(table.shape[1], 4)), -1)
+    corners[:n_rows, :table.shape[1]] = table
+    corners[n_rows:, :4] = quads
+    size = (corners >= 0).sum(axis=1)
+    nodes = np.array([0, 0] + [len(_corner_weights(_KIND_BY_SIZE[s], k))
+                               for s in (2, 3, 4)])   # lattice nodes by size
+    start = np.concatenate([[0], np.cumsum(nodes[size])])
+    names = np.empty((start[-1], 8), dtype=np.int64)
+    for s in np.unique(size).tolist():
+        at = np.flatnonzero(size == s)
+        names[start[at][:, None] + np.arange(nodes[s])] = _node_names(
+            _KIND_BY_SIZE[s], k, corners[at, :s])
+    # one 64-byte key per name: a byte-wise sort finds the distinct names
+    _, seen, inverse = np.unique(names.view(np.dtype((np.void, 64))).ravel(),
+                                 return_index=True, return_inverse=True)
+    unique = names[seen]
+    n_pairs = (unique[:, 1::2] > 0).sum(axis=1)
+    # vertices (one pair) by id, 3D edge nodes (two pairs) by (lower id,
+    # higher id, weight of the higher), then the rest by first naming
+    by_id = (n_pairs == 1) | ((n_pairs == 2) & (mesh.dimension == 3))
+    order = np.lexsort((unique[:, 3] * by_id, unique[:, 2] * by_id,
+                        np.where(by_id, unique[:, 0], seen), n_pairs * by_id,
+                        ~by_id))
+    dof = np.empty(len(unique), dtype=int)
+    dof[order] = np.arange(len(unique))
+    slot_dof = dof[inverse.reshape(-1)]
+    coords = np.zeros((len(unique), mesh.dimension))
+    # a facet sets its nodes from its first listing, an FE quad (the only row
+    # with more than d + 1 corners) only its interior nodes
+    heads = np.concatenate([first, np.arange(n_rows, len(corners))])
+    for s in dict.fromkeys(size[heads].tolist()):
+        at, kind = heads[size[heads] == s], _KIND_BY_SIZE[s]
+        own = np.flatnonzero((_corner_weights(kind, k) > 0).all(axis=1)
+                             | (s <= mesh.dimension + 1))
+        coords[slot_dof[start[at][:, None] + own]] = _facet_points(
+            kind, trace_basis(kind, k).nodes[own],
+            np.take(mesh.vertices, corners[at, :s], axis=0))
+    vertex_dof = np.full(len(mesh.vertices), -1)
+    vertex_dof[unique[n_pairs == 1, 0]] = dof[n_pairs == 1]
+    # S-local DOFs: the (S-element, DOF) pairs of the sector rows, coded
+    # e n + dof, numbered in order of first appearance, those of each
+    # S-element after those of the S-elements before it; a side-face pin
+    # gets no S-local index, and its sector rows name it -1
+    elem = np.repeat(np.repeat(np.arange(len(counts)), counts), nodes[size[:n_s]])
+    code = elem * len(unique) + slot_dof[:start[n_s]]
+    ids, firsts = _first_seen(code)
+    pinned = np.isin(code[firsts], np.array(
+        [e * len(unique) + vertex_dof[v] for e, vs in mesh._dirichlet.items()
+         for v in vs], dtype=int))
+    firsts = firsts[~pinned]
+    selement_start = np.searchsorted(elem[firsts], np.arange(len(counts) + 1))
+    local = np.where(pinned[ids], -1,
+                     np.cumsum(~pinned)[ids] - 1 - selement_start[elem])
+    facet_size = nodes[size[first]]
+    facet_start = np.concatenate([[0], np.cumsum(facet_size)])
+    return DofNumbering(
+        k=k, n_total=len(unique), vertex_dof=vertex_dof, coords=coords,
+        facet_dofs=slot_dof[np.repeat(start[first] - facet_start[:-1], facet_size)
+                            + np.arange(facet_start[-1])],
+        facet_start=facet_start,
+        fe_nodes=slot_dof[start[n_rows]:].reshape(len(quads), nodes[4]),
+        selement_dofs=slot_dof[firsts], selement_start=selement_start,
+        sector_rows={_KIND_BY_SIZE[s]: local[start[:n_s][size[:n_s] == s][:, None]
+                                             + np.arange(nodes[s])]
+                     for s in np.unique(size[:n_s]).tolist()})
 
 
 @lru_cache(maxsize=None)

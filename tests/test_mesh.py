@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -6,27 +7,28 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (assert_local_dofs_match, facet_kind, facet_list,
-                      facet_map_many, facet_nodes, facet_owners,
+from conftest import (assert_local_dofs_match, coupled_mixed_mesh, facet_kind,
+                      facet_list, facet_map_many, facet_nodes, facet_owners,
                       flat_sector_squares,
                       hybrid_mesh, is_open, jittered_quad_mesh, mesh_sector,
                       mesh_to_json, octahedron_mesh, open_element_pinned_first,
                       polygon_mesh, reference_congruence_classes,
                       reference_coupled_singular, reference_hex_family,
                       reference_import, reference_lattice_perm,
-                      reference_local_dofs, reference_quad_family,
+                      reference_local_dofs, reference_number_dofs,
+                      reference_quad_family,
                       reference_singular_open_selement, relabelled,
                       sector_jacobian, sector_rows, selement_dofs,
                       selement_facets)
 from test_postproc import BATCH_CASES
 from sbfem.cli import build_mesh, main
 from sbfem.errors import MeshError
-from sbfem.mesh import (MERGE_DIRECTION, NEAR_RTOL, PolytopalMesh,
+from sbfem.mesh import (MERGE_DIRECTION, NEAR_RTOL, DofNumbering, PolytopalMesh,
                         _merge_vertices, gen_coupled_singular, gen_hex_mesh,
                         gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
                         gen_refined_cube, gen_refined_square, import_mesh,
                         number_dofs, singular_open_selement)
-from sbfem.polyspace import trace_basis
+from sbfem.polyspace import MAX_DEGREE, trace_basis
 from sbfem.refgeom import FacetKind, _facet_points
 
 
@@ -290,6 +292,60 @@ def test_malformed_entries_raise_mesh_error(name, tmp_path):
     path.write_text(json.dumps(MALFORMED[name]))
     assert main(["solve", "--mesh", f"file:{path}", "--k", "1",
                  "--problem", "exp2d", "--output", str(tmp_path)]) == 1
+
+
+# a file of two squares whose listings hold, in file order, a float index,
+# a negative one, one past the last vertex, a facet that is not a list and,
+# in the second S-element, a string index
+BAD_ENTRIES = [
+    ((0, 0), [0, 1.0], "S-element 0 facet [0, 1.0]"),
+    ((0, 1), [1, -2], "S-element 0 facet [1, -2]"),
+    ((0, 2), [2, 6], "S-element 0 facet [2, 6]"),
+    ((0, 3), 3, "S-element 0 facet 3"),
+    ((1, 1), [4, "5"], "S-element 1 facet [4, '5']"),
+]
+
+
+def _two_squares(bad=(), **entry):
+    data = _square_file(vertices=SQUARE + [[2.0, 0.0], [2.0, 1.0]], selements=[
+        {"facets": [list(f) for f in SQUARE_FACETS]},
+        dict({"facets": [[1, 4], [4, 5], [5, 2], [2, 1]]}, **entry)])
+    for (e, pos), facet, _ in bad:
+        data["selements"][e]["facets"][pos] = facet
+    return data
+
+
+def test_import_names_the_first_bad_entry_in_file_order():
+    for j, (_, _, what) in enumerate(BAD_ENTRIES):
+        with pytest.raises(MeshError, match=re.escape(
+                f"{what} is not a list of vertex indices in 0..5") + "$"):
+            import_mesh(_two_squares(BAD_ENTRIES[j:]))
+    # errors other than an index wait for the listings before them, and
+    # come before the listings after them
+    center = "S-element 1 center [1.5, 'mid'] is not a list of numbers"
+    for bad, message in (([], center), (BAD_ENTRIES[3:4], BAD_ENTRIES[3][2]),
+                         (BAD_ENTRIES[4:], BAD_ENTRIES[4][2])):
+        with pytest.raises(MeshError, match=f"^{re.escape(message)}"):
+            import_mesh(_two_squares(bad, center=[1.5, "mid"]))
+    with pytest.raises(MeshError, match=r"^S-element 1: \[\] is not an object$"):
+        import_mesh(dict(_two_squares(), selements=[
+            {"facets": SQUARE_FACETS}, [], {"facets": [[0, "x"]]}]))
+    pinned = _two_squares(BAD_ENTRIES[4:])
+    pinned["selements"][0]["dirichlet_sideface_nodes"] = [7]
+    with pytest.raises(MeshError, match=re.escape(
+            "S-element 0 dirichlet_sideface_nodes [7] is not a list of vertex "
+            "indices in 0..5")):
+        import_mesh(pinned)
+    # a bool is an index, as operator.index takes it
+    flags = _square_file(selements=[{"facets": [[False, True], [True, 2], [2, 3],
+                                                [3, False]]}])
+    assert mesh_to_json(import_mesh(flags)) == mesh_to_json(import_mesh(_square_file()))
+
+
+@pytest.mark.parametrize("facets", [5, None])
+def test_import_rejects_facets_that_are_not_a_list(facets):
+    with pytest.raises(MeshError, match=rf"^S-element 0 facets {facets} is not a list$"):
+        import_mesh(_square_file(selements=[{"facets": facets}]))
 
 
 def test_boundary_tags_key_rejected_by_name():
@@ -1000,6 +1056,47 @@ def test_local_dofs_match_per_element_oracle(name):
     mesh = CLASS_CASES[name]()
     for k in (1, 2, 3, 4):
         assert_local_dofs_match(mesh, number_dofs(mesh, k))
+
+
+NUMBERING_CASES = {
+    **CLASS_CASES,
+    **{f"coupled-singular-{level}": (lambda level=level: gen_coupled_singular(level))
+       for level in (1, 2, 4)},
+    "coupled-mixed": coupled_mixed_mesh,
+    "polygon-case1-4": lambda: gen_polygon_case1(4),
+    "polyhedron-case1-2": lambda: gen_polyhedron_case1(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMBERING_CASES))
+def test_numbering_matches_the_pair_names_oracle(name):
+    # the int64 names number every lattice node as the (corner id, weight)
+    # pair names do: every field equal, values and dtypes
+    mesh = NUMBERING_CASES[name]()
+    for k in range(1, MAX_DEGREE + 1):
+        got, want = number_dofs(mesh, k), reference_number_dofs(mesh, k)
+        for field in dataclasses.fields(DofNumbering):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(b, dict):
+                assert list(a) == list(b), (k, field.name)
+                a, b = [a[kind] for kind in a], [b[kind] for kind in b]
+            else:
+                a, b = [a], [b]
+            assert [(type(x), np.asarray(x).dtype, np.shape(x),
+                     np.asarray(x).tobytes()) for x in a] == [
+                (type(y), np.asarray(y).dtype, np.shape(y),
+                 np.asarray(y).tobytes()) for y in b], (k, field.name)
+
+
+@pytest.mark.parametrize("k,n_vertices", [(8, 380_000_000), (1, 2_200_000_000)])
+def test_numbering_refuses_a_vertex_count_past_int64_names(k, n_vertices):
+    # two-corner names need n_vertices^2 (k^2 + 1) < 2^63; a broadcast view
+    # fakes the vertex count without building such a mesh
+    mesh = gen_quad_mesh(1)
+    mesh.vertices = np.broadcast_to(mesh.vertices[:1], (n_vertices, 2))
+    with pytest.raises(MeshError, match=f"^a mesh of {n_vertices} vertices is "
+                                        "too large"):
+        number_dofs(mesh, k)
 
 
 def test_import_names_the_selement_whose_surface_falls_apart():

@@ -342,6 +342,31 @@ def test_value_and_gradient_match_the_fields(name):
     assert value.shape == (7,) and gradient.shape == (7, d)
 
 
+VALUE_ONLY = {"exp2d": (lambda: gen_quad_mesh(2), "_exp2d"),
+              "exp3d": (lambda: gen_hex_mesh(1), "_exp3d"),
+              "sqrt2d": (lambda: gen_coupled_singular(1), "_sqrt2d")}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_ONLY))
+def test_value_only_callers_compute_no_gradient(name, rng, monkeypatch):
+    # the registered value is the value of value_and_gradient, bit for bit,
+    # and Dirichlet data and interpolation never ask for a gradient
+    exact = get_exact(name)
+    x = rng.uniform(-1.0, 1.0, (200, exact.dim))
+    assert np.array_equal(exact.value(x), exact.value_and_gradient(x)[0])
+    make, function = VALUE_ONLY[name]
+    mesh, asked = make(), []
+    field = getattr(postproc, function)
+    monkeypatch.setattr(postproc, function, lambda x, gradient=True: (
+        asked.append(gradient), field(x, gradient))[1])
+    system = assemble_global(mesh, 2)
+    for method in ("project", "nodal"):
+        apply_dirichlet(system, exact.value, facet_ids=exact.dirichlet_facets(mesh),
+                        method=method)
+    sbfem_interpolate(mesh, 2, exact.value)
+    assert asked and not any(asked)
+
+
 def test_exact_solutions_take_replaced_fields():
     # a tracer replaces value and gradient by wrappers of its own, and reads
     # the cache statistics of the trace basis and the facet rule
