@@ -381,11 +381,10 @@ def import_mesh(source) -> PolytopalMesh:
     for n, entry in enumerate(sels):
         if not isinstance(entry, dict):
             raise MeshError(f"S-element {n}: {entry!r} is not an object")
-        try:
-            facets = list(entry.get("facets", []))
-        except TypeError:
-            raise MeshError(f"S-element {n} facets {entry['facets']!r} is not a list"
-                            ) from None
+        facets = entry.get("facets", [])   # a string or an object iterates too
+        if isinstance(facets, (str, dict)) or not np.iterable(facets):
+            raise MeshError(f"S-element {n} facets {facets!r} is not a list")
+        facets = list(facets)
         if bad:
             facets = [_mesh_ids(f, ids, f"S-element {n} facet") for f in facets]
         if not facets:

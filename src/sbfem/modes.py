@@ -155,10 +155,9 @@ def select_modes(M: np.ndarray, dim: int, has_constant: bool,
     _check(cond_A > COND_CAP, ids,
            f"defective spectrum (trace eigenvector condition {{:.2e}} beyond "
            f"cap {COND_CAP:.1e})", cond_A)
-    selected_mask = np.zeros(lam_all.shape, dtype=bool)
-    np.put_along_axis(selected_mask, idx, True, axis=-1)
+    # the split check above makes the selection exactly the positive eigenvalues
     return SbfemModes(lambdas=lams, A=A, P=P, cond_A=cond_A,
-                      all_eigenvalues=lam_all, selected_mask=selected_mask)
+                      all_eigenvalues=lam_all, selected_mask=positive)
 
 
 def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:

@@ -24,6 +24,8 @@ COMPOSITE_RATIO = 0.2
 
 
 def _monomial_powers(kind: FacetKind, k: int) -> np.ndarray:
+    """Exponents of the trace space's monomials, one row per basis function;
+    row n also indexes lattice node n (quad: n = j*(k+1) + i, i fastest)."""
     if kind is FacetKind.SEGMENT:
         return np.arange(k + 1)[:, None]
     if kind is FacetKind.QUADRILATERAL:
@@ -33,59 +35,38 @@ def _monomial_powers(kind: FacetKind, k: int) -> np.ndarray:
     return np.array(pows, dtype=int)
 
 
-def _lattice_nodes(kind: FacetKind, k: int) -> np.ndarray:
-    if kind is FacetKind.SEGMENT:
-        return np.linspace(-1.0, 1.0, k + 1)[:, None]
-    if kind is FacetKind.QUADRILATERAL:
-        t = np.linspace(-1.0, 1.0, k + 1)
-        u, v = np.meshgrid(t, t, indexing="ij")
-        # index n = j*(k+1) + i: first lattice direction fastest
-        return np.column_stack([u.ravel(order="F"), v.ravel(order="F")])
-    nodes = [(i / k, j / k) for j in range(k + 1) for i in range(k + 1 - j)]
-    return np.array(nodes, dtype=float)
+def _monomials(etas: np.ndarray, powers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Monomials eta^powers at q points (q, m) and their eta-gradients
+    stacked by direction (d-1, q, m)."""
+    mono = (etas[:, None, :] ** powers).prod(axis=-1)
+    # d/d eta_v: exponent p_v - 1, floored at 0 where the factor p_v is 0
+    lowered = np.maximum(powers - np.eye(powers.shape[1], dtype=int)[:, None, :], 0)
+    grads = (etas[None, :, None, :] ** lowered[:, None]).prod(axis=-1) * powers.T[:, None]
+    return mono, grads
 
 
 @dataclass(frozen=True)
 class TraceBasis:
     """Nodal Lagrange basis for the trace space V_k on a reference facet."""
 
-    nodes: np.ndarray          # (cardinality, d-1)
-    powers: np.ndarray         # monomial exponents, (cardinality, d-1)
+    nodes: np.ndarray          # (m, d-1)
+    powers: np.ndarray         # monomial exponents, (m, d-1)
     coeffs: np.ndarray         # inverse Vandermonde: column l = basis function l
 
     def __post_init__(self):   # cached and shared between callers
         for a in (self.nodes, self.powers, self.coeffs):
             a.flags.writeable = False
 
-    @property
-    def cardinality(self) -> int:
-        return self.nodes.shape[0]
-
     def eval_many(self, etas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Basis values and eta-gradients at several points.
 
-        Returns (values, grads) with shapes (q, cardinality) and
-        (q, d-1, cardinality).
+        Returns (values, grads) with shapes (q, m) and (q, d-1, m).
         """
-        etas = np.atleast_2d(np.asarray(etas, dtype=float))
-        q = etas.shape[0]
-        nvar = self.powers.shape[1]
-        mono = np.ones((q, self.powers.shape[0]))
-        for v in range(nvar):
-            mono *= etas[:, v][:, None] ** self.powers[:, v]
-        values = mono @ self.coeffs
-        grads = np.empty((q, nvar, self.cardinality))
-        for v in range(nvar):
-            p = self.powers[:, v]
-            dm = np.ones((q, self.powers.shape[0]))
-            for w in range(nvar):
-                pw = self.powers[:, w] - (1 if w == v else 0)
-                active = pw >= 0
-                col = np.zeros((q, self.powers.shape[0]))
-                col[:, active] = etas[:, w][:, None] ** pw[active]
-                dm *= col
-            grads[:, v, :] = (dm * p[None, :]) @ self.coeffs
-        return values, grads
+        mono, grads = _monomials(np.atleast_2d(np.asarray(etas, dtype=float)),
+                                 self.powers)
+        # one (q, m) @ (m, m) product per direction; (q, d-1, m) @ (m, m) rounds otherwise
+        return mono @ self.coeffs, np.ascontiguousarray(
+            (grads @ self.coeffs).transpose(1, 0, 2))
 
 
 @lru_cache(maxsize=None)
@@ -97,12 +78,11 @@ def trace_basis(kind: FacetKind, k: int) -> TraceBasis:
         raise QuadratureError(
             f"trace degree {k} exceeds the supported maximum {MAX_DEGREE} "
             "(equispaced nodes become too ill-conditioned)")
-    nodes = _lattice_nodes(kind, k)
     powers = _monomial_powers(kind, k)
-    vmat = np.ones((nodes.shape[0], powers.shape[0]))
-    for v in range(powers.shape[1]):
-        vmat *= nodes[:, v][:, None] ** powers[:, v]
-    coeffs = np.linalg.inv(vmat)
+    ticks = (np.arange(k + 1) / k if kind is FacetKind.TRIANGLE
+             else np.linspace(-1.0, 1.0, k + 1))
+    nodes = ticks[powers]
+    coeffs = np.linalg.inv(_monomials(nodes, powers)[0])
     return TraceBasis(nodes=nodes, powers=powers, coeffs=coeffs)
 
 

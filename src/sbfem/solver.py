@@ -265,12 +265,9 @@ def solve(system: GlobalSystem) -> DiscreteSolution:
         nodal=u, residual=residual)
 
 
-def sbfem_interpolate(mesh: PolytopalMesh, k: int, f,
-                      operators: list | None = None,
-                      numbering: DofNumbering | None = None) -> DiscreteSolution:
+def sbfem_interpolate(mesh: PolytopalMesh, k: int, f) -> DiscreteSolution:
     """Radial extension of the nodal trace interpolant of f."""
-    numbering = numbering or number_dofs(mesh, k)
-    operators = operators or build_operators(mesh, numbering)
-    return DiscreteSolution(mesh=mesh, numbering=numbering, operators=operators,
-                            nodal=_evaluate_field(f, numbering.coords))
+    numbering = number_dofs(mesh, k)
+    return DiscreteSolution(mesh, numbering, build_operators(mesh, numbering),
+                            _evaluate_field(f, numbering.coords))
 

@@ -23,7 +23,7 @@ from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
                              trace_basis)
 from sbfem.refgeom import (FacetKind, _det, _facet_points, _facet_tangents,
                            _inv, _sector_jacobians)
-from sbfem.solver import _evaluate_field, build_operators
+from sbfem.solver import DiscreteSolution, _evaluate_field, build_operators
 
 
 class GeometryError(SbfemError):
@@ -48,6 +48,46 @@ def reference_gauss_jacobi(n: int, b: float = 0.0) -> tuple:
     """scipy's n-point Gauss rule for the weight (1 + x)^b on [-1, 1]: the
     rule `polyspace` took before its own Golub-Welsch routine."""
     return roots_jacobi(n, 0.0, b) if b else roots_legendre(n)
+
+
+def reference_lattice_nodes(kind: FacetKind, k: int) -> np.ndarray:
+    """Equispaced nodes of the degree-k trace space, one branch per facet
+    kind, in the order of `polyspace._monomial_powers` (quad: n = j*(k+1) + i)."""
+    if kind is FacetKind.SEGMENT:
+        return np.linspace(-1.0, 1.0, k + 1)[:, None]
+    if kind is FacetKind.QUADRILATERAL:
+        t = np.linspace(-1.0, 1.0, k + 1)
+        u, v = np.meshgrid(t, t, indexing="ij")
+        return np.column_stack([u.ravel(order="F"), v.ravel(order="F")])
+    nodes = [(i / k, j / k) for j in range(k + 1) for i in range(k + 1 - j)]
+    return np.array(nodes, dtype=float)
+
+
+def reference_monomials(powers, etas) -> np.ndarray:
+    """eta^powers (q, m) by a loop over the variables: the Vandermonde matrix
+    at the lattice nodes."""
+    mono = np.ones((etas.shape[0], powers.shape[0]))
+    for v in range(powers.shape[1]):
+        mono *= etas[:, v][:, None] ** powers[:, v]
+    return mono
+
+
+def reference_eval_many(basis, etas) -> tuple[np.ndarray, np.ndarray]:
+    """`TraceBasis.eval_many` with one loop per gradient direction and a
+    masked product over the variables for each derivative monomial."""
+    etas = np.atleast_2d(np.asarray(etas, dtype=float))
+    q, (m, nvar) = etas.shape[0], basis.powers.shape
+    grads = np.empty((q, nvar, m))
+    for v in range(nvar):
+        dm = np.ones((q, m))
+        for w in range(nvar):
+            pw = basis.powers[:, w] - (1 if w == v else 0)
+            active = pw >= 0
+            col = np.zeros((q, m))
+            col[:, active] = etas[:, w][:, None] ** pw[active]
+            dm *= col
+        grads[:, v, :] = (dm * basis.powers[:, v][None, :]) @ basis.coeffs
+    return reference_monomials(basis.powers, etas) @ basis.coeffs, grads
 
 
 # -- the mesh's registration arrays, read per element --------------------------
@@ -100,7 +140,7 @@ def op_sectors(mesh, op, e):
         sector = mesh_sector(mesh, e, pos)
         basis = next(b for b in (trace_basis(sector.facet_kind, k)
                                  for k in range(1, MAX_DEGREE + 1))
-                     if b.cardinality == len(rows))
+                     if len(b.nodes) == len(rows))
         out.append(SectorRows(sector, basis, rows, pos))
     return out
 
@@ -463,6 +503,13 @@ def operator_for(mesh, k):
 
 
 # -- the per-S-element view of the class records -------------------------------
+
+
+def interpolant(mesh, numbering, f, operators=None) -> DiscreteSolution:
+    """The nodal interpolant of f, as `sbfem_interpolate` builds it, on a given
+    DOF numbering with the given class operators (built when not given)."""
+    return DiscreteSolution(mesh, numbering, operators or build_operators(mesh, numbering),
+                            _evaluate_field(f, numbering.coords))
 
 
 def facet_nodes(numbering, fid) -> np.ndarray:

@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from conftest import (affine_cube_mesh, fd_mode_gradients, fixture_meshes_2d,
-                      fixture_meshes_3d, is_open, mode_fields, op_sectors,
-                      operator_for,
+                      fixture_meshes_3d, interpolant, is_open, mode_fields,
+                      op_sectors, operator_for,
                       orthogonality_residual, random_polygon_mesh,
                       stiffness_from_gram)
 from sbfem.cli import MESH_FAMILIES
@@ -333,9 +333,8 @@ def test_criterion_8_galerkin_optimality_and_slopes():
                 system = assemble_global(mesh, k)
                 apply_dirichlet(system, exact.value, method="nodal")
                 sol = solve(system)
-                interp = sbfem_interpolate(mesh, k, exact.value,
-                                           operators=system.operators,
-                                           numbering=system.numbering)
+                interp = interpolant(mesh, system.numbering, exact.value,
+                                     system.operators)
                 e_gal = solution_errors(sol, exact)[1]
                 e_int = solution_errors(interp, exact)[1]
                 scale = max(e_int, 1e-300)

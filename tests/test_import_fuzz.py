@@ -21,14 +21,13 @@ import pytest
 from hypothesis import HealthCheck, given, reject, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_local_dofs_match, hybrid_mesh, jittered_quad_mesh,
-                      mesh_to_json, relabelled)
+from conftest import (assert_local_dofs_match, hybrid_mesh, interpolant,
+                      jittered_quad_mesh, mesh_to_json, relabelled)
 from sbfem.cli import main
 from sbfem.errors import MeshError, SbfemError
 from sbfem.mesh import (gen_hex_mesh, gen_quad_mesh, import_mesh, number_dofs,
                         singular_open_selement)
 from sbfem.postproc import get_exact, solution_errors
-from sbfem.solver import sbfem_interpolate
 from test_postproc import tensor_quad_mesh
 
 # name -> (mesh, trace degree, exact solution)
@@ -53,7 +52,7 @@ def _figures(mesh, k, problem, errors=True):
     if not errors:
         return figures
     exact = get_exact(problem)
-    sol = sbfem_interpolate(mesh, k, exact.value, numbering=numbering)
+    sol = interpolant(mesh, numbering, exact.value)
     return figures + (solution_errors(sol, exact),)
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import jittered_quad_mesh, mesh_to_json
+from conftest import interpolant, jittered_quad_mesh, mesh_to_json
 from sbfem import ematrix, mesh, modes, postproc, refgeom, solver
 from sbfem.mesh import gen_hex_mesh, gen_quad_mesh, import_mesh, number_dofs
 from sbfem.postproc import get_exact, solution_errors
@@ -51,9 +51,7 @@ def test_jittered_mesh_galerkin_convergence():
         apply_dirichlet(system, exact.value)
         sol = solve(system)
         e = solution_errors(sol, exact)
-        interp = sbfem_interpolate(mesh, 2, exact.value,
-                                   operators=system.operators,
-                                   numbering=system.numbering)
+        interp = interpolant(mesh, system.numbering, exact.value, system.operators)
         # optimality needs the shared nodal trace
         system2 = assemble_global(mesh, 2)
         apply_dirichlet(system2, exact.value, method="nodal")
@@ -101,8 +99,7 @@ def test_mixed_polygon_mesh():
         apply_dirichlet(system, exact.value)
         sol = solve(system)
         e_l2, e_h1 = solution_errors(sol, exact)
-        zero = sbfem_interpolate(mesh, k, 0.0, operators=system.operators,
-                                 numbering=system.numbering)
+        zero = interpolant(mesh, system.numbering, 0.0, system.operators)
         u_l2, u_h1 = solution_errors(zero, exact)   # norms of the solution
         rel[k] = (e_l2 / u_l2, e_h1 / u_h1)
     assert rel[3][1] < 0.15 and rel[3][0] < 0.05

@@ -81,11 +81,29 @@ def test_dataclass_fields_are_read_outside_tests():
         "derive them in tests/conftest.py")
 
 
-def test_package_import_leaves_scipy_special_unloaded():
-    # scipy.special adds about 3.5 MB of resident memory and 20 ms to every
-    # start; the package's Gauss rules need numpy alone
-    code = "import sys, sbfem, sbfem.cli; assert 'scipy.special' not in sys.modules"
+def _run_after_import(check: str) -> None:
+    """Run `check` in a fresh interpreter right after `import sbfem, sbfem.cli`."""
+    code = f"import sys, sbfem, sbfem.cli\n{check}"
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path))
     assert run.returncode == 0, run.stderr
+
+
+def test_package_import_leaves_scipy_special_unloaded():
+    # scipy.special adds about 3.5 MB of resident memory and 20 ms to every
+    # start; the package's Gauss rules need numpy alone
+    _run_after_import("assert 'scipy.special' not in sys.modules")
+
+
+def test_package_import_builds_no_table():
+    # reference tables are built on first use, in a run's cold pass, never
+    # at import: a table built there would add to every start
+    _run_after_import("""
+from sbfem import mesh, polyspace
+sizes = {n: f.cache_info().currsize for m in (mesh, polyspace)
+         for n, f in vars(m).items() if hasattr(f, "cache_info")}
+assert {"trace_basis", "facet_quadrature", "_basis_table", "radial_quadrature",
+        "_corner_weights", "_node_corners"} <= sizes.keys(), sizes
+assert not any(sizes.values()), sizes
+""")

@@ -342,6 +342,17 @@ def test_import_names_the_first_bad_entry_in_file_order():
     assert mesh_to_json(import_mesh(flags)) == mesh_to_json(import_mesh(_square_file()))
 
 
+@pytest.mark.parametrize("facets", ["ab", {}, {"0": [0, 1]}])
+def test_import_rejects_a_string_or_an_object_as_facets(facets):
+    # either would iterate as a list of facets: a string by its characters,
+    # an object by its keys
+    for n, data in enumerate((_square_file(selements=[{"facets": facets}]),
+                              _two_squares(facets=facets))):
+        with pytest.raises(MeshError, match=re.escape(
+                f"S-element {n} facets {facets!r} is not a list") + "$"):
+            import_mesh(data)
+
+
 @pytest.mark.parametrize("facets", [5, None])
 def test_import_rejects_facets_that_are_not_a_list(facets):
     with pytest.raises(MeshError, match=rf"^S-element 0 facets {facets} is not a list$"):

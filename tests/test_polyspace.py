@@ -4,10 +4,11 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import reference_gauss_jacobi
+from conftest import (reference_eval_many, reference_gauss_jacobi,
+                      reference_lattice_nodes, reference_monomials)
 from sbfem.errors import QuadratureError
-from sbfem.polyspace import (_gauss_jacobi, facet_quadrature, radial_quadrature,
-                             trace_basis)
+from sbfem.polyspace import (MAX_DEGREE, _basis_table, _gauss_jacobi,
+                             facet_quadrature, radial_quadrature, trace_basis)
 from sbfem.refgeom import FacetKind
 
 KINDS = [FacetKind.SEGMENT, FacetKind.QUADRILATERAL, FacetKind.TRIANGLE]
@@ -18,7 +19,7 @@ KINDS = [FacetKind.SEGMENT, FacetKind.QUADRILATERAL, FacetKind.TRIANGLE]
 def test_lagrange_and_partition_of_unity(kind, k, rng):
     basis = trace_basis(kind, k)
     vals, _ = basis.eval_many(basis.nodes)
-    assert np.abs(vals - np.eye(basis.cardinality)).max() < 1e-12
+    assert np.abs(vals - np.eye(len(basis.nodes))).max() < 1e-12
     if kind is FacetKind.SEGMENT:
         etas = rng.uniform(-1, 1, (20, 1))
     elif kind is FacetKind.QUADRILATERAL:
@@ -32,10 +33,33 @@ def test_lagrange_and_partition_of_unity(kind, k, rng):
 
 def test_cardinalities():
     for k in range(1, 5):
-        assert trace_basis(FacetKind.SEGMENT, k).cardinality == k + 1
-        assert trace_basis(FacetKind.QUADRILATERAL, k).cardinality == (k + 1) ** 2
-        assert trace_basis(FacetKind.TRIANGLE, k).cardinality == \
+        assert len(trace_basis(FacetKind.SEGMENT, k).nodes) == k + 1
+        assert len(trace_basis(FacetKind.QUADRILATERAL, k).nodes) == (k + 1) ** 2
+        assert len(trace_basis(FacetKind.TRIANGLE, k).nodes) == \
             (k + 1) * (k + 2) // 2
+
+
+def _same(got, want) -> bool:
+    # compared as bytes, so the sign of a zero counts too
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.flags.c_contiguous and got.tobytes() == want.tobytes())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", range(1, MAX_DEGREE + 1))
+def test_basis_is_bit_identical_to_the_branch_and_loop_oracles(kind, k):
+    # nodes index one tick list by the monomial exponents and one broadcast
+    # evaluator serves the Vandermonde and every table; each must equal, bit
+    # for bit, the per-kind lattice and the loop evaluation it replaced
+    basis = trace_basis(kind, k)
+    nodes = reference_lattice_nodes(kind, k)
+    assert _same(basis.nodes, nodes)
+    assert _same(basis.coeffs, np.linalg.inv(reference_monomials(basis.powers, nodes)))
+    for order in range(1, 41):
+        points = facet_quadrature(kind, order).points
+        for got, want in zip(_basis_table(kind, k, order),
+                             reference_eval_many(basis, points)):
+            assert _same(got, want), order
 
 
 def test_segment_linear_hats():
@@ -49,7 +73,7 @@ def test_triangle_lattice_lagrange():
     basis = trace_basis(FacetKind.TRIANGLE, 2)
     for idx, node in enumerate(basis.nodes):
         vals, _ = basis.eval_many(node[None, :])
-        expect = np.zeros(basis.cardinality)
+        expect = np.zeros(len(basis.nodes))
         expect[idx] = 1.0
         assert vals[0] == pytest.approx(expect, abs=1e-12)
 
@@ -59,7 +83,7 @@ def test_vandermonde_conditioning_up_to_6():
         for k in range(1, 7):
             basis = trace_basis(kind, k)
             vmat = np.linalg.inv(basis.coeffs)
-            resid = np.abs(vmat @ basis.coeffs - np.eye(basis.cardinality)).max()
+            resid = np.abs(vmat @ basis.coeffs - np.eye(len(basis.nodes))).max()
             assert resid < 1e-8, (kind, k, resid)
 
 

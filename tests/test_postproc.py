@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (coupled_mixed_mesh, facet_vertices, flat_sector_squares,
-                      hybrid_mesh, jittered_quad_mesh, laplacian_residual,
+                      hybrid_mesh, interpolant, jittered_quad_mesh,
+                      laplacian_residual,
                       open_element_pinned_first, reference_solution_errors,
                       selement_views)
 from sbfem import postproc, refgeom
@@ -147,9 +148,7 @@ def test_galerkin_energy_below_interpolant_nodal_bc():
         system = assemble_global(mesh, k)
         apply_dirichlet(system, exact.value, method="nodal")
         sol = solve(system)
-        interp = sbfem_interpolate(mesh, k, exact.value,
-                                   operators=system.operators,
-                                   numbering=system.numbering)
+        interp = interpolant(mesh, system.numbering, exact.value, system.operators)
         e_gal = solution_errors(sol, exact)[1]
         e_int = solution_errors(interp, exact)[1]
         assert e_gal <= e_int * (1 + 1e-9)

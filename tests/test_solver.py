@@ -12,7 +12,8 @@ from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
 from sbfem import postproc
 from sbfem.postproc import get_exact, solution_errors
 from conftest import (coupled_mixed_mesh, dirichlet_map, evaluate_in_fe,
-                      evaluate_in_sector, hybrid_mesh, jittered_quad_mesh,
+                      evaluate_in_sector, hybrid_mesh, interpolant,
+                      jittered_quad_mesh,
                       member_coefficients, mesh_to_json, modal_coefficients,
                       octahedron_mesh, op_sectors, open_element_pinned_first,
                       reference_mode_chain, reference_project_trace,
@@ -217,8 +218,7 @@ def test_assembly_accepts_uniformly_scaled_mesh():
     tiny = assemble_global(gen_quad_mesh(2, domain=((0, 1e-13),) * 2), 2)
     for a, b in zip(unit.operators, tiny.operators):
         assert np.abs(a.K - b.K).max() <= 1e-12 * np.abs(a.K).max()
-    sol = sbfem_interpolate(tiny.mesh, 2, 1.0, operators=tiny.operators,
-                            numbering=tiny.numbering)
+    sol = interpolant(tiny.mesh, tiny.numbering, 1.0, tiny.operators)
     assert np.isfinite(solution_errors(sol, get_exact("exp2d"))).all()
 
 
@@ -277,8 +277,7 @@ def test_stacked_scatter_and_coefficients_match_per_element(make):
         K[np.ix_(dofs, dofs)] += fe_element_stiffness(mesh.vertices[quad][None], 2)[0]
     assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
     exact = get_exact("exp2d")
-    sol = sbfem_interpolate(mesh, 2, exact.value, numbering=numbering,
-                            operators=system.operators)
+    sol = interpolant(mesh, numbering, exact.value, system.operators)
     for e, op in enumerate(selement_views(sol)):
         want = np.linalg.solve(op.modes.A, sol.nodal[op.dofs_kept])
         c = member_coefficients(sol, e)
