@@ -16,8 +16,8 @@ from . import mesh as mesh_mod
 from .errors import ConfigError, SbfemError
 from .modes import eigenvalue_rows
 from .polyspace import MAX_DEGREE
-from .postproc import (EXACT_SOLUTIONS, QuadratureConfig, convergence_table,
-                       get_exact, report_to_csv, solution_errors)
+from .postproc import (EXACT_SOLUTIONS, convergence_table, get_exact,
+                       report_to_csv, solution_errors)
 from .solver import (DIRICHLET_METHODS, apply_dirichlet, assemble_global,
                      build_operators, sbfem_interpolate, solve)
 
@@ -170,8 +170,8 @@ def _run_one(cfg: dict, mesh, k: int, galerkin: bool):
         sol = solve(system)
     else:
         sol = sbfem_interpolate(mesh, k, exact.value)
-    e_l2, e_h1 = solution_errors(sol, exact, QuadratureConfig(
-        cfg["facet_order"], cfg["radial_points"], cfg["composite_levels"]))
+    e_l2, e_h1 = solution_errors(sol, exact, cfg["facet_order"],
+                                 cfg["radial_points"], cfg["composite_levels"])
     return sol, e_l2, e_h1
 
 

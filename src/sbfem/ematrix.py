@@ -50,32 +50,29 @@ class EMatrices:
             return np.where(w[..., 0] > 0, w[..., -1] / w[..., 0], np.inf)[()]
 
 
-def assemble_E(stacks: dict, member: np.ndarray, sizes: list, k: int,
-               order: int) -> list:
-    """Coefficient matrices of stacks of S-elements from their sectors.
+def assemble_E(stacks: dict, rows: dict, members: np.ndarray, n: int, k: int,
+               order: int) -> EMatrices:
+    """Coefficient matrices of a stack of S-elements from their sectors.
 
     `stacks` maps a facet kind to (centres (S, d), facet vertices
-    (S, n_vertices, d), owners (S, 2), rows (S, m)): sector s is facet
-    position owners[s, 1] of S-element e = owners[s, 0], whose blocks are
-    member member[e] of the concatenated output stacks, and rows[s, l] is
-    the trace index there of its shape function l, or -1 for a shape
-    function left out (a pinned DOF).  `sizes` lists each output stack's
-    (trace size, member count).  Each kind is integrated with the facet
+    (S, n_vertices, d), owners (S, 2)), where sector s is facet position
+    owners[s, 1] of S-element owners[s, 0], and `rows` maps it to (S, m),
+    where rows[s, l] is the trace index there of shape function l, or -1 for
+    a shape function left out (a pinned DOF).  The sectors of the ascending
+    S-element ids `members`, of trace size n, are integrated by the facet
     rule of `order` in chunks of at most `refgeom.CHUNK_BUDGET` entries;
-    every member's blocks receive its sectors in stack order; registration
-    has checked every sector (`PolytopalMesh._check_star_shape`).  Returns
-    one EMatrices stack per entry of `sizes`.
+    registration has checked every sector (`PolytopalMesh._check_star_shape`).
+    Returns the stack (len(members), n, n): member j's blocks at j, which
+    receive its sectors in kind and sector order.
     """
-    sizes = np.array(sizes, dtype=int).reshape(-1, 2)
-    n = np.repeat(*sizes.T)                             # trace size per member
-    base = np.cumsum(n ** 2) - n ** 2
-    flat = np.zeros((3, int(np.sum(n ** 2))))          # E11, E12, E22
-    for kind, (centres, vertices, owners, rows) in stacks.items():
+    flat = np.zeros((3, len(members) * n * n))         # E11, E12, E22
+    for kind, (centres, vertices, owners) in stacks.items():
+        mine = np.flatnonzero(np.isin(owners[:, 0], members))
         rule = facet_quadrature(kind, order)
         N, dN = _basis_table(kind, k, order)              # (Q, m), (Q, d-1, m)
-        for sl in _chunks(len(owners), N.size * centres.shape[1]):
-            J, det = _sector_jacobians(kind, rule.points, centres[sl],
-                                       vertices[sl])
+        for sl in _chunks(len(mine), N.size * centres.shape[1]):
+            s = mine[sl]
+            J, det = _sector_jacobians(kind, rule.points, centres[s], vertices[s])
             JinvT = np.swapaxes(_inv(J), -1, -2)
             B1 = JinvT[..., :1] * N[:, None, :]               # (S, Q, d, m)
             B2 = JinvT[..., 1:] @ dN
@@ -83,13 +80,10 @@ def assemble_E(stacks: dict, member: np.ndarray, sizes: list, k: int,
             E11 = np.einsum("sq,sqdi,sqdj->sij", w, B1, B1)
             E12 = np.einsum("sq,sqdi,sqdj->sij", w, B1, B2)
             E22 = np.einsum("sq,sqdi,sqdj->sij", w, B2, B2)
-            e, r = member[owners[sl, 0]], rows[sl]
-            at = (base[e][:, None, None] + r[:, :, None] * n[e][:, None, None]
-                  + r[:, None, :])
+            j, r = np.searchsorted(members, owners[s, 0]), rows[kind][s]
+            at = (j[:, None, None] * n + r[:, :, None]) * n + r[:, None, :]
             keep = (r[:, :, None] >= 0) & (r[:, None, :] >= 0)
             for blk, E in zip(flat, (0.5 * (E11 + np.swapaxes(E11, 1, 2)), E12,
                                      0.5 * (E22 + np.swapaxes(E22, 1, 2)))):
                 np.add.at(blk, at[keep], E[keep])
-    ends = np.cumsum(sizes[:, 1] * sizes[:, 0] ** 2).tolist()
-    return [EMatrices(*(blk[a:b].reshape(m, s, s) for blk in flat))
-            for (s, m), a, b in zip(sizes.tolist(), [0] + ends, ends)]
+    return EMatrices(*flat.reshape(3, -1, n, n))

@@ -43,8 +43,6 @@ class PolytopalMesh:
     built by `_register`, the one construction path of every constructor."""
 
     def __init__(self, dimension: int):
-        if dimension not in (2, 3):
-            raise MeshError(f"unsupported dimension {dimension}")
         self.dimension = dimension
         self.vertices = np.zeros((0, dimension))
         self._stacks: dict = {}
@@ -351,11 +349,14 @@ def import_mesh(source) -> PolytopalMesh:
         if "boundary_tags" in data:
             raise MeshError("mesh file key 'boundary_tags' is not supported: "
                             "the problem sets the Dirichlet facets")
-        dim = int(data["dimension"])
+        given = data["dimension"]
         verts = list(data["vertices"])
         sels = list(data["selements"])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MeshError(f"malformed mesh file: {exc!r}") from exc
+    dim = operator.index(given) if hasattr(given, "__index__") else None
+    if dim not in (2, 3):   # an integer, read as the facet indices are
+        raise MeshError(f"dimension {given!r} is not 2 or 3")
     if not sels:
         raise MeshError("mesh file lists no S-elements")
     mesh = PolytopalMesh(dim)

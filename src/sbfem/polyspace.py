@@ -180,8 +180,8 @@ def radial_quadrature(exponent_floor: float, order: int,
     ``composite_levels == 0`` (or a benign exponent) this is a plain Gauss
     rule.  Otherwise the interval is subdivided geometrically toward 0, each
     cell COMPOSITE_RATIO times the length of the one outside it, and the
-    innermost cell uses a Gauss-Jacobi rule whose weights absorb the
-    xi^exponent_floor factor.
+    innermost cell uses the Gauss-Jacobi rule of the weight xi^b,
+    b = min(exponent_floor, 0), whose weights absorb that factor.
     """
     if exponent_floor <= -1.0:
         raise QuadratureError(
@@ -201,19 +201,14 @@ def radial_quadrature(exponent_floor: float, order: int,
         pts.append(lo + (hi - lo) * x01)
         wts.append((hi - lo) * w01)
         hi = lo
-    alpha = min(exponent_floor, 0.0)
-    if alpha > -1e-12:
-        pts.append(hi * x01)
-        wts.append(hi * w01)
-    else:
-        # the rule for the weight (1+x)^alpha on [-1,1], mapped to [0, hi],
-        # carries weight x^alpha; fold the weight into the returned weights
-        # so callers integrate the raw integrand.
-        xj, wj = _gauss_jacobi(order, alpha)
-        x = hi * 0.5 * (xj + 1.0)
-        w = wj * (hi / 2.0) ** (alpha + 1.0)
-        pts.append(x)
-        wts.append(w / x ** alpha)
+    # the rule for the weight (1+x)^b on [-1,1], b = min(floor, 0), mapped to
+    # [0, hi], carries weight x^b; fold the weight into the returned weights
+    # so callers integrate the raw integrand (at b = 0, the plain Gauss cell)
+    b = min(exponent_floor, 0.0)
+    xj, wj = _gauss_jacobi(order, b)
+    x = hi * 0.5 * (xj + 1.0)
+    pts.append(x)
+    wts.append(wj * (hi / 2.0) ** (b + 1.0) / x ** b)
     points = np.concatenate(pts)[::-1]
     weights = np.concatenate(wts)[::-1]
     return QuadratureRule(points=points[:, None], weights=weights)

@@ -95,24 +95,14 @@ def get_exact(name: str) -> ExactSolution:
                          f"{sorted(EXACT_SOLUTIONS)}") from None
 
 
-@dataclass
-class QuadratureConfig:
-    """Error-integration orders; None entries use degree-based defaults."""
-
-    facet_order: int | None = None
-    radial_points: int | None = None
-    composite_levels: int | None = None
-
-    def resolved(self, k: int) -> "QuadratureConfig":
-        return QuadratureConfig(
-            facet_order=self.facet_order or 2 * k + 4,
-            radial_points=self.radial_points or 2 * k + 8,
-            composite_levels=self.composite_levels)
-
-
 def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
-                    quad: QuadratureConfig | None = None) -> tuple[float, float]:
+                    facet_order: int | None = None, radial_points: int | None = None,
+                    composite_levels: int | None = None) -> tuple[float, float]:
     """(L2, energy) errors of a discrete solution against an exact one.
+
+    The facet rule has degree `facet_order` (default 2k + 4); the radial
+    rules have at least `radial_points` points per cell (default 2k + 8) and
+    `composite_levels` cells (default: from the exponents, `_radial_rules`).
 
     A class is the sectors at one facet position of the S-elements of one
     congruence class (`PolytopalMesh._register`), in S-element order.  Its
@@ -132,7 +122,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     s R Q (d + 1) m.  FE quads go in chunks of Q d entries each.
     """
     k = solution.numbering.k
-    cfg = (quad or QuadratureConfig()).resolved(k)
+    facet_order = facet_order or 2 * k + 4
     mesh, ops, nd = solution.mesh, solution.operators, solution.numbering
     d = mesh.dimension
     if exact.dim not in (0, d):
@@ -152,7 +142,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     # the radial rule of each class, named by its representative; groups of
     # classes by (mode count, size, rule) in order of appearance
     rules = _radial_rules(ops, np.unique(mesh._sel_class, return_index=True)[1],
-                          cfg, k, d)
+                          k, d, radial_points or 2 * k + 8, composite_levels)
     n_modes, c = np.array([op.modes.n for op in ops]), cls[first]
     group = _first_seen(np.column_stack([n_modes[c], size, np.array(rules)[c]]) + 0.0)[0]
     sums = np.zeros(2)
@@ -178,8 +168,8 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         A = np.concatenate([A, np.zeros((len(uc), 1, n), complex)], axis=1)
         for kk in dict.fromkeys(kind[first[i]].tolist()):
             kd, r = kinds[kk], np.flatnonzero(kind[first[i]] == kk)
-            frule = facet_quadrature(kd, cfg.facet_order)
-            table = _basis_table(kd, k, cfg.facet_order)
+            frule = facet_quadrature(kd, facet_order)
+            table = _basis_table(kd, k, facet_order)
             centres, vertices, _ = stacks[kd]
             # the representatives' geometry; their rays serve every member
             rep = rows[r, 0]
@@ -200,8 +190,8 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                     sums += _error_sums(exact, w, a0 + steps, *_member_fields(
                         fields, np.swapaxes(C[u, blk], 1, 2)))
         del Z, Z1                  # before the next group makes its own
-    frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
-    table = _basis_table(FacetKind.QUADRILATERAL, k, cfg.facet_order)
+    frule = facet_quadrature(FacetKind.QUADRILATERAL, facet_order)
+    table = _basis_table(FacetKind.QUADRILATERAL, k, facet_order)
     for sl in _chunks(len(mesh._fe_class), len(frule) * d):
         pts, vals, grads, det = _fe_fields(solution, sl, frule.points, table)
         sums += _error_sums(exact, frule.weights * det, pts, vals, grads)
@@ -211,10 +201,12 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     return float(np.sqrt(sums[0])), float(np.sqrt(sums[1]))
 
 
-def _radial_rules(ops: list, ids, cfg: QuadratureConfig, k: int, d: int) -> list:
+def _radial_rules(ops: list, ids, k: int, d: int, radial_points: int,
+                  composite_levels: int | None) -> list:
     """radial_quadrature arguments of each class operator in `ops` of a
-    d-dimensional mesh, from arrays over the classes; a QuadratureError names
-    the class by its representative S-element in `ids`."""
+    d-dimensional mesh, from arrays over the classes, with `composite_levels`
+    cells (if None, SINGULAR_COMPOSITE_LEVELS on a singular class, else 0); a
+    QuadratureError names the class by its representative S-element in `ids`."""
     re = [op.modes.lambdas.real for op in ops]
     at = np.cumsum([0] + [len(r) for r in re])[:-1]     # each class's first
     re = np.concatenate(re)
@@ -225,11 +217,10 @@ def _radial_rules(ops: list, ids, cfg: QuadratureConfig, k: int, d: int) -> list
     floor = lam_min - 1.0
     floor[np.abs(floor) < RADIAL_FLOOR_TOL] = 0.0
     levels = (np.where(floor < 0.0, SINGULAR_COMPOSITE_LEVELS, 0)
-              if cfg.composite_levels is None
-              else np.full(len(ops), cfg.composite_levels))
+              if composite_levels is None else np.full(len(ops), composite_levels))
     # plain Gauss is exact for the top L2 term xi^(2 lambda_max + d - 1)
     top = np.ceil(np.maximum.reduceat(re, at) + 0.5 * d)
-    n_rad = np.maximum(cfg.radial_points, np.where(floor >= 0.0, top, k + 6))
+    n_rad = np.maximum(radial_points, np.where(floor >= 0.0, top, k + 6))
     return list(zip(floor.tolist(), n_rad.astype(int).tolist(), levels.tolist()))
 
 

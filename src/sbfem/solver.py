@@ -41,13 +41,13 @@ def build_operators(mesh: PolytopalMesh,
     """E-matrices, modes and stiffness of each class of the mesh's class table.
 
     The S-elements of a class (translated copies) share the eigen-solve of
-    its lowest member, the representative.  The E-matrices of all
-    representatives are integrated in one stacked pass over their sectors,
-    by the facet rule of degree 2k + 2, straight over their S-local DOFs
-    (`number_dofs` leaves side-face pins out), one stack per S-local size
-    and constant trace, which a trace space holds exactly when it lost no
-    pin.  Each stack's modes are solved in chunks under `refgeom.CHUNK_BUDGET`
-    Euler-matrix entries.  A SpectrumError names the first failing S-element.
+    its lowest member, the representative.  The representatives form one
+    stack per S-local size and constant trace, which a trace space holds
+    exactly when it lost no pin.  One `assemble_E` call per stack integrates
+    its E-matrices by the facet rule of degree 2k + 2, straight over the
+    S-local DOFs (`number_dofs` leaves side-face pins out), and its modes are
+    solved in chunks under `refgeom.CHUNK_BUDGET` Euler-matrix entries.  A
+    SpectrumError names the first failing S-element.
     """
     k, start = numbering.k, numbering.selement_start
     reps = np.unique(mesh._sel_class, return_index=True)[1]
@@ -57,19 +57,11 @@ def build_operators(mesh: PolytopalMesh,
                             "every trace DOF")
     # a stack per key 2 (S-local size) + (constant trace), by first appearance
     key = 2 * n_kept + ~np.isin(reps, list(mesh._dirichlet))
-    keys = key[np.sort(np.unique(key, return_index=True)[1])].tolist()
-    stacks = [reps[key == c] for c in keys]
-    member = np.full(len(start) - 1, -1)
-    member[np.concatenate(stacks)] = np.arange(len(reps))
-    sub = {}
-    for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
-        mask = member[owners[:, 0]] >= 0
-        sub[kind] = (centres[mask], vertices[mask], owners[mask],
-                     numbering.sector_rows[kind][mask])
-    Es = assemble_E(sub, member, [(c // 2, len(es)) for c, es in zip(keys, stacks)],
-                    k, 2 * k + 2)
     errors, solved = [], [None] * len(reps)
-    for E, es, c in zip(Es, stacks, keys):
+    for c in key[np.sort(np.unique(key, return_index=True)[1])].tolist():
+        es = reps[key == c]
+        E = assemble_E(mesh._sector_stacks(), numbering.sector_rows, es, c // 2,
+                       k, 2 * k + 2)
         for sl in _chunks(len(es), 4 * E.n ** 2):
             ids = es[sl].tolist()
             try:

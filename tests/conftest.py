@@ -16,11 +16,11 @@ from sbfem.ematrix import EMatrices
 from sbfem.errors import MeshError, SbfemError
 from sbfem.mesh import (_KIND_BY_SIZE, DofNumbering, PolytopalMesh,
                         _corner_weights, _first_seen, _merge_vertices,
-                        _open_mesh, _shape_keys, gen_hex_mesh,
-                        gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
-                        import_mesh, number_dofs, singular_open_selement)
-from sbfem.polyspace import (MAX_DEGREE, facet_quadrature, radial_quadrature,
-                             trace_basis)
+                        _open_mesh, _shape_keys, gen_hex_mesh, gen_polygon_case1,
+                        gen_quad_mesh, import_mesh, number_dofs,
+                        singular_open_selement)
+from sbfem.polyspace import (COMPOSITE_RATIO, MAX_DEGREE, _gauss01, _gauss_jacobi,
+                             facet_quadrature, radial_quadrature, trace_basis)
 from sbfem.refgeom import (FacetKind, _det, _facet_points, _facet_tangents,
                            _inv, _sector_jacobians)
 from sbfem.solver import DiscreteSolution, _evaluate_field, build_operators
@@ -49,6 +49,34 @@ def reference_gauss_jacobi(n: int, b: float = 0.0) -> tuple:
     rule `polyspace` took before its own Golub-Welsch routine."""
     return roots_jacobi(n, 0.0, b) if b else roots_legendre(n)
 
+
+
+def reference_radial_quadrature(exponent_floor: float, order: int,
+                                composite_levels: int = 0) -> tuple:
+    """(points (n,), weights) of `polyspace.radial_quadrature` as it was with
+    two inner cells: the plain Gauss cell for a floor above -1e-12, the
+    Gauss-Jacobi cell of the weight xi^floor below it."""
+    x01, w01 = _gauss01(order)
+    if composite_levels == 0 or exponent_floor >= 1.0:
+        return x01, w01
+    pts, wts = [], []
+    hi = 1.0
+    for _ in range(composite_levels):
+        lo = hi * COMPOSITE_RATIO
+        pts.append(lo + (hi - lo) * x01)
+        wts.append((hi - lo) * w01)
+        hi = lo
+    alpha = min(exponent_floor, 0.0)
+    if alpha > -1e-12:
+        pts.append(hi * x01)
+        wts.append(hi * w01)
+    else:
+        xj, wj = _gauss_jacobi(order, alpha)
+        x = hi * 0.5 * (xj + 1.0)
+        w = wj * (hi / 2.0) ** (alpha + 1.0)
+        pts.append(x)
+        wts.append(w / x ** alpha)
+    return np.concatenate(pts)[::-1], np.concatenate(wts)[::-1]
 
 def reference_lattice_nodes(kind: FacetKind, k: int) -> np.ndarray:
     """Equispaced nodes of the degree-k trace space, one branch per facet
@@ -727,28 +755,13 @@ def square_mesh():
 
 
 @pytest.fixture(scope="session")
-def octagon_mesh():
-    return gen_polygon_case1(1)
-
-
-@pytest.fixture(scope="session")
 def cube_mesh():
     return gen_hex_mesh(1)
 
 
 @pytest.fixture(scope="session")
-def cube24_mesh():
-    return gen_polyhedron_case1(1)
-
-
-@pytest.fixture(scope="session")
 def wedge_mesh():
     return singular_open_selement(2)
-
-
-@pytest.fixture(scope="session")
-def pentagon_mesh(rng):
-    return random_polygon_mesh(np.random.default_rng(7), 5)
 
 
 def fixture_meshes_2d():
@@ -876,22 +889,24 @@ def _reference_fe(solution, q, ref_pts):
     return pts, values, grads, det
 
 
-def reference_solution_errors(solution, exact, quad=None):
+def reference_solution_errors(solution, exact, facet_order=None, radial_points=None,
+                              composite_levels=None):
     """(L2, energy) errors by a loop over S-elements, sectors and FE quads.
 
-    Oracle for `postproc.solution_errors`; it picks each S-element's radial
-    rule with the same helper.
+    Oracle for `postproc.solution_errors`, with its rule defaults; it picks
+    each S-element's radial rule with the same helper.
     """
     k = solution.numbering.k
-    cfg = (quad or postproc.QuadratureConfig()).resolved(k)
+    facet_order = facet_order or 2 * k + 4
     d = solution.mesh.dimension
     acc_l2 = 0.0
     acc_h1 = 0.0
     for e, op in enumerate(selement_views(solution)):
-        rad = radial_quadrature(*postproc._radial_rules([op], [e], cfg, k, d)[0])
+        rad = radial_quadrature(*postproc._radial_rules(
+            [op], [e], k, d, radial_points or 2 * k + 8, composite_levels)[0])
         xis = rad.points[:, 0]
         for ctx in op_sectors(solution.mesh, op, e):
-            frule = facet_quadrature(ctx.sector.facet_kind, cfg.facet_order)
+            frule = facet_quadrature(ctx.sector.facet_kind, facet_order)
             _, det = sector_jacobian(ctx.sector, frule.points)
             pts, vals, grads = _reference_sector(op, ctx, xis, frule.points)
             flat = pts.reshape(-1, d)
@@ -900,7 +915,7 @@ def reference_solution_errors(solution, exact, quad=None):
             w = np.outer(rad.weights * xis ** (d - 1), frule.weights * det)
             acc_l2 += float(np.sum(w * (vals - ev) ** 2))
             acc_h1 += float(np.sum(w * np.sum((grads - eg) ** 2, axis=2)))
-    frule = facet_quadrature(FacetKind.QUADRILATERAL, cfg.facet_order)
+    frule = facet_quadrature(FacetKind.QUADRILATERAL, facet_order)
     for q in range(len(solution.mesh._quads())):
         pts, vals, grads, det = _reference_fe(solution, q, frule.points)
         w = frule.weights * det

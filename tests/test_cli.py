@@ -169,7 +169,7 @@ def test_dump_eigenvalues_flag(tmp_path):
     assert header == "re,im,selected"
 
 
-def test_bad_config_exit_2(tmp_path):
+def test_bad_config_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
     assert main(["solve", "--config", str(path)]) == 2
@@ -177,6 +177,12 @@ def test_bad_config_exit_2(tmp_path):
     path2.write_text(json.dumps({"meshh": "quad"}))
     assert main(["solve", "--config", str(path2)]) == 2
     assert main(["solve", "--mesh", "quad", "--k", "0"]) == 2
+    path3 = tmp_path / "list.json"
+    path3.write_text(json.dumps([{"mesh": "quad"}]))
+    capsys.readouterr()
+    assert main(["solve", "--config", str(path3)]) == 2
+    assert capsys.readouterr().err == ("sbfem: config error: config file must "
+                                       "hold a JSON object\n")
 
 
 def test_module_error_exit_1(tmp_path, capsys):

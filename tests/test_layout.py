@@ -16,11 +16,13 @@ ALLOWED: dict = {}
 
 class _Scan(ast.NodeVisitor):
     """Definitions of a module (dunders excepted), the names it references,
-    its dataclass fields and the attributes it reads outside dunder methods;
-    a name used inside a definition of the same name (recursion) is no use."""
+    its functions' parameter names (a test requests a fixture by one), its
+    dataclass fields and the attributes it reads outside dunder methods; a
+    name used inside a definition of the same name (recursion) is no use."""
 
     def __init__(self, path: Path):
         self.defs, self.refs, self.fields, self.reads = [], set(), [], set()
+        self.params = set()
         self._classes, self._functions = [path.stem], []
         self.visit(ast.parse(path.read_text(), filename=str(path)))
 
@@ -36,6 +38,7 @@ class _Scan(ast.NodeVisitor):
         dunder = node.name.startswith("__") and node.name.endswith("__")
         if not dunder and not self._functions:
             self.defs.append(".".join(self._classes + [node.name]))
+        self.params.update(a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg))
         self._functions.append(node.name)
         self.generic_visit(node)
         self._functions.pop()
@@ -79,6 +82,18 @@ def test_dataclass_fields_are_read_outside_tests():
     assert not unread, (
         f"dataclass fields that nothing in src/ or perfbench/ reads: {unread}; "
         "derive them in tests/conftest.py")
+
+
+def test_conftest_helpers_have_a_user():
+    # a helper or fixture of tests/conftest.py that no test module and no
+    # other helper uses is an oracle that no test checks any more
+    tests = [_Scan(p) for p in sorted((ROOT / "tests").glob("*.py"))]
+    used = set().union(*(s.refs | s.params for s in tests))
+    helpers = [d.split(".")[1] for d in _Scan(ROOT / "tests" / "conftest.py").defs
+               if d.count(".") == 1]
+    assert len(helpers) > 50       # the scan sees the helpers
+    unused = [h for h in helpers if h not in used]
+    assert not unused, f"conftest helpers that no test uses: {unused}"
 
 
 def _run_after_import(check: str) -> None:

@@ -199,8 +199,11 @@ def test_nonplanar_facet_rejected():
 
 
 def test_malformed_file_errors(tmp_path):
-    with pytest.raises(MeshError):
-        import_mesh({"dimension": 4, "vertices": [], "selements": []})
+    # the dimension is an integer, read as the facet indices are
+    for dimension in (4, 1, 2.7, "2", True, None, [2]):
+        with pytest.raises(MeshError, match=re.escape(
+                f"dimension {dimension!r} is not 2 or 3") + "$"):
+            import_mesh(_square_file(dimension=dimension))
     with pytest.raises(MeshError):
         import_mesh({"vertices": [], "selements": []})
     p = tmp_path / "broken.json"
@@ -281,12 +284,23 @@ MALFORMED = {
         dict(OPEN["selements"][0], dirichlet_sideface_nodes=[4])]),
     "sideface-negative-index": dict(OPEN, selements=[
         dict(OPEN["selements"][0], dirichlet_sideface_nodes=[-1])]),
+    "selement-without-facets": _square_file(
+        selements=[{"facets": SQUARE_FACETS}, {"facets": []}]),
+    # a cube whose bottom corners are moved onto one line
+    "collinear-quad-facet-3d": {
+        "dimension": 3, "vertices": [[0, 0, 0], [1, 0, 0], [3, 0, 0], [2, 0, 0],
+                                     [0, 0, 1], [1, 0, 1], [1, 1, 1], [0, 1, 1]],
+        "selements": [{"facets": [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4],
+                                  [1, 2, 6, 5], [2, 3, 7, 6], [3, 0, 4, 7]]}]},
 }
+# the message of the cases that no other test names
+MALFORMED_MESSAGES = {"selement-without-facets": "^S-element 1 has no facets$",
+                      "collinear-quad-facet-3d": "^facet 0 is degenerate$"}
 
 
 @pytest.mark.parametrize("name", sorted(MALFORMED))
 def test_malformed_entries_raise_mesh_error(name, tmp_path):
-    with pytest.raises(MeshError):
+    with pytest.raises(MeshError, match=MALFORMED_MESSAGES.get(name)):
         import_mesh(MALFORMED[name])
     path = tmp_path / "mesh.json"
     path.write_text(json.dumps(MALFORMED[name]))

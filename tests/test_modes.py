@@ -412,10 +412,10 @@ def test_spectrum_error_names_earlier_member_of_a_later_guard(monkeypatch):
     numbering = number_dofs(mesh, 1)
     assemble_E = solver.assemble_E
 
-    def negate_E11_of_2(*args):
-        Es = assemble_E(*args)
-        Es[0].E11[1] *= -1.0         # member 1 of the size-4 stack (0, 2)
-        return Es
+    def negate_E11_of_2(stacks, rows, members, *args):
+        E = assemble_E(stacks, rows, members, *args)
+        E.E11[members == 2] *= -1.0
+        return E
 
     monkeypatch.setattr(solver, "assemble_E", negate_E11_of_2)
     with pytest.raises(SpectrumError, match="^S-element 2: E11 is not positive"):
@@ -424,6 +424,21 @@ def test_spectrum_error_names_earlier_member_of_a_later_guard(monkeypatch):
     with pytest.raises(SpectrumError, match="^S-element 0: .*condition"):
         build_operators(mesh, numbering)
 
+
+
+def test_one_assemble_E_call_per_stack(monkeypatch):
+    # build_operators alone lays out the stacks: one call per (S-local size,
+    # constant trace) key, in order of first appearance, members ascending
+    calls, assemble_E = [], solver.assemble_E
+
+    def recorded(stacks, rows, members, n, *args):
+        calls.append((members.tolist(), n))
+        return assemble_E(stacks, rows, members, n, *args)
+
+    monkeypatch.setattr(solver, "assemble_E", recorded)
+    mesh = three_cell_mesh()
+    build_operators(mesh, number_dofs(mesh, 1))
+    assert calls == [([0, 2], 4), ([1], 5)]
 
 PIN_RULE_MESHES = {
     **{f"{name}-l2": lambda name=name: build_mesh(name, 2) for name in MESH_FAMILIES},

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (reference_eval_many, reference_gauss_jacobi,
-                      reference_lattice_nodes, reference_monomials)
+                      reference_lattice_nodes, reference_monomials,
+                      reference_radial_quadrature)
 from sbfem.errors import QuadratureError
 from sbfem.polyspace import (MAX_DEGREE, _basis_table, _gauss_jacobi,
                              facet_quadrature, radial_quadrature, trace_basis)
@@ -181,6 +182,20 @@ def test_radial_composite_integrates_weighted_smooth(rng):
         val = np.dot(rule.weights, f(rule.points[:, 0]))
         assert val == pytest.approx(exact, rel=1e-8)
 
+
+
+@pytest.mark.parametrize("levels", [0, 1, 3, 8, 9])
+@pytest.mark.parametrize("floor", [0.0, -0.0, 1e-9, 0.3, 0.5, 0.999, 1.0, 2.5,
+                                   -1e-8, -0.3, -0.5, -0.9])
+def test_radial_rule_is_bit_identical_to_the_two_cell_oracle(floor, levels):
+    # one inner cell, Gauss-Jacobi with b = min(floor, 0): at b = 0 it is the
+    # plain Gauss cell bit for bit, since the maps scale by 0.5 exactly
+    for order in (1, 2, 5, 12, 16, 40):
+        rule = radial_quadrature(floor, order, levels)
+        points, weights = reference_radial_quadrature(floor, order, levels)
+        assert rule.points.shape == (len(points), 1)
+        assert rule.points[:, 0].tobytes() == points.tobytes(), order
+        assert rule.weights.tobytes() == weights.tobytes(), order
 
 def test_radial_errors():
     with pytest.raises(QuadratureError):

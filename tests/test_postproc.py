@@ -19,9 +19,8 @@ from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         singular_open_selement)
 from sbfem.polyspace import (TraceBasis, _basis_table, facet_quadrature,
                              radial_quadrature, trace_basis)
-from sbfem.postproc import (EXACT_SOLUTIONS, QuadratureConfig,
-                            convergence_table, get_exact, report_to_csv,
-                            solution_errors)
+from sbfem.postproc import (EXACT_SOLUTIONS, convergence_table, get_exact,
+                            report_to_csv, solution_errors)
 from sbfem.refgeom import FacetKind
 from sbfem.solver import (apply_dirichlet, assemble_global, sbfem_interpolate,
                           solve)
@@ -123,8 +122,7 @@ def test_quadrature_refinement_stability_smooth():
     apply_dirichlet(system, exact.value)
     sol = solve(system)
     base = solution_errors(sol, exact)
-    fine = solution_errors(sol, exact, QuadratureConfig(facet_order=16,
-                                                        radial_points=24))
+    fine = solution_errors(sol, exact, facet_order=16, radial_points=24)
     assert abs(fine[0] - base[0]) / base[0] < 1e-3
     assert abs(fine[1] - base[1]) / base[1] < 1e-3
 
@@ -136,7 +134,7 @@ def test_quadrature_stability_singular_extra_level():
     apply_dirichlet(system, exact.value, facet_ids=exact.dirichlet_facets(mesh))
     sol = solve(system)
     base = solution_errors(sol, exact)
-    more = solution_errors(sol, exact, QuadratureConfig(composite_levels=9))
+    more = solution_errors(sol, exact, composite_levels=9)
     assert abs(more[0] - base[0]) / base[0] < 5e-3
     assert abs(more[1] - base[1]) / base[1] < 5e-3
 
@@ -221,6 +219,21 @@ def test_batched_errors_match_per_sector_reference(case, one_sector_chunks,
     expect = reference_solution_errors(sol, exact)
     assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
 
+
+
+@pytest.mark.parametrize("rules", [dict(facet_order=7), dict(radial_points=11),
+                                   dict(composite_levels=2),
+                                   dict(facet_order=9, radial_points=13,
+                                        composite_levels=0)])
+@pytest.mark.parametrize("case", ["quad-l1-k3", "coupled-singular-l2-k2",
+                                  "polyhedron-case1-l1-k2"])
+def test_error_rule_overrides_match_the_per_sector_reference(case, rules):
+    # the CLI's --facet-order, --radial-points and --composite-levels, on
+    # regular and singular classes
+    make, k, problem = BATCH_CASES[case]
+    sol, exact = _galerkin(make(), k, problem)
+    assert solution_errors(sol, exact, **rules) == pytest.approx(
+        reference_solution_errors(sol, exact, **rules), rel=1e-12, abs=0.0)
 
 @pytest.mark.parametrize("one_sector_chunks", [False, True])
 def test_error_work_is_per_class(one_sector_chunks, monkeypatch):
@@ -413,15 +426,14 @@ def test_error_memory_is_bounded_by_the_chunk_budget():
 
 def test_radial_rule_round_off_floor_is_plain_gauss():
     # lambda_min of a hex S-element is 1 up to round-off on either side
-    cfg = QuadratureConfig().resolved(2)
     sol, _ = _galerkin(gen_hex_mesh(2), 2, "exp3d")
     views = selement_views(sol)
-    rules = postproc._radial_rules(views, range(len(views)), cfg, 2, 3)
+    rules = postproc._radial_rules(views, range(len(views)), 2, 3, 12, None)
     for op, args in zip(views, rules):
         assert abs(op.modes.min_positive_exponent - 1.0) < 1e-12
         assert len(radial_quadrature(*args)) == 12
     open_op = sbfem_interpolate(singular_open_selement(1), 2, 0.0).operators[0]
-    floor, n_rad, levels = postproc._radial_rules([open_op], [0], cfg, 2, 2)[0]
+    floor, n_rad, levels = postproc._radial_rules([open_op], [0], 2, 2, 12, None)[0]
     assert floor == pytest.approx(-0.5, abs=1e-3)
     assert levels == postproc.SINGULAR_COMPOSITE_LEVELS
     assert len(radial_quadrature(floor, n_rad, levels)) == 12 * (levels + 1)
@@ -434,7 +446,7 @@ def test_regular_radial_rule_follows_the_largest_exponent():
     sol = sbfem_interpolate(gen_refined_square(8), 4, exact.value)
     assert sol.operators[0].modes.lambdas.real.max() > 70
     got = solution_errors(sol, exact)
-    dense = solution_errors(sol, exact, QuadratureConfig(radial_points=100))
+    dense = solution_errors(sol, exact, radial_points=100)
     assert got == pytest.approx(dense, rel=1e-9, abs=0.0)
 
 

@@ -158,6 +158,12 @@ def test_missing_dirichlet_rejected():
         apply_dirichlet(system, 1.0, facet_ids=[])
 
 
+def test_unknown_dirichlet_method_rejected():
+    system = assemble_global(gen_quad_mesh(1), 1)
+    with pytest.raises(SolveError, match="^unknown Dirichlet method 'foo'$"):
+        apply_dirichlet(system, 1.0, method="foo")
+
+
 def test_dangling_sideface_dof_auto_pinned():
     # the Dirichlet side-face trace DOF of an open S-element receives no
     # element contribution; it must be pinned to zero rather than dangle
