@@ -45,6 +45,8 @@ class PolytopalMesh:
     def __init__(self, dimension: int):
         self.dimension = dimension
         self.vertices = np.zeros((0, dimension))
+        # every sector by facet kind, in mesh order, read-only: kind -> (centres (S, d),
+        # facet vertices (S, n_vertices, d), (S-element id, facet position) (S, 2))
         self._stacks: dict = {}
 
     # -- construction ----------------------------------------------------------
@@ -247,13 +249,6 @@ class PolytopalMesh:
         """Corner ids (Q, 4) of the FE quads, counter-clockwise: the first
         vertex of each of their edge rows, which follow the sector rows."""
         return self._table[self._counts.sum():, 0].reshape(-1, 4)
-
-    def _sector_stacks(self) -> dict:
-        """Every sector of the mesh, stacked by facet kind in mesh order:
-        kind -> (centres (S, d), facet vertices (S, n_vertices, d),
-        (S-element id, facet position) of each sector (S, 2)).  Built once,
-        by `_register`; the arrays are read-only."""
-        return self._stacks
 
     # -- validation ------------------------------------------------------------
 
@@ -475,7 +470,7 @@ class DofNumbering:
     selement_dofs: np.ndarray  # per S-element: the DOF of each S-local index
     selement_start: np.ndarray  # (S-elements + 1,) offsets into selement_dofs
     sector_rows: dict          # kind -> S-local index (sectors, nodes) of each node
-                               # of `PolytopalMesh._sector_stacks`, element's order,
+                               # of `PolytopalMesh._stacks`, element's order,
                                # -1 at a side-face pin
 
     def facet_boundary_dofs(self, facet_ids) -> np.ndarray:

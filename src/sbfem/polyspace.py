@@ -134,7 +134,7 @@ def _gauss01(n: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
     """Rule on the reference facet exact for polynomials of total degree `order`."""
     if order < 1:
@@ -161,7 +161,7 @@ def facet_quadrature(kind: FacetKind, order: int) -> QuadratureRule:
     return QuadratureRule(points=pts, weights=ww)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def _basis_table(kind: FacetKind, k: int, order: int) -> tuple:
     """Read-only `trace_basis(kind, k).eval_many` at the points of
     `facet_quadrature(kind, order)`: values (Q, m), eta-gradients (Q, d-1, m)."""
@@ -171,7 +171,7 @@ def _basis_table(kind: FacetKind, k: int, order: int) -> tuple:
     return table
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=None)
 def radial_quadrature(exponent_floor: float, order: int,
                       composite_levels: int = 0) -> QuadratureRule:
     """Rule on [0,1] for integrands behaving like xi^exponent_floor near 0.

@@ -122,14 +122,16 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     s R Q (d + 1) m.  FE quads go in chunks of Q d entries each.
     """
     k = solution.numbering.k
-    facet_order = facet_order or 2 * k + 4
+    facet_order = 2 * k + 4 if facet_order is None else facet_order
+    radial_points = 2 * k + 8 if radial_points is None else radial_points
+    if radial_points < 1:        # facet_quadrature refuses facet_order < 1
+        raise QuadratureError(f"radial order must be >= 1, got {radial_points}")
     mesh, ops, nd = solution.mesh, solution.operators, solution.numbering
     d = mesh.dimension
     if exact.dim not in (0, d):
         raise SbfemError(f"exact solution '{exact.name}' is {exact.dim}D but the "
                          f"mesh is {d}D")
-    stacks = mesh._sector_stacks()
-    kinds, owners = list(stacks), [o for _, _, o in stacks.values()]
+    kinds, owners = list(mesh._stacks), [o for *_, o in mesh._stacks.values()]
     kind = np.repeat(np.arange(len(kinds)), [len(o) for o in owners])
     row = np.concatenate([np.arange(len(o)) for o in owners])
     e, pos = np.concatenate(owners).T
@@ -142,7 +144,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     # the radial rule of each class, named by its representative; groups of
     # classes by (mode count, size, rule) in order of appearance
     rules = _radial_rules(ops, np.unique(mesh._sel_class, return_index=True)[1],
-                          k, d, radial_points or 2 * k + 8, composite_levels)
+                          k, d, radial_points, composite_levels)
     n_modes, c = np.array([op.modes.n for op in ops]), cls[first]
     group = _first_seen(np.column_stack([n_modes[c], size, np.array(rules)[c]]) + 0.0)[0]
     sums = np.zeros(2)
@@ -170,7 +172,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
             kd, r = kinds[kk], np.flatnonzero(kind[first[i]] == kk)
             frule = facet_quadrature(kd, facet_order)
             table = _basis_table(kd, k, facet_order)
-            centres, vertices, _ = stacks[kd]
+            centres, vertices, _ = mesh._stacks[kd]
             # the representatives' geometry; their rays serve every member
             rep = rows[r, 0]
             J, det = _sector_jacobians(kd, frule.points, centres[rep], vertices[rep])

@@ -6,7 +6,7 @@ vertex ``a0`` (the scaling center) and the xi=1 face is the sector's facet L.
 Three facet shapes are supported: a segment (collapsed quadrilateral, 2D), a
 quadrilateral (collapsed hexahedron -> pyramid) and a triangle (collapsed
 prism -> tetrahedron).  A sector is one row of a mesh's sector stacks
-(`PolytopalMesh._sector_stacks`); the kernels here take whole stacks.
+(`PolytopalMesh._stacks`); the kernels here take whole stacks.
 """
 
 from __future__ import annotations

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
@@ -21,9 +19,7 @@ from .mesh import DofNumbering, PolytopalMesh, number_dofs
 from .polyspace import _basis_table, facet_quadrature
 from .refgeom import FacetKind, _chunks, _det, _facet_points, _facet_tangents, _inv
 
-# SuperLU's symmetric mode for SPD systems: minimum degree on A + A^T, diagonal pivots
-SPD_SPLU = dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True})
+CG_MAX_ITERATIONS = 5000     # 14 times the 352 of coupled-singular level 5, k = 2
 DIRICHLET_METHODS = ("nodal", "project")      # the `method`s of apply_dirichlet
 
 
@@ -60,8 +56,7 @@ def build_operators(mesh: PolytopalMesh,
     errors, solved = [], [None] * len(reps)
     for c in key[np.sort(np.unique(key, return_index=True)[1])].tolist():
         es = reps[key == c]
-        E = assemble_E(mesh._sector_stacks(), numbering.sector_rows, es, c // 2,
-                       k, 2 * k + 2)
+        E = assemble_E(mesh._stacks, numbering.sector_rows, es, c // 2, k, 2 * k + 2)
         for sl in _chunks(len(es), 4 * E.n ** 2):
             ids = es[sl].tolist()
             try:
@@ -113,51 +108,87 @@ def fe_element_stiffness(corners: np.ndarray, k: int) -> np.ndarray:
 
 
 @dataclass
+class BlockOperator:
+    """The sum of element matrices over n unknowns: blocks of DOFs (B, m) and
+    matrices (B, m, m), or one (1, m, m) matrix that all B members share."""
+
+    blocks: list
+    n: int
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return sum(np.bincount(d.ravel(), (
+            x[d] @ M[0].T if len(M) == 1 else np.einsum("bij,bj->bi", M, x[d])).ravel(),
+            self.n) for d, M in self.blocks)
+
+    def diagonal(self) -> np.ndarray:
+        return sum(np.bincount(d.ravel(), np.broadcast_to(np.diagonal(
+            M, axis1=1, axis2=2), d.shape).ravel(), self.n) for d, M in self.blocks)
+
+    @property
+    def nnz(self) -> int:
+        """Stored entries of the summed matrix: its distinct DOF pairs."""
+        return np.unique(np.concatenate([(d[:, :, None] * self.n + d[:, None]).ravel()
+                                         for d, _ in self.blocks])).size
+
+
+@dataclass
 class GlobalSystem:
     mesh: PolytopalMesh
     numbering: DofNumbering
     operators: list
-    K: scipy.sparse.csr_matrix
+    K: BlockOperator
     dirichlet_dofs: np.ndarray     # pinned DOFs, each once
     dirichlet_values: np.ndarray   # their values
 
 
 def assemble_global(mesh: PolytopalMesh, k: int) -> GlobalSystem:
-    """Scatter S-element (and FE element) stiffness into the skeleton system."""
+    """The skeleton system: S-element (and FE element) stiffness by blocks."""
     numbering = number_dofs(mesh, k)
     ops = build_operators(mesh, numbering)
-    # per S-local size, in order of appearance: each class's K for its members
+    # per S-local size, in order of appearance: the DOFs of its members, the
+    # K of their classes and each member's class
     cls, start, blocks = mesh._sel_class, numbering.selement_start, []
     size = np.diff(start)
     for m in size[np.sort(np.unique(size, return_index=True)[1])].tolist():
         e = np.flatnonzero(size == m)
         cs, at = np.unique(cls[e], return_inverse=True)
         blocks.append((numbering.selement_dofs[start[e][:, None] + np.arange(m)],
-                       np.take(np.array([ops[c].K for c in cs]), at, axis=0)))
+                       np.array([ops[c].K for c in cs]), at))
     if len(mesh._fe_class):     # no FE quads in 3D, where corners have 3 columns
         first = np.unique(mesh._fe_class, return_index=True)[1]
         blocks.append((numbering.fe_nodes, fe_element_stiffness(
-            mesh.vertices[mesh._quads()[first]], k)[mesh._fe_class]))
-    K = _scatter(blocks, numbering.n_total)
+            mesh.vertices[mesh._quads()[first]], k), mesh._fe_class))
+    K = BlockOperator([(d, Ks if len(Ks) == 1 else Ks[at]) for d, Ks, at in blocks],
+                      numbering.n_total)
     # side-face Dirichlet traces are pinned to zero from the start
     pins = np.unique(numbering.vertex_dof[
         [v for vs in mesh._dirichlet.values() for v in vs]])
-    system = GlobalSystem(mesh=mesh, numbering=numbering, operators=ops, K=K,
-                          dirichlet_dofs=pins, dirichlet_values=np.zeros(len(pins)))
-    empty = np.flatnonzero(np.diff(K.indptr) == 0)   # rows in no block
-    dangling = empty[~np.isin(empty, pins)]
+    dangling = np.setdiff1d(np.flatnonzero(K.diagonal() == 0), pins)   # in no block
     if dangling.size:
         raise AssemblyError(f"{dangling.size} DOFs receive no element "
                             f"contribution (first: {dangling[:5].tolist()})")
-    return system
+    return GlobalSystem(mesh=mesh, numbering=numbering, operators=ops, K=K,
+                        dirichlet_dofs=pins, dirichlet_values=np.zeros(len(pins)))
 
 
-def _scatter(groups, n: int) -> scipy.sparse.csr_matrix:
-    """(n, n) sum of element matrices in groups of DOFs (B, m), matrices (B, m, m)."""
-    vals, rows, cols = (np.concatenate(p) for p in zip(*[
-        (mats.ravel(), np.repeat(dofs, dofs.shape[1], axis=1).ravel(),
-         np.tile(dofs, dofs.shape[1]).ravel()) for dofs, mats in groups]))
-    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+def _cg(A: BlockOperator, b: np.ndarray, mask=True) -> np.ndarray:
+    """Jacobi-preconditioned CG (Hestenes & Stiefel 1952) for A x = b where `mask`
+    holds, x = 0 elsewhere, to a relative residual of 1e-15; NaN in A or b, NaN x."""
+    d, r = np.where(mask, A.diagonal(), 1.0), b * mask
+    x, z, norm_b = 0.0 * r, r / d, np.linalg.norm(r)     # 0 * r keeps a NaN of b
+    p, rz = z, r @ z
+    for _ in range(CG_MAX_ITERATIONS):
+        if not np.linalg.norm(r) > 1e-15 * norm_b:
+            return x
+        q = (A @ p) * mask
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = r / d
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise SolveError(f"CG did not converge in {CG_MAX_ITERATIONS} iterations: "
+                     f"relative residual {np.linalg.norm(r) / norm_b:.2e}")
 
 
 def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
@@ -187,7 +218,7 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
 
 def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
     """L2 projection of g onto the trace space of the given facets (sorted
-    DOFs `dofs`): one stacked pass per facet kind, one sparse mass solve."""
+    DOFs `dofs`): one stacked pass per facet kind, one CG mass solve."""
     if dofs.size == 0:
         return np.zeros(0)
     mesh, nd = system.mesh, system.numbering
@@ -205,8 +236,7 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
                                                    + np.arange(vals.shape[1])])
         blocks.append((rows, np.einsum("fq,qi,qj->fij", w, vals, vals)))
         np.add.at(b, rows, (w * ue) @ vals)
-    return scipy.sparse.linalg.splu(_scatter(blocks, len(dofs)).tocsc(),
-                                   **SPD_SPLU).solve(b)
+    return _cg(BlockOperator(blocks, len(dofs)), b)
 
 
 def _evaluate_field(g, coords: np.ndarray) -> np.ndarray:
@@ -231,30 +261,18 @@ class DiscreteSolution:
 
 
 def solve(system: GlobalSystem) -> DiscreteSolution:
-    """Direct sparse solve of the constrained Galerkin system."""
-    n = system.numbering.n_total
-    u = np.zeros(n)
+    """CG solve of the Galerkin system on the DOFs that no pin constrains."""
+    K, u = system.K, np.zeros(system.K.n)
     u[system.dirichlet_dofs] = system.dirichlet_values
-    pinned = np.sort(system.dirichlet_dofs)
-    free = np.setdiff1d(np.arange(n), pinned)
-    if free.size:
-        Kf = system.K[free]
-        Kff = Kf[:, free].tocsc()
-        rhs = -(Kf[:, pinned] @ u[pinned])
-        try:
-            u[free] = scipy.sparse.linalg.splu(Kff, **SPD_SPLU).solve(rhs)
-        except RuntimeError as exc:
-            raise SolveError(f"sparse factorization failed: {exc}") from exc
-        Ku = Kff @ u[free]
-        scale = max(np.linalg.norm(rhs), np.linalg.norm(Ku), 1e-300)
-        residual = float(np.linalg.norm(Ku - rhs) / scale)
-        if not residual <= 1e-10:          # a NaN residual fails too
-            raise SolveError(f"solver residual {residual:.2e} exceeds 1e-10")
-    else:
-        residual = 0.0
-    return DiscreteSolution(
-        mesh=system.mesh, numbering=system.numbering, operators=system.operators,
-        nodal=u, residual=residual)
+    free = 1.0 - np.isin(np.arange(K.n), system.dirichlet_dofs)   # float multiplies faster
+    rhs = -(K @ u) * free
+    u += _cg(K, rhs, free)
+    misfit = (K @ u) * free          # K_ff u_f - rhs
+    scale = max(np.linalg.norm(rhs), np.linalg.norm(misfit + rhs), 1e-300)
+    residual = float(np.linalg.norm(misfit) / scale)
+    if not residual <= 1e-10:          # a NaN residual fails too
+        raise SolveError(f"solver residual {residual:.2e} exceeds 1e-10")
+    return DiscreteSolution(system.mesh, system.numbering, system.operators, u, residual)
 
 
 def sbfem_interpolate(mesh: PolytopalMesh, k: int, f) -> DiscreteSolution:

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.special import roots_jacobi, roots_legendre
 
 from sbfem import modes, postproc
@@ -153,8 +154,8 @@ def is_open(mesh, e) -> bool:
 
 def mesh_sector(mesh, e, pos):
     """The Sector of facet position `pos` of S-element e, read from
-    `PolytopalMesh._sector_stacks`."""
-    for kind, (centres, vertices, owners) in mesh._sector_stacks().items():
+    `PolytopalMesh._stacks`."""
+    for kind, (centres, vertices, owners) in mesh._stacks.items():
         hit = np.flatnonzero((owners == (e, pos)).all(axis=1))
         if hit.size:
             return Sector(centres[hit[0]], vertices[hit[0]], kind)
@@ -500,7 +501,7 @@ def reference_congruence_classes(mesh, numbering):
     the centre and the S-local rows of its nodes); an FE quad by its snapped
     corner offsets from its first corner.  Oracle for the class table of
     `PolytopalMesh._register`."""
-    stacks = mesh._sector_stacks()
+    stacks = mesh._stacks
     keys = {kind: _shape_keys(mesh, v - c[:, None, :])
             for kind, (c, v, _) in stacks.items()}
     where = {(e, pos): (kind, i)
@@ -556,7 +557,7 @@ def sector_rows(mesh, numbering, e) -> list:
     """Per facet position of S-element e, the S-local index of each node,
     read from the per-kind tables `numbering.sector_rows`."""
     rows = {}
-    for kind, (_, _, owners) in mesh._sector_stacks().items():
+    for kind, (_, _, owners) in mesh._stacks.items():
         for i in np.flatnonzero(owners[:, 0] == e).tolist():
             rows[int(owners[i, 1])] = numbering.sector_rows[kind][i]
     return [rows[p] for p in range(len(rows))]
@@ -627,6 +628,21 @@ def selement_view(mesh, numbering, ops, e, nodal=None) -> SElementView:
     coeffs = (None if nodal is None
               else np.linalg.solve(op.modes.A, nodal[dofs[kept]]))
     return SElementView(op.E, op.modes, op.K, dofs, kept, rows, coeffs)
+
+
+def global_csr(system) -> scipy.sparse.csr_matrix:
+    """The global stiffness of a GlobalSystem as one CSR matrix, summed from
+    the blocks of `system.K` as the solver assembled it before it multiplied
+    by the blocks.  Oracle for `solver.BlockOperator`."""
+    rows, cols, vals = [], [], []
+    for dofs, mats in system.K.blocks:
+        m = dofs.shape[1]
+        vals.append(np.broadcast_to(mats, (len(dofs), m, m)).ravel())
+        rows.append(np.repeat(dofs, m, axis=1).ravel())
+        cols.append(np.tile(dofs, m).ravel())
+    n = system.K.n
+    return scipy.sparse.coo_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                    np.concatenate(cols))), shape=(n, n)).tocsr()
 
 
 def dirichlet_map(system) -> dict:

@@ -689,9 +689,7 @@ def test_generators_merge_relative_to_domain_extent(gen):
 
 def test_sector_stacks_built_once_and_read_only():
     mesh = gen_quad_mesh(2)
-    stacks = mesh._sector_stacks()
-    assert mesh._sector_stacks() is stacks
-    assert not any(a.flags.writeable for arrays in stacks.values()
+    assert not any(a.flags.writeable for arrays in mesh._stacks.values()
                    for a in arrays)
 
 
@@ -745,7 +743,7 @@ def assert_same_mesh(mesh, ref):
     assert [is_open(mesh, e) for e in range(len(sels))] == [
         sel.dirichlet is not None for sel in sels]
     assert mesh._dirichlet == {sel.id: sel.dirichlet for sel in sels if sel.dirichlet}
-    stacks = mesh._sector_stacks()
+    stacks = mesh._stacks
     assert list(stacks) == list(ref._stacks)
     for kind, arrays in stacks.items():
         for a, b in zip(arrays, ref._stacks[kind]):
@@ -964,7 +962,7 @@ def test_registration_turns_an_inward_square_outward():
     inward = [[(b, a) for a, b in CLOSED[0][::-1]]]
     mesh = _register_2d(inward)
     assert selement_facets(mesh, 0)[1] == [(3, 0), (2, 3), (1, 2), (0, 1)]
-    _, vertices, _ = mesh._sector_stacks()[FacetKind.SEGMENT]
+    _, vertices, _ = mesh._stacks[FacetKind.SEGMENT]
     o = vertices - mesh.centres[0]
     assert (o[:, 0, 0] * o[:, 1, 1] - o[:, 0, 1] * o[:, 1, 0] > 0).all()
 

@@ -265,3 +265,20 @@ def test_gauss_jacobi_weights_sum_to_the_weight_integral(b):
     mu0 = 2.0 ** (b + 1.0) / (b + 1.0)
     for n in range(1, 121):
         assert abs(_gauss_jacobi(n, b)[1].sum() / mu0 - 1.0) <= 1e-14, n
+
+
+def test_rule_caches_keep_every_rule():
+    # a polygonal mesh can need more than 64 distinct radial rules in one
+    # pass; a bounded cache would evict and recompute them on every warm pass
+    calls = ([(radial_quadrature, (-0.5 + 0.005 * i, 4, 2)) for i in range(70)]
+             + [(facet_quadrature, (FacetKind.SEGMENT, o)) for o in range(1, 71)]
+             + [(_basis_table, (FacetKind.SEGMENT, 1, o)) for o in range(1, 71)])
+    for f, args in calls:
+        f(*args)
+    before = {f: f.cache_info() for f, _ in calls}
+    for f, args in calls:
+        f(*args)
+    for f, info in before.items():
+        after = f.cache_info()
+        assert after.maxsize is None and after.currsize >= 70
+        assert (after.hits, after.misses) == (info.hits + 70, info.misses)

@@ -235,6 +235,19 @@ def test_error_rule_overrides_match_the_per_sector_reference(case, rules):
     assert solution_errors(sol, exact, **rules) == pytest.approx(
         reference_solution_errors(sol, exact, **rules), rel=1e-12, abs=0.0)
 
+
+@pytest.mark.parametrize("rules,message", [
+    (dict(facet_order=0), "quadrature order must be >= 1, got 0"),
+    (dict(radial_points=0), "radial order must be >= 1, got 0"),
+    (dict(radial_points=-1), "radial order must be >= 1, got -1")])
+def test_error_rules_below_one_are_refused(rules, message):
+    # 0 is no request for the default rule
+    make, k, problem = BATCH_CASES["quad-l1-k3"]
+    sol, exact = _galerkin(make(), k, problem)
+    with pytest.raises(QuadratureError, match=f"^{message}$"):
+        solution_errors(sol, exact, **rules)
+
+
 @pytest.mark.parametrize("one_sector_chunks", [False, True])
 def test_error_work_is_per_class(one_sector_chunks, monkeypatch):
     # radial factors once per congruence class, shared by its four facet
@@ -282,7 +295,7 @@ def test_error_tables_are_computed_once(make, problem, monkeypatch):
     _basis_table.cache_clear()
     expect = solution_errors(sol, exact)
     assert solution_errors(sol, exact) == expect
-    records = sum(len(o) for *_, o in mesh._sector_stacks().values())
+    records = sum(len(o) for *_, o in mesh._stacks.values())
     assert rows[0] == 2 * len(sol.operators) < 2 * records
     assert tables and set(tables.values()) == {1}
 

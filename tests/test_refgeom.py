@@ -217,7 +217,7 @@ def test_closed_form_jacobian_algebra_on_every_mesh_family(family):
     # J(1,eta) of every sector at the error rule's facet points, and the
     # Jacobians of the FE quads where the family has them
     mesh = build_mesh(family, 2)
-    for kind, (centres, vertices, _) in mesh._sector_stacks().items():
+    for kind, (centres, vertices, _) in mesh._stacks.items():
         J, det = _sector_jacobians(kind, facet_quadrature(kind, 8).points,
                                    centres, vertices)
         assert det.shape == J.shape[:-2] and np.array_equal(det, _det(J))

@@ -9,16 +9,16 @@ from sbfem.cli import build_mesh
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_quad_mesh, import_mesh, number_dofs,
                         singular_open_selement)
-from sbfem import postproc
+from sbfem import postproc, solver
 from sbfem.postproc import get_exact, solution_errors
 from conftest import (coupled_mixed_mesh, dirichlet_map, evaluate_in_fe,
-                      evaluate_in_sector, hybrid_mesh, interpolant,
+                      evaluate_in_sector, global_csr, hybrid_mesh, interpolant,
                       jittered_quad_mesh,
                       member_coefficients, mesh_to_json, modal_coefficients,
                       octahedron_mesh, op_sectors, open_element_pinned_first,
                       reference_mode_chain, reference_project_trace,
                       sector_rows, selement_dofs, selement_views)
-from test_postproc import _galerkin
+from test_postproc import BATCH_CASES, _galerkin
 from sbfem.solver import (_project_trace, apply_dirichlet, assemble_global,
                           build_operators, fe_element_stiffness,
                           sbfem_interpolate, solve)
@@ -48,14 +48,14 @@ def test_fe_inverted_element_rejected():
 def test_single_selement_global_equals_element():
     mesh = gen_quad_mesh(1)
     system = assemble_global(mesh, 1)
-    K = system.K.toarray()
+    K = global_csr(system).toarray()
     op = selement_views(system)[0]
     assert np.abs(K[np.ix_(op.dofs_kept, op.dofs_kept)] - op.K).max() < 1e-14
 
 
 def test_global_kernel_and_symmetry():
     system = assemble_global(gen_quad_mesh(2), 1)
-    K = system.K
+    K = global_csr(system)
     ones = np.ones(system.numbering.n_total)
     assert np.abs(K @ ones).max() < 1e-10
     diff = (K - K.T)
@@ -172,7 +172,7 @@ def test_dangling_sideface_dof_auto_pinned():
     nd = system.numbering
     vid = mesh._dirichlet[0][0]
     dof = nd.vertex_dof[vid]
-    in_K = np.diff(system.K.indptr) > 0
+    in_K = np.diff(global_csr(system).indptr) > 0
     assert not in_K[dof]
     pins = dirichlet_map(system)
     assert pins[dof] == 0.0
@@ -255,6 +255,46 @@ def test_solver_residual_reported():
     assert sol.residual < 1e-10
 
 
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_block_operator_and_mass_solve_match_the_oracles(case, rng):
+    make, k, problem = BATCH_CASES[case]
+    mesh = make()
+    system = assemble_global(mesh, k)
+    K = global_csr(system)
+    x = rng.standard_normal(K.shape[0])
+    want = K @ x
+    assert np.abs(system.K @ x - want).max() <= 1e-14 * np.abs(want).max()
+    diag = K.diagonal()
+    assert np.abs(system.K.diagonal() - diag).max() <= 1e-14 * diag.max()
+    assert system.K.nnz == K.nnz
+    # the CG mass solve of the Dirichlet projection against a dense solve
+    exact = get_exact(problem)
+    facet_ids = exact.dirichlet_facets(mesh)
+    dofs = system.numbering.facet_boundary_dofs(facet_ids)
+    want = reference_project_trace(system, exact.value, facet_ids, dofs)
+    got = _project_trace(system, exact.value, facet_ids, dofs)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_cg_failures_are_solve_errors(monkeypatch):
+    # past the iteration cap, CG names the cap and the residual it reached;
+    # a NaN pin value ends in the residual guard, not in a silent zero
+    system = assemble_global(gen_quad_mesh(2), 2)
+    exact = get_exact("exp2d")
+    capped = r"^CG did not converge in 2 iterations: relative residual \d\.\d\de-\d\d$"
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "CG_MAX_ITERATIONS", 2)
+        with pytest.raises(SolveError, match=capped):
+            apply_dirichlet(system, exact.value)       # the mass solve
+        apply_dirichlet(system, exact.value, method="nodal")
+        with pytest.raises(SolveError, match=capped):
+            solve(system)
+    assert solve(system).residual < 1e-10
+    system.dirichlet_values[0] = np.nan
+    with pytest.raises(SolveError, match="^solver residual nan exceeds 1e-10$"):
+        solve(system)
+
+
 def test_congruence_cache_shares_modes():
     mesh = gen_quad_mesh(3)
     numbering = number_dofs(mesh, 1)
@@ -281,7 +321,7 @@ def test_stacked_scatter_and_coefficients_match_per_element(make):
     for q, quad in enumerate(mesh._quads()):
         dofs = numbering.fe_nodes[q]
         K[np.ix_(dofs, dofs)] += fe_element_stiffness(mesh.vertices[quad][None], 2)[0]
-    assert np.abs(system.K.toarray() - K).max() <= 1e-12 * np.abs(K).max()
+    assert np.abs(global_csr(system).toarray() - K).max() <= 1e-12 * np.abs(K).max()
     exact = get_exact("exp2d")
     sol = interpolant(mesh, numbering, exact.value, system.operators)
     for e, op in enumerate(selement_views(sol)):
