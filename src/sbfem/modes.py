@@ -1,4 +1,4 @@
-"""Eigen-modes of the radial Euler system and semi-analytic shape functions.
+"""Eigen-modes of the radial Euler system behind the semi-analytic shape functions.
 
 Separable functions xi^lambda * alpha(eta) that are gradient-orthogonal to
 all test functions vanishing on the scaled boundary solve a second-order
@@ -77,18 +77,6 @@ def _check(bad, ids, message: str, *values) -> None:
                               + message.format(*(np.ravel(v)[j] for v in values)))
         error.selement = int(j if ids is None else ids[j])
         raise error
-
-
-def _radial_factors(xis: np.ndarray,
-                    lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """xi^lambda and xi^(lambda-1) for exponents (..., n) at radial points
-    xis in (0, 1], where every radial rule puts its points: (..., len(xis), n).
-    The second factor is zero for the constant mode, whose gradient vanishes.
-    """
-    xis = np.asarray(xis, dtype=float)[:, None]
-    lam = np.asarray(lambdas, dtype=complex)[..., None, :]
-    Z = np.exp(lam * np.log(xis))
-    return Z, np.where(np.abs(lam) < 1e-14, 0.0, Z / xis)
 
 
 def build_system(E: EMatrices, d: int, ids=None) -> np.ndarray:
@@ -181,58 +169,6 @@ def element_stiffness(modes: SbfemModes, ids=None) -> SElementStiffness:
     asym = norm(K - KT, axis=(-2, -1)) / np.maximum(norm(K, axis=(-2, -1)), 1e-300)
     _check(asym > 1e-6, ids, "stiffness asymmetry {:.2e} beyond tolerance", asym)
     return SElementStiffness(K=0.5 * (K + KT), asymmetry=asym)
-
-
-def _class_fields(table, factors, Jinv, alpha, lambdas):
-    """The part of u_h on the (xi, eta) tensor grid that the sectors of a
-    class share, for a stack of classes.  A class is the sectors at one facet
-    position of S-elements that share their modes: one J(1, eta)^-1 (S, Q, d, d),
-    trace block alpha (S, p, n), set of exponents (S, n) and radial factors
-    Z, Z1 (S, R, n) of `_radial_factors`; `table` holds the trace basis
-    values (Q, p) and eta-gradients (Q, d-1, p) at the Q facet points.
-    Returns Z, Z1, the trace modes T (S, Q, n) and the Cartesian gradient
-    basis G (S, Q, d, n)."""
-    nvals, ngrads = table
-    T = nvals @ alpha                                        # (S, Q, n)
-    # parametric gradient: radial part lambda T, surface part dN alpha
-    D = np.concatenate([(T * lambdas[:, None, :])[:, :, None, :],
-                        ngrads @ alpha[:, None]], axis=2)    # (S, Q, d, n)
-    return *factors, T, np.swapaxes(Jinv, -1, -2) @ D
-
-
-def _mode_basis(fields, m: int):
-    """The operands of `_member_fields` for blocks of up to m members: the
-    class fields, or the mode basis [Z x T, Z1 x G] (S, R, Q, 1 + d, n) where
-    it is the smaller intermediate, R Q (1 + d) n against Q (1 + d) n m."""
-    Z, Z1, T, G = fields
-    (S, Q, d, n), R = G.shape, Z.shape[-2]
-    if R > m:
-        return fields
-    B = np.empty((S, R, Q, 1 + d, n), complex)
-    np.multiply(Z[:, :, None, None], T[:, None, :, None], out=B[:, :, :, :1])
-    np.multiply(Z1[:, :, None, None], G[:, None], out=B[:, :, :, 1:])
-    return (B,)
-
-
-def _member_fields(fields, coeffs):
-    """u_h, the real part of a sum over the modes, on the grid of the member
-    sectors of a stack of classes, from the operands `fields` of `_mode_basis`
-    and member coefficients, the columns of coeffs (S, n, m): class fields by
-    Z @ (T x C) and Z1 @ (G x C), two complex matmuls; a mode basis, read as
-    real (Re, Im interleaved), by one real matmul with [Re C, -Im C].  Returns
-    values (S, R, Q, m) and Cartesian gradients (S, R, Q, m, d)."""
-    if len(fields) == 1:
-        B, C = fields[0], np.stack([coeffs.real, -coeffs.imag], axis=-2)
-        out = (B.reshape(len(B), -1, B.shape[-1]).view(float) @ C.reshape(
-            len(C), -1, C.shape[-1])).reshape(B.shape[:-1] + (-1,))
-        return out[..., 0, :], np.moveaxis(out[..., 1:, :], 3, -1)
-    Z, Z1, T, G = fields
-    (S, Q, d, n), m = G.shape, coeffs.shape[-1]
-    C = coeffs[:, :, None, :]                                # (S, n, 1, m)
-    values = (Z @ (np.swapaxes(T, 1, 2)[..., None] * C).reshape(S, n, -1)).real
-    grads = (Z1 @ (G.transpose(0, 3, 1, 2)[..., None, :] * C[..., None])
-             .reshape(S, n, -1)).real
-    return values.reshape(S, -1, Q, m), grads.reshape(S, -1, Q, m, d)
 
 
 def eigenvalue_rows(modes: SbfemModes) -> list[tuple[float, float, int]]:

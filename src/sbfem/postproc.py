@@ -8,8 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError, SbfemError
-from .modes import (_class_fields, _member_fields, _min_positive, _mode_basis,
-                    _radial_factors)
+from .modes import _min_positive
 from .polyspace import _basis_table, facet_quadrature, radial_quadrature
 from .mesh import _first_seen
 from .refgeom import (FacetKind, _chunks, _det, _facet_points, _facet_tangents,
@@ -116,10 +115,11 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     kinds go in turn, each with the representatives' J(1,eta) and inverse.
     A pass is cut into chunks, a big class into member blocks, by sectors x
     R x Q d within `refgeom.CHUNK_BUDGET` (R radial, Q facet points).  For
-    blocks of s sectors and up to m members, `modes._mode_basis` picks the
-    operand G x C of s n_modes Q (d + 1) m complex entries per block or, when
-    R <= m, a mode basis of s R Q (d + 1) n_modes per chunk; the output has
-    s R Q (d + 1) m.  FE quads go in chunks of Q d entries each.
+    blocks of s sectors and up to m members, each chunk contracts either the
+    coefficients first, an operand G x C of s n_modes Q (d + 1) m complex
+    entries per block, or, when R <= m, a mode basis of s R Q (d + 1) n_modes
+    made once for all its blocks; the output has s R Q (d + 1) m.  FE quads
+    go in chunks of Q d entries each.
     """
     k = solution.numbering.k
     facet_order = 2 * k + 4 if facet_order is None else facet_order
@@ -160,7 +160,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         recs = order[start[i][:, None] + np.arange(m)]   # (classes, members)
         rows = row[recs]
         # the coefficients A C = U, kept as (classes, members, n):
-        # `_member_fields` runs faster when a column's n entries are adjacent
+        # the member kernels run faster when a column's n entries are adjacent
         at = nd.selement_start[e[recs[head]]]
         C = np.swapaxes(np.linalg.solve(A, np.swapaxes(solution.nodal[
             nd.selement_dofs[at[..., None] + np.arange(n)]], 1, 2)), 1, 2).copy()
@@ -183,14 +183,17 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                 f = u[:1] if u[0] == u[-1] else u  # one class: broadcast
                 blocks = _chunks(m, per_sector * len(u))
                 alpha = A[u[:, None], nd.sector_rows[kd][rep[sl]]]
-                fields = _mode_basis(_class_fields(table, (Z[f], Z1[f]), Jinv[sl], alpha,
-                                                   lambdas[u]), min(m, blocks[0].stop))
+                T, G = _class_fields(table, Jinv[sl], alpha, lambdas[u])
+                if len(xis) <= min(m, blocks[0].stop):   # the smaller intermediate
+                    kernel, fields = _basis_fields, (_mode_basis(Z[f], Z1[f], T, G),)
+                else:
+                    kernel, fields = _coefficient_fields, (Z[f], Z1[f], T, G)
                 w = wxi[:, None, None] * (frule.weights * det[sl])[:, None, :, None]
                 steps = xis[:, None, None, None] * rays[sl]  # (S, R, Q, 1, d)
                 for blk in blocks:
                     a0 = np.take(centres, rows[r[sl], blk], axis=0)[:, None, None]
-                    sums += _error_sums(exact, w, a0 + steps, *_member_fields(
-                        fields, np.swapaxes(C[u, blk], 1, 2)))
+                    sums += _error_sums(exact, w, a0 + steps, *kernel(
+                        *fields, np.swapaxes(C[u, blk], 1, 2)))
         del Z, Z1                  # before the next group makes its own
     frule = facet_quadrature(FacetKind.QUADRILATERAL, facet_order)
     table = _basis_table(FacetKind.QUADRILATERAL, k, facet_order)
@@ -224,6 +227,65 @@ def _radial_rules(ops: list, ids, k: int, d: int, radial_points: int,
     top = np.ceil(np.maximum.reduceat(re, at) + 0.5 * d)
     n_rad = np.maximum(radial_points, np.where(floor >= 0.0, top, k + 6))
     return list(zip(floor.tolist(), n_rad.astype(int).tolist(), levels.tolist()))
+
+
+def _radial_factors(xis: np.ndarray,
+                    lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """xi^lambda and xi^(lambda-1) for exponents (..., n) at radial points
+    xis in (0, 1], where every radial rule puts its points: (..., len(xis), n).
+    The second factor is zero for the constant mode, whose gradient vanishes:
+    the exact zero exponent that `modes.select_modes` puts in column 0.
+    """
+    xis = np.asarray(xis, dtype=float)[:, None]
+    lam = np.asarray(lambdas, dtype=complex)[..., None, :]
+    Z = np.exp(lam * np.log(xis))
+    return Z, np.where(lam == 0.0, 0.0, Z / xis)
+
+
+def _class_fields(table, Jinv, alpha, lambdas):
+    """The trace modes T (S, Q, n) and Cartesian gradient basis G (S, Q, d, n)
+    that the member sectors of a stack of classes share (`solution_errors`),
+    from their J(1, eta)^-1 (S, Q, d, d), trace blocks alpha (S, p, n) and
+    exponents (S, n); `table` holds the trace basis values (Q, p) and
+    eta-gradients (Q, d-1, p) at the Q facet points.  The radial factors of
+    `_radial_factors` make them the modes' values and gradients."""
+    nvals, ngrads = table
+    T = nvals @ alpha                                        # (S, Q, n)
+    # parametric gradient: radial part lambda T, surface part dN alpha
+    D = np.concatenate([(T * lambdas[:, None, :])[:, :, None, :],
+                        ngrads @ alpha[:, None]], axis=2)    # (S, Q, d, n)
+    return T, np.swapaxes(Jinv, -1, -2) @ D
+
+
+def _mode_basis(Z, Z1, T, G):
+    """The mode basis [Z x T, Z1 x G] (S, R, Q, 1 + d, n) of a stack of classes."""
+    (S, Q, d, n), R = G.shape, Z.shape[-2]
+    B = np.empty((S, R, Q, 1 + d, n), complex)
+    np.multiply(Z[:, :, None, None], T[:, None, :, None], out=B[:, :, :, :1])
+    np.multiply(Z1[:, :, None, None], G[:, None], out=B[:, :, :, 1:])
+    return B
+
+
+def _basis_fields(B, coeffs):
+    """u_h, the real part of a sum over the modes, on the grid of the member
+    sectors of a stack of classes from their mode basis B, read as real (Re, Im
+    interleaved), and coefficients (S, n, m) by one real matmul with [Re C,
+    -Im C]: values (S, R, Q, m) and Cartesian gradients (S, R, Q, m, d)."""
+    C = np.stack([coeffs.real, -coeffs.imag], axis=-2)
+    out = (B.reshape(len(B), -1, B.shape[-1]).view(float) @ C.reshape(
+        len(C), -1, C.shape[-1])).reshape(B.shape[:-1] + (-1,))
+    return out[..., 0, :], np.moveaxis(out[..., 1:, :], 3, -1)
+
+
+def _coefficient_fields(Z, Z1, T, G, coeffs):
+    """`_basis_fields` from the radial factors and `_class_fields` instead
+    of a mode basis: Z @ (T x C) and Z1 @ (G x C), two complex matmuls."""
+    (S, Q, d, n), m = G.shape, coeffs.shape[-1]
+    C = coeffs[:, :, None, :]                                # (S, n, 1, m)
+    values = (Z @ (np.swapaxes(T, 1, 2)[..., None] * C).reshape(S, n, -1)).real
+    grads = (Z1 @ (G.transpose(0, 3, 1, 2)[..., None, :] * C[..., None])
+             .reshape(S, n, -1)).real
+    return values.reshape(S, -1, Q, m), grads.reshape(S, -1, Q, m, d)
 
 
 def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts, table):

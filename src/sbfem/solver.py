@@ -92,7 +92,7 @@ def _stack_modes(E: EMatrices, dim: int, has_constant: bool, ids: list):
 
 def fe_element_stiffness(corners: np.ndarray, k: int) -> np.ndarray:
     """H^1 Laplace stiffness (F, m, m) of a stack of Q_k quadrilaterals (2D)
-    with corners (F, 4, 2)."""
+    with corners (F, 4, 2), symmetrized like `modes.element_stiffness`."""
     quad = FacetKind.QUADRILATERAL
     rule = facet_quadrature(quad, 2 * k)
     _, grads = _basis_table(quad, k, 2 * k)
@@ -101,7 +101,8 @@ def fe_element_stiffness(corners: np.ndarray, k: int) -> np.ndarray:
     if np.any(det <= 0.0):
         raise AssemblyError("inverted FE element")
     g = np.swapaxes(_inv(tans), -1, -2) @ grads                 # (F, q, 2, m)
-    return np.einsum("fq,fqdi,fqdj->fij", rule.weights * det, g, g)
+    K = np.einsum("fq,fqdi,fqdj->fij", rule.weights * det, g, g)
+    return 0.5 * (K + np.swapaxes(K, -1, -2))
 
 
 # -- global system ---------------------------------------------------------------
@@ -109,15 +110,15 @@ def fe_element_stiffness(corners: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class BlockOperator:
-    """The sum of element matrices over n unknowns: blocks of DOFs (B, m) and
-    matrices (B, m, m), or one (1, m, m) matrix that all B members share."""
+    """The sum of symmetric element matrices over n unknowns: DOF blocks (B, m)
+    and matrices (B, m, m), or one (1, m, m) matrix shared by all B members."""
 
     blocks: list
     n: int
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return sum(np.bincount(d.ravel(), (
-            x[d] @ M[0].T if len(M) == 1 else np.einsum("bij,bj->bi", M, x[d])).ravel(),
+            x[d] @ M[0] if len(M) == 1 else np.einsum("bij,bj->bi", M, x[d])).ravel(),
             self.n) for d, M in self.blocks)
 
     def diagonal(self) -> np.ndarray:

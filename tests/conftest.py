@@ -196,12 +196,12 @@ def _sector_points(centres, xis, J):
 
 
 def radial_factors(xis, lambdas):
-    """`modes._radial_factors` at xis in [0, 1]: at the scaling center xi = 0
+    """`postproc._radial_factors` at xis in [0, 1]: at the scaling center xi = 0
     both factors take their xi -> 0 limit, and a GeometryError names an
     exponent for which one has none."""
     xis = np.asarray(xis, dtype=float)
     at0 = xis <= 0.0
-    Z, Z1 = modes._radial_factors(np.where(at0, 1.0, xis), lambdas)
+    Z, Z1 = postproc._radial_factors(np.where(at0, 1.0, xis), lambdas)
     if at0.any():
         lam = np.asarray(lambdas, dtype=complex)[..., None, :]
         const, unit = np.abs(lam) < 1e-14, np.abs(lam - 1.0) < 1e-14
@@ -215,12 +215,25 @@ def radial_factors(xis, lambdas):
 
 
 def sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
-    """`modes._class_fields` on the basis table at `etas` and the radial
-    factors at `xis`, followed by `modes._member_fields`: values
+    """`postproc._class_fields` on the basis table at `etas` and the radial
+    factors at `xis`, followed by `postproc._coefficient_fields`: values
     (S, R, Q, m) and gradients (S, R, Q, m, d) of a stack of classes."""
-    return modes._member_fields(modes._class_fields(
-        basis.eval_many(etas), radial_factors(xis, lambdas), _inv(J),
-        alpha, lambdas), coeffs)
+    return postproc._coefficient_fields(
+        *radial_factors(xis, lambdas),
+        *postproc._class_fields(basis.eval_many(etas), _inv(J), alpha, lambdas), coeffs)
+
+
+def on_member_fields(monkeypatch, record):
+    """Call record(contraction, operands, coeffs) before each member block
+    of `postproc.solution_errors`: contraction "basis" with the mode basis
+    or "coefficients" with (Z, Z1, T, G), and the block's coefficients."""
+    for name, contraction in (("_basis_fields", "basis"),
+                              ("_coefficient_fields", "coefficients")):
+        def recorded(*args, kernel=getattr(postproc, name), contraction=contraction):
+            record(contraction, args[:-1], args[-1])
+            return kernel(*args)
+
+        monkeypatch.setattr(postproc, name, recorded)
 
 
 def check_sectors(J, det, owners):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -46,6 +47,16 @@ def test_convergence_matches_reference_row(tmp_path):
     assert float(lev2[3]) == pytest.approx(1.68e-2, rel=0.02)
     assert float(lev2[4]) == pytest.approx(5.92e-1, rel=0.02)
     assert lines[3].startswith("# rate_l2=")
+
+
+def test_unwritable_output_file_exits_1(tmp_path, capsys):
+    # a directory stands where the CSV should go
+    (tmp_path / "solve_const_quad_k1.csv").mkdir()
+    rc = main(["solve", "--mesh", "quad", "--level", "1", "--k", "1",
+               "--problem", "const", "--output", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"sbfem: error: cannot write output file {tmp_path / 'solve_const_quad_k1.csv'}: ")
 
 
 def test_deterministic_output(tmp_path):
@@ -142,6 +153,59 @@ def test_shipped_config_loads_to_its_full_dict(name):
                    "bc": "project", "facet_order": None, "radial_points": None,
                    "composite_levels": None, "threads": 1, "dump_eigenvalues": False}
     assert sorted(SHIPPED) == sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
+
+
+# sha256 (first 16 hex digits) of every CSV of each shipped config: the
+# errors, rates and DOF counts as the CLI prints them may only move on purpose
+CSV_DIGESTS = {
+    "coupled-singular": {
+        "convergence_sqrt2d_coupled-singular_k1.csv": "d839ff2b501bc33f",
+        "convergence_sqrt2d_coupled-singular_k2.csv": "cee05178594930cf",
+    },
+    "hex": {
+        "convergence_exp3d_hex_k1.csv": "11f88f55550ca9b2",
+        "convergence_exp3d_hex_k2.csv": "dd13113c595c3017",
+    },
+    "interp-cube": {
+        "interp_exp3d_refined-cube_k1.csv": "3ab3ebaaadd1fc14",
+        "interp_exp3d_refined-cube_k2.csv": "eb993439a711134e",
+    },
+    "interp-singular": {
+        "interp_sqrt2d_singular_k1.csv": "5156ad77fe432ae7",
+        "interp_sqrt2d_singular_k2.csv": "8d6268510d823c14",
+        "interp_sqrt2d_singular_k3.csv": "0c10ea2c34065d02",
+        "interp_sqrt2d_singular_k4.csv": "b8efe3164d6a7016",
+    },
+    "interp-square": {
+        "interp_exp2d_refined-square_k1.csv": "8ef837c13d0ccefb",
+        "interp_exp2d_refined-square_k2.csv": "c5159235afb07d25",
+        "interp_exp2d_refined-square_k3.csv": "67c253dee96b4863",
+        "interp_exp2d_refined-square_k4.csv": "2c1d2b031249c413",
+    },
+    "polygon-case1": {
+        "convergence_exp2d_polygon-case1_k1.csv": "3355334b32cf34ed",
+        "convergence_exp2d_polygon-case1_k2.csv": "ec88618d2079eab1",
+    },
+    "polyhedron-case1": {
+        "convergence_exp3d_polyhedron-case1_k1.csv": "a491ac3cde5354aa",
+        "convergence_exp3d_polyhedron-case1_k2.csv": "438f0a223aa6915b",
+    },
+    "quad": {
+        "convergence_exp2d_quad_k1.csv": "2b3b14f6e20cdfb5",
+        "convergence_exp2d_quad_k2.csv": "e7e8f1018b1ec594",
+        "convergence_exp2d_quad_k3.csv": "a4baa1f57ca4624f",
+    },
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_csvs_are_pinned(name, threads, tmp_path):
+    command = SHIPPED[name][0]
+    assert main([command, "--config", str(CONFIG_DIR / f"{name}.json"), "--threads",
+                 threads, "--output", str(tmp_path)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in tmp_path.glob("*.csv")} == CSV_DIGESTS[name]
 
 
 def test_config_command_must_match(tmp_path, capsys):

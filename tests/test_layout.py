@@ -70,6 +70,20 @@ def test_public_code_has_a_caller_outside_tests():
         "move test-only helpers to tests/conftest.py")
 
 
+def test_private_helpers_live_with_their_only_caller():
+    # a private function that its own module never calls and exactly one
+    # other module does belongs to that module: else two modules share
+    # one decision
+    package = {p.stem: _Scan(p) for p in sorted((ROOT / "src" / "sbfem").glob("*.py"))}
+    private = [(m, d.split(".")[1]) for m, s in package.items() for d in s.defs
+               if d.count(".") == 1 and d.split(".")[1].startswith("_")]
+    assert len(private) > 20       # the scan sees the private helpers
+    callers = {f"{m}.{f}": [u for u, s in package.items() if u != m and f in s.refs]
+               for m, f in private if f not in package[m].refs}
+    strays = {name: users for name, users in callers.items() if len(users) == 1}
+    assert not strays, f"private helpers to move into their only caller: {strays}"
+
+
 def test_dataclass_fields_are_read_outside_tests():
     # a field that only dunder methods (the constructor, __getitem__) and
     # tests read is stored state that no computation uses

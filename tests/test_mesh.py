@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import re
@@ -128,6 +129,9 @@ def test_round_trip_identity():
         for k in (1, 2):
             assert number_dofs(back, k).n_total == number_dofs(mesh, k).n_total
         assert mesh_to_json(back) == mesh_to_json(mesh)
+        # an open file object imports as the dict does
+        opened = import_mesh(io.StringIO(json.dumps(data)))
+        assert mesh_to_json(opened) == mesh_to_json(back)
 
 
 def test_two_pentagons_fixture():
@@ -196,6 +200,18 @@ def test_nonplanar_facet_rejected():
     with pytest.raises(MeshError, match="non-planar"):
         import_mesh({"dimension": 3, "vertices": verts,
                      "selements": [{"facets": faces}]})
+
+
+@pytest.mark.parametrize("gen,message", [
+    (gen_quad_mesh, "n and splits must be >= 1"),
+    (gen_refined_square, "n and splits must be >= 1"),
+    (gen_hex_mesh, "n and splits must be >= 1"),
+    (gen_refined_cube, "n and splits must be >= 1"),
+    (singular_open_selement, "n must be >= 1"),
+    (gen_coupled_singular, "level must be >= 1")])
+def test_generators_refuse_sizes_below_one(gen, message):
+    with pytest.raises(MeshError, match=f"^{message}$"):
+        gen(0)
 
 
 def test_malformed_file_errors(tmp_path):

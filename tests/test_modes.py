@@ -16,9 +16,9 @@ from sbfem.errors import SpectrumError
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh,
                         gen_polyhedron_case1, import_mesh, number_dofs,
                         singular_open_selement)
-from sbfem.modes import (_radial_factors, build_system, eigenvalue_rows,
-                         element_stiffness, select_modes)
-from sbfem.postproc import get_exact, solution_errors
+from sbfem.modes import (build_system, eigenvalue_rows, element_stiffness,
+                         select_modes)
+from sbfem.postproc import _radial_factors, get_exact, solution_errors
 from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
                           sbfem_interpolate, solve)
 from sbfem.cli import MESH_FAMILIES, build_mesh

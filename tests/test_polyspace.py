@@ -202,6 +202,8 @@ def test_radial_errors():
         radial_quadrature(-1.0, 5, 2)
     with pytest.raises(QuadratureError):
         radial_quadrature(0.5, 0, 2)
+    with pytest.raises(QuadratureError, match="^composite_levels must be non-negative$"):
+        radial_quadrature(0.0, 4, -1)
     with pytest.raises(QuadratureError):
         facet_quadrature(FacetKind.SEGMENT, 0)
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import (coupled_mixed_mesh, facet_vertices, flat_sector_squares,
                       hybrid_mesh, interpolant, jittered_quad_mesh,
-                      laplacian_residual,
+                      laplacian_residual, on_member_fields,
                       open_element_pinned_first, reference_solution_errors,
                       selement_views)
 from sbfem import postproc, refgeom
@@ -102,6 +102,8 @@ def test_convergence_table_rates():
 def test_convergence_table_rejects_non_monotone():
     with pytest.raises(SbfemError):
         convergence_table([(1, 0.5, 100, 1.0, 1.0), (2, 0.25, 80, 0.5, 0.5)])
+    with pytest.raises(SbfemError, match="^convergence table needs at least one level$"):
+        convergence_table([])
 
 
 def test_csv_schema():
@@ -327,15 +329,11 @@ def test_error_chunks_count_sector_arrays_only(monkeypatch):
     # once and broadcast over the sectors of a chunk, so only the per-sector
     # arrays fill the chunk budget
     sol, exact = _galerkin(gen_coupled_singular(4), 2, "sqrt2d")
-    shapes, fields = [], postproc._class_fields
-
-    def counted(table, factors, J, alpha, lambdas):
-        shapes.append((alpha.shape[-1], factors[0].shape[0]))
-        return fields(table, factors, J, alpha, lambdas)
-
-    monkeypatch.setattr(postproc, "_class_fields", counted)
+    shapes = []
+    on_member_fields(monkeypatch, lambda contraction, operands, coeffs: shapes.append(
+        (contraction, operands[2].shape[-1], operands[0].shape[0])))
     solution_errors(sol, exact)
-    assert 1 <= len(shapes) <= 4 and set(shapes) == {(64, 1)}
+    assert 1 <= len(shapes) <= 4 and set(shapes) == {("coefficients", 64, 1)}
 
 
 def test_coefficients_are_solved_once_per_class(monkeypatch):
@@ -490,9 +488,9 @@ def test_trace_blocks_stay_complex_for_a_real_spectrum(monkeypatch):
     sol = sbfem_interpolate(gen_coupled_singular(3), 2, exact.value)
     dtypes, class_fields = [], postproc._class_fields
 
-    def capture(table, factors, J, alpha, lambdas):
+    def capture(table, J, alpha, lambdas):
         dtypes.append(alpha.dtype)
-        return class_fields(table, factors, J, alpha, lambdas)
+        return class_fields(table, J, alpha, lambdas)
 
     monkeypatch.setattr(postproc, "_class_fields", capture)
     solution_errors(sol, exact)
@@ -504,23 +502,25 @@ def test_trace_blocks_stay_complex_for_a_real_spectrum(monkeypatch):
 @pytest.mark.parametrize("case", sorted(BATCH_CASES))
 def test_batched_errors_match_the_reference_with_either_contraction(
         case, one_sector_chunks, contraction, monkeypatch):
-    # `modes._mode_basis` forced each way: every chunk builds its mode basis,
-    # or every member block contracts its coefficients first
+    # the contraction forced each way: every block contracts a mode basis,
+    # or every block contracts its coefficients first
     if one_sector_chunks:
         monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
-    members, taken, rule = (np.inf if contraction == "basis" else 0), set(), \
-        postproc._mode_basis
-
-    def forced(fields, m):
-        out = rule(fields, members)
-        taken.add(len(out))
-        return out
-
-    monkeypatch.setattr(postproc, "_mode_basis", forced)
+    taken = set()
+    on_member_fields(monkeypatch, lambda contraction, *_: taken.add(contraction))
+    basis, coefficients, mode_basis = (postproc._basis_fields,
+                                       postproc._coefficient_fields, postproc._mode_basis)
+    if contraction == "basis":
+        monkeypatch.setattr(postproc, "_coefficient_fields", lambda *args: basis(
+            mode_basis(*args[:-1]), args[-1]))
+    else:
+        monkeypatch.setattr(postproc, "_mode_basis", lambda *fields: fields)
+        monkeypatch.setattr(postproc, "_basis_fields", lambda fields, coeffs:
+                            coefficients(*fields, coeffs))
     make, k, problem = BATCH_CASES[case]
     sol, exact = _galerkin(make(), k, problem)
     got = solution_errors(sol, exact)
-    assert taken == {1 if contraction == "basis" else 4}
+    assert taken == {contraction}
     assert got == pytest.approx(reference_solution_errors(sol, exact),
                                 rel=1e-12, abs=0.0)
 
@@ -538,15 +538,10 @@ def test_contraction_takes_the_smaller_intermediate(make, k, problem, basis,
     # 18 hexes against 12), else the coefficients first: jittered singletons
     # and the open S-element of 108 radial points
     sol, exact = _galerkin(make(), k, problem)
-    forms, member_fields = [], postproc._member_fields
-
-    def capture(fields, coeffs):
-        forms.append(len(fields))
-        return member_fields(fields, coeffs)
-
-    monkeypatch.setattr(postproc, "_member_fields", capture)
+    forms = []
+    on_member_fields(monkeypatch, lambda contraction, *_: forms.append(contraction))
     solution_errors(sol, exact)
-    assert forms and set(forms) == {1 if basis else 4}
+    assert forms and set(forms) == {"basis" if basis else "coefficients"}
 
 
 def test_representative_geometry_is_computed_once_per_pass(monkeypatch):
@@ -581,18 +576,13 @@ def test_mode_basis_memory_is_bounded_by_the_chunk_budget(make, k, basis,
     # 10; its basis (1.8 MB per sector) would break the bound
     exact = get_exact("exp3d" if make().dimension == 3 else "exp2d")
     sol = sbfem_interpolate(make(), k, exact.value)
-    forms, member_fields = set(), postproc._member_fields
-
-    def capture(fields, coeffs):
-        forms.add(len(fields))
-        return member_fields(fields, coeffs)
-
-    monkeypatch.setattr(postproc, "_member_fields", capture)
+    forms = set()
+    on_member_fields(monkeypatch, lambda contraction, *_: forms.add(contraction))
     tracemalloc.start()
     try:
         solution_errors(sol, exact)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert forms == {1 if basis else 4}
+    assert forms == {"basis" if basis else "coefficients"}
     assert peak < 16 * 16 * refgeom.CHUNK_BUDGET

@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,13 +11,14 @@ from sbfem.cli import build_mesh
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         gen_quad_mesh, import_mesh, number_dofs,
                         singular_open_selement)
-from sbfem import postproc, solver
+from sbfem import solver
 from sbfem.postproc import get_exact, solution_errors
 from conftest import (coupled_mixed_mesh, dirichlet_map, evaluate_in_fe,
                       evaluate_in_sector, global_csr, hybrid_mesh, interpolant,
                       jittered_quad_mesh,
                       member_coefficients, mesh_to_json, modal_coefficients,
-                      octahedron_mesh, op_sectors, open_element_pinned_first,
+                      octahedron_mesh, on_member_fields, op_sectors,
+                      open_element_pinned_first,
                       reference_mode_chain, reference_project_trace,
                       sector_rows, selement_dofs, selement_views)
 from test_postproc import BATCH_CASES, _galerkin
@@ -43,6 +46,33 @@ def test_fe_row_sums_vanish(rng):
 def test_fe_inverted_element_rejected():
     with pytest.raises(AssemblyError):
         fe_element_stiffness(np.array([[[0, 0], [0, 1], [1, 1], [1, 0]]]), 1)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("make", [lambda: gen_coupled_singular(3), coupled_mixed_mesh],
+                         ids=["coupled-l3", "coupled-mixed"])
+def test_block_matrices_equal_their_transpose(make, k):
+    # the block product multiplies a shared matrix from the right, so every
+    # S-element and FE block matrix is symmetric bit for bit
+    blocks = assemble_global(make(), k).K.blocks
+    assert len(blocks) == 2
+    for _, M in blocks:
+        assert np.array_equal(M, np.swapaxes(M, 1, 2))
+
+
+def test_a_dof_in_no_block_is_refused(monkeypatch):
+    # a numbering with one more DOF than the S-elements use
+    numbering = solver.number_dofs
+
+    def one_more(mesh, k):
+        nd = numbering(mesh, k)
+        return dataclasses.replace(nd, n_total=nd.n_total + 1)
+
+    monkeypatch.setattr(solver, "number_dofs", one_more)
+    n = numbering(gen_quad_mesh(2), 1).n_total
+    with pytest.raises(AssemblyError, match=re.escape(
+            f"1 DOFs receive no element contribution (first: [{n}])")):
+        assemble_global(gen_quad_mesh(2), 1)
 
 
 def test_single_selement_global_equals_element():
@@ -371,13 +401,8 @@ def test_error_pass_coefficients_match_the_class_oracle(make, k, problem,
     # its own coefficients once per facet position
     sol, exact = _galerkin(make(), k, problem)
     mesh, blocks = sol.mesh, []
-
-    def capture(fields, coeffs):
-        blocks.append(coeffs.copy())
-        return member_fields(fields, coeffs)
-
-    member_fields = postproc._member_fields
-    monkeypatch.setattr(postproc, "_member_fields", capture)
+    on_member_fields(monkeypatch, lambda contraction, operands, coeffs:
+                     blocks.append(coeffs.copy()))
     solution_errors(sol, exact)
     oracle = modal_coefficients(sol)
     where = {c.tobytes(): (x, j) for x, C in enumerate(oracle)
