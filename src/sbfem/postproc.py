@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +33,7 @@ class ExactSolution:
     neumann_predicate: object = None   # facet midpoints (F, d) -> True: natural BC
     value: object = None       # (n, d) -> (n,)
     gradient: object = None    # (n, d) -> (n, d)
+    waves: tuple = ()          # (a, kappa) pairs: u = sum Im(a exp(kappa . x))
 
     def __post_init__(self):
         for j, name in enumerate(("value", "gradient")):
@@ -48,19 +50,34 @@ class ExactSolution:
             for ids, corners in mesh._facet_corners(fids).values()])).tolist()
 
 
-def _exp2d(x, gradient=True):
+def _exp_parts(x, kappa, a=1.0):
+    """Re and Im of a_k exp(kappa_k . x), (..., K) each, at points x (..., d)
+    for directions kappa (K, d), by real exp, cos and sin."""
+    theta, e = x @ kappa.imag.T, a * np.exp(x @ kappa.real.T)
+    return e * np.cos(theta), e * np.sin(theta)
+
+
+def _plane_waves(waves, x):
+    """u = sum_k Im(a_k exp(kappa_k . x)) at points x (n, d) for a table of
+    (a, kappa) pairs, by real exp and sin."""
+    a, kappa = map(np.array, zip(*waves))
+    return sum(a[:, None] * np.exp(kappa.real @ x.T) * np.sin(kappa.imag @ x.T))
+
+
+EXP2D_WAVES = ((1.0, (np.pi, 1j * np.pi)),)
+EXP3D_WAVES = ((4.0, (0.25 * np.pi, 0.25j * np.pi, 0.0)),
+               (4.0, (0.0, 0.25 * np.pi, 0.25j * np.pi)))
+
+
+def _exp2d(x):
     e, s = np.exp(np.pi * x[:, 0]), np.sin(np.pi * x[:, 1])
-    if not gradient:
-        return e * s
     return e * s, np.pi * np.column_stack([e * s, e * np.cos(np.pi * x[:, 1])])
 
 
-def _exp3d(x, gradient=True):
+def _exp3d(x):
     q = 0.25 * np.pi
     ex, ey = np.exp(q * x[:, 0]), np.exp(q * x[:, 1])
     a, b = ex * np.sin(q * x[:, 1]), ey * np.sin(q * x[:, 2])
-    if not gradient:
-        return 4.0 * (a + b)
     return 4.0 * (a + b), np.pi * np.column_stack([
         a, ex * np.cos(q * x[:, 1]) + b, ey * np.cos(q * x[:, 2])])
 
@@ -73,10 +90,13 @@ def _sqrt2d(x, gradient=True):
     return 2.0 ** 0.25 * r.real, 2.0 ** 0.25 * np.column_stack([df.real, -df.imag])
 
 
-# value-only callers (Dirichlet data, interpolation) skip the gradients
+# value-only callers (Dirichlet data, interpolation) skip the gradients; the
+# values of the wave tables are the closed forms' bit for bit
 EXACT_SOLUTIONS = {
-    "exp2d": ExactSolution("exp2d", 2, _exp2d, value=lambda x: _exp2d(x, False)),
-    "exp3d": ExactSolution("exp3d", 3, _exp3d, value=lambda x: _exp3d(x, False)),
+    "exp2d": ExactSolution("exp2d", 2, _exp2d, value=partial(_plane_waves, EXP2D_WAVES),
+                           waves=EXP2D_WAVES),
+    "exp3d": ExactSolution("exp3d", 3, _exp3d, value=partial(_plane_waves, EXP3D_WAVES),
+                           waves=EXP3D_WAVES),
     "sqrt2d": ExactSolution(
         "sqrt2d", 2, _sqrt2d,
         neumann_predicate=lambda mid: (abs(mid[:, 1]) < 1e-12) & (mid[:, 0] > 0.0),
@@ -119,7 +139,10 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     coefficients first, an operand G x C of s n_modes Q (d + 1) m complex
     entries per block, or, when R <= m, a mode basis of s R Q (d + 1) n_modes
     made once for all its blocks; the output has s R Q (d + 1) m.  FE quads
-    go in chunks of Q d entries each.
+    go in chunks of Q d entries each.  An exact solution's plane waves
+    (`ExactSolution.waves`) are K more columns of a mode basis, whose matmul
+    then gives u_h - u; coefficient-first chunks, FE quads and solutions
+    without waves (sqrt2d, const) subtract `value_and_gradient` at points.
     """
     k = solution.numbering.k
     facet_order = 2 * k + 4 if facet_order is None else facet_order
@@ -147,6 +170,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                           k, d, radial_points, composite_levels)
     n_modes, c = np.array([op.modes.n for op in ops]), cls[first]
     group = _first_seen(np.column_stack([n_modes[c], size, np.array(rules)[c]]) + 0.0)[0]
+    waves = tuple(map(np.array, zip(*exact.waves)))     # amplitudes, directions
     sums = np.zeros(2)
     for i in (np.flatnonzero(group == g) for g in range(group.max() + 1)):
         m, n = int(size[i[0]]), int(n_modes[c[i[0]]])
@@ -184,22 +208,26 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                 blocks = _chunks(m, per_sector * len(u))
                 alpha = A[u[:, None], nd.sector_rows[kd][rep[sl]]]
                 T, G = _class_fields(table, Jinv[sl], alpha, lambdas[u])
-                if len(xis) <= min(m, blocks[0].stop):   # the smaller intermediate
-                    kernel, fields = _basis_fields, (_mode_basis(Z[f], Z1[f], T, G),)
-                else:
-                    kernel, fields = _coefficient_fields, (Z[f], Z1[f], T, G)
                 w = wxi[:, None, None] * (frule.weights * det[sl])[:, None, :, None]
                 steps = xis[:, None, None, None] * rays[sl]  # (S, R, Q, 1, d)
+                basis = len(xis) <= min(m, blocks[0].stop)   # the smaller intermediate
+                kernel, fields = _coefficient_fields, (Z[f], Z1[f], T, G)
+                if basis:
+                    kernel, fields = _basis_fields, (_mode_basis(*fields, steps, *waves),)
                 for blk in blocks:
-                    a0 = np.take(centres, rows[r[sl], blk], axis=0)[:, None, None]
-                    sums += _error_sums(exact, w, a0 + steps, *kernel(
-                        *fields, np.swapaxes(C[u, blk], 1, 2)))
+                    a0 = np.take(centres, rows[r[sl], blk], axis=0)   # (S, m, d)
+                    coeffs = np.swapaxes(C[u, blk], 1, 2)
+                    if basis and waves:    # u as basis columns: the fields are u_h - u
+                        sums += _error_sums(w, *kernel(*fields, coeffs, waves[1], a0))
+                    else:
+                        sums += _error_sums(w, *kernel(*fields, coeffs), exact,
+                                            a0[:, None, None] + steps)
         del Z, Z1                  # before the next group makes its own
     frule = facet_quadrature(FacetKind.QUADRILATERAL, facet_order)
     table = _basis_table(FacetKind.QUADRILATERAL, k, facet_order)
     for sl in _chunks(len(mesh._fe_class), len(frule) * d):
         pts, vals, grads, det = _fe_fields(solution, sl, frule.points, table)
-        sums += _error_sums(exact, frule.weights * det, pts, vals, grads)
+        sums += _error_sums(frule.weights * det, vals, grads, exact, pts)
     if not np.isfinite(sums).all():
         raise SbfemError(f"error integrals against '{exact.name}' are not finite: "
                          f"{sums.tolist()}")
@@ -257,20 +285,29 @@ def _class_fields(table, Jinv, alpha, lambdas):
     return T, np.swapaxes(Jinv, -1, -2) @ D
 
 
-def _mode_basis(Z, Z1, T, G):
-    """The mode basis [Z x T, Z1 x G] (S, R, Q, 1 + d, n) of a stack of classes."""
+def _mode_basis(Z, Z1, T, G, steps=None, a=(), kappa=None):
+    """The mode basis [Z x T, Z1 x G] (S, R, Q, 1 + d, n) of a stack of classes,
+    then K plane waves a_k exp(kappa_k . s) [1, kappa_k] at steps (S, R, Q, 1, d)."""
     (S, Q, d, n), R = G.shape, Z.shape[-2]
-    B = np.empty((S, R, Q, 1 + d, n), complex)
-    np.multiply(Z[:, :, None, None], T[:, None, :, None], out=B[:, :, :, :1])
-    np.multiply(Z1[:, :, None, None], G[:, None], out=B[:, :, :, 1:])
+    B = np.empty((S, R, Q, 1 + d, n + len(a)), complex)
+    np.multiply(Z[:, :, None, None], T[:, None, :, None], out=B[:, :, :, :1, :n])
+    np.multiply(Z1[:, :, None, None], G[:, None], out=B[:, :, :, 1:, :n])
+    if len(a):
+        W = B[..., n:]
+        W.real[:, :, :, 0], W.imag[:, :, :, 0] = _exp_parts(steps[:, :, :, 0], kappa, a)
+        np.multiply(W[:, :, :, :1], kappa.T, out=W[:, :, :, 1:])
     return B
 
 
-def _basis_fields(B, coeffs):
+def _basis_fields(B, coeffs, kappa=None, a0=None):
     """u_h, the real part of a sum over the modes, on the grid of the member
     sectors of a stack of classes from their mode basis B, read as real (Re, Im
     interleaved), and coefficients (S, n, m) by one real matmul with [Re C,
-    -Im C]: values (S, R, Q, m) and Cartesian gradients (S, R, Q, m, d)."""
+    -Im C]: values (S, R, Q, m) and Cartesian gradients (S, R, Q, m, d).  Wave
+    columns take i exp(kappa . a0) at member centres a0 (S, m, d), adding -u."""
+    if kappa is not None:
+        re, im = _exp_parts(a0, kappa)
+        coeffs = np.concatenate([coeffs, np.swapaxes(1j * re - im, 1, 2)], axis=1)
     C = np.stack([coeffs.real, -coeffs.imag], axis=-2)
     out = (B.reshape(len(B), -1, B.shape[-1]).view(float) @ C.reshape(
         len(C), -1, C.shape[-1])).reshape(B.shape[:-1] + (-1,))
@@ -305,12 +342,13 @@ def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts, table):
             (B[cls] @ uel[:, None, :, None])[..., 0], _det(J))
 
 
-def _error_sums(exact: ExactSolution, w, pts, vals, grads) -> np.ndarray:
-    """Weighted sums of squared value and gradient errors: the exact fields are
-    subtracted from the kernel output in place, each sum is one contraction."""
-    ev, eg = exact.value_and_gradient(pts.reshape(-1, pts.shape[-1]))
-    vals -= ev.reshape(vals.shape)
-    grads -= eg.reshape(grads.shape)
+def _error_sums(w, vals, grads, exact=None, pts=None) -> np.ndarray:
+    """Weighted sums of squared value and gradient errors, each one contraction,
+    of fields u_h - u, or of u_h less the exact fields at pts, in place."""
+    if exact is not None:
+        ev, eg = exact.value_and_gradient(pts.reshape(-1, pts.shape[-1]))
+        vals -= ev.reshape(vals.shape)
+        grads -= eg.reshape(grads.shape)
     ax = "abcde"[:vals.ndim]                   # w broadcasts against vals
     return np.array([np.einsum(f"{ax},{ax},{ax}->", w, vals, vals),
                      np.einsum(f"{ax},{ax}z,{ax}z->", w, grads, grads)])

@@ -235,7 +235,8 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
         ue = _evaluate_field(g, pts.reshape(-1, mesh.dimension)).reshape(w.shape)
         rows = np.searchsorted(dofs, nd.facet_dofs[nd.facet_start[fids][:, None]
                                                    + np.arange(vals.shape[1])])
-        blocks.append((rows, np.einsum("fq,qi,qj->fij", w, vals, vals)))
+        M = np.einsum("fq,qi,qj->fij", w, vals, vals)
+        blocks.append((rows, 0.5 * (M + np.swapaxes(M, 1, 2))))   # symmetric bit for bit
         np.add.at(b, rows, (w * ue) @ vals)
     return _cg(BlockOperator(blocks, len(dofs)), b)
 

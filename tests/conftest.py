@@ -225,12 +225,15 @@ def sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
 
 def on_member_fields(monkeypatch, record):
     """Call record(contraction, operands, coeffs) before each member block
-    of `postproc.solution_errors`: contraction "basis" with the mode basis
-    or "coefficients" with (Z, Z1, T, G), and the block's coefficients."""
-    for name, contraction in (("_basis_fields", "basis"),
-                              ("_coefficient_fields", "coefficients")):
-        def recorded(*args, kernel=getattr(postproc, name), contraction=contraction):
-            record(contraction, args[:-1], args[-1])
+    of `postproc.solution_errors`: contraction "basis" with the mode basis,
+    followed by the wave directions kappa (K, d) and member centres a0 (S, m,
+    d) where the exact solution's plane waves are its last K columns, or
+    "coefficients" with (Z, Z1, T, G); and the block's modal coefficients."""
+    for name, contraction, at in (("_basis_fields", "basis", 1),
+                                  ("_coefficient_fields", "coefficients", 4)):
+        def recorded(*args, kernel=getattr(postproc, name), contraction=contraction,
+                     at=at):
+            record(contraction, args[:at] + args[at + 1:], args[at])
             return kernel(*args)
 
         monkeypatch.setattr(postproc, name, recorded)

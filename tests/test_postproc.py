@@ -373,7 +373,9 @@ VALUE_ONLY = {"exp2d": (lambda: gen_quad_mesh(2), "_exp2d"),
 @pytest.mark.parametrize("name", sorted(VALUE_ONLY))
 def test_value_only_callers_compute_no_gradient(name, rng, monkeypatch):
     # the registered value is the value of value_and_gradient, bit for bit,
-    # and Dirichlet data and interpolation never ask for a gradient
+    # and Dirichlet data and interpolation never ask for a gradient: exp2d
+    # and exp3d take the value from their wave tables, without the point
+    # function at all
     exact = get_exact(name)
     x = rng.uniform(-1.0, 1.0, (200, exact.dim))
     assert np.array_equal(exact.value(x), exact.value_and_gradient(x)[0])
@@ -387,7 +389,75 @@ def test_value_only_callers_compute_no_gradient(name, rng, monkeypatch):
         apply_dirichlet(system, exact.value, facet_ids=exact.dirichlet_facets(mesh),
                         method=method)
     sbfem_interpolate(mesh, 2, exact.value)
-    assert asked and not any(asked)
+    assert (asked or exact.waves) and not any(asked)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_SOLUTIONS))
+def test_wave_tables_reproduce_their_point_functions(name, rng):
+    # u = sum_k Im(a_k exp(kappa_k . x)) with kappa_k . kappa_k = 0, so that
+    # each wave is harmonic; the table's value and gradient, by complex exp
+    # here, match the closed forms, and its values (`_plane_waves`, the
+    # Dirichlet data) are theirs bit for bit; sqrt2d and const have no table
+    exact = EXACT_SOLUTIONS[name]
+    if name in ("sqrt2d", "const"):
+        assert exact.waves == ()
+        return
+    x = rng.uniform(-1.0, 1.0, (500, exact.dim))
+    a, kappa = map(np.array, zip(*exact.waves))
+    waves = a * np.exp(x @ kappa.T)
+    expect = exact.value_and_gradient(x)
+    for got, e in zip((waves.imag.sum(1), (waves[:, :, None] * kappa).imag.sum(1)), expect):
+        assert got.shape == e.shape
+        assert np.abs(got - e).max() <= 1e-14 * np.abs(e).max()
+    assert np.array_equal(postproc._plane_waves(exact.waves, x), expect[0])
+    assert kappa.shape[1] == exact.dim
+    assert np.abs((kappa * kappa).sum(axis=1)).max() <= 1e-15 * (abs(kappa) ** 2).sum()
+
+
+@pytest.mark.parametrize("make, k, problem, points", [
+    (lambda: gen_quad_mesh(16), 3, "exp2d", False),
+    (lambda: gen_hex_mesh(4), 2, "exp3d", False),
+    (lambda: jittered_quad_mesh(8, 0.18), 2, "exp2d", True),
+    (lambda: gen_coupled_singular(2), 2, "sqrt2d", True)],
+    ids=["quad-l3-k3", "hex-l2-k2", "jittered-8x8-k2", "coupled-singular-l2-k2"])
+def test_wave_columns_replace_the_member_points(make, k, problem, points,
+                                                monkeypatch):
+    # where every block contracts a mode basis, the exact solution's waves
+    # are K more columns of it and value_and_gradient sees no S-element
+    # point; singletons (coefficients first) and sqrt2d evaluate points
+    sol, exact = _galerkin(make(), k, problem)
+    seen, blocks = [], []
+    counted = dataclasses.replace(exact, value_and_gradient=lambda x: (
+        seen.append(len(x)), exact.value_and_gradient(x))[1])
+    on_member_fields(monkeypatch, lambda *block: blocks.append(block))
+    fe_points = len(sol.mesh._fe_class) * len(facet_quadrature(FacetKind.QUADRILATERAL,
+                                                                2 * k + 4))
+    got = solution_errors(sol, counted)
+    assert (sum(seen) > fe_points) == points
+    K = len(exact.waves)
+    for contraction, operands, coeffs in blocks:
+        if contraction == "basis" and K:
+            B, kappa, a0 = operands
+            assert kappa.shape == (K, sol.mesh.dimension)
+            assert a0.shape == (len(coeffs), coeffs.shape[-1], sol.mesh.dimension)
+            assert B.shape[-1] == coeffs.shape[1] + K
+        else:
+            assert len(operands) == (1 if contraction == "basis" else 4)
+    # without its table, the same solution is evaluated at every point; at
+    # quad l3 k3 the L2 error is 1.3e-6 of max |u|, so the two paths'
+    # round-off differs by 5e-12 of it
+    seen.clear()
+    assert solution_errors(sol, dataclasses.replace(counted, waves=())) == \
+        pytest.approx(got, rel=1e-10, abs=0.0)
+    assert sum(seen) > fe_points
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_wave_columns_match_the_point_path(case):
+    make, k, problem = BATCH_CASES[case]
+    sol, exact = _galerkin(make(), k, problem)
+    assert solution_errors(sol, exact) == pytest.approx(
+        solution_errors(sol, dataclasses.replace(exact, waves=())), rel=1e-12, abs=0.0)
 
 
 def test_exact_solutions_take_replaced_fields():
@@ -396,7 +466,7 @@ def test_exact_solutions_take_replaced_fields():
     for exact in EXACT_SOLUTIONS.values():
         traced = dataclasses.replace(exact, value=lambda x: exact.value(x) + 1.0,
                                      gradient=lambda x: 2.0 * exact.gradient(x))
-        x = np.full((3, 3), 0.5)
+        x = np.full((3, exact.dim or 2), 0.5)
         assert np.array_equal(traced.value(x), exact.value(x) + 1.0)
         assert np.array_equal(traced.gradient(x), 2.0 * exact.gradient(x))
         assert traced.value_and_gradient is exact.value_and_gradient
@@ -514,11 +584,13 @@ def test_batched_errors_match_the_reference_with_either_contraction(
         monkeypatch.setattr(postproc, "_coefficient_fields", lambda *args: basis(
             mode_basis(*args[:-1]), args[-1]))
     else:
-        monkeypatch.setattr(postproc, "_mode_basis", lambda *fields: fields)
+        monkeypatch.setattr(postproc, "_mode_basis", lambda *fields: fields[:4])
         monkeypatch.setattr(postproc, "_basis_fields", lambda fields, coeffs:
                             coefficients(*fields, coeffs))
     make, k, problem = BATCH_CASES[case]
     sol, exact = _galerkin(make(), k, problem)
+    if contraction == "coefficients":     # no wave columns to route
+        exact = dataclasses.replace(exact, waves=())
     got = solution_errors(sol, exact)
     assert taken == {contraction}
     assert got == pytest.approx(reference_solution_errors(sol, exact),

@@ -60,6 +60,27 @@ def test_block_matrices_equal_their_transpose(make, k):
         assert np.array_equal(M, np.swapaxes(M, 1, 2))
 
 
+@pytest.mark.parametrize("make, k, first", [
+    (lambda: gen_quad_mesh(2), 3, None), (lambda: gen_hex_mesh(2), 2, None),
+    (lambda: gen_quad_mesh(2), 3, 1)], ids=["quad-2x2-k3", "hex-2x2x2-k2",
+                                            "quad-2x2-k3-one-facet"])
+def test_mass_blocks_equal_their_transpose(make, k, first, monkeypatch):
+    # the trace mass blocks of the Dirichlet projection too; with a single
+    # Dirichlet facet its kind's block is one shared matrix, multiplied from
+    # the right, so x @ M[0] is M x only for a symmetric M
+    operators, cg = [], solver._cg
+    monkeypatch.setattr(solver, "_cg", lambda A, b, *args: (
+        operators.append(A), cg(A, b, *args))[1])
+    mesh = make()
+    exact = get_exact("exp3d" if mesh.dimension == 3 else "exp2d")
+    apply_dirichlet(assemble_global(mesh, k), exact.value,
+                    facet_ids=mesh.boundary_facet_ids()[:first])
+    (mass,) = operators
+    assert [len(M) == 1 for _, M in mass.blocks] == [first == 1]
+    for _, M in mass.blocks:
+        assert np.array_equal(M, np.swapaxes(M, 1, 2))
+
+
 def test_a_dof_in_no_block_is_refused(monkeypatch):
     # a numbering with one more DOF than the S-elements use
     numbering = solver.number_dofs
