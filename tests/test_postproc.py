@@ -373,9 +373,7 @@ VALUE_ONLY = {"exp2d": (lambda: gen_quad_mesh(2), "_exp2d"),
 @pytest.mark.parametrize("name", sorted(VALUE_ONLY))
 def test_value_only_callers_compute_no_gradient(name, rng, monkeypatch):
     # the registered value is the value of value_and_gradient, bit for bit,
-    # and Dirichlet data and interpolation never ask for a gradient: exp2d
-    # and exp3d take the value from their wave tables, without the point
-    # function at all
+    # and Dirichlet data and interpolation never ask for a gradient
     exact = get_exact(name)
     x = rng.uniform(-1.0, 1.0, (200, exact.dim))
     assert np.array_equal(exact.value(x), exact.value_and_gradient(x)[0])
@@ -389,15 +387,16 @@ def test_value_only_callers_compute_no_gradient(name, rng, monkeypatch):
         apply_dirichlet(system, exact.value, facet_ids=exact.dirichlet_facets(mesh),
                         method=method)
     sbfem_interpolate(mesh, 2, exact.value)
-    assert (asked or exact.waves) and not any(asked)
+    assert asked and not any(asked)
 
 
 @pytest.mark.parametrize("name", sorted(EXACT_SOLUTIONS))
 def test_wave_tables_reproduce_their_point_functions(name, rng):
     # u = sum_k Im(a_k exp(kappa_k . x)) with kappa_k . kappa_k = 0, so that
     # each wave is harmonic; the table's value and gradient, by complex exp
-    # here, match the closed forms, and its values (`_plane_waves`, the
-    # Dirichlet data) are theirs bit for bit; sqrt2d and const have no table
+    # here, match the closed forms to round-off (not bit for bit: kappa . x
+    # sums in another order, and gives +0 where sin(pi * -0.0) is -0), so
+    # the closed forms stay the Dirichlet data; sqrt2d and const have no table
     exact = EXACT_SOLUTIONS[name]
     if name in ("sqrt2d", "const"):
         assert exact.waves == ()
@@ -409,7 +408,6 @@ def test_wave_tables_reproduce_their_point_functions(name, rng):
     for got, e in zip((waves.imag.sum(1), (waves[:, :, None] * kappa).imag.sum(1)), expect):
         assert got.shape == e.shape
         assert np.abs(got - e).max() <= 1e-14 * np.abs(e).max()
-    assert np.array_equal(postproc._plane_waves(exact.waves, x), expect[0])
     assert kappa.shape[1] == exact.dim
     assert np.abs((kappa * kappa).sum(axis=1)).max() <= 1e-15 * (abs(kappa) ** 2).sum()
 
@@ -466,7 +464,7 @@ def test_exact_solutions_take_replaced_fields():
     for exact in EXACT_SOLUTIONS.values():
         traced = dataclasses.replace(exact, value=lambda x: exact.value(x) + 1.0,
                                      gradient=lambda x: 2.0 * exact.gradient(x))
-        x = np.full((3, exact.dim or 2), 0.5)
+        x = np.full((3, 3), 0.5)
         assert np.array_equal(traced.value(x), exact.value(x) + 1.0)
         assert np.array_equal(traced.gradient(x), 2.0 * exact.gradient(x))
         assert traced.value_and_gradient is exact.value_and_gradient
