@@ -7,7 +7,6 @@ import argparse
 import contextlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +60,6 @@ OPTIONS = {
     "facet_order": (None, 1, "facet quadrature order for error integrals"),
     "radial_points": (None, 1, "radial Gauss points per subinterval for error integrals"),
     "composite_levels": (None, 0, "geometric radial subdivisions for error integrals"),
-    "threads": (1, 1, "worker threads"),
     "dump_eigenvalues": (False, bool, "write per-S-element eigenvalue CSVs"),
 }
 
@@ -211,22 +209,15 @@ def run(cfg: dict) -> int:
                               else f"{v.real:.6g}" for v in lam))
         return 0
     galerkin = command == "solve" or command == "convergence"
-    levels, meshes = cfg["levels"], {}   # each level's mesh, shared by every k
+    meshes = {}   # each level's mesh, shared by every k
     for k in cfg["k"]:
-        def job(lev):
+        rows = []
+        for lev in cfg["levels"]:
             meshes[lev] = meshes.get(lev) or build_mesh(cfg["mesh"], lev)
             sol, e_l2, e_h1 = _run_one(cfg, meshes[lev], k, galerkin)
-            return lev, 2.0 ** (-lev), sol.n_dofs, e_l2, e_h1, sol
-
-        if cfg["threads"] > 1 and len(levels) > 1:
-            with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-                results = list(pool.map(job, levels))
-        else:
-            results = [job(lev) for lev in levels]
-        rows = [r[:5] for r in results]
-        for lev, h, dof, e_l2, e_h1, sol in results:
+            rows.append((lev, 2.0 ** (-lev), sol.n_dofs, e_l2, e_h1))
             print(f"{command} mesh={cfg['mesh']} problem={cfg['problem']} "
-                  f"k={k} level={lev}: dof={dof} e_l2={e_l2:.5E} "
+                  f"k={k} level={lev}: dof={sol.n_dofs} e_l2={e_l2:.5E} "
                   f"e_h1={e_h1:.5E}")
             if cfg["dump_eigenvalues"]:
                 _eigen_csv(sol.mesh, sol.operators, out_dir,

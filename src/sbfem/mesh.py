@@ -25,8 +25,8 @@ from .refgeom import FacetKind, _facet_points, _sector_jacobians
 
 _KIND_BY_SIZE = {2: FacetKind.SEGMENT, 3: FacetKind.TRIANGLE,
                  4: FacetKind.QUADRILATERAL}
-# File vertices closer than MERGE_RTOL x the coordinate extent are one
-# vertex; distinct ones closer than NEAR_RTOL x the extent are an error.  A
+# Points closer than MERGE_RTOL x the coordinate extent are one vertex;
+# distinct ones closer than NEAR_RTOL x the extent are an error.  A
 # quad facet's diagonals (skew even at a straight angle, where three corners
 # are collinear) pass within PLANARITY_RTOL x h_max of each other.
 MERGE_RTOL = 1e-12
@@ -40,7 +40,9 @@ MERGE_DIRECTION = np.array([1.0, 0.7548776662466927, 0.5698402909980532])
 
 class PolytopalMesh:
     """Mesh of S-elements (plus optional coupled FE quads); immutable once
-    built by `_register`, the one construction path of every constructor."""
+    built by `_register`, the one construction path of every constructor,
+    which merges the points it is given by the one vertex-merge rule
+    (`_merge_vertices`)."""
 
     def __init__(self, dimension: int):
         self.dimension = dimension
@@ -51,20 +53,30 @@ class PolytopalMesh:
 
     # -- construction ----------------------------------------------------------
 
-    def _register(self, vertices: np.ndarray, table: np.ndarray, counts,
+    def _register(self, points: np.ndarray, table: np.ndarray, counts,
                   centres=None, dirichlet=None) -> "PolytopalMesh":
         """Build the mesh from its sector table in array passes, and validate.
 
-        `table` (R, w) lists the vertex ids of every sector, padded with -1,
-        S-element by S-element in mesh order (S-element e has `counts[e]`
+        `table` (R, w) lists the point indices of every sector, padded with
+        -1, S-element by S-element in mesh order (S-element e has `counts[e]`
         sectors), then the 4 edges (v_i, v_i+1) of each counter-clockwise FE
-        quad.  Each sector is turned to face its S-element's centre, so it
-        may be listed either way round; a facet takes the id and vertex
-        order of its first listing so turned.  `centres` and `dirichlet` map
-        S-element ids to given scaling centres and side-face Dirichlet vertex
-        ids; any other centre is the mean of the element's distinct vertices.
+        quad.  `points` (N, d) may repeat: copies are merged by the one
+        vertex-merge rule (`_merge_vertices`), and the vertices are the first
+        copies, numbered in order of first appearance.  Each sector is turned
+        to face its S-element's centre, so it may be listed either way round;
+        a facet takes the id and vertex order of its first listing so turned.
+        `centres` and `dirichlet` map S-element ids to given scaling centres
+        and side-face Dirichlet point indices; any other centre is the mean
+        of the element's distinct vertices.
         """
-        dim, centres, dirichlet = self.dimension, centres or {}, dirichlet or {}
+        dim, centres = self.dimension, centres or {}
+        copy = _merge_vertices(points)
+        head = copy == np.arange(len(copy))
+        # each point's vertex id, and -1 for the padding -1
+        vertices, vid = points[head], np.append((np.cumsum(head) - 1)[copy], -1)
+        table = vid[table]
+        dirichlet = {e: tuple(vid[list(vs)].tolist())
+                     for e, vs in (dirichlet or {}).items()}
         self.vertices = vertices
         self._extent = float(np.ptp(vertices, axis=0).max(initial=0.0)) or 1.0
         counts = np.asarray(counts, dtype=int)
@@ -116,7 +128,7 @@ class PolytopalMesh:
                             f"{_KIND_BY_SIZE[size[r]].value}")
         self._table, self._first, self._fid = table, first, fid
         self.centres, self._counts = centre, counts
-        self._dirichlet = {e: tuple(vs) for e, vs in sorted(dirichlet.items()) if vs}
+        self._dirichlet = {e: vs for e, vs in sorted(dirichlet.items()) if vs}
         clash = self._check_boundaries(pairs, node, nv, len(counts), dirichlet)
         start = np.cumsum(counts) - counts
         pos = np.arange(n_s) - np.repeat(start, counts)
@@ -318,17 +330,17 @@ def _roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 
 
 def _shape_keys(mesh: PolytopalMesh, offsets: np.ndarray) -> np.ndarray:
-    """Congruence keys: offsets snapped to MERGE_RTOL x the mesh's extent (the
-    vertex-merge rule), so copies match at any scale; + 0.0 drops -0.0."""
+    """Congruence keys: offsets snapped to MERGE_RTOL x the mesh's extent,
+    so copies match at any scale; + 0.0 drops -0.0."""
     return np.round(offsets / mesh._extent, 12) * mesh._extent + 0.0
 
 
 def import_mesh(source) -> PolytopalMesh:
     """Build and validate a mesh from the JSON schema (path, dict or file).
 
-    File vertex indices are mapped to mesh ids explicitly: duplicate
-    coordinates are merged (`_merge_vertices`), so the two numberings may
-    differ.
+    The file's vertices and vertex indices go to `_register` as they are,
+    so copies merge as a generator's corners do, and mesh ids may differ
+    from file indices.
     """
     try:
         if isinstance(source, dict):
@@ -363,14 +375,12 @@ def import_mesh(source) -> PolytopalMesh:
         for i, v in enumerate(verts):
             _coords(v, dim, f"vertex {i}")
     xyz = xyz.reshape(-1, dim)
-    first, inverse = np.unique(_merge_vertices(xyz), return_inverse=True)
-    ids = inverse.tolist()
     # every facet listing flat, its indices checked in one pass; a fault sends
     # the file through the entry-by-entry check, which names the first bad entry
     try:
         lists = [f for entry in sels for f in entry["facets"]]
         flat = np.array([operator.index(i) for f in lists for i in f], dtype=np.int64)
-        bad = ((flat < 0) | (flat >= len(ids))).any()
+        bad = ((flat < 0) | (flat >= len(xyz))).any()
     except (KeyError, TypeError, OverflowError):
         bad = True
     counts, centres, dirichlet = [], {}, {}
@@ -382,52 +392,59 @@ def import_mesh(source) -> PolytopalMesh:
             raise MeshError(f"S-element {n} facets {facets!r} is not a list")
         facets = list(facets)
         if bad:
-            facets = [_mesh_ids(f, ids, f"S-element {n} facet") for f in facets]
+            for f in facets:
+                _indices(f, len(xyz), f"S-element {n} facet")
         if not facets:
             raise MeshError(f"S-element {n} has no facets")
         counts.append(len(facets))
         if entry.get("center") is not None:
             centres[n] = _coords(entry["center"], dim, f"S-element {n} center")
         if "dirichlet_sideface_nodes" in entry:
-            dirichlet[n] = _mesh_ids(entry["dirichlet_sideface_nodes"], ids,
-                                     f"S-element {n} dirichlet_sideface_nodes")
+            dirichlet[n] = _indices(entry["dirichlet_sideface_nodes"], len(xyz),
+                                    f"S-element {n} dirichlet_sideface_nodes")
     size = np.fromiter(map(len, lists), int, len(lists))
     table = np.full((len(lists), max(4, size.max())), -1)
-    table[np.arange(table.shape[1]) < size[:, None]] = inverse[flat]
-    return mesh._register(xyz[first], table, counts, centres, dirichlet)
+    table[np.arange(table.shape[1]) < size[:, None]] = flat
+    return mesh._register(xyz, table, counts, centres, dirichlet)
 
 
 def _merge_vertices(xyz: np.ndarray) -> np.ndarray:
-    """File index of the first copy of each file vertex.
+    """Index of the first copy of each point of `xyz` (N, d): the one
+    vertex-merge rule of every mesh.
 
-    Two vertices within MERGE_RTOL of the coordinate extent (max norm) are
+    Two points within MERGE_RTOL of the coordinate extent (max norm) are
     copies; two further apart but within NEAR_RTOL of it raise a MeshError,
     so the copies of a vertex are all within MERGE_RTOL of each other.
-    Candidate pairs are neighbours in the order of a projection onto
-    MERGE_DIRECTION, so the scan stays short.
+    Exact copies collapse first, by one sort of the coordinates' bytes;
+    candidate pairs of the distinct points are then neighbours in the order
+    of a projection onto MERGE_DIRECTION, so the scan stays short.
     """
-    n, d = xyz.shape
-    extent = float(np.ptp(xyz, axis=0).max()) if n else 0.0
+    ids, first = _first_seen(xyz + 0.0)
+    pts = xyz[first]
+    n, d = pts.shape
+    # by columns: numpy reduces the rows of a narrow array slowly
+    extent = float(np.ptp(np.ascontiguousarray(pts.T), axis=1).max()) if n else 0.0
     merge, near = MERGE_RTOL * extent, NEAR_RTOL * extent
     w = MERGE_DIRECTION[:d]
-    proj = xyz @ w
+    proj = pts @ w
     order = np.argsort(proj, kind="stable")
-    first = np.arange(n)
+    rep = np.arange(n)
     for lag in range(1, n):
-        a, b = np.sort([order[:-lag], order[lag:]], axis=0)
+        lo, hi = order[:-lag], order[lag:]
+        a, b = np.minimum(lo, hi), np.maximum(lo, hi)
         close = np.abs(proj[b] - proj[a]) <= near * w.sum()
         if not close.any():
             break
         a, b = a[close], b[close]
-        gap = np.abs(xyz[a] - xyz[b]).max(axis=1)
+        gap = np.abs(pts[a] - pts[b]).max(axis=1)
         bad = np.flatnonzero((gap > merge) & (gap <= near))
         if bad.size:
             i = bad[0]
             raise MeshError(
-                f"vertices {a[i]} and {b[i]} are {gap[i]:.1e} apart, nearly "
-                f"coincident for a coordinate extent of {extent:.2e}")
-        np.minimum.at(first, b[gap <= merge], a[gap <= merge])
-    return first
+                f"vertices {first[a[i]]} and {first[b[i]]} are {gap[i]:.1e} apart, "
+                f"nearly coincident for a coordinate extent of {extent:.2e}")
+        np.minimum.at(rep, b[gap <= merge], a[gap <= merge])
+    return first[rep][ids]
 
 
 def _coords(values, dim: int, what: str) -> np.ndarray:
@@ -441,15 +458,15 @@ def _coords(values, dim: int, what: str) -> np.ndarray:
     return xyz
 
 
-def _mesh_ids(indices, ids: list, what: str) -> tuple:
-    """Mesh ids of a file entry's vertex indices, each checked to be in range."""
+def _indices(indices, n: int, what: str) -> tuple:
+    """A file entry's vertex indices, each checked to be in 0..n-1."""
     try:
-        if all(operator.index(i) >= 0 for i in indices):
-            return tuple(ids[i] for i in indices)
-    except (IndexError, TypeError):
+        if all(0 <= operator.index(i) < n for i in indices):
+            return tuple(operator.index(i) for i in indices)
+    except TypeError:
         pass
     raise MeshError(f"{what} {indices!r} is not a list of vertex indices in "
-                    f"0..{len(ids) - 1}")
+                    f"0..{n - 1}")
 
 
 # -- degree-of-freedom numbering ------------------------------------------------
@@ -618,14 +635,6 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.sort(first)
 
 
-def _lattice(points: np.ndarray, domain) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices and ids of a generator's corner stream (N, d): corners equal at
-    12 decimals of the domain extent are one vertex, ids in first-seen order."""
-    extent = max(abs(hi - lo) for lo, hi in domain) or 1.0
-    ids, first = _first_seen(np.round(points / extent, 12) + 0.0)
-    return points[first], ids
-
-
 def _quad_family(n: int, splits: int, domain) -> PolytopalMesh:
     """n x n square S-elements on `domain`, each side split `splits` times."""
     if n < 1 or splits < 1:
@@ -638,10 +647,10 @@ def _quad_family(n: int, splits: int, domain) -> PolytopalMesh:
     sx, sy = np.arange(splits) * hx / splits, np.arange(splits) * hy / splits
     xs = np.hstack([ax + sx, bx.repeat(splits, 1), bx - sx, ax.repeat(splits, 1)])
     ys = np.hstack([ay.repeat(splits, 1), ay + sy, by.repeat(splits, 1), by - sy])
-    vertices, ids = _lattice(np.stack([xs, ys], axis=-1).reshape(-1, 2), domain)
-    ids = ids.reshape(n * n, 4 * splits)
+    ids = np.arange(xs.size).reshape(n * n, 4 * splits)
     facets = np.stack([ids, np.roll(ids, -1, axis=1)], axis=-1).reshape(-1, 2)
-    return PolytopalMesh(2)._register(vertices, facets, np.full(n * n, 4 * splits))
+    return PolytopalMesh(2)._register(np.stack([xs, ys], axis=-1).reshape(-1, 2),
+                                      facets, np.full(n * n, 4 * splits))
 
 
 def gen_quad_mesh(n: int, domain=((-1.0, 1.0), (-1.0, 1.0))) -> PolytopalMesh:
@@ -677,8 +686,8 @@ def _hex_family(n: int, splits: int, domain) -> PolytopalMesh:
     offsets[t, u] = (p + np.array([0, 1, 1, 0])[turn]) * h[u] / splits
     offsets[t, v] = (q + np.array([0, 0, 1, 1])[turn]) * h[v] / splits
     a = lo + h * (np.arange(n ** 3)[:, None] // [1, n, n * n] % n)   # (ix, jy, kz)
-    vertices, ids = _lattice((a[:, None] + offsets).reshape(-1, 3), domain)
-    return PolytopalMesh(3)._register(vertices, ids.reshape(-1, 4),
+    points = (a[:, None] + offsets).reshape(-1, 3)
+    return PolytopalMesh(3)._register(points, np.arange(len(points)).reshape(-1, 4),
                                       np.full(n ** 3, 6 * splits * splits))
 
 
@@ -699,23 +708,21 @@ def gen_refined_cube(n: int, domain=((0.0, 1.0), (0.0, 1.0),
     return _hex_family(1, n, domain)
 
 
-def _open_mesh(n: int, domain, extent_domain, fe_corners=()) -> PolytopalMesh:
+def _open_mesh(n: int, domain, fe_corners=()) -> PolytopalMesh:
     """The open S-element scaled from the bottom middle of the rectangle
     `domain`: n facets on each vertical side, 2n on the top, the bottom open,
     a homogeneous Dirichlet side-face condition at the bottom left corner.
-    FE quads with corners `fe_corners` (Q, 4, 2) follow; vertices merge
-    relative to the extent of `extent_domain`."""
+    FE quads with corners `fe_corners` (Q, 4, 2) follow."""
     (x0, x1), (y0, y1) = domain
     rim = ([(x1, y0 + s * (y1 - y0) / n) for s in range(n + 1)]
            + [(x1 + s * (x0 - x1) / (2 * n), y1) for s in range(1, 2 * n + 1)]
            + [(x0, y1 - s * (y1 - y0) / n) for s in range(1, n + 1)])
-    vertices, ids = _lattice(np.concatenate([rim, np.reshape(fe_corners, (-1, 2))]),
-                             extent_domain)
-    chain, quads = ids[:len(rim)], ids[len(rim):].reshape(-1, 4)
+    points = np.concatenate([rim, np.reshape(fe_corners, (-1, 2))])
+    quads = np.arange(len(rim), len(points)).reshape(-1, 4)
     edges = np.stack([quads, np.roll(quads, -1, axis=1)], axis=-1).reshape(-1, 2)
     return PolytopalMesh(2)._register(
-        vertices, np.concatenate([np.column_stack([chain[:-1], chain[1:]]), edges]),
-        [4 * n], centres={0: (0.5 * (x0 + x1), y0)}, dirichlet={0: (int(chain[-1]),)})
+        points, np.concatenate([np.arange(len(rim) - 1)[:, None] + [0, 1], edges]),
+        [4 * n], centres={0: (0.5 * (x0 + x1), y0)}, dirichlet={0: (len(rim) - 1,)})
 
 
 def singular_open_selement(n: int, domain=((-1.0, 1.0), (0.0, 1.0))) -> PolytopalMesh:
@@ -728,7 +735,7 @@ def singular_open_selement(n: int, domain=((-1.0, 1.0), (0.0, 1.0))) -> Polytopa
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    return _open_mesh(n, domain, domain)
+    return _open_mesh(n, domain)
 
 
 def gen_coupled_singular(level: int) -> PolytopalMesh:
@@ -747,5 +754,4 @@ def gen_coupled_singular(level: int) -> PolytopalMesh:
     keep = ~((-0.5 < cx) & (cx < 0.5) & (cy < 0.5))
     corners = np.stack([np.column_stack([ax, ax + h, ax + h, ax]),
                         np.column_stack([ay, ay, ay + h, ay + h])], axis=-1)[keep]
-    return _open_mesh(round(0.5 / h), ((-0.5, 0.5), (0.0, 0.5)),
-                      ((-1.0, 1.0), (0.0, 1.0)), corners)
+    return _open_mesh(round(0.5 / h), ((-0.5, 0.5), (0.0, 0.5)), corners)

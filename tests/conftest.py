@@ -754,8 +754,7 @@ def coupled_mixed_mesh() -> PolytopalMesh:
     corners = [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
                for y0, y1 in zip(ys, ys[1:]) for x0, x1 in zip(xs, xs[1:])
                if not (-0.5 <= x0 < 0.5 and y0 < 0.5)]
-    return _open_mesh(1, ((-0.5, 0.5), (0.0, 0.5)), ((-1.0, 1.5), (0.0, 1.0)),
-                      corners)
+    return _open_mesh(1, ((-0.5, 0.5), (0.0, 0.5)), corners)
 
 
 def open_element_pinned_first() -> PolytopalMesh:

@@ -95,20 +95,8 @@ def test_deterministic_output(tmp_path):
     assert f1 == f2
 
 
-def test_threads_match_serial(tmp_path):
-    outs = []
-    for tag, threads in (("s", "1"), ("p", "3")):
-        out = tmp_path / tag
-        rc = main(["interp", "--mesh", "refined-square", "--levels", "1..3",
-                   "--k", "2", "--problem", "exp2d", "--threads", threads,
-                   "--output", str(out)])
-        assert rc == 0
-        outs.append((out / "interp_exp2d_refined-square_k2.csv").read_bytes())
-    assert outs[0] == outs[1]
-
-
 def test_sweep_builds_each_level_once(tmp_path, monkeypatch):
-    # every k of a sweep shares the level's mesh, with 1 or 2 threads alike
+    # every k of a sweep shares the level's mesh
     built = []
 
     def counted(name, level):
@@ -116,16 +104,11 @@ def test_sweep_builds_each_level_once(tmp_path, monkeypatch):
         return build_mesh(name, level)
 
     monkeypatch.setattr(cli, "build_mesh", counted)
-    outs = []
-    for threads in ("1", "2"):
-        built.clear()
-        rc = main(["convergence", "--mesh", "coupled-singular", "--levels", "1..3",
-                   "--k", "1..2", "--problem", "sqrt2d", "--threads", threads,
-                   "--output", str(tmp_path / threads)])
-        assert rc == 0 and sorted(built) == [1, 2, 3]
-        outs.append([(tmp_path / threads / f"convergence_sqrt2d_coupled-singular_k{k}"
-                      ".csv").read_bytes() for k in (1, 2)])
-    assert outs[0] == outs[1]
+    rc = main(["convergence", "--mesh", "coupled-singular", "--levels", "1..3",
+               "--k", "1..2", "--problem", "sqrt2d", "--output", str(tmp_path)])
+    assert rc == 0 and built == [1, 2, 3]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        f"convergence_sqrt2d_coupled-singular_k{k}.csv" for k in (1, 2)]
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -175,7 +158,7 @@ def test_shipped_config_loads_to_its_full_dict(name):
     assert cfg == {"command": command, "mesh": mesh, "level": None, "levels": levels,
                    "k": k, "problem": problem, "output": f"results/{name}",
                    "bc": "project", "facet_order": None, "radial_points": None,
-                   "composite_levels": None, "threads": 1, "dump_eigenvalues": False}
+                   "composite_levels": None, "dump_eigenvalues": False}
     assert sorted(SHIPPED) == sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
 
 
@@ -222,17 +205,16 @@ CSV_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("name", sorted(SHIPPED))
-def test_shipped_config_csvs_are_pinned(name, threads, tmp_path):
+def test_shipped_config_csvs_are_pinned(name, tmp_path):
     # in a child process, so that the BLAS thread count is the recorded one
     # whatever the test session's
     if name in BLAS_DEPENDENT and NO_BLAS_PIN:
         pytest.skip(NO_BLAS_PIN_REASON)
     command = SHIPPED[name][0]
     run = _in_child(["-m", "sbfem.cli", command, "--config",
-                     str(CONFIG_DIR / f"{name}.json"), "--threads", threads,
-                     "--output", str(tmp_path)], PIN_BLAS_THREADS)
+                     str(CONFIG_DIR / f"{name}.json"), "--output", str(tmp_path)],
+                    PIN_BLAS_THREADS)
     assert run.returncode == 0, run.stderr
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
             for p in tmp_path.glob("*.csv")} == CSV_DIGESTS[name]
@@ -344,7 +326,6 @@ def test_mesh_file_without_selements_exit_1(tmp_path, capsys, command):
     (["--facet-order", "0"], "facet_order must be an integer >= 1, got 0"),
     (["--radial-points", "0"], "radial_points must be an integer >= 1, got 0"),
     (["--composite-levels", "-1"], "composite_levels must be an integer >= 0, got -1"),
-    (["--threads", "-4"], "threads must be an integer >= 1, got -4"),
     (["--k", "3..1"], "k must list at least one integer, got '3..1'"),
     (["--levels", "3..1"], "levels must list at least one integer, got '3..1'"),
     (["--k", "7..9"], "k must be between 1 and 8, got 9"),
@@ -356,7 +337,7 @@ def test_mesh_file_without_selements_exit_1(tmp_path, capsys, command):
     (["--levels", "1,1"], "levels must be strictly increasing, got '1,1'"),
     (["modes", "--levels", "1..3"], "levels must name one level for modes, got '1..3'"),
 ], ids=["k-word", "k-open-range", "levels-word", "facet-order-0",
-        "radial-points-0", "composite-levels-negative", "threads-negative",
+        "radial-points-0", "composite-levels-negative",
         "k-empty-range", "levels-empty-range", "k-above-max", "k-0",
         "levels-negative", "levels-from-0", "level-0", "levels-decreasing",
         "levels-repeated", "modes-level-sweep"])
@@ -404,8 +385,6 @@ def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
     ({"k": 1.5}, "k must be an integer, got 1.5"),
     ({"k": True}, "k must be an integer, got True"),
     ({"levels": [1, "a"]}, "levels must be an integer, got 'a'"),
-    ({"threads": "x"}, "threads must be an integer >= 1, got 'x'"),
-    ({"threads": "2"}, "threads must be an integer >= 1, got '2'"),
     ({"facet_order": "x"}, "facet_order must be an integer >= 1, got 'x'"),
     ({"level": "2"}, "level must be an integer, got '2'"),
     ({"output": 5}, "output must be a string, got 5"),
@@ -420,8 +399,7 @@ def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
     ({"levels": []}, "levels must list at least one integer, got []"),
     ({"levels": ","}, "levels must list at least one integer, got ','"),
     ({"k": 9}, "k must be between 1 and 8, got 9"),
-], ids=["k-float", "k-bool", "levels-word", "threads-word", "threads-string",
-        "facet-order-word",
+], ids=["k-float", "k-bool", "levels-word", "facet-order-word",
         "level-string", "output-number", "mesh-number", "dump-eigenvalues-word",
         "bc-unknown", "problem-number", "problem-unknown", "k-empty", "levels-empty",
         "levels-no-entry", "k-above-max"])
@@ -508,12 +486,11 @@ def test_non_finite_errors_exit_1(tmp_path, capsys, command):
 @pytest.mark.parametrize("flags,entry,message", [
     (["--k", "2,2"], {}, "k must be strictly increasing, got '2,2'"),
     ([], {"k": [2, 1]}, "k must be strictly increasing, got [2, 1]"),
-    (["--threads", "x"], {}, "threads must be an integer >= 1, got 'x'"),
     (["--level", "x"], {}, "level must be an integer, got 'x'"),
     (["--facet-order", "x"], {}, "facet_order must be an integer >= 1, got 'x'"),
-    (["--threads", "1.5"], {}, "threads must be an integer >= 1, got '1.5'"),
-], ids=["k-flag-repeated", "k-key-decreasing", "threads-flag-word", "level-flag-word",
-        "facet-order-flag-word", "threads-flag-float"])
+    (["--level", "1.5"], {}, "level must be an integer, got '1.5'"),
+], ids=["k-flag-repeated", "k-key-decreasing", "level-flag-word",
+        "facet-order-flag-word", "level-flag-float"])
 def test_flags_and_lists_go_through_the_key_check(tmp_path, capsys, flags, entry,
                                                  message):
     # every integer list increases strictly, and an integer flag that does not
@@ -526,3 +503,19 @@ def test_flags_and_lists_go_through_the_key_check(tmp_path, capsys, flags, entry
     assert capsys.readouterr() == ("", f"sbfem: config error: {message}\n")
     assert not (tmp_path / "out").exists()
 
+
+
+def test_threads_option_is_gone(tmp_path, capsys):
+    # a sweep runs its levels one after the other: a "threads" key is an
+    # unknown key, and --threads an unknown flag
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"mesh": "quad", "threads": 2}))
+    rc = main(["interp", "--config", str(path), "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "sbfem: config error: unknown config keys: "
+                                   "['threads']\n")
+    rc = main(["interp", "--mesh", "quad", "--threads", "2",
+               "--output", str(tmp_path / "out")])
+    assert rc == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

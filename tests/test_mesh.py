@@ -22,7 +22,7 @@ from conftest import (assert_local_dofs_match, coupled_mixed_mesh, facet_kind,
                       sector_jacobian, sector_rows, selement_dofs,
                       selement_facets)
 from test_postproc import BATCH_CASES
-from sbfem.cli import build_mesh, main
+from sbfem.cli import MESH_FAMILIES, build_mesh, main
 from sbfem.errors import MeshError
 from sbfem.mesh import (MERGE_DIRECTION, NEAR_RTOL, DofNumbering, PolytopalMesh,
                         _merge_vertices, gen_coupled_singular, gen_hex_mesh,
@@ -701,6 +701,78 @@ def test_generators_merge_relative_to_domain_extent(gen):
     assert len(tiny.vertices) == len(unit.vertices) == 3 ** dim
     assert np.allclose(tiny.vertices * 1e13, unit.vertices, rtol=0, atol=1e-12)
     assert facet_list(tiny) == facet_list(unit)
+
+
+# domains where rounding corners to 12 decimals of the extent split round-off
+# copies of one grid line: n, domain, vertices, boundary facets
+CRACKED = {
+    "quad": (gen_quad_mesh, 5, ((-0.6334261879936323, 1.5954841889539755),
+                                (-1.0, 1.0)), 36, 20),
+    "hex": (gen_hex_mesh, 4, ((-1.1347384183896474, 1.3716648672923668),
+                              (0.0, 2.506403285682014), (0.0, 2.506403285682014)),
+            125, 96),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CRACKED))
+def test_generators_merge_round_off_copies_on_a_rounding_boundary(name):
+    gen, n, domain, n_vertices, n_boundary = CRACKED[name]
+    mesh = gen(n, domain)
+    assert len(mesh.vertices) == n_vertices
+    assert len(mesh.boundary_facet_ids()) == n_boundary
+
+
+def _box_with_a_line_on_a_rounding_boundary(rng, n: int, dim: int) -> tuple:
+    """A random box whose grid line i (0 < i < n) of the first axis sits
+    halfway between two steps of 1e-12 x the box's extent."""
+    lo, width = rng.uniform(-2.0, 1.0, dim), rng.uniform(0.5, 3.0, dim)
+    extent = width.max()
+    line = lo[0] + rng.integers(1, n) * width[0] / n
+    lo[0] += (np.floor(line / extent * 1e12) + 0.5) * 1e-12 * extent - line
+    return tuple((a, a + w) for a, w in zip(lo.tolist(), width.tolist()))
+
+
+@pytest.mark.parametrize("gen", [gen_quad_mesh, gen_hex_mesh])
+def test_generators_do_not_crack_on_rounding_boundaries(gen):
+    # rounding the corners to 12 decimals cracked 10 of these quad meshes and
+    # 6 of the hex meshes: each crack added vertices and boundary facets, and
+    # raised nothing
+    dim = 2 if gen is gen_quad_mesh else 3
+    rng = np.random.default_rng(34)
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        domain = _box_with_a_line_on_a_rounding_boundary(rng, n, dim)
+        mesh = gen(n, domain)
+        assert len(mesh.vertices) == (n + 1) ** dim, domain
+        assert len(mesh.boundary_facet_ids()) == 2 * dim * n ** (dim - 1), domain
+
+
+def assert_import_agrees(mesh):
+    """`import_mesh` of the mesh's file gives the same vertices, sector table
+    (up to the file's -1 padding) and class tables, bit for bit; the file
+    schema has no FE quads, so a coupled mesh's FE rows are left out."""
+    back = import_mesh(mesh_to_json(mesh))
+    rows, width = mesh._counts.sum(), mesh._table.shape[1]
+    assert back.vertices.tobytes() == mesh.vertices.tobytes()
+    assert back._table[:, :width].tobytes() == mesh._table[:rows].tobytes()
+    assert (back._table[:, width:] == -1).all()
+    assert back._sel_class.tobytes() == mesh._sel_class.tobytes()
+    assert back._fe_class.tobytes() == mesh._fe_class[:len(back._quads())].tobytes()
+
+
+AGREE = {**{f"cracked-{name}": lambda c=c: c[0](*c[1:3]) for name, c in CRACKED.items()},
+         **{f"{name}-2": lambda name=name: build_mesh(name, 2) for name in MESH_FAMILIES}}
+
+
+@pytest.mark.parametrize("name", sorted(AGREE))
+def test_generated_mesh_and_its_import_agree(name):
+    assert_import_agrees(AGREE[name]())
+
+
+def test_generators_refuse_nearly_coincident_vertices():
+    # the import's rule: grid lines 5e-10 apart on a unit extent are a crack
+    with pytest.raises(MeshError, match=r"vertices 0 and 3 .*nearly coincident"):
+        gen_quad_mesh(2, ((0.0, 1.0), (0.0, 1e-9)))
 
 
 def test_sector_stacks_built_once_and_read_only():
