@@ -8,6 +8,7 @@ through shared interface traces.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,7 @@ import numpy as np
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError, SpectrumError
-from .mesh import DofNumbering, PolytopalMesh, number_dofs
+from .mesh import DofNumbering, PolytopalMesh, _distinct, number_dofs
 from .polyspace import _basis_table, facet_quadrature
 from .refgeom import FacetKind, _chunks, _det, _facet_points, _facet_tangents, _inv
 
@@ -128,7 +129,7 @@ class BlockOperator:
     @property
     def nnz(self) -> int:
         """Stored entries of the summed matrix: its distinct DOF pairs."""
-        return np.unique(np.concatenate([(d[:, :, None] * self.n + d[:, None]).ravel()
+        return _distinct(np.concatenate([(d[:, :, None] * self.n + d[:, None]).ravel()
                                          for d, _ in self.blocks])).size
 
 
@@ -162,9 +163,11 @@ def assemble_global(mesh: PolytopalMesh, k: int) -> GlobalSystem:
     K = BlockOperator([(d, Ks if len(Ks) == 1 else Ks[at]) for d, Ks, at in blocks],
                       numbering.n_total)
     # side-face Dirichlet traces are pinned to zero from the start
-    pins = np.unique(numbering.vertex_dof[
+    pins = _distinct(numbering.vertex_dof[
         [v for vs in mesh._dirichlet.values() for v in vs]])
-    dangling = np.setdiff1d(np.flatnonzero(K.diagonal() == 0), pins)   # in no block
+    empty = K.diagonal() == 0   # in no block
+    empty[pins] = False
+    dangling = np.flatnonzero(empty)
     if dangling.size:
         raise AssemblyError(f"{dangling.size} DOFs receive no element "
                             f"contribution (first: {dangling[:5].tolist()})")
@@ -200,10 +203,17 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
     trace space of the Dirichlet boundary (weak-style enforcement, the one
     that reproduces the reference convergence tables); ``method="nodal"``
     interpolates g at the equispaced Lagrange nodes.  Both reproduce data
-    already in the trace space exactly.
+    already in the trace space exactly.  A facet id that is not an integer
+    (read by `operator.index`) naming a boundary facet raises a SolveError.
     """
+    boundary = system.mesh.boundary_facet_ids()
     if facet_ids is None:
-        facet_ids = system.mesh.boundary_facet_ids()
+        facet_ids = boundary
+    on_boundary = set(boundary)
+    for f in facet_ids:
+        if not (hasattr(f, "__index__") and operator.index(f) in on_boundary):
+            raise SolveError(f"facet id {f!r} is not a boundary facet of the mesh")
+    facet_ids = [operator.index(f) for f in facet_ids]
     dofs = system.numbering.facet_boundary_dofs(facet_ids)
     if dofs.size == 0 and not system.dirichlet_dofs.size:
         raise SolveError("no Dirichlet boundary: the Laplace system is singular")

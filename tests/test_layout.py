@@ -2,10 +2,15 @@
 use."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from conftest import jittered_quad_mesh, mesh_to_json
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -17,12 +22,13 @@ ALLOWED: dict = {}
 class _Scan(ast.NodeVisitor):
     """Definitions of a module (dunders excepted), the names it references,
     its functions' parameter names (a test requests a fixture by one), its
-    dataclass fields and the attributes it reads outside dunder methods; a
-    name used inside a definition of the same name (recursion) is no use."""
+    dataclass fields, the attributes it reads outside dunder methods and
+    its `np.<name>(...)` calls; a name used inside a definition of the same
+    name (recursion) is no use."""
 
     def __init__(self, path: Path):
         self.defs, self.refs, self.fields, self.reads = [], set(), [], set()
-        self.params = set()
+        self.params, self.np_calls = set(), []
         self._classes, self._functions = [path.stem], []
         self.visit(ast.parse(path.read_text(), filename=str(path)))
 
@@ -46,6 +52,14 @@ class _Scan(ast.NodeVisitor):
     def visit_Name(self, node):
         if node.id not in self._functions:
             self.refs.add(node.id)
+
+    def visit_Call(self, node):
+        f = node.func
+        if isinstance(f, ast.Attribute) and ast.unparse(f.value) == "np":
+            flags = {k.arg for k in node.keywords if not (
+                isinstance(k.value, ast.Constant) and k.value.value is False)}
+            self.np_calls.append((f.attr, node.lineno, flags))
+        self.generic_visit(node)
 
     def visit_Attribute(self, node):
         if node.attr not in self._functions:
@@ -137,3 +151,46 @@ assert {"trace_basis", "facet_quadrature", "_basis_table", "radial_quadrature",
         "_corner_weights", "_node_corners"} <= sizes.keys(), sizes
 assert not any(sizes.values()), sizes
 """)
+
+
+def test_pipeline_run_loads_no_numpy_ma(tmp_path):
+    # numpy 2's value-only np.unique imports numpy.ma on first use: about
+    # 12 ms and 1.3 MB of every start, which no result needs (`mesh._distinct`)
+    probe = subprocess.run([sys.executable, "-c", "import sys, numpy\n"
+                            "print('numpy.ma' in sys.modules)"],
+                           capture_output=True, text=True, check=True)
+    if probe.stdout.strip() == "True":
+        pytest.skip("import numpy alone loads numpy.ma with this numpy (1.x)")
+    mesh_file = tmp_path / "jittered.json"
+    mesh_file.write_text(json.dumps(mesh_to_json(jittered_quad_mesh(4, 0.2, seed=3))))
+    config = ROOT / "configs" / "coupled-singular.json"
+    _run_after_import(f"""
+from sbfem.mesh import gen_hex_mesh, gen_quad_mesh, import_mesh
+from sbfem.postproc import get_exact, solution_errors
+from sbfem.solver import apply_dirichlet, assemble_global, solve
+for mesh, problem in ((gen_quad_mesh(2), "exp2d"), (gen_hex_mesh(2), "exp3d"),
+                      (import_mesh({str(mesh_file)!r}), "exp2d")):
+    exact = get_exact(problem)
+    solution_errors(solve(apply_dirichlet(assemble_global(mesh, 2), exact.value)), exact)
+assert sbfem.cli.main(["convergence", "--config", {str(config)!r}, "--levels", "1..2",
+                       "--output", {str(tmp_path / "out")!r}]) == 0
+assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+""")
+
+
+# numpy 2's np.unique without index, inverse or counts asks np.ma.is_masked,
+# which imports numpy.ma, as do the set operations built on it
+_MA_SET_OPERATIONS = {"setdiff1d", "union1d", "intersect1d", "unique_values"}
+
+
+def test_set_operations_leave_numpy_ma_unimported():
+    # `test_pipeline_run_loads_no_numpy_ma` runs the common paths; this rule
+    # covers the call sites that it does not reach
+    calls = [(p.name, line, f, flags) for p in sorted((ROOT / "src" / "sbfem").glob("*.py"))
+             for f, line, flags in _Scan(p).np_calls]
+    assert sum(f == "unique" for _, _, f, _ in calls) > 5    # the scan sees the calls
+    bad = [f"{name}:{line} np.{f}" for name, line, f, flags in calls
+           if f in _MA_SET_OPERATIONS or f == "unique" and not flags & {
+               "return_index", "return_inverse", "return_counts"}]
+    assert not bad, (f"set operations that import numpy.ma: {bad}; "
+                     "use mesh._distinct for the sorted distinct values")

@@ -7,6 +7,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (assert_local_dofs_match, coupled_mixed_mesh, facet_kind,
                       facet_list, facet_map_many, facet_nodes, facet_owners,
@@ -25,10 +27,10 @@ from test_postproc import BATCH_CASES
 from sbfem.cli import MESH_FAMILIES, build_mesh, main
 from sbfem.errors import MeshError
 from sbfem.mesh import (MERGE_DIRECTION, NEAR_RTOL, DofNumbering, PolytopalMesh,
-                        _merge_vertices, gen_coupled_singular, gen_hex_mesh,
-                        gen_polygon_case1, gen_polyhedron_case1, gen_quad_mesh,
-                        gen_refined_cube, gen_refined_square, import_mesh,
-                        number_dofs, singular_open_selement)
+                        _distinct, _merge_vertices, gen_coupled_singular,
+                        gen_hex_mesh, gen_polygon_case1, gen_polyhedron_case1,
+                        gen_quad_mesh, gen_refined_cube, gen_refined_square,
+                        import_mesh, number_dofs, singular_open_selement)
 from sbfem.polyspace import MAX_DEGREE, trace_basis
 from sbfem.refgeom import FacetKind, _facet_points
 
@@ -1220,3 +1222,24 @@ def test_import_names_the_selement_whose_surface_falls_apart():
         with pytest.raises(MeshError, match=rf"^S-element {e}: boundary facets "
                                             "form 2 disconnected pieces$"):
             import_mesh(dict(data, selements=[{"facets": f} for f in sels]))
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.one_of(st.integers(-5, 5), st.integers(_INT64.min, _INT64.max),
+                          st.sampled_from([_INT64.min, _INT64.min + 1, -1, 0,
+                                           _INT64.max - 1, _INT64.max])),
+                max_size=60))
+@example([]).via("the empty array")
+@example([_INT64.max]).via("one element")
+@example([_INT64.max, _INT64.min, 0, _INT64.min, _INT64.max]).via("the extremes twice")
+def test_distinct_matches_np_unique(values):
+    # repeats, negatives and both int64 extremes: the same values, dtype
+    # and layout as np.unique, bit for bit
+    x = np.array(values, dtype=np.int64)
+    got, want = _distinct(x), np.unique(x)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.flags.c_contiguous and want.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()

@@ -22,8 +22,8 @@ from conftest import (coupled_mixed_mesh, dirichlet_map, evaluate_in_fe,
                       reference_mode_chain, reference_project_trace,
                       sector_rows, selement_dofs, selement_views)
 from test_postproc import BATCH_CASES, _galerkin
-from sbfem.solver import (_project_trace, apply_dirichlet, assemble_global,
-                          build_operators, fe_element_stiffness,
+from sbfem.solver import (DIRICHLET_METHODS, _project_trace, apply_dirichlet,
+                          assemble_global, build_operators, fe_element_stiffness,
                           sbfem_interpolate, solve)
 
 
@@ -213,6 +213,44 @@ def test_unknown_dirichlet_method_rejected():
     system = assemble_global(gen_quad_mesh(1), 1)
     with pytest.raises(SolveError, match="^unknown Dirichlet method 'foo'$"):
         apply_dirichlet(system, 1.0, method="foo")
+
+
+_BOUNDARY_QUAD_2 = [0, 3, 4, 5, 8, 9, 10, 11]    # gen_quad_mesh(2)'s boundary facets
+
+
+@pytest.mark.parametrize("method", DIRICHLET_METHODS)
+@pytest.mark.parametrize("bad", [999, -1, 1, 2.7, np.float64(3.0), "3"],
+                         ids=["past-the-end", "negative", "interior", "float",
+                              "numpy-float", "string"])
+def test_dirichlet_refuses_a_facet_id_off_the_boundary(bad, method):
+    # an id past the end or negative raised an IndexError under "project" and
+    # was dropped under "nodal"; interior facet 1 pinned 18 DOFs instead of
+    # 16, and 2.7 was read as interior facet 2
+    system = assemble_global(gen_quad_mesh(2), 2)
+    assert system.mesh.boundary_facet_ids() == _BOUNDARY_QUAD_2
+    with pytest.raises(SolveError, match=f"^facet id {re.escape(repr(bad))} is not a "
+                                         "boundary facet of the mesh$"):
+        apply_dirichlet(system, get_exact("exp2d").value,
+                        facet_ids=_BOUNDARY_QUAD_2[:3] + [bad] + _BOUNDARY_QUAD_2[3:],
+                        method=method)
+    assert system.dirichlet_dofs.size == 0
+
+
+@pytest.mark.parametrize("method", DIRICHLET_METHODS)
+def test_dirichlet_reads_facet_ids_as_integers(method):
+    # None (every boundary facet), a list of ints, an int64 array and [] on
+    # a pinned system agree with the default, bit for bit
+    g = get_exact("exp2d").value
+    systems = []
+    for ids in (None, _BOUNDARY_QUAD_2, np.array(_BOUNDARY_QUAD_2),
+                [np.int32(f) for f in _BOUNDARY_QUAD_2]):
+        systems.append(apply_dirichlet(assemble_global(gen_quad_mesh(2), 2), g,
+                                       facet_ids=ids, method=method))
+    apply_dirichlet(systems[-1], g, facet_ids=[], method=method)
+    for system in systems:
+        assert system.dirichlet_dofs.tobytes() == systems[0].dirichlet_dofs.tobytes()
+        assert system.dirichlet_values.tobytes() == systems[0].dirichlet_values.tobytes()
+    assert systems[0].dirichlet_dofs.size == 16
 
 
 def test_dangling_sideface_dof_auto_pinned():
