@@ -21,7 +21,7 @@ from .mesh import (DofNumbering, PolytopalMesh, gen_coupled_singular,
 from .solver import (DiscreteSolution, GlobalSystem, apply_dirichlet,
                      assemble_global, build_operators, fe_element_stiffness,
                      sbfem_interpolate, solve)
-from .postproc import (ErrorReport, ExactSolution, convergence_table,
-                       get_exact, report_to_csv, solution_errors)
+from .postproc import (ExactSolution, convergence_rates, get_exact,
+                       report_to_csv, solution_errors)
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from . import mesh as mesh_mod
 from .errors import ConfigError, SbfemError
 from .modes import eigenvalue_rows
 from .polyspace import MAX_DEGREE
-from .postproc import (EXACT_SOLUTIONS, convergence_table, get_exact,
+from .postproc import (EXACT_SOLUTIONS, convergence_rates, get_exact,
                        report_to_csv, solution_errors)
 from .solver import (DIRICHLET_METHODS, apply_dirichlet, assemble_global,
                      build_operators, sbfem_interpolate, solve)
@@ -46,13 +46,12 @@ def build_mesh(name: str, level: int):
 
 
 # Each config key, and its flag: (default, accepted values, flag help).  Accepted:
-# `str`; `bool` (a store_true flag); `int`, or an int n for integers >= n; `list`:
-# an integer, a strictly increasing list of them, "a..b" or "a,b,c"; or a sorted
-# list of names.
+# `str`; `bool` (a store_true flag); an int n for integers >= n; `list`: an
+# integer >= 1, a strictly increasing list of them, "a..b" or "a,b,c"; or a
+# sorted list of names.
 OPTIONS = {
     "mesh": ("quad", str, "mesh family name or file:<path>"),
-    "level": (None, int, "single refinement level"),
-    "levels": (None, list, "level sweep, e.g. 1..4 or 1,2,3"),
+    "levels": ("1", list, "refinement level(s), e.g. 2, 1..4 or 1,2,3"),
     "k": ("1", list, "trace degree(s), e.g. 2 or 1..3"),
     "problem": ("exp2d", sorted(EXACT_SOLUTIONS), "exact solution registry name"),
     "output": (".", str, "output directory"),
@@ -78,13 +77,12 @@ def _check(key: str, value, accepts):
                                   f"a..b, got {value!r}") from None
         if not out:
             raise ConfigError(f"{key} must list at least one integer, got {value!r}")
-        out = [_check(key, v, int) for v in out]
+        out = [_check(key, v, 1) for v in out]
         if any(b <= a for a, b in zip(out, out[1:])):
             raise ConfigError(f"{key} must be strictly increasing, got {value!r}")
         return out
-    if accepts is int or isinstance(accepts, int):
-        ok = type(value) is int and (accepts is int or value >= accepts)
-        what = "an integer" + ("" if accepts is int else f" >= {accepts}")
+    if isinstance(accepts, int):
+        ok, what = type(value) is int and value >= accepts, f"an integer >= {accepts}"
     elif isinstance(accepts, list):
         ok, what = value in accepts, f"one of {accepts}"
     else:
@@ -129,25 +127,19 @@ def load_config(args: argparse.Namespace) -> dict:
     for key, (_, accepts, _) in OPTIONS.items():
         if (v := getattr(args, key, None)) is not None:
             given[key] = v
-            if accepts is int or isinstance(accepts, int):
+            if isinstance(accepts, int):
                 with contextlib.suppress(ValueError):
                     given[key] = int(v)
     cfg = {key: None if given[key] is None and default is None
            else _check(key, given[key], accepts)
            for key, (default, accepts, _) in OPTIONS.items()}
     cfg["command"] = args.command
-    # a single level wins over a sweep; both are >= 1
-    single = [] if cfg["level"] is None else [cfg["level"]]
-    for key, levels in (("level", single), ("levels", cfg["levels"] or [])):
-        if levels and min(levels) < 1:
-            raise ConfigError(f"{key} must be >= 1, got {min(levels)}")
-    levels = cfg["levels"] = single or cfg["levels"] or [1]
     for where, one in (("modes", args.command == "modes"),
                        ("a file: mesh", cfg["mesh"].startswith("file:"))):
-        if one and len(levels) > 1:
+        if one and len(cfg["levels"]) > 1:
             raise ConfigError(f"levels must name one level for {where}, "
                               f"got {given['levels']!r}")
-    for k in [k for k in cfg["k"] if not 1 <= k <= MAX_DEGREE][:1]:
+    for k in [k for k in cfg["k"] if k > MAX_DEGREE][:1]:
         raise ConfigError(f"k must be between 1 and {MAX_DEGREE}, got {k}")
     out = Path(cfg["output"])
     for p in [p for p in (out, *out.parents) if p.exists() and not p.is_dir()][:1]:
@@ -222,12 +214,12 @@ def run(cfg: dict) -> int:
             if cfg["dump_eigenvalues"]:
                 _eigen_csv(sol.mesh, sol.operators, out_dir,
                            f"{_mesh_tag(cfg['mesh'])}_k{k}_l{lev}")
-        report = convergence_table(rows)
+        rates = convergence_rates(rows)
         name = f"{command}_{cfg['problem']}_{_mesh_tag(cfg['mesh'])}_k{k}.csv"
-        _write(out_dir / name, report_to_csv(report))
+        _write(out_dir / name, report_to_csv(rows, rates))
         if len(rows) > 1:
-            print(f"  rates (last two levels): l2={report.rate_l2:.3f} "
-                  f"h1={report.rate_h1:.3f} -> {out_dir / name}")
+            print(f"  rates (last two levels): l2={rates[0]:.3f} "
+                  f"h1={rates[1]:.3f} -> {out_dir / name}")
     return 0
 
 

@@ -350,33 +350,25 @@ def _error_sums(w, vals, grads, exact=None, pts=None) -> np.ndarray:
                      np.einsum(f"{ax},{ax}z,{ax}z->", w, grads, grads)])
 
 
-@dataclass
-class ErrorReport:
-    """Per-level errors and the last-two-level convergence rates."""
-
-    rows: list                 # (level, h, dof, e_l2, e_h1)
-    rate_l2: float
-    rate_h1: float
-
-
-def convergence_table(runs: list) -> ErrorReport:
-    """Rates log2(e_l / e_{l+1}) from the last two refinement levels."""
-    if len(runs) < 1:
+def convergence_rates(rows: list) -> tuple[float, float]:
+    """Rates log2(e_l / e_{l+1}) of (L2, H1) from the last two of the
+    (level, h, dof, e_l2, e_h1) rows; NaN for one level."""
+    if len(rows) < 1:
         raise SbfemError("convergence table needs at least one level")
-    dofs = [r[2] for r in runs]
+    dofs = [r[2] for r in rows]
     if any(b <= a for a, b in zip(dofs, dofs[1:])):
         raise SbfemError(f"DOF sequence {dofs} is not increasing")
-    rate_l2, rate_h1 = ([float(np.log2(a / b)) if a > 0 and b > 0 else 0.0
-                         for a, b in zip(runs[-2][3:], runs[-1][3:])]
-                        if len(runs) >= 2 else [float("nan")] * 2)
-    return ErrorReport(rows=list(runs), rate_l2=rate_l2, rate_h1=rate_h1)
+    if len(rows) < 2:
+        return float("nan"), float("nan")
+    return tuple(float(np.log2(a / b)) if a > 0 and b > 0 else 0.0
+                 for a, b in zip(rows[-2][3:], rows[-1][3:]))
 
 
-def report_to_csv(report: ErrorReport) -> str:
+def report_to_csv(rows: list, rates: tuple[float, float]) -> str:
     out = io.StringIO()
     out.write("level,h,dof,e_l2,e_h1\n")
-    for level, h, dof, e_l2, e_h1 in report.rows:
+    for level, h, dof, e_l2, e_h1 in rows:
         out.write(f"{level},{h:.5E},{dof},{e_l2:.5E},{e_h1:.5E}\n")
-    if np.isfinite(report.rate_l2):
-        out.write(f"# rate_l2={report.rate_l2:.5E},rate_h1={report.rate_h1:.5E}\n")
+    if np.isfinite(rates[0]):
+        out.write(f"# rate_l2={rates[0]:.5E},rate_h1={rates[1]:.5E}\n")
     return out.getvalue()

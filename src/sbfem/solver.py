@@ -204,7 +204,8 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
     that reproduces the reference convergence tables); ``method="nodal"``
     interpolates g at the equispaced Lagrange nodes.  Both reproduce data
     already in the trace space exactly.  A facet id that is not an integer
-    (read by `operator.index`) naming a boundary facet raises a SolveError.
+    (read by `operator.index`) naming a boundary facet raises a SolveError;
+    the order of the ids and their repeats do not matter.
     """
     boundary = system.mesh.boundary_facet_ids()
     if facet_ids is None:
@@ -213,7 +214,7 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
     for f in facet_ids:
         if not (hasattr(f, "__index__") and operator.index(f) in on_boundary):
             raise SolveError(f"facet id {f!r} is not a boundary facet of the mesh")
-    facet_ids = [operator.index(f) for f in facet_ids]
+    facet_ids = _distinct(np.array([operator.index(f) for f in facet_ids], dtype=int))
     dofs = system.numbering.facet_boundary_dofs(facet_ids)
     if dofs.size == 0 and not system.dirichlet_dofs.size:
         raise SolveError("no Dirichlet boundary: the Laplace system is singular")

@@ -1037,6 +1037,37 @@ def save_mesh(mesh, path):
         json.dump(mesh_to_json(mesh), fh, indent=1)
 
 
+def _harmonic_2d(x, k):
+    """Re p and its gradient, p(z) = sum_j c_j (z - z0)^j over j <= k."""
+    z = (x[:, 0] - 0.3) + 1j * (x[:, 1] + 0.2)
+    c = [(1.0 + 0.5 * j) + (0.3 - 0.2 * j) * 1j for j in range(k + 1)]
+    p = sum(c[j] * z ** j for j in range(k + 1))
+    dp = sum(j * c[j] * z ** (j - 1) for j in range(1, k + 1))   # u_x - i u_y
+    return p.real, np.stack([dp.real, -dp.imag], axis=-1)
+
+
+def _harmonic_3d(x, k):
+    """1 plus one harmonic part of each degree 1..k (k <= 3) about an
+    off-centre point, and its gradient."""
+    x, y, z = (x - [0.2, -0.1, 0.3]).T
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    parts = [(one, (zero, zero, zero)),
+             (x + 2 * y - z, (one, 2 * one, -one)),
+             (x * y + y * z - x * z + x * x - z * z, (y - z + 2 * x, x + z, y - x - 2 * z)),
+             (x * y * z + x ** 3 - 3 * x * y * y,
+              (y * z + 3 * x * x - 3 * y * y, x * z - 6 * x * y, x * y))][:k + 1]
+    return (sum(v for v, _ in parts),
+            np.stack([sum(g[i] for _, g in parts) for i in range(3)], axis=-1))
+
+
+def harmonic_polynomial(dim: int, k: int) -> postproc.ExactSolution:
+    """A harmonic polynomial of degree k with a part of every lower degree:
+    the SBFEM space of degree k holds it (separable xi^p phi(eta) parts about
+    any scaling centre)."""
+    field = _harmonic_2d if dim == 2 else _harmonic_3d
+    return postproc.ExactSolution(f"harmonic{dim}d_k{k}", dim, lambda x: field(x, k))
+
+
 def laplacian_residual(exact, points: np.ndarray, step: float = 1e-3) -> float:
     """Scaled finite-difference Laplacian of a registered solution."""
     d = points.shape[1]

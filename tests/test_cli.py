@@ -50,7 +50,7 @@ def test_modes_single_square(tmp_path, capsys):
 
 
 def test_solve_const_zero_errors(tmp_path, capsys):
-    rc = main(["solve", "--mesh", "quad", "--level", "1", "--k", "1",
+    rc = main(["solve", "--mesh", "quad", "--levels", "1", "--k", "1",
                "--problem", "const", "--output", str(tmp_path)])
     assert rc == 0
     csv = (tmp_path / "solve_const_quad_k1.csv").read_text()
@@ -76,7 +76,7 @@ def test_convergence_matches_reference_row(tmp_path):
 def test_unwritable_output_file_exits_1(tmp_path, capsys):
     # a directory stands where the CSV should go
     (tmp_path / "solve_const_quad_k1.csv").mkdir()
-    rc = main(["solve", "--mesh", "quad", "--level", "1", "--k", "1",
+    rc = main(["solve", "--mesh", "quad", "--levels", "1", "--k", "1",
                "--problem", "const", "--output", str(tmp_path)])
     assert rc == 1
     assert capsys.readouterr().err.startswith(
@@ -135,6 +135,20 @@ def test_shipped_configs_parse():
         build_mesh(cfg["mesh"], cfg["levels"][0])
 
 
+def test_readme_key_table_matches_options():
+    # README's key table lists each key of `cli.OPTIONS` once, in order, with
+    # its flag and its default ("none ..." for a null default)
+    text = (CONFIG_DIR.parent / "README.md").read_text()
+    head = "| key | flag | default | accepts |\n|---|---|---|---|\n"
+    body = text[text.index(head) + len(head):].split("\n\n")[0]
+    rows = [[c.strip() for c in line.strip("|").split("|")] for line in body.splitlines()]
+    assert [row[0] for row in rows] == [f"`{key}`" for key in cli.OPTIONS]
+    for (_, flag, cell, _), (key, (default, _, _)) in zip(rows, cli.OPTIONS.items()):
+        assert flag == f"`--{key.replace('_', '-')}`"
+        assert (cell.startswith("none") if default is None
+                else cell == f"`{str(default).lower()}`"), (key, cell)
+
+
 # each shipped config: command, mesh, levels, k, problem; every other key
 # it leaves out takes its default
 SHIPPED = {
@@ -155,7 +169,7 @@ def test_shipped_config_loads_to_its_full_dict(name):
     command, mesh, levels, k, problem = SHIPPED[name]
     cfg = load_config(argparse.Namespace(command=command,
                                          config=str(CONFIG_DIR / f"{name}.json")))
-    assert cfg == {"command": command, "mesh": mesh, "level": None, "levels": levels,
+    assert cfg == {"command": command, "mesh": mesh, "levels": levels,
                    "k": k, "problem": problem, "output": f"results/{name}",
                    "bc": "project", "facet_order": None, "radial_points": None,
                    "composite_levels": None, "dump_eigenvalues": False}
@@ -258,7 +272,7 @@ def test_config_command_must_match(tmp_path, capsys):
 
 
 def test_dump_eigenvalues_flag(tmp_path):
-    rc = main(["solve", "--mesh", "quad", "--level", "1", "--k", "1",
+    rc = main(["solve", "--mesh", "quad", "--levels", "1", "--k", "1",
                "--problem", "const", "--output", str(tmp_path),
                "--dump-eigenvalues"])
     assert rc == 0
@@ -329,17 +343,16 @@ def test_mesh_file_without_selements_exit_1(tmp_path, capsys, command):
     (["--k", "3..1"], "k must list at least one integer, got '3..1'"),
     (["--levels", "3..1"], "levels must list at least one integer, got '3..1'"),
     (["--k", "7..9"], "k must be between 1 and 8, got 9"),
-    (["--k", "0"], "k must be between 1 and 8, got 0"),
-    (["--levels", "-1"], "levels must be >= 1, got -1"),
-    (["--levels", "0..2"], "levels must be >= 1, got 0"),
-    (["--level", "0"], "level must be >= 1, got 0"),
+    (["--k", "0"], "k must be an integer >= 1, got 0"),
+    (["--levels", "-1"], "levels must be an integer >= 1, got -1"),
+    (["--levels", "0..2"], "levels must be an integer >= 1, got 0"),
     (["--levels", "2,1"], "levels must be strictly increasing, got '2,1'"),
     (["--levels", "1,1"], "levels must be strictly increasing, got '1,1'"),
     (["modes", "--levels", "1..3"], "levels must name one level for modes, got '1..3'"),
 ], ids=["k-word", "k-open-range", "levels-word", "facet-order-0",
         "radial-points-0", "composite-levels-negative",
         "k-empty-range", "levels-empty-range", "k-above-max", "k-0",
-        "levels-negative", "levels-from-0", "level-0", "levels-decreasing",
+        "levels-negative", "levels-from-0", "levels-decreasing",
         "levels-repeated", "modes-level-sweep"])
 def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
     # a case that names no command runs `interp`
@@ -351,15 +364,13 @@ def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
 
 
 @pytest.mark.parametrize("flags,entry,message", [
-    (["--level", "1", "--levels", "a"], {},
-     "levels must be an integer, a list a,b,c or a range a..b, got 'a'"),
-    ([], {"level": 1, "levels": [3, 1]}, "levels must be strictly increasing, got [3, 1]"),
-    (["--level", "2"], {"levels": "0..2"}, "levels must be >= 1, got 0"),
-    (["--bc", "foo"], {}, "bc must be one of ['nodal', 'project'], got 'foo'"),
-], ids=["levels-flag-beside-level", "levels-key-beside-level",
-        "levels-key-beside-level-flag", "bc-flag-unknown"])
+    (["--levels", "0..2"], {"levels": 2}, "levels must be an integer >= 1, got 0"),
+    ([], {"levels": [3, 1]}, "levels must be strictly increasing, got [3, 1]"),
+    (["--bc", "foo"], {"bc": "nodal"}, "bc must be one of ['nodal', 'project'], "
+                                       "got 'foo'"),
+], ids=["levels-flag-over-key", "levels-key-decreasing", "bc-flag-over-key"])
 def test_every_given_key_is_checked(tmp_path, capsys, flags, entry, message):
-    # a key that another key overrides is still checked, and a flag gives the
+    # a flag that overrides a valid config key is checked, and gives the
     # config key's message
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict({"mesh": "quad"}, **entry)))
@@ -382,11 +393,12 @@ def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("entry,message", [
-    ({"k": 1.5}, "k must be an integer, got 1.5"),
-    ({"k": True}, "k must be an integer, got True"),
-    ({"levels": [1, "a"]}, "levels must be an integer, got 'a'"),
+    ({"k": 1.5}, "k must be an integer >= 1, got 1.5"),
+    ({"k": True}, "k must be an integer >= 1, got True"),
+    ({"levels": [1, "a"]}, "levels must be an integer >= 1, got 'a'"),
     ({"facet_order": "x"}, "facet_order must be an integer >= 1, got 'x'"),
-    ({"level": "2"}, "level must be an integer, got '2'"),
+    ({"radial_points": "2"}, "radial_points must be an integer >= 1, got '2'"),
+    ({"level": 2}, "unknown config keys: ['level']"),
     ({"output": 5}, "output must be a string, got 5"),
     ({"mesh": 5}, "mesh must be a string, got 5"),
     ({"dump_eigenvalues": "no"}, "dump_eigenvalues must be true or false, got 'no'"),
@@ -400,7 +412,7 @@ def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
     ({"levels": ","}, "levels must list at least one integer, got ','"),
     ({"k": 9}, "k must be between 1 and 8, got 9"),
 ], ids=["k-float", "k-bool", "levels-word", "facet-order-word",
-        "level-string", "output-number", "mesh-number", "dump-eigenvalues-word",
+        "radial-points-string", "level-key-removed", "output-number", "mesh-number", "dump-eigenvalues-word",
         "bc-unknown", "problem-number", "problem-unknown", "k-empty", "levels-empty",
         "levels-no-entry", "k-above-max"])
 def test_malformed_config_value_exit_2(tmp_path, capsys, entry, message):
@@ -430,7 +442,7 @@ def test_output_path_error_exit_2(tmp_path, capsys, sub):
     # refused at load time, before any level runs
     (tmp_path / "f1").write_text("")
     out = tmp_path / "f1" / sub
-    rc = main(["solve", "--mesh", "quad", "--level", "1", "--output", str(out)])
+    rc = main(["solve", "--mesh", "quad", "--levels", "1", "--output", str(out)])
     assert rc == 2
     assert capsys.readouterr() == ("", "sbfem: config error: output must be a "
                                    f"directory, but {tmp_path / 'f1'} is not one\n")
@@ -486,11 +498,12 @@ def test_non_finite_errors_exit_1(tmp_path, capsys, command):
 @pytest.mark.parametrize("flags,entry,message", [
     (["--k", "2,2"], {}, "k must be strictly increasing, got '2,2'"),
     ([], {"k": [2, 1]}, "k must be strictly increasing, got [2, 1]"),
-    (["--level", "x"], {}, "level must be an integer, got 'x'"),
+    (["--radial-points", "x"], {}, "radial_points must be an integer >= 1, got 'x'"),
     (["--facet-order", "x"], {}, "facet_order must be an integer >= 1, got 'x'"),
-    (["--level", "1.5"], {}, "level must be an integer, got '1.5'"),
-], ids=["k-flag-repeated", "k-key-decreasing", "level-flag-word",
-        "facet-order-flag-word", "level-flag-float"])
+    (["--radial-points", "1.5"], {}, "radial_points must be an integer >= 1, "
+                                     "got '1.5'"),
+], ids=["k-flag-repeated", "k-key-decreasing", "radial-points-flag-word",
+        "facet-order-flag-word", "radial-points-flag-float"])
 def test_flags_and_lists_go_through_the_key_check(tmp_path, capsys, flags, entry,
                                                  message):
     # every integer list increases strictly, and an integer flag that does not

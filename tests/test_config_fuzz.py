@@ -21,13 +21,13 @@ from sbfem.cli import main
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
-# key -> invalid values; `level`, `levels` and the quadrature orders
-# default to null, so null is valid for them
+# key -> invalid values; the quadrature orders default to null, so null is
+# valid for them; `level` and `threads` are removed keys, refused as unknown
 INVALID = {
     "command": ["nosuch", 5],
     "mesh": [5, ["quad"], "nosuch", None],
     "level": ["2", 1.5, True, 0, -1],
-    "levels": [1.5, True, {"a": 1}, "a", -1, "0..2", "2,1", [2, 1], [1, 1], []],
+    "levels": [1.5, True, {"a": 1}, "a", -1, "0..2", "2,1", [2, 1], [1, 1], [], None],
     "k": [1.5, True, "x", 0, 9, "7..9", [], None, "2,2", [2, 1]],
     "problem": [5, "nosuch", None],
     "output": [5, ["out"], None],

@@ -19,7 +19,7 @@ from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
                         singular_open_selement)
 from sbfem.polyspace import (TraceBasis, _basis_table, facet_quadrature,
                              radial_quadrature, trace_basis)
-from sbfem.postproc import (EXACT_SOLUTIONS, convergence_table, get_exact,
+from sbfem.postproc import (EXACT_SOLUTIONS, convergence_rates, get_exact,
                             report_to_csv, solution_errors)
 from sbfem.refgeom import FacetKind
 from sbfem.solver import (apply_dirichlet, assemble_global, sbfem_interpolate,
@@ -88,33 +88,32 @@ def test_exact_solution_of_another_dimension_is_named(make, k, problem, dims):
         solution_errors(sol, get_exact(problem))
 
 
-def test_convergence_table_rates():
+def test_convergence_rates():
     rows = [(1, 0.5, 25, 1.0, 2.0), (2, 0.25, 81, 0.25, 1.0),
             (3, 0.125, 289, 0.0625, 0.5)]
-    report = convergence_table(rows)
-    assert report.rate_l2 == pytest.approx(2.0)
-    assert report.rate_h1 == pytest.approx(1.0)
-    flat = convergence_table([(1, 0.5, 25, 1.0, 1.0), (2, 0.25, 81, 1.0, 1.0)])
-    assert flat.rate_l2 == pytest.approx(0.0)
-    assert flat.rate_h1 == pytest.approx(0.0)
+    assert convergence_rates(rows) == pytest.approx((2.0, 1.0))
+    flat = [(1, 0.5, 25, 1.0, 1.0), (2, 0.25, 81, 1.0, 1.0)]
+    assert convergence_rates(flat) == pytest.approx((0.0, 0.0))
+    assert np.isnan(convergence_rates(rows[:1])).all()
 
 
-def test_convergence_table_rejects_non_monotone():
-    with pytest.raises(SbfemError):
-        convergence_table([(1, 0.5, 100, 1.0, 1.0), (2, 0.25, 80, 0.5, 0.5)])
+def test_convergence_rates_reject_non_monotone():
+    with pytest.raises(SbfemError, match=r"^DOF sequence \[100, 80\] is not increasing$"):
+        convergence_rates([(1, 0.5, 100, 1.0, 1.0), (2, 0.25, 80, 0.5, 0.5)])
     with pytest.raises(SbfemError, match="^convergence table needs at least one level$"):
-        convergence_table([])
+        convergence_rates([])
 
 
 def test_csv_schema():
-    report = convergence_table([(1, 0.5, 25, 1.2345678e-3, 6.543210e-1),
-                                (2, 0.25, 81, 3.0864195e-4, 3.2716050e-1)])
-    text = report_to_csv(report)
-    lines = text.strip().split("\n")
+    rows = [(1, 0.5, 25, 1.2345678e-3, 6.543210e-1),
+            (2, 0.25, 81, 3.0864195e-4, 3.2716050e-1)]
+    lines = report_to_csv(rows, convergence_rates(rows)).strip().split("\n")
     assert lines[0] == "level,h,dof,e_l2,e_h1"
     assert lines[1] == "1,5.00000E-01,25,1.23457E-03,6.54321E-01"
-    assert lines[-1].startswith("# rate_l2=")
-    assert "rate_h1=" in lines[-1]
+    assert lines[-1] == "# rate_l2=2.00000E+00,rate_h1=1.00000E+00"
+    # one level has no rate line
+    assert report_to_csv(rows[:1], convergence_rates(rows[:1])).split("\n")[1:] == [
+        "1,5.00000E-01,25,1.23457E-03,6.54321E-01", ""]
 
 
 def test_quadrature_refinement_stability_smooth():

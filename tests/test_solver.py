@@ -9,12 +9,13 @@ import pytest
 from sbfem.errors import AssemblyError, SolveError
 from sbfem.cli import build_mesh
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
-                        gen_quad_mesh, import_mesh, number_dofs,
-                        singular_open_selement)
+                        gen_polyhedron_case1, gen_quad_mesh, import_mesh,
+                        number_dofs, singular_open_selement)
 from sbfem import solver
 from sbfem.postproc import get_exact, solution_errors
-from conftest import (coupled_mixed_mesh, dirichlet_map, evaluate_in_fe,
-                      evaluate_in_sector, global_csr, hybrid_mesh, interpolant,
+from conftest import (affine_cube_mesh, coupled_mixed_mesh, dirichlet_map,
+                      evaluate_in_fe, evaluate_in_sector, global_csr,
+                      harmonic_polynomial, hybrid_mesh, interpolant,
                       jittered_quad_mesh,
                       member_coefficients, mesh_to_json, modal_coefficients,
                       octahedron_mesh, on_member_fields, op_sectors,
@@ -175,6 +176,70 @@ def test_trace_interpolant_reproduces_nodal_data():
             assert np.abs(vals[0] - expect).max() < 1e-9
 
 
+REPRODUCTION_MESHES = {
+    "jittered-8x8": lambda: jittered_quad_mesh(8, 0.18),
+    "polygon-case1-2": lambda: gen_polygon_case1(2),
+    "hybrid": hybrid_mesh,
+    "octahedron": octahedron_mesh,
+    "polyhedron-case1-2": lambda: gen_polyhedron_case1(2),
+    "affine-cube": lambda: affine_cube_mesh(np.random.default_rng(7)),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(REPRODUCTION_MESHES))
+def test_harmonic_polynomials_of_degree_k_are_reproduced(name, k):
+    # each part of degree p <= k is xi^p phi(eta) with phi in the trace space
+    # about any scaling centre, so the Galerkin solution and the interpolant
+    # are the polynomial itself (measured: at most 6e-14 |u|_1)
+    mesh = REPRODUCTION_MESHES[name]()
+    exact = harmonic_polynomial(mesh.dimension, k)
+    system = assemble_global(mesh, k)
+    apply_dirichlet(system, exact.value)
+    interp = sbfem_interpolate(mesh, k, exact.value)
+    norm = solution_errors(dataclasses.replace(interp, nodal=0 * interp.nodal), exact)[1]
+    for sol in (solve(system), interp):
+        assert max(solution_errors(sol, exact)) <= 1e-11 * norm
+
+
+def _galerkin_identity_residual(mesh, exact, k, **rules):
+    """|(|u - Pi u|^2 - |u - u_h|^2 - d^T K d)| / |u - Pi u|^2, d = Pi u - u_h,
+    for the interpolant Pi u and the Galerkin u_h on nodal Dirichlet data."""
+    system = assemble_global(mesh, k)
+    apply_dirichlet(system, exact.value, facet_ids=exact.dirichlet_facets(mesh),
+                    method="nodal")
+    sol, interp = solve(system), sbfem_interpolate(mesh, k, exact.value)
+    d = interp.nodal - sol.nodal
+    e_pi, e_h = (solution_errors(s, exact, **rules)[1] for s in (interp, sol))
+    return abs(e_pi ** 2 - e_h ** 2 - d @ (system.K @ d)) / e_pi ** 2
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("make,problem", [
+    (lambda: gen_quad_mesh(8), "exp2d"), (lambda: jittered_quad_mesh(8, 0.18), "exp2d"),
+    (lambda: gen_polygon_case1(2), "exp2d"), (lambda: gen_hex_mesh(2), "exp3d"),
+], ids=["quad-8", "jittered-8x8", "polygon-case1-2", "hex-2"])
+def test_galerkin_error_is_the_interpolant_error_less_their_gap(make, problem, k):
+    # u_h and the interpolant share the boundary trace, so Galerkin
+    # orthogonality gives |u - Pi u|^2 = |u - u_h|^2 + d^T K d (measured: at
+    # most 1.7e-10)
+    assert _galerkin_identity_residual(make(), get_exact(problem), k) <= 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_galerkin_identity_on_the_coupled_singular_mesh(k):
+    # the identity holds to round-off once the error rules integrate the
+    # singular class exactly enough (measured with 40 radial points: 3.7e-12,
+    # 5.4e-12, 1.1e-11)
+    mesh, exact = gen_coupled_singular(3), get_exact("sqrt2d")
+    assert _galerkin_identity_residual(mesh, exact, k, radial_points=40) <= 1e-10
+    # with the default rules it reads 2.7e-12, 6.7e-8 and 1.4e-8: the error
+    # rules, not the solution, miss it: `_radial_rules` gives the singular
+    # class max(radial_points, k + 6) points per cell whatever its largest
+    # exponent, where a regular class gets at least ceil(lambda_max + d/2)
+    assert _galerkin_identity_residual(mesh, exact, k) <= 1e-7
+
+
 def test_interface_trace_continuity_coupled():
     mesh = gen_coupled_singular(2)
     exact = get_exact("sqrt2d")
@@ -251,6 +316,21 @@ def test_dirichlet_reads_facet_ids_as_integers(method):
         assert system.dirichlet_dofs.tobytes() == systems[0].dirichlet_dofs.tobytes()
         assert system.dirichlet_values.tobytes() == systems[0].dirichlet_values.tobytes()
     assert systems[0].dirichlet_dofs.size == 16
+
+
+@pytest.mark.parametrize("method", DIRICHLET_METHODS)
+def test_dirichlet_counts_a_repeated_facet_id_once(method):
+    # "project" weighted a facet listed twice twice in its mass and load: L2
+    # error 2.330533e-01 instead of 2.331765e-01 with facet 0 repeated; a
+    # repeat and a reversed list give the pins of every boundary facet
+    g = get_exact("exp2d").value
+    systems = [apply_dirichlet(assemble_global(gen_quad_mesh(2), 2), g,
+                               facet_ids=ids, method=method)
+               for ids in (None, _BOUNDARY_QUAD_2 + _BOUNDARY_QUAD_2[:1],
+                           _BOUNDARY_QUAD_2[::-1])]
+    for system in systems[1:]:
+        assert system.dirichlet_dofs.tobytes() == systems[0].dirichlet_dofs.tobytes()
+        assert system.dirichlet_values.tobytes() == systems[0].dirichlet_values.tobytes()
 
 
 def test_dangling_sideface_dof_auto_pinned():
