@@ -74,7 +74,7 @@ class PolytopalMesh:
         head = copy == np.arange(len(copy))
         # each point's vertex id, and -1 for the padding -1
         vertices, vid = points[head], np.append((np.cumsum(head) - 1)[copy], -1)
-        table = vid[table]
+        given, table = table, vid[table]
         dirichlet = {e: tuple(vid[list(vs)].tolist())
                      for e, vs in (dirichlet or {}).items()}
         self.vertices = vertices
@@ -122,10 +122,12 @@ class PolytopalMesh:
         # repeats a vertex or makes opposite corners of a quadrilateral adjacent
         bad = ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any(axis=1)
         bad |= (size == 4) & ((vperm[:, 2:3] - vperm[:, :1]) % 4 != 2).any(axis=1)
-        for r in np.flatnonzero(bad)[:1]:
-            raise MeshError(f"facet vertex order {tuple(vperm[r, :size[r]].tolist())} "
-                            f"is not a symmetry of the reference "
+        for r in np.flatnonzero(bad)[:1]:   # FE quads are generated, never bad
+            ids, order = (tuple(a[r, :size[r]].tolist()) for a in (given, vperm))
+            raise MeshError(f"S-element {elem[r]}, facet {ids}: facet vertex order {order}"
+                            f" is not a symmetry of the reference "
                             f"{_KIND_BY_SIZE[size[r]].value}")
+        del given                   # the caller's table, often a temporary
         self._table, self._first, self._fid = table, first, fid
         self.centres, self._counts = centre, counts
         self._dirichlet = {e: vs for e, vs in sorted(dirichlet.items()) if vs}

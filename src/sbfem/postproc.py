@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,32 +118,38 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
 
     The facet rule has degree `facet_order` (default 2k + 4); the radial
     rules have at least `radial_points` points per cell (default 2k + 8) and
-    `composite_levels` cells (default: from the exponents, `_radial_rules`).
+    `composite_levels` cells (default: from the exponents, `_radial_rules`);
+    each is read by `operator.index`, or a QuadratureError names it.
 
     A class is the sectors at one facet position of the S-elements of one
     congruence class (`PolytopalMesh._register`), in S-element order.  Its
     members are translated copies: the J(1,eta), rays F_L(eta) - a0, weights
     |J(1,eta)| and mode fields of its first member serve them all, and each
     member gets its own centre a0 and coefficients; registration has checked
-    every sector.  Classes are grouped by (mode count, size, radial rule).  A
-    group solves A C = U once for the modal coefficients of its classes
-    (members in id order as right-hand sides) and makes their radial factors
-    and trace modes (a zero row for a side-face pin's -1) once; its facet
-    kinds go in turn, each with the representatives' J(1,eta) and inverse.
-    A pass is cut into chunks, a big class into member blocks, by sectors x
-    R x Q d within `refgeom.CHUNK_BUDGET` (R radial, Q facet points).  For
-    blocks of s sectors and up to m members, each chunk contracts either the
-    coefficients first, an operand G x C of s n_modes Q (d + 1) m complex
-    entries per block, or, when R <= m, a mode basis of s R Q (d + 1) n_modes
-    made once for all its blocks; the output has s R Q (d + 1) m.  FE quads
-    go in chunks of Q d entries each.  An exact solution's plane waves
-    (`ExactSolution.waves`) are K more columns of a mode basis, whose matmul
-    then gives u_h - u; coefficient-first chunks, FE quads and solutions
-    without waves (sqrt2d, const) subtract `value_and_gradient` at points.
+    every sector.  Classes are grouped by (mode count, size, radial rule,
+    complex exponent or not).  The modes are closed under conjugation, so
+    their real parts span u_h once mode j is turned by -i where Im lambda_j
+    < 0: a group solves A_r C = U (A_r the real part of the turned A) once
+    for the real coefficients of its classes (members in id order as
+    right-hand sides) and makes their radial factors and trace modes (a
+    zero row for a side-face pin's -1), real unless an exponent is complex,
+    once; its facet kinds go in turn, each with the representatives'
+    J(1,eta) and inverse.  A pass is cut into chunks, a big class into
+    member blocks, by sectors x R x Q d within `refgeom.CHUNK_BUDGET` (R
+    radial, Q facet points).  For blocks of s sectors and up to m members,
+    each chunk contracts either the coefficients first, an operand F x C of
+    s (1 + d) n_modes Q m entries per block, or, when R <= m, a mode basis
+    of s (1 + d) R Q n_modes made once for all its blocks; the error sums
+    are row sums of squares of the s (1 + d) R Q m output.  FE quads go in
+    chunks of Q d entries each.  An exact solution's plane waves
+    (`ExactSolution.waves`) are 2K more columns of a mode basis, whose
+    matmul then gives u_h - u; coefficient-first chunks, FE quads and
+    solutions without waves (sqrt2d, const) subtract `value_and_gradient`.
     """
     k = solution.numbering.k
-    facet_order = 2 * k + 4 if facet_order is None else facet_order
-    radial_points = 2 * k + 8 if radial_points is None else radial_points
+    facet_order = _integer("facet_order", facet_order, 2 * k + 4)
+    radial_points = _integer("radial_points", radial_points, 2 * k + 8)
+    composite_levels = _integer("composite_levels", composite_levels, None)
     if radial_points < 1:        # facet_quadrature refuses facet_order < 1
         raise QuadratureError(f"radial order must be >= 1, got {radial_points}")
     mesh, ops, nd = solution.mesh, solution.operators, solution.numbering
@@ -161,11 +168,15 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     size = np.diff(start, append=len(order))
     first = order[start]
     # the radial rule of each class, named by its representative; groups of
-    # classes by (mode count, size, rule) in order of appearance
+    # classes by (mode count, size, rule, pair) in order of appearance
     rules = _radial_rules(ops, np.unique(mesh._sel_class, return_index=True)[1],
                           k, d, radial_points, composite_levels)
-    n_modes, c = np.array([op.modes.n for op in ops]), cls[first]
-    group = _first_seen(np.column_stack([n_modes[c], size, np.array(rules)[c]]) + 0.0)[0]
+    lams = [op.modes.lambdas for op in ops]
+    n_modes, c = np.array(list(map(len, lams))), cls[first]
+    paired = np.logical_or.reduceat(np.concatenate(lams).imag != 0.0,
+                                    np.cumsum(n_modes) - n_modes)
+    group = _first_seen(np.column_stack([n_modes[c], size, np.array(rules)[c],
+                                         paired[c]]) + 0.0)[0]
     waves = tuple(map(np.array, zip(*exact.waves)))     # amplitudes, directions
     sums = np.zeros(2)
     for i in (np.flatnonzero(group == g) for g in range(group.max() + 1)):
@@ -174,20 +185,21 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
         xis = rad.points[:, 0]
         wxi = rad.weights * xis ** (d - 1)
         uc, head, inv = np.unique(c[i], return_index=True, return_inverse=True)
-        A = np.array([ops[x].modes.A for x in uc.tolist()])   # (classes, n, n)
-        lambdas = np.array([ops[x].modes.lambdas for x in uc.tolist()])
+        lambdas = np.array([lams[x] for x in uc.tolist()])
+        # the realified modes: Re of mode j, or its Im where Im lambda_j < 0
+        A = np.array([ops[x].modes.A for x in uc.tolist()]) * np.where(
+            lambdas.imag < 0.0, -1j, 1.0)[:, None, :]     # (classes, n, n)
+        A, lambdas = (A, lambdas) if paired[uc[0]] else (A.real, lambdas.real)
         Z, Z1 = _radial_factors(xis, lambdas)             # (classes, R, n)
         recs = order[start[i][:, None] + np.arange(m)]   # (classes, members)
         rows = row[recs]
-        # the coefficients A C = U, kept as (classes, members, n):
+        # the coefficients A_r C = U, kept as (classes, members, n):
         # the member kernels run faster when a column's n entries are adjacent
         at = nd.selement_start[e[recs[head]]]
-        C = np.swapaxes(np.linalg.solve(A, np.swapaxes(solution.nodal[
+        C = np.swapaxes(np.linalg.solve(A.real, np.swapaxes(solution.nodal[
             nd.selement_dofs[at[..., None] + np.arange(n)]], 1, 2)), 1, 2).copy()
-        # a side-face pin, row -1 of a sector, gets a zero trace row; it is
-        # complex, since `eig` gives a real A for an all-real spectrum and a
-        # real trace block would take other (real) matmul kernels
-        A = np.concatenate([A, np.zeros((len(uc), 1, n), complex)], axis=1)
+        # a side-face pin, row -1 of a sector, gets a zero trace row
+        A = np.concatenate([A, np.zeros((len(uc), 1, n), A.dtype)], axis=1)
         for kk in dict.fromkeys(kind[first[i]].tolist()):
             kd, r = kinds[kk], np.flatnonzero(kind[first[i]] == kk)
             frule = facet_quadrature(kd, facet_order)
@@ -203,27 +215,27 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                 f = u[:1] if u[0] == u[-1] else u  # one class: broadcast
                 blocks = _chunks(m, per_sector * len(u))
                 alpha = A[u[:, None], nd.sector_rows[kd][rep[sl]]]
-                T, G = _class_fields(table, Jinv[sl], alpha, lambdas[u])
-                w = wxi[:, None, None] * (frule.weights * det[sl])[:, None, :, None]
+                F = _class_fields(table, Jinv[sl], alpha, lambdas[u])
+                w = wxi[:, None] * (frule.weights * det[sl])[:, None, :]  # (S, R, Q)
                 steps = xis[:, None, None, None] * rays[sl]  # (S, R, Q, 1, d)
                 basis = len(xis) <= min(m, blocks[0].stop)   # the smaller intermediate
-                kernel, fields = _coefficient_fields, (Z[f], Z1[f], T, G)
+                kernel, fields = _coefficient_fields, (Z[f], Z1[f], F)
                 if basis:
                     kernel, fields = _basis_fields, (_mode_basis(*fields, steps, *waves),)
                 for blk in blocks:
                     a0 = np.take(centres, rows[r[sl], blk], axis=0)   # (S, m, d)
                     coeffs = np.swapaxes(C[u, blk], 1, 2)
                     if basis and waves:    # u as basis columns: the fields are u_h - u
-                        sums += _error_sums(w, *kernel(*fields, coeffs, waves[1], a0))
+                        sums += _error_sums(w, kernel(*fields, coeffs, waves[1], a0))
                     else:
-                        sums += _error_sums(w, *kernel(*fields, coeffs), exact,
+                        sums += _error_sums(w, kernel(*fields, coeffs), exact,
                                             a0[:, None, None] + steps)
         del Z, Z1                  # before the next group makes its own
     frule = facet_quadrature(FacetKind.QUADRILATERAL, facet_order)
     table = _basis_table(FacetKind.QUADRILATERAL, k, facet_order)
     for sl in _chunks(len(mesh._fe_class), len(frule) * d):
-        pts, vals, grads, det = _fe_fields(solution, sl, frule.points, table)
-        sums += _error_sums(frule.weights * det, vals, grads, exact, pts)
+        pts, fields, det = _fe_fields(solution, sl, frule.points, table)
+        sums += _error_sums(frule.weights * det, fields, exact, pts[:, :, None])
     if not np.isfinite(sums).all():
         raise SbfemError(f"error integrals against '{exact.name}' are not finite: "
                          f"{sums.tolist()}")
@@ -253,101 +265,107 @@ def _radial_rules(ops: list, ids, k: int, d: int, radial_points: int,
     return list(zip(floor.tolist(), n_rad.astype(int).tolist(), levels.tolist()))
 
 
+def _integer(name: str, value, default):
+    """Rule argument `name` by `operator.index`, `default` for None."""
+    try:
+        return default if value is None else operator.index(value)
+    except TypeError:
+        raise QuadratureError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _radial_factors(xis: np.ndarray,
                     lambdas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """xi^lambda and xi^(lambda-1) for exponents (..., n) at radial points
-    xis in (0, 1], where every radial rule puts its points: (..., len(xis), n).
-    The second factor is zero for the constant mode, whose gradient vanishes:
-    the exact zero exponent that `modes.select_modes` puts in column 0.
+    """xi^lambda and xi^(lambda-1), real for real exponents (..., n), at radial
+    points xis in (0, 1], where every radial rule puts its points: (...,
+    len(xis), n).  The second factor is zero for the constant mode, whose
+    gradient vanishes: the exact zero exponent `modes.select_modes` puts first.
     """
     xis = np.asarray(xis, dtype=float)[:, None]
-    lam = np.asarray(lambdas, dtype=complex)[..., None, :]
+    lam = np.asarray(lambdas)[..., None, :]
     Z = np.exp(lam * np.log(xis))
     return Z, np.where(lam == 0.0, 0.0, Z / xis)
 
 
 def _class_fields(table, Jinv, alpha, lambdas):
-    """The trace modes T (S, Q, n) and Cartesian gradient basis G (S, Q, d, n)
-    that the member sectors of a stack of classes share (`solution_errors`),
-    from their J(1, eta)^-1 (S, Q, d, d), trace blocks alpha (S, p, n) and
-    exponents (S, n); `table` holds the trace basis values (Q, p) and
-    eta-gradients (Q, d-1, p) at the Q facet points.  The radial factors of
+    """The trace modes T and Cartesian gradient basis G, F = [T, G] (S, 1 + d,
+    Q, n), that the member sectors of a stack of classes share, from their
+    J(1, eta)^-1 (S, Q, d, d), trace blocks alpha (S, p, n) and exponents
+    (S, n); `table` holds the trace basis values (Q, p) and eta-gradients
+    (Q, d-1, p) at the Q facet points.  The radial factors of
     `_radial_factors` make them the modes' values and gradients."""
     nvals, ngrads = table
     T = nvals @ alpha                                        # (S, Q, n)
     # parametric gradient: radial part lambda T, surface part dN alpha
     D = np.concatenate([(T * lambdas[:, None, :])[:, :, None, :],
                         ngrads @ alpha[:, None]], axis=2)    # (S, Q, d, n)
-    return T, np.swapaxes(Jinv, -1, -2) @ D
+    return np.concatenate([T[:, None], np.swapaxes(Jinv.swapaxes(-1, -2) @ D, 1, 2)], 1)
 
 
-def _mode_basis(Z, Z1, T, G, steps=None, a=(), kappa=None):
-    """The mode basis [Z x T, Z1 x G] (S, R, Q, 1 + d, n) of a stack of classes,
-    then K plane waves a_k exp(kappa_k . s) [1, kappa_k] at steps (S, R, Q, 1, d)."""
-    (S, Q, d, n), R = G.shape, Z.shape[-2]
-    B = np.empty((S, R, Q, 1 + d, n + len(a)), complex)
-    np.multiply(Z[:, :, None, None], T[:, None, :, None], out=B[:, :, :, :1, :n])
-    np.multiply(Z1[:, :, None, None], G[:, None], out=B[:, :, :, 1:, :n])
-    if len(a):
-        W = B[..., n:]
-        W.real[:, :, :, 0], W.imag[:, :, :, 0] = _exp_parts(steps[:, :, :, 0], kappa, a)
-        np.multiply(W[:, :, :, :1], kappa.T, out=W[:, :, :, 1:])
-    return B
+def _mode_basis(Z, Z1, F, steps=None, a=(), kappa=None):
+    """The real mode basis Re [Z x T, Z1 x G] (S, 1 + d, R, Q, n) from radial
+    factors (S or 1, R, n) and class fields F, then Re and Im of K plane waves
+    a_k exp(kappa_k . s) [1, kappa_k] at steps (S, R, Q, 1, d): 2K more columns."""
+    (S, d1, Q, n), R, K = F.shape, Z.shape[-2], len(a)
+    B = np.empty((S, d1, R, Q, n + 2 * K), np.result_type(Z, F))
+    np.multiply(Z[:, None, :, None], F[:, :1, None], out=B[:, :1, ..., :n])
+    np.multiply(Z1[:, None, :, None], F[:, 1:, None], out=B[:, 1:, ..., :n])
+    if K:
+        re, im = _exp_parts(steps[:, :, :, 0], kappa, a)      # (S, R, Q, K)
+        W = (re + 1j * im)[:, None] * np.vstack([np.ones(K), kappa.T])[:, None, None]
+        B[..., n:n + K], B[..., n + K:] = W.real, W.imag
+    return np.ascontiguousarray(B.real)
 
 
 def _basis_fields(B, coeffs, kappa=None, a0=None):
-    """u_h, the real part of a sum over the modes, on the grid of the member
-    sectors of a stack of classes from their mode basis B, read as real (Re, Im
-    interleaved), and coefficients (S, n, m) by one real matmul with [Re C,
-    -Im C]: values (S, R, Q, m) and Cartesian gradients (S, R, Q, m, d).  Wave
-    columns take i exp(kappa . a0) at member centres a0 (S, m, d), adding -u."""
+    """u_h, values then Cartesian gradients (S, 1 + d, R, Q, m), on the member
+    sectors of a stack of classes from their mode basis B and real
+    coefficients (S, n, m) by one real matmul.  Wave columns take -Im and -Re
+    exp(kappa . a0) at member centres a0 (S, m, d), adding -u."""
     if kappa is not None:
-        re, im = _exp_parts(a0, kappa)
-        coeffs = np.concatenate([coeffs, np.swapaxes(1j * re - im, 1, 2)], axis=1)
-    C = np.stack([coeffs.real, -coeffs.imag], axis=-2)
-    out = (B.reshape(len(B), -1, B.shape[-1]).view(float) @ C.reshape(
-        len(C), -1, C.shape[-1])).reshape(B.shape[:-1] + (-1,))
-    return out[..., 0, :], np.moveaxis(out[..., 1:, :], 3, -1)
+        coeffs = np.concatenate([coeffs, -np.swapaxes(np.concatenate(
+            _exp_parts(a0, kappa)[::-1], axis=-1), 1, 2)], axis=1)
+    return (B.reshape(len(B), -1, B.shape[-1]) @ coeffs).reshape(B.shape[:-1] + (-1,))
 
 
-def _coefficient_fields(Z, Z1, T, G, coeffs):
+def _coefficient_fields(Z, Z1, F, coeffs):
     """`_basis_fields` from the radial factors and `_class_fields` instead
-    of a mode basis: Z @ (T x C) and Z1 @ (G x C), two complex matmuls."""
-    (S, Q, d, n), m = G.shape, coeffs.shape[-1]
-    C = coeffs[:, :, None, :]                                # (S, n, 1, m)
-    values = (Z @ (np.swapaxes(T, 1, 2)[..., None] * C).reshape(S, n, -1)).real
-    grads = (Z1 @ (G.transpose(0, 3, 1, 2)[..., None, :] * C[..., None])
-             .reshape(S, n, -1)).real
-    return values.reshape(S, -1, Q, m), grads.reshape(S, -1, Q, m, d)
+    of a mode basis: Re Z @ (T x C) and Re Z1 @ (G x C)."""
+    (S, d1, Q, n), (R, m) = F.shape, (Z.shape[-2], coeffs.shape[-1])
+    X = (np.swapaxes(F, 2, 3)[..., None] * coeffs[:, None, :, None]).reshape(S, d1, n, -1)
+    out = np.empty((S, d1, R, Q * m), X.dtype)
+    np.matmul(Z[:, None], X[:, :1], out=out[:, :1])
+    np.matmul(Z1[:, None], X[:, 1:], out=out[:, 1:])
+    return out.real.reshape(S, d1, R, Q, m)
 
 
 def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts, table):
     """u_h on the slice `sl` of the FE quads at reference points, where the
-    Q_k basis takes the values and gradients `table`: mapped points, values,
-    gradients and Jacobian determinants, with shapes (F, Q[, 2]); J^-T grad N
-    once per congruence class of the mesh's FE quads, on its first in `sl`."""
+    Q_k basis takes the values and gradients `table`: mapped points (F, Q, 2),
+    values then gradients (F, 3, Q, 1) and Jacobian determinants (F, Q); J^-T
+    grad N once per congruence class of the mesh's FE quads, on its first in `sl`."""
     mesh, quad = solution.mesh, FacetKind.QUADRILATERAL
     nvals, ngrads = table
     corners = np.take(mesh.vertices, mesh._quads()[sl], axis=0)
-    uel = solution.nodal[solution.numbering.fe_nodes[sl]]
+    u = solution.nodal[solution.numbering.fe_nodes[sl]][:, None, :, None]
     J = _facet_tangents(quad, ref_pts, corners)
     _, first, cls = np.unique(mesh._fe_class[sl], return_index=True,
                               return_inverse=True)
-    B = np.swapaxes(_inv(J[first]), -1, -2) @ ngrads   # (U, Q, 2, m)
-    return (_facet_points(quad, ref_pts, corners), uel @ nvals.T,
-            (B[cls] @ uel[:, None, :, None])[..., 0], _det(J))
+    B = np.swapaxes(_inv(J[first]), -1, -2) @ ngrads   # (U, Q, 2, p)
+    return (_facet_points(quad, ref_pts, corners),
+            np.concatenate([nvals @ u, np.swapaxes(B, 1, 2)[cls] @ u], axis=1), _det(J))
 
 
-def _error_sums(w, vals, grads, exact=None, pts=None) -> np.ndarray:
-    """Weighted sums of squared value and gradient errors, each one contraction,
-    of fields u_h - u, or of u_h less the exact fields at pts, in place."""
+def _error_sums(w, fields, exact=None, pts=None) -> np.ndarray:
+    """Weighted sums of squared value and gradient errors of fields (S, 1 + d,
+    ..., m), u_h - u, or u_h less the exact fields at pts (S, ..., m, d) in
+    place: row sums of squares over m, then the weights w (S, ...)."""
     if exact is not None:
         ev, eg = exact.value_and_gradient(pts.reshape(-1, pts.shape[-1]))
-        vals -= ev.reshape(vals.shape)
-        grads -= eg.reshape(grads.shape)
-    ax = "abcde"[:vals.ndim]                   # w broadcasts against vals
-    return np.array([np.einsum(f"{ax},{ax},{ax}->", w, vals, vals),
-                     np.einsum(f"{ax},{ax}z,{ax}z->", w, grads, grads)])
+        fields[:, 0] -= ev.reshape(pts.shape[:-1])
+        fields[:, 1:] -= np.moveaxis(eg.reshape(pts.shape), -1, 1)
+    sq = np.einsum("...m,...m->...", fields, fields)          # (S, 1 + d, ...)
+    s = np.einsum("sp,sjp->j", w.reshape(len(w), -1), sq.reshape(sq.shape[:2] + (-1,)))
+    return np.array([s[0], s[1:].sum()])
 
 
 def convergence_rates(rows: list) -> tuple[float, float]:

@@ -218,25 +218,43 @@ def sector_fields(basis, xis, etas, J, alpha, coeffs, lambdas):
     """`postproc._class_fields` on the basis table at `etas` and the radial
     factors at `xis`, followed by `postproc._coefficient_fields`: values
     (S, R, Q, m) and gradients (S, R, Q, m, d) of a stack of classes."""
-    return postproc._coefficient_fields(
+    fields = postproc._coefficient_fields(
         *radial_factors(xis, lambdas),
-        *postproc._class_fields(basis.eval_many(etas), _inv(J), alpha, lambdas), coeffs)
+        postproc._class_fields(basis.eval_many(etas), _inv(J), alpha, lambdas), coeffs)
+    return fields[:, 0], np.moveaxis(fields[:, 1:], 1, -1)
 
 
 def on_member_fields(monkeypatch, record):
     """Call record(contraction, operands, coeffs) before each member block
     of `postproc.solution_errors`: contraction "basis" with the mode basis,
     followed by the wave directions kappa (K, d) and member centres a0 (S, m,
-    d) where the exact solution's plane waves are its last K columns, or
-    "coefficients" with (Z, Z1, T, G); and the block's modal coefficients."""
+    d) where the real and imaginary parts of the exact solution's plane
+    waves are its last 2K columns, or "coefficients" with the radial factors
+    and class fields (Z, Z1, F); and the block's modal coefficients."""
     for name, contraction, at in (("_basis_fields", "basis", 1),
-                                  ("_coefficient_fields", "coefficients", 4)):
+                                  ("_coefficient_fields", "coefficients", 3)):
         def recorded(*args, kernel=getattr(postproc, name), contraction=contraction,
                      at=at):
             record(contraction, args[:at] + args[at + 1:], args[at])
             return kernel(*args)
 
         monkeypatch.setattr(postproc, name, recorded)
+
+
+def force_contraction(monkeypatch, contraction):
+    """Make every member block of `postproc.solution_errors` contract a mode
+    basis ("basis") or its coefficients first ("coefficients"); the latter
+    has no wave columns to route, so it asks for an exact solution without
+    `waves`."""
+    basis, coefficients, mode_basis = (postproc._basis_fields,
+                                       postproc._coefficient_fields, postproc._mode_basis)
+    if contraction == "basis":
+        monkeypatch.setattr(postproc, "_coefficient_fields", lambda *args: basis(
+            mode_basis(*args[:-1]), args[-1]))
+    else:
+        monkeypatch.setattr(postproc, "_mode_basis", lambda *fields: fields[:3])
+        monkeypatch.setattr(postproc, "_basis_fields", lambda fields, coeffs:
+                            coefficients(*fields, coeffs))
 
 
 def check_sectors(J, det, owners):
@@ -579,10 +597,17 @@ def sector_rows(mesh, numbering, e) -> list:
     return [rows[p] for p in range(len(rows))]
 
 
-def modal_coefficients(solution) -> list:
-    """Complex modal coefficients (members, n) of each class reproducing the
-    nodal values: A C = U with the members in id order as right-hand sides,
-    one stacked solve per (mode count, member count).  Oracle for the
+def realified_trace(modes) -> np.ndarray:
+    """The real trace matrix A_r of the realified modes of `SbfemModes`:
+    column j is Re of A's column j, or its Im where Im lambda_j < 0."""
+    return np.where(modes.lambdas.imag < 0.0, modes.A.imag, modes.A.real)
+
+
+def modal_coefficients(solution, realified=False) -> list:
+    """Modal coefficients (members, n) of each class reproducing the nodal
+    values: A C = U with the members in id order as right-hand sides, one
+    stacked solve per (mode count, member count); complex, or, `realified`,
+    real by the realified trace A_r (`realified_trace`).  Oracle for the
     coefficients that `postproc.solution_errors` solves per error group."""
     ops, mesh, nd = solution.operators, solution.mesh, solution.numbering
     order = np.argsort(mesh._sel_class, kind="stable")
@@ -594,8 +619,9 @@ def modal_coefficients(solution) -> list:
         cs = [c for c, shape in enumerate(shapes) if shape == (n, m)]
         at = nd.selement_start[order[first[cs][:, None] + np.arange(m)]]
         U = solution.nodal[nd.selement_dofs[at[..., None] + np.arange(n)]]
-        C = np.linalg.solve(np.array([ops[c].modes.A for c in cs]),
-                            np.swapaxes(U, 1, 2))                   # (G, n, m)
+        A = np.array([realified_trace(ops[c].modes) if realified else ops[c].modes.A
+                      for c in cs])
+        C = np.linalg.solve(A, np.swapaxes(U, 1, 2))                   # (G, n, m)
         out.update(zip(cs, np.swapaxes(C, 1, 2)))
     return [out[c] for c in range(len(ops))]
 
@@ -872,9 +898,9 @@ def evaluate_in_sector(solution, e, ctx, xis, etas):
 def evaluate_in_fe(solution, q, ref_pts):
     """The error kernel on FE quad q: points, values, gradients, det J."""
     basis = trace_basis(FacetKind.QUADRILATERAL, solution.numbering.k)
-    pts, vals, grads, det = postproc._fe_fields(solution, slice(q, q + 1), ref_pts,
-                                                basis.eval_many(ref_pts))
-    return pts[0], vals[0], grads[0], det[0]
+    pts, fields, det = postproc._fe_fields(solution, slice(q, q + 1), ref_pts,
+                                           basis.eval_many(ref_pts))
+    return pts[0], fields[0, 0, :, 0], fields[0, 1:, :, 0].T, det[0]
 
 
 # -- per-sector reference for the batched error integration ----------------------
@@ -946,14 +972,66 @@ def reference_solution_errors(solution, exact, facet_order=None, radial_points=N
             w = np.outer(rad.weights * xis ** (d - 1), frule.weights * det)
             acc_l2 += float(np.sum(w * (vals - ev) ** 2))
             acc_h1 += float(np.sum(w * np.sum((grads - eg) ** 2, axis=2)))
+    fe_l2, fe_h1 = _reference_fe_sums(solution, exact, facet_order)
+    return float(np.sqrt(acc_l2 + fe_l2)), float(np.sqrt(acc_h1 + fe_h1))
+
+
+def _reference_fe_sums(solution, exact, facet_order):
+    """Squared L2 and energy errors of the FE quads, by a loop over them."""
     frule = facet_quadrature(FacetKind.QUADRILATERAL, facet_order)
+    acc_l2 = acc_h1 = 0.0
     for q in range(len(solution.mesh._quads())):
         pts, vals, grads, det = _reference_fe(solution, q, frule.points)
         w = frule.weights * det
         acc_l2 += float(np.sum(w * (vals - exact.value(pts)) ** 2))
         acc_h1 += float(np.sum(w * np.sum((grads - exact.gradient(pts)) ** 2,
                                           axis=1)))
-    return float(np.sqrt(acc_l2)), float(np.sqrt(acc_h1))
+    return acc_l2, acc_h1
+
+
+def complex_solution_errors(solution, exact):
+    """(L2, energy) errors by the complex modal pass: per congruence class
+    and facet position, the complex coefficients A^-1 U of its members
+    (`modal_coefficients`), complex radial factors and trace modes, and u_h
+    the real part of complex mode sums.  The error kernels ran so before the
+    realified basis; oracle for `postproc.solution_errors`, with its rule
+    defaults, FE quads by the per-quad loop."""
+    mesh, nd, ops = solution.mesh, solution.numbering, solution.operators
+    k, d = nd.k, mesh.dimension
+    rules = postproc._radial_rules(ops, np.unique(mesh._sel_class, return_index=True)[1],
+                                   k, d, 2 * k + 8, None)
+    acc = np.zeros(2)
+    for x, (op, C) in enumerate(zip(ops, modal_coefficients(solution))):
+        rad = radial_quadrature(*rules[x])
+        xis, lam = rad.points[:, 0], op.modes.lambdas.astype(complex)
+        Z = xis[:, None] ** lam                                       # (R, n)
+        Z1 = np.where(lam == 0.0, 0.0, Z / xis[:, None])
+        A = np.vstack([op.modes.A, np.zeros(op.modes.n)]).astype(complex)
+        members = np.flatnonzero(mesh._sel_class == x)
+        for kind, (centres, vertices, owners) in mesh._stacks.items():
+            frule = facet_quadrature(kind, 2 * k + 4)
+            nvals, ngrads = trace_basis(kind, k).eval_many(frule.points)
+            mine = np.isin(owners[:, 0], members)
+            for pos in np.unique(owners[mine, 1]):
+                r = np.flatnonzero(mine & (owners[:, 1] == pos))
+                r = r[np.argsort(owners[r, 0], kind="stable")]
+                J, det = _sector_jacobians(kind, frule.points, centres[r[:1]],
+                                           vertices[r[:1]])
+                alpha = A[nd.sector_rows[kind][r[0]]]                 # (p, n)
+                T = nvals @ alpha                                     # (Q, n)
+                D = np.concatenate([(T * lam)[:, None], ngrads @ alpha], axis=1)
+                G = np.swapaxes(_inv(J[0]), -1, -2) @ D               # (Q, d, n)
+                c = C[np.searchsorted(members, owners[r, 0])]         # (m, n)
+                vals = np.einsum("rn,qn,mn->rqm", Z, T, c).real
+                grads = np.einsum("rn,qdn,mn->rqmd", Z1, G, c).real
+                pts = (centres[r][None, None] + xis[:, None, None, None]
+                       * J[0, None, :, None, :, 0])                   # (R, Q, m, d)
+                ev, eg = exact.value_and_gradient(pts.reshape(-1, d))
+                w = np.outer(rad.weights * xis ** (d - 1), frule.weights * det[0])
+                acc += [np.sum(w[..., None] * (vals - ev.reshape(vals.shape)) ** 2),
+                        np.sum(w[..., None, None] * (grads - eg.reshape(grads.shape)) ** 2)]
+    acc += _reference_fe_sums(solution, exact, 2 * k + 4)
+    return float(np.sqrt(acc[0])), float(np.sqrt(acc[1]))
 
 
 def reference_project_trace(system, g, facet_ids, dofs) -> np.ndarray:

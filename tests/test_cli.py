@@ -332,6 +332,28 @@ def test_mesh_file_without_selements_exit_1(tmp_path, capsys, command):
         "sbfem: error: mesh file lists no S-elements")
 
 
+@pytest.mark.parametrize("vertices,facets,culprit", [
+    ([[0, 0], [1, 0], [1, 1], [0, 1]], [[0, 1], [1, 1], [1, 2], [2, 3], [3, 0]],
+     "S-element 0, facet (1, 1)"),
+    ([[0, 0], [1, 0], [1e308, 1e308], [0, 1]], [[0, 1], [1, 2], [2, 3], [3, 0]],
+     "S-element 0, facet (0, 1)")], ids=["repeated-id", "merged-corners"])
+def test_repeated_facet_vertex_exit_1(tmp_path, capsys, vertices, facets, culprit):
+    # a facet that lists one vertex twice, or two corners that the
+    # vertex-merge rule joins (one corner at 1e308 stretches its tolerance
+    # over the other three), is named by its S-element and its vertex ids
+    # as the file lists them
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps({"dimension": 2, "vertices": vertices,
+                                     "selements": [{"facets": facets}]}))
+    with np.errstate(all="ignore"):
+        rc = main(["solve", "--mesh", f"file:{mesh_path}", "--k", "1",
+                   "--output", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"sbfem: error: {culprit}: facet vertex order (0, 0) is not a symmetry of "
+        "the reference segment\n")
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--k", "x"], "k must be an integer, a list a,b,c or a range a..b, got 'x'"),
     (["--k", "1.."], "k must be an integer, a list a,b,c or a range a..b, got '1..'"),

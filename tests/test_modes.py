@@ -23,6 +23,7 @@ from sbfem.solver import (apply_dirichlet, assemble_global, build_operators,
                           sbfem_interpolate, solve)
 from sbfem.cli import MESH_FAMILIES, build_mesh
 from test_mesh import _open_pair
+from test_postproc import BATCH_CASES, PAIRED_CASES
 
 
 def all_fixture_ops(ks=(1, 2)):
@@ -462,3 +463,24 @@ def test_constant_trace_follows_the_side_face_pins(name):
         assert bool(constant_trace_admissible(op.E)) is not pinned, e
         assert (constant_index(op.modes) is None) is pinned, e
     assert np.isfinite(solve(apply_dirichlet(system, 1.0)).nodal).all()
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES) + sorted(PAIRED_CASES))
+def test_conjugate_pairs_are_adjacent_and_exact(case):
+    # the layout the error pass's realified basis relies on: each complex
+    # exponent sits next to its conjugate, negative imaginary part first,
+    # the two eigenvectors are exact conjugates, and a real exponent has an
+    # exactly real eigenvector.  Bit for bit but for the sign of a zero
+    # part, which LAPACK's pair storage does not fix: with the zeros' signs
+    # cleared (+ 0.0), the bytes are equal
+    make, k, _ = {**BATCH_CASES, **PAIRED_CASES}[case]
+    pairs = 0
+    for op in assemble_global(make(), k).operators:
+        lam, A = op.modes.lambdas, np.asarray(op.modes.A, dtype=complex)
+        neg, pos = np.flatnonzero(lam.imag < 0.0), np.flatnonzero(lam.imag > 0.0)
+        assert np.array_equal(pos, neg + 1)
+        assert (lam[pos] + 0.0).tobytes() == (lam[neg].conj() + 0.0).tobytes()
+        assert (A[:, pos] + 0.0).tobytes() == (A[:, neg].conj() + 0.0).tobytes()
+        assert not A[:, lam.imag == 0.0].imag.any()
+        pairs += len(neg)
+    assert pairs or case not in PAIRED_CASES

@@ -6,8 +6,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import (coupled_mixed_mesh, facet_vertices, flat_sector_squares,
-                      hybrid_mesh, interpolant, jittered_quad_mesh,
+from conftest import (complex_solution_errors, coupled_mixed_mesh, facet_vertices,
+                      flat_sector_squares, force_contraction, hybrid_mesh,
+                      interpolant, jittered_quad_mesh,
                       laplacian_residual, on_member_fields,
                       open_element_pinned_first, reference_solution_errors,
                       selement_views)
@@ -437,9 +438,9 @@ def test_wave_columns_replace_the_member_points(make, k, problem, points,
             B, kappa, a0 = operands
             assert kappa.shape == (K, sol.mesh.dimension)
             assert a0.shape == (len(coeffs), coeffs.shape[-1], sol.mesh.dimension)
-            assert B.shape[-1] == coeffs.shape[1] + K
+            assert B.shape[-1] == coeffs.shape[1] + 2 * K
         else:
-            assert len(operands) == (1 if contraction == "basis" else 4)
+            assert len(operands) == (1 if contraction == "basis" else 3)
     # without its table, the same solution is evaluated at every point; at
     # quad l3 k3 the L2 error is 1.3e-6 of max |u|, so the two paths'
     # round-off differs by 5e-12 of it
@@ -546,22 +547,47 @@ def test_class_without_positive_exponent_names_its_representative():
         solution_errors(sol, exact)
 
 
-def test_trace_blocks_stay_complex_for_a_real_spectrum(monkeypatch):
-    # `eig` gives a real A when a spectrum is all real, as for the open
-    # S-element of coupled level 3 at k = 2; the error pass still hands
-    # complex trace blocks (zero row for the side-face pin included) to
-    # `_class_fields`, since real and complex kernels round differently
-    exact = get_exact("sqrt2d")
-    sol = sbfem_interpolate(gen_coupled_singular(3), 2, exact.value)
-    dtypes, class_fields = [], postproc._class_fields
+@pytest.mark.parametrize("make, k, problem, paired", [
+    (lambda: gen_quad_mesh(4), 3, "exp2d", False),
+    (lambda: gen_hex_mesh(4), 2, "exp3d", False),
+    (lambda: gen_hex_mesh(3), 2, "exp3d", True),
+    (lambda: gen_coupled_singular(3), 2, "sqrt2d", False),
+    (lambda: gen_coupled_singular(4), 2, "sqrt2d", True),
+    (lambda: jittered_quad_mesh(16, 0.18, seed=4111), 2, "exp2d", True)],
+    ids=["quad-4x4-k3", "hex-l2-k2", "hex-n3-k2", "coupled-l3-k2", "coupled-l4-k2",
+         "jittered-16x16-k2"])
+def test_error_groups_are_real_unless_a_class_has_a_complex_exponent(
+        make, k, problem, paired, monkeypatch):
+    # a group without a complex exponent hands float64 trace blocks and
+    # exponents to `_class_fields`, and float64 radial factors and class
+    # fields to `_mode_basis` or `_coefficient_fields`; a group with a
+    # conjugate pair keeps complex Z and T: the open S-element of coupled
+    # level 4, k = 2 (Im 2.7), and round-off pairs (|Im| ~ 1e-15) of a
+    # repeated real exponent in the hex n3 class (mode basis) and in some
+    # jittered classes.  The coefficients are real either way.  `eig`
+    # gives a real A for the all-real open S-element of coupled level 3
+    sol, exact = _galerkin(make(), k, problem)
+    seen = set()
 
-    def capture(table, J, alpha, lambdas):
-        dtypes.append(alpha.dtype)
-        return class_fields(table, J, alpha, lambdas)
+    def spy(name, key):
+        kernel = getattr(postproc, name)
+        monkeypatch.setattr(postproc, name, lambda *args: (
+            seen.add((name,) + key(*args)), kernel(*args))[1])
 
-    monkeypatch.setattr(postproc, "_class_fields", capture)
+    spy("_class_fields", lambda table, J, alpha, lambdas: (
+        alpha.dtype.kind, lambdas.dtype.kind, bool(lambdas.imag.any())))
+    for name in ("_mode_basis", "_coefficient_fields"):
+        spy(name, lambda Z, Z1, F, *rest: (Z.dtype.kind, Z1.dtype.kind, F.dtype.kind))
+    on_member_fields(monkeypatch, lambda contraction, operands, coeffs:
+                     seen.add(("coefficients", coeffs.dtype.kind)))
     solution_errors(sol, exact)
-    assert dtypes and set(dtypes) == {np.dtype(complex)}
+    groups = {key[1:] for key in seen if key[0] == "_class_fields"}
+    fields = {key[1:] for key in seen if key[0] in ("_mode_basis", "_coefficient_fields")}
+    real, pair = ("f", "f", False), ("c", "c", True)
+    assert groups and groups <= {real, pair} and (pair in groups) == paired
+    assert fields and fields <= {("f",) * 3, ("c",) * 3}
+    assert (("c",) * 3 in fields) == paired
+    assert {key for key in seen if key[0] == "coefficients"} == {("coefficients", "f")}
 
 
 @pytest.mark.parametrize("contraction", ["basis", "coefficients"])
@@ -575,15 +601,7 @@ def test_batched_errors_match_the_reference_with_either_contraction(
         monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
     taken = set()
     on_member_fields(monkeypatch, lambda contraction, *_: taken.add(contraction))
-    basis, coefficients, mode_basis = (postproc._basis_fields,
-                                       postproc._coefficient_fields, postproc._mode_basis)
-    if contraction == "basis":
-        monkeypatch.setattr(postproc, "_coefficient_fields", lambda *args: basis(
-            mode_basis(*args[:-1]), args[-1]))
-    else:
-        monkeypatch.setattr(postproc, "_mode_basis", lambda *fields: fields[:4])
-        monkeypatch.setattr(postproc, "_basis_fields", lambda fields, coeffs:
-                            coefficients(*fields, coeffs))
+    force_contraction(monkeypatch, contraction)
     make, k, problem = BATCH_CASES[case]
     sol, exact = _galerkin(make(), k, problem)
     if contraction == "coefficients":     # no wave columns to route
@@ -592,6 +610,72 @@ def test_batched_errors_match_the_reference_with_either_contraction(
     assert taken == {contraction}
     assert got == pytest.approx(reference_solution_errors(sol, exact),
                                 rel=1e-12, abs=0.0)
+
+
+PAIRED_CASES = {
+    # 13 round-off conjugate pairs among 256 singleton classes
+    "jittered-16x16-k2": (lambda: jittered_quad_mesh(16, 0.18, seed=4111), 2, "exp2d"),
+    # two conjugate pairs among the 64 modes of the open S-element
+    "coupled-l4-k2": (lambda: gen_coupled_singular(4), 2, "sqrt2d"),
+}
+
+
+@pytest.mark.parametrize("contraction", [None, "basis", "coefficients"])
+@pytest.mark.parametrize("one_sector_chunks", [False, True])
+@pytest.mark.parametrize("case", sorted(BATCH_CASES) + sorted(PAIRED_CASES))
+def test_realified_errors_match_the_complex_pass(case, one_sector_chunks,
+                                                 contraction, monkeypatch):
+    # the realified pass, as it chooses or forced each way, against the
+    # complex modal pass of conftest; measured at most 7e-13 apart
+    if one_sector_chunks:
+        monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
+    if contraction:
+        force_contraction(monkeypatch, contraction)
+    make, k, problem = {**BATCH_CASES, **PAIRED_CASES}[case]
+    sol, exact = _galerkin(make(), k, problem)
+    if contraction == "coefficients":
+        exact = dataclasses.replace(exact, waves=())
+    assert solution_errors(sol, exact) == pytest.approx(
+        complex_solution_errors(sol, exact), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("make, k, width, complex_width", [
+    (lambda: gen_hex_mesh(4), 2, 30, 56), (lambda: gen_quad_mesh(16), 3, 14, 26)],
+    ids=["hex-k2", "quad-k3"])
+def test_real_mode_basis_is_n_plus_2k_columns(make, k, width, complex_width,
+                                              monkeypatch):
+    # perfbench's structured cases: an all-real class of n modes (26 and
+    # 12) and K plane waves (2 and 1) give a float64 mode basis of n + 2K
+    # columns, which one real GEMM contracts; the complex basis read as
+    # interleaved reals took 2 (n + K)
+    exact = get_exact("exp3d" if k == 2 else "exp2d")
+    sol = sbfem_interpolate(make(), k, exact.value)
+    n, K = sol.operators[0].modes.n, len(exact.waves)
+    bases = []
+    on_member_fields(monkeypatch, lambda contraction, operands, coeffs:
+                     bases.append((contraction, operands[0].dtype, operands[0].shape[-1],
+                                   coeffs.dtype, coeffs.shape[1])))
+    solution_errors(sol, exact)
+    assert (n + 2 * K, 2 * (n + K)) == (width, complex_width)
+    assert set(bases) == {("basis", np.dtype(float), width, np.dtype(float), n)}
+
+
+@pytest.mark.parametrize("rules,name", [
+    (dict(facet_order=8.0), "facet_order"), (dict(radial_points=12.9), "radial_points"),
+    (dict(composite_levels=2.5), "composite_levels"),
+    (dict(composite_levels="2"), "composite_levels")])
+def test_error_rules_are_read_as_integers(rules, name):
+    # by operator.index, like the facet ids of apply_dirichlet: no
+    # truncation, no bare TypeError; numpy integers are integers
+    make, k, problem = BATCH_CASES["coupled-singular-l2-k2"]
+    sol, exact = _galerkin(make(), k, problem)
+    value = next(iter(rules.values()))
+    with pytest.raises(QuadratureError, match=re.escape(
+            f"{name} must be an integer, got {value!r}")):
+        solution_errors(sol, exact, **rules)
+    whole = {name: np.int64(int(float(value)))}
+    assert solution_errors(sol, exact, **whole) == solution_errors(
+        sol, exact, **{name: int(float(value))})
 
 
 @pytest.mark.parametrize("make, k, problem, basis", [

@@ -536,14 +536,16 @@ def test_class_records_reproduce_the_per_element_view(make, k, problem):
 def test_error_pass_coefficients_match_the_class_oracle(make, k, problem,
                                                         monkeypatch):
     # every coefficient block the error pass contracts is its class's
-    # oracle array, members in id order, bit for bit, and every member gets
-    # its own coefficients once per facet position
+    # oracle array A_r^-1 U of the realified modes, real, members in id
+    # order, bit for bit, and every member gets its own coefficients once
+    # per facet position
     sol, exact = _galerkin(make(), k, problem)
     mesh, blocks = sol.mesh, []
     on_member_fields(monkeypatch, lambda contraction, operands, coeffs:
                      blocks.append(coeffs.copy()))
     solution_errors(sol, exact)
-    oracle = modal_coefficients(sol)
+    oracle = modal_coefficients(sol, realified=True)
+    assert blocks and {b.dtype for b in blocks} == {np.dtype(float)}
     where = {c.tobytes(): (x, j) for x, C in enumerate(oracle)
              for j, c in enumerate(C)}
     uses = np.zeros(len(mesh._counts), dtype=int)
