@@ -4,7 +4,6 @@ and convergence studies reproducing the reference tables."""
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -46,9 +45,8 @@ def build_mesh(name: str, level: int):
 
 
 # Each config key, and its flag: (default, accepted values, flag help).  Accepted:
-# `str`; `bool` (a store_true flag); an int n for integers >= n; `list`: an
-# integer >= 1, a strictly increasing list of them, "a..b" or "a,b,c"; or a
-# sorted list of names.
+# `str`; `list`: an integer >= 1, a strictly increasing list of them, "a..b" or
+# "a,b,c"; or a sorted list of names.
 OPTIONS = {
     "mesh": ("quad", str, "mesh family name or file:<path>"),
     "levels": ("1", list, "refinement level(s), e.g. 2, 1..4 or 1,2,3"),
@@ -56,10 +54,6 @@ OPTIONS = {
     "problem": ("exp2d", sorted(EXACT_SOLUTIONS), "exact solution registry name"),
     "output": (".", str, "output directory"),
     "bc": ("project", sorted(DIRICHLET_METHODS), "Dirichlet enforcement"),
-    "facet_order": (None, 1, "facet quadrature order for error integrals"),
-    "radial_points": (None, 1, "radial Gauss points per subinterval for error integrals"),
-    "composite_levels": (None, 0, "geometric radial subdivisions for error integrals"),
-    "dump_eigenvalues": (False, bool, "write per-S-element eigenvalue CSVs"),
 }
 
 
@@ -77,17 +71,13 @@ def _check(key: str, value, accepts):
                                   f"a..b, got {value!r}") from None
         if not out:
             raise ConfigError(f"{key} must list at least one integer, got {value!r}")
-        out = [_check(key, v, 1) for v in out]
+        for v in [v for v in out if type(v) is not int or v < 1][:1]:
+            raise ConfigError(f"{key} must be an integer >= 1, got {v!r}")
         if any(b <= a for a, b in zip(out, out[1:])):
             raise ConfigError(f"{key} must be strictly increasing, got {value!r}")
         return out
-    if isinstance(accepts, int):
-        ok, what = type(value) is int and value >= accepts, f"an integer >= {accepts}"
-    elif isinstance(accepts, list):
-        ok, what = value in accepts, f"one of {accepts}"
-    else:
-        ok = isinstance(value, accepts)
-        what = "a string" if accepts is str else "true or false"
+    ok, what = ((value in accepts, f"one of {accepts}") if isinstance(accepts, list)
+                else (isinstance(value, str), "a string"))
     if not ok:
         raise ConfigError(f"{key} must be {what}, got {value!r}")
     return value
@@ -99,10 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Scaled boundary finite elements for the Laplace equation")
     p.add_argument("command", choices=["modes", "interp", "solve", "convergence"])
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    for key, (default, accepts, text) in OPTIONS.items():
-        kind = {"action": "store_true"} if accepts is bool else {}
-        p.add_argument("--" + key.replace("_", "-"), default=None, **kind, help=text
-                       + ("" if default in (None, False) else f" (default: {default})"))
+    for key, (default, _, text) in OPTIONS.items():
+        p.add_argument("--" + key, default=None, help=f"{text} (default: {default})")
     return p
 
 
@@ -123,16 +111,10 @@ def load_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config {args.config} is for command "
                               f"'{data['command']}', not '{args.command}'")
         given.update(data)
-    # a flag's integer string is its int key's integer; `_check` refuses the rest
-    for key, (_, accepts, _) in OPTIONS.items():
-        if (v := getattr(args, key, None)) is not None:
-            given[key] = v
-            if isinstance(accepts, int):
-                with contextlib.suppress(ValueError):
-                    given[key] = int(v)
-    cfg = {key: None if given[key] is None and default is None
-           else _check(key, given[key], accepts)
-           for key, (default, accepts, _) in OPTIONS.items()}
+    given.update({key: v for key in OPTIONS
+                  if (v := getattr(args, key, None)) is not None})
+    cfg = {key: _check(key, given[key], accepts)
+           for key, (_, accepts, _) in OPTIONS.items()}
     cfg["command"] = args.command
     for where, one in (("modes", args.command == "modes"),
                        ("a file: mesh", cfg["mesh"].startswith("file:"))):
@@ -160,8 +142,7 @@ def _run_one(cfg: dict, mesh, k: int, galerkin: bool):
         sol = solve(system)
     else:
         sol = sbfem_interpolate(mesh, k, exact.value)
-    e_l2, e_h1 = solution_errors(sol, exact, cfg["facet_order"],
-                                 cfg["radial_points"], cfg["composite_levels"])
+    e_l2, e_h1 = solution_errors(sol, exact)
     return sol, e_l2, e_h1
 
 
@@ -211,9 +192,6 @@ def run(cfg: dict) -> int:
             print(f"{command} mesh={cfg['mesh']} problem={cfg['problem']} "
                   f"k={k} level={lev}: dof={sol.n_dofs} e_l2={e_l2:.5E} "
                   f"e_h1={e_h1:.5E}")
-            if cfg["dump_eigenvalues"]:
-                _eigen_csv(sol.mesh, sol.operators, out_dir,
-                           f"{_mesh_tag(cfg['mesh'])}_k{k}_l{lev}")
         rates = convergence_rates(rows)
         name = f"{command}_{cfg['problem']}_{_mesh_tag(cfg['mesh'])}_k{k}.csv"
         _write(out_dir / name, report_to_csv(rows, rates))

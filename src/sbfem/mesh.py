@@ -100,11 +100,13 @@ class PolytopalMesh:
         # turn each sector to face its centre: the signed measure of its cone,
         # a fan over the corner offsets o = v - c, is o0 x o1 in 2D and
         # o0 . (o1 x o2 + o2 x o3) = o0 . ((o2 - o0) x (o3 - o1)) over the
-        # ring of 4 in 3D; reverse (a, b, c, d) -> (d, c, b, a) where negative
+        # ring of 4 in 3D, from u = o / extent, whose products neither overflow
+        # nor underflow; reverse (a, b, c, d) -> (d, c, b, a) where negative
         o = np.take(vertices, ring, axis=0) - np.take(centre, elem, axis=0)[:, None]
-        sign = (o[:, 0, 0] * o[:, 1, 1] - o[:, 0, 1] * o[:, 1, 0] if dim == 2 else
-                np.einsum("rd,rd->r", o[:, 0],
-                          np.cross(o[:, 2] - o[:, 0], o[:, 3] - o[:, 1])))
+        u = o / self._extent
+        sign = (u[:, 0, 0] * u[:, 1, 1] - u[:, 0, 1] * u[:, 1, 0] if dim == 2 else
+                np.einsum("rd,rd->r", u[:, 0],
+                          np.cross(u[:, 2] - u[:, 0], u[:, 3] - u[:, 1])))
         if (sign < 0).any():
             j, s = np.arange(table.shape[1]), size[:n_s, None]
             turn = np.where(sign[:, None] < 0, np.where(j < s, s - 1 - j, s - 1), j)

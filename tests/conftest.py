@@ -895,6 +895,28 @@ def evaluate_in_sector(solution, e, ctx, xis, etas):
     return duffy_map_many(ctx.sector, xis, etas), vals[0, ..., 0], grads[0, :, :, 0]
 
 
+def duffy_interpolant(f, sector, k, xis, etas):
+    """Values (R, Q) and gradients (R, Q, 2) of the Duffy interpolant of f on
+    a 2D segment sector, on the (xi, eta) grid with xis in (0, 1]: Lagrange
+    in xi at xi_j = j / k, and at each xi_j the degree-k trace interpolant of
+    f on the facet scaled by xi_j about the centre a0, which is f(a0) at
+    xi = 0.  The Lagrange factors in xi are the segment basis on [0, 1]."""
+    basis = trace_basis(FacetKind.SEGMENT, k)
+    xj = 0.5 * (basis.nodes[:, 0] + 1.0)                     # j / k, in node order
+    a0 = sector.collapsed_vertex
+    rays = facet_map_many(sector, basis.nodes) - a0
+    F = f((a0 + xj[:, None, None] * rays).reshape(-1, 2)).reshape(k + 1, k + 1)
+    xis = np.asarray(xis, dtype=float)
+    L, dL = basis.eval_many(2.0 * xis[:, None] - 1.0)
+    N, dN = basis.eval_many(etas)
+    # d/dxi and d/deta, pushed through J(xi, eta) = J(1, eta) diag(1, xi)
+    parametric = np.stack([2.0 * dL[:, 0] @ F @ N.T,
+                           L @ F @ dN[:, 0].T / xis[:, None]], axis=-1)
+    J, _ = sector_jacobian(sector, etas)
+    grads = np.linalg.solve(np.swapaxes(J, 1, 2), parametric[..., None])[..., 0]
+    return L @ F @ N.T, grads
+
+
 def evaluate_in_fe(solution, q, ref_pts):
     """The error kernel on FE quad q: points, values, gradients, det J."""
     basis = trace_basis(FacetKind.QUADRILATERAL, solution.numbering.k)

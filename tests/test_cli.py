@@ -137,16 +137,14 @@ def test_shipped_configs_parse():
 
 def test_readme_key_table_matches_options():
     # README's key table lists each key of `cli.OPTIONS` once, in order, with
-    # its flag and its default ("none ..." for a null default)
+    # its flag and its default
     text = (CONFIG_DIR.parent / "README.md").read_text()
     head = "| key | flag | default | accepts |\n|---|---|---|---|\n"
     body = text[text.index(head) + len(head):].split("\n\n")[0]
     rows = [[c.strip() for c in line.strip("|").split("|")] for line in body.splitlines()]
     assert [row[0] for row in rows] == [f"`{key}`" for key in cli.OPTIONS]
     for (_, flag, cell, _), (key, (default, _, _)) in zip(rows, cli.OPTIONS.items()):
-        assert flag == f"`--{key.replace('_', '-')}`"
-        assert (cell.startswith("none") if default is None
-                else cell == f"`{str(default).lower()}`"), (key, cell)
+        assert (flag, cell) == (f"`--{key}`", f"`{default}`"), key
 
 
 # each shipped config: command, mesh, levels, k, problem; every other key
@@ -171,8 +169,7 @@ def test_shipped_config_loads_to_its_full_dict(name):
                                          config=str(CONFIG_DIR / f"{name}.json")))
     assert cfg == {"command": command, "mesh": mesh, "levels": levels,
                    "k": k, "problem": problem, "output": f"results/{name}",
-                   "bc": "project", "facet_order": None, "radial_points": None,
-                   "composite_levels": None, "dump_eigenvalues": False}
+                   "bc": "project"}
     assert sorted(SHIPPED) == sorted(p.stem for p in CONFIG_DIR.glob("*.json"))
 
 
@@ -271,17 +268,6 @@ def test_config_command_must_match(tmp_path, capsys):
                  "--output", str(tmp_path)]) == 0
 
 
-def test_dump_eigenvalues_flag(tmp_path):
-    rc = main(["solve", "--mesh", "quad", "--levels", "1", "--k", "1",
-               "--problem", "const", "--output", str(tmp_path),
-               "--dump-eigenvalues"])
-    assert rc == 0
-    files = sorted(tmp_path.glob("eigenvalues_quad_k1_l1_s*.csv"))
-    assert len(files) == 16
-    header = files[0].read_text().split("\n")[0]
-    assert header == "re,im,selected"
-
-
 def test_bad_config_exit_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{oops")
@@ -345,13 +331,28 @@ def test_repeated_facet_vertex_exit_1(tmp_path, capsys, vertices, facets, culpri
     mesh_path = tmp_path / "mesh.json"
     mesh_path.write_text(json.dumps({"dimension": 2, "vertices": vertices,
                                      "selements": [{"facets": facets}]}))
-    with np.errstate(all="ignore"):
-        rc = main(["solve", "--mesh", f"file:{mesh_path}", "--k", "1",
-                   "--output", str(tmp_path / "out")])
+    rc = main(["solve", "--mesh", f"file:{mesh_path}", "--k", "1",
+               "--output", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == (
         f"sbfem: error: {culprit}: facet vertex order (0, 0) is not a symmetry of "
         "the reference segment\n")
+
+
+def test_mesh_error_at_1e308_warns_nothing(tmp_path):
+    # the cone sign that turns each sector to face its centre is computed from
+    # the offsets over the mesh extent: no product overflows, so a child
+    # process that makes every RuntimeWarning an error prints the one line
+    mesh_path = tmp_path / "mesh.json"
+    mesh_path.write_text(json.dumps({
+        "dimension": 2, "vertices": [[0, 0], [1, 0], [1e308, 1e308], [0, 1]],
+        "selements": [{"facets": [[0, 1], [1, 2], [2, 3], [3, 0]]}]}))
+    run = _in_child(["-W", "error::RuntimeWarning", "-m", "sbfem.cli", "solve",
+                     "--mesh", f"file:{mesh_path}", "--k", "1",
+                     "--output", str(tmp_path / "out")], 1)
+    assert (run.returncode, run.stdout) == (1, "")
+    assert run.stderr == ("sbfem: error: S-element 0, facet (0, 1): facet vertex "
+                          "order (0, 0) is not a symmetry of the reference segment\n")
 
 
 @pytest.mark.parametrize("flags,message", [
@@ -359,9 +360,6 @@ def test_repeated_facet_vertex_exit_1(tmp_path, capsys, vertices, facets, culpri
     (["--k", "1.."], "k must be an integer, a list a,b,c or a range a..b, got '1..'"),
     (["--levels", "a"], "levels must be an integer, a list a,b,c or a range a..b, "
                         "got 'a'"),
-    (["--facet-order", "0"], "facet_order must be an integer >= 1, got 0"),
-    (["--radial-points", "0"], "radial_points must be an integer >= 1, got 0"),
-    (["--composite-levels", "-1"], "composite_levels must be an integer >= 0, got -1"),
     (["--k", "3..1"], "k must list at least one integer, got '3..1'"),
     (["--levels", "3..1"], "levels must list at least one integer, got '3..1'"),
     (["--k", "7..9"], "k must be between 1 and 8, got 9"),
@@ -371,11 +369,9 @@ def test_repeated_facet_vertex_exit_1(tmp_path, capsys, vertices, facets, culpri
     (["--levels", "2,1"], "levels must be strictly increasing, got '2,1'"),
     (["--levels", "1,1"], "levels must be strictly increasing, got '1,1'"),
     (["modes", "--levels", "1..3"], "levels must name one level for modes, got '1..3'"),
-], ids=["k-word", "k-open-range", "levels-word", "facet-order-0",
-        "radial-points-0", "composite-levels-negative",
-        "k-empty-range", "levels-empty-range", "k-above-max", "k-0",
-        "levels-negative", "levels-from-0", "levels-decreasing",
-        "levels-repeated", "modes-level-sweep"])
+], ids=["k-word", "k-open-range", "levels-word", "k-empty-range",
+        "levels-empty-range", "k-above-max", "k-0", "levels-negative",
+        "levels-from-0", "levels-decreasing", "levels-repeated", "modes-level-sweep"])
 def test_malformed_flag_exit_2(tmp_path, capsys, flags, message):
     # a case that names no command runs `interp`
     command = [] if flags[0] == "modes" else ["interp"]
@@ -418,12 +414,13 @@ def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
     ({"k": 1.5}, "k must be an integer >= 1, got 1.5"),
     ({"k": True}, "k must be an integer >= 1, got True"),
     ({"levels": [1, "a"]}, "levels must be an integer >= 1, got 'a'"),
-    ({"facet_order": "x"}, "facet_order must be an integer >= 1, got 'x'"),
-    ({"radial_points": "2"}, "radial_points must be an integer >= 1, got '2'"),
+    ({"facet_order": 8}, "unknown config keys: ['facet_order']"),
+    ({"radial_points": 20}, "unknown config keys: ['radial_points']"),
+    ({"composite_levels": 8}, "unknown config keys: ['composite_levels']"),
     ({"level": 2}, "unknown config keys: ['level']"),
     ({"output": 5}, "output must be a string, got 5"),
     ({"mesh": 5}, "mesh must be a string, got 5"),
-    ({"dump_eigenvalues": "no"}, "dump_eigenvalues must be true or false, got 'no'"),
+    ({"dump_eigenvalues": True}, "unknown config keys: ['dump_eigenvalues']"),
     ({"bc": "foo"}, "bc must be one of ['nodal', 'project'], got 'foo'"),
     ({"problem": 5}, "problem must be one of ['const', 'exp2d', 'exp3d', 'sqrt2d'], "
                      "got 5"),
@@ -433,8 +430,9 @@ def test_empty_level_sweep_exit_2(tmp_path, capsys, command):
     ({"levels": []}, "levels must list at least one integer, got []"),
     ({"levels": ","}, "levels must list at least one integer, got ','"),
     ({"k": 9}, "k must be between 1 and 8, got 9"),
-], ids=["k-float", "k-bool", "levels-word", "facet-order-word",
-        "radial-points-string", "level-key-removed", "output-number", "mesh-number", "dump-eigenvalues-word",
+], ids=["k-float", "k-bool", "levels-word", "facet-order-key-removed",
+        "radial-points-key-removed", "composite-levels-key-removed", "level-key-removed",
+        "output-number", "mesh-number", "dump-eigenvalues-key-removed",
         "bc-unknown", "problem-number", "problem-unknown", "k-empty", "levels-empty",
         "levels-no-entry", "k-above-max"])
 def test_malformed_config_value_exit_2(tmp_path, capsys, entry, message):
@@ -520,16 +518,10 @@ def test_non_finite_errors_exit_1(tmp_path, capsys, command):
 @pytest.mark.parametrize("flags,entry,message", [
     (["--k", "2,2"], {}, "k must be strictly increasing, got '2,2'"),
     ([], {"k": [2, 1]}, "k must be strictly increasing, got [2, 1]"),
-    (["--radial-points", "x"], {}, "radial_points must be an integer >= 1, got 'x'"),
-    (["--facet-order", "x"], {}, "facet_order must be an integer >= 1, got 'x'"),
-    (["--radial-points", "1.5"], {}, "radial_points must be an integer >= 1, "
-                                     "got '1.5'"),
-], ids=["k-flag-repeated", "k-key-decreasing", "radial-points-flag-word",
-        "facet-order-flag-word", "radial-points-flag-float"])
+], ids=["k-flag-repeated", "k-key-decreasing"])
 def test_flags_and_lists_go_through_the_key_check(tmp_path, capsys, flags, entry,
                                                  message):
-    # every integer list increases strictly, and an integer flag that does not
-    # read as an integer gets its key's one-line message, as a config value does
+    # every integer list increases strictly, from a flag as from a config value
     path = tmp_path / "run.json"
     path.write_text(json.dumps(dict({"mesh": "quad"}, **entry)))
     rc = main(["interp", "--config", str(path), "--output", str(tmp_path / "out")]
@@ -554,3 +546,34 @@ def test_threads_option_is_gone(tmp_path, capsys):
     assert rc == 2
     assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--facet-order", "8"], ["--radial-points", "20"],
+                                   ["--composite-levels", "8"], ["--dump-eigenvalues"]],
+                         ids=["facet-order", "radial-points", "composite-levels",
+                              "dump-eigenvalues"])
+def test_removed_flags_exit_2(tmp_path, capsys, flags):
+    # the error rules are those of `solution_errors`, and eigenvalue CSVs come
+    # from `sbfem modes`: each flag is an unknown one, and nothing is written
+    rc = main(["convergence", "--mesh", "quad", "--output", str(tmp_path / "out")]
+              + flags)
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(flags)}\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_examples_parse(tmp_path, monkeypatch):
+    # every `sbfem ...` line of README's sh blocks, and every inline
+    # `sbfem <command> ...`, loads its config with the flags the parser has
+    import re
+    import shlex
+    text = (CONFIG_DIR.parent / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+             for line in block.splitlines() if line.startswith("sbfem ")]
+    lines += re.findall(r"`(sbfem (?:modes|interp|solve|convergence)\b[^`]*)`", text)
+    assert len(lines) >= 7
+    monkeypatch.chdir(CONFIG_DIR.parent)
+    for line in lines:
+        args = cli._build_parser().parse_args(shlex.split(line)[1:]
+                                              + ["--output", str(tmp_path)])
+        assert load_config(args)["output"] == str(tmp_path), line

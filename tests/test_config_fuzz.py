@@ -1,8 +1,8 @@
 """Property test: an invalid config is refused before any work or output.
 
 One to three keys of a shipped config get an invalid value each: a wrong
-type, a value out of range, an unknown name, or null where the default is
-not null; the unknown key `bogus` may be added.  `output` points into a
+type, a value out of range, an unknown name, or null; a removed key or the
+unknown key `bogus` may be added.  `output` points into a
 temporary directory unless it is an edited key.  `cli.main` then exits 2
 with one stderr line that names an edited key, makes no output directory,
 and raises nothing (every error it meets is an `SbfemError`).
@@ -21,8 +21,8 @@ from sbfem.cli import main
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
-# key -> invalid values; the quadrature orders default to null, so null is
-# valid for them; `level` and `threads` are removed keys, refused as unknown
+# key -> invalid values; `level`, `threads`, the three error-rule keys and
+# `dump_eigenvalues` are removed keys, refused as unknown whatever their value
 INVALID = {
     "command": ["nosuch", 5],
     "mesh": [5, ["quad"], "nosuch", None],
@@ -32,11 +32,11 @@ INVALID = {
     "problem": [5, "nosuch", None],
     "output": [5, ["out"], None],
     "bc": [5, "foo", None],
-    "facet_order": ["x", 1.5, 0],
-    "radial_points": ["x", 0],
-    "composite_levels": ["x", -1],
     "threads": ["x", 0, -4, None],
-    "dump_eigenvalues": ["no", 5, None],
+    "facet_order": [8, "x", None],
+    "radial_points": [20, 0, None],
+    "composite_levels": [8, -1, None],
+    "dump_eigenvalues": [True, False, None],
     "bogus": [1],
 }
 

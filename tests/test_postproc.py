@@ -230,8 +230,8 @@ def test_batched_errors_match_per_sector_reference(case, one_sector_chunks,
 @pytest.mark.parametrize("case", ["quad-l1-k3", "coupled-singular-l2-k2",
                                   "polyhedron-case1-l1-k2"])
 def test_error_rule_overrides_match_the_per_sector_reference(case, rules):
-    # the CLI's --facet-order, --radial-points and --composite-levels, on
-    # regular and singular classes
+    # the facet order, radial points and composite levels of `solution_errors`,
+    # on regular and singular classes
     make, k, problem = BATCH_CASES[case]
     sol, exact = _galerkin(make(), k, problem)
     assert solution_errors(sol, exact, **rules) == pytest.approx(

@@ -9,19 +9,21 @@ import pytest
 from sbfem.errors import AssemblyError, SolveError
 from sbfem.cli import build_mesh
 from sbfem.mesh import (gen_coupled_singular, gen_hex_mesh, gen_polygon_case1,
-                        gen_polyhedron_case1, gen_quad_mesh, import_mesh,
-                        number_dofs, singular_open_selement)
+                        gen_polyhedron_case1, gen_quad_mesh, gen_refined_square,
+                        import_mesh, number_dofs, singular_open_selement)
+from sbfem.polyspace import facet_quadrature, radial_quadrature
+from sbfem.refgeom import FacetKind
 from sbfem import solver
 from sbfem.postproc import get_exact, solution_errors
 from conftest import (affine_cube_mesh, coupled_mixed_mesh, dirichlet_map,
-                      evaluate_in_fe, evaluate_in_sector, global_csr,
+                      duffy_interpolant, evaluate_in_fe, evaluate_in_sector, global_csr,
                       harmonic_polynomial, hybrid_mesh, interpolant,
                       jittered_quad_mesh,
                       member_coefficients, mesh_to_json, modal_coefficients,
                       octahedron_mesh, on_member_fields, op_sectors,
                       open_element_pinned_first,
                       reference_mode_chain, reference_project_trace,
-                      sector_rows, selement_dofs, selement_views)
+                      sector_jacobian, sector_rows, selement_dofs, selement_views)
 from test_postproc import BATCH_CASES, _galerkin
 from sbfem.solver import (DIRICHLET_METHODS, _project_trace, apply_dirichlet,
                           assemble_global, build_operators, fe_element_stiffness,
@@ -238,6 +240,42 @@ def test_galerkin_identity_on_the_coupled_singular_mesh(k):
     # class max(radial_points, k + 6) points per cell whatever its largest
     # exponent, where a regular class gets at least ceil(lambda_max + d/2)
     assert _galerkin_identity_residual(mesh, exact, k) <= 1e-7
+
+
+DUFFY_MESHES = {
+    "quad-1": lambda: gen_quad_mesh(1), "quad-4": lambda: gen_quad_mesh(4),
+    "polygon-case1-2": lambda: gen_polygon_case1(2),
+    "refined-square-2": lambda: gen_refined_square(2),
+    "jittered-4x4": lambda: jittered_quad_mesh(4, 0.18),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(DUFFY_MESHES))
+def test_interpolant_error_is_the_duffy_error_less_their_gap(name, k):
+    # Pi_S u - Pi_D u vanishes on the skeleton, u is harmonic and Pi_S u is
+    # orthogonal to the semi-discrete functions that vanish on each
+    # S-element's boundary, so per S-element |u - Pi_D u|_1^2 =
+    # |u - Pi_S u|_1^2 + |Pi_S u - Pi_D u|_1^2 (measured: at most 5.9e-12)
+    mesh, exact = DUFFY_MESHES[name](), get_exact("exp2d")
+    sol = sbfem_interpolate(mesh, k, exact.value)
+    rad, frule = radial_quadrature(0.0, 40), facet_quadrature(FacetKind.SEGMENT, 30)
+    xis, etas = rad.points[:, 0], frule.points
+    for e, op in enumerate(selement_views(sol)):
+        squares = np.zeros(3)
+        for ctx in op_sectors(mesh, op, e):
+            pts, _, g_s = evaluate_in_sector(sol, e, ctx, xis, etas)
+            _, g_d = duffy_interpolant(exact.value, ctx.sector, k, xis, etas)
+            g_u = exact.gradient(pts.reshape(-1, 2)).reshape(g_s.shape)
+            w = np.outer(rad.weights * xis,
+                         frule.weights * sector_jacobian(ctx.sector, etas)[1])
+            squares += [np.sum(w * np.sum(g ** 2, axis=-1))
+                        for g in (g_u - g_d, g_u - g_s, g_s - g_d)]
+            # the two interpolants share the skeleton trace
+            trace_s = evaluate_in_sector(sol, e, ctx, [1.0], etas)[1]
+            trace_d = duffy_interpolant(exact.value, ctx.sector, k, [1.0], etas)[0]
+            assert np.abs(trace_s - trace_d).max() <= 1e-12
+        assert abs(squares[0] - squares[1] - squares[2]) <= 1e-10 * squares[0], e
 
 
 def test_interface_trace_continuity_coupled():
