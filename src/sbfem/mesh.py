@@ -300,12 +300,15 @@ class PolytopalMesh:
         on a quadrilateral): a sector fails if |J| < -tol at a corner (it
         folds) or |J| <= tol at all (it is flat), tol = 1e-14 x the product of
         J's column norms there, so scaling keeps the verdict; a straight angle
-        passes.  `conflicts` lists (S-element, position, position) of sectors
-        meeting head to head or tail to tail; the lowest of all is named."""
-        culprits = list(conflicts)
+        passes.  The coordinates are first scaled, exactly, by the power of
+        two 2^-e that takes the extent into [1/2, 1), so that neither J nor
+        its products overflow or underflow at any scale.  `conflicts` lists
+        (S-element, position, position) of sectors meeting head to head or
+        tail to tail; the lowest of all is named."""
+        culprits, e = list(conflicts), np.frexp(self._extent)[1]
         for kind, (centres, vertices, owners) in self._stacks.items():
-            J, det = _sector_jacobians(kind, trace_basis(kind, 1).nodes, centres,
-                                       vertices)
+            J, det = _sector_jacobians(kind, trace_basis(kind, 1).nodes,
+                                       np.ldexp(centres, -e), np.ldexp(vertices, -e))
             tol = 1e-14 * np.sqrt(np.einsum("sqij,sqij->sqj", J, J)).prod(axis=-1)
             bad = (det < -tol).any(axis=1) | (det <= tol).all(axis=1)
             culprits += [(*owner, -1) for owner in owners[bad][:1].tolist()]
@@ -495,8 +498,9 @@ class DofNumbering:
                                # -1 at a side-face pin
 
     def facet_boundary_dofs(self, facet_ids) -> np.ndarray:
-        owner = np.repeat(np.arange(len(self.facet_start) - 1), np.diff(self.facet_start))
-        return _distinct(self.facet_dofs[np.isin(owner, facet_ids)])
+        on = np.zeros(len(self.facet_start) - 1, dtype=bool)
+        on[facet_ids] = True
+        return _distinct(self.facet_dofs[np.repeat(on, np.diff(self.facet_start))])
 
 
 @lru_cache(maxsize=None)
@@ -643,7 +647,8 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         bits = bits[:, None]
     order = np.argsort(keys, kind="stable")
     head = np.ones(len(keys), dtype=bool)
-    head[1:] = np.diff(bits[order], axis=0).any(axis=1)
+    bits = bits[order]
+    head[1:] = (bits[1:] != bits[:-1]).any(axis=1)
     first = order[head]
     ids = np.empty(len(keys), dtype=int)
     ids[order] = np.argsort(np.argsort(first))[np.cumsum(head) - 1]

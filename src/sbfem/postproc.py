@@ -341,18 +341,20 @@ def _coefficient_fields(Z, Z1, F, coeffs):
 def _fe_fields(solution: DiscreteSolution, sl: slice, ref_pts, table):
     """u_h on the slice `sl` of the FE quads at reference points, where the
     Q_k basis takes the values and gradients `table`: mapped points (F, Q, 2),
-    values then gradients (F, 3, Q, 1) and Jacobian determinants (F, Q); J^-T
-    grad N once per congruence class of the mesh's FE quads, on its first in `sl`."""
+    values then gradients (F, 3, Q, 1) and Jacobian determinants (F, Q).  J,
+    J^-T grad N and det once per congruence class of the mesh's FE quads, on
+    its first in `sl`; the points per quad."""
     mesh, quad = solution.mesh, FacetKind.QUADRILATERAL
     nvals, ngrads = table
     corners = np.take(mesh.vertices, mesh._quads()[sl], axis=0)
     u = solution.nodal[solution.numbering.fe_nodes[sl]][:, None, :, None]
-    J = _facet_tangents(quad, ref_pts, corners)
     _, first, cls = np.unique(mesh._fe_class[sl], return_index=True,
                               return_inverse=True)
-    B = np.swapaxes(_inv(J[first]), -1, -2) @ ngrads   # (U, Q, 2, p)
+    J = _facet_tangents(quad, ref_pts, corners[first])         # (U, Q, 2, 2)
+    B = np.swapaxes(_inv(J), -1, -2) @ ngrads                  # (U, Q, 2, p)
     return (_facet_points(quad, ref_pts, corners),
-            np.concatenate([nvals @ u, np.swapaxes(B, 1, 2)[cls] @ u], axis=1), _det(J))
+            np.concatenate([nvals @ u, np.swapaxes(B, 1, 2)[cls] @ u], axis=1),
+            _det(J)[cls])
 
 
 def _error_sums(w, fields, exact=None, pts=None) -> np.ndarray:

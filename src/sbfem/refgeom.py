@@ -42,15 +42,15 @@ def _facet_points(kind: FacetKind, etas: np.ndarray,
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     if kind is FacetKind.SEGMENT:
         t = etas[:, 0]
-        N = np.column_stack([0.5 * (1.0 - t), 0.5 * (1.0 + t)])
+        N = np.stack([0.5 * (1.0 - t), 0.5 * (1.0 + t)])
     elif kind is FacetKind.QUADRILATERAL:
         u, v = etas[:, 0], etas[:, 1]
-        N = np.column_stack([(1 - u) * (1 - v), (1 + u) * (1 - v),
-                             (1 + u) * (1 + v), (1 - u) * (1 + v)]) * 0.25
+        N = np.stack([(1 - u) * (1 - v), (1 + u) * (1 - v),
+                      (1 + u) * (1 + v), (1 - u) * (1 + v)]) * 0.25
     else:
         u, v = etas[:, 0], etas[:, 1]
-        N = np.column_stack([1.0 - u - v, u, v])
-    return _vertex_sum(N, vertices)
+        N = np.stack([1.0 - u - v, u, v])
+    return np.swapaxes(_vertex_sum(N, vertices), -1, -2)
 
 
 def _facet_tangents(kind: FacetKind, etas: np.ndarray,
@@ -60,27 +60,29 @@ def _facet_tangents(kind: FacetKind, etas: np.ndarray,
     etas = np.atleast_2d(np.asarray(etas, dtype=float))
     q = etas.shape[0]
     if kind is FacetKind.SEGMENT:
-        dN = np.broadcast_to([[[-0.5, 0.5]]], (q, 1, 2))
+        dN = np.broadcast_to([[[-0.5]], [[0.5]]], (2, q, 1))
     elif kind is FacetKind.QUADRILATERAL:
         u, v = etas[:, 0], etas[:, 1]
-        dN = np.stack([np.column_stack([v - 1, 1 - v, 1 + v, -1 - v]),
-                       np.column_stack([u - 1, -1 - u, 1 + u, 1 - u])],
-                      axis=1) * 0.25
+        dN = np.stack([np.stack([v - 1, 1 - v, 1 + v, -1 - v]),
+                       np.stack([u - 1, -1 - u, 1 + u, 1 - u])], axis=-1) * 0.25
     else:
-        dN = np.broadcast_to([[[-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]]], (q, 2, 3))
-    return np.swapaxes(_vertex_sum(dN, vertices), -1, -2)
+        dN = np.broadcast_to([[[-1.0, -1.0]], [[1.0, 0.0]], [[0.0, 1.0]]], (3, q, 2))
+    return np.swapaxes(_vertex_sum(dN, vertices), -3, -2)
 
 
 def _vertex_sum(W: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """sum_c W[..., c] vertices[..., c, :] for weights W (q, [t,] n_vertices)
-    and vertices (..., n_vertices, d): (..., q, [t,] d), added term by term
-    from +0.0 as a sum over the vertex axis adds them; not by matmul, whose
-    BLAS kernel would change the rounding."""
-    vs = np.asarray(vertices, dtype=float)
-    vs = vs.reshape(vs.shape[:-2] + (1,) * (W.ndim - 1) + vs.shape[-2:])
-    out = 0.0
-    for c in range(W.shape[-1]):
-        out = out + W[..., c, None] * vs[..., c, :]
+    """sum_c W[c] vertices[..., c, :], coordinate-major, for weights W
+    (n_vertices, q[, t]) and vertices (..., n_vertices, d): (..., d, q[, t]),
+    added term by term from +0.0 as a sum over the vertex axis adds them;
+    not by matmul, whose BLAS kernel would change the rounding.  Each term is
+    a coordinate column (..., d, 1[, 1]) times a weight row (q[, t]), so the
+    inner loop runs over the weights rather than the d coordinates; the
+    terms are added in place."""
+    vs, tail = np.asarray(vertices, dtype=float), (None,) * (W.ndim - 1)
+    out = vs[(..., 0, slice(None)) + tail] * W[0]
+    out += 0.0                               # as 0.0 + term: -0.0 becomes 0.0
+    for c in range(1, len(W)):
+        out += vs[(..., c, slice(None)) + tail] * W[c]
     return out
 
 

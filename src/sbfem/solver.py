@@ -10,13 +10,15 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from . import modes as modes_mod
 from .ematrix import EMatrices, assemble_E
 from .errors import AssemblyError, SolveError, SpectrumError
-from .mesh import DofNumbering, PolytopalMesh, _distinct, number_dofs
+from .mesh import (DofNumbering, PolytopalMesh, _distinct, _first_seen, _shape_keys,
+                   number_dofs)
 from .polyspace import _basis_table, facet_quadrature
 from .refgeom import FacetKind, _chunks, _det, _facet_points, _facet_tangents, _inv
 
@@ -118,9 +120,10 @@ class BlockOperator:
     n: int
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return sum(np.bincount(d.ravel(), (
+        # the block products summed in place into the first block's
+        return reduce(operator.iadd, (np.bincount(d.ravel(), (
             x[d] @ M[0] if len(M) == 1 else np.einsum("bij,bj->bi", M, x[d])).ravel(),
-            self.n) for d, M in self.blocks)
+            self.n) for d, M in self.blocks))
 
     def diagonal(self) -> np.ndarray:
         return sum(np.bincount(d.ravel(), np.broadcast_to(np.diagonal(
@@ -180,17 +183,19 @@ def _cg(A: BlockOperator, b: np.ndarray, mask=True) -> np.ndarray:
     holds, x = 0 elsewhere, to a relative residual of 1e-15; NaN in A or b, NaN x."""
     d, r = np.where(mask, A.diagonal(), 1.0), b * mask
     x, z, norm_b = 0.0 * r, r / d, np.linalg.norm(r)     # 0 * r keeps a NaN of b
-    p, rz = z, r @ z
+    p, rz, tol = z, r @ z, 1e-15 * norm_b
     for _ in range(CG_MAX_ITERATIONS):
-        if not np.linalg.norm(r) > 1e-15 * norm_b:
+        if not np.sqrt(r @ r) > tol:    # np.linalg.norm of a real vector
             return x
-        q = (A @ p) * mask
+        q = A @ p
+        q *= mask
         alpha = rz / (p @ q)
         x += alpha * p
         r -= alpha * q
         z = r / d
         rz, rz_old = r @ z, rz
-        p = z + (rz / rz_old) * p
+        p *= rz / rz_old      # p = z + beta p, in place
+        p += z
     raise SolveError(f"CG did not converge in {CG_MAX_ITERATIONS} iterations: "
                      f"relative residual {np.linalg.norm(r) / norm_b:.2e}")
 
@@ -230,7 +235,10 @@ def apply_dirichlet(system: GlobalSystem, g, facet_ids=None,
 
 def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
     """L2 projection of g onto the trace space of the given facets (sorted
-    DOFs `dofs`): one stacked pass per facet kind, one CG mass solve."""
+    DOFs `dofs`): one stacked pass per facet kind, one CG mass solve.  The
+    facets of a kind alike in snapped corner offsets (`_shape_keys`) form a
+    class, whose first facet's tangents, |J| and mass block serve them all;
+    g is evaluated at each facet's own points."""
     if dofs.size == 0:
         return np.zeros(0)
     mesh, nd = system.mesh, system.numbering
@@ -238,17 +246,19 @@ def _project_trace(system: GlobalSystem, g, facet_ids, dofs) -> np.ndarray:
     for kind, (fids, corners) in mesh._facet_corners(facet_ids).items():
         rule = facet_quadrature(kind, 2 * nd.k + 8)
         vals, _ = _basis_table(kind, nd.k, 2 * nd.k + 8)              # (Q, m)
+        cls, first = _first_seen(_shape_keys(mesh, corners - corners[:, :1]).reshape(
+            len(fids), -1))
         pts = _facet_points(kind, rule.points, corners)                # (F, Q, d)
-        tans = _facet_tangents(kind, rule.points, corners)        # (F, Q, d, d-1)
+        tans = _facet_tangents(kind, rule.points, corners[first])  # (C, Q, d, d-1)
         jac = np.linalg.norm(tans[..., 0] if mesh.dimension == 2
                              else np.cross(tans[..., 0], tans[..., 1]), axis=-1)
-        w = rule.weights * jac                                         # (F, Q)
-        ue = _evaluate_field(g, pts.reshape(-1, mesh.dimension)).reshape(w.shape)
+        w = rule.weights * jac                                         # (C, Q)
+        ue = _evaluate_field(g, pts.reshape(-1, mesh.dimension)).reshape(len(fids), -1)
         rows = np.searchsorted(dofs, nd.facet_dofs[nd.facet_start[fids][:, None]
                                                    + np.arange(vals.shape[1])])
         M = np.einsum("fq,qi,qj->fij", w, vals, vals)
-        blocks.append((rows, 0.5 * (M + np.swapaxes(M, 1, 2))))   # symmetric bit for bit
-        np.add.at(b, rows, (w * ue) @ vals)
+        blocks.append((rows, (0.5 * (M + np.swapaxes(M, 1, 2)))[cls]))  # symmetric bit for bit
+        np.add.at(b, rows, (w[cls] * ue) @ vals)
     return _cg(BlockOperator(blocks, len(dofs)), b)
 
 

@@ -12,9 +12,9 @@ import pytest
 import scipy.sparse
 from scipy.special import roots_jacobi, roots_legendre
 
-from sbfem import modes, postproc
+from sbfem import modes, postproc, solver
 from sbfem.ematrix import EMatrices
-from sbfem.errors import MeshError, SbfemError
+from sbfem.errors import MeshError, SbfemError, SolveError
 from sbfem.mesh import (_KIND_BY_SIZE, DofNumbering, PolytopalMesh,
                         _corner_weights, _first_seen, _merge_vertices,
                         _open_mesh, _shape_keys, gen_hex_mesh, gen_polygon_case1,
@@ -117,6 +117,22 @@ def reference_eval_many(basis, etas) -> tuple[np.ndarray, np.ndarray]:
             dm *= col
         grads[:, v, :] = (dm * basis.powers[:, v][None, :]) @ basis.coeffs
     return reference_monomials(basis.powers, etas) @ basis.coeffs, grads
+
+
+def reference_vertex_sum(W: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """sum_c W[..., c] vertices[..., c, :] for weights W (q, [t,] n_vertices)
+    and vertices (..., n_vertices, d): (..., q, [t,] d), added term by term
+    from +0.0 with the d coordinates innermost.
+
+    Oracle for the coordinate-major `refgeom._vertex_sum`, which must match
+    it bit for bit once its weight and output axes are moved.
+    """
+    vs = np.asarray(vertices, dtype=float)
+    vs = vs.reshape(vs.shape[:-2] + (1,) * (W.ndim - 1) + vs.shape[-2:])
+    out = 0.0
+    for c in range(W.shape[-1]):
+        out = out + W[..., c, None] * vs[..., c, :]
+    return out
 
 
 # -- the mesh's registration arrays, read per element --------------------------
@@ -1088,6 +1104,33 @@ def reference_project_trace(system, g, facet_ids, dofs) -> np.ndarray:
         M[ix] += Mel
         b[gl] += bel
     return np.linalg.solve(M, b)
+
+
+def reference_cg(A, b: np.ndarray, mask=True) -> np.ndarray:
+    """Jacobi-preconditioned CG with `np.linalg.norm` residuals, a masked
+    copy of each product and a Python `sum` of the block products.
+
+    Oracle for `solver._cg`, whose iterates must match it bit for bit.
+    """
+    def matmul(x):
+        return sum(np.bincount(d.ravel(), (
+            x[d] @ M[0] if len(M) == 1 else np.einsum("bij,bj->bi", M, x[d])).ravel(),
+            A.n) for d, M in A.blocks)
+
+    d, r = np.where(mask, A.diagonal(), 1.0), b * mask
+    x, z, norm_b = 0.0 * r, r / d, np.linalg.norm(r)
+    p, rz = z, r @ z
+    for _ in range(solver.CG_MAX_ITERATIONS):
+        if not np.linalg.norm(r) > 1e-15 * norm_b:
+            return x
+        q = matmul(p) * mask
+        alpha = rz / (p @ q)
+        x += alpha * p
+        r -= alpha * q
+        z = r / d
+        rz, rz_old = r @ z, rz
+        p = z + (rz / rz_old) * p
+    raise SolveError("CG did not converge")
 
 
 # -- diagnostics that only tests use ---------------------------------------------

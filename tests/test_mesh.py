@@ -23,6 +23,7 @@ from conftest import (assert_local_dofs_match, coupled_mixed_mesh, facet_kind,
                       reference_singular_open_selement, relabelled,
                       sector_jacobian, sector_rows, selement_dofs,
                       selement_facets)
+from test_cli import _in_child
 from test_postproc import BATCH_CASES
 from sbfem.cli import MESH_FAMILIES, build_mesh, main
 from sbfem.errors import MeshError
@@ -997,6 +998,23 @@ def test_star_shape_is_decided_at_the_facet_corners(scale):
             import_mesh(dart_prism(t, scale))
     for t, bottom in itertools.product((1.0, 1.01), ((0, 3, 2, 1), (3, 2, 1, 0))):
         import_mesh(dart_prism(t, scale, bottom))
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_star_shape_check_is_scale_free(scale, tmp_path):
+    # the check runs on the coordinates scaled exactly by a power of two to
+    # an extent in [1/2, 1): the counter-clockwise unit square at 1e-170,
+    # whose |J| underflowed, and at 1e300, whose |J| overflowed, is imported
+    # by a child process that makes every RuntimeWarning an error
+    path = tmp_path / "mesh.json"
+    path.write_text(json.dumps({
+        "dimension": 2, "vertices": [[0, 0], [scale, 0], [scale, scale], [0, scale]],
+        "selements": [{"facets": [[0, 1], [1, 2], [2, 3], [3, 0]]}]}))
+    run = _in_child(["-W", "error::RuntimeWarning", "-c",
+                     "import sys; from sbfem.mesh import import_mesh; "
+                     "print(import_mesh(sys.argv[1]).centres.tolist())", str(path)], 1)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == f"{[[0.5 * scale, 0.5 * scale]]}\n"
 
 
 L_SHAPE = [[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3]]

@@ -273,6 +273,23 @@ def test_error_work_is_per_class(one_sector_chunks, monkeypatch):
     assert counts == [1, 1]
 
 
+@pytest.mark.parametrize("one_quad_chunks", [False, True])
+def test_fe_geometry_is_per_fe_class(one_quad_chunks, monkeypatch):
+    # J, J^-T grad N and det once per FE class in a chunk: the 96 FE quads of
+    # coupled-singular level 3 are translates of one quad, in one chunk at
+    # the default budget or in 96 of one quad each
+    if one_quad_chunks:
+        monkeypatch.setattr(refgeom, "CHUNK_BUDGET", 1)
+    sol, exact = _galerkin(gen_coupled_singular(3), 2, "sqrt2d")
+    rows, tangents = [], postproc._facet_tangents
+    monkeypatch.setattr(postproc, "_facet_tangents", lambda kind, etas, v: (
+        rows.append(len(v)), tangents(kind, etas, v))[1])
+    got = solution_errors(sol, exact)
+    assert len(sol.mesh._fe_class) == 96
+    assert rows == [1] * (96 if one_quad_chunks else 1)
+    assert got == pytest.approx(reference_solution_errors(sol, exact), rel=1e-12, abs=0.0)
+
+
 @pytest.mark.parametrize("make, problem", [
     (lambda: gen_coupled_singular(3), "sqrt2d"),
     (lambda: jittered_quad_mesh(8, 0.18), "exp2d")], ids=["coupled", "jittered"])

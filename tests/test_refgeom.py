@@ -2,17 +2,20 @@
 of `conftest._sector_points` (the error integration's point formula) and
 Jacobians of `refgeom._sector_jacobians`."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (GeometryError, Sector, duffy_map_many, mesh_sector,
-                      sector_jacobian)
+                      reference_vertex_sum, sector_jacobian)
 from sbfem.cli import MESH_FAMILIES, build_mesh
 from sbfem.polyspace import facet_quadrature, trace_basis
-from sbfem.refgeom import (FacetKind, _det, _facet_tangents, _inv,
-                           _sector_jacobians)
+from sbfem import refgeom
+from sbfem.refgeom import (FacetKind, _det, _facet_points, _facet_tangents, _inv,
+                           _sector_jacobians, _vertex_sum)
 
 
 def tri_sector():
@@ -235,3 +238,26 @@ def test_closed_form_jacobian_algebra_on_random_stacks(d, rng):
     Q = np.linalg.qr(rng.normal(size=(4, 50, d, d)))[0]
     s = rng.uniform(0.5, 2.0, (4, 50, 1, d)) * 10.0 ** rng.uniform(-3, 3, (4, 50, 1, 1))
     assert_matches_lapack((Q * s) @ np.swapaxes(Q, -1, -2)[..., ::-1, :])
+
+
+@pytest.mark.parametrize("kind", list(FacetKind))
+def test_vertex_sum_matches_the_reference_bit_for_bit(kind, rng, monkeypatch):
+    # the point weights (n, q) and tangent weights (n, q, t) of each facet
+    # kind, on vertex stacks with 0, 1 or 2 leading axes in 2D and 3D, some
+    # coordinates +-0.0: the coordinate-major sum adds the same terms in the
+    # same order from +0.0
+    weights = []
+    monkeypatch.setattr(refgeom, "_vertex_sum", lambda W, v: (
+        weights.append(W), _vertex_sum(W, v))[1])
+    etas = facet_quadrature(kind, 6).points
+    _facet_points(kind, etas, np.zeros((kind.n_vertices, kind.ambient_dim)))
+    _facet_tangents(kind, etas, np.zeros((kind.n_vertices, kind.ambient_dim)))
+    assert [W.ndim for W in weights] == [2, 3]
+    for W, lead, d in itertools.product(weights, [(), (5,), (3, 4)], [2, 3]):
+        v = rng.standard_normal(lead + (kind.n_vertices, d))
+        v[rng.random(v.shape) < 0.2] = 0.0
+        v[rng.random(v.shape) < 0.1] = -0.0
+        got = np.moveaxis(_vertex_sum(W, v), -W.ndim, -1)
+        want = reference_vertex_sum(np.moveaxis(W, 0, -1), v)
+        assert got.shape == want.shape == lead + W.shape[1:] + (d,)
+        assert np.ascontiguousarray(got).tobytes() == want.tobytes()

@@ -22,7 +22,7 @@ from conftest import (affine_cube_mesh, coupled_mixed_mesh, dirichlet_map,
                       member_coefficients, mesh_to_json, modal_coefficients,
                       octahedron_mesh, on_member_fields, op_sectors,
                       open_element_pinned_first,
-                      reference_mode_chain, reference_project_trace,
+                      reference_cg, reference_mode_chain, reference_project_trace,
                       sector_jacobian, sector_rows, selement_dofs, selement_views)
 from test_postproc import BATCH_CASES, _galerkin
 from sbfem.solver import (DIRICHLET_METHODS, _project_trace, apply_dirichlet,
@@ -481,6 +481,55 @@ def test_block_operator_and_mass_solve_match_the_oracles(case, rng):
     want = reference_project_trace(system, exact.value, facet_ids, dofs)
     got = _project_trace(system, exact.value, facet_ids, dofs)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", sorted(BATCH_CASES))
+def test_cg_iterates_match_the_reference_bit_for_bit(case, monkeypatch):
+    # the trace-mass solve of the Dirichlet projection and the solve on the
+    # free DOFs: the in-place mask, the residual as sqrt(r @ r) and the block
+    # products summed into the first change no bit of the result
+    calls, cg = [], solver._cg
+    monkeypatch.setattr(solver, "_cg", lambda A, b, *mask: (
+        calls.append((A, b, *mask)), cg(A, b, *mask))[1])
+    make, k, problem = BATCH_CASES[case]
+    _galerkin(make(), k, problem)
+    assert [len(c) for c in calls] == [2, 3]
+    for A, b, *mask in calls:
+        assert np.array_equal(cg(A, b, *mask), reference_cg(A, b, *mask))
+
+
+def slid_quad_mesh():
+    """The 4 x 4 grid with each boundary vertex off the corners slid along the
+    boundary by up to 1e-13 x the extent: one snapped class per side."""
+    rng, data = np.random.default_rng(0), mesh_to_json(gen_quad_mesh(4))
+    for v in data["vertices"]:
+        on_side = [abs(abs(c) - 1.0) < 1e-15 for c in v]
+        if sum(on_side) == 1:
+            v[on_side.index(False)] += 2.0e-13 * rng.uniform(-0.5, 0.5)
+    return import_mesh(data)
+
+
+@pytest.mark.parametrize("make, k, problem, classes, rtol", [
+    (lambda: gen_hex_mesh(4), 2, "exp3d", 6, 1e-13),
+    (lambda: gen_quad_mesh(16), 3, "exp2d", 4, 1e-13),
+    (slid_quad_mesh, 3, "exp2d", 4, 1e-12)], ids=["hex-4-k2", "quad-16-k3", "slid-quad-4-k3"])
+def test_projection_geometry_is_per_facet_class(make, k, problem, classes, rtol,
+                                                monkeypatch):
+    # tangents, |J| and mass blocks once per class of the Dirichlet facets
+    # (hex: 96 facets, one class per cube face; quad: 64, one per side; the
+    # slid grid's facets of a side share their first facet's |J|), the
+    # values of g at every facet's own points
+    rows, tangents = [], solver._facet_tangents
+    monkeypatch.setattr(solver, "_facet_tangents", lambda kind, etas, v: (
+        rows.append(len(v)), tangents(kind, etas, v))[1])
+    mesh, exact = make(), get_exact(problem)
+    system = assemble_global(mesh, k)
+    facet_ids = mesh.boundary_facet_ids()
+    dofs = system.numbering.facet_boundary_dofs(facet_ids)
+    got = _project_trace(system, exact.value, facet_ids, dofs)
+    assert rows == [classes]
+    want = reference_project_trace(system, exact.value, facet_ids, dofs)
+    assert np.abs(got - want).max() <= rtol * np.abs(want).max()
 
 
 def test_cg_failures_are_solve_errors(monkeypatch):
