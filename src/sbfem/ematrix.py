@@ -61,7 +61,7 @@ def assemble_E(stacks: dict, rows: dict, members: np.ndarray, n: int, k: int,
     a shape function left out (a pinned DOF).  The sectors of the ascending
     S-element ids `members`, of trace size n, are integrated by the facet
     rule of `order` in chunks of at most `refgeom.CHUNK_BUDGET` entries;
-    registration has checked every sector (`PolytopalMesh._check_star_shape`).
+    registration has decided every sector (`PolytopalMesh._check_star_shape`).
     Returns the stack (len(members), n, n): member j's blocks at j, which
     receive its sectors in kind and sector order.
     """

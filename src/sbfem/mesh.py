@@ -302,16 +302,27 @@ class PolytopalMesh:
         J's column norms there, so scaling keeps the verdict; a straight angle
         passes.  The coordinates are first scaled, exactly, by the power of
         two 2^-e that takes the extent into [1/2, 1), so that neither J nor
-        its products overflow or underflow at any scale.  `conflicts` lists
-        (S-element, position, position) of sectors meeting head to head or
-        tail to tail; the lowest of all is named."""
-        culprits, e = list(conflicts), np.frexp(self._extent)[1]
+        its products overflow or underflow at any scale.  Only the lowest
+        member of each class is evaluated, and a copy where that member's
+        sector at the same facet position is within reach of +-tol: any other
+        copy shares its verdict.  `conflicts` lists (S-element, position,
+        position) of sectors meeting head to head or tail to tail; the
+        lowest of all is named."""
+        culprits, e, cls = list(conflicts), np.frexp(self._extent)[1], self._sel_class
+        lead = snap = None           # classes are numbered by their lowest member
+        if len(cls) and cls[-1] < len(cls) - 1:             # not all singletons
+            lead = np.diff(np.maximum.accumulate(cls), prepend=-1) > 0
+            # a copy's offsets are within the key grid plus rounding of its lead's
+            snap = MERGE_RTOL * self._extent + 1e-14 * np.abs(self.vertices).max()
         for kind, (centres, vertices, owners) in self._stacks.items():
-            J, det = _sector_jacobians(kind, trace_basis(kind, 1).nodes,
-                                       np.ldexp(centres, -e), np.ldexp(vertices, -e))
-            tol = 1e-14 * np.sqrt(np.einsum("sqij,sqij->sqj", J, J)).prod(axis=-1)
-            bad = (det < -tol).any(axis=1) | (det <= tol).all(axis=1)
-            culprits += [(*owner, -1) for owner in owners[bad][:1].tolist()]
+            r = slice(None) if lead is None else np.flatnonzero(lead[owners[:, 0]])
+            bad, near = _flag_sectors(kind, centres[r], vertices[r], e, snap)
+            culprits += [(*owner, -1) for owner in owners[r][bad][:1].tolist()]
+            if lead is not None and near.any():   # copies at (class, position)
+                key = cls[owners[:, 0]] * len(self._table) + owners[:, 1]
+                s = np.flatnonzero(np.isin(key, key[r[near]]) & ~lead[owners[:, 0]])
+                bad = _flag_sectors(kind, centres[s], vertices[s], e)[0]
+                culprits += [(*owner, -1) for owner in owners[s[bad]][:1].tolist()]
         if culprits:
             e, pos, other = min(culprits)
             row = int(self._counts[:e].sum())
@@ -320,6 +331,24 @@ class PolytopalMesh:
                     f"{self._listing(row + other)} cannot both face")
             raise MeshError(f"S-element {e} fails the star-shape check: "
                             f"{what} its scaling center {self.centres[e]}")
+
+
+def _flag_sectors(kind: FacetKind, centres, vertices, e: int, snap=None) -> tuple:
+    """The sectors of a stack, centres (S, d) and facet vertices (S,
+    n_vertices, d) scaled by 2^-e, that fail the star-shape check; given
+    `snap`, also those a copy with offsets up to snap away per coordinate can
+    fail: its columns move by at most delta = 2 sqrt(d) snap 2^-e, its |J| and
+    tol by at most D = prod(|c_j| + delta) - prod |c_j| (Hadamard), so only
+    where |J| <= tol + 2 D."""
+    J, det = _sector_jacobians(kind, trace_basis(kind, 1).nodes,
+                               np.ldexp(centres, -e), np.ldexp(vertices, -e))
+    norms = np.sqrt(np.einsum("sqij,sqij->sqj", J, J))
+    tol = 1e-14 * (scale := norms.prod(axis=-1))
+    bad = (det < -tol).any(axis=1) | (det <= tol).all(axis=1)
+    if snap is None:
+        return bad, None
+    delta = 2.0 * np.sqrt(J.shape[-1]) * np.ldexp(snap, -e)
+    return bad, (det <= tol + 2.0 * ((norms + delta).prod(axis=-1) - scale)).any(axis=1)
 
 
 def _roots(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:

@@ -125,7 +125,7 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     congruence class (`PolytopalMesh._register`), in S-element order.  Its
     members are translated copies: the J(1,eta), rays F_L(eta) - a0, weights
     |J(1,eta)| and mode fields of its first member serve them all, and each
-    member gets its own centre a0 and coefficients; registration has checked
+    member gets its own centre a0 and coefficients; registration has decided
     every sector.  Classes are grouped by (mode count, size, radial rule,
     complex exponent or not).  The modes are closed under conjugation, so
     their real parts span u_h once mode j is turned by -i where Im lambda_j
@@ -139,13 +139,13 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
     radial, Q facet points).  For blocks of s sectors and up to m members,
     each chunk contracts either the coefficients first, an operand F x C of
     s (1 + d) n_modes Q m entries per block, or, when R <= m, a mode basis
-    of s (1 + d) R Q n_modes made once for all its blocks; the error sums
-    are row sums of squares of the s (1 + d) R Q m output.  FE quads go in
-    chunks of Q d entries each.  An exact solution's plane waves
+    of s (1 + d) R Q n_modes made once for all its blocks, then re-cut to a
+    real GEMM output of s (1 + d) R Q m within 8 x CHUNK_BUDGET (1 MiB) per
+    block; the error sums are row sums of squares of that output.  FE quads
+    go in chunks of Q d entries each.  An exact solution's plane waves
     (`ExactSolution.waves`) are 2K more columns of a mode basis, whose
     matmul then gives u_h - u; coefficient-first chunks, FE quads and
-    solutions without waves (sqrt2d, const) subtract `value_and_gradient`.
-    """
+    solutions without waves (sqrt2d, const) subtract `value_and_gradient`."""
     k = solution.numbering.k
     facet_order = _integer("facet_order", facet_order, 2 * k + 4)
     radial_points = _integer("radial_points", radial_points, 2 * k + 8)
@@ -220,8 +220,9 @@ def solution_errors(solution: DiscreteSolution, exact: ExactSolution,
                 steps = xis[:, None, None, None] * rays[sl]  # (S, R, Q, 1, d)
                 basis = len(xis) <= min(m, blocks[0].stop)   # the smaller intermediate
                 kernel, fields = _coefficient_fields, (Z[f], Z1[f], F)
-                if basis:
+                if basis:   # blocks of at most 8 budgets of real GEMM output: 1 MiB
                     kernel, fields = _basis_fields, (_mode_basis(*fields, steps, *waves),)
+                    blocks = _chunks(m, w.size * (1 + d), 8)
                 for blk in blocks:
                     a0 = np.take(centres, rows[r[sl], blk], axis=0)   # (S, m, d)
                     coeffs = np.swapaxes(C[u, blk], 1, 2)

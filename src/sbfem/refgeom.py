@@ -119,7 +119,7 @@ def _inv(J: np.ndarray) -> np.ndarray:
     return np.stack([x / det for col in zip(*C) for x in col], axis=-1).reshape(J.shape)
 
 
-def _chunks(n: int, per_member: int) -> list:
-    """Slices of a stack of n members, each under CHUNK_BUDGET entries."""
-    step = max(1, CHUNK_BUDGET // per_member)
+def _chunks(n: int, per_member: int, budgets: int = 1) -> list:
+    """Slices of a stack of n members, each under budgets x CHUNK_BUDGET entries."""
+    step = max(1, budgets * CHUNK_BUDGET // per_member)
     return [slice(i, i + step) for i in range(0, n, step)]

@@ -286,6 +286,44 @@ def check_sectors(J, det, owners):
                             f"sector (|J(1,eta)| = {low:.3e})")
 
 
+def reference_check_star_shape(mesh, conflicts):
+    """`PolytopalMesh._check_star_shape` as it evaluated every sector of
+    every stack, members and copies alike, at the facet corners of the
+    coordinates scaled by 2^-e; patched in for the method, it is the
+    oracle of the per-class check's verdict and message."""
+    culprits, e = list(conflicts), np.frexp(mesh._extent)[1]
+    for kind, (centres, vertices, owners) in mesh._stacks.items():
+        J, det = _sector_jacobians(kind, trace_basis(kind, 1).nodes,
+                                   np.ldexp(centres, -e), np.ldexp(vertices, -e))
+        tol = 1e-14 * np.sqrt(np.einsum("sqij,sqij->sqj", J, J)).prod(axis=-1)
+        bad = (det < -tol).any(axis=1) | (det <= tol).all(axis=1)
+        culprits += [(*owner, -1) for owner in owners[bad][:1].tolist()]
+    if culprits:
+        e, pos, other = min(culprits)
+        row = int(mesh._counts[:e].sum())
+        what = (f"facet {mesh._listing(row + pos)} is not fully visible from"
+                if other < 0 else f"facets {mesh._listing(row + pos)} and "
+                f"{mesh._listing(row + other)} cannot both face")
+        raise MeshError(f"S-element {e} fails the star-shape check: "
+                        f"{what} its scaling center {mesh.centres[e]}")
+
+
+def star_shape_verdicts(monkeypatch, make) -> tuple:
+    """The MeshError message (None if it passes) of `make()` with the
+    production star-shape check, then with `reference_check_star_shape`."""
+    verdicts = []
+    for check in (None, reference_check_star_shape):
+        with monkeypatch.context() as patch:
+            if check:
+                patch.setattr(PolytopalMesh, "_check_star_shape", check)
+            try:
+                make()
+                verdicts.append(None)
+            except MeshError as err:
+                verdicts.append(str(err))
+    return tuple(verdicts)
+
+
 def duffy_map_many(sector, xis, etas):
     """Mapped points (len(xis), q, d) of one sector by the per-sector steps
     of the error integration: `refgeom._sector_jacobians`, a degeneracy
@@ -1145,6 +1183,20 @@ def flat_sector_squares(h0, h1) -> dict:
             "selements": [
                 {"facets": [[0, 1], [1, 4], [4, 3], [3, 0]], "center": [0.0, -1 + h0]},
                 {"facets": [[1, 2], [2, 5], [5, 4], [4, 1]], "center": [2.0, -1 + h1]}]}
+
+
+def lowered_grid(mesh, heights) -> dict:
+    """The mesh's JSON with each S-element's scaling centre in the middle of
+    its bounding box, but `heights[e]` (default 4e-14) above its lowest
+    coordinate along the last axis: a nearly flat bottom sector whose
+    congruence key is one for every height below the key grid."""
+    data = mesh_to_json(mesh)
+    for e, entry in enumerate(data["selements"]):
+        corners = np.array([data["vertices"][v] for f in entry["facets"] for v in f])
+        centre = 0.5 * (corners.min(axis=0) + corners.max(axis=0))
+        centre[-1] = corners[:, -1].min() + heights.get(e, 4e-14)
+        entry["center"] = centre.tolist()
+    return data
 
 
 def mesh_to_json(mesh) -> dict:

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import (assert_local_dofs_match, coupled_mixed_mesh, facet_kind,
                       facet_list, facet_map_many, facet_nodes, facet_owners,
                       flat_sector_squares,
-                      hybrid_mesh, is_open, jittered_quad_mesh, mesh_sector,
+                      hybrid_mesh, is_open, jittered_quad_mesh, lowered_grid,
+                      mesh_sector,
                       mesh_to_json, octahedron_mesh, open_element_pinned_first,
                       polygon_mesh, reference_congruence_classes,
                       reference_coupled_singular, reference_hex_family,
@@ -22,9 +23,10 @@ from conftest import (assert_local_dofs_match, coupled_mixed_mesh, facet_kind,
                       reference_quad_family,
                       reference_singular_open_selement, relabelled,
                       sector_jacobian, sector_rows, selement_dofs,
-                      selement_facets)
+                      selement_facets, star_shape_verdicts)
 from test_cli import _in_child
 from test_postproc import BATCH_CASES
+from sbfem import mesh as mesh_module
 from sbfem.cli import MESH_FAMILIES, build_mesh, main
 from sbfem.errors import MeshError
 from sbfem.mesh import (MERGE_DIRECTION, NEAR_RTOL, DofNumbering, PolytopalMesh,
@@ -1015,6 +1017,72 @@ def test_star_shape_check_is_scale_free(scale, tmp_path):
                      "print(import_mesh(sys.argv[1]).centres.tolist())", str(path)], 1)
     assert (run.returncode, run.stderr) == (0, "")
     assert run.stdout == f"{[[0.5 * scale, 0.5 * scale]]}\n"
+
+
+def pulled_quad_mesh() -> dict:
+    """A 4 x 4 grid with the interior vertex at (0, 0) pulled to (0.45,
+    0.45), every centre the mean of its element's vertices."""
+    data = mesh_to_json(gen_quad_mesh(4))
+    for entry in data["selements"]:
+        del entry["center"]
+    v = next(i for i, p in enumerate(data["vertices"]) if p == [0.0, 0.0])
+    data["vertices"][v] = [0.45, 0.45]
+    return data
+
+
+STAR_SHAPE_CASES = {
+    **{f"{family}-l2": lambda family=family: build_mesh(family, 2)
+       for family in MESH_FAMILIES},
+    **{f"jittered-8x8-{amplitude}-{seed}":
+       lambda amplitude=amplitude, seed=seed: jittered_quad_mesh(8, amplitude, seed)
+       for amplitude, seed in ((0.18, 1), (0.6, 0), (0.8, 3))},
+    **{f"flat-squares-{h1}": lambda h1=h1: import_mesh(flat_sector_squares(4e-14, h1))
+       for h1 in (5e-15, 0.0, -5e-15, 2e-14)},
+    **{f"dart-prism-{t}-{scale}": lambda t=t, scale=scale: import_mesh(dart_prism(t, scale))
+       for t, scale in itertools.product((0.95, 1.0, 1.01), (1.0, 2.0 ** -40))},
+    "pulled-quad-4x4": lambda: import_mesh(pulled_quad_mesh()),
+    # copies whose bottom sector is flat, their classes' lowest members not
+    "lowered-quad-4x4": lambda: import_mesh(lowered_grid(
+        gen_quad_mesh(4), {9: 5e-15, 5: 0.0, 14: -5e-15})),
+    "lowered-hex-3x3x3": lambda: import_mesh(lowered_grid(
+        gen_hex_mesh(3), {13: 2e-15, 20: 0.0})),
+    "lowered-hex-3x3x3-passes": lambda: import_mesh(lowered_grid(gen_hex_mesh(3), {})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STAR_SHAPE_CASES))
+def test_star_shape_check_per_class_matches_the_all_sector_oracle(case, monkeypatch):
+    # one member per class, and copies only where that member is within
+    # reach of failing: the same verdict and culprit as evaluating every
+    # sector (conftest.reference_check_star_shape)
+    got, want = star_shape_verdicts(monkeypatch, STAR_SHAPE_CASES[case])
+    assert got == want
+
+
+def test_star_shape_copies_share_one_class():
+    # the lowered grids test copies: at heights within the key grid, every
+    # S-element of a structured mesh is one class
+    for mesh in (gen_quad_mesh(4), gen_hex_mesh(3)):
+        lowered = import_mesh(lowered_grid(mesh, {1: 2e-14}))
+        assert lowered._sel_class.tolist() == [0] * len(lowered._sel_class)
+
+
+@pytest.mark.parametrize("make, sectors", [
+    (lambda: gen_hex_mesh(4), [6]), (lambda: gen_quad_mesh(16), [4]),
+    (lambda: jittered_quad_mesh(8, 0.18), [256]), ("lowered", [4, 15])],
+    ids=["hex-l2", "quad-l3", "jittered-8x8", "lowered-quad-4x4"])
+def test_star_shape_evaluates_one_member_per_class(make, sectors, monkeypatch):
+    # a class's lowest member's sectors, and the copies' sectors at a
+    # position where one of them is within reach of failing: the 15 copies
+    # of the lowered grid's nearly flat bottom; singleton classes (jittered)
+    # have every sector evaluated once, as the all-sector check did
+    if make == "lowered":
+        make = lambda data=lowered_grid(gen_quad_mesh(4), {}): import_mesh(data)
+    seen, flag = [], mesh_module._flag_sectors
+    monkeypatch.setattr(mesh_module, "_flag_sectors", lambda kind, centres, *rest: (
+        seen.append(len(centres)), flag(kind, centres, *rest))[1])
+    make()
+    assert seen == sectors
 
 
 L_SHAPE = [[0, 0], [3, 0], [3, 1], [1, 1], [1, 3], [0, 3]]

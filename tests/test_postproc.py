@@ -714,6 +714,55 @@ def test_contraction_takes_the_smaller_intermediate(make, k, problem, basis,
     assert forms and set(forms) == {"basis" if basis else "coefficients"}
 
 
+@pytest.mark.parametrize("make, k, widths", [
+    (lambda: gen_hex_mesh(4), 2, [64] * 6), (lambda: gen_quad_mesh(16), 3, [256] * 4),
+    (lambda: gen_hex_mesh(8), 2, ([109] * 4 + [76]) * 6)],
+    ids=["hex-l2-k2", "quad-l3-k3", "hex-l3-k2"])
+def test_basis_blocks_are_sized_by_their_gemm_output(make, k, widths, monkeypatch):
+    # a mode-basis member block is cut by its real GEMM output, s (1 + d) R
+    # Q m reals, within 8 x CHUNK_BUDGET: one block per facet position for
+    # hex l2 k2 (64 members x 1,200 reals) and quad l3 k3 (256 x 252), five
+    # of up to 109 members per position for hex l3 k2 (512 members).
+    # Blocks sized like the coefficient-first ones, by R Q d per member,
+    # numbered 24, 12 and 174
+    exact = get_exact("exp3d" if k == 2 else "exp2d")
+    sol = sbfem_interpolate(make(), k, exact.value)
+    blocks = []
+    on_member_fields(monkeypatch, lambda contraction, operands, coeffs:
+                     blocks.append((contraction, coeffs.shape[0], coeffs.shape[-1])))
+    solution_errors(sol, exact)
+    assert blocks == [("basis", 1, m) for m in widths]
+
+
+def test_chunk_budget_is_pinned():
+    # test_error_memory_is_bounded_by_the_chunk_budget and
+    # test_mode_basis_memory_is_bounded_by_the_chunk_budget bound the peak
+    # by 16 x 16 x CHUNK_BUDGET bytes: a larger budget would loosen both
+    # quietly, so changing it must change this test too
+    assert refgeom.CHUNK_BUDGET == 1 << 14
+
+
+def test_production_radial_rules_reach_the_fine_rule_errors(monkeypatch):
+    # refined-square level 3, k = 4 (a shipped config): the default rules
+    # against a 60-point radial and a degree-30 facet rule read 5.0e-10
+    # (H1) and 3.8e-8 (L2) apart; the old fixed 2k + 8 radial points of a
+    # regular class read 1.9e-5 and 1.8e-5, which these bounds reject
+    exact = get_exact("exp2d")
+    sol = sbfem_interpolate(gen_refined_square(8), 4, exact.value)
+    fine = np.array(solution_errors(sol, exact, radial_points=60, facet_order=30))
+
+    def gap():
+        return np.abs(np.array(solution_errors(sol, exact)) / fine - 1.0)
+
+    bound = np.array([2e-7, 2e-9])          # (L2, H1)
+    assert (gap() <= bound).all()
+    rules = postproc._radial_rules
+    monkeypatch.setattr(postproc, "_radial_rules", lambda ops, ids, k, d, points, levels: [
+        (floor, n if floor < 0.0 else points, cells)
+        for floor, n, cells in rules(ops, ids, k, d, points, levels)])
+    assert (gap() > 50.0 * bound).all()
+
+
 def test_representative_geometry_is_computed_once_per_pass(monkeypatch):
     # hex level 2, k = 2: one class of 64 members at 6 facet positions, one
     # chunk each; J(1,eta) and its inverse are made once for all 6
